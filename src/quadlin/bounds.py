@@ -28,7 +28,6 @@ the bound from first principles without re-running the solver.
 from __future__ import annotations
 
 import enum
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -37,9 +36,9 @@ from quadlin.lpsolve import (
     EQ,
     LE,
     OPTIMAL,
-    EXACT_SIZE_LIMIT,
-    MODE_ENV_VAR,
     LinearProgram,
+    _requested_mode,
+    _resolve_mode,
     solve_lp,
 )
 from quadlin.model import (
@@ -101,24 +100,14 @@ def rat_from(v):
 
 
 def _bound_mode(bqp: BqpInstance, mode: str, nrows: int, nvars: int) -> str:
-    if mode == "auto":
-        env = os.environ.get(MODE_ENV_VAR, "").strip().lower()
-        if env in ("exact", "float"):
-            mode = env
-        elif env:
-            raise ValueError(
-                f"{MODE_ENV_VAR} must be 'exact' or 'float', got {env!r}")
-        elif bqp.float_tagged:
-            mode = "float"
-        else:
-            mode = "float" if max(nrows, nvars) > EXACT_SIZE_LIMIT \
-                else "exact"
-    if mode not in ("exact", "float"):
-        raise ValueError(f"mode must be auto, exact or float, got {mode!r}")
-    if mode == "exact" and bqp.float_tagged:
+    """lpsolve's mode rule, with float-tagged data read as float unless
+    exact mode is requested, which is refused."""
+    if not bqp.float_tagged:
+        return _resolve_mode(mode, nrows, nvars)
+    if _requested_mode(mode) == "exact":
         raise FloatTaggedError(
             "instance carries float data; exact mode refused")
-    return mode
+    return "float"
 
 
 def _check_sparsity(sparsity, m):

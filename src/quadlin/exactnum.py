@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 
 Rational = Fraction
 
@@ -178,17 +178,19 @@ class RationalMatrix:
 # ---------------------------------------------------------------------------
 # row reduction
 
+def common_denominator(values):
+    """``(numerators, den)`` for ints and Fractions: each value is
+    ``numerator / den`` for the least common denominator ``den``."""
+    values = list(values)
+    den = lcm(*{v.denominator for v in values})
+    if den == 1:
+        return [v.numerator for v in values], 1
+    return [v.numerator * (den // v.denominator) for v in values], den
+
+
 def _scaled_int_rows(mat: RationalMatrix) -> list:
     """Each row scaled by the lcm of its denominators; preserves row space."""
-    out = []
-    for i in range(mat.rows):
-        row = mat.row(i)
-        scale = 1
-        for v in row:
-            d = v.denominator
-            scale = scale // gcd(scale, d) * d
-        out.append([int(v * scale) for v in row])
-    return out
+    return [common_denominator(mat.row(i))[0] for i in range(mat.rows)]
 
 
 def _gcd_normalize(row: list) -> None:
@@ -203,59 +205,74 @@ def _gcd_normalize(row: list) -> None:
             row[j] = v // g
 
 
-def _int_gauss_jordan(work: list, cols: int):
-    """In-place integer Gauss-Jordan; returns the pivot column list.
+def int_echelon(rows) -> dict:
+    """Forward elimination of integer rows, one row at a time.
 
-    Pivot rule: first row (in current order) with a nonzero entry in the
-    scanned column.  No magnitude pivoting, so the result is deterministic.
+    Returns ``{pivot column: row}``.  Each kept row is zero before its pivot
+    column, its entries have no common factor, and no two kept rows share a
+    pivot column, so the kept rows are independent and span the input rows;
+    their number is the rank.
     """
-    nrows = len(work)
-    pivots = []
-    r = 0
-    for c in range(cols):
-        pr = -1
-        for i in range(r, nrows):
-            if work[i][c]:
-                pr = i
-                break
-        if pr < 0:
-            continue
-        work[r], work[pr] = work[pr], work[r]
-        prow = work[r]
-        p = prow[c]
-        for i in range(nrows):
-            if i == r:
-                continue
-            q = work[i][c]
-            if q:
-                row = work[i]
-                work[i] = [a * p - b * q for a, b in zip(row, prow)]
-                _gcd_normalize(work[i])
-        pivots.append(c)
-        r += 1
-        if r == nrows:
+    echelon = {}
+    for row in rows:
+        lead, rest = int_reduce(echelon, row)
+        if lead >= 0:
+            echelon[lead] = rest
+    return echelon
+
+
+def int_reduce(echelon: dict, row):
+    """Reduce an integer row against ``int_echelon``'s result.
+
+    Returns ``(lead, rest)``: ``rest`` is the row minus a combination of the
+    echelon rows, scaled by a nonzero integer, and ``lead`` its first
+    nonzero column, or -1 when the row lies in the echelon rows' span.
+    """
+    row = list(row)
+    n = len(row)
+    lead = next((j for j in range(n) if row[j]), -1)
+    while lead >= 0:
+        prow = echelon.get(lead)
+        if prow is None:
             break
-    return pivots
+        p, q = prow[lead], row[lead]
+        g = gcd(p, q)
+        p //= g
+        q //= g
+        row = [a * p - b * q for a, b in zip(row, prow)]
+        _gcd_normalize(row)
+        lead = next((j for j in range(lead + 1, n) if row[j]), -1)
+    return lead, row
 
 
 def rref(mat: RationalMatrix):
     """Reduced row echelon form.
 
     Returns ``(reduced, pivot_columns)``; the rank is ``len(pivot_columns)``.
+    The forward elimination of int_echelon, then each pivot column cleared
+    above its row, last pivot first.
     """
-    work = _scaled_int_rows(mat)
-    pivots = _int_gauss_jordan(work, mat.cols)
+    echelon = int_echelon(_scaled_int_rows(mat))
+    pivots = sorted(echelon)
+    work = [echelon[c] for c in pivots]
+    for k in range(len(work) - 1, 0, -1):
+        prow = work[k]
+        p = prow[pivots[k]]
+        for i in range(k):
+            q = work[i][pivots[k]]
+            if q:
+                work[i] = [a * p - b * q for a, b in zip(work[i], prow)]
+                _gcd_normalize(work[i])
     flat = []
-    for k, c in enumerate(pivots):
-        p = Fraction(work[k][c])
-        flat.extend(Fraction(v) / p for v in work[k])
+    for row, c in zip(work, pivots):
+        p = Fraction(row[c])
+        flat.extend(Fraction(v) / p for v in row)
     flat.extend([ZERO] * ((mat.rows - len(pivots)) * mat.cols))
     return RationalMatrix(mat.rows, mat.cols, tuple(flat)), tuple(pivots)
 
 
 def matrix_rank(mat: RationalMatrix) -> int:
-    work = _scaled_int_rows(mat)
-    return len(_int_gauss_jordan(work, mat.cols))
+    return len(int_echelon(_scaled_int_rows(mat)))
 
 
 def null_space_basis(mat: RationalMatrix) -> list:

@@ -224,20 +224,27 @@ def _prepare(lp: LinearProgram) -> _Prepared:
     return p
 
 
-def _resolve_mode(mode: str, lp: LinearProgram) -> str:
-    if mode == "auto":
-        env = os.environ.get(MODE_ENV_VAR, "").strip().lower()
-        if env in ("exact", "float"):
-            return env
-        if env:
-            raise ValueError(
-                f"{MODE_ENV_VAR} must be 'exact' or 'float', got {env!r}")
-        if max(lp.nrows, lp.nvars) > EXACT_SIZE_LIMIT:
-            return "float"
-        return "exact"
+def _requested_mode(mode: str):
+    """The explicit mode, else the one QUADLIN_MODE names, else None."""
     if mode in ("exact", "float"):
         return mode
-    raise ValueError(f"mode must be auto, exact or float, got {mode!r}")
+    if mode != "auto":
+        raise ValueError(f"mode must be auto, exact or float, got {mode!r}")
+    env = os.environ.get(MODE_ENV_VAR, "").strip().lower()
+    if env in ("exact", "float"):
+        return env
+    if env:
+        raise ValueError(
+            f"{MODE_ENV_VAR} must be 'exact' or 'float', got {env!r}")
+    return None
+
+
+def _resolve_mode(mode: str, nrows: int, nvars: int) -> str:
+    """Requested mode, else float past EXACT_SIZE_LIMIT rows or vars."""
+    requested = _requested_mode(mode)
+    if requested is not None:
+        return requested
+    return "float" if max(nrows, nvars) > EXACT_SIZE_LIMIT else "exact"
 
 
 # ---------------------------------------------------------------------------
@@ -565,7 +572,7 @@ def _solve_float(lp: LinearProgram, prep: _Prepared):
 
 def solve_lp(lp: LinearProgram, mode: str = "auto") -> LpResult:
     """Solve the program; exact results are KKT-certified before returning."""
-    mode = _resolve_mode(mode, lp)
+    mode = _resolve_mode(mode, lp.nrows, lp.nvars)
     prep = _prepare(lp)
     if prep.bound_infeasible:
         return LpResult(status=INFEASIBLE, mode=mode)

@@ -25,21 +25,31 @@ linearizable matrices for the graph.
 Diagonal entries of Q are linear costs in disguise (x_e^2 == x_e) and are
 normalized away on entry and folded back into the output vector; asymmetry
 never matters because x^T Q x == x^T sym(Q) x identically.
+
+Arithmetic: every map above only adds and subtracts the pair sums
+q_ij + q_ji and the given costs, so each computation scales its inputs
+once to integer numerators over one common denominator, runs on Python
+ints, and builds a Fraction only for the values it returns.  Membership in
+a spanning set reduces the query against a forward elimination of the
+members, computed on the first query and kept on the instance.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 from quadlin.exactnum import (
     ONE,
     ZERO,
     RationalMatrix,
-    matrix_rank,
+    common_denominator,
+    int_echelon,
+    int_reduce,
+    matrix_rank,  # unused here; bench/tracing.py wraps this binding by name
     null_space_basis,
     rat,
-    solve_lower_triangular,
 )
 from quadlin.graph import (
     Dag,
@@ -50,7 +60,7 @@ from quadlin.graph import (
     non_basic_arcs,
     prune_to_corridor,
 )
-from quadlin.model import QsppInstance, quadratic_value, require_exact
+from quadlin.model import QsppInstance, require_exact
 
 
 # ---------------------------------------------------------------------------
@@ -78,7 +88,13 @@ def reduce_cost_vector(g: Dag, c) -> tuple:
         raise ValueError("cost vector length mismatch")
     if not is_corridor(g):
         raise GraphError("reduced form needs a corridor graph")
-    vals = [rat(v) for v in c]
+    nums, den = common_denominator(rat(v) for v in c)
+    _reduce_numerators(g, nums)
+    return _over(nums, den)
+
+
+def _reduce_numerators(g: Dag, vals: list) -> None:
+    """reduce_cost_vector's sweep on a list of ints, in place."""
     for v, f in _sweep_order(g):
         cf = vals[f]
         if cf == 0:
@@ -87,7 +103,10 @@ def reduce_cost_vector(g: Dag, c) -> tuple:
             vals[e] -= cf
         for e in g.in_arcs[v]:
             vals[e] += cf
-    return tuple(vals)
+
+
+def _over(nums, den) -> tuple:
+    return tuple(Fraction(x, den) for x in nums)
 
 
 def reduction_matrix(g: Dag) -> RationalMatrix:
@@ -134,26 +153,50 @@ def pseudo_linearization(g: Dag, q: RationalMatrix) -> tuple:
         raise ValueError("cost matrix shape mismatch")
     if any(q.at(i, i) != 0 for i in range(g.m)):
         raise ValueError("cost matrix must have zero diagonal")
-    basic = basic_arc_order(g)
-    if not basic:
-        return (ZERO,) * g.m
-    paths = [critical_path(g, e) for e in basic]
-    col = {e: k for k, e in enumerate(basic)}
-    nb = non_basic_arcs(g)
-    rows = []
-    rhs = []
-    for p in paths:
-        row = [ZERO] * len(basic)
-        for a in p.arcs:
-            if a not in nb:
-                row[col[a]] = ONE
-        rows.append(row)
-        rhs.append(quadratic_value(q, p.incidence(g.m)))
-    solution = solve_lower_triangular(RationalMatrix.from_rows(rows), rhs)
-    out = [ZERO] * g.m
-    for e, val in zip(basic, solution):
-        out[e] = val
-    return tuple(out)
+    s, _, den = _pair_sums(q)
+    return _over(_pseudo_numerators(g, s, range(g.m)), den)
+
+
+def _pair_sums(q: RationalMatrix):
+    """``(s, diag, den)``: q_ij + q_ji == s[i][j] / den for i != j (s[i][i]
+    is 0) and q_ii == diag[i] / den, with den the least common
+    denominator of q's entries."""
+    m = q.rows
+    nums, den = common_denominator(q.entries)
+    rows = [nums[i * m:(i + 1) * m] for i in range(m)]
+    s = [[a + b for a, b in zip(row, col)]
+         for row, col in zip(rows, zip(*rows))]
+    diag = []
+    for i in range(m):
+        diag.append(rows[i][i])
+        s[i][i] = 0
+    return s, diag, den
+
+
+def _critical_arcs(g: Dag):
+    """(basic arc, arcs of its critical path), basic arcs in canonical
+    order; every other basic arc on the path comes earlier."""
+    return [(e, critical_path(g, e).arcs) for e in basic_arc_order(g)]
+
+
+def _pseudo_numerators(g: Dag, s, top) -> list:
+    """Integer core of pseudo_linearization.
+
+    ``s`` holds pair-sum numerators indexed by the labels ``top[a]`` of g's
+    arcs; the result holds numerators over the same denominator.  Forward
+    substitution: the path cost minus the values already fixed for the
+    other basic arcs on the path (non-basic arcs stay 0).
+    """
+    out = [0] * g.m
+    for e, arcs in _critical_arcs(g):
+        tops = [top[a] for a in arcs]
+        cost = 0
+        for k, a in enumerate(tops):
+            row = s[a]
+            for b in tops[k + 1:]:
+                cost += row[b]
+        out[e] = cost - sum(out[a] for a in arcs)
+    return out
 
 
 def critical_incidence_matrix(g: Dag) -> RationalMatrix:
@@ -187,22 +230,32 @@ def transform_te(parent: Dag, q: RationalMatrix, c, e: int,
     Appending e to any s-v path x then costs c . x + c[e] == x'^T q x' for
     the extended path x', which is what makes the recursion tick.
     """
-    if len(c) != parent.m:
+    m = parent.m
+    if len(c) != m:
         raise ValueError("cost vector length mismatch")
     v, head = parent.arcs[e]
     if head != parent.target:
         raise GraphError("arc must point at the target")
     if child is None:
         child = prune_to_corridor(parent, v)
-    c = [rat(x) for x in c]
+    pair_e = [q.at(e, a) + q.at(a, e) for a in range(m)]
+    nums, den = common_denominator([rat(x) for x in c] + pair_e)
+    out = _push_numerators(child, nums[:m], nums[m:], e, range(m))
+    return child, _over(out, den)
+
+
+def _push_numerators(child: Dag, c, s_row, e: int, top) -> list:
+    """Integer core of transform_te: ``c`` and ``s_row`` (the pair sums
+    with e, indexed by ``top`` of the parent's labels) are numerators over
+    one denominator, and so is the result."""
     out = []
     for a_local in range(child.m):
         a = child.parent_arc[a_local]
-        val = c[a] - q.at(e, a) - q.at(a, e)
+        val = c[a] - s_row[top[a]]
         if child.arcs[a_local][0] == child.source:
             val += c[e]
         out.append(val)
-    return child, tuple(out)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -228,24 +281,6 @@ class LinearizationOutcome:
     witness: Witness = None
 
 
-def _symmetrized_offdiag(q: RationalMatrix):
-    """(diagonal vector, symmetric zero-diagonal part) of q."""
-    m = q.rows
-    diag = q.diagonal_vector()
-    half = Fraction(1, 2)
-    rows = [[ZERO] * m for _ in range(m)]
-    for i in range(m):
-        for j in range(m):
-            if i != j:
-                rows[i][j] = (q.at(i, j) + q.at(j, i)) * half
-    return diag, RationalMatrix.from_rows(rows)
-
-
-def _submatrix(q: RationalMatrix, labels):
-    return RationalMatrix.from_rows(
-        [[q.at(i, j) for j in labels] for i in labels])
-
-
 def linearize_qspp(inst: QsppInstance) -> LinearizationOutcome:
     """Decide linearizability of the instance's cost matrix exactly.
 
@@ -261,11 +296,10 @@ def linearize_qspp(inst: QsppInstance) -> LinearizationOutcome:
         raise GraphError("instance graph must be corridor-pruned")
     if g.source == g.target:
         return LinearizationOutcome(linearizable=True, linearization=())
-    diag, qs = _symmetrized_offdiag(inst.Q)
+    s, diag, den = _pair_sums(inst.Q)
 
     corridors = {}
     locals_of = {}
-    qsubs = {}
     pseudo = {}
     for v in g.topo_order:
         if v == g.source:
@@ -273,28 +307,29 @@ def linearize_qspp(inst: QsppInstance) -> LinearizationOutcome:
         cor = prune_to_corridor(g, v)
         corridors[v] = cor
         locals_of[v] = {top: i for i, top in enumerate(cor.parent_arc)}
-        qsubs[v] = _submatrix(qs, cor.parent_arc)
-        pseudo[v] = pseudo_linearization(cor, qsubs[v])
+        pseudo[v] = _pseudo_numerators(cor, s, cor.parent_arc)
 
     for e_top, (u, v) in enumerate(g.arcs):
         if u == g.source:
             continue  # the corridor to the source has no arcs
         cor_v = corridors[v]
-        loc_v = locals_of[v]
-        child, pushed = transform_te(
-            cor_v, qsubs[v], pseudo[v], loc_v[e_top])
-        reduced = reduce_cost_vector(child, pushed)
+        e_local = locals_of[v][e_top]
+        child = prune_to_corridor(cor_v, cor_v.arcs[e_local][0])
+        reduced = _push_numerators(child, pseudo[v], s[e_top], e_local,
+                                   cor_v.parent_arc)
+        _reduce_numerators(child, reduced)
         if reduced != pseudo[u]:
             return LinearizationOutcome(
                 linearizable=False,
                 witness=Witness(
                     arc=e_top, tail=u, head=v,
                     arc_labels=corridors[u].parent_arc,
-                    expected=pseudo[u], actual=reduced))
+                    expected=_over(pseudo[u], den),
+                    actual=_over(reduced, den)))
 
-    c = tuple(a + b for a, b in zip(pseudo[g.target],
-                                    reduce_cost_vector(g, diag)))
-    return LinearizationOutcome(linearizable=True, linearization=c)
+    _reduce_numerators(g, diag)
+    c = [a + b for a, b in zip(pseudo[g.target], diag)]
+    return LinearizationOutcome(linearizable=True, linearization=_over(c, den))
 
 
 # ---------------------------------------------------------------------------
@@ -316,25 +351,36 @@ class SpanningSet:
     dimension: int
 
     def contains(self, q: RationalMatrix) -> bool:
-        """Is q in the span?  Rank test over off-diagonal coordinates.
+        """Is q in the span?  Elimination over off-diagonal coordinates.
 
-        Members all have zero diagonal, so anything with a nonzero
-        diagonal entry is outside the span by definition.
+        The members' coordinate rows, as integers, are forward-eliminated
+        on the first query and the echelon form is kept on the instance:
+        the first query pays for the elimination, and every query reduces
+        only its own row against it.  Members all have zero diagonal, so
+        anything with a nonzero diagonal entry is outside the span by
+        definition.  Raises ValueError("shape mismatch") when q's size
+        differs from the members'.
         """
+        if self.members:
+            size = self.members[0][0].rows
+            if (q.rows, q.cols) != (size, size):
+                raise ValueError("shape mismatch")
         if any(q.at(i, i) != 0 for i in range(q.rows)):
             return False
-        coords = _offdiag_coords(q)
-        if not self.members:
-            return all(v == 0 for v in coords)
-        rows = [_offdiag_coords(qi) for qi, _ in self.members]
-        base = RationalMatrix.from_rows(rows)
-        stacked = RationalMatrix.from_rows(rows + [coords])
-        return matrix_rank(base) == matrix_rank(stacked)
+        lead, _ = int_reduce(self._echelon, _offdiag_coords(q))
+        return lead < 0
+
+    @cached_property
+    def _echelon(self) -> dict:
+        return int_echelon(_offdiag_coords(qi) for qi, _ in self.members)
 
 
-def _offdiag_coords(q: RationalMatrix):
-    m = q.rows
-    return [q.at(i, j) for i in range(m) for j in range(m) if i != j]
+def _offdiag_coords(q: RationalMatrix) -> list:
+    """q's off-diagonal entries, row by row, as integers over their least
+    common denominator (membership only needs the direction)."""
+    step = q.cols + 1
+    return common_denominator(
+        [v for k, v in enumerate(q.entries) if k % step])[0]
 
 
 def _pair_index(m: int):
@@ -343,39 +389,24 @@ def _pair_index(m: int):
 
 
 def _symbolic_pseudo(cor: Dag, pidx, top_of):
-    """Rows over pair coordinates: row a gives p[a] as a functional of Q."""
+    """Rows over pair coordinates: row a gives p[a] as a functional of Q.
+
+    The forward substitution of _pseudo_numerators, on vector values.
+    """
     width = len(pidx)
-    basic = basic_arc_order(cor)
     nb = non_basic_arcs(cor)
-    col = {e: k for k, e in enumerate(basic)}
-    cost_rows = []
-    inc_rows = []
-    for e in basic:
-        p = critical_path(cor, e)
+    out = [[0] * width for _ in range(cor.m)]
+    for e, arcs in _critical_arcs(cor):
         row = [0] * width
-        tops = [top_of[a] for a in p.arcs]
+        tops = [top_of[a] for a in arcs]
         for x in range(len(tops)):
             for y in range(x + 1, len(tops)):
                 a, b = tops[x], tops[y]
                 key = (a, b) if a < b else (b, a)
                 row[pidx[key]] += 1
-        cost_rows.append(row)
-        inc = [0] * len(basic)
-        for a in p.arcs:
-            if a not in nb:
-                inc[col[a]] = 1
-        inc_rows.append(inc)
-    # unit lower triangular forward substitution on vector-valued rhs
-    solved = []
-    for k in range(len(basic)):
-        row = cost_rows[k]
-        for j in range(k):
-            if inc_rows[k][j]:
-                prev = solved[j]
-                row = [a - b for a, b in zip(row, prev)]
-        solved.append(row)
-    out = [[0] * width for _ in range(cor.m)]
-    for e, row in zip(basic, solved):
+        for a in arcs:
+            if a != e and a not in nb:
+                row = [x - y for x, y in zip(row, out[a])]
         out[e] = row
     return out
 
@@ -385,7 +416,11 @@ def spanning_set(g: Dag) -> SpanningSet:
 
     Every member comes with its linearization vector; symmetric members
     carry the reduced vector read off the target pseudo-linearization map,
-    skew members carry zero.
+    skew members carry zero.  The residual maps are integer rows over the
+    pair coordinates; each null-space vector is scaled once to integer
+    numerators over one common denominator, and its linearization vector
+    is a sparse integer dot product with the target's symbolic
+    pseudo-linearization rows, turned into Fractions only at the end.
     """
     if not is_corridor(g):
         raise GraphError("spanning sets need a corridor graph")
@@ -441,18 +476,19 @@ def spanning_set(g: Dag) -> SpanningSet:
 
     members = []
     for vec in sym_basis:
-        rows = [[ZERO] * m for _ in range(m)]
-        for (i, j), val in zip(pairs, vec):
-            rows[i][j] = val
-            rows[j][i] = val
-        q = RationalMatrix.from_rows(rows)
-        # s-coordinates of this member are 2*vec
-        c = tuple(2 * sum((rv * sv for rv, sv in zip(prow, vec)), ZERO)
+        nums, den = common_denominator(vec)
+        support = [(k, x) for k, x in enumerate(nums) if x]
+        flat = [ZERO] * (m * m)
+        for k, _ in support:
+            i, j = pairs[k]
+            flat[i * m + j] = flat[j * m + i] = vec[k]
+        # s-coordinates of this member are 2*vec = 2*nums/den
+        c = tuple(Fraction(2 * sum(prow[k] * x for k, x in support), den)
                   for prow in p_t)
-        members.append((q, c))
+        members.append((RationalMatrix(m, m, tuple(flat)), c))
     for i, j in pairs:
-        rows = [[ZERO] * m for _ in range(m)]
-        rows[i][j] = ONE
-        rows[j][i] = -ONE
-        members.append((RationalMatrix.from_rows(rows), (ZERO,) * m))
+        flat = [ZERO] * (m * m)
+        flat[i * m + j] = ONE
+        flat[j * m + i] = -ONE
+        members.append((RationalMatrix(m, m, tuple(flat)), (ZERO,) * m))
     return SpanningSet(members=tuple(members), dimension=len(members))

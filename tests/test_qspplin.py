@@ -5,8 +5,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quadlin.exactnum import RationalMatrix, matrix_rank
-from quadlin.graph import Dag, GraphError, enumerate_st_paths, non_basic_arcs
+from quadlin.exactnum import (
+    RationalMatrix,
+    matrix_rank,
+    solve_lower_triangular,
+    vadd,
+    vscale,
+)
+from quadlin.graph import (
+    Dag,
+    GraphError,
+    basic_arc_order,
+    critical_path,
+    enumerate_st_paths,
+    non_basic_arcs,
+)
 from quadlin.model import (
     FloatTaggedError,
     QsppInstance,
@@ -18,6 +31,7 @@ from quadlin.model import (
     weak_sum_matrix,
 )
 from quadlin.qspplin import (
+    SpanningSet,
     critical_incidence_matrix,
     equivalent_cost_vectors,
     linearize_qspp,
@@ -43,11 +57,18 @@ from oracles import system_solvable
 F = Fraction
 
 
-def zero_diag_rows(rng, m, symmetric=False):
-    rows = rand_symmetric_rows(rng, m) if symmetric else rand_rows(rng, m, m)
+def zero_diag_rows(rng, m, symmetric=False, **kw):
+    rows = (rand_symmetric_rows(rng, m, **kw) if symmetric
+            else rand_rows(rng, m, m, **kw))
     for i in range(m):
         rows[i][i] = F(0)
     return rows
+
+
+def exact_tuple(values):
+    """Bit-equality of exact results: Fractions, compared by value."""
+    assert all(type(v) is F for v in values)
+    return tuple(values)
 
 
 def path_cost(c, path):
@@ -149,6 +170,25 @@ def test_pseudo_matches_critical_path_costs():
         assert reduce_cost_vector(g, p) == p
 
 
+def test_pseudo_matches_fraction_reference():
+    # Reference in Fractions: forward substitution on the critical-path
+    # incidence with x^T Q x on the right.  Denominators 3, 5 and 7 make
+    # the common denominator of the integer core nontrivial.
+    rng = random.Random(23)
+    for k in range(40):
+        g = random_corridor_dag(rng)
+        q = RationalMatrix.from_rows(zero_diag_rows(
+            rng, g.m, symmetric=bool(k % 2), denoms=(3, 5, 7)))
+        basic = basic_arc_order(g)
+        rhs = [quadratic_value(q, critical_path(g, e).incidence(g.m))
+               for e in basic]
+        solved = solve_lower_triangular(critical_incidence_matrix(g), rhs)
+        ref = [F(0)] * g.m
+        for e, val in zip(basic, solved):
+            ref[e] = val
+        assert exact_tuple(pseudo_linearization(g, q)) == tuple(ref)
+
+
 def test_pseudo_rejects_nonzero_diagonal():
     g = diamond()
     rows = [[F(0)] * 4 for _ in range(4)]
@@ -182,6 +222,28 @@ def test_transform_diamond_example():
     child, pushed = transform_te(g, q, c, 2)
     assert child.m == 1 and child.parent_arc == (0,)
     assert pushed == (F(10) - F(4) + F(30),)
+
+
+def test_transform_and_reduce_match_fraction_reference():
+    rng = random.Random(24)
+    for _ in range(30):
+        g = random_corridor_dag(rng)
+        q = RationalMatrix.from_rows(zero_diag_rows(rng, g.m,
+                                                    denoms=(3, 5, 7)))
+        c = [rand_rational(rng, denoms=(1, 3, 5, 7)) for _ in range(g.m)]
+        for e in g.in_arcs[g.target]:
+            if g.arcs[e][0] == g.source:
+                continue
+            child, pushed = transform_te(g, q, c, e)
+            ref = []
+            for a_local, a in enumerate(child.parent_arc):
+                val = c[a] - q.at(e, a) - q.at(a, e)
+                if child.arcs[a_local][0] == child.source:
+                    val += c[e]
+                ref.append(val)
+            assert exact_tuple(pushed) == tuple(ref)
+            assert exact_tuple(reduce_cost_vector(child, pushed)) == \
+                reduction_matrix(child).matvec(ref)
 
 
 def test_transform_rejects_wrong_arc():
@@ -404,3 +466,50 @@ def test_spanning_rejects_nonzero_diagonal():
     rows = [[F(0)] * 4 for _ in range(4)]
     rows[2][2] = F(1)
     assert not ss.contains(RationalMatrix.from_rows(rows))
+
+
+def test_spanning_contains_rejects_shape_mismatch():
+    ss = spanning_set(diamond())
+    with pytest.raises(ValueError, match="shape mismatch"):
+        ss.contains(RationalMatrix.zeros(3, 3))
+    with pytest.raises(ValueError, match="shape mismatch"):
+        ss.contains(RationalMatrix.zeros(4, 5))
+
+
+def test_contains_matches_rank_reference():
+    # A hand-built set with dependent members (a duplicate, and the sum of
+    # two members) against a Fraction rank test done here.  The first
+    # member is scaled by 3, so some pivots are not units.
+    rng = random.Random(44)
+    g = double_diamond()
+    m = g.m
+    base = spanning_set(g).members
+    (q0, c0), (q1, c1), (q2, c2) = base[0], base[1], base[3]
+    members = ((q0.scale(3), vscale(3, c0)),) + base[1:5] + (
+        base[1], (q1 + q2, vadd(c1, c2))) + base[-3:]
+    ss = SpanningSet(members=members, dimension=len(members))
+
+    def coords(q):
+        return [q.at(i, j) for i in range(m) for j in range(m) if i != j]
+
+    rows = [coords(q) for q, _ in members]
+    base_rank = matrix_rank(RationalMatrix.from_rows(rows))
+    verdicts = set()
+    for k in range(24):
+        if k % 3 == 2:
+            q = RationalMatrix.from_rows(zero_diag_rows(rng, m,
+                                                        denoms=(3, 5, 7)))
+        else:
+            q = RationalMatrix.zeros(m, m)
+            for qi, _ in rng.sample(members, 3):
+                q = q + qi.scale(rand_rational(rng, denoms=(1, 3, 5, 7)))
+            if k % 3 == 1:
+                a, b = rng.sample(range(m), 2)
+                rows_q = q.to_rows()
+                rows_q[a][b] += F(1, 7)
+                q = RationalMatrix.from_rows(rows_q)
+        stacked = matrix_rank(RationalMatrix.from_rows(rows + [coords(q)]))
+        verdict = ss.contains(q)
+        assert verdict == (stacked == base_rank)
+        verdicts.add(verdict)
+    assert verdicts == {True, False}
