@@ -21,8 +21,16 @@ polytope and, for lbb_star, a spanning family of linearizable matrices):
               linearization; with a spanning family this dominates
               lbb_prime on integral polytopes.
 
+lbb_prime, lbb_star and lbb_generic are one linearization-based LP
+(_linearization_lp) over different sets of linearizable matrices: max b.y
+such that Q minus a combination of them is elementwise nonnegative.
+lbb_prime uses the sum matrices B^T Y + Y^T B + Diag(z), lbb_generic a
+given family against the raw Q, lbb_star both against sym(Q).
+
 Every report carries enough certificate data for verify_report to confirm
-the bound from first principles without re-running the solver.
+the bound from first principles without re-running the solver; for the
+three linearization-based bounds it evaluates their LP's rows at the
+certificate.
 """
 
 from __future__ import annotations
@@ -30,6 +38,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 
 from quadlin.exactnum import ONE, ZERO, RationalMatrix, rat
 from quadlin.lpsolve import (
@@ -166,12 +175,12 @@ def _fit_columns(bqp: BqpInstance, q: RationalMatrix, mode):
 def _fitted_matrix(bqp: BqpInstance, ycols, zbar) -> RationalMatrix:
     """Qbar = B^T Ybar + Diag(zbar) with Ybar's k-th column ycols[k]."""
     n, m = bqp.B.rows, bqp.m
+    ycols = [[rat_from(v) for v in col] for col in ycols]
     rows = []
     for i in range(m):
         row = []
         for k in range(m):
-            v = sum((bqp.B.at(r, i) * rat_from(ycols[k][r])
-                     for r in range(n)), ZERO)
+            v = sum((bqp.B.at(r, i) * ycols[k][r] for r in range(n)), ZERO)
             if i == k:
                 v += rat_from(zbar[k])
             row.append(v)
@@ -210,10 +219,7 @@ def _skew_update(r: RationalMatrix, strategy: SkewStrategy) -> RationalMatrix:
                 rows[i][j] = r.at(i, j) + r.at(j, i)
         return RationalMatrix.from_rows(rows)
     if strategy == SkewStrategy.SYMMETRIZE:
-        half = Fraction(1, 2)
-        rows = [[(r.at(i, j) + r.at(j, i)) * half for j in range(m)]
-                for i in range(m)]
-        return RationalMatrix.from_rows(rows)
+        return _sym_matrix(r)
     raise ValueError(f"unknown strategy {strategy!r}")
 
 
@@ -274,11 +280,96 @@ def ggl_bound(inst, strategy: SkewStrategy = SkewStrategy.NONE,
 
 
 def _sym_matrix(q: RationalMatrix) -> RationalMatrix:
-    half = Fraction(1, 2)
-    m = q.rows
-    return RationalMatrix.from_rows(
-        [[(q.at(i, j) + q.at(j, i)) * half for j in range(m)]
-         for i in range(m)])
+    """(Q + Q^T) / 2; a symmetric matrix comes back as it is."""
+    if q.is_symmetric():
+        return q
+    return (q + q.transpose()).scale(Fraction(1, 2))
+
+
+def _linearization_lp(bqp: BqpInstance, target: RationalMatrix, members,
+                      pairs, lifted: bool) -> LinearProgram:
+    """The LP behind lbb_prime, lbb_star and lbb_generic.
+
+    Free variables y (n), then, when lifted, Y (n x m, row-major) and
+    z (m), then one weight alpha_t per member (Q_t, c_t); maximize b . y
+    under one row per arc j and one per pair (i, j) in pairs:
+      (B^T y)_j - [2 (Y^T b)_j + z_j] - sum(alpha_t c_t[j]) <= linear_j
+      [(B^T Y + Y^T B)_ij + Diag(z)_ij] + sum(alpha_t Q_t[i, j])
+          <= target[i, j]
+    (bracketed terms only when lifted).
+    """
+    n, m = bqp.B.rows, bqp.m
+    zcol = n + n * m
+    acol = zcol + m if lifted else n
+    nvars = acol + len(members)
+    obj = [ZERO] * nvars
+    obj[:n] = bqp.b
+    rows = []
+    for j in range(m):
+        coeffs = [ZERO] * nvars
+        coeffs[:n] = bqp.B.column(j)
+        if lifted:
+            coeffs[n + j:zcol:m] = [-2 * v for v in bqp.b]
+            coeffs[zcol + j] = -ONE
+        coeffs[acol:] = [-c[j] for _, c in members]
+        rows.append((tuple(coeffs), LE, bqp.linear[j]))
+    for i, j in pairs:
+        coeffs = [ZERO] * nvars
+        if lifted:
+            for r in range(n):
+                coeffs[n + r * m + j] += bqp.B.at(r, i)
+                coeffs[n + r * m + i] += bqp.B.at(r, j)
+            if i == j:
+                coeffs[zcol + i] += ONE
+        coeffs[acol:] = [q.at(i, j) for q, _ in members]
+        rows.append((tuple(coeffs), LE, target.at(i, j)))
+    return LinearProgram("max", tuple(obj), tuple(rows),
+                         tuple((None, None) for _ in range(nvars)))
+
+
+def _scheme_lp(bqp: BqpInstance, name: str, members, sparsity=None):
+    """(LP, domination pairs) of the linearization bound called name.
+
+    lbb_generic compares against the raw Q over every ordered pair;
+    lbb_prime and lbb_star add the lifted columns and compare against
+    sym(Q) over the pairs i <= j not in sparsity (both sides symmetric).
+    """
+    m = bqp.m
+    if name == "lbb_generic":
+        pairs = [(i, j) for i in range(m) for j in range(m)]
+        return _linearization_lp(bqp, bqp.Q, members, pairs, False), pairs
+    pairs = [(i, j) for i in range(m) for j in range(i, m)
+             if i == j or not sparsity or (i, j) not in sparsity]
+    lp = _linearization_lp(bqp, _sym_matrix(bqp.Q), members, pairs, True)
+    return lp, pairs
+
+
+def _linearization_bound(bqp: BqpInstance, name: str, members, mode: str,
+                         sparsity=None, canonical=False) -> BoundReport:
+    """Solve the bound's LP; the certificate splits the solution into the
+    bound's own variable blocks and lists the members it used."""
+    lp, _ = _scheme_lp(bqp, name, members, sparsity)
+    mode = _bound_mode(bqp, mode, lp.nrows, lp.nvars)
+    res = _solve(lp, mode, f"{name} linearization program")
+    n, m = bqp.B.rows, bqp.m
+    x = res.x
+    if name == "lbb_generic":
+        cert = {"y": x[:n], "alpha": x[n:]}
+    else:
+        zcol = n + n * m
+        cert = {"y": x[:n],
+                "Y": tuple(x[n + r * m:n + (r + 1) * m] for r in range(n)),
+                "z": x[zcol:zcol + m]}
+        if name == "lbb_star":
+            cert["alpha"] = x[zcol + m:]
+    if name != "lbb_prime":
+        cert["members"] = tuple((q.to_rows(), c) for q, c in members)
+    return BoundReport(
+        name=name, value=res.value, mode=mode,
+        relaxation_only=not bqp.integral_polytope,
+        certificate=cert, pivots=res.pivots,
+        sparsity=tuple(sorted(sparsity)) if sparsity else None,
+        canonical_family=canonical)
 
 
 def lbb_prime(inst, sparsity=None, mode: str = "auto") -> BoundReport:
@@ -291,56 +382,8 @@ def lbb_prime(inst, sparsity=None, mode: str = "auto") -> BoundReport:
       unordered pair suffices).
     """
     bqp = _bqp(inst)
-    n, m = bqp.B.rows, bqp.m
-    sparsity = _check_sparsity(sparsity, m)
-    nvars = n + n * m + m
-    npairs = m * (m + 1) // 2 - (len(sparsity) if sparsity else 0)
-    mode = _bound_mode(bqp, mode, m + npairs, nvars)
-    qs = _sym_matrix(bqp.Q)
-
-    def ycol(r, j):
-        return n + r * m + j
-
-    zcol = n + n * m
-    obj = [ZERO] * nvars
-    for r in range(n):
-        obj[r] = bqp.b[r]
-    rows = []
-    # dual feasibility rows: (B^T y)_j - 2 (Y^T b)_j - z_j <= linear_j
-    for j in range(m):
-        coeffs = [ZERO] * nvars
-        for r in range(n):
-            coeffs[r] = bqp.B.at(r, j)
-            coeffs[ycol(r, j)] = -2 * bqp.b[r]
-        coeffs[zcol + j] = -ONE
-        rows.append((tuple(coeffs), LE, bqp.linear[j]))
-    # elementwise domination rows over unordered pairs
-    pair_rows = []
-    for i in range(m):
-        for j in range(i, m):
-            if sparsity and i != j and (i, j) in sparsity:
-                continue
-            coeffs = [ZERO] * nvars
-            for r in range(n):
-                coeffs[ycol(r, j)] += bqp.B.at(r, i)
-                coeffs[ycol(r, i)] += bqp.B.at(r, j)
-            if i == j:
-                coeffs[zcol + i] += ONE
-            rows.append((tuple(coeffs), LE, qs.at(i, j)))
-            pair_rows.append((i, j))
-    lp = LinearProgram("max", tuple(obj), tuple(rows),
-                       tuple((None, None) for _ in range(nvars)))
-    res = _solve(lp, mode, "linearization dual program")
-    y = res.x[:n]
-    ymat = tuple(tuple(res.x[ycol(r, j)] for j in range(m))
-                 for r in range(n))
-    z = res.x[zcol:zcol + m]
-    return BoundReport(
-        name="lbb_prime", value=res.value, mode=mode,
-        relaxation_only=not bqp.integral_polytope,
-        certificate={"y": y, "Y": ymat, "z": z},
-        pivots=res.pivots,
-        sparsity=tuple(sorted(sparsity)) if sparsity else None)
+    sparsity = _check_sparsity(sparsity, bqp.m)
+    return _linearization_bound(bqp, "lbb_prime", (), mode, sparsity)
 
 
 def rlt1(inst, sparsity=None, mode: str = "auto") -> BoundReport:
@@ -419,37 +462,6 @@ def _family_members(family, m):
     return members
 
 
-def _family_bound(bqp: BqpInstance, target: RationalMatrix, members,
-                  mode: str, name: str, dedup_rows: bool):
-    """max b.y st B^T y <= linear + sum(lam_i c_i),
-    sum(lam_i Q_i) <= target elementwise."""
-    n, m = bqp.B.rows, bqp.m
-    k = len(members)
-    nvars = n + k
-
-    obj = [ZERO] * nvars
-    for r in range(n):
-        obj[r] = bqp.b[r]
-    rows = []
-    for j in range(m):
-        coeffs = [ZERO] * nvars
-        for r in range(n):
-            coeffs[r] = bqp.B.at(r, j)
-        for t, (_, c) in enumerate(members):
-            coeffs[n + t] = -c[j]
-        rows.append((tuple(coeffs), LE, bqp.linear[j]))
-    for i in range(m):
-        for j in range(i if dedup_rows else 0, m):
-            coeffs = [ZERO] * nvars
-            for t, (q, _) in enumerate(members):
-                coeffs[n + t] = q.at(i, j)
-            rows.append((tuple(coeffs), LE, target.at(i, j)))
-    lp = LinearProgram("max", tuple(obj), tuple(rows),
-                       tuple((None, None) for _ in range(nvars)))
-    res = _solve(lp, mode, f"{name} family program")
-    return res
-
-
 def lbb_generic(inst, family, mode: str = "auto") -> BoundReport:
     """Family bound against the raw (unsymmetrized) matrix.
 
@@ -459,18 +471,8 @@ def lbb_generic(inst, family, mode: str = "auto") -> BoundReport:
     under them; lbb_star removes that dependence by symmetrizing.
     """
     bqp = _bqp(inst)
-    members = _family_members(family, bqp.m)
-    n, m = bqp.B.rows, bqp.m
-    mode = _bound_mode(bqp, mode, m + m * m, n + len(members))
-    res = _family_bound(bqp, bqp.Q, members, mode, "generic family", False)
-    return BoundReport(
-        name="lbb_generic", value=res.value, mode=mode,
-        relaxation_only=not bqp.integral_polytope,
-        certificate={
-            "y": res.x[:n], "alpha": res.x[n:],
-            "members": tuple((q.to_rows(), c) for q, c in members),
-        },
-        pivots=res.pivots)
+    return _linearization_bound(
+        bqp, "lbb_generic", _family_members(family, bqp.m), mode)
 
 
 def lbb_star(inst, family=None, mode: str = "auto") -> BoundReport:
@@ -504,67 +506,13 @@ def lbb_star(inst, family=None, mode: str = "auto") -> BoundReport:
         canonical = True
     elif isinstance(family, SpanningSet):
         canonical = True
-    members = _family_members(family, bqp.m)
-    half = Fraction(1, 2)
-    sym_members = []
-    for q, c in members:
-        if not q.is_symmetric():
-            q = (q + q.transpose()).scale(half)
-        if all(v == 0 for row in q.to_rows() for v in row) \
-                and all(v == 0 for v in c):
-            continue  # skew members symmetrize away entirely
-        sym_members.append((q, c))
-    n, m = bqp.B.rows, bqp.m
-    k = len(sym_members)
-    nvars = n + n * m + m + k
-    nrows = m + m * (m + 1) // 2
-    mode = _bound_mode(bqp, mode, nrows, nvars)
-    qs = _sym_matrix(bqp.Q)
-
-    def ycol(r, j):
-        return n + r * m + j
-
-    zcol = n + n * m
-    acol = n + n * m + m
-    obj = [ZERO] * nvars
-    for r in range(n):
-        obj[r] = bqp.b[r]
-    rows = []
-    for j in range(m):
-        coeffs = [ZERO] * nvars
-        for r in range(n):
-            coeffs[r] = bqp.B.at(r, j)
-            coeffs[ycol(r, j)] = -2 * bqp.b[r]
-        coeffs[zcol + j] = -ONE
-        for t, (_, c) in enumerate(sym_members):
-            coeffs[acol + t] = -c[j]
-        rows.append((tuple(coeffs), LE, bqp.linear[j]))
-    for i in range(m):
-        for j in range(i, m):
-            coeffs = [ZERO] * nvars
-            for r in range(n):
-                coeffs[ycol(r, j)] += bqp.B.at(r, i)
-                coeffs[ycol(r, i)] += bqp.B.at(r, j)
-            if i == j:
-                coeffs[zcol + i] += ONE
-            for t, (q, _) in enumerate(sym_members):
-                coeffs[acol + t] = q.at(i, j)
-            rows.append((tuple(coeffs), LE, qs.at(i, j)))
-    lp = LinearProgram("max", tuple(obj), tuple(rows),
-                       tuple((None, None) for _ in range(nvars)))
-    res = _solve(lp, mode, "augmented family program")
-    return BoundReport(
-        name="lbb_star", value=res.value, mode=mode,
-        relaxation_only=not bqp.integral_polytope,
-        certificate={
-            "y": res.x[:n],
-            "Y": tuple(tuple(res.x[ycol(r, j)] for j in range(m))
-                       for r in range(n)),
-            "z": res.x[zcol:zcol + m],
-            "alpha": res.x[acol:],
-            "members": tuple((q.to_rows(), c) for q, c in sym_members),
-        },
-        pivots=res.pivots, canonical_family=canonical)
+    members = []
+    for q, c in _family_members(family, bqp.m):
+        q = _sym_matrix(q)
+        if any(q.entries) or any(c):  # skew members symmetrize away
+            members.append((q, c))
+    return _linearization_bound(bqp, "lbb_star", members, mode,
+                                canonical=canonical)
 
 
 # ---------------------------------------------------------------------------
@@ -637,10 +585,6 @@ def optimum_report(inst, cap: int = 1_000_000) -> BoundReport:
                        certificate={"argmin": argmin})
 
 
-def _leq(a, b, tol):
-    return a <= b + tol
-
-
 def verify_report(inst, report: BoundReport, tol=None):
     """Re-derive the bound's validity from its certificate.
 
@@ -652,16 +596,8 @@ def verify_report(inst, report: BoundReport, tol=None):
     exact = report.mode == "exact"
     if tol is None:
         tol = 0 if exact else 1e-7
-    conv = rat if exact else float
+    num = rat if exact else float
     msgs = []
-
-    def num(v):
-        return conv(v)
-
-    def mat_entry(qm, i, j):
-        return num(qm.at(i, j))
-
-    sym = _sym_matrix(bqp.Q)
 
     if report.name in ("gl", "ggl"):
         cert = report.certificate
@@ -678,15 +614,10 @@ def verify_report(inst, report: BoundReport, tol=None):
             ycols = step["ybar_columns"]
             zbar = step["zbar"]
             cbar = step["cbar"]
-            if exact:
-                qbar = _fitted_matrix(bqp, ycols, zbar)
-            else:
-                qbar = _fitted_matrix(
-                    bqp, [[rat_from(v) for v in col] for col in ycols],
-                    [rat_from(v) for v in zbar])
+            qbar = _fitted_matrix(bqp, ycols, zbar)
             for i in range(m):
                 for k in range(m):
-                    if num(qbar.at(i, k)) > mat_entry(q_cur, i, k) + tol:
+                    if num(qbar.at(i, k)) > num(q_cur.at(i, k)) + tol:
                         msgs.append(
                             f"round {it}: fitted matrix exceeds the "
                             f"current matrix at ({i}, {k})")
@@ -719,38 +650,13 @@ def verify_report(inst, report: BoundReport, tol=None):
             if r_j < -tol * (1 + abs(costs[j])):
                 msgs.append(f"final duals infeasible at column {j}")
 
-    elif report.name == "lbb_prime":
-        y = report.certificate["y"]
-        ymat = report.certificate["Y"]
-        z = report.certificate["z"]
-        sparsity = set(report.sparsity or ())
-        for j in range(m):
-            lhs = sum(num(bqp.B.at(r, j)) * num(y[r]) for r in range(n))
-            rhs = 2 * sum(num(ymat[r][j]) * num(bqp.b[r])
-                          for r in range(n)) + num(z[j]) + num(bqp.linear[j])
-            if lhs > rhs + tol:
-                msgs.append(f"dual feasibility fails at column {j}")
-        for i in range(m):
-            for j in range(i, m):
-                if i != j and (i, j) in sparsity:
-                    continue
-                lhs = sum(num(bqp.B.at(r, i)) * num(ymat[r][j])
-                          + num(bqp.B.at(r, j)) * num(ymat[r][i])
-                          for r in range(n))
-                if i == j:
-                    lhs += num(z[i])
-                if lhs > mat_entry(sym, i, j) + tol:
-                    msgs.append(f"domination fails at pair ({i}, {j})")
-        val = sum(num(y[r]) * num(bqp.b[r]) for r in range(n))
-        if abs(val - num(report.value)) > tol:
-            msgs.append("objective does not match the certificate")
-
     elif report.name == "rlt1":
         cert = report.certificate
         x = cert["x"]
         pairs = cert["pairs"]
         w = cert["w"]
         duals = cert["duals"]
+        sparsity = set(report.sparsity or ())
         if any(num(v) < -tol for v in list(x) + list(w)):
             msgs.append("lifted point has a negative coordinate")
         widx = {tuple(p): k for k, p in enumerate(pairs)}
@@ -779,6 +685,7 @@ def verify_report(inst, report: BoundReport, tol=None):
             msgs.append("lifted point does not achieve the reported value")
         # map the equality duals onto the dual-side certificate and check
         # it like lbb_prime; this grounds the bound direction
+        sym = _sym_matrix(bqp.Q)
         y = duals[:n]
         umat = [[duals[n + r * m + j] for j in range(m)] for r in range(n)]
         zeta = duals[n + n * m:n + n * m + m]
@@ -790,8 +697,7 @@ def verify_report(inst, report: BoundReport, tol=None):
                 msgs.append(f"dual certificate fails at column {j}")
         for i in range(m):
             for j in range(i, m):
-                if report.sparsity and i != j \
-                        and (i, j) in set(report.sparsity):
+                if i != j and (i, j) in sparsity:
                     continue
                 lhs = sum(num(bqp.B.at(r, i)) * num(umat[r][j])
                           + num(bqp.B.at(r, j)) * num(umat[r][i])
@@ -802,67 +708,38 @@ def verify_report(inst, report: BoundReport, tol=None):
                     if lhs > num(bqp.Q.at(i, i)) + tol:
                         msgs.append(f"dual domination fails at ({i}, {i})")
                     continue
-                if lhs > 2 * mat_entry(sym, i, j) + tol:
+                if lhs > 2 * num(sym.at(i, j)) + tol:
                     msgs.append(f"dual domination fails at ({i}, {j})")
         yb = sum(num(y[r]) * num(bqp.b[r]) for r in range(n))
         if abs(yb - num(report.value)) > tol * (1 + abs(yb)):
             msgs.append("dual value does not match")
 
-    elif report.name == "lbb_generic":
+    elif report.name in ("lbb_prime", "lbb_star", "lbb_generic"):
+        # rebuild the bound's own LP and evaluate its rows at the certificate
         cert = report.certificate
-        y = cert["y"]
-        alpha = cert["alpha"]
-        members = [(RationalMatrix.from_rows(qrows), c)
-                   for qrows, c in cert["members"]]
-        for i in range(m):
-            for j in range(m):
-                lhs = sum(num(alpha[t]) * num(q.at(i, j))
-                          for t, (q, _) in enumerate(members))
-                if lhs > mat_entry(bqp.Q, i, j) + tol:
-                    msgs.append(f"family domination fails at ({i}, {j})")
-        for j in range(m):
-            lhs = sum(num(bqp.B.at(r, j)) * num(y[r]) for r in range(n))
-            rhs = num(bqp.linear[j]) + sum(
-                num(alpha[t]) * num(c[j])
-                for t, (_, c) in enumerate(members))
-            if lhs > rhs + tol:
-                msgs.append(f"dual feasibility fails at column {j}")
-        val = sum(num(y[r]) * num(bqp.b[r]) for r in range(n))
-        if abs(val - num(report.value)) > tol:
-            msgs.append("objective does not match the certificate")
+        members = () if report.name == "lbb_prime" \
+            else _family_members(cert["members"], m)
+        if report.name == "lbb_star" \
+                and not all(q.is_symmetric() for q, _ in members):
+            msgs.append("a family member is not symmetric")
+        lp, pairs = _scheme_lp(bqp, report.name, members,
+                               set(report.sparsity or ()))
+        v = [num(a) for a in chain(cert["y"], *cert.get("Y", ()),
+                                   cert.get("z", ()), cert.get("alpha", ()))]
 
-    elif report.name == "lbb_star":
-        cert = report.certificate
-        y = cert["y"]
-        ymat = cert["Y"]
-        z = cert["z"]
-        alpha = cert["alpha"]
-        members = [(RationalMatrix.from_rows(qrows), c)
-                   for qrows, c in cert["members"]]
-        for i in range(m):
-            for j in range(m):
-                lhs = sum(num(bqp.B.at(r, i)) * num(ymat[r][j])
-                          + num(bqp.B.at(r, j)) * num(ymat[r][i])
-                          for r in range(n))
-                if i == j:
-                    lhs += num(z[i])
-                lhs += sum(num(alpha[t]) * num(q.at(i, j))
-                           for t, (q, _) in enumerate(members))
-                if lhs > mat_entry(sym, i, j) + tol:
+        def dot(coeffs):
+            return sum((num(a) * x for a, x in zip(coeffs, v) if a), num(0))
+
+        if len(v) != lp.nvars:
+            msgs.append("certificate has the wrong number of variables")
+        else:
+            for k, (coeffs, _, rhs) in enumerate(lp.rows):
+                if dot(coeffs) > num(rhs) + tol:
                     msgs.append(
-                        f"augmented domination fails at ({i}, {j})")
-        for j in range(m):
-            lhs = sum(num(bqp.B.at(r, j)) * num(y[r]) for r in range(n))
-            rhs = 2 * sum(num(ymat[r][j]) * num(bqp.b[r])
-                          for r in range(n)) + num(z[j]) \
-                + num(bqp.linear[j]) + sum(
-                    num(alpha[t]) * num(c[j])
-                    for t, (_, c) in enumerate(members))
-            if lhs > rhs + tol:
-                msgs.append(f"dual feasibility fails at column {j}")
-        val = sum(num(y[r]) * num(bqp.b[r]) for r in range(n))
-        if abs(val - num(report.value)) > tol:
-            msgs.append("objective does not match the certificate")
+                        f"dual feasibility fails at column {k}" if k < m
+                        else f"domination fails at pair {pairs[k - m]}")
+            if abs(dot(lp.objective) - num(report.value)) > tol:
+                msgs.append("objective does not match the certificate")
 
     elif report.name == "opt":
         pass  # nothing to re-derive beyond brute force itself

@@ -271,38 +271,49 @@ def basic_arc_order(g: Dag) -> tuple:
     return tuple(basic)
 
 
+def _critical_paths(g: Dag):
+    """(non-basic arcs, e -> critical_path(g, e)) for repeated queries.
+
+    The non-basic set, its tail map and the reach masks are computed once
+    per graph rather than once per arc.
+    """
+    nb = non_basic_arcs(g)
+    nb_by_tail = {g.arcs[lbl][0]: lbl for lbl in nb}
+    masks = _reach_masks(g)
+
+    def path(e: int) -> StPath:
+        if e in nb:
+            raise GraphError(f"arc {e} is non-basic")
+        u, v = g.arcs[e]
+        arcs = []
+        vertices = [g.source]
+        w = g.source
+        while w != u:
+            label = next(lbl for lbl in g.out_arcs[w]
+                         if (masks[g.arcs[lbl][1]] >> u) & 1)
+            arcs.append(label)
+            w = g.arcs[label][1]
+            vertices.append(w)
+        arcs.append(e)
+        vertices.append(v)
+        w = v
+        while w != g.target:
+            label = nb_by_tail[w]
+            arcs.append(label)
+            w = g.arcs[label][1]
+            vertices.append(w)
+        return StPath(tuple(arcs), tuple(vertices))
+
+    return nb, path
+
+
 def critical_path(g: Dag, e: int) -> StPath:
     """The canonical source-target path through basic arc e.
 
     Source side: lexicographically smallest arc-label sequence to tail(e).
     Target side: the unique all-non-basic walk from head(e) to the target.
     """
-    nb = non_basic_arcs(g)
-    if e in nb:
-        raise GraphError(f"arc {e} is non-basic")
-    u, v = g.arcs[e]
-
-    arcs = []
-    vertices = [g.source]
-    if u != g.source:
-        to_u = reaches(g, u)
-        w = g.source
-        while w != u:
-            label = next(lbl for lbl in g.out_arcs[w]
-                         if g.arcs[lbl][1] in to_u)
-            arcs.append(label)
-            w = g.arcs[label][1]
-            vertices.append(w)
-    arcs.append(e)
-    vertices.append(v)
-    w = v
-    nb_by_tail = {g.arcs[lbl][0]: lbl for lbl in nb}
-    while w != g.target:
-        label = nb_by_tail[w]
-        arcs.append(label)
-        w = g.arcs[label][1]
-        vertices.append(w)
-    return StPath(tuple(arcs), tuple(vertices))
+    return _critical_paths(g)[1](e)
 
 
 def forbidden_pairs(g: Dag) -> frozenset:

@@ -272,13 +272,20 @@ def _negate_tableau(tab, d):
     return -d
 
 
-class _ExactTableau:
+class _Tableau:
+    """Column layout and starting basis shared by both tableaus.
+
+    Structural columns come first, then one slack per inequality row, then
+    one artificial per >= or = row, then the right-hand side; the starting
+    basis takes each row's slack if the row is <=, else its artificial.
+    Below the constraint rows sit the phase-2 and the phase-1 cost rows.
+    """
+
     def __init__(self, prep: _Prepared):
         nrows = len(prep.rows_int)
-        ncols = prep.ncols
         slack_col = {}
         art_col = {}
-        col = ncols
+        col = prep.ncols
         for i, rel in enumerate(prep.rels):
             if rel in (LE, GE):
                 slack_col[i] = col
@@ -288,38 +295,45 @@ class _ExactTableau:
                 art_col[i] = col
                 col += 1
         self.rhs = col
-        width = col + 1
-        tab = []
-        basis = []
+        self.basis = [slack_col[i] if rel == LE else art_col[i]
+                      for i, rel in enumerate(prep.rels)]
+        self.nrows = nrows
+        self.slack_col = slack_col
+        self.art_col = art_col
+        self.z2_idx = nrows
+        self.z1_idx = nrows + 1
+        self.pivots = 0
+
+    def _int_rows(self, prep: _Prepared):
+        """Yield the constraint rows and the phase-2 cost row as int lists."""
+        ncols, width = prep.ncols, self.rhs + 1
         for i, row in enumerate(prep.rows_int):
             line = [0] * width
             line[:ncols] = row[:ncols]
             line[self.rhs] = row[ncols]
-            if i in slack_col:
-                line[slack_col[i]] = 1 if prep.rels[i] == LE else -1
-            if i in art_col:
-                line[art_col[i]] = 1
-            tab.append(line)
-            basis.append(slack_col[i] if prep.rels[i] == LE else art_col[i])
+            if i in self.slack_col:
+                line[self.slack_col[i]] = 1 if prep.rels[i] == LE else -1
+            if i in self.art_col:
+                line[self.art_col[i]] = 1
+            yield line
         z2 = [0] * width
         z2[:ncols] = prep.obj_int
-        tab.append(z2)
-        z1 = [0] * width
-        for i, ac in art_col.items():
+        yield z2
+
+
+class _ExactTableau(_Tableau):
+    def __init__(self, prep: _Prepared):
+        super().__init__(prep)
+        tab = list(self._int_rows(prep))
+        z1 = [0] * (self.rhs + 1)
+        for ac in self.art_col.values():
             z1[ac] = 1
-        for i in art_col:
+        for i in self.art_col:
             z1 = [a - b for a, b in zip(z1, tab[i])]
         tab.append(z1)
         self.tab = tab
         self.d = 1
-        self.basis = basis
-        self.nrows = nrows
-        self.slack_col = slack_col
-        self.art_col = art_col
-        self.art_set = frozenset(art_col.values())
-        self.z2_idx = nrows
-        self.z1_idx = nrows + 1
-        self.pivots = 0
+        self.art_set = frozenset(self.art_col.values())
 
     def _phase(self, cost_idx):
         tab, rhs = self.tab, self.rhs
@@ -426,52 +440,23 @@ def _solve_exact(lp: LinearProgram, prep: _Prepared):
 # ---------------------------------------------------------------------------
 # float simplex
 
-class _FloatTableau:
+class _FloatTableau(_Tableau):
     def __init__(self, prep: _Prepared):
-        nrows = len(prep.rows_int)
-        ncols = prep.ncols
-        slack_col = {}
-        art_col = {}
-        col = ncols
-        for i, rel in enumerate(prep.rels):
-            if rel in (LE, GE):
-                slack_col[i] = col
-                col += 1
-        for i, rel in enumerate(prep.rels):
-            if rel in (GE, EQ):
-                art_col[i] = col
-                col += 1
-        self.rhs = col
-        width = col + 1
-        tab = np.zeros((nrows + 2, width))
-        basis = []
-        for i, row in enumerate(prep.rows_int):
-            tab[i, :ncols] = [float(v) for v in row[:ncols]]
-            tab[i, self.rhs] = float(row[ncols])
-            if i in slack_col:
-                tab[i, slack_col[i]] = 1.0 if prep.rels[i] == LE else -1.0
-            if i in art_col:
-                tab[i, art_col[i]] = 1.0
-            basis.append(slack_col[i] if prep.rels[i] == LE else art_col[i])
-        tab[nrows, :ncols] = [float(v) for v in prep.obj_int]
+        super().__init__(prep)
+        width = self.rhs + 1
+        tab = np.zeros((self.nrows + 2, width))
+        for i, line in enumerate(self._int_rows(prep)):
+            tab[i] = line
         z1 = np.zeros(width)
-        for i, ac in art_col.items():
+        for ac in self.art_col.values():
             z1[ac] = 1.0
-        for i in art_col:
+        for i in self.art_col:
             z1 -= tab[i]
-        tab[nrows + 1] = z1
+        tab[self.nrows + 1] = z1
         self.tab = tab
-        self.basis = basis
-        self.nrows = nrows
-        self.slack_col = slack_col
-        self.art_col = art_col
         self.art_mask = np.zeros(width, dtype=bool)
-        for c in art_col.values():
-            self.art_mask[c] = True
+        self.art_mask[list(self.art_col.values())] = True
         self.art_mask[self.rhs] = True
-        self.z2_idx = nrows
-        self.z1_idx = nrows + 1
-        self.pivots = 0
 
     def _pivot(self, r, c):
         tab = self.tab

@@ -54,8 +54,8 @@ from quadlin.exactnum import (
 from quadlin.graph import (
     Dag,
     GraphError,
+    _critical_paths,
     basic_arc_order,
-    critical_path,
     is_corridor,
     non_basic_arcs,
     prune_to_corridor,
@@ -176,7 +176,8 @@ def _pair_sums(q: RationalMatrix):
 def _critical_arcs(g: Dag):
     """(basic arc, arcs of its critical path), basic arcs in canonical
     order; every other basic arc on the path comes earlier."""
-    return [(e, critical_path(g, e).arcs) for e in basic_arc_order(g)]
+    path = _critical_paths(g)[1]
+    return [(e, path(e).arcs) for e in basic_arc_order(g)]
 
 
 def _pseudo_numerators(g: Dag, s, top) -> list:
@@ -202,11 +203,11 @@ def _pseudo_numerators(g: Dag, s, top) -> list:
 def critical_incidence_matrix(g: Dag) -> RationalMatrix:
     """Critical-path x basic-arc incidence in canonical order (for tests)."""
     basic = basic_arc_order(g)
-    nb = non_basic_arcs(g)
+    nb, path = _critical_paths(g)
     col = {e: k for k, e in enumerate(basic)}
     rows = []
     for e in basic:
-        p = critical_path(g, e)
+        p = path(e)
         row = [ZERO] * len(basic)
         for a in p.arcs:
             if a not in nb:

@@ -1,10 +1,12 @@
 """Bound ladder: ordering, duality equality, certificates, invariances."""
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
+from quadlin import bounds, lpsolve
 from quadlin.bounds import (
     BoundComputationError,
     BoundReport,
@@ -384,6 +386,82 @@ def test_verify_report_catches_tampered_certificates():
         name="gl", value=gl.value, mode="exact",
         relaxation_only=gl.relaxation_only, certificate=cert))
     assert not ok
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_verify_report_rejects_a_raised_value_for_every_kind(mode):
+    rng = random.Random(6)
+    inst = _random_qspp(rng, m_max=8)
+    family = list(spanning_set(inst.graph).members) + _diag_units(inst.m)
+    for rep in (
+            gl_bound(inst, mode=mode),
+            ggl_bound(inst, strategy=SkewStrategy.UPPER_TRIANGULAR,
+                      mode=mode),
+            lbb_prime(inst, mode=mode),
+            rlt1(inst, mode=mode),
+            lbb_star(inst, mode=mode),
+            lbb_generic(inst, family, mode=mode)):
+        assert rep.mode == mode
+        ok, msgs = verify_report(inst, rep)
+        assert ok, (rep.name, msgs)
+        ok, msgs = verify_report(inst, replace(rep, value=rep.value + 1))
+        assert not ok and msgs, rep.name
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_verify_report_rejects_a_member_with_a_raised_lower_entry(mode):
+    # a forged member that only differs below the diagonal must not slip
+    # past a check of the unordered pairs
+    rng = random.Random(6)
+    inst = _random_qspp(rng, m_max=8)
+    m = inst.m
+    family = list(spanning_set(inst.graph).members) + _diag_units(m)
+    for rep in (lbb_star(inst, mode=mode),
+                lbb_generic(inst, family, mode=mode)):
+        assert verify_report(inst, rep)[0], rep.name
+        cert = dict(rep.certificate)
+        alpha = cert["alpha"]
+        t = next(k for k, a in enumerate(alpha) if a != 0)
+        rows = [list(r) for r in cert["members"][t][0]]
+        sign = 1 if alpha[t] > 0 else -1
+        rows[m - 1][0] += sign * Fraction(10 ** 6) / Fraction(abs(alpha[t]))
+        members = list(cert["members"])
+        members[t] = (rows, members[t][1])
+        cert["members"] = tuple(members)
+        ok, msgs = verify_report(inst, replace(rep, certificate=cert))
+        assert not ok and msgs, rep.name
+
+
+def test_auto_mode_switches_to_float_one_past_the_size_limit(monkeypatch):
+    rng = random.Random(7)
+    inst = _random_qspp(rng, m_max=8)
+    pairs = forbidden_pairs(inst.graph)
+    assert pairs
+    family = list(spanning_set(inst.graph).members) + _diag_units(inst.m)
+    runs = {
+        "lbb_prime": lambda mode: lbb_prime(inst, mode=mode),
+        "sparse lbb_prime": lambda mode: lbb_prime(inst, sparsity=pairs,
+                                                   mode=mode),
+        "lbb_star": lambda mode: lbb_star(inst, mode=mode),
+        "lbb_generic": lambda mode: lbb_generic(inst, family, mode=mode),
+    }
+    monkeypatch.delenv("QUADLIN_MODE", raising=False)
+    sizes = []
+    solve = bounds.solve_lp
+
+    def recording(lp, mode="auto"):
+        sizes.append(max(lp.nrows, lp.nvars))
+        return solve(lp, mode=mode)
+
+    monkeypatch.setattr(bounds, "solve_lp", recording)
+    for name, run in runs.items():
+        sizes.clear()
+        run("exact")
+        (size,) = sizes
+        monkeypatch.setattr(lpsolve, "EXACT_SIZE_LIMIT", size)
+        assert run("auto").mode == "exact", name
+        monkeypatch.setattr(lpsolve, "EXACT_SIZE_LIMIT", size - 1)
+        assert run("auto").mode == "float", name
 
 
 def test_optimum_report_wraps_brute_force():
