@@ -328,41 +328,43 @@ def _linearization_lp(bqp: BqpInstance, target: RationalMatrix, members,
 
 
 def _scheme_lp(bqp: BqpInstance, name: str, members, sparsity=None):
-    """(LP, domination pairs) of the linearization bound called name.
+    """(LP, domination pairs, lifted) of the linearization bound called name.
 
     lbb_generic compares against the raw Q over every ordered pair;
     lbb_prime and lbb_star add the lifted columns and compare against
-    sym(Q) over the pairs i <= j not in sparsity (both sides symmetric).
+    sym(Q) over the pairs i <= j (both sides symmetric).  Only lbb_prime
+    takes a sparsity set and drops its pairs; members is None for it.
     """
     m = bqp.m
     if name == "lbb_generic":
         pairs = [(i, j) for i in range(m) for j in range(m)]
-        return _linearization_lp(bqp, bqp.Q, members, pairs, False), pairs
+        return (_linearization_lp(bqp, bqp.Q, members, pairs, False),
+                pairs, False)
+    if name != "lbb_prime":
+        sparsity = None
     pairs = [(i, j) for i in range(m) for j in range(i, m)
              if i == j or not sparsity or (i, j) not in sparsity]
-    lp = _linearization_lp(bqp, _sym_matrix(bqp.Q), members, pairs, True)
-    return lp, pairs
+    lp = _linearization_lp(bqp, _sym_matrix(bqp.Q), members or (), pairs,
+                           True)
+    return lp, pairs, True
 
 
 def _linearization_bound(bqp: BqpInstance, name: str, members, mode: str,
                          sparsity=None, canonical=False) -> BoundReport:
-    """Solve the bound's LP; the certificate splits the solution into the
-    bound's own variable blocks and lists the members it used."""
-    lp, _ = _scheme_lp(bqp, name, members, sparsity)
+    """Solve the bound's LP; the certificate splits the solution into its
+    variable blocks and, when the bound has a family, lists the members."""
+    lp, _, lifted = _scheme_lp(bqp, name, members, sparsity)
     mode = _bound_mode(bqp, mode, lp.nrows, lp.nvars)
     res = _solve(lp, mode, f"{name} linearization program")
     n, m = bqp.B.rows, bqp.m
     x = res.x
-    if name == "lbb_generic":
-        cert = {"y": x[:n], "alpha": x[n:]}
-    else:
+    cert = {"y": x[:n]}
+    if lifted:
         zcol = n + n * m
-        cert = {"y": x[:n],
-                "Y": tuple(x[n + r * m:n + (r + 1) * m] for r in range(n)),
-                "z": x[zcol:zcol + m]}
-        if name == "lbb_star":
-            cert["alpha"] = x[zcol + m:]
-    if name != "lbb_prime":
+        cert["Y"] = tuple(x[n + r * m:n + (r + 1) * m] for r in range(n))
+        cert["z"] = x[zcol:zcol + m]
+    if members is not None:
+        cert["alpha"] = x[lp.nvars - len(members):]
         cert["members"] = tuple((q.to_rows(), c) for q, c in members)
     return BoundReport(
         name=name, value=res.value, mode=mode,
@@ -383,7 +385,7 @@ def lbb_prime(inst, sparsity=None, mode: str = "auto") -> BoundReport:
     """
     bqp = _bqp(inst)
     sparsity = _check_sparsity(sparsity, bqp.m)
-    return _linearization_bound(bqp, "lbb_prime", (), mode, sparsity)
+    return _linearization_bound(bqp, "lbb_prime", None, mode, sparsity)
 
 
 def rlt1(inst, sparsity=None, mode: str = "auto") -> BoundReport:
@@ -717,13 +719,13 @@ def verify_report(inst, report: BoundReport, tol=None):
     elif report.name in ("lbb_prime", "lbb_star", "lbb_generic"):
         # rebuild the bound's own LP and evaluate its rows at the certificate
         cert = report.certificate
-        members = () if report.name == "lbb_prime" \
+        members = None if report.name == "lbb_prime" \
             else _family_members(cert["members"], m)
         if report.name == "lbb_star" \
                 and not all(q.is_symmetric() for q, _ in members):
             msgs.append("a family member is not symmetric")
-        lp, pairs = _scheme_lp(bqp, report.name, members,
-                               set(report.sparsity or ()))
+        lp, pairs, _ = _scheme_lp(bqp, report.name, members,
+                                  set(report.sparsity or ()))
         v = [num(a) for a in chain(cert["y"], *cert.get("Y", ()),
                                    cert.get("z", ()), cert.get("alpha", ()))]
 

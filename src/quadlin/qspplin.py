@@ -57,7 +57,6 @@ from quadlin.graph import (
     _critical_paths,
     basic_arc_order,
     is_corridor,
-    non_basic_arcs,
     prune_to_corridor,
 )
 from quadlin.model import QsppInstance, require_exact
@@ -174,10 +173,11 @@ def _pair_sums(q: RationalMatrix):
 
 
 def _critical_arcs(g: Dag):
-    """(basic arc, arcs of its critical path), basic arcs in canonical
-    order; every other basic arc on the path comes earlier."""
-    path = _critical_paths(g)[1]
-    return [(e, path(e).arcs) for e in basic_arc_order(g)]
+    """(non-basic arcs, [(basic arc, arcs of its critical path)]), basic
+    arcs in canonical order; every other basic arc on the path comes
+    earlier."""
+    nb, path = _critical_paths(g)
+    return nb, [(e, path(e).arcs) for e in basic_arc_order(g)]
 
 
 def _pseudo_numerators(g: Dag, s, top) -> list:
@@ -189,7 +189,7 @@ def _pseudo_numerators(g: Dag, s, top) -> list:
     other basic arcs on the path (non-basic arcs stay 0).
     """
     out = [0] * g.m
-    for e, arcs in _critical_arcs(g):
+    for e, arcs in _critical_arcs(g)[1]:
         tops = [top[a] for a in arcs]
         cost = 0
         for k, a in enumerate(tops):
@@ -395,9 +395,9 @@ def _symbolic_pseudo(cor: Dag, pidx, top_of):
     The forward substitution of _pseudo_numerators, on vector values.
     """
     width = len(pidx)
-    nb = non_basic_arcs(cor)
+    nb, critical = _critical_arcs(cor)
     out = [[0] * width for _ in range(cor.m)]
-    for e, arcs in _critical_arcs(cor):
+    for e, arcs in critical:
         row = [0] * width
         tops = [top_of[a] for a in arcs]
         for x in range(len(tops)):

@@ -432,6 +432,35 @@ def test_verify_report_rejects_a_member_with_a_raised_lower_entry(mode):
         assert not ok and msgs, rep.name
 
 
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_verify_report_checks_every_pair_of_a_family_bound(mode):
+    # only lbb_prime takes a sparsity set; a family report that names one
+    # must not get the domination row of a forged pair skipped
+    rng = random.Random(6)
+    inst = _random_qspp(rng, m_max=8)
+    m = inst.m
+    forbidden = forbidden_pairs(inst.graph)
+    i, j = next((i, j) for i in range(m) for j in range(i + 1, m)
+                if (i, j) not in forbidden)
+    family = list(spanning_set(inst.graph).members) + _diag_units(m)
+    for rep in (lbb_star(inst, mode=mode),
+                lbb_generic(inst, family, mode=mode)):
+        assert verify_report(inst, rep)[0], rep.name
+        cert = dict(rep.certificate)
+        alpha = cert["alpha"]
+        t = next(k for k, a in enumerate(alpha) if a != 0)
+        rows = [list(r) for r in cert["members"][t][0]]
+        raise_by = Fraction(10 ** 6) / Fraction(alpha[t])
+        rows[i][j] += raise_by
+        rows[j][i] += raise_by
+        members = list(cert["members"])
+        members[t] = (rows, members[t][1])
+        cert["members"] = tuple(members)
+        forged = replace(rep, certificate=cert, sparsity=((i, j),))
+        ok, msgs = verify_report(inst, forged)
+        assert not ok and msgs, rep.name
+
+
 def test_auto_mode_switches_to_float_one_past_the_size_limit(monkeypatch):
     rng = random.Random(7)
     inst = _random_qspp(rng, m_max=8)
