@@ -41,6 +41,7 @@ from fractions import Fraction
 from itertools import chain
 
 from quadlin.exactnum import ONE, ZERO, RationalMatrix, rat
+from quadlin.graph import forbidden_pairs
 from quadlin.lpsolve import (
     EQ,
     LE,
@@ -119,15 +120,43 @@ def _bound_mode(bqp: BqpInstance, mode: str, nrows: int, nvars: int) -> str:
     return "float"
 
 
-def _check_sparsity(sparsity, m):
+def _structural_sparsity(inst) -> frozenset:
+    """Pairs (i, j), i < j, that the instance's structure proves never
+    both 1: arcs on no common path (``("qspp", g)``), or two placements
+    in one row or one column of the permutation matrix (``("qap", n)``).
+    """
+    bqp = _bqp(inst)
+    kind = bqp.structure[0] if bqp.structure else None
+    if kind == "qspp":
+        return forbidden_pairs(bqp.structure[1])
+    if kind == "qap":
+        n = bqp.structure[1]
+        return frozenset(
+            (i * n + j, k * n + el)
+            for i in range(n) for j in range(n)
+            for k in range(n) for el in range(n)
+            if i * n + j < k * n + el and (i == k or j == el))
+    raise ValueError(
+        "no structural sparsity is known for a raw bqp instance")
+
+
+def _check_sparsity(sparsity, bqp: BqpInstance):
+    """The pairs as (min, max); on a structured instance each must be one
+    of its structural zeros, since dropping any other pair can lift the
+    bound above the optimum."""
     if sparsity is None:
         return None
+    known = _structural_sparsity(bqp) if bqp.structure else None
     out = set()
     for i, j in sparsity:
         i, j = int(i), int(j)
-        if not (0 <= i < m and 0 <= j < m) or i == j:
+        if not (0 <= i < bqp.m and 0 <= j < bqp.m) or i == j:
             raise ValueError(f"bad sparsity pair ({i}, {j})")
-        out.add((min(i, j), max(i, j)))
+        pair = (min(i, j), max(i, j))
+        if known is not None and pair not in known:
+            raise ValueError(
+                f"sparsity pair {pair} is not a structural zero")
+        out.add(pair)
     return frozenset(out)
 
 
@@ -384,7 +413,7 @@ def lbb_prime(inst, sparsity=None, mode: str = "auto") -> BoundReport:
       unordered pair suffices).
     """
     bqp = _bqp(inst)
-    sparsity = _check_sparsity(sparsity, bqp.m)
+    sparsity = _check_sparsity(sparsity, bqp)
     return _linearization_bound(bqp, "lbb_prime", None, mode, sparsity)
 
 
@@ -398,7 +427,7 @@ def rlt1(inst, sparsity=None, mode: str = "auto") -> BoundReport:
     """
     bqp = _bqp(inst)
     n, m = bqp.B.rows, bqp.m
-    sparsity = _check_sparsity(sparsity, m)
+    sparsity = _check_sparsity(sparsity, bqp)
     pairs = [(i, j) for i in range(m) for j in range(i, m)
              if not (sparsity and i != j and (i, j) in sparsity)]
     pidx = {p: m + k for k, p in enumerate(pairs)}
@@ -592,6 +621,9 @@ def verify_report(inst, report: BoundReport, tol=None):
 
     Returns (ok, messages).  Checks are done in exact arithmetic for
     exact-mode reports and within tol (default 1e-7) for float reports.
+    An lbb_prime or rlt1 report that drops pairs (``sparsity``) passes
+    only if each pair is a structural zero of the instance, so never on
+    an instance without a structure.
     """
     bqp = _bqp(inst)
     n, m = bqp.B.rows, bqp.m
@@ -600,6 +632,17 @@ def verify_report(inst, report: BoundReport, tol=None):
         tol = 0 if exact else 1e-7
     num = rat if exact else float
     msgs = []
+    if report.sparsity and report.name in ("lbb_prime", "rlt1"):
+        # dropped pairs are trusted below, so each must be a proven zero
+        if not bqp.structure:
+            msgs.append("sparsity cannot be confirmed on an instance "
+                        "without structure")
+        else:
+            stray = {tuple(p) for p in report.sparsity} \
+                - _structural_sparsity(bqp)
+            if stray:
+                msgs.append(f"sparsity pairs {sorted(stray)} are not "
+                            "structural zeros")
 
     if report.name in ("gl", "ggl"):
         cert = report.certificate

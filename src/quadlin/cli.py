@@ -22,7 +22,7 @@ Reports are JSON on stdout: a deterministic ``payload`` (exact values as
 fraction strings, stable key order) plus a ``runtime_s`` field outside
 it.  Exit codes: 0 ok, 2 unreadable or malformed file, 3 semantic
 validation failure, 4 enumeration cap exceeded, 5 LP failure, 6 bound
-chain violation.
+chain violation or a certificate that verify_report rejects.
 """
 
 from __future__ import annotations
@@ -39,15 +39,17 @@ from quadlin.bounds import (
     BoundComputationError,
     ChainViolation,
     SkewStrategy,
+    _structural_sparsity,
     gl_bound,
     ggl_bound,
     lbb_prime,
     lbb_star,
     rlt1,
     verify_chain,
+    verify_report,
 )
 from quadlin.exactnum import ZERO, RationalMatrix
-from quadlin.graph import Dag, GraphError, PathExplosion, forbidden_pairs
+from quadlin.graph import Dag, GraphError, PathExplosion
 from quadlin.lpsolve import LpError
 from quadlin.model import (
     BqpInstance,
@@ -461,24 +463,6 @@ _STRATEGIES = {"none": SkewStrategy.NONE,
                "sym": SkewStrategy.SYMMETRIZE}
 
 
-def _structural_sparsity(parsed: ParsedInstance):
-    if parsed.format == "qspp":
-        return forbidden_pairs(parsed.instance.graph)
-    if parsed.format == "qap":
-        n = parsed.qap_flows.rows
-        pairs = set()
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    for el in range(n):
-                        p, q = i * n + j, k * n + el
-                        if p < q and (i == k or j == el):
-                            pairs.add((p, q))
-        return frozenset(pairs)
-    raise ValueError(
-        "no structural sparsity is known for a raw bqp instance")
-
-
 def _run_bound(parsed: ParsedInstance, method: str, strategy: str,
                sparsity: bool, mode: str, max_iter: int):
     inst = parsed.instance
@@ -487,7 +471,7 @@ def _run_bound(parsed: ParsedInstance, method: str, strategy: str,
     if method == "ggl":
         return ggl_bound(inst, strategy=_STRATEGIES[strategy],
                          max_iter=max_iter, mode=mode)
-    pairs = _structural_sparsity(parsed) if sparsity else None
+    pairs = _structural_sparsity(inst) if sparsity else None
     if method == "lbb_prime":
         return lbb_prime(inst, sparsity=pairs, mode=mode)
     if method == "rlt1":
@@ -560,11 +544,19 @@ def _cmd_verify_chain(args, out) -> int:
                "values": {tag: _value_json(rep.value)
                           for tag, rep in runs},
                "optimum": None if opt is None else _value_json(opt)}
+    problems = []
+    for tag, rep in runs:
+        ok, messages = verify_report(inst, rep)
+        if not ok:
+            problems.append(f"{tag} certificate rejected: "
+                            + "; ".join(messages))
     try:
         relations = verify_chain([rep for _, rep in runs], opt=opt)
     except ChainViolation as exc:
+        problems.append(str(exc))
+    if problems:
         payload["verdict"] = "violated"
-        payload["detail"] = str(exc)
+        payload["detail"] = " | ".join(problems)
         _emit(payload, started, out)
         return EXIT_CHAIN
     payload["verdict"] = "ok"
@@ -621,7 +613,8 @@ def _build_parser() -> argparse.ArgumentParser:
     op.set_defaults(func=_cmd_opt)
 
     vc = sub.add_parser("verify-chain",
-                        help="run the bound ladder and check its ordering")
+                        help="run the bound ladder, replay every "
+                             "certificate and check the ordering")
     vc.add_argument("file")
     vc.add_argument("--mode", choices=["auto", "exact", "float"],
                     default="auto")

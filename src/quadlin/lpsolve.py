@@ -1,13 +1,18 @@
-"""Linear programming: two-phase primal simplex, exact or floating point.
+"""Linear programming: one two-phase primal simplex over two arithmetics.
 
-Exact mode keeps the tableau as one integer matrix plus a positive common
-denominator and pivots fraction-free: the update
+The simplex is written once (``_Tableau``): Dantzig pricing that switches
+to Bland's rule after a long run of degenerate pivots, phase 1, driving
+basic artificials out of the basis, phase 2, and one read-back of x, the
+value and the duals.  The two arithmetics supply only pricing, the ratio
+test, the elimination step and a few cell tests.  Exact mode keeps the
+tableau as one integer matrix plus a positive common denominator and
+pivots fraction-free: the update
 ``T'[i] = (T[i]*T[r][c] - T[r]*T[i][c]) // d`` divides exactly (every entry
 is a minor of the starting integer matrix), so no rationals appear inside
 the hot loop and every optimal result is certified by a full KKT check
-before it is returned.  Float mode runs the same algorithm on a numpy
-tableau with fixed tolerances and raises NumericalBreakdown instead of
-returning garbage when the arithmetic degrades.
+before it is returned.  Float mode runs on a numpy tableau with fixed
+tolerances and raises NumericalBreakdown instead of returning garbage
+when the arithmetic degrades.
 
 Variables carry individual bounds.  Free variables are split into a
 difference of two nonnegative ones, finite lower bounds are shifted to
@@ -20,11 +25,12 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from itertools import chain
+from math import lcm
 
 import numpy as np
 
-from quadlin.exactnum import ZERO, rat
+from quadlin.exactnum import ONE, ZERO, rat
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -125,102 +131,71 @@ class _Prepared:
                  "sense_sign", "bound_infeasible")
 
 
-def _lcm(a, b):
-    return a * b // gcd(a, b)
-
-
 def _prepare(lp: LinearProgram) -> _Prepared:
     p = _Prepared()
     p.sense_sign = 1 if lp.sense == "min" else -1
-    p.bound_infeasible = False
+    p.bound_infeasible = any(lo is not None and hi is not None and hi < lo
+                             for lo, hi in lp.bounds)
 
     col_meta = []
     ncols = 0
-    extra = []  # (sparse coeffs, rhs) rows for finite upper bounds, all "<="
-    shift = [ZERO] * lp.nvars
-    for j, (lo, hi) in enumerate(lp.bounds):
+    for lo, _ in lp.bounds:
         if lo is None:
-            cp, cn = ncols, ncols + 1
+            col_meta.append(("split", ncols, ncols + 1))
             ncols += 2
-            col_meta.append(("split", cp, cn))
-            if hi is not None:
-                extra.append(({cp: 1, cn: -1}, hi))
         else:
-            c = ncols
+            col_meta.append(("shift", ncols, lo))
             ncols += 1
-            col_meta.append(("shift", c, lo))
-            shift[j] = lo
-            if hi is not None:
-                if hi < lo:
-                    p.bound_infeasible = True
-                extra.append(({c: 1}, hi - lo))
     p.ncols = ncols
     p.col_meta = col_meta
+    shift = [ZERO if lo is None else lo for lo, _ in lp.bounds]
 
     def to_cols(coeffs):
+        """A user coefficient on x_j lands on its shifted column, or with
+        opposite signs on the two columns of its split."""
         dense = [ZERO] * ncols
         for j, a in enumerate(coeffs):
             if a == 0:
                 continue
             meta = col_meta[j]
-            if meta[0] == "shift":
-                dense[meta[1]] += a
-            else:
-                dense[meta[1]] += a
+            dense[meta[1]] += a
+            if meta[0] == "split":
                 dense[meta[2]] -= a
         return dense
+
+    def shifted(coeffs):
+        return sum((a * s for a, s in zip(coeffs, shift) if s), ZERO)
+
+    # finite upper bounds become "<=" rows after the user rows
+    upper_rows = [(tuple(ONE if k == j else ZERO for k in range(lp.nvars)),
+                   LE, hi) for j, (_, hi) in enumerate(lp.bounds)
+                  if hi is not None]
 
     rows_int = []
     rels = []
     row_scale = []
-
-    def add_row(dense, rel, rhs):
+    for coeffs, rel, rhs in chain(lp.rows, upper_rows):
+        dense = to_cols(coeffs)
+        rhs = rhs - shifted(coeffs)
         sign = 1
         if rhs < 0:
             dense = [-a for a in dense]
             rhs = -rhs
             rel = {LE: GE, GE: LE, EQ: EQ}[rel]
             sign = -1
-        k = 1
-        for v in dense + [rhs]:
-            k = _lcm(k, v.denominator)
+        k = lcm(*(v.denominator for v in dense), rhs.denominator)
         rows_int.append([int(v * k) for v in dense] + [int(rhs * k)])
         rels.append(rel)
         row_scale.append(Fraction(sign * k))
-
-    for coeffs, rel, rhs in lp.rows:
-        dense = to_cols(coeffs)
-        shifted_rhs = rhs - sum(a * s for a, s in zip(coeffs, shift) if s)
-        add_row(dense, rel, shifted_rhs)
     p.n_user = len(lp.rows)
-    for sparse, rhs in extra:
-        dense = [ZERO] * ncols
-        for c, a in sparse.items():
-            dense[c] = rat(a)
-        add_row(dense, LE, rhs)
-
     p.rows_int = rows_int
     p.rels = rels
     p.row_scale = row_scale
 
-    obj = [ZERO] * ncols
-    const = ZERO
-    for j, cj in enumerate(lp.objective):
-        if cj == 0:
-            continue
-        meta = col_meta[j]
-        if meta[0] == "shift":
-            obj[meta[1]] += p.sense_sign * cj
-            const += cj * meta[2]
-        else:
-            obj[meta[1]] += p.sense_sign * cj
-            obj[meta[2]] -= p.sense_sign * cj
-    scale = 1
-    for v in obj:
-        scale = _lcm(scale, v.denominator)
-    p.obj_int = [int(v * scale) for v in obj]
-    p.obj_scale = scale
-    p.obj_const = const
+    obj = to_cols(p.sense_sign * c for c in lp.objective)
+    p.obj_scale = lcm(*(v.denominator for v in obj))
+    p.obj_int = [int(v * p.obj_scale) for v in obj]
+    p.obj_const = shifted(lp.objective)
     return p
 
 
@@ -248,38 +223,26 @@ def _resolve_mode(mode: str, nrows: int, nvars: int) -> str:
 
 
 # ---------------------------------------------------------------------------
-# exact simplex
-
-def _pivot_int(tab, d, r, c):
-    """Fraction-free pivot; returns the new denominator (sign of T[r][c])."""
-    prow = tab[r]
-    piv = prow[c]
-    for i in range(len(tab)):
-        if i == r:
-            continue
-        row = tab[i]
-        f = row[c]
-        if f:
-            tab[i] = [(v * piv - pv * f) // d for v, pv in zip(row, prow)]
-        elif piv != d:
-            tab[i] = [(v * piv) // d for v in row]
-    return piv
-
-
-def _negate_tableau(tab, d):
-    for i, row in enumerate(tab):
-        tab[i] = [-v for v in row]
-    return -d
-
+# the simplex, once for both arithmetics
 
 class _Tableau:
-    """Column layout and starting basis shared by both tableaus.
+    """Two-phase primal simplex over a tableau whose arithmetic the
+    subclass supplies.
 
     Structural columns come first, then one slack per inequality row, then
     one artificial per >= or = row, then the right-hand side; the starting
     basis takes each row's slack if the row is <=, else its artificial.
     Below the constraint rows sit the phase-2 and the phase-1 cost rows.
+
+    Pricing is Dantzig's rule until more than max(40, rows) degenerate
+    pivots in a row, then Bland's rule for the rest of the phase; ratio
+    ties go to the row whose basic column has the smallest index.
+    Subclasses give the mode, the number type (num), the error class and
+    the arithmetic: _entering, _leaving, _degenerate, _eliminate,
+    _first_usable, _infeasible, _cell and _pivot_cap.
     """
+
+    error = LpError
 
     def __init__(self, prep: _Prepared):
         nrows = len(prep.rows_int)
@@ -297,15 +260,18 @@ class _Tableau:
         self.rhs = col
         self.basis = [slack_col[i] if rel == LE else art_col[i]
                       for i, rel in enumerate(prep.rels)]
+        self.prep = prep
         self.nrows = nrows
         self.slack_col = slack_col
         self.art_col = art_col
+        self.art_set = frozenset(art_col.values())
         self.z2_idx = nrows
         self.z1_idx = nrows + 1
         self.pivots = 0
 
-    def _int_rows(self, prep: _Prepared):
+    def _int_rows(self):
         """Yield the constraint rows and the phase-2 cost row as int lists."""
+        prep = self.prep
         ncols, width = prep.ncols, self.rhs + 1
         for i, row in enumerate(prep.rows_int):
             line = [0] * width
@@ -320,11 +286,78 @@ class _Tableau:
         z2[:ncols] = prep.obj_int
         yield z2
 
+    def _pivot(self, r, c):
+        self._eliminate(r, c)
+        self.basis[r] = c
+        self.pivots += 1
+        if self.pivots > self._pivot_cap():
+            raise self.error(f"pivot cap exceeded in {self.mode} mode")
+
+    def _phase(self, cost_idx):
+        bland = False
+        degen_run = 0
+        stall_limit = max(40, self.nrows)
+        while True:
+            enter = self._entering(cost_idx, bland)
+            if enter is None:
+                return OPTIMAL
+            leave = self._leaving(enter)
+            if leave is None:
+                return UNBOUNDED
+            if self._degenerate(leave):
+                degen_run += 1
+                if degen_run > stall_limit:
+                    bland = True
+            else:
+                degen_run = 0
+            self._pivot(leave, enter)
+
+    def solve(self) -> LpResult:
+        if self.art_col:
+            if self._phase(self.z1_idx) != OPTIMAL:
+                raise self.error(
+                    f"phase 1 reported unbounded in {self.mode} mode")
+            if self._infeasible():
+                return LpResult(INFEASIBLE, mode=self.mode, pivots=self.pivots)
+            for i in range(self.nrows):  # drive out basic artificials
+                if self.basis[i] in self.art_set:
+                    enter = self._first_usable(i)
+                    if enter is not None:  # else the row was redundant
+                        self._pivot(i, enter)
+        if self._phase(self.z2_idx) == UNBOUNDED:
+            return LpResult(UNBOUNDED, mode=self.mode, pivots=self.pivots)
+
+        prep, num, rhs = self.prep, self.num, self.rhs
+        vals = [num(0)] * prep.ncols
+        for i, b in enumerate(self.basis):
+            if b < prep.ncols:
+                vals[b] = self._cell(i, rhs)
+        x = tuple(vals[meta[1]] + num(meta[2]) if meta[0] == "shift"
+                  else vals[meta[1]] - vals[meta[2]]
+                  for meta in prep.col_meta)
+        # the cost row holds minus the reduced costs and minus the value
+        value = (-prep.sense_sign * self._cell(self.z2_idx, rhs)
+                 / prep.obj_scale + num(prep.obj_const))
+        duals = tuple(
+            -prep.sense_sign * num(prep.row_scale[i])
+            * self._cell(self.z2_idx,
+                         self.art_col.get(i, self.slack_col.get(i)))
+            / prep.obj_scale
+            for i in range(prep.n_user))
+        return LpResult(OPTIMAL, value, x, duals, self.mode, self.pivots)
+
 
 class _ExactTableau(_Tableau):
+    """Integer tableau over one positive common denominator d; the
+    fraction-free update divides exactly (every entry is a minor of the
+    starting integer matrix)."""
+
+    mode = "exact"
+    num = staticmethod(rat)
+
     def __init__(self, prep: _Prepared):
         super().__init__(prep)
-        tab = list(self._int_rows(prep))
+        tab = list(self._int_rows())
         z1 = [0] * (self.rhs + 1)
         for ac in self.art_col.values():
             z1[ac] = 1
@@ -333,119 +366,84 @@ class _ExactTableau(_Tableau):
         tab.append(z1)
         self.tab = tab
         self.d = 1
-        self.art_set = frozenset(self.art_col.values())
 
-    def _phase(self, cost_idx):
+    def _pivot_cap(self):
+        return _PIVOT_HARD_CAP
+
+    def _cell(self, i, j):
+        return Fraction(self.tab[i][j], self.d)
+
+    def _entering(self, cost_idx, bland):
+        zrow, art = self.tab[cost_idx], self.art_set
+        enter = None
+        best = 0
+        for j in range(self.rhs):
+            if j not in art and zrow[j] < best:
+                if bland:
+                    return j
+                best = zrow[j]
+                enter = j
+        return enter
+
+    def _leaving(self, enter):
         tab, rhs = self.tab, self.rhs
-        bland = False
-        degen_run = 0
-        stall_limit = max(40, self.nrows)
-        while True:
-            zrow = tab[cost_idx]
-            enter = None
-            if bland:
-                for j in range(rhs):
-                    if j not in self.art_set and zrow[j] < 0:
-                        enter = j
-                        break
-            else:
-                best = 0
-                for j in range(rhs):
-                    if j not in self.art_set and zrow[j] < best:
-                        best = zrow[j]
-                        enter = j
-            if enter is None:
-                return OPTIMAL
-            leave = None
-            for i in range(self.nrows):
-                t = tab[i][enter]
-                if t > 0:
-                    if leave is None:
-                        leave = i
-                    else:
-                        lhs = tab[i][rhs] * tab[leave][enter]
-                        rhs_ = tab[leave][rhs] * t
-                        if lhs < rhs_ or (lhs == rhs_
-                                          and self.basis[i] < self.basis[leave]):
-                            leave = i
-            if leave is None:
-                return UNBOUNDED
-            if tab[leave][rhs] == 0:
-                degen_run += 1
-                if degen_run > stall_limit:
-                    bland = True
-            else:
-                degen_run = 0
-            self.d = _pivot_int(tab, self.d, leave, enter)
-            self.basis[leave] = enter
-            self.pivots += 1
-            if self.pivots > _PIVOT_HARD_CAP:
-                raise LpError("pivot cap exceeded in exact mode")
-
-    def drive_out_artificials(self):
+        leave = None
         for i in range(self.nrows):
-            if self.basis[i] not in self.art_set:
+            t = tab[i][enter]
+            if t > 0:
+                if leave is None:
+                    leave = i
+                else:
+                    lhs = tab[i][rhs] * tab[leave][enter]
+                    rhs_ = tab[leave][rhs] * t
+                    if lhs < rhs_ or (lhs == rhs_
+                                      and self.basis[i] < self.basis[leave]):
+                        leave = i
+        return leave
+
+    def _degenerate(self, r):
+        return self.tab[r][self.rhs] == 0
+
+    def _first_usable(self, r):
+        row = self.tab[r]
+        return next((j for j in range(self.rhs)
+                     if j not in self.art_set and row[j] != 0), None)
+
+    def _infeasible(self):
+        return self.tab[self.z1_idx][self.rhs] != 0
+
+    def _eliminate(self, r, c):
+        """T'[i] = (T[i]*T[r][c] - T[r]*T[i][c]) // d; a negative pivot
+        first negates its row, which keeps the new denominator positive."""
+        tab, d = self.tab, self.d
+        if tab[r][c] < 0:
+            tab[r] = [-v for v in tab[r]]
+        prow = tab[r]
+        piv = prow[c]
+        for i, row in enumerate(tab):
+            if i == r:
                 continue
-            row = self.tab[i]
-            enter = next((j for j in range(self.rhs)
-                          if j not in self.art_set and row[j] != 0), None)
-            if enter is None:
-                continue  # all-zero row: the constraint was redundant
-            self.d = _pivot_int(self.tab, self.d, i, enter)
-            if self.d < 0:
-                self.d = _negate_tableau(self.tab, self.d)
-            self.basis[i] = enter
-            self.pivots += 1
+            f = row[c]
+            if f:
+                tab[i] = [(v * piv - pv * f) // d for v, pv in zip(row, prow)]
+            elif piv != d:
+                tab[i] = [(v * piv) // d for v in row]
+        self.d = piv
 
-
-def _solve_exact(lp: LinearProgram, prep: _Prepared):
-    t = _ExactTableau(prep)
-    if t.art_col:
-        status = t._phase(t.z1_idx)
-        if status != OPTIMAL:
-            raise LpError("phase 1 cannot be unbounded")
-        if t.tab[t.z1_idx][t.rhs] != 0:  # value = -cell/d stayed positive
-            return INFEASIBLE, None, None, None, t.pivots
-        t.drive_out_artificials()
-    status = t._phase(t.z2_idx)
-    if status == UNBOUNDED:
-        return UNBOUNDED, None, None, None, t.pivots
-
-    d = t.d
-    vals = [ZERO] * prep.ncols
-    for i in range(t.nrows):
-        b = t.basis[i]
-        if b < prep.ncols:
-            vals[b] = Fraction(t.tab[i][t.rhs], d)
-    x = []
-    for meta in prep.col_meta:
-        if meta[0] == "shift":
-            x.append(vals[meta[1]] + meta[2])
-        else:
-            x.append(vals[meta[1]] - vals[meta[2]])
-
-    zrow = t.tab[t.z2_idx]
-    v_scaled = Fraction(-zrow[t.rhs], d)
-    value = prep.sense_sign * v_scaled / prep.obj_scale + prep.obj_const
-
-    duals = []
-    for i in range(prep.n_user):
-        col = t.art_col.get(i, t.slack_col.get(i))
-        y_int = Fraction(-zrow[col], d)
-        duals.append(prep.sense_sign * prep.row_scale[i] * y_int
-                     / prep.obj_scale)
-    return OPTIMAL, value, tuple(x), tuple(duals), t.pivots
-
-
-# ---------------------------------------------------------------------------
-# float simplex
 
 class _FloatTableau(_Tableau):
+    """numpy tableau with fixed tolerances; NumericalBreakdown instead of
+    a result once the arithmetic degrades."""
+
+    mode = "float"
+    num = float
+    error = NumericalBreakdown
+
     def __init__(self, prep: _Prepared):
         super().__init__(prep)
         width = self.rhs + 1
         tab = np.zeros((self.nrows + 2, width))
-        for i, line in enumerate(self._int_rows(prep)):
+        for i, line in enumerate(self._int_rows()):
             tab[i] = line
         z1 = np.zeros(width)
         for ac in self.art_col.values():
@@ -455,10 +453,49 @@ class _FloatTableau(_Tableau):
         tab[self.nrows + 1] = z1
         self.tab = tab
         self.art_mask = np.zeros(width, dtype=bool)
-        self.art_mask[list(self.art_col.values())] = True
+        self.art_mask[list(self.art_set)] = True
         self.art_mask[self.rhs] = True
+        self.feas_tol = _FEAS_TOL * max(
+            1.0, max((abs(tab[i, self.rhs]) for i in range(self.nrows)),
+                     default=1.0))
 
-    def _pivot(self, r, c):
+    def _pivot_cap(self):
+        return _FLOAT_PIVOT_CAP
+
+    def _cell(self, i, j):
+        return float(self.tab[i, j])
+
+    def _entering(self, cost_idx, bland):
+        zrow = self.tab[cost_idx]
+        cand = np.where(~self.art_mask & (zrow < -_PIVOT_TOL))[0]
+        if cand.size == 0:
+            return None
+        return int(cand[0]) if bland else int(cand[np.argmin(zrow[cand])])
+
+    def _leaving(self, enter):
+        tab = self.tab
+        colv = tab[:self.nrows, enter]
+        pos = np.where(colv > _PIVOT_TOL)[0]
+        if pos.size == 0:
+            return None
+        ratios = tab[pos, self.rhs] / colv[pos]
+        best = ratios.min()
+        ties = pos[np.where(ratios <= best + _PIVOT_TOL * (1 + abs(best)))[0]]
+        return int(min(ties, key=lambda i: self.basis[i]))
+
+    def _degenerate(self, r):
+        return self.tab[r, self.rhs] <= _PIVOT_TOL
+
+    def _first_usable(self, r):
+        row = self.tab[r, :self.rhs]
+        cand = np.where(~self.art_mask[:self.rhs]
+                        & (np.abs(row) > _PIVOT_TOL))[0]
+        return int(cand[0]) if cand.size else None
+
+    def _infeasible(self):
+        return -self.tab[self.z1_idx, self.rhs] > self.feas_tol
+
+    def _eliminate(self, r, c):
         tab = self.tab
         piv = tab[r, c]
         if abs(piv) < _PIVOT_TOL:
@@ -469,87 +506,6 @@ class _FloatTableau(_Tableau):
         tab -= np.outer(colvals, tab[r])
         tab[:, c] = 0.0
         tab[r, c] = 1.0
-        self.basis[r] = c
-        self.pivots += 1
-        if self.pivots > _FLOAT_PIVOT_CAP:
-            raise NumericalBreakdown("pivot cap exceeded in float mode")
-
-    def _phase(self, cost_idx):
-        tab, rhs = self.tab, self.rhs
-        bland = False
-        degen_run = 0
-        stall_limit = max(40, self.nrows)
-        while True:
-            zrow = tab[cost_idx]
-            cand = np.where(~self.art_mask & (zrow < -_PIVOT_TOL))[0]
-            if cand.size == 0:
-                return OPTIMAL
-            enter = int(cand[0]) if bland else int(cand[np.argmin(zrow[cand])])
-            colv = tab[:self.nrows, enter]
-            pos = np.where(colv > _PIVOT_TOL)[0]
-            if pos.size == 0:
-                return UNBOUNDED
-            ratios = tab[pos, rhs] / colv[pos]
-            best = ratios.min()
-            ties = pos[np.where(ratios <= best + _PIVOT_TOL * (1 + abs(best)))[0]]
-            leave = int(min(ties, key=lambda i: self.basis[i]))
-            if tab[leave, rhs] <= _PIVOT_TOL:
-                degen_run += 1
-                if degen_run > stall_limit:
-                    bland = True
-            else:
-                degen_run = 0
-            self._pivot(leave, enter)
-
-    def drive_out_artificials(self):
-        for i in range(self.nrows):
-            if not self.art_mask[self.basis[i]]:
-                continue
-            row = self.tab[i]
-            cand = np.where(~self.art_mask[:self.rhs]
-                            & (np.abs(row[:self.rhs]) > _PIVOT_TOL))[0]
-            if cand.size == 0:
-                continue
-            self._pivot(i, int(cand[0]))
-
-
-def _solve_float(lp: LinearProgram, prep: _Prepared):
-    t = _FloatTableau(prep)
-    feas_tol = _FEAS_TOL * max(
-        1.0, max((abs(t.tab[i, t.rhs]) for i in range(t.nrows)), default=1.0))
-    if t.art_col:
-        status = t._phase(t.z1_idx)
-        if status != OPTIMAL:
-            raise NumericalBreakdown("phase 1 reported unbounded")
-        if -t.tab[t.z1_idx, t.rhs] > feas_tol:
-            return INFEASIBLE, None, None, None, t.pivots
-        t.drive_out_artificials()
-    status = t._phase(t.z2_idx)
-    if status == UNBOUNDED:
-        return UNBOUNDED, None, None, None, t.pivots
-
-    vals = np.zeros(prep.ncols)
-    for i in range(t.nrows):
-        b = t.basis[i]
-        if b < prep.ncols:
-            vals[b] = t.tab[i, t.rhs]
-    x = []
-    for meta in prep.col_meta:
-        if meta[0] == "shift":
-            x.append(float(vals[meta[1]]) + float(meta[2]))
-        else:
-            x.append(float(vals[meta[1]]) - float(vals[meta[2]]))
-
-    zrow = t.tab[t.z2_idx]
-    value = (prep.sense_sign * (-float(zrow[t.rhs])) / prep.obj_scale
-             + float(prep.obj_const))
-    duals = []
-    for i in range(prep.n_user):
-        col = t.art_col.get(i, t.slack_col.get(i))
-        y_int = -float(zrow[col])
-        duals.append(prep.sense_sign * float(prep.row_scale[i]) * y_int
-                     / prep.obj_scale)
-    return OPTIMAL, value, tuple(x), tuple(duals), t.pivots
 
 
 # ---------------------------------------------------------------------------
@@ -561,13 +517,9 @@ def solve_lp(lp: LinearProgram, mode: str = "auto") -> LpResult:
     prep = _prepare(lp)
     if prep.bound_infeasible:
         return LpResult(status=INFEASIBLE, mode=mode)
-    if mode == "exact":
-        status, value, x, duals, pivots = _solve_exact(lp, prep)
-    else:
-        status, value, x, duals, pivots = _solve_float(lp, prep)
-    result = LpResult(status=status, value=value, x=x, duals=duals,
-                      mode=mode, pivots=pivots)
-    if mode == "exact" and status == OPTIMAL:
+    tableau = _ExactTableau if mode == "exact" else _FloatTableau
+    result = tableau(prep).solve()
+    if mode == "exact" and result.status == OPTIMAL:
         ok, messages = verify_solution(lp, result)
         if not ok:
             raise LpError("exact optimum failed its own certificate: "

@@ -25,6 +25,7 @@ from quadlin.bounds import (
 from quadlin.exactnum import RationalMatrix, ZERO, ONE
 from quadlin.graph import forbidden_pairs
 from quadlin.model import (
+    BqpInstance,
     FloatTaggedError,
     LinearizableFamily,
     QsppInstance,
@@ -179,6 +180,48 @@ def test_sparsity_rejects_bad_pairs():
         lbb_prime(inst, sparsity=[(1, 1)])
     with pytest.raises(ValueError):
         rlt1(inst, sparsity=[(0, 99)])
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_sparsity_must_be_structural_zeros(mode):
+    # arcs 0 and 2 lie on the optimal path; dropping their domination row
+    # lifts lbb_prime and rlt1 to 5 against an optimum of 1/2
+    inst = _random_qspp(random.Random(6), m_max=8)
+    forbidden = forbidden_pairs(inst.graph)
+    assert (0, 2) not in forbidden
+    pairs = forbidden | {(0, 2)}
+    opt, _ = brute_force_opt(inst)
+    bqp = qspp_to_bqp(inst)
+    raw = BqpInstance(B=bqp.B, b=bqp.b, Q=bqp.Q, integral_polytope=True)
+    for bound in (lbb_prime, rlt1):
+        with pytest.raises(ValueError):
+            bound(inst, sparsity=pairs, mode=mode)
+        # without a structure nothing checks the pairs, so replay must
+        # refuse them against either instance
+        forged = bound(raw, sparsity=pairs, mode=mode)
+        assert forged.value > opt
+        for target in (inst, raw):
+            ok, msgs = verify_report(target, forged)
+            assert not ok and msgs, (bound.__name__, target)
+
+
+def test_structural_sparsity_of_qap_is_row_and_column_pairs():
+    inst = qap_to_bqp([[0, 2, 1], [2, 0, 3], [1, 3, 0]],
+                      [[0, 1, 4], [1, 0, 2], [4, 2, 0]])
+    pairs = bounds._structural_sparsity(inst)
+    # x[i*3 + j]: facility i at location j; 3 rows and 3 columns of 3
+    # cells give 18 pairs that no permutation sets both
+    assert len(pairs) == 18
+    assert (0, 1) in pairs and (0, 3) in pairs and (0, 4) not in pairs
+    opt, _ = brute_force_opt(inst)
+    for bound in (lbb_prime, rlt1):
+        rep = bound(inst, sparsity=pairs, mode="exact")
+        assert rep.value <= opt
+        ok, msgs = verify_report(inst, rep)
+        assert ok, msgs
+    with pytest.raises(ValueError):
+        bounds._structural_sparsity(BqpInstance(B=inst.B, b=inst.b,
+                                                Q=inst.Q))
 
 
 def test_lbb_prime_invariant_under_reformulation():

@@ -1,9 +1,11 @@
 import json
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
 
+from quadlin import cli
 from quadlin.bounds import SkewStrategy, ggl_bound, gl_bound, lbb_prime, rlt1
 from quadlin.cli import (
     EXIT_CHAIN,
@@ -292,6 +294,29 @@ def test_verify_chain_ok_on_qspp_and_qap(capsys, tmp_path):
             assert "lbb_star" not in payload["values"]
         assert payload["optimum"] is not None
         assert payload["relations"]
+
+
+def test_verify_chain_replays_every_certificate(capsys, tmp_path,
+                                               monkeypatch):
+    f = tmp_path / "dia.qspp"
+    f.write_text(DIAMOND)
+    honest = lbb_prime(parse_instance(DIAMOND).instance, mode="exact")
+
+    def forged(inst, mode="auto"):
+        # same value, but y no longer achieves it (b[0] = 1 at the source)
+        rep = lbb_prime(inst, mode=mode)
+        cert = dict(rep.certificate)
+        cert["y"] = (cert["y"][0] + 1,) + tuple(cert["y"][1:])
+        return replace(rep, certificate=cert)
+
+    monkeypatch.setattr(cli, "lbb_prime", forged)
+    code, out, _ = run_cli(capsys, ["verify-chain", str(f)])
+    assert code == EXIT_CHAIN
+    payload = payload_of(out)
+    assert payload["values"]["lbb_prime"] == str(honest.value)
+    assert payload["verdict"] == "violated"
+    assert payload["detail"].startswith("lbb_prime certificate rejected")
+    assert "objective" in payload["detail"]
 
 
 def test_reports_are_deterministic(capsys, tmp_path):

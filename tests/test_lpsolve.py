@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from quadlin import lpsolve
+from quadlin.bounds import lbb_prime
 from quadlin.lpsolve import (
     EQ,
     GE,
@@ -15,12 +17,14 @@ from quadlin.lpsolve import (
     OPTIMAL,
     UNBOUNDED,
     LinearProgram,
+    LpError,
     LpResult,
     NumericalBreakdown,
     linear_program,
     solve_lp,
     verify_solution,
 )
+from quadlin.model import generate_tournament
 
 from helpers import rand_rational
 from oracles import lp_oracle
@@ -231,3 +235,27 @@ def test_flow_polytope_shortest_path():
     res = solve_lp(lp, mode="exact")
     assert res.status == OPTIMAL and res.value == 3
     assert res.x == (F(0), F(1), F(0), F(1))
+
+
+def test_pivot_caps_raise_each_modes_error(monkeypatch):
+    # max x + y + z under x, y, z <= 1: one pivot per variable
+    lp = linear_program("max", [1, 1, 1], [
+        ((1, 0, 0), LE, 1), ((0, 1, 0), LE, 1), ((0, 0, 1), LE, 1)])
+    assert solve_lp(lp, mode="exact").pivots == 3
+    assert solve_lp(lp, mode="float").pivots == 3
+    monkeypatch.setattr(lpsolve, "_PIVOT_HARD_CAP", 2)
+    monkeypatch.setattr(lpsolve, "_FLOAT_PIVOT_CAP", 2)
+    # exact hitting its cap is a solver failure, not a precision loss
+    with pytest.raises(LpError) as exc:
+        solve_lp(lp, mode="exact")
+    assert not isinstance(exc.value, NumericalBreakdown)
+    with pytest.raises(NumericalBreakdown):
+        solve_lp(lp, mode="float")
+
+
+def test_degenerate_lp_through_blands_rule_in_both_modes():
+    # lbb_prime on tournament n=6 stalls long enough under Dantzig's rule
+    # that both modes finish it with Bland's rule
+    inst = generate_tournament(6)
+    assert lbb_prime(inst, mode="exact").value == 13
+    assert abs(lbb_prime(inst, mode="float").value - 13) <= 1e-6
