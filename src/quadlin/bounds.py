@@ -28,9 +28,9 @@ lbb_prime uses the sum matrices B^T Y + Y^T B + Diag(z), lbb_generic a
 given family against the raw Q, lbb_star both against sym(Q).
 
 Every report carries enough certificate data for verify_report to confirm
-the bound from first principles without re-running the solver; for the
-three linearization-based bounds it evaluates their LP's rows at the
-certificate.
+the bound from first principles without re-running the solver: it
+rebuilds the LP the bound solved and evaluates that LP's rows at the
+certificate's point, and its columns at the certificate's duals.
 """
 
 from __future__ import annotations
@@ -44,6 +44,7 @@ from quadlin.exactnum import ONE, ZERO, RationalMatrix, rat
 from quadlin.graph import forbidden_pairs
 from quadlin.lpsolve import (
     EQ,
+    GE,
     LE,
     OPTIMAL,
     LinearProgram,
@@ -167,12 +168,11 @@ def _solve(lp, mode, what):
     return res
 
 
-def _polytope_min(bqp: BqpInstance, costs, mode):
+def _polytope_lp(bqp: BqpInstance, costs) -> LinearProgram:
     """min costs . x over Bx = b, x >= 0."""
-    rows = [(tuple(bqp.B.row(i)), EQ, bqp.b[i]) for i in range(bqp.B.rows)]
-    lp = LinearProgram("min", tuple(costs), tuple(rows),
-                       tuple((ZERO, None) for _ in range(bqp.m)))
-    return _solve(lp, mode, "feasible-set minimum")
+    rows = [(bqp.B.row(i), EQ, bqp.b[i]) for i in range(bqp.B.rows)]
+    return LinearProgram("min", tuple(costs), tuple(rows),
+                         tuple((ZERO, None) for _ in range(bqp.m)))
 
 
 def _fit_columns(bqp: BqpInstance, q: RationalMatrix, mode):
@@ -224,7 +224,7 @@ def gl_bound(inst, mode: str = "auto") -> BoundReport:
     mode = _bound_mode(bqp, mode, max(m, n), n + 1)
     ycols, zbar, cbar, pivots = _fit_columns(bqp, bqp.Q, mode)
     costs = [rat_from(c) + l for c, l in zip(cbar, bqp.linear)]
-    final = _polytope_min(bqp, costs, mode)
+    final = _solve(_polytope_lp(bqp, costs), mode, "feasible-set minimum")
     return BoundReport(
         name="gl", value=final.value, mode=mode,
         relaxation_only=not bqp.integral_polytope,
@@ -283,8 +283,8 @@ def ggl_bound(inst, strategy: SkewStrategy = SkewStrategy.NONE,
         residual = q_cur - qbar
         q_cur = _skew_update(residual, strategy)
         c_total = [a + rat_from(c) for a, c in zip(c_total, cbar)]
-        final = _polytope_min(
-            bqp, [a + l for a, l in zip(c_total, bqp.linear)], mode)
+        lp = _polytope_lp(bqp, [a + l for a, l in zip(c_total, bqp.linear)])
+        final = _solve(lp, mode, "feasible-set minimum")
         trace.append(final.value)
         iterations.append({"ybar_columns": tuple(map(tuple, ycols)),
                            "zbar": tuple(zbar), "cbar": tuple(cbar)})
@@ -357,7 +357,7 @@ def _linearization_lp(bqp: BqpInstance, target: RationalMatrix, members,
 
 
 def _scheme_lp(bqp: BqpInstance, name: str, members, sparsity=None):
-    """(LP, domination pairs, lifted) of the linearization bound called name.
+    """(LP, lifted) of the linearization bound called name.
 
     lbb_generic compares against the raw Q over every ordered pair;
     lbb_prime and lbb_star add the lifted columns and compare against
@@ -367,22 +367,21 @@ def _scheme_lp(bqp: BqpInstance, name: str, members, sparsity=None):
     m = bqp.m
     if name == "lbb_generic":
         pairs = [(i, j) for i in range(m) for j in range(m)]
-        return (_linearization_lp(bqp, bqp.Q, members, pairs, False),
-                pairs, False)
+        return _linearization_lp(bqp, bqp.Q, members, pairs, False), False
     if name != "lbb_prime":
         sparsity = None
     pairs = [(i, j) for i in range(m) for j in range(i, m)
              if i == j or not sparsity or (i, j) not in sparsity]
     lp = _linearization_lp(bqp, _sym_matrix(bqp.Q), members or (), pairs,
                            True)
-    return lp, pairs, True
+    return lp, True
 
 
 def _linearization_bound(bqp: BqpInstance, name: str, members, mode: str,
                          sparsity=None, canonical=False) -> BoundReport:
     """Solve the bound's LP; the certificate splits the solution into its
     variable blocks and, when the bound has a family, lists the members."""
-    lp, _, lifted = _scheme_lp(bqp, name, members, sparsity)
+    lp, lifted = _scheme_lp(bqp, name, members, sparsity)
     mode = _bound_mode(bqp, mode, lp.nrows, lp.nvars)
     res = _solve(lp, mode, f"{name} linearization program")
     n, m = bqp.B.rows, bqp.m
@@ -417,6 +416,40 @@ def lbb_prime(inst, sparsity=None, mode: str = "auto") -> BoundReport:
     return _linearization_bound(bqp, "lbb_prime", None, mode, sparsity)
 
 
+def _rlt1_lp(bqp: BqpInstance, sparsity):
+    """(LP, pairs) of rlt1: x (m), then one w per pair in pairs."""
+    n, m = bqp.B.rows, bqp.m
+    pairs = [(i, j) for i in range(m) for j in range(i, m)
+             if not (sparsity and i != j and (i, j) in sparsity)]
+    pidx = {p: m + k for k, p in enumerate(pairs)}
+    nvars = m + len(pairs)
+    obj = list(bqp.linear) + [
+        bqp.Q.at(i, i) if i == j else bqp.Q.at(i, j) + bqp.Q.at(j, i)
+        for i, j in pairs]
+    rows = []
+    for r in range(n):  # Bx = b
+        coeffs = [ZERO] * nvars
+        coeffs[:m] = bqp.B.row(r)
+        rows.append((tuple(coeffs), EQ, bqp.b[r]))
+    for r in range(n):  # (B X)_{r j} - b_r x_j = 0
+        for j in range(m):
+            coeffs = [ZERO] * nvars
+            coeffs[j] = -bqp.b[r]
+            for k in range(m):
+                col = pidx.get((k, j) if k <= j else (j, k))
+                if col is not None:
+                    coeffs[col] += bqp.B.at(r, k)
+            rows.append((tuple(coeffs), EQ, ZERO))
+    for j in range(m):  # x_j - w_jj = 0
+        coeffs = [ZERO] * nvars
+        coeffs[j] = ONE
+        coeffs[pidx[(j, j)]] = -ONE
+        rows.append((tuple(coeffs), EQ, ZERO))
+    lp = LinearProgram("min", tuple(obj), tuple(rows),
+                       tuple((ZERO, None) for _ in range(nvars)))
+    return lp, pairs
+
+
 def rlt1(inst, sparsity=None, mode: str = "auto") -> BoundReport:
     """Level-1 lifting bound; exact LP dual of lbb_prime.
 
@@ -426,46 +459,10 @@ def rlt1(inst, sparsity=None, mode: str = "auto") -> BoundReport:
       Bx = b,  B X = b x^T (row by row),  diag(X) = x.
     """
     bqp = _bqp(inst)
-    n, m = bqp.B.rows, bqp.m
+    m = bqp.m
     sparsity = _check_sparsity(sparsity, bqp)
-    pairs = [(i, j) for i in range(m) for j in range(i, m)
-             if not (sparsity and i != j and (i, j) in sparsity)]
-    pidx = {p: m + k for k, p in enumerate(pairs)}
-    nvars = m + len(pairs)
-    nrows = n + n * m + m
-    mode = _bound_mode(bqp, mode, nrows, nvars)
-
-    obj = [ZERO] * nvars
-    for j in range(m):
-        obj[j] = bqp.linear[j]
-    for k, (i, j) in enumerate(pairs):
-        obj[m + k] = bqp.Q.at(i, i) if i == j \
-            else bqp.Q.at(i, j) + bqp.Q.at(j, i)
-
-    rows = []
-    for r in range(n):  # Bx = b
-        coeffs = [ZERO] * nvars
-        for j in range(m):
-            coeffs[j] = bqp.B.at(r, j)
-        rows.append((tuple(coeffs), EQ, bqp.b[r]))
-    for r in range(n):  # (B X)_{r j} - b_r x_j = 0
-        for j in range(m):
-            coeffs = [ZERO] * nvars
-            coeffs[j] = -bqp.b[r]
-            for k in range(m):
-                key = (k, j) if k <= j else (j, k)
-                col = pidx.get(key)
-                if col is not None:
-                    coeffs[col] += bqp.B.at(r, k)
-            rows.append((tuple(coeffs), EQ, ZERO))
-    for j in range(m):  # x_j - w_jj = 0
-        coeffs = [ZERO] * nvars
-        coeffs[j] = ONE
-        coeffs[pidx[(j, j)]] = -ONE
-        rows.append((tuple(coeffs), EQ, ZERO))
-
-    lp = LinearProgram("min", tuple(obj), tuple(rows),
-                       tuple((ZERO, None) for _ in range(nvars)))
+    lp, pairs = _rlt1_lp(bqp, sparsity)
+    mode = _bound_mode(bqp, mode, lp.nrows, lp.nvars)
     res = _solve(lp, mode, "level-1 lifting program")
     return BoundReport(
         name="rlt1", value=res.value, mode=mode,
@@ -616,14 +613,63 @@ def optimum_report(inst, cap: int = 1_000_000) -> BoundReport:
                        certificate={"argmin": argmin})
 
 
+def _dot(coeffs, v, num):
+    return sum((num(a) * x for a, x in zip(coeffs, v) if a), num(0))
+
+
+def _row_violations(lp: LinearProgram, point, value, num, tol) -> list:
+    """Why point is not a feasible point of lp with objective value:
+    each row off its relation, each coordinate below its lower bound,
+    and an objective other than value, all within the absolute tol."""
+    if len(point) != lp.nvars:
+        return ["certificate has the wrong number of variables"]
+    v = [num(a) for a in point]
+    msgs = []
+    for k, (coeffs, rel, rhs) in enumerate(lp.rows):
+        gap = _dot(coeffs, v, num) - num(rhs)
+        if (rel != GE and gap > tol) or (rel != LE and gap < -tol):
+            msgs.append(f"point violates row {k}")
+    msgs += [f"point is below the lower bound of variable {j}"
+             for j, (lo, _) in enumerate(lp.bounds)
+             if lo is not None and v[j] < num(lo) - tol]
+    if abs(_dot(lp.objective, v, num) - num(value)) > tol:
+        msgs.append("objective does not match the certificate")
+    return msgs
+
+
+def _dual_violations(lp: LinearProgram, y, value, num, tol) -> list:
+    """Why y does not certify value as a lower bound of lp, which must be
+    min c.x over equality rows Ax = b and x >= 0: each column j with
+    (A^T y)_j > c_j, and b.y other than value, within the absolute tol."""
+    if len(y) != lp.nrows:
+        return ["certificate has the wrong number of duals"]
+    col = [num(0)] * lp.nvars
+    for (coeffs, _, _), yk in zip(lp.rows, y):
+        yk = num(yk)
+        for j, a in enumerate(coeffs):
+            if a:
+                col[j] += num(a) * yk
+    msgs = [f"duals violate column {j}"
+            for j, (s, c) in enumerate(zip(col, lp.objective))
+            if s > num(c) + tol]
+    rhs = [b for _, _, b in lp.rows]
+    if abs(_dot(rhs, [num(v) for v in y], num) - num(value)) > tol:
+        msgs.append("dual objective does not match the certificate")
+    return msgs
+
+
 def verify_report(inst, report: BoundReport, tol=None):
     """Re-derive the bound's validity from its certificate.
 
-    Returns (ok, messages).  Checks are done in exact arithmetic for
-    exact-mode reports and within tol (default 1e-7) for float reports.
-    An lbb_prime or rlt1 report that drops pairs (``sparsity``) passes
-    only if each pair is a structural zero of the instance, so never on
-    an instance without a structure.
+    Returns (ok, messages).  The LP a bound solved is rebuilt from the
+    instance: the certificate's point must satisfy its rows and reach the
+    value, and for gl, ggl and rlt1 (min over Ax = b, x >= 0) so must the
+    duals; gl and ggl also re-check each fitting round.  Exact reports
+    are checked exactly, float reports within the absolute tol (default
+    1e-7) on every row, column and value.  An lbb_prime or rlt1 report
+    that drops pairs (``sparsity``) passes only if each pair is a
+    structural zero of the instance, so never on an instance without a
+    structure.
     """
     bqp = _bqp(inst)
     n, m = bqp.B.rows, bqp.m
@@ -632,29 +678,25 @@ def verify_report(inst, report: BoundReport, tol=None):
         tol = 0 if exact else 1e-7
     num = rat if exact else float
     msgs = []
-    if report.sparsity and report.name in ("lbb_prime", "rlt1"):
+    sparsity = {tuple(p) for p in report.sparsity or ()}
+    if sparsity and report.name in ("lbb_prime", "rlt1"):
         # dropped pairs are trusted below, so each must be a proven zero
         if not bqp.structure:
             msgs.append("sparsity cannot be confirmed on an instance "
                         "without structure")
         else:
-            stray = {tuple(p) for p in report.sparsity} \
-                - _structural_sparsity(bqp)
+            stray = sparsity - _structural_sparsity(bqp)
             if stray:
                 msgs.append(f"sparsity pairs {sorted(stray)} are not "
                             "structural zeros")
 
     if report.name in ("gl", "ggl"):
         cert = report.certificate
-        if report.name == "gl":
-            steps = ({"ybar_columns": cert["ybar_columns"],
-                      "zbar": cert["zbar"], "cbar": cert["cbar"]},)
-            strategy = SkewStrategy.NONE
-        else:
-            steps = cert["iterations"]
-            strategy = SkewStrategy(cert["strategy"])
+        # gl is one round; the skew strategy only shapes later rounds
+        steps = cert["iterations"] if report.name == "ggl" else (cert,)
+        strategy = SkewStrategy(cert.get("strategy", "none"))
         q_cur = bqp.Q
-        c_total = [num(0)] * m
+        c_total = [ZERO] * m
         for it, step in enumerate(steps):
             ycols = step["ybar_columns"]
             zbar = step["zbar"]
@@ -671,93 +713,21 @@ def verify_report(inst, report: BoundReport, tol=None):
                            for r in range(n)) + num(zbar[k])
                 if abs(num(cbar[k]) - want) > tol:
                     msgs.append(f"round {it}: cbar[{k}] inconsistent")
-            c_total = [a + num(c) for a, c in zip(c_total, cbar)]
+            c_total = [a + rat_from(c) for a, c in zip(c_total, cbar)]
             q_cur = _skew_update(q_cur - qbar, strategy)
-        x = report.certificate["x"]
-        costs = [a + num(l) for a, l in zip(c_total, bqp.linear)]
-        bx = [sum(num(bqp.B.at(r, j)) * num(x[j]) for j in range(m))
-              for r in range(n)]
-        for r in range(n):
-            if abs(bx[r] - num(bqp.b[r])) > tol:
-                msgs.append(f"final point violates flow row {r}")
-        if any(num(v) < -tol for v in x):
-            msgs.append("final point has a negative coordinate")
-        ptval = sum(c * num(v) for c, v in zip(costs, x))
-        if abs(ptval - num(report.value)) > tol:
-            msgs.append("final point does not achieve the reported value")
-        y = report.certificate["duals"]
-        yb = sum(num(a) * num(bqp.b[r]) for r, a in enumerate(y))
-        if abs(yb - num(report.value)) > tol:
-            msgs.append("final duals do not certify the value")
-        for j in range(m):
-            r_j = costs[j] - sum(num(y[r]) * num(bqp.B.at(r, j))
-                                 for r in range(n))
-            if r_j < -tol * (1 + abs(costs[j])):
-                msgs.append(f"final duals infeasible at column {j}")
+        # the bound's final LP; costs are Fraction sums, as in ggl_bound
+        lp = _polytope_lp(bqp, [a + l for a, l in zip(c_total, bqp.linear)])
+        msgs += _row_violations(lp, cert["x"], report.value, num, tol)
+        msgs += _dual_violations(lp, cert["duals"], report.value, num, tol)
 
     elif report.name == "rlt1":
         cert = report.certificate
-        x = cert["x"]
-        pairs = cert["pairs"]
-        w = cert["w"]
-        duals = cert["duals"]
-        sparsity = set(report.sparsity or ())
-        if any(num(v) < -tol for v in list(x) + list(w)):
-            msgs.append("lifted point has a negative coordinate")
-        widx = {tuple(p): k for k, p in enumerate(pairs)}
-
-        def xval(i, j):
-            key = (i, j) if i <= j else (j, i)
-            k = widx.get(key)
-            return num(w[k]) if k is not None else num(0)
-
-        for r in range(n):
-            s = sum(num(bqp.B.at(r, j)) * num(x[j]) for j in range(m))
-            if abs(s - num(bqp.b[r])) > tol:
-                msgs.append(f"flow row {r} violated")
-            for j in range(m):
-                s2 = sum(num(bqp.B.at(r, k)) * xval(k, j) for k in range(m))
-                if abs(s2 - num(bqp.b[r]) * num(x[j])) > tol * (1 + abs(s2)):
-                    msgs.append(f"lifted row ({r}, {j}) violated")
-        for j in range(m):
-            if abs(num(x[j]) - xval(j, j)) > tol:
-                msgs.append(f"diagonal link violated at {j}")
-        ptval = sum(num(bqp.linear[j]) * num(x[j]) for j in range(m)) + sum(
-            (num(bqp.Q.at(i, i)) if i == j
-             else num(bqp.Q.at(i, j)) + num(bqp.Q.at(j, i))) * num(w[k])
-            for k, (i, j) in enumerate(pairs))
-        if abs(ptval - num(report.value)) > tol * (1 + abs(ptval)):
-            msgs.append("lifted point does not achieve the reported value")
-        # map the equality duals onto the dual-side certificate and check
-        # it like lbb_prime; this grounds the bound direction
-        sym = _sym_matrix(bqp.Q)
-        y = duals[:n]
-        umat = [[duals[n + r * m + j] for j in range(m)] for r in range(n)]
-        zeta = duals[n + n * m:n + n * m + m]
-        for j in range(m):
-            lhs = sum(num(bqp.B.at(r, j)) * num(y[r]) for r in range(n))
-            rhs = sum(num(umat[r][j]) * num(bqp.b[r]) for r in range(n)) \
-                - num(zeta[j]) + num(bqp.linear[j])
-            if lhs > rhs + tol:
-                msgs.append(f"dual certificate fails at column {j}")
-        for i in range(m):
-            for j in range(i, m):
-                if i != j and (i, j) in sparsity:
-                    continue
-                lhs = sum(num(bqp.B.at(r, i)) * num(umat[r][j])
-                          + num(bqp.B.at(r, j)) * num(umat[r][i])
-                          for r in range(n))
-                if i == j:
-                    lhs = sum(num(bqp.B.at(r, i)) * num(umat[r][i])
-                              for r in range(n)) - num(zeta[i])
-                    if lhs > num(bqp.Q.at(i, i)) + tol:
-                        msgs.append(f"dual domination fails at ({i}, {i})")
-                    continue
-                if lhs > 2 * num(sym.at(i, j)) + tol:
-                    msgs.append(f"dual domination fails at ({i}, {j})")
-        yb = sum(num(y[r]) * num(bqp.b[r]) for r in range(n))
-        if abs(yb - num(report.value)) > tol * (1 + abs(yb)):
-            msgs.append("dual value does not match")
+        lp, pairs = _rlt1_lp(bqp, sparsity)
+        if [tuple(p) for p in cert["pairs"]] != pairs:
+            msgs.append("certificate pairs differ from the program's pairs")
+        msgs += _row_violations(lp, tuple(cert["x"]) + tuple(cert["w"]),
+                                report.value, num, tol)
+        msgs += _dual_violations(lp, cert["duals"], report.value, num, tol)
 
     elif report.name in ("lbb_prime", "lbb_star", "lbb_generic"):
         # rebuild the bound's own LP and evaluate its rows at the certificate
@@ -767,24 +737,10 @@ def verify_report(inst, report: BoundReport, tol=None):
         if report.name == "lbb_star" \
                 and not all(q.is_symmetric() for q, _ in members):
             msgs.append("a family member is not symmetric")
-        lp, pairs, _ = _scheme_lp(bqp, report.name, members,
-                                  set(report.sparsity or ()))
-        v = [num(a) for a in chain(cert["y"], *cert.get("Y", ()),
-                                   cert.get("z", ()), cert.get("alpha", ()))]
-
-        def dot(coeffs):
-            return sum((num(a) * x for a, x in zip(coeffs, v) if a), num(0))
-
-        if len(v) != lp.nvars:
-            msgs.append("certificate has the wrong number of variables")
-        else:
-            for k, (coeffs, _, rhs) in enumerate(lp.rows):
-                if dot(coeffs) > num(rhs) + tol:
-                    msgs.append(
-                        f"dual feasibility fails at column {k}" if k < m
-                        else f"domination fails at pair {pairs[k - m]}")
-            if abs(dot(lp.objective) - num(report.value)) > tol:
-                msgs.append("objective does not match the certificate")
+        lp, _ = _scheme_lp(bqp, report.name, members, sparsity)
+        v = tuple(chain(cert["y"], *cert.get("Y", ()), cert.get("z", ()),
+                        cert.get("alpha", ())))
+        msgs += _row_violations(lp, v, report.value, num, tol)
 
     elif report.name == "opt":
         pass  # nothing to re-derive beyond brute force itself

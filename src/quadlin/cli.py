@@ -14,6 +14,7 @@ lines allowed anywhere, all indices 1-based in files (0-based in code):
 
 Values are integers, fractions like 3/4, or decimals like 1.5; a decimal
 anywhere float-tags the instance (exact-only operations then refuse it).
+A qspp file names at most 2m + 2 vertices (source, target, arc ends).
 Serialization inverts parsing exactly, float tag included, so the sha256
 digest of the canonical serialization identifies an instance regardless
 of comments or whitespace in the source file.
@@ -208,6 +209,10 @@ def parse_instance(text: str) -> ParsedInstance:
         m = _parse_int(toks[1], no)
         if n < 1 or m < 0:
             raise ParseError(f"line {no}: bad sizes")
+        if n > 2 * m + 2:  # checked before the graph allocates per vertex
+            raise ParseError(f"line {no}: {n} vertices, but the source, "
+                             f"the target and {m} arcs name at most "
+                             f"{2 * m + 2}")
         no, toks = lines.take(2, "source and target")
         s = _index(toks[0], n, no, "source")
         t = _index(toks[1], n, no, "target")

@@ -504,6 +504,57 @@ def test_verify_report_checks_every_pair_of_a_family_bound(mode):
         assert not ok and msgs, rep.name
 
 
+def _forge_a_dual(rep, lp):
+    """The duals with one row of right-hand side 0 raised until one
+    column's A^T y exceeds its cost by 1; b.y and the value are kept."""
+    y = list(rep.certificate["duals"])
+    k, j = next((k, j) for k, (coeffs, _, rhs) in enumerate(lp.rows)
+                if rhs == 0 for j, a in enumerate(coeffs) if a != 0)
+    col = sum(row[j] * Fraction(v) for (row, _, _), v in zip(lp.rows, y))
+    step = (lp.objective[j] + 1 - col) / lp.rows[k][0][j]
+    y[k] += float(step) if rep.mode == "float" else step
+    return tuple(y)
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_verify_report_rejects_forged_duals(mode):
+    rng = random.Random(6)
+    inst = _random_qspp(rng, m_max=8)
+    bqp = qspp_to_bqp(inst)
+    gl = gl_bound(inst, mode=mode)
+    ggl = ggl_bound(inst, strategy=SkewStrategy.UPPER_TRIANGULAR, mode=mode)
+    lifted = rlt1(inst, mode=mode)
+    for rep, lp in (
+            (gl, bounds._polytope_lp(bqp, [
+                bounds.rat_from(c) + l
+                for c, l in zip(gl.certificate["cbar"], bqp.linear)])),
+            (ggl, bounds._polytope_lp(bqp, [
+                c + l for c, l in zip(ggl.certificate["c_total"],
+                                      bqp.linear)])),
+            (lifted, bounds._rlt1_lp(bqp, None)[0])):
+        assert verify_report(inst, rep)[0], rep.name
+        cert = dict(rep.certificate, duals=_forge_a_dual(rep, lp))
+        ok, msgs = verify_report(inst, replace(rep, certificate=cert))
+        assert not ok and any("column" in msg for msg in msgs), rep.name
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_verify_report_rejects_rlt1_pairs_missing_a_live_pair(mode):
+    # a zero w dropped with its pair leaves the point's value alone, but
+    # the certificate no longer matches the program rlt1 solved
+    rng = random.Random(6)
+    inst = _random_qspp(rng, m_max=8)
+    rep = rlt1(inst, mode=mode)
+    cert = dict(rep.certificate)
+    forbidden = forbidden_pairs(inst.graph)
+    k = next(k for k, (i, j) in enumerate(cert["pairs"])
+             if i != j and (i, j) not in forbidden and cert["w"][k] == 0)
+    cert["pairs"] = cert["pairs"][:k] + cert["pairs"][k + 1:]
+    cert["w"] = cert["w"][:k] + cert["w"][k + 1:]
+    ok, msgs = verify_report(inst, replace(rep, certificate=cert))
+    assert not ok and any("pairs" in msg for msg in msgs)
+
+
 def test_auto_mode_switches_to_float_one_past_the_size_limit(monkeypatch):
     rng = random.Random(7)
     inst = _random_qspp(rng, m_max=8)

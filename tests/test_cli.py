@@ -1,9 +1,16 @@
 import json
+import os
 import random
+import subprocess
+import sys
 from dataclasses import replace
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+import quadlin
 
 from quadlin import cli
 from quadlin.bounds import SkewStrategy, ggl_bound, gl_bound, lbb_prime, rlt1
@@ -19,7 +26,15 @@ from quadlin.cli import (
     serialize_instance,
 )
 from quadlin.exactnum import RationalMatrix
-from quadlin.model import brute_force_opt, generate_tournament
+from quadlin.graph import GraphError
+from quadlin.model import (
+    BqpInstance,
+    FloatTaggedError,
+    QsppInstance,
+    brute_force_opt,
+    generate_tournament,
+    qap_to_bqp,
+)
 
 from helpers import rand_rational, random_corridor_dag
 
@@ -164,6 +179,82 @@ def test_round_trip_on_random_instances():
 def test_parse_errors_carry_position(text, fragment):
     with pytest.raises(ParseError, match=fragment):
         parse_instance(text)
+
+
+def test_qspp_vertex_count_is_capped_by_the_arcs():
+    # s, t and the two ends of each arc name at most 2m + 2 vertices
+    parse_instance("qspp\n4 1\n1 4\n2 3\n0\n")
+    with pytest.raises(ParseError, match="line 2: 5 vertices"):
+        parse_instance("qspp\n5 1\n1 4\n2 3\n0\n")
+
+
+def test_oversized_vertex_count_exits_2_without_allocating(tmp_path):
+    f = tmp_path / "huge.qspp"
+    f.write_text("qspp\n99999999999 6\n1 4\n1 2\n1 3\n2 4\n3 4\n2 3\n"
+                 "1 4\n0\n")
+    # an address-space cap turns a per-vertex allocation into a
+    # MemoryError traceback instead of exhausting the machine
+    script = (
+        "import resource, sys\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (500 << 20, 500 << 20))\n"
+        "from quadlin.cli import main\n"
+        "sys.exit(main(['opt', sys.argv[1]]))\n")
+    src = os.path.dirname(os.path.dirname(quadlin.__file__))
+    env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
+    proc = subprocess.run([sys.executable, "-c", script, str(f)], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == EXIT_PARSE, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "99999999999 vertices" in proc.stderr
+
+
+def _generated_texts():
+    rng = random.Random(5)
+    g = random_corridor_dag(rng, n_min=5, n_max=6)
+    q = RationalMatrix.from_rows(
+        [[rand_rational(rng) for _ in range(g.m)] for _ in range(g.m)])
+    bqp = BqpInstance(
+        B=RationalMatrix.from_rows([[1, 1, 0], [0, 1, 1]]), b=(1, 1),
+        Q=RationalMatrix.from_rows(
+            [[rand_rational(rng) for _ in range(3)] for _ in range(3)]),
+        linear=(F(1, 2), F(-3), F(0)))
+    a, d = (RationalMatrix.from_rows(
+        [[rng.randint(0, 4) for _ in range(2)] for _ in range(2)])
+        for _ in range(2))
+    return tuple(serialize_instance(p) for p in (
+        ParsedInstance("qspp", QsppInstance(g, q)),
+        ParsedInstance("bqp", bqp),
+        ParsedInstance("qap", qap_to_bqp(a, d), qap_flows=a, qap_dists=d)))
+
+
+_FUZZ_TOKENS = ("nan", "1e999", "-1e999", "1/0", "3/-2", "0", "-1", "2",
+                "1.5", "99999999999", str(10 ** 40), "-" + str(10 ** 40),
+                "9" * 5000, "linear", "qspp", "x")
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(base=st.sampled_from(_generated_texts()),
+       edits=st.lists(st.tuples(st.sampled_from(  # replace keeps the layout
+           ("replace", "replace", "replace", "add", "drop")),
+                                st.integers(0, 10 ** 6),
+                                st.sampled_from(_FUZZ_TOKENS)),
+                      min_size=1, max_size=4))
+def test_parse_instance_survives_mutated_tokens(base, edits):
+    lines = [line.split() for line in base.splitlines()]
+    for kind, pos, token in edits:
+        spots = [(r, c) for r, line in enumerate(lines)
+                 for c in range(len(line) + (kind == "add"))]
+        r, c = spots[pos % len(spots)]
+        if kind == "replace":
+            lines[r][c] = token
+        elif kind == "add":
+            lines[r].insert(c, token)
+        else:
+            del lines[r][c]
+    try:
+        parse_instance("\n".join(" ".join(line) for line in lines))
+    except (ParseError, ValueError, TypeError, GraphError, FloatTaggedError):
+        pass
 
 
 # ---------------------------------------------------------------------------
