@@ -1,8 +1,9 @@
 """Lower-bound ladder for binary quadratic programs over Bx = b, x >= 0.
 
 Five bounds, ordered v_gl <= v_ggl <= v_lbb_prime == v_rlt1 <= v_lbb_star
-<= optimum (the equality is LP duality; the last step needs an integral
-polytope and, for lbb_star, a spanning family of linearizable matrices):
+<= optimum (the equality is LP duality, and both are read off one LP; the
+last step needs an integral polytope and, for lbb_star, a spanning family
+of linearizable matrices):
 
   gl          per-column dual fitting: the best Qbar = B^T Ybar + Diag(zbar)
               below Q elementwise, column by column; bound is the cheapest
@@ -14,18 +15,20 @@ polytope and, for lbb_star, a spanning family of linearizable matrices):
               and B^T Y + Y^T B + Diag(z) elementwise below sym(Q).
   rlt1        level-1 reformulation-linearization: lift to pair variables
               X with BX = b x^T, diag(X) = x, X >= 0.  Exact LP dual of
-              lbb_prime, so their values agree to the last bit in exact
-              mode (checked by tests, not assumed).
+              lbb_prime, whose certificate is read off rlt1's duals.
   lbb_star    family bound: pick A = sum(lam_i Q_i) elementwise below
               sym(Q) from a family of linearizable matrices and use its
               linearization; with a spanning family this dominates
               lbb_prime on integral polytopes.
 
-lbb_prime, lbb_star and lbb_generic are one linearization-based LP
-(_linearization_lp) over different sets of linearizable matrices: max b.y
-such that Q minus a combination of them is elementwise nonnegative.
-lbb_prime uses the sum matrices B^T Y + Y^T B + Diag(z), lbb_generic a
-given family against the raw Q, lbb_star both against sym(Q).
+rlt1, lbb_prime, lbb_star and lbb_generic solve one lifting LP
+(_rlt1_lp): min <Q, X> + linear . x over the lifted polytope, plus one
+row <Q_t, X> = c_t . x per linearizable member (Q_t, c_t) of a family.
+Its dual is the linearization LP (max b.y such that Q minus a combination
+of linearizable matrices is elementwise nonnegative), so each lbb bound
+reads its linearization certificate off the duals.  lbb_prime uses the
+sum matrices B^T Y + Y^T B + Diag(z) alone, lbb_star adds a family, both
+against sym(Q); lbb_generic uses a family alone against the raw Q.
 
 Every report carries enough certificate data for verify_report to confirm
 the bound from first principles without re-running the solver: it
@@ -47,6 +50,7 @@ from quadlin.lpsolve import (
     GE,
     LE,
     OPTIMAL,
+    UNBOUNDED,
     LinearProgram,
     _requested_mode,
     _resolve_mode,
@@ -315,123 +319,50 @@ def _sym_matrix(q: RationalMatrix) -> RationalMatrix:
     return (q + q.transpose()).scale(Fraction(1, 2))
 
 
-def _linearization_lp(bqp: BqpInstance, target: RationalMatrix, members,
-                      pairs, lifted: bool) -> LinearProgram:
-    """The LP behind lbb_prime, lbb_star and lbb_generic.
+def _rlt1_lp(bqp: BqpInstance, sparsity, members=(), ordered=False):
+    """(LP, pairs) of the lifting LP behind rlt1 and the lbb bounds.
 
-    Free variables y (n), then, when lifted, Y (n x m, row-major) and
-    z (m), then one weight alpha_t per member (Q_t, c_t); maximize b . y
-    under one row per arc j and one per pair (i, j) in pairs:
-      (B^T y)_j - [2 (Y^T b)_j + z_j] - sum(alpha_t c_t[j]) <= linear_j
-      [(B^T Y + Y^T B)_ij + Diag(z)_ij] + sum(alpha_t Q_t[i, j])
-          <= target[i, j]
-    (bracketed terms only when lifted).
+    Variables x (m), then one w_p >= 0 per pair p: the pairs i <= j not in
+    sparsity, or every ordered pair when ordered (lbb_generic).  A pair
+    costs the sum of Q over the cells it covers, (i, j) and (j, i) for
+    i < j, else its one cell; with X_ij = w of the pair covering (i, j),
+    minimize linear . x + <Q, X> subject to
+      Bx = b                                        duals y
+      sum_p cellsum(Q_t, p) w_p - c_t . x = 0       duals alpha_t
+      (B X)_rj - b_r x_j = 0   (unless ordered)     duals 2 Y_rj
+      x_j - w_jj = 0           (unless ordered)     duals -z_j
+    in this order, with one row per member (Q_t, c_t).  A member row is
+    often implied by the lifted rows; listed first, it tends to keep a
+    nonzero dual while the simplex leaves a lifted row redundant (dual
+    0), so family weights show in the certificate.  The LP dual is the
+    linearization LP, max b . y over the duals subject to
+      B^T y <= 2 Y^T b + z + sum(alpha_t c_t) + linear
+      B^T Y + Y^T B + Diag(z) + sum(alpha_t Q_t) <= Q
+    on every cell a pair covers; unless ordered, Q is symmetrized and
+    the (Y, z) terms are present.
     """
     n, m = bqp.B.rows, bqp.m
-    zcol = n + n * m
-    acol = zcol + m if lifted else n
-    nvars = acol + len(members)
-    obj = [ZERO] * nvars
-    obj[:n] = bqp.b
-    rows = []
-    for j in range(m):
-        coeffs = [ZERO] * nvars
-        coeffs[:n] = bqp.B.column(j)
-        if lifted:
-            coeffs[n + j:zcol:m] = [-2 * v for v in bqp.b]
-            coeffs[zcol + j] = -ONE
-        coeffs[acol:] = [-c[j] for _, c in members]
-        rows.append((tuple(coeffs), LE, bqp.linear[j]))
-    for i, j in pairs:
-        coeffs = [ZERO] * nvars
-        if lifted:
-            for r in range(n):
-                coeffs[n + r * m + j] += bqp.B.at(r, i)
-                coeffs[n + r * m + i] += bqp.B.at(r, j)
-            if i == j:
-                coeffs[zcol + i] += ONE
-        coeffs[acol:] = [q.at(i, j) for q, _ in members]
-        rows.append((tuple(coeffs), LE, target.at(i, j)))
-    return LinearProgram("max", tuple(obj), tuple(rows),
-                         tuple((None, None) for _ in range(nvars)))
-
-
-def _scheme_lp(bqp: BqpInstance, name: str, members, sparsity=None):
-    """(LP, lifted) of the linearization bound called name.
-
-    lbb_generic compares against the raw Q over every ordered pair;
-    lbb_prime and lbb_star add the lifted columns and compare against
-    sym(Q) over the pairs i <= j (both sides symmetric).  Only lbb_prime
-    takes a sparsity set and drops its pairs; members is None for it.
-    """
-    m = bqp.m
-    if name == "lbb_generic":
+    if ordered:
         pairs = [(i, j) for i in range(m) for j in range(m)]
-        return _linearization_lp(bqp, bqp.Q, members, pairs, False), False
-    if name != "lbb_prime":
-        sparsity = None
-    pairs = [(i, j) for i in range(m) for j in range(i, m)
-             if i == j or not sparsity or (i, j) not in sparsity]
-    lp = _linearization_lp(bqp, _sym_matrix(bqp.Q), members or (), pairs,
-                           True)
-    return lp, True
-
-
-def _linearization_bound(bqp: BqpInstance, name: str, members, mode: str,
-                         sparsity=None, canonical=False) -> BoundReport:
-    """Solve the bound's LP; the certificate splits the solution into its
-    variable blocks and, when the bound has a family, lists the members."""
-    lp, lifted = _scheme_lp(bqp, name, members, sparsity)
-    mode = _bound_mode(bqp, mode, lp.nrows, lp.nvars)
-    res = _solve(lp, mode, f"{name} linearization program")
-    n, m = bqp.B.rows, bqp.m
-    x = res.x
-    cert = {"y": x[:n]}
-    if lifted:
-        zcol = n + n * m
-        cert["Y"] = tuple(x[n + r * m:n + (r + 1) * m] for r in range(n))
-        cert["z"] = x[zcol:zcol + m]
-    if members is not None:
-        cert["alpha"] = x[lp.nvars - len(members):]
-        cert["members"] = tuple((q.to_rows(), c) for q, c in members)
-    return BoundReport(
-        name=name, value=res.value, mode=mode,
-        relaxation_only=not bqp.integral_polytope,
-        certificate=cert, pivots=res.pivots,
-        sparsity=tuple(sorted(sparsity)) if sparsity else None,
-        canonical_family=canonical)
-
-
-def lbb_prime(inst, sparsity=None, mode: str = "auto") -> BoundReport:
-    """Dual-side linearization bound with the symmetrized matrix.
-
-    Variables y (n), Y (n x m), z (m), all free; maximize b . y under
-      B^T y <= 2 Y^T b + z + linear
-      (B^T Y + Y^T B + Diag(z))_ij <= sym(Q)_ij  for pairs i <= j not in
-      the sparsity set (the left side is symmetric, so one row per
-      unordered pair suffices).
-    """
-    bqp = _bqp(inst)
-    sparsity = _check_sparsity(sparsity, bqp)
-    return _linearization_bound(bqp, "lbb_prime", None, mode, sparsity)
-
-
-def _rlt1_lp(bqp: BqpInstance, sparsity):
-    """(LP, pairs) of rlt1: x (m), then one w per pair in pairs."""
-    n, m = bqp.B.rows, bqp.m
-    pairs = [(i, j) for i in range(m) for j in range(i, m)
-             if not (sparsity and i != j and (i, j) in sparsity)]
+    else:
+        pairs = [(i, j) for i in range(m) for j in range(i, m)
+                 if not (sparsity and i != j and (i, j) in sparsity)]
     pidx = {p: m + k for k, p in enumerate(pairs)}
     nvars = m + len(pairs)
-    obj = list(bqp.linear) + [
-        bqp.Q.at(i, i) if i == j else bqp.Q.at(i, j) + bqp.Q.at(j, i)
-        for i, j in pairs]
+
+    def cellsums(q):
+        return [q.at(i, j) if ordered or i == j else q.at(i, j) + q.at(j, i)
+                for i, j in pairs]
+
+    obj = list(bqp.linear) + cellsums(bqp.Q)
     rows = []
     for r in range(n):  # Bx = b
         coeffs = [ZERO] * nvars
         coeffs[:m] = bqp.B.row(r)
         rows.append((tuple(coeffs), EQ, bqp.b[r]))
-    for r in range(n):  # (B X)_{r j} - b_r x_j = 0
+    for q, c in members:  # <Q_t, X> - c_t . x = 0
+        rows.append((tuple(-v for v in c) + tuple(cellsums(q)), EQ, ZERO))
+    for r in range(0 if ordered else n):  # (B X)_{r j} - b_r x_j = 0
         for j in range(m):
             coeffs = [ZERO] * nvars
             coeffs[j] = -bqp.b[r]
@@ -440,7 +371,7 @@ def _rlt1_lp(bqp: BqpInstance, sparsity):
                 if col is not None:
                     coeffs[col] += bqp.B.at(r, k)
             rows.append((tuple(coeffs), EQ, ZERO))
-    for j in range(m):  # x_j - w_jj = 0
+    for j in range(0 if ordered else m):  # x_j - w_jj = 0
         coeffs = [ZERO] * nvars
         coeffs[j] = ONE
         coeffs[pidx[(j, j)]] = -ONE
@@ -450,8 +381,74 @@ def _rlt1_lp(bqp: BqpInstance, sparsity):
     return lp, pairs
 
 
+def _lifted_lp(bqp: BqpInstance, name: str, members, sparsity):
+    """_rlt1_lp as the bound called name solves it: only rlt1 and
+    lbb_prime drop sparsity pairs, and only lbb_generic compares against
+    the raw Q, over every ordered pair."""
+    if name not in ("rlt1", "lbb_prime"):
+        sparsity = None
+    return _rlt1_lp(bqp, sparsity, members or (), name == "lbb_generic")
+
+
+def _lifted_bound(bqp: BqpInstance, name: str, mode: str, members=None,
+                  sparsity=None, canonical=False) -> BoundReport:
+    """Solve the lifting LP of the bound called name.  rlt1's certificate
+    is its point and duals; the lbb bounds read theirs off the duals:
+    y, Y (the lifted rows' duals halved, row r of Y from rows (r, *)),
+    z (minus the diagonal rows' duals), alpha (the member rows' duals)
+    and, for a family bound, the members."""
+    lp, pairs = _lifted_lp(bqp, name, members, sparsity)
+    mode = _bound_mode(bqp, mode, lp.nrows, lp.nvars)
+    res = solve_lp(lp, mode=mode)
+    if res.status == UNBOUNDED:  # its dual, the linearization LP, is empty
+        raise BoundComputationError(
+            f"{name}: no combination of the family's linearizable "
+            "matrices stays below Q")
+    if res.status != OPTIMAL:
+        raise BoundComputationError(f"{name}: lifting LP is {res.status}")
+    n, m = bqp.B.rows, bqp.m
+    u = res.duals
+    if name == "rlt1":
+        cert = {"x": res.x[:m], "pairs": tuple(pairs), "w": res.x[m:],
+                "duals": u}
+    else:
+        k = n + len(members or ())  # the lifted rows start here
+        cert = {"y": u[:n]}
+        if name != "lbb_generic":
+            cert["Y"] = tuple(
+                tuple(v / 2 for v in u[k + r * m:k + (r + 1) * m])
+                for r in range(n))
+            cert["z"] = tuple(-v for v in u[k + n * m:])
+        if members is not None:
+            cert["alpha"] = u[n:k]
+            cert["members"] = tuple((q.to_rows(), c) for q, c in members)
+    return BoundReport(
+        name=name, value=res.value, mode=mode,
+        relaxation_only=not bqp.integral_polytope,
+        certificate=cert, pivots=res.pivots,
+        sparsity=tuple(sorted(sparsity)) if sparsity else None,
+        canonical_family=canonical)
+
+
+def lbb_prime(inst, sparsity=None, mode: str = "auto") -> BoundReport:
+    """Linearization bound over the sum matrices B^T Y + Y^T B + Diag(z).
+
+    max b . y over free y (n), Y (n x m), z (m) subject to
+      B^T y <= 2 Y^T b + z + linear
+      (B^T Y + Y^T B + Diag(z))_ij <= sym(Q)_ij  for pairs i <= j not in
+      the sparsity set (the left side is symmetric, so one row per
+      unordered pair suffices).
+    This LP is the dual of rlt1's, so lbb_prime solves rlt1's LP and reads
+    (y, Y, z) off its duals; the value is rlt1's by construction.
+    """
+    bqp = _bqp(inst)
+    sparsity = _check_sparsity(sparsity, bqp)
+    return _lifted_bound(bqp, "lbb_prime", mode, sparsity=sparsity)
+
+
 def rlt1(inst, sparsity=None, mode: str = "auto") -> BoundReport:
-    """Level-1 lifting bound; exact LP dual of lbb_prime.
+    """Level-1 lifting bound (Sherali & Adams' RLT); the LP dual of
+    lbb_prime.
 
     Variables x (m) and one pair variable w_ij per unordered pair (i, j)
     not excluded by sparsity (w_ii always present), all nonnegative;
@@ -459,22 +456,8 @@ def rlt1(inst, sparsity=None, mode: str = "auto") -> BoundReport:
       Bx = b,  B X = b x^T (row by row),  diag(X) = x.
     """
     bqp = _bqp(inst)
-    m = bqp.m
     sparsity = _check_sparsity(sparsity, bqp)
-    lp, pairs = _rlt1_lp(bqp, sparsity)
-    mode = _bound_mode(bqp, mode, lp.nrows, lp.nvars)
-    res = _solve(lp, mode, "level-1 lifting program")
-    return BoundReport(
-        name="rlt1", value=res.value, mode=mode,
-        relaxation_only=not bqp.integral_polytope,
-        certificate={
-            "x": res.x[:m],
-            "pairs": tuple(pairs),
-            "w": res.x[m:],
-            "duals": res.duals,
-        },
-        pivots=res.pivots,
-        sparsity=tuple(sorted(sparsity)) if sparsity else None)
+    return _lifted_bound(bqp, "rlt1", mode, sparsity=sparsity)
 
 
 def _family_members(family, m):
@@ -496,11 +479,13 @@ def lbb_generic(inst, family, mode: str = "auto") -> BoundReport:
     max b.y over (y, alpha) with B^T y <= linear + sum(alpha_i c_i) and
     sum(alpha_i Q_i) <= Q elementwise.  Skew-symmetric additions to Q
     change this bound, because elementwise domination is not invariant
-    under them; lbb_star removes that dependence by symmetrizing.
+    under them; lbb_star removes that dependence by symmetrizing.  Solved
+    as its dual: _rlt1_lp over every ordered pair, without the lifted
+    rows, with one row per member.
     """
     bqp = _bqp(inst)
-    return _linearization_bound(
-        bqp, "lbb_generic", _family_members(family, bqp.m), mode)
+    return _lifted_bound(bqp, "lbb_generic", mode,
+                         members=_family_members(family, bqp.m))
 
 
 def lbb_star(inst, family=None, mode: str = "auto") -> BoundReport:
@@ -512,10 +497,11 @@ def lbb_star(inst, family=None, mode: str = "auto") -> BoundReport:
 
     Setting alpha = 0 recovers lbb_prime, so the value dominates it for
     any certified family; an empty family collapses to lbb_prime exactly.
-    Members are symmetrized internally ((M + M^T)/2 carries the same
-    linearization vector, skew parts being linearizable with the zero
-    vector); that never changes the optimum and lets one row per
-    unordered pair suffice.  With family=None an instance carrying
+    Solved as its dual: rlt1's LP plus one row per member.  Members are
+    symmetrized internally ((M + M^T)/2 carries the same linearization
+    vector, skew parts being linearizable with the zero vector); that
+    never changes the optimum and lets one pair variable per unordered
+    pair suffice.  With family=None an instance carrying
     shortest-path structure gets its graph's spanning set and the report
     is flagged canonical; passing a SpanningSet directly also counts.
     """
@@ -539,8 +525,8 @@ def lbb_star(inst, family=None, mode: str = "auto") -> BoundReport:
         q = _sym_matrix(q)
         if any(q.entries) or any(c):  # skew members symmetrize away
             members.append((q, c))
-    return _linearization_bound(bqp, "lbb_star", members, mode,
-                                canonical=canonical)
+    return _lifted_bound(bqp, "lbb_star", mode, members=members,
+                         canonical=canonical)
 
 
 # ---------------------------------------------------------------------------
@@ -661,10 +647,12 @@ def _dual_violations(lp: LinearProgram, y, value, num, tol) -> list:
 def verify_report(inst, report: BoundReport, tol=None):
     """Re-derive the bound's validity from its certificate.
 
-    Returns (ok, messages).  The LP a bound solved is rebuilt from the
-    instance: the certificate's point must satisfy its rows and reach the
-    value, and for gl, ggl and rlt1 (min over Ax = b, x >= 0) so must the
-    duals; gl and ggl also re-check each fitting round.  Exact reports
+    Returns (ok, messages).  The LP a bound solved, min over Ax = b,
+    x >= 0, is rebuilt from the instance: the certificate's duals must
+    satisfy its columns and reach the value, and for gl, ggl and rlt1 so
+    must the certificate's point satisfy its rows.  An lbb certificate
+    is turned back into the duals of the lifting LP it was read off; gl
+    and ggl also re-check each fitting round.  Exact reports
     are checked exactly, float reports within the absolute tol (default
     1e-7) on every row, column and value.  An lbb_prime or rlt1 report
     that drops pairs (``sparsity``) passes only if each pair is a
@@ -720,27 +708,28 @@ def verify_report(inst, report: BoundReport, tol=None):
         msgs += _row_violations(lp, cert["x"], report.value, num, tol)
         msgs += _dual_violations(lp, cert["duals"], report.value, num, tol)
 
-    elif report.name == "rlt1":
+    elif report.name in ("rlt1", "lbb_prime", "lbb_star", "lbb_generic"):
         cert = report.certificate
-        lp, pairs = _rlt1_lp(bqp, sparsity)
-        if [tuple(p) for p in cert["pairs"]] != pairs:
-            msgs.append("certificate pairs differ from the program's pairs")
-        msgs += _row_violations(lp, tuple(cert["x"]) + tuple(cert["w"]),
-                                report.value, num, tol)
-        msgs += _dual_violations(lp, cert["duals"], report.value, num, tol)
-
-    elif report.name in ("lbb_prime", "lbb_star", "lbb_generic"):
-        # rebuild the bound's own LP and evaluate its rows at the certificate
-        cert = report.certificate
-        members = None if report.name == "lbb_prime" \
-            else _family_members(cert["members"], m)
-        if report.name == "lbb_star" \
-                and not all(q.is_symmetric() for q, _ in members):
-            msgs.append("a family member is not symmetric")
-        lp, _ = _scheme_lp(bqp, report.name, members, sparsity)
-        v = tuple(chain(cert["y"], *cert.get("Y", ()), cert.get("z", ()),
-                        cert.get("alpha", ())))
-        msgs += _row_violations(lp, v, report.value, num, tol)
+        members = None
+        if report.name in ("lbb_star", "lbb_generic"):
+            members = _family_members(cert["members"], m)
+            if report.name == "lbb_star" \
+                    and not all(q.is_symmetric() for q, _ in members):
+                msgs.append("a family member is not symmetric")
+        lp, pairs = _lifted_lp(bqp, report.name, members, sparsity)
+        if report.name == "rlt1":
+            if [tuple(p) for p in cert["pairs"]] != pairs:
+                msgs.append(
+                    "certificate pairs differ from the program's pairs")
+            msgs += _row_violations(lp, tuple(cert["x"]) + tuple(cert["w"]),
+                                    report.value, num, tol)
+            duals = cert["duals"]
+        else:  # the duals the linearization was read off, in row order
+            duals = tuple(chain(
+                cert["y"], cert.get("alpha", ()),
+                (2 * num(v) for row in cert.get("Y", ()) for v in row),
+                (-num(v) for v in cert.get("z", ()))))
+        msgs += _dual_violations(lp, duals, report.value, num, tol)
 
     elif report.name == "opt":
         pass  # nothing to re-derive beyond brute force itself

@@ -15,6 +15,8 @@ lines allowed anywhere, all indices 1-based in files (0-based in code):
 Values are integers, fractions like 3/4, or decimals like 1.5; a decimal
 anywhere float-tags the instance (exact-only operations then refuse it).
 A qspp file names at most 2m + 2 vertices (source, target, arc ends).
+Every format is capped at MAX_VARIABLES binary variables (arcs for qspp,
+columns for bqp, n^2 placements for qap), checked before Q is allocated.
 Serialization inverts parsing exactly, float tag included, so the sha256
 digest of the canonical serialization identifies an instance regardless
 of comments or whitespace in the source file.
@@ -68,6 +70,8 @@ EXIT_VALIDATION = 3
 EXIT_EXPLOSION = 4
 EXIT_LP = 5
 EXIT_CHAIN = 6
+
+MAX_VARIABLES = 1000  # Q is m x m; no bound gets near this size anyway
 
 
 class ParseError(ValueError):
@@ -159,6 +163,13 @@ def _index(tok: str, upper: int, lineno: int, what: str) -> int:
     return v - 1
 
 
+def _check_variables(m: int, lineno: int) -> None:
+    """Refuse an instance over MAX_VARIABLES before anything is m x m."""
+    if m > MAX_VARIABLES:
+        raise ParseError(f"line {lineno}: {m} variables, more than the "
+                         f"cap of {MAX_VARIABLES}")
+
+
 def _matrix_from_triplets(lines: _Lines, m: int):
     no, toks = lines.take(1, "entry count")
     nnz = _parse_int(toks[0], no)
@@ -213,6 +224,7 @@ def parse_instance(text: str) -> ParsedInstance:
             raise ParseError(f"line {no}: {n} vertices, but the source, "
                              f"the target and {m} arcs name at most "
                              f"{2 * m + 2}")
+        _check_variables(m, no)
         no, toks = lines.take(2, "source and target")
         s = _index(toks[0], n, no, "source")
         t = _index(toks[1], n, no, "target")
@@ -232,6 +244,7 @@ def parse_instance(text: str) -> ParsedInstance:
         m = _parse_int(toks[1], no)
         if nrows < 1 or m < 1:
             raise ParseError(f"line {no}: bad sizes")
+        _check_variables(m, no)
         b_rows, tag_b = _dense_rows(lines, nrows, m, "constraint row")
         no, toks = lines.take(nrows, "right-hand side")
         rhs = []
@@ -264,6 +277,7 @@ def parse_instance(text: str) -> ParsedInstance:
     n = _parse_int(toks[0], no)
     if n < 2:
         raise ParseError(f"line {no}: qap needs size >= 2")
+    _check_variables(n * n, no)
     a_rows, tag_a = _dense_rows(lines, n, n, "flow row")
     d_rows, tag_d = _dense_rows(lines, n, n, "distance row")
     lines.done("the matrices")

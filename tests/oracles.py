@@ -181,3 +181,55 @@ def lp_oracle(sense, objective, constraints, lower_bounds):
     values = [sum(c * v for c, v in zip(objective, x)) for x in vertices]
     best = min(values) if sense == "min" else max(values)
     return LP_OPTIMAL, best
+
+
+# ---------------------------------------------------------------------------
+# linearization certificates in the paper's own inequalities
+
+def linearization_violations(bqp, report) -> list:
+    """Where an exact lbb certificate breaks the paper's inequalities.
+
+    With Q's target T = sym(Q), or the raw Q for lbb_generic, and the
+    certificate's y, Y, z, alpha and members (Q_t, c_t) -- Y and z zero
+    when absent -- checks, in plain Fraction loops:
+      B^T y <= 2 Y^T b + z + linear + sum(alpha_t c_t), column by column;
+      B^T Y + Y^T B + Diag(z) + sum(alpha_t Q_t) <= T on every ordered
+      cell (i, j) whose pair is not in report.sparsity;
+      b . y == report.value.
+    """
+    B = [[Fraction(v) for v in bqp.B.row(r)] for r in range(bqp.B.rows)]
+    b = [Fraction(v) for v in bqp.b]
+    q = [[Fraction(v) for v in bqp.Q.row(i)] for i in range(bqp.m)]
+    lin = [Fraction(v) for v in bqp.linear]
+    n, m = len(B), len(q)
+    cert = report.certificate
+    y = [Fraction(v) for v in cert["y"]]
+    Y = [[Fraction(v) for v in row] for row in cert.get("Y", [[0] * m] * n)]
+    z = [Fraction(v) for v in cert.get("z", [0] * m)]
+    alpha = [Fraction(v) for v in cert.get("alpha", ())]
+    members = [([[Fraction(v) for v in row] for row in qt],
+                [Fraction(v) for v in ct])
+               for qt, ct in cert.get("members", ())]
+    raw = report.name == "lbb_generic"
+    skip = {(i, j) for p in report.sparsity or () for i, j in (p, p[::-1])}
+    msgs = []
+    for j in range(m):
+        lhs = sum(B[r][j] * y[r] for r in range(n))
+        rhs = (2 * sum(Y[r][j] * b[r] for r in range(n)) + z[j] + lin[j]
+               + sum(a * ct[j] for a, (_, ct) in zip(alpha, members)))
+        if lhs > rhs:
+            msgs.append(f"linear part exceeded at column {j}")
+    for i in range(m):
+        for j in range(m):
+            if (i, j) in skip:
+                continue
+            lhs = sum(B[r][i] * Y[r][j] + Y[r][i] * B[r][j]
+                      for r in range(n))
+            lhs += z[i] if i == j else 0
+            lhs += sum(a * qt[i][j] for a, (qt, _) in zip(alpha, members))
+            target = q[i][j] if raw else (q[i][j] + q[j][i]) / 2
+            if lhs > target:
+                msgs.append(f"matrix part exceeds Q at ({i}, {j})")
+    if sum(bv * yv for bv, yv in zip(b, y)) != report.value:
+        msgs.append("b . y differs from the value")
+    return msgs

@@ -58,7 +58,11 @@ from quadlin.model import (
 from quadlin.qspplin import linearize_qspp, spanning_set
 
 from helpers import double_diamond, rand_rational, random_corridor_dag
-from oracles import lp_oracle, system_solvable
+from oracles import (
+    linearization_violations,
+    lp_oracle,
+    system_solvable,
+)
 
 F = Fraction
 
@@ -273,6 +277,9 @@ def test_bound_ladder_in_exact_arithmetic(capsys):
         prime, lifted = reports[3], reports[4]
         assert isinstance(prime.value, Fraction)
         assert prime.value == lifted.value  # bit-exact
+        bqp = qspp_to_bqp(inst) if kind == "qspp" else inst
+        for rep in (prime, star):  # the paper's inequalities, not the LP's
+            assert not linearization_violations(bqp, rep), rep.name
         opt, _ = brute_force_opt(inst)
         verify_chain(reports, opt=opt)
         if star.value > prime.value:

@@ -30,6 +30,7 @@ from quadlin.model import (
     LinearizableFamily,
     QsppInstance,
     brute_force_opt,
+    generate_tournament,
     qap_to_bqp,
     qspp_to_bqp,
     reformulate,
@@ -43,6 +44,7 @@ from helpers import (
     rand_symmetric_rows,
     random_corridor_dag,
 )
+from oracles import linearization_violations
 
 
 def _random_qspp(rng, m_max=10, symmetric=False):
@@ -149,6 +151,10 @@ def test_lbb_prime_equals_rlt1_bit_exact():
         b = rlt1(inst, mode="exact")
         assert isinstance(a.value, Fraction)
         assert a.value == b.value
+    # the paper's tournament n=6: lbb_prime is 13 in both modes
+    inst = generate_tournament(6)
+    assert lbb_prime(inst, mode="exact").value == 13
+    assert abs(lbb_prime(inst, mode="float").value - 13) <= 1e-6
 
 
 def test_sparsity_from_forbidden_pairs_keeps_chain_valid():
@@ -352,6 +358,22 @@ def test_generic_family_bound_is_skew_sensitive_but_star_is_not():
                        (star_a, inst), (star_b, shifted)):
         ok, msgs = verify_report(which, rep)
         assert ok, (rep.name, msgs)
+        assert not linearization_violations(which, rep), rep.name
+        assert linearization_violations(
+            which, replace(rep, value=rep.value + 1)), rep.name
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_a_family_that_cannot_stay_below_q_fails_the_bound(mode):
+    # spanning members have a zero diagonal, so without the diagonal units
+    # no combination sits below a negative diagonal entry of Q; the
+    # lifting LP is then unbounded, and the error says why in the
+    # family's terms
+    inst = _random_qspp(random.Random(6), m_max=8)
+    assert any(inst.Q.at(i, i) < 0 for i in range(inst.graph.m))
+    with pytest.raises(BoundComputationError, match="below Q") as exc:
+        lbb_generic(inst, spanning_set(inst.graph), mode=mode)
+    assert "unbounded" not in str(exc.value)
 
 
 def test_zero_matrix_gives_zero_across_the_ladder():

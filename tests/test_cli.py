@@ -188,11 +188,35 @@ def test_qspp_vertex_count_is_capped_by_the_arcs():
         parse_instance("qspp\n5 1\n1 4\n2 3\n0\n")
 
 
+def test_variable_count_is_capped_in_every_format():
+    def bqp(m):
+        return f"bqp\n1 {m}\n" + "1 " * m + "\n1\n0\n"
+
+    assert parse_instance(bqp(cli.MAX_VARIABLES)).instance.m \
+        == cli.MAX_VARIABLES
+    with pytest.raises(ParseError, match=f"{cli.MAX_VARIABLES + 1} var"):
+        parse_instance(bqp(cli.MAX_VARIABLES + 1))
+    with pytest.raises(ParseError, match="1024 variables"):
+        parse_instance("qap\n32\n")
+    with pytest.raises(ParseError, match=f"{cli.MAX_VARIABLES + 1} var"):
+        parse_instance(f"qspp\n2 {cli.MAX_VARIABLES + 1}\n")
+
+
 def test_oversized_vertex_count_exits_2_without_allocating(tmp_path):
-    f = tmp_path / "huge.qspp"
-    f.write_text("qspp\n99999999999 6\n1 4\n1 2\n1 3\n2 4\n3 4\n2 3\n"
-                 "1 4\n0\n")
-    # an address-space cap turns a per-vertex allocation into a
+    # a huge vertex count, and variable counts whose m x m matrix (Q, or
+    # the Kronecker product of a qap) would not fit under the cap below
+    cases = {
+        "huge.qspp": ("qspp\n99999999999 6\n1 4\n1 2\n1 3\n2 4\n3 4\n2 3\n"
+                      "1 4\n0\n", "99999999999 vertices"),
+        "wide.bqp": ("bqp\n1 30000\n" + "1 " * 30000 + "\n1\n0\n",
+                     "30000 variables"),
+        "big.qap": ("qap\n120\n" + ("1 " * 120 + "\n") * 240,
+                    "14400 variables"),
+        "long.qspp": ("qspp\n20001 20000\n1 20001\n"
+                      + "".join(f"{v} {v + 1}\n" for v in range(1, 20001))
+                      + "0\n", "20000 variables"),
+    }
+    # an address-space cap turns an oversized allocation into a
     # MemoryError traceback instead of exhausting the machine
     script = (
         "import resource, sys\n"
@@ -201,11 +225,15 @@ def test_oversized_vertex_count_exits_2_without_allocating(tmp_path):
         "sys.exit(main(['opt', sys.argv[1]]))\n")
     src = os.path.dirname(os.path.dirname(quadlin.__file__))
     env = dict(os.environ, PYTHONPATH=src, OPENBLAS_NUM_THREADS="1")
-    proc = subprocess.run([sys.executable, "-c", script, str(f)], env=env,
-                          capture_output=True, text=True, timeout=60)
-    assert proc.returncode == EXIT_PARSE, proc.stderr
-    assert "Traceback" not in proc.stderr
-    assert "99999999999 vertices" in proc.stderr
+    for name, (text, message) in cases.items():
+        f = tmp_path / name
+        f.write_text(text)
+        proc = subprocess.run([sys.executable, "-c", script, str(f)],
+                              env=env, capture_output=True, text=True,
+                              timeout=60)
+        assert proc.returncode == EXIT_PARSE, (name, proc.stderr)
+        assert "Traceback" not in proc.stderr, name
+        assert message in proc.stderr, (name, proc.stderr)
 
 
 def _generated_texts():

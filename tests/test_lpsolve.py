@@ -7,7 +7,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from quadlin import lpsolve
-from quadlin.bounds import lbb_prime
 from quadlin.lpsolve import (
     EQ,
     GE,
@@ -24,7 +23,6 @@ from quadlin.lpsolve import (
     solve_lp,
     verify_solution,
 )
-from quadlin.model import generate_tournament
 
 from helpers import rand_rational
 from oracles import lp_oracle
@@ -253,9 +251,25 @@ def test_pivot_caps_raise_each_modes_error(monkeypatch):
         solve_lp(lp, mode="float")
 
 
-def test_degenerate_lp_through_blands_rule_in_both_modes():
-    # lbb_prime on tournament n=6 stalls long enough under Dantzig's rule
-    # that both modes finish it with Bland's rule
-    inst = generate_tournament(6)
-    assert lbb_prime(inst, mode="exact").value == 13
-    assert abs(lbb_prime(inst, mode="float").value - 13) <= 1e-6
+def test_degenerate_lp_through_blands_rule_in_both_modes(monkeypatch):
+    # Chvatal's cycling example (Linear Programming, 1983, p. 31) with its
+    # slacks written as columns, so that scaling the rows to integers
+    # keeps them at the textbook scale: Dantzig's rule cycles through
+    # degenerate bases until the stall limit hands over to Bland's rule
+    lp = linear_program("max", [10, -57, -9, -24, 0, 0], [
+        ((F(1, 2), F(-11, 2), F(-5, 2), 9, 1, 0), LE, 0),
+        ((F(1, 2), F(-3, 2), F(-1, 2), 1, 0, 1), LE, 0),
+        ((1, 0, 0, 0, 0, 0), LE, 1),
+    ])
+    for tableau in (lpsolve._ExactTableau, lpsolve._FloatTableau):
+        rules = []
+
+        def recording(self, cost_idx, bland, _entering=tableau._entering,
+                      _rules=rules):
+            _rules.append(bland)
+            return _entering(self, cost_idx, bland)
+
+        monkeypatch.setattr(tableau, "_entering", recording)
+        res = solve_lp(lp, mode=tableau.mode)
+        assert res.status == OPTIMAL and res.value == 1, tableau.mode
+        assert any(rules), f"{tableau.mode} mode never used Bland's rule"
