@@ -43,7 +43,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 
-from quadlin.exactnum import ONE, ZERO, RationalMatrix, rat
+from quadlin.exactnum import ONE, ZERO, RationalMatrix, rat, vdot
 from quadlin.graph import forbidden_pairs
 from quadlin.lpsolve import (
     EQ,
@@ -52,6 +52,7 @@ from quadlin.lpsolve import (
     OPTIMAL,
     UNBOUNDED,
     LinearProgram,
+    _dot,
     _requested_mode,
     _resolve_mode,
     solve_lp,
@@ -64,6 +65,9 @@ from quadlin.model import (
     qspp_to_bqp,
 )
 from quadlin.qspplin import SpanningSet, spanning_set
+
+
+_HALF = Fraction(1, 2)
 
 
 class BoundComputationError(RuntimeError):
@@ -190,13 +194,11 @@ def _fit_columns(bqp: BqpInstance, q: RationalMatrix, mode):
     zbar = []
     cbar = []
     pivots = 0
+    bcols = [bqp.B.column(i) for i in range(m)]
     for k in range(m):
-        rows = []
-        for i in range(m):
-            coeffs = tuple(bqp.B.at(r, i) for r in range(n)) \
-                + ((ONE,) if i == k else (ZERO,))
-            rows.append((coeffs, LE, q.at(i, k)))
-        lp = LinearProgram("max", obj, tuple(rows), free)
+        rows = tuple((bcols[i] + (ONE if i == k else ZERO,), LE, q.at(i, k))
+                     for i in range(m))
+        lp = LinearProgram("max", obj, rows, free)
         res = _solve(lp, mode, f"column {k} fitting program")
         ycols.append(res.x[:n])
         zbar.append(res.x[n])
@@ -207,17 +209,11 @@ def _fit_columns(bqp: BqpInstance, q: RationalMatrix, mode):
 
 def _fitted_matrix(bqp: BqpInstance, ycols, zbar) -> RationalMatrix:
     """Qbar = B^T Ybar + Diag(zbar) with Ybar's k-th column ycols[k]."""
-    n, m = bqp.B.rows, bqp.m
     ycols = [[rat_from(v) for v in col] for col in ycols]
-    rows = []
-    for i in range(m):
-        row = []
-        for k in range(m):
-            v = sum((bqp.B.at(r, i) * ycols[k][r] for r in range(n)), ZERO)
-            if i == k:
-                v += rat_from(zbar[k])
-            row.append(v)
-        rows.append(row)
+    rows = [[vdot(bqp.B.column(i), ycol) for ycol in ycols]
+            for i in range(bqp.m)]
+    for k, z in enumerate(zbar):
+        rows[k][k] += rat_from(z)
     return RationalMatrix.from_rows(rows)
 
 
@@ -240,20 +236,29 @@ def gl_bound(inst, mode: str = "auto") -> BoundReport:
         pivots=pivots + final.pivots)
 
 
-def _skew_update(r: RationalMatrix, strategy: SkewStrategy) -> RationalMatrix:
-    m = r.rows
+def _next_matrix(q: RationalMatrix, qbar: RationalMatrix,
+                 strategy: SkewStrategy) -> RationalMatrix:
+    """The residual R = q - qbar reshuffled per strategy: R itself, R with
+    R_ij + R_ji above the diagonal and zeros below, or (R + R^T) / 2.
+    Each folded entry is one exact sum of the four cells behind it."""
     if strategy == SkewStrategy.NONE:
-        return r
+        return q - qbar
     if strategy == SkewStrategy.UPPER_TRIANGULAR:
-        rows = [[ZERO] * m for _ in range(m)]
-        for i in range(m):
-            rows[i][i] = r.at(i, i)
-            for j in range(i + 1, m):
-                rows[i][j] = r.at(i, j) + r.at(j, i)
-        return RationalMatrix.from_rows(rows)
-    if strategy == SkewStrategy.SYMMETRIZE:
-        return _sym_matrix(r)
-    raise ValueError(f"unknown strategy {strategy!r}")
+        w, mirror = (ONE, -ONE, ONE, -ONE), False
+    elif strategy == SkewStrategy.SYMMETRIZE:
+        w, mirror = (_HALF, -_HALF, _HALF, -_HALF), True
+    else:
+        raise ValueError(f"unknown strategy {strategy!r}")
+    m = q.rows
+    rows = [[ZERO] * m for _ in range(m)]
+    for i in range(m):
+        rows[i][i] = q.at(i, i) - qbar.at(i, i)
+        for j in range(i + 1, m):
+            rows[i][j] = vdot(
+                (q.at(i, j), qbar.at(i, j), q.at(j, i), qbar.at(j, i)), w)
+            if mirror:
+                rows[j][i] = rows[i][j]
+    return RationalMatrix.from_rows(rows)
 
 
 def ggl_bound(inst, strategy: SkewStrategy = SkewStrategy.NONE,
@@ -283,9 +288,8 @@ def ggl_bound(inst, strategy: SkewStrategy = SkewStrategy.NONE,
     for _ in range(max_iter):
         ycols, zbar, cbar, piv = _fit_columns(bqp, q_cur, mode)
         pivots += piv
-        qbar = _fitted_matrix(bqp, ycols, zbar)
-        residual = q_cur - qbar
-        q_cur = _skew_update(residual, strategy)
+        q_cur = _next_matrix(q_cur, _fitted_matrix(bqp, ycols, zbar),
+                             strategy)
         c_total = [a + rat_from(c) for a, c in zip(c_total, cbar)]
         lp = _polytope_lp(bqp, [a + l for a, l in zip(c_total, bqp.linear)])
         final = _solve(lp, mode, "feasible-set minimum")
@@ -316,7 +320,7 @@ def _sym_matrix(q: RationalMatrix) -> RationalMatrix:
     """(Q + Q^T) / 2; a symmetric matrix comes back as it is."""
     if q.is_symmetric():
         return q
-    return (q + q.transpose()).scale(Fraction(1, 2))
+    return (q + q.transpose()).scale(_HALF)
 
 
 def _rlt1_lp(bqp: BqpInstance, sparsity, members=(), ordered=False):
@@ -599,10 +603,6 @@ def optimum_report(inst, cap: int = 1_000_000) -> BoundReport:
                        certificate={"argmin": argmin})
 
 
-def _dot(coeffs, v, num):
-    return sum((num(a) * x for a, x in zip(coeffs, v) if a), num(0))
-
-
 def _row_violations(lp: LinearProgram, point, value, num, tol) -> list:
     """Why point is not a feasible point of lp with objective value:
     each row off its relation, each coordinate below its lower bound,
@@ -629,17 +629,12 @@ def _dual_violations(lp: LinearProgram, y, value, num, tol) -> list:
     (A^T y)_j > c_j, and b.y other than value, within the absolute tol."""
     if len(y) != lp.nrows:
         return ["certificate has the wrong number of duals"]
-    col = [num(0)] * lp.nvars
-    for (coeffs, _, _), yk in zip(lp.rows, y):
-        yk = num(yk)
-        for j, a in enumerate(coeffs):
-            if a:
-                col[j] += num(a) * yk
+    y = [num(v) for v in y]
     msgs = [f"duals violate column {j}"
-            for j, (s, c) in enumerate(zip(col, lp.objective))
-            if s > num(c) + tol]
+            for j, (col, c) in enumerate(zip(lp.columns, lp.objective))
+            if _dot(col, y, num) > num(c) + tol]
     rhs = [b for _, _, b in lp.rows]
-    if abs(_dot(rhs, [num(v) for v in y], num) - num(value)) > tol:
+    if abs(_dot(rhs, y, num) - num(value)) > tol:
         msgs.append("dual objective does not match the certificate")
     return msgs
 
@@ -660,7 +655,7 @@ def verify_report(inst, report: BoundReport, tol=None):
     structure.
     """
     bqp = _bqp(inst)
-    n, m = bqp.B.rows, bqp.m
+    m = bqp.m
     exact = report.mode == "exact"
     if tol is None:
         tol = 0 if exact else 1e-7
@@ -697,12 +692,12 @@ def verify_report(inst, report: BoundReport, tol=None):
                             f"round {it}: fitted matrix exceeds the "
                             f"current matrix at ({i}, {k})")
             for k in range(m):
-                want = sum(num(bqp.b[r]) * num(ycols[k][r])
-                           for r in range(n)) + num(zbar[k])
+                want = _dot(bqp.b, [num(v) for v in ycols[k]], num) \
+                    + num(zbar[k])
                 if abs(num(cbar[k]) - want) > tol:
                     msgs.append(f"round {it}: cbar[{k}] inconsistent")
             c_total = [a + rat_from(c) for a, c in zip(c_total, cbar)]
-            q_cur = _skew_update(q_cur - qbar, strategy)
+            q_cur = _next_matrix(q_cur, qbar, strategy)
         # the bound's final LP; costs are Fraction sums, as in ggl_bound
         lp = _polytope_lp(bqp, [a + l for a, l in zip(c_total, bqp.linear)])
         msgs += _row_violations(lp, cert["x"], report.value, num, tol)

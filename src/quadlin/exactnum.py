@@ -62,7 +62,24 @@ def vscale(k, u) -> tuple:
 
 
 def vdot(u, v) -> Fraction:
-    return sum((a * b for a, b in zip(u, v, strict=True)), ZERO)
+    """sum(a * b) over paired entries of two exact vectors.
+
+    The products are summed as integer numerators over the lcm of their
+    denominators, and one Fraction is built for the result, not two (a
+    product and a partial sum) per term.
+    """
+    num, den = 0, 1
+    for a, b in zip(u, v, strict=True):
+        p = a.numerator * b.numerator
+        if p:
+            q = a.denominator * b.denominator
+            if q == den:
+                num += p
+            else:
+                d = lcm(den, q)
+                num = num * (d // den) + p * (d // q)
+                den = d
+    return Fraction(num, den)
 
 
 @dataclass(frozen=True)

@@ -10,9 +10,14 @@ pivots fraction-free: the update
 ``T'[i] = (T[i]*T[r][c] - T[r]*T[i][c]) // d`` divides exactly (every entry
 is a minor of the starting integer matrix), so no rationals appear inside
 the hot loop and every optimal result is certified by a full KKT check
-before it is returned.  Float mode runs on a numpy tableau with fixed
-tolerances and raises NumericalBreakdown instead of returning garbage
-when the arithmetic degrades.
+before it is returned.  The code around the simplex works on integer
+numerators too: preparation scales each row to integers through the lcm
+of its denominators, the read-back builds one Fraction per value and
+dual, and the exact KKT check sums every row, objective and reduced cost
+with exactnum.vdot (integer numerators over the lcm of the terms'
+denominators, one Fraction per sum).  Float mode runs on a numpy tableau
+with fixed tolerances and raises NumericalBreakdown instead of returning
+garbage when the arithmetic degrades.
 
 Variables carry individual bounds.  Free variables are split into a
 difference of two nonnegative ones, finite lower bounds are shifted to
@@ -25,12 +30,10 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain
-from math import lcm
 
 import numpy as np
 
-from quadlin.exactnum import ONE, ZERO, rat
+from quadlin.exactnum import ZERO, common_denominator, rat, vdot
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -102,6 +105,11 @@ class LinearProgram:
     def nrows(self) -> int:
         return len(self.rows)
 
+    @property
+    def columns(self) -> list:
+        """The row coefficients by variable: one tuple per column."""
+        return list(zip(*(c for c, _, _ in self.rows))) or [()] * self.nvars
+
 
 def linear_program(sense, objective, rows, bounds=None) -> LinearProgram:
     """Convenience constructor; default bounds are x >= 0."""
@@ -150,52 +158,45 @@ def _prepare(lp: LinearProgram) -> _Prepared:
     p.col_meta = col_meta
     shift = [ZERO if lo is None else lo for lo, _ in lp.bounds]
 
-    def to_cols(coeffs):
-        """A user coefficient on x_j lands on its shifted column, or with
-        opposite signs on the two columns of its split."""
-        dense = [ZERO] * ncols
-        for j, a in enumerate(coeffs):
-            if a == 0:
-                continue
-            meta = col_meta[j]
-            dense[meta[1]] += a
-            if meta[0] == "split":
-                dense[meta[2]] -= a
-        return dense
+    def to_cols(nums, sign):
+        """Integer user coefficients, times sign, on the columns: the one
+        on x_j lands on its shifted column, or with opposite signs on the
+        two columns of its split."""
+        line = [0] * ncols
+        for meta, v in zip(col_meta, nums):
+            if v:
+                line[meta[1]] = sign * v
+                if meta[0] == "split":
+                    line[meta[2]] = -sign * v
+        return line
 
-    def shifted(coeffs):
-        return sum((a * s for a, s in zip(coeffs, shift) if s), ZERO)
+    rows_int, rels, row_scale = [], [], []
 
-    # finite upper bounds become "<=" rows after the user rows
-    upper_rows = [(tuple(ONE if k == j else ZERO for k in range(lp.nvars)),
-                   LE, hi) for j, (_, hi) in enumerate(lp.bounds)
-                  if hi is not None]
+    def add_row(nums, rel, b, k):
+        """Append sum(nums[j] x_j) rel b, a user row times the integer k,
+        negated if b < 0 so that every right-hand side is nonnegative."""
+        sign = -1 if b < 0 else 1
+        rows_int.append(to_cols(nums, sign) + [sign * b])
+        rels.append(rel if sign > 0 else {LE: GE, GE: LE, EQ: EQ}[rel])
+        row_scale.append(sign * k)
 
-    rows_int = []
-    rels = []
-    row_scale = []
-    for coeffs, rel, rhs in chain(lp.rows, upper_rows):
-        dense = to_cols(coeffs)
-        rhs = rhs - shifted(coeffs)
-        sign = 1
-        if rhs < 0:
-            dense = [-a for a in dense]
-            rhs = -rhs
-            rel = {LE: GE, GE: LE, EQ: EQ}[rel]
-            sign = -1
-        k = lcm(*(v.denominator for v in dense), rhs.denominator)
-        rows_int.append([int(v * k) for v in dense] + [int(rhs * k)])
-        rels.append(rel)
-        row_scale.append(Fraction(sign * k))
+    for coeffs, rel, rhs in lp.rows:
+        nums, k = common_denominator(coeffs + (rhs - vdot(coeffs, shift),))
+        add_row(nums[:-1], rel, nums[-1], k)
+    for j, (_, hi) in enumerate(lp.bounds):
+        if hi is not None:  # x_j <= hi, after the user rows
+            b = hi - shift[j]
+            unit = [0] * lp.nvars
+            unit[j] = b.denominator
+            add_row(unit, LE, b.numerator, b.denominator)
     p.n_user = len(lp.rows)
     p.rows_int = rows_int
     p.rels = rels
     p.row_scale = row_scale
 
-    obj = to_cols(p.sense_sign * c for c in lp.objective)
-    p.obj_scale = lcm(*(v.denominator for v in obj))
-    p.obj_int = [int(v * p.obj_scale) for v in obj]
-    p.obj_const = shifted(lp.objective)
+    nums, p.obj_scale = common_denominator(lp.objective)
+    p.obj_int = to_cols(nums, p.sense_sign)
+    p.obj_const = vdot(lp.objective, shift)
     return p
 
 
@@ -239,7 +240,7 @@ class _Tableau:
     ties go to the row whose basic column has the smallest index.
     Subclasses give the mode, the number type (num), the error class and
     the arithmetic: _entering, _leaving, _degenerate, _eliminate,
-    _first_usable, _infeasible, _cell and _pivot_cap.
+    _first_usable, _infeasible, _cell (k * T[i][j] / den) and _pivot_cap.
     """
 
     error = LpError
@@ -336,13 +337,12 @@ class _Tableau:
                   else vals[meta[1]] - vals[meta[2]]
                   for meta in prep.col_meta)
         # the cost row holds minus the reduced costs and minus the value
-        value = (-prep.sense_sign * self._cell(self.z2_idx, rhs)
-                 / prep.obj_scale + num(prep.obj_const))
+        sign = -prep.sense_sign
+        value = (self._cell(self.z2_idx, rhs, sign, prep.obj_scale)
+                 + num(prep.obj_const))
         duals = tuple(
-            -prep.sense_sign * num(prep.row_scale[i])
-            * self._cell(self.z2_idx,
-                         self.art_col.get(i, self.slack_col.get(i)))
-            / prep.obj_scale
+            self._cell(self.z2_idx, self.art_col.get(i, self.slack_col.get(i)),
+                       sign * prep.row_scale[i], prep.obj_scale)
             for i in range(prep.n_user))
         return LpResult(OPTIMAL, value, x, duals, self.mode, self.pivots)
 
@@ -370,8 +370,8 @@ class _ExactTableau(_Tableau):
     def _pivot_cap(self):
         return _PIVOT_HARD_CAP
 
-    def _cell(self, i, j):
-        return Fraction(self.tab[i][j], self.d)
+    def _cell(self, i, j, k=1, den=1):
+        return Fraction(k * self.tab[i][j], den * self.d)
 
     def _entering(self, cost_idx, bland):
         zrow, art = self.tab[cost_idx], self.art_set
@@ -462,8 +462,8 @@ class _FloatTableau(_Tableau):
     def _pivot_cap(self):
         return _FLOAT_PIVOT_CAP
 
-    def _cell(self, i, j):
-        return float(self.tab[i, j])
+    def _cell(self, i, j, k=1, den=1):
+        return float(k) * float(self.tab[i, j]) / den
 
     def _entering(self, cost_idx, bland):
         zrow = self.tab[cost_idx]
@@ -527,6 +527,14 @@ def solve_lp(lp: LinearProgram, mode: str = "auto") -> LpResult:
     return result
 
 
+def _dot(coeffs, v, num):
+    """coeffs . v for v already in num: exactnum.vdot for exact data, a
+    float sum over the nonzero coefficients in order otherwise."""
+    if num is rat:
+        return vdot(coeffs, v)
+    return sum((num(a) * x for a, x in zip(coeffs, v) if a), num(0))
+
+
 def verify_solution(lp: LinearProgram, result: LpResult, tol=None):
     """Full KKT check of an optimal result against the original program.
 
@@ -540,14 +548,9 @@ def verify_solution(lp: LinearProgram, result: LpResult, tol=None):
     exact = result.mode == "exact"
     if tol is None:
         tol = 0 if exact else _FEAS_TOL
-    if exact:
-        x = [rat(v) for v in result.x]
-        y = [rat(v) for v in result.duals]
-        conv = rat
-    else:
-        x = [float(v) for v in result.x]
-        y = [float(v) for v in result.duals]
-        conv = float
+    conv = rat if exact else float
+    x = [conv(v) for v in result.x]
+    y = [conv(v) for v in result.duals]
     msgs = []
     n = lp.nvars
     if len(x) != n or len(y) != lp.nrows:
@@ -561,7 +564,7 @@ def verify_solution(lp: LinearProgram, result: LpResult, tol=None):
 
     slacks = []
     for i, (coeffs, rel, rhs) in enumerate(lp.rows):
-        s = sum(conv(a) * v for a, v in zip(coeffs, x)) - conv(rhs)
+        s = _dot(coeffs, x, conv) - conv(rhs)
         slacks.append(s)
         if rel == LE and s > tol:
             msgs.append(f"row {i} violated (<=)")
@@ -570,7 +573,7 @@ def verify_solution(lp: LinearProgram, result: LpResult, tol=None):
         elif rel == EQ and abs(s) > tol:
             msgs.append(f"row {i} violated (=)")
 
-    obj = sum(conv(c) * v for c, v in zip(lp.objective, x))
+    obj = _dot(lp.objective, x, conv)
     if abs(obj - conv(result.value)) > tol:
         msgs.append("objective value mismatch")
 
@@ -581,26 +584,25 @@ def verify_solution(lp: LinearProgram, result: LpResult, tol=None):
             msgs.append(f"dual sign wrong on row {i} (<=)")
         if rel == GE and (yi < -tol if minimizing else yi > tol):
             msgs.append(f"dual sign wrong on row {i} (>=)")
-        scale = 1 + abs(yi)
-        if abs(yi * slacks[i]) > tol * scale:
+        # tolerances grow with 1 + |value|; a zero tolerance stays zero
+        if abs(yi * slacks[i]) > (tol * (1 + abs(yi)) if tol else tol):
             msgs.append(f"complementary slackness fails on row {i}")
 
-    for j in range(n):
-        r = conv(lp.objective[j]) - sum(
-            conv(lp.rows[i][0][j]) * y[i] for i in range(lp.nrows))
+    for j, col in enumerate(lp.columns):
+        r = conv(lp.objective[j]) - _dot(col, y, conv)
         lo, hi = lp.bounds[j]
         at_lo = lo is not None and abs(x[j] - conv(lo)) <= tol
         at_hi = hi is not None and abs(x[j] - conv(hi)) <= tol
-        scale = 1 + abs(r)
+        r_tol = tol * (1 + abs(r)) if tol else tol
         if at_lo and at_hi:
             continue  # fixed variable: any reduced cost is fine
         if at_lo:
-            if (r < -tol * scale) if minimizing else (r > tol * scale):
+            if (r < -r_tol) if minimizing else (r > r_tol):
                 msgs.append(f"reduced cost sign wrong at lower bound x[{j}]")
         elif at_hi:
-            if (r > tol * scale) if minimizing else (r < -tol * scale):
+            if (r > r_tol) if minimizing else (r < -r_tol):
                 msgs.append(f"reduced cost sign wrong at upper bound x[{j}]")
-        elif abs(r) > tol * scale:
+        elif abs(r) > r_tol:
             msgs.append(f"reduced cost nonzero on interior variable x[{j}]")
 
     return not msgs, tuple(msgs)

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import combinations
+from math import lcm
 
 
 # ---------------------------------------------------------------------------
@@ -233,3 +234,60 @@ def linearization_violations(bqp, report) -> list:
     if sum(bv * yv for bv, yv in zip(b, y)) != report.value:
         msgs.append("b . y differs from the value")
     return msgs
+
+
+# ---------------------------------------------------------------------------
+# standard form of a linear program, in plain Fraction arithmetic
+
+def standard_form(lp) -> dict:
+    """The integer standard form lpsolve's simplex starts from.
+
+    A free variable becomes two columns (x = u - v), any other one column
+    shifted by its lower bound; each finite upper bound adds a "<=" row
+    after the program's rows.  Each row is taken to dense Fraction
+    columns, negated if its shifted right-hand side is negative (which
+    flips "<=" and ">="), and scaled by the lcm k of its denominators:
+    row_scale is that sign times k.  The objective, times 1 for min and
+    -1 for max, is scaled the same way by obj_scale; obj_const is its
+    value at the shift.
+    """
+    cols = []
+    for lo, _ in lp.bounds:
+        start = sum(len(c) for c in cols)
+        cols.append((start, start + 1) if lo is None else (start,))
+    ncols = sum(len(c) for c in cols)
+    shift = [Fraction(0 if lo is None else lo) for lo, _ in lp.bounds]
+
+    def dense(coeffs):
+        out = [Fraction(0)] * ncols
+        for c, a in zip(cols, coeffs):
+            out[c[0]] += a
+            if len(c) == 2:
+                out[c[1]] -= a
+        return out
+
+    rows = list(lp.rows)
+    for j, (_, hi) in enumerate(lp.bounds):
+        if hi is not None:
+            rows.append(([Fraction(int(k == j)) for k in range(len(cols))],
+                         "<=", hi))
+    out = {"rows_int": [], "rels": [], "row_scale": []}
+    for coeffs, rel, rhs in rows:
+        row = dense(coeffs)
+        rhs = Fraction(rhs) - sum(a * s for a, s in zip(coeffs, shift))
+        sign = 1
+        if rhs < 0:
+            row, rhs, sign = [-a for a in row], -rhs, -1
+            rel = {"<=": ">=", ">=": "<=", "=": "="}[rel]
+        k = lcm(*(v.denominator for v in row), rhs.denominator)
+        out["rows_int"].append([int(v * k) for v in row] + [int(rhs * k)])
+        out["rels"].append(rel)
+        out["row_scale"].append(Fraction(sign * k))
+    sense = 1 if lp.sense == "min" else -1
+    obj = dense([sense * Fraction(c) for c in lp.objective])
+    k = lcm(*(v.denominator for v in obj))
+    out["obj_scale"] = k
+    out["obj_int"] = [int(v * k) for v in obj]
+    out["obj_const"] = sum(Fraction(c) * s
+                           for c, s in zip(lp.objective, shift))
+    return out

@@ -137,6 +137,45 @@ def test_ggl_strategies_all_bound_the_optimum():
         assert rep.certificate["strategy"] == strategy.value
 
 
+def _pinned_corridor():
+    rng = random.Random(10)
+    g = random_corridor_dag(rng, n_min=4, n_max=8, m_max=10)
+    assert g.m == 10
+    return QsppInstance(g, RationalMatrix.from_rows(rand_rows(rng, 10, 10)))
+
+
+def _pinned_qap():
+    rng = random.Random(0)
+    a, d = ([[Fraction(rng.randint(0, 4)) if i != j else ZERO
+              for j in range(3)] for i in range(3)] for _ in range(2))
+    return qap_to_bqp(a, d)
+
+
+@pytest.mark.parametrize("inst, pins", [
+    (_pinned_corridor, {
+        "gl": ("-35/2", 70),
+        "ggl-upper": ("-14", 164),
+        "ggl-sym": ("-6192449487634435/1125899906842624", 2472)}),
+    (_pinned_qap, {
+        "gl": ("33", 85),
+        "ggl-upper": ("33", 205),
+        "ggl-sym": ("19140298416324607/562949953421312", 2780)}),
+], ids=["corridor", "qap"])
+def test_gl_and_ggl_values_and_pivot_counts_are_pinned(inst, pins):
+    # exact values and pivot counts of the column-fitting bounds; a change
+    # that moves a pivot path or a fitted value shows here
+    inst = inst()
+    reports = {
+        "gl": gl_bound(inst, mode="exact"),
+        "ggl-upper": ggl_bound(
+            inst, strategy=SkewStrategy.UPPER_TRIANGULAR, mode="exact"),
+        "ggl-sym": ggl_bound(
+            inst, strategy=SkewStrategy.SYMMETRIZE, mode="exact"),
+    }
+    assert {name: (str(rep.value), rep.pivots)
+            for name, rep in reports.items()} == pins
+
+
 def test_ggl_rejects_nonpositive_iteration_budget():
     inst = QsppInstance(diamond(), RationalMatrix.zeros(4, 4))
     with pytest.raises(ValueError):

@@ -171,3 +171,15 @@ def test_lower_triangular_solve_roundtrip(n, data):
 
 def test_vdot():
     assert vdot((F(1), F(2)), (F(3), F(4))) == F(11)
+    assert vdot((), ()) == 0 and isinstance(vdot((), ()), F)
+    assert vdot((F(0), F(0)), (F(1, 3), F(-2, 7))) == 0
+    rng = random.Random(5)
+    for _ in range(300):
+        n = rng.randint(0, 8)
+        u = [F(rng.randint(-9, 9), rng.choice((1, 2, 3, 4, 12)))
+             for _ in range(n)]
+        v = [rng.choice((0, F(rng.randint(-9, 9), rng.randint(1, 40))))
+             for _ in range(n)]
+        assert vdot(u, v) == sum((a * b for a, b in zip(u, v)), F(0))
+    with pytest.raises(ValueError):
+        vdot((F(1),), ())

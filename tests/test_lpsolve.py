@@ -25,7 +25,7 @@ from quadlin.lpsolve import (
 )
 
 from helpers import rand_rational
-from oracles import lp_oracle
+from oracles import lp_oracle, standard_form
 
 F = Fraction
 
@@ -125,6 +125,58 @@ def test_verify_rejects_tampered_result():
     assert not ok and msgs
 
 
+FREE = (None, None)
+NONNEG = (0, None)
+
+# One KKT condition broken at a time: (sense, objective, rows, bounds,
+# x, duals, value, the one message verify_solution must give).  A free
+# variable with a matching reduced cost keeps the other conditions intact.
+_KKT_BREAKS = [
+    ("min", [0], [((1,), LE, 1)], [FREE], [2], [0], 0,
+     "row 0 violated (<=)"),
+    ("min", [0], [((1,), EQ, 1)], [FREE], [0], [0], 0,
+     "row 0 violated (=)"),
+    ("min", [0], [((1,), GE, 1)], [FREE], [0], [0], 0,
+     "row 0 violated (>=)"),
+    ("min", [0], [], [(0, 1)], [-1], [], 0, "x[0] below lower bound"),
+    ("min", [0], [], [(0, 1)], [2], [], 0, "x[0] above upper bound"),
+    ("min", [1], [((1,), GE, 1)], [NONNEG], [1], [1], 2,
+     "objective value mismatch"),
+    ("min", [1], [((1,), LE, 1)], [FREE], [1], [1], 1,
+     "dual sign wrong on row 0 (<=)"),
+    ("max", [-1], [((1,), LE, 1)], [FREE], [1], [-1], -1,
+     "dual sign wrong on row 0 (<=)"),
+    ("min", [-1], [((1,), GE, 1)], [FREE], [1], [-1], -1,
+     "dual sign wrong on row 0 (>=)"),
+    ("max", [1], [((1,), GE, 1)], [FREE], [1], [1], 1,
+     "dual sign wrong on row 0 (>=)"),
+    ("min", [1], [((1,), GE, 1)], [FREE], [2], [1], 2,
+     "complementary slackness fails on row 0"),
+    ("min", [-1], [], [NONNEG], [0], [], 0,
+     "reduced cost sign wrong at lower bound x[0]"),
+    ("max", [1], [], [NONNEG], [0], [], 0,
+     "reduced cost sign wrong at lower bound x[0]"),
+    ("min", [1], [], [(None, 1)], [1], [], 1,
+     "reduced cost sign wrong at upper bound x[0]"),
+    ("max", [-1], [], [(None, 1)], [1], [], -1,
+     "reduced cost sign wrong at upper bound x[0]"),
+    ("min", [1], [], [(0, 2)], [1], [], 1,
+     "reduced cost nonzero on interior variable x[0]"),
+]
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+@pytest.mark.parametrize("case", _KKT_BREAKS, ids=lambda c: c[-1])
+def test_verify_names_each_broken_kkt_condition(case, mode):
+    sense, obj, rows, bnds, x, duals, value, message = case
+    lp = linear_program(sense, obj, rows, bnds)
+    num = F if mode == "exact" else float
+    res = LpResult(status=OPTIMAL, value=num(value),
+                   x=tuple(map(num, x)), duals=tuple(map(num, duals)),
+                   mode=mode)
+    assert verify_solution(lp, res) == (False, (message,))
+
+
 def _random_lp(rng, max_vars=4, max_rows=5):
     n = rng.randint(1, max_vars)
     sense = rng.choice(["min", "max"])
@@ -141,6 +193,37 @@ def _random_lp(rng, max_vars=4, max_rows=5):
     if rng.random() < 0.6:
         rows.append((tuple(F(1) for _ in range(n)), LE, F(rng.randint(2, 9))))
     return linear_program(sense, obj, rows)
+
+
+def test_prepare_matches_the_fraction_standard_form():
+    rng = random.Random(11)
+    kinds = {"free": 0, "shifted": 0, "boxed": 0, "upper": 0, "flipped": 0}
+    for _ in range(300):
+        n = rng.randint(1, 5)
+        bnds = []
+        for _ in range(n):
+            lo = rng.choice([None, 0, rand_rational(rng, span=3)])
+            hi = rng.choice([None, None, rand_rational(rng, span=4)])
+            if lo is not None and hi is not None and hi < lo:
+                lo, hi = hi, lo
+            bnds.append((lo, hi))
+            kinds["free"] += lo is None and hi is None
+            kinds["shifted"] += lo is not None and lo != 0
+            kinds["boxed"] += lo is not None and hi is not None
+            kinds["upper"] += lo is None and hi is not None
+        rows = [(tuple(rand_rational(rng, span=3, denoms=(1, 2, 3, 6))
+                       if rng.random() < 0.7 else 0 for _ in range(n)),
+                 rng.choice([LE, GE, EQ]), rand_rational(rng, span=6))
+                for _ in range(rng.randint(0, 5))]
+        obj = [rand_rational(rng, span=4, denoms=(1, 2, 5))
+               for _ in range(n)]
+        lp = linear_program(rng.choice(["min", "max"]), obj, rows, bnds)
+        want = standard_form(lp)
+        prep = lpsolve._prepare(lp)
+        kinds["flipped"] += sum(s < 0 for s in want["row_scale"])
+        for field, value in want.items():
+            assert getattr(prep, field) == value, field
+    assert min(kinds.values()) > 30, kinds
 
 
 def test_exact_agrees_with_enumeration_oracle():
