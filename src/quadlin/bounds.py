@@ -39,6 +39,7 @@ certificate's point, and its columns at the certificate's duals.
 from __future__ import annotations
 
 import enum
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
@@ -53,8 +54,10 @@ from quadlin.lpsolve import (
     UNBOUNDED,
     LinearProgram,
     _dot,
+    _reduced_costs,
     _requested_mode,
     _resolve_mode,
+    _row_gaps,
     solve_lp,
 )
 from quadlin.model import (
@@ -273,6 +276,10 @@ def ggl_bound(inst, strategy: SkewStrategy = SkewStrategy.NONE,
     after max_iter rounds.  The trace holds the bound after each round
     and is nondecreasing: the residual of every round is elementwise
     nonnegative, so every fitted part after the first is nonnegative.
+    In exact mode SYMMETRIZE usually runs all max_iter rounds: the halved
+    residual shrinks but never reaches zero (on a 10-arc corridor DAG the
+    bound is -5.5029 after 10 rounds and -5.5000029 after 20), so
+    max_iter and tol bound the work.
     """
     if max_iter < 1:
         raise ValueError("max_iter must be positive")
@@ -394,6 +401,13 @@ def _lifted_lp(bqp: BqpInstance, name: str, members, sparsity):
     return _rlt1_lp(bqp, sparsity, members or (), name == "lbb_generic")
 
 
+@functools.lru_cache(maxsize=1)
+def _solve_lifted(lp: LinearProgram, mode: str):
+    """solve_lp on a lifting LP, remembering the last one: rlt1 and
+    lbb_prime solve the very same LP, and callers ask for both in turn."""
+    return solve_lp(lp, mode=mode)
+
+
 def _lifted_bound(bqp: BqpInstance, name: str, mode: str, members=None,
                   sparsity=None, canonical=False) -> BoundReport:
     """Solve the lifting LP of the bound called name.  rlt1's certificate
@@ -403,7 +417,7 @@ def _lifted_bound(bqp: BqpInstance, name: str, mode: str, members=None,
     and, for a family bound, the members."""
     lp, pairs = _lifted_lp(bqp, name, members, sparsity)
     mode = _bound_mode(bqp, mode, lp.nrows, lp.nvars)
-    res = solve_lp(lp, mode=mode)
+    res = _solve_lifted(lp, mode)
     if res.status == UNBOUNDED:  # its dual, the linearization LP, is empty
         raise BoundComputationError(
             f"{name}: no combination of the family's linearizable "
@@ -611,8 +625,8 @@ def _row_violations(lp: LinearProgram, point, value, num, tol) -> list:
         return ["certificate has the wrong number of variables"]
     v = [num(a) for a in point]
     msgs = []
-    for k, (coeffs, rel, rhs) in enumerate(lp.rows):
-        gap = _dot(coeffs, v, num) - num(rhs)
+    for k, ((_, rel, _), gap) in enumerate(zip(lp.rows,
+                                               _row_gaps(lp, v, num))):
         if (rel != GE and gap > tol) or (rel != LE and gap < -tol):
             msgs.append(f"point violates row {k}")
     msgs += [f"point is below the lower bound of variable {j}"
@@ -631,11 +645,39 @@ def _dual_violations(lp: LinearProgram, y, value, num, tol) -> list:
         return ["certificate has the wrong number of duals"]
     y = [num(v) for v in y]
     msgs = [f"duals violate column {j}"
-            for j, (col, c) in enumerate(zip(lp.columns, lp.objective))
-            if _dot(col, y, num) > num(c) + tol]
+            for j, r in enumerate(_reduced_costs(lp, y, num)) if r < -tol]
     rhs = [b for _, _, b in lp.rows]
     if abs(_dot(rhs, y, num) - num(value)) > tol:
         msgs.append("dual objective does not match the certificate")
+    return msgs
+
+
+def _fitting_shape(cert: dict, name: str, n: int, m: int) -> list:
+    """Why a gl or ggl certificate cannot be replayed: a missing key, an
+    unknown strategy, no round, or a round without m columns of n duals,
+    m zbar and m cbar entries."""
+    keys = ("x", "duals", "iterations") if name == "ggl" else ("x", "duals")
+    missing = [key for key in keys if key not in cert]
+    if missing:
+        return [f"certificate lacks {', '.join(missing)}"]
+    if cert.get("strategy", "none") not in {s.value for s in SkewStrategy}:
+        return [f"unknown skew strategy {cert['strategy']!r}"]
+    steps = cert["iterations"] if name == "ggl" else (cert,)
+    if not steps:
+        return ["certificate has no fitting round"]
+    msgs = []
+    for it, step in enumerate(steps):
+        missing = [key for key in ("ybar_columns", "zbar", "cbar")
+                   if key not in step]
+        if missing:
+            msgs.append(f"round {it}: certificate lacks {', '.join(missing)}")
+            continue
+        ycols = step["ybar_columns"]
+        if len(ycols) != m or any(len(col) != n for col in ycols):
+            msgs.append(f"round {it}: ybar_columns is not {m} columns "
+                        f"of {n} duals")
+        msgs += [f"round {it}: {key} does not have {m} entries"
+                 for key in ("zbar", "cbar") if len(step[key]) != m]
     return msgs
 
 
@@ -675,6 +717,9 @@ def verify_report(inst, report: BoundReport, tol=None):
 
     if report.name in ("gl", "ggl"):
         cert = report.certificate
+        shape = _fitting_shape(cert, report.name, bqp.B.rows, m)
+        if shape:
+            return False, tuple(msgs + shape)
         # gl is one round; the skew strategy only shapes later rounds
         steps = cert["iterations"] if report.name == "ggl" else (cert,)
         strategy = SkewStrategy(cert.get("strategy", "none"))

@@ -11,13 +11,14 @@ pivots fraction-free: the update
 is a minor of the starting integer matrix), so no rationals appear inside
 the hot loop and every optimal result is certified by a full KKT check
 before it is returned.  The code around the simplex works on integer
-numerators too: preparation scales each row to integers through the lcm
-of its denominators, the read-back builds one Fraction per value and
-dual, and the exact KKT check sums every row, objective and reduced cost
-with exactnum.vdot (integer numerators over the lcm of the terms'
-denominators, one Fraction per sum).  Float mode runs on a numpy tableau
-with fixed tolerances and raises NumericalBreakdown instead of returning
-garbage when the arithmetic degrades.
+numerators too: a LinearProgram takes each row once, on first use, to
+integer numerators over the lcm of its denominators (int_rows);
+preparation rescales those only where the shifted right-hand side needs
+it, the read-back builds one Fraction per value and dual, and the exact
+KKT check evaluates every row and every reduced cost as an integer dot
+product, one Fraction per row and per column.  Float mode runs on a numpy
+tableau with fixed tolerances and raises NumericalBreakdown instead of
+returning garbage when the arithmetic degrades.
 
 Variables carry individual bounds.  Free variables are split into a
 difference of two nonnegative ones, finite lower bounds are shifted to
@@ -30,6 +31,9 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
+from math import lcm
+from operator import mul
 
 import numpy as np
 
@@ -104,6 +108,15 @@ class LinearProgram:
     @property
     def nrows(self) -> int:
         return len(self.rows)
+
+    @cached_property
+    def int_rows(self) -> tuple:
+        """Per row, (integer numerators of its coefficients, their lcm k),
+        worked out on first use and kept; not part of equality or hashing.
+        Only exact evaluation and preparation read it, so a program that
+        is only replayed in floats never pays for it."""
+        return tuple((tuple(nums), k) for nums, k in
+                     (common_denominator(coeffs) for coeffs, _, _ in self.rows))
 
     @property
     def columns(self) -> list:
@@ -180,9 +193,15 @@ def _prepare(lp: LinearProgram) -> _Prepared:
         rels.append(rel if sign > 0 else {LE: GE, GE: LE, EQ: EQ}[rel])
         row_scale.append(sign * k)
 
-    for coeffs, rel, rhs in lp.rows:
-        nums, k = common_denominator(coeffs + (rhs - vdot(coeffs, shift),))
-        add_row(nums[:-1], rel, nums[-1], k)
+    # each row over lcm(its coefficients' lcm, the shifted rhs's denominator)
+    shifted = [j for j, s in enumerate(shift) if s]
+    for (coeffs, rel, rhs), (nums, k) in zip(lp.rows, lp.int_rows):
+        if any(nums[j] for j in shifted):
+            rhs -= vdot(coeffs, shift)
+        scale = lcm(k, rhs.denominator)
+        if scale != k:
+            nums = [v * (scale // k) for v in nums]
+        add_row(nums, rel, rhs.numerator * (scale // rhs.denominator), scale)
     for j, (_, hi) in enumerate(lp.bounds):
         if hi is not None:  # x_j <= hi, after the user rows
             b = hi - shift[j]
@@ -535,13 +554,46 @@ def _dot(coeffs, v, num):
     return sum((num(a) * x for a, x in zip(coeffs, v) if a), num(0))
 
 
+def _row_gaps(lp: LinearProgram, x, num) -> list:
+    """a_i . x - b_i for every row i, with x already in num.  Exact: x
+    over one common denominator, each row an integer dot product with its
+    int_rows numerators, one Fraction per row."""
+    if num is not rat:
+        return [_dot(coeffs, x, num) - num(rhs) for coeffs, _, rhs in lp.rows]
+    xs, dx = common_denominator(x)
+    gaps = []
+    for (nums, k), (_, _, rhs) in zip(lp.int_rows, lp.rows):
+        q = rhs.denominator
+        gaps.append(Fraction(sum(map(mul, nums, xs)) * q
+                             - rhs.numerator * k * dx, k * dx * q))
+    return gaps
+
+
+def _reduced_costs(lp: LinearProgram, y, num) -> list:
+    """c_j - (A^T y)_j for every column j, with y already in num.  Exact:
+    each y_i / k_i (k_i row i's lcm) over one common denominator, each
+    column an integer dot product, one Fraction per column."""
+    if num is not rat:
+        return [num(c) - _dot(col, y, num)
+                for c, col in zip(lp.objective, lp.columns)]
+    dens = [v.denominator * k for v, (_, k) in zip(y, lp.int_rows)]
+    dy = lcm(*set(dens))
+    ys = [v.numerator * (dy // d) for v, d in zip(y, dens)]
+    cols = list(zip(*(nums for nums, _ in lp.int_rows))) or [()] * lp.nvars
+    return [Fraction(c.numerator * dy - sum(map(mul, col, ys)) * c.denominator,
+                     c.denominator * dy)
+            for c, col in zip(lp.objective, cols)]
+
+
 def verify_solution(lp: LinearProgram, result: LpResult, tol=None):
     """Full KKT check of an optimal result against the original program.
 
     Exact results are checked with zero tolerance, float results within
     tol (default 1e-7).  Returns (ok, messages); together the conditions
     (primal feasibility, dual signs, complementary slackness, reduced
-    costs consistent with active bounds) certify optimality.
+    costs consistent with active bounds) certify optimality.  Row gaps
+    and reduced costs come from _row_gaps and _reduced_costs, which sum
+    integers for exact results; the conditions are the same for both.
     """
     if result.status != OPTIMAL:
         raise ValueError("only optimal results carry a certificate")
@@ -562,10 +614,8 @@ def verify_solution(lp: LinearProgram, result: LpResult, tol=None):
         if hi is not None and x[j] > conv(hi) + tol:
             msgs.append(f"x[{j}] above upper bound")
 
-    slacks = []
-    for i, (coeffs, rel, rhs) in enumerate(lp.rows):
-        s = _dot(coeffs, x, conv) - conv(rhs)
-        slacks.append(s)
+    slacks = _row_gaps(lp, x, conv)
+    for i, ((_, rel, _), s) in enumerate(zip(lp.rows, slacks)):
         if rel == LE and s > tol:
             msgs.append(f"row {i} violated (<=)")
         elif rel == GE and s < -tol:
@@ -585,11 +635,11 @@ def verify_solution(lp: LinearProgram, result: LpResult, tol=None):
         if rel == GE and (yi < -tol if minimizing else yi > tol):
             msgs.append(f"dual sign wrong on row {i} (>=)")
         # tolerances grow with 1 + |value|; a zero tolerance stays zero
-        if abs(yi * slacks[i]) > (tol * (1 + abs(yi)) if tol else tol):
+        if yi and slacks[i] and \
+                abs(yi * slacks[i]) > (tol * (1 + abs(yi)) if tol else tol):
             msgs.append(f"complementary slackness fails on row {i}")
 
-    for j, col in enumerate(lp.columns):
-        r = conv(lp.objective[j]) - _dot(col, y, conv)
+    for j, r in enumerate(_reduced_costs(lp, y, conv)):
         lo, hi = lp.bounds[j]
         at_lo = lo is not None and abs(x[j] - conv(lo)) <= tol
         at_hi = hi is not None and abs(x[j] - conv(hi)) <= tol

@@ -600,6 +600,59 @@ def test_verify_report_rejects_forged_duals(mode):
 
 
 @pytest.mark.parametrize("mode", ["exact", "float"])
+def test_verify_report_rejects_malformed_fitting_certificates(mode):
+    # a short or missing entry is a rejection with a message, not a crash
+    rng = random.Random(6)
+    inst = _random_qspp(rng, m_max=8)
+    gl = gl_bound(inst, mode=mode)
+    ggl = ggl_bound(inst, strategy=SkewStrategy.UPPER_TRIANGULAR, mode=mode)
+    rounds = [dict(step) for step in ggl.certificate["iterations"]]
+    forged = []
+    for key in ("ybar_columns", "zbar", "cbar"):
+        cert = dict(gl.certificate)
+        cert[key] = cert[key][:-1]
+        forged.append((gl, cert))
+        step = dict(rounds[-1], **{key: rounds[-1][key][:-1]})
+        forged.append((ggl, dict(ggl.certificate,
+                                 iterations=tuple(rounds[:-1] + [step]))))
+        missing = dict(gl.certificate)
+        del missing[key]
+        forged.append((gl, missing))
+    ycols = gl.certificate["ybar_columns"]
+    forged.append((gl, dict(gl.certificate, ybar_columns=(
+        ycols[:-1] + (ycols[-1][:-1],)))))
+    forged.append((ggl, dict(ggl.certificate, iterations=())))
+    forged.append((ggl, dict(ggl.certificate, strategy="sideways")))
+    for rep, cert in forged:
+        ok, msgs = verify_report(inst, replace(rep, certificate=cert))
+        assert not ok and msgs, (rep.name, cert.keys())
+
+
+def test_verify_report_has_zero_tolerance_on_exact_rlt1():
+    # one w, or one dual of a row with a nonzero right-hand side, moved
+    # by 3**-150 must not pass as exact
+    eps = Fraction(1, 3 ** 150)
+    rng = random.Random(6)
+    inst = _random_qspp(rng, m_max=8)
+    bqp = qspp_to_bqp(inst)
+    rep = rlt1(inst, mode="exact")
+    assert verify_report(inst, rep)[0]
+    cert = rep.certificate
+    live = [k for k, v in enumerate(bqp.b) if v]
+    for key, ks in (("w", (0, len(cert["w"]) - 1)), ("duals", live)):
+        for k in ks:
+            for step in (eps, -eps):
+                moved = list(cert[key])
+                moved[k] += step
+                ok, msgs = verify_report(inst, replace(
+                    rep, certificate=dict(cert, **{key: tuple(moved)})))
+                assert not ok and msgs, (key, k, step)
+                # w_00 and the last w, w_{m-1,m-1}, each sit in a row
+                # x_j - w_jj = 0
+                assert key == "duals" or any("row" in msg for msg in msgs)
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
 def test_verify_report_rejects_rlt1_pairs_missing_a_live_pair(mode):
     # a zero w dropped with its pair leaves the point's value alone, but
     # the certificate no longer matches the program rlt1 solved

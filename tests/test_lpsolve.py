@@ -1,5 +1,6 @@
 import os
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -225,6 +226,28 @@ def test_prepare_matches_the_fraction_standard_form():
             assert getattr(prep, field) == value, field
     assert min(kinds.values()) > 30, kinds
 
+    # integer coefficients and rhs 1, but x0 >= 1/7: the shifted rhs 5/7
+    # sets the row scale, which the coefficients alone would leave at 1
+    shifted = linear_program("min", [1, 1], [((2, 3), GE, 1)],
+                             [(F(1, 7), None), (0, None)])
+    # boxed and shifted: x0 in [1/7, 3/2] adds the unit row x0' <= 19/14
+    boxed = linear_program("max", [1, F(1, 2)], [((2, 3), LE, 1)],
+                           [(F(1, 7), F(3, 2)), (0, None)])
+    for lp, rows_int, row_scale in (
+            (shifted, [[14, 21, 5]], [7]),
+            (boxed, [[14, 21, 5], [14, 0, 19]], [7, 14])):
+        prep = lpsolve._prepare(lp)
+        assert prep.rows_int == rows_int
+        assert prep.row_scale == row_scale
+        for field, value in standard_form(lp).items():
+            assert getattr(prep, field) == value, field
+
+    # the integer rows take no part in equality or hashing
+    again = linear_program("min", [F(2, 2), 1], [((F(4, 2), 3), GE, F(1))],
+                           [(F(2, 14), None), (F(0), None)])
+    assert again == shifted and hash(again) == hash(shifted)
+    assert again.int_rows == shifted.int_rows == (((2, 3), 1),)
+
 
 def test_exact_agrees_with_enumeration_oracle():
     rng = random.Random(7)
@@ -266,6 +289,30 @@ def test_exact_solutions_self_certify(seed):
     if res.status == OPTIMAL:
         ok, msgs = verify_solution(lp, res)
         assert ok, msgs
+
+
+def test_exact_certificate_has_zero_tolerance():
+    # one coordinate of x, one dual or the value moved by 3**-150 breaks
+    # exactly the condition it touches, even over rows with denominators
+    eps = F(1, 3 ** 150)
+    lp = linear_program("min", [2, 3], [
+        ((F(1, 3), F(2, 7)), EQ, F(1, 3)),
+        ((1, 1), LE, F(5, 2)),
+    ])
+    res = solve_lp(lp, mode="exact")
+    assert (res.x, res.duals, res.value) == ((1, 0), (6, 0), 2)
+    assert verify_solution(lp, res) == (True, ())
+    for moved, want in (
+            ({"x": (1 + eps, F(0))},
+             ("row 0 violated (=)", "objective value mismatch",
+              "complementary slackness fails on row 0")),
+            ({"duals": (6 + eps, F(0))},
+             ("reduced cost nonzero on interior variable x[0]",)),
+            ({"duals": (F(6), -eps)},
+             ("complementary slackness fails on row 1",
+              "reduced cost nonzero on interior variable x[0]")),
+            ({"value": 2 - eps}, ("objective value mismatch",))):
+        assert verify_solution(lp, replace(res, **moved)) == (False, want)
 
 
 def test_mode_resolution(monkeypatch):
