@@ -39,12 +39,19 @@ certificate's point, and its columns at the certificate's duals.
 from __future__ import annotations
 
 import enum
-import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
+from operator import mul
 
-from quadlin.exactnum import ONE, ZERO, RationalMatrix, rat, vdot
+from quadlin.exactnum import (
+    ONE,
+    ZERO,
+    RationalMatrix,
+    common_denominator,
+    rat,
+    vdot,
+)
 from quadlin.graph import forbidden_pairs
 from quadlin.lpsolve import (
     EQ,
@@ -186,23 +193,35 @@ def _polytope_lp(bqp: BqpInstance, costs) -> LinearProgram:
                          tuple((ZERO, None) for _ in range(bqp.m)))
 
 
-def _fit_columns(bqp: BqpInstance, q: RationalMatrix, mode):
-    """Best per-column (y_k, z_k): max b.y_k + z_k with
-    B^T y_k + e_k z_k <= q[:, k].  Returns (ybar columns, zbar, cbar, pivots).
-    """
+def _fitting_programs(bqp: BqpInstance) -> list:
+    """The m column-fitting programs of _fit_columns with right-hand
+    sides 0: program k is max b.y + z over free (y, z) subject to
+    B^T y + e_k z <= 0."""
     n, m = bqp.B.rows, bqp.m
-    free = tuple((None, None) for _ in range(n + 1))
+    free = ((None, None),) * (n + 1)
     obj = tuple(bqp.b) + (ONE,)
+    bcols = [bqp.B.column(i) for i in range(m)]
+    return [LinearProgram("max", obj, tuple(
+        (bcols[i] + (ONE if i == k else ZERO,), LE, ZERO) for i in range(m)),
+        free) for k in range(m)]
+
+
+def _fit_columns(programs, q: RationalMatrix, mode):
+    """Best per-column (y_k, z_k): max b.y_k + z_k with
+    B^T y_k + e_k z_k <= q[:, k].  programs are _fitting_programs, built
+    once per bound; each round solves programs[k].with_rhs(q[:, k]), which
+    shares their coefficients and standard-form layout, so only the new
+    right-hand sides are validated and prepared.
+    Returns (ybar columns, zbar, cbar, pivots).
+    """
+    n = programs[0].nvars - 1
     ycols = []
     zbar = []
     cbar = []
     pivots = 0
-    bcols = [bqp.B.column(i) for i in range(m)]
-    for k in range(m):
-        rows = tuple((bcols[i] + (ONE if i == k else ZERO,), LE, q.at(i, k))
-                     for i in range(m))
-        lp = LinearProgram("max", obj, rows, free)
-        res = _solve(lp, mode, f"column {k} fitting program")
+    for k, lp in enumerate(programs):
+        res = _solve(lp.with_rhs(q.column(k)), mode,
+                     f"column {k} fitting program")
         ycols.append(res.x[:n])
         zbar.append(res.x[n])
         cbar.append(res.value)
@@ -211,13 +230,17 @@ def _fit_columns(bqp: BqpInstance, q: RationalMatrix, mode):
 
 
 def _fitted_matrix(bqp: BqpInstance, ycols, zbar) -> RationalMatrix:
-    """Qbar = B^T Ybar + Diag(zbar) with Ybar's k-th column ycols[k]."""
-    ycols = [[rat_from(v) for v in col] for col in ycols]
-    rows = [[vdot(bqp.B.column(i), ycol) for ycol in ycols]
-            for i in range(bqp.m)]
+    """Qbar = B^T Ybar + Diag(zbar) with Ybar's k-th column ycols[k].
+    Each ycols[k] goes over one common denominator, so every cell is one
+    integer dot product with B's column numerators and one Fraction."""
+    m = bqp.m
+    bcols = [common_denominator(bqp.B.column(i)) for i in range(m)]
+    ys = [common_denominator([rat_from(v) for v in col]) for col in ycols]
+    flat = [Fraction(sum(map(mul, bnums, ynums)), kb * dy)
+            for bnums, kb in bcols for ynums, dy in ys]
     for k, z in enumerate(zbar):
-        rows[k][k] += rat_from(z)
-    return RationalMatrix.from_rows(rows)
+        flat[k * m + k] += rat_from(z)
+    return RationalMatrix(m, m, tuple(flat))
 
 
 def gl_bound(inst, mode: str = "auto") -> BoundReport:
@@ -225,7 +248,8 @@ def gl_bound(inst, mode: str = "auto") -> BoundReport:
     bqp = _bqp(inst)
     n, m = bqp.B.rows, bqp.m
     mode = _bound_mode(bqp, mode, max(m, n), n + 1)
-    ycols, zbar, cbar, pivots = _fit_columns(bqp, bqp.Q, mode)
+    ycols, zbar, cbar, pivots = _fit_columns(_fitting_programs(bqp), bqp.Q,
+                                             mode)
     costs = [rat_from(c) + l for c, l in zip(cbar, bqp.linear)]
     final = _solve(_polytope_lp(bqp, costs), mode, "feasible-set minimum")
     return BoundReport(
@@ -292,8 +316,9 @@ def ggl_bound(inst, strategy: SkewStrategy = SkewStrategy.NONE,
     iterations = []
     pivots = 0
     final = None
+    programs = _fitting_programs(bqp)
     for _ in range(max_iter):
-        ycols, zbar, cbar, piv = _fit_columns(bqp, q_cur, mode)
+        ycols, zbar, cbar, piv = _fit_columns(programs, q_cur, mode)
         pivots += piv
         q_cur = _next_matrix(q_cur, _fitted_matrix(bqp, ycols, zbar),
                              strategy)
@@ -401,11 +426,21 @@ def _lifted_lp(bqp: BqpInstance, name: str, members, sparsity):
     return _rlt1_lp(bqp, sparsity, members or (), name == "lbb_generic")
 
 
-@functools.lru_cache(maxsize=1)
-def _solve_lifted(lp: LinearProgram, mode: str):
-    """solve_lp on a lifting LP, remembering the last one: rlt1 and
-    lbb_prime solve the very same LP, and callers ask for both in turn."""
-    return solve_lp(lp, mode=mode)
+_last_lifted = {}  # at most one entry, (bqp, sparsity, mode) -> result
+
+
+def _solve_lifted(lp: LinearProgram, bqp: BqpInstance, sparsity, mode: str):
+    """solve_lp on the lifting LP of rlt1 or lbb_prime, which is made of
+    bqp and sparsity alone, remembering the last one by those and the
+    mode: the two bounds solve the very same LP, and callers ask for
+    both in turn."""
+    key = (bqp, sparsity, mode)
+    res = _last_lifted.get(key)
+    if res is None:
+        res = solve_lp(lp, mode=mode)
+        _last_lifted.clear()
+        _last_lifted[key] = res
+    return res
 
 
 def _lifted_bound(bqp: BqpInstance, name: str, mode: str, members=None,
@@ -417,7 +452,10 @@ def _lifted_bound(bqp: BqpInstance, name: str, mode: str, members=None,
     and, for a family bound, the members."""
     lp, pairs = _lifted_lp(bqp, name, members, sparsity)
     mode = _bound_mode(bqp, mode, lp.nrows, lp.nvars)
-    res = _solve_lifted(lp, mode)
+    if members is None:
+        res = _solve_lifted(lp, bqp, sparsity, mode)
+    else:  # member rows: a family's LP is not asked for twice
+        res = solve_lp(lp, mode=mode)
     if res.status == UNBOUNDED:  # its dual, the linearization LP, is empty
         raise BoundComputationError(
             f"{name}: no combination of the family's linearizable "
@@ -730,12 +768,12 @@ def verify_report(inst, report: BoundReport, tol=None):
             zbar = step["zbar"]
             cbar = step["cbar"]
             qbar = _fitted_matrix(bqp, ycols, zbar)
-            for i in range(m):
-                for k in range(m):
-                    if num(qbar.at(i, k)) > num(q_cur.at(i, k)) + tol:
-                        msgs.append(
-                            f"round {it}: fitted matrix exceeds the "
-                            f"current matrix at ({i}, {k})")
+            for c, (a, b) in enumerate(zip(qbar.entries, q_cur.entries)):
+                a, b = num(a), num(b)
+                if a > b + tol if tol else a > b:  # no Fraction for b + 0
+                    msgs.append(
+                        f"round {it}: fitted matrix exceeds the "
+                        f"current matrix at ({c // m}, {c % m})")
             for k in range(m):
                 want = _dot(bqp.b, [num(v) for v in ycols[k]], num) \
                     + num(zbar[k])

@@ -13,10 +13,14 @@ the hot loop and every optimal result is certified by a full KKT check
 before it is returned.  The code around the simplex works on integer
 numerators too: a LinearProgram takes each row once, on first use, to
 integer numerators over the lcm of its denominators (int_rows);
-preparation rescales those only where the shifted right-hand side needs
-it, the read-back builds one Fraction per value and dual, and the exact
-KKT check evaluates every row and every reduced cost as an integer dot
-product, one Fraction per row and per column.  Float mode runs on a numpy
+preparation maps those onto the standard-form columns and rescales them
+only where the shifted right-hand side needs it, the read-back builds
+one Fraction per value and dual, and the exact KKT check evaluates every
+row and every reduced cost as an integer dot product, one Fraction per
+row and per column.  with_rhs gives a program new right-hand sides and
+shares everything else, the part of the standard form that does not
+depend on them included, so a program solved for many right-hand sides
+is validated and laid out once.  Float mode runs on a numpy
 tableau with fixed tolerances and raises NumericalBreakdown instead of
 returning garbage when the arithmetic degrades.
 
@@ -101,6 +105,33 @@ class LinearProgram:
             raise ValueError("bounds length mismatch")
         object.__setattr__(self, "bounds", tuple(bnds))
 
+    _layout = None  # set by with_rhs; not a field
+
+    def with_rhs(self, rhs) -> "LinearProgram":
+        """This program with the right-hand sides rhs, one per row.
+
+        Only the new values are validated (exact, and one per row); the
+        coefficients, int_rows and the standard-form layout, which does
+        not depend on the right-hand sides, are shared with this program,
+        so preparing the new one works out only each row's scale, sign,
+        relation and right-hand side numerator.
+        """
+        rhs = tuple(rat(v) for v in rhs)
+        if len(rhs) != self.nrows:
+            raise ValueError("rhs length mismatch")
+        if self._layout is None:
+            object.__setattr__(self, "_layout", _standard_layout(self))
+        new = object.__new__(LinearProgram)
+        rows = tuple((coeffs, rel, b)
+                     for (coeffs, rel, _), b in zip(self.rows, rhs))
+        for name, value in (("sense", self.sense),
+                            ("objective", self.objective), ("rows", rows),
+                            ("bounds", self.bounds),
+                            ("int_rows", self.int_rows),
+                            ("_layout", self._layout)):
+            object.__setattr__(new, name, value)
+        return new
+
     @property
     def nvars(self) -> int:
         return len(self.objective)
@@ -146,17 +177,25 @@ class LpResult:
 # ---------------------------------------------------------------------------
 # standard-form preparation (shared by both modes)
 
-class _Prepared:
-    __slots__ = ("ncols", "col_meta", "rows_int", "rels", "row_scale",
-                 "n_user", "obj_int", "obj_scale", "obj_const",
-                 "sense_sign", "bound_infeasible")
+_FLIPPED = {LE: GE, GE: LE, EQ: EQ}
 
 
-def _prepare(lp: LinearProgram) -> _Prepared:
-    p = _Prepared()
-    p.sense_sign = 1 if lp.sense == "min" else -1
-    p.bound_infeasible = any(lo is not None and hi is not None and hi < lo
-                             for lo, hi in lp.bounds)
+class _Layout:
+    """The part of a program's standard form that does not depend on its
+    right-hand sides: the columns, per user row its integer numerators
+    on the columns with their lcm k and its value at the lower-bound
+    shift (None if no shifted column is used), the finished upper-bound
+    rows, and the objective's numerators, scale and constant."""
+
+    __slots__ = ("ncols", "col_meta", "lines", "upper", "obj_int",
+                 "obj_scale", "obj_const", "sense_sign", "bound_infeasible")
+
+
+def _standard_layout(lp: LinearProgram) -> _Layout:
+    lay = _Layout()
+    lay.sense_sign = 1 if lp.sense == "min" else -1
+    lay.bound_infeasible = any(lo is not None and hi is not None and hi < lo
+                               for lo, hi in lp.bounds)
 
     col_meta = []
     ncols = 0
@@ -167,8 +206,8 @@ def _prepare(lp: LinearProgram) -> _Prepared:
         else:
             col_meta.append(("shift", ncols, lo))
             ncols += 1
-    p.ncols = ncols
-    p.col_meta = col_meta
+    lay.ncols = ncols
+    lay.col_meta = col_meta
     shift = [ZERO if lo is None else lo for lo, _ in lp.bounds]
 
     def to_cols(nums, sign):
@@ -183,39 +222,67 @@ def _prepare(lp: LinearProgram) -> _Prepared:
                     line[meta[2]] = -sign * v
         return line
 
-    rows_int, rels, row_scale = [], [], []
-
-    def add_row(nums, rel, b, k):
-        """Append sum(nums[j] x_j) rel b, a user row times the integer k,
-        negated if b < 0 so that every right-hand side is nonnegative."""
-        sign = -1 if b < 0 else 1
-        rows_int.append(to_cols(nums, sign) + [sign * b])
-        rels.append(rel if sign > 0 else {LE: GE, GE: LE, EQ: EQ}[rel])
-        row_scale.append(sign * k)
-
-    # each row over lcm(its coefficients' lcm, the shifted rhs's denominator)
+    # without a split column, the int_rows numerators are the lines
+    split = ncols != lp.nvars
     shifted = [j for j, s in enumerate(shift) if s]
-    for (coeffs, rel, rhs), (nums, k) in zip(lp.rows, lp.int_rows):
-        if any(nums[j] for j in shifted):
-            rhs -= vdot(coeffs, shift)
-        scale = lcm(k, rhs.denominator)
-        if scale != k:
-            nums = [v * (scale // k) for v in nums]
-        add_row(nums, rel, rhs.numerator * (scale // rhs.denominator), scale)
+    lay.lines = [(to_cols(nums, 1) if split else nums, k,
+                  vdot(coeffs, shift) if any(nums[j] for j in shifted)
+                  else None)
+                 for (coeffs, _, _), (nums, k) in zip(lp.rows, lp.int_rows)]
+    lay.upper = []
     for j, (_, hi) in enumerate(lp.bounds):
         if hi is not None:  # x_j <= hi, after the user rows
             b = hi - shift[j]
+            sign = -1 if b < 0 else 1
             unit = [0] * lp.nvars
             unit[j] = b.denominator
-            add_row(unit, LE, b.numerator, b.denominator)
+            lay.upper.append((to_cols(unit, sign) + [sign * b.numerator],
+                              LE if sign > 0 else GE, sign * b.denominator))
+
+    nums, lay.obj_scale = common_denominator(lp.objective)
+    lay.obj_int = to_cols(nums, lay.sense_sign)
+    lay.obj_const = vdot(lp.objective, shift)
+    return lay
+
+
+class _Prepared:
+    __slots__ = ("ncols", "col_meta", "rows_int", "rels", "row_scale",
+                 "n_user", "obj_int", "obj_scale", "obj_const",
+                 "sense_sign", "bound_infeasible")
+
+
+def _prepare(lp: LinearProgram) -> _Prepared:
+    """The integer standard form the simplex starts from: lp's layout
+    (the one with_rhs shares, else a fresh one), and per user row only
+    what its right-hand side decides.  The row goes over lcm(k, the
+    shifted rhs's denominator) and is negated if that rhs is negative, so
+    that every right-hand side is nonnegative."""
+    lay = lp._layout or _standard_layout(lp)
+    p = _Prepared()
+    for name in ("ncols", "col_meta", "obj_int", "obj_scale", "obj_const",
+                 "sense_sign", "bound_infeasible"):
+        setattr(p, name, getattr(lay, name))
+    rows_int, rels, row_scale = [], [], []
+    for (_, rel, rhs), (line, k, offset) in zip(lp.rows, lay.lines):
+        if offset is not None:
+            rhs -= offset
+        scale = lcm(k, rhs.denominator)
+        b = rhs.numerator * (scale // rhs.denominator)
+        sign = -1 if b < 0 else 1
+        f = sign * (scale // k)
+        row = list(line) if f == 1 else [v * f for v in line]
+        row.append(sign * b)
+        rows_int.append(row)
+        rels.append(rel if sign > 0 else _FLIPPED[rel])
+        row_scale.append(sign * scale)
+    for row, rel, scale in lay.upper:
+        rows_int.append(row)
+        rels.append(rel)
+        row_scale.append(scale)
     p.n_user = len(lp.rows)
     p.rows_int = rows_int
     p.rels = rels
     p.row_scale = row_scale
-
-    nums, p.obj_scale = common_denominator(lp.objective)
-    p.obj_int = to_cols(nums, p.sense_sign)
-    p.obj_const = vdot(lp.objective, shift)
     return p
 
 
@@ -352,8 +419,11 @@ class _Tableau:
         for i, b in enumerate(self.basis):
             if b < prep.ncols:
                 vals[b] = self._cell(i, rhs)
-        x = tuple(vals[meta[1]] + num(meta[2]) if meta[0] == "shift"
-                  else vals[meta[1]] - vals[meta[2]]
+        # a zero shift is added in float mode only, where it turns -0.0
+        # into 0.0
+        x = tuple((vals[meta[1]] + num(meta[2])
+                   if meta[2] or num is float else vals[meta[1]])
+                  if meta[0] == "shift" else vals[meta[1]] - vals[meta[2]]
                   for meta in prep.col_meta)
         # the cost row holds minus the reduced costs and minus the value
         sign = -prep.sense_sign
@@ -608,10 +678,13 @@ def verify_solution(lp: LinearProgram, result: LpResult, tol=None):
     if len(x) != n or len(y) != lp.nrows:
         return False, ("certificate has wrong dimensions",)
 
+    # a zero tol compares directly, building no Fraction for a difference
     for j, (lo, hi) in enumerate(lp.bounds):
-        if lo is not None and x[j] < conv(lo) - tol:
+        if lo is not None and (x[j] < conv(lo) - tol if tol
+                               else x[j] < conv(lo)):
             msgs.append(f"x[{j}] below lower bound")
-        if hi is not None and x[j] > conv(hi) + tol:
+        if hi is not None and (x[j] > conv(hi) + tol if tol
+                               else x[j] > conv(hi)):
             msgs.append(f"x[{j}] above upper bound")
 
     slacks = _row_gaps(lp, x, conv)
@@ -639,10 +712,13 @@ def verify_solution(lp: LinearProgram, result: LpResult, tol=None):
                 abs(yi * slacks[i]) > (tol * (1 + abs(yi)) if tol else tol):
             msgs.append(f"complementary slackness fails on row {i}")
 
+    def near(a, b):
+        return abs(a - b) <= tol if tol else a == b
+
     for j, r in enumerate(_reduced_costs(lp, y, conv)):
         lo, hi = lp.bounds[j]
-        at_lo = lo is not None and abs(x[j] - conv(lo)) <= tol
-        at_hi = hi is not None and abs(x[j] - conv(hi)) <= tol
+        at_lo = lo is not None and near(x[j], conv(lo))
+        at_hi = hi is not None and near(x[j], conv(hi))
         r_tol = tol * (1 + abs(r)) if tol else tol
         if at_lo and at_hi:
             continue  # fixed variable: any reduced cost is fine

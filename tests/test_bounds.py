@@ -176,6 +176,48 @@ def test_gl_and_ggl_values_and_pivot_counts_are_pinned(inst, pins):
             for name, rep in reports.items()} == pins
 
 
+def test_fitted_matrix_matches_a_fraction_sum():
+    # B with denominators 1, 2, 3 and 7; ycols exact with their own
+    # denominators, or floats as a float-mode certificate carries them
+    rng = random.Random(5)
+    n, m = 3, 5
+    B = RationalMatrix.from_rows(
+        [[Fraction(rng.randint(-6, 6), rng.choice((1, 2, 3, 7)))
+          for _ in range(m)] for _ in range(n)])
+    bqp = BqpInstance(B=B, b=(ONE,) * n, Q=RationalMatrix.zeros(m, m))
+    exact = [[Fraction(rng.randint(-9, 9), rng.randint(1, 12))
+              for _ in range(n)] for _ in range(m)]
+    floats = [[rng.uniform(-3, 3) for _ in range(n)] for _ in range(m)]
+    for ycols, zbar in ((exact, [Fraction(k, 5) for k in range(m)]),
+                        (floats, [0.25 * k - 0.6 for k in range(m)])):
+        want = [[sum((B.at(r, i) * Fraction(ycols[k][r]) for r in range(n)),
+                     Fraction(0))
+                 + (Fraction(zbar[k]) if i == k else 0)
+                 for k in range(m)] for i in range(m)]
+        assert bounds._fitted_matrix(bqp, ycols, zbar).to_rows() == want
+
+
+def test_rlt1_and_lbb_prime_share_one_solve_per_sparsity(monkeypatch):
+    calls = []
+
+    def counting(lp, mode="auto"):
+        calls.append(lp)
+        return lpsolve.solve_lp(lp, mode=mode)
+
+    monkeypatch.setattr(bounds, "solve_lp", counting)
+    monkeypatch.setattr(bounds, "_last_lifted", {})
+    inst = _random_qspp(random.Random(77), m_max=9)
+    pairs = forbidden_pairs(inst.graph)
+    assert pairs
+    a = lbb_prime(inst, sparsity=pairs, mode="exact")
+    b = rlt1(inst, sparsity=pairs, mode="exact")
+    assert len(calls) == 1 and a.value == b.value and a.pivots == b.pivots
+    calls.clear()
+    lbb_prime(inst, mode="exact")
+    rlt1(inst, sparsity=pairs, mode="exact")
+    assert len(calls) == 2
+
+
 def test_ggl_rejects_nonpositive_iteration_budget():
     inst = QsppInstance(diamond(), RationalMatrix.zeros(4, 4))
     with pytest.raises(ValueError):

@@ -249,6 +249,41 @@ def test_prepare_matches_the_fraction_standard_form():
     assert again.int_rows == shifted.int_rows == (((2, 3), 1),)
 
 
+@pytest.mark.parametrize("sense, obj", [("min", (1, 2, 1, 1)),
+                                        ("max", (-1, 1, -1, F(1, 3)))])
+def test_with_rhs_prepares_and_solves_like_a_fresh_program(sense, obj):
+    # x0 >= 1/3 and x3 in [-1/2, 4] are shifted, x1 in [0, 5/2] and x3
+    # add upper-bound rows, x2 is free.  The base rhs flips the >= row
+    # (-2 - 1/12 < 0); the first new rhs flips the <= row instead (it
+    # becomes >= and takes an artificial), gives the = row and both
+    # others new denominators, and unflips the >= row
+    bnds = [(F(1, 3), None), (0, F(5, 2)), (None, None), (F(-1, 2), 4)]
+    coeffs = [(1, -1, 1, 0), (2, 1, -1, 1), (1, 0, 1, F(1, 2))]
+    rels = [LE, EQ, GE]
+    lp = linear_program(sense, obj, zip(coeffs, rels, (3, 1, -2)), bnds)
+    base = lpsolve._prepare(lp)
+    for rhs in ((F(-1, 4), F(7, 5), F(5, 7)), (0, 2, 1), (3, 1, -2)):
+        new = lp.with_rhs(rhs)
+        fresh = linear_program(sense, obj, zip(coeffs, rels, rhs), bnds)
+        assert new == fresh and hash(new) == hash(fresh)
+        got, want = lpsolve._prepare(new), lpsolve._prepare(fresh)
+        for field in lpsolve._Prepared.__slots__:
+            assert getattr(got, field) == getattr(want, field), field
+        for mode in ("exact", "float"):
+            a, b = solve_lp(new, mode=mode), solve_lp(fresh, mode=mode)
+            assert a.status == OPTIMAL
+            assert (a.value, a.x, a.duals, a.pivots) \
+                == (b.value, b.x, b.duals, b.pivots)
+    flipped = lpsolve._prepare(lp.with_rhs((F(-1, 4), F(7, 5), F(5, 7))))
+    assert (base.rels[:3], base.row_scale[:3]) == ([LE, EQ, LE], [3, 6, -12])
+    assert (flipped.rels[:3], flipped.row_scale[:3]) \
+        == ([GE, EQ, GE], [-12, 30, 84])
+    with pytest.raises(TypeError):
+        lp.with_rhs((0.5, 1, 1))
+    with pytest.raises(ValueError):
+        lp.with_rhs((1, 2))
+
+
 def test_exact_agrees_with_enumeration_oracle():
     rng = random.Random(7)
     seen = {OPTIMAL: 0, INFEASIBLE: 0, UNBOUNDED: 0}
