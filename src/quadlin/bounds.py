@@ -39,8 +39,9 @@ certificate's point, and its columns at the certificate's duals.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import lru_cache
 from itertools import chain
 from operator import mul
 
@@ -55,16 +56,14 @@ from quadlin.exactnum import (
 from quadlin.graph import forbidden_pairs
 from quadlin.lpsolve import (
     EQ,
-    GE,
     LE,
     OPTIMAL,
     UNBOUNDED,
     LinearProgram,
-    _dot,
-    _reduced_costs,
     _requested_mode,
     _resolve_mode,
-    _row_gaps,
+    dual_violations,
+    point_violations,
     solve_lp,
 )
 from quadlin.model import (
@@ -159,12 +158,12 @@ def _structural_sparsity(inst) -> frozenset:
         "no structural sparsity is known for a raw bqp instance")
 
 
-def _check_sparsity(sparsity, bqp: BqpInstance):
-    """The pairs as (min, max); on a structured instance each must be one
-    of its structural zeros, since dropping any other pair can lift the
-    bound above the optimum."""
+def _check_sparsity(sparsity, bqp: BqpInstance) -> frozenset:
+    """The pairs as (min, max), none for None; on a structured instance
+    each must be one of its structural zeros, since dropping any other
+    pair can lift the bound above the optimum."""
     if sparsity is None:
-        return None
+        return frozenset()
     known = _structural_sparsity(bqp) if bqp.structure else None
     out = set()
     for i, j in sparsity:
@@ -243,26 +242,6 @@ def _fitted_matrix(bqp: BqpInstance, ycols, zbar) -> RationalMatrix:
     return RationalMatrix(m, m, tuple(flat))
 
 
-def gl_bound(inst, mode: str = "auto") -> BoundReport:
-    """One-shot column fitting bound."""
-    bqp = _bqp(inst)
-    n, m = bqp.B.rows, bqp.m
-    mode = _bound_mode(bqp, mode, max(m, n), n + 1)
-    ycols, zbar, cbar, pivots = _fit_columns(_fitting_programs(bqp), bqp.Q,
-                                             mode)
-    costs = [rat_from(c) + l for c, l in zip(cbar, bqp.linear)]
-    final = _solve(_polytope_lp(bqp, costs), mode, "feasible-set minimum")
-    return BoundReport(
-        name="gl", value=final.value, mode=mode,
-        relaxation_only=not bqp.integral_polytope,
-        certificate={
-            "ybar_columns": tuple(tuple(v for v in col) for col in ycols),
-            "zbar": tuple(zbar), "cbar": tuple(cbar),
-            "x": final.x, "duals": final.duals,
-        },
-        pivots=pivots + final.pivots)
-
-
 def _next_matrix(q: RationalMatrix, qbar: RationalMatrix,
                  strategy: SkewStrategy) -> RationalMatrix:
     """The residual R = q - qbar reshuffled per strategy: R itself, R with
@@ -288,23 +267,12 @@ def _next_matrix(q: RationalMatrix, qbar: RationalMatrix,
     return RationalMatrix.from_rows(rows)
 
 
-def ggl_bound(inst, strategy: SkewStrategy = SkewStrategy.NONE,
-              max_iter: int = 50, tol=None,
-              mode: str = "auto") -> BoundReport:
-    """Iterated column fitting.
-
-    Each round fits the current matrix, moves its value into the linear
-    term, and continues on the residual (reshuffled per the strategy).
-    Stops after the round whose fitted linear part vanishes (|entry| <=
-    tol; by default exactly zero in exact mode, 1e-9 in float mode), or
-    after max_iter rounds.  The trace holds the bound after each round
-    and is nondecreasing: the residual of every round is elementwise
-    nonnegative, so every fitted part after the first is nonnegative.
-    In exact mode SYMMETRIZE usually runs all max_iter rounds: the halved
-    residual shrinks but never reaches zero (on a 10-arc corridor DAG the
-    bound is -5.5029 after 10 rounds and -5.5000029 after 20), so
-    max_iter and tol bound the work.
-    """
+def _fitting_rounds(inst, strategy: SkewStrategy, max_iter: int,
+                    mode: str) -> BoundReport:
+    """The rounds of ggl_bound, of which gl_bound is the first: each
+    round fits the current matrix, moves its value into the linear term
+    and solves the polytope LP under the accumulated costs; between
+    rounds the residual is reshuffled per the strategy."""
     if max_iter < 1:
         raise ValueError("max_iter must be positive")
     bqp = _bqp(inst)
@@ -315,26 +283,21 @@ def ggl_bound(inst, strategy: SkewStrategy = SkewStrategy.NONE,
     trace = []
     iterations = []
     pivots = 0
-    final = None
     programs = _fitting_programs(bqp)
-    for _ in range(max_iter):
+    for it in range(max_iter):
+        if it:
+            q_cur = _next_matrix(q_cur, _fitted_matrix(bqp, ycols, zbar),
+                                 strategy)
         ycols, zbar, cbar, piv = _fit_columns(programs, q_cur, mode)
-        pivots += piv
-        q_cur = _next_matrix(q_cur, _fitted_matrix(bqp, ycols, zbar),
-                             strategy)
         c_total = [a + rat_from(c) for a, c in zip(c_total, cbar)]
         lp = _polytope_lp(bqp, [a + l for a, l in zip(c_total, bqp.linear)])
         final = _solve(lp, mode, "feasible-set minimum")
         trace.append(final.value)
         iterations.append({"ybar_columns": tuple(map(tuple, ycols)),
                            "zbar": tuple(zbar), "cbar": tuple(cbar)})
-        pivots += final.pivots
-        if tol is None:
-            done = all(rat(c) == 0 for c in cbar) if mode == "exact" \
-                else max(abs(float(c)) for c in cbar) <= 1e-9
-        else:
-            done = all(abs(c) <= tol for c in cbar)
-        if done:
+        pivots += piv + final.pivots
+        if all(rat(c) == 0 for c in cbar) if mode == "exact" \
+                else max(abs(float(c)) for c in cbar) <= 1e-9:
             break
     return BoundReport(
         name="ggl", value=final.value, mode=mode,
@@ -346,6 +309,35 @@ def ggl_bound(inst, strategy: SkewStrategy = SkewStrategy.NONE,
             "x": final.x, "duals": final.duals,
         },
         trace=tuple(trace), pivots=pivots)
+
+
+def gl_bound(inst, mode: str = "auto") -> BoundReport:
+    """One-shot column fitting bound: ggl's first round.  Its certificate
+    is that round's fit (ybar_columns, zbar, cbar) with the point and
+    duals of the polytope LP."""
+    rep = _fitting_rounds(inst, SkewStrategy.NONE, 1, mode)
+    cert = rep.certificate
+    return replace(rep, name="gl", trace=(), certificate=dict(
+        cert["iterations"][0], x=cert["x"], duals=cert["duals"]))
+
+
+def ggl_bound(inst, strategy: SkewStrategy = SkewStrategy.NONE,
+              max_iter: int = 50, mode: str = "auto") -> BoundReport:
+    """Iterated column fitting.
+
+    Each round fits the current matrix, moves its value into the linear
+    term, and continues on the residual (reshuffled per the strategy).
+    Stops after the round whose fitted linear part vanishes (exactly in
+    exact mode, every entry within 1e-9 in float mode), or after max_iter
+    rounds.  The trace holds the bound after each round and is
+    nondecreasing: the residual of every round is elementwise
+    nonnegative, so every fitted part after the first is nonnegative.
+    In exact mode SYMMETRIZE usually runs all max_iter rounds: the halved
+    residual shrinks but never reaches zero (on a 10-arc corridor DAG the
+    bound is -5.5029 after 10 rounds and -5.5000029 after 20), so
+    max_iter bounds the work.
+    """
+    return _fitting_rounds(inst, strategy, max_iter, mode)
 
 
 def _sym_matrix(q: RationalMatrix) -> RationalMatrix:
@@ -414,37 +406,35 @@ def _rlt1_lp(bqp: BqpInstance, sparsity, members=(), ordered=False):
         rows.append((tuple(coeffs), EQ, ZERO))
     lp = LinearProgram("min", tuple(obj), tuple(rows),
                        tuple((ZERO, None) for _ in range(nvars)))
-    return lp, pairs
+    return lp, tuple(pairs)
 
 
-def _lifted_lp(bqp: BqpInstance, name: str, members, sparsity):
-    """_rlt1_lp as the bound called name solves it: only rlt1 and
-    lbb_prime drop sparsity pairs, and only lbb_generic compares against
-    the raw Q, over every ordered pair."""
-    if name not in ("rlt1", "lbb_prime"):
-        sparsity = None
-    return _rlt1_lp(bqp, sparsity, members or (), name == "lbb_generic")
+@lru_cache(maxsize=1)
+def _lifting_lp(bqp: BqpInstance, sparsity: frozenset):
+    """_rlt1_lp without members, kept for the last instance and sparsity:
+    rlt1 and lbb_prime solve the very same LP, callers ask for both in
+    turn, and each replay rebuilds it."""
+    return _rlt1_lp(bqp, sparsity)
 
 
-_last_lifted = {}  # at most one entry, (bqp, sparsity, mode) -> result
+@lru_cache(maxsize=1)
+def _solve_lifting_lp(bqp: BqpInstance, sparsity: frozenset, mode: str):
+    """solve_lp on _lifting_lp(bqp, sparsity), kept for the last key."""
+    return solve_lp(_lifting_lp(bqp, sparsity)[0], mode=mode)
 
 
-def _solve_lifted(lp: LinearProgram, bqp: BqpInstance, sparsity, mode: str):
-    """solve_lp on the lifting LP of rlt1 or lbb_prime, which is made of
-    bqp and sparsity alone, remembering the last one by those and the
-    mode: the two bounds solve the very same LP, and callers ask for
-    both in turn."""
-    key = (bqp, sparsity, mode)
-    res = _last_lifted.get(key)
-    if res is None:
-        res = solve_lp(lp, mode=mode)
-        _last_lifted.clear()
-        _last_lifted[key] = res
-    return res
+def _lifted_lp(bqp: BqpInstance, name: str, members, sparsity: frozenset):
+    """_rlt1_lp as the bound called name solves it: rlt1 and lbb_prime
+    (members None) drop sparsity pairs and share _lifting_lp; a family's
+    LP is built afresh, and only lbb_generic's compares against the raw
+    Q, over every ordered pair."""
+    if members is None:
+        return _lifting_lp(bqp, sparsity)
+    return _rlt1_lp(bqp, None, members, name == "lbb_generic")
 
 
 def _lifted_bound(bqp: BqpInstance, name: str, mode: str, members=None,
-                  sparsity=None, canonical=False) -> BoundReport:
+                  sparsity=frozenset(), canonical=False) -> BoundReport:
     """Solve the lifting LP of the bound called name.  rlt1's certificate
     is its point and duals; the lbb bounds read theirs off the duals:
     y, Y (the lifted rows' duals halved, row r of Y from rows (r, *)),
@@ -453,7 +443,7 @@ def _lifted_bound(bqp: BqpInstance, name: str, mode: str, members=None,
     lp, pairs = _lifted_lp(bqp, name, members, sparsity)
     mode = _bound_mode(bqp, mode, lp.nrows, lp.nvars)
     if members is None:
-        res = _solve_lifted(lp, bqp, sparsity, mode)
+        res = _solve_lifting_lp(bqp, sparsity, mode)
     else:  # member rows: a family's LP is not asked for twice
         res = solve_lp(lp, mode=mode)
     if res.status == UNBOUNDED:  # its dual, the linearization LP, is empty
@@ -465,7 +455,7 @@ def _lifted_bound(bqp: BqpInstance, name: str, mode: str, members=None,
     n, m = bqp.B.rows, bqp.m
     u = res.duals
     if name == "rlt1":
-        cert = {"x": res.x[:m], "pairs": tuple(pairs), "w": res.x[m:],
+        cert = {"x": res.x[:m], "pairs": pairs, "w": res.x[m:],
                 "duals": u}
     else:
         k = n + len(members or ())  # the lifted rows start here
@@ -655,41 +645,6 @@ def optimum_report(inst, cap: int = 1_000_000) -> BoundReport:
                        certificate={"argmin": argmin})
 
 
-def _row_violations(lp: LinearProgram, point, value, num, tol) -> list:
-    """Why point is not a feasible point of lp with objective value:
-    each row off its relation, each coordinate below its lower bound,
-    and an objective other than value, all within the absolute tol."""
-    if len(point) != lp.nvars:
-        return ["certificate has the wrong number of variables"]
-    v = [num(a) for a in point]
-    msgs = []
-    for k, ((_, rel, _), gap) in enumerate(zip(lp.rows,
-                                               _row_gaps(lp, v, num))):
-        if (rel != GE and gap > tol) or (rel != LE and gap < -tol):
-            msgs.append(f"point violates row {k}")
-    msgs += [f"point is below the lower bound of variable {j}"
-             for j, (lo, _) in enumerate(lp.bounds)
-             if lo is not None and v[j] < num(lo) - tol]
-    if abs(_dot(lp.objective, v, num) - num(value)) > tol:
-        msgs.append("objective does not match the certificate")
-    return msgs
-
-
-def _dual_violations(lp: LinearProgram, y, value, num, tol) -> list:
-    """Why y does not certify value as a lower bound of lp, which must be
-    min c.x over equality rows Ax = b and x >= 0: each column j with
-    (A^T y)_j > c_j, and b.y other than value, within the absolute tol."""
-    if len(y) != lp.nrows:
-        return ["certificate has the wrong number of duals"]
-    y = [num(v) for v in y]
-    msgs = [f"duals violate column {j}"
-            for j, r in enumerate(_reduced_costs(lp, y, num)) if r < -tol]
-    rhs = [b for _, _, b in lp.rows]
-    if abs(_dot(rhs, y, num) - num(value)) > tol:
-        msgs.append("dual objective does not match the certificate")
-    return msgs
-
-
 def _fitting_shape(cert: dict, name: str, n: int, m: int) -> list:
     """Why a gl or ggl certificate cannot be replayed: a missing key, an
     unknown strategy, no round, or a round without m columns of n duals,
@@ -719,29 +674,28 @@ def _fitting_shape(cert: dict, name: str, n: int, m: int) -> list:
     return msgs
 
 
-def verify_report(inst, report: BoundReport, tol=None):
+def verify_report(inst, report: BoundReport):
     """Re-derive the bound's validity from its certificate.
 
     Returns (ok, messages).  The LP a bound solved, min over Ax = b,
     x >= 0, is rebuilt from the instance: the certificate's duals must
-    satisfy its columns and reach the value, and for gl, ggl and rlt1 so
-    must the certificate's point satisfy its rows.  An lbb certificate
-    is turned back into the duals of the lifting LP it was read off; gl
-    and ggl also re-check each fitting round.  Exact reports
-    are checked exactly, float reports within the absolute tol (default
-    1e-7) on every row, column and value.  An lbb_prime or rlt1 report
-    that drops pairs (``sparsity``) passes only if each pair is a
-    structural zero of the instance, so never on an instance without a
-    structure.
+    satisfy its columns and reach the value (lpsolve.dual_violations),
+    and for gl, ggl and rlt1 so must the certificate's point satisfy its
+    rows (lpsolve.point_violations).  An lbb certificate is turned back
+    into the duals of the lifting LP it was read off; gl and ggl also
+    re-check each fitting round.  Exact reports are checked exactly,
+    float reports within 1e-7 on every row, column and value.  An
+    lbb_prime or rlt1 report that drops pairs (``sparsity``) passes only
+    if each pair is a structural zero of the instance, so never on an
+    instance without a structure.
     """
     bqp = _bqp(inst)
     m = bqp.m
     exact = report.mode == "exact"
-    if tol is None:
-        tol = 0 if exact else 1e-7
+    tol = 0 if exact else 1e-7
     num = rat if exact else float
     msgs = []
-    sparsity = {tuple(p) for p in report.sparsity or ()}
+    sparsity = frozenset(tuple(p) for p in report.sparsity or ())
     if sparsity and report.name in ("lbb_prime", "rlt1"):
         # dropped pairs are trusted below, so each must be a proven zero
         if not bqp.structure:
@@ -761,9 +715,15 @@ def verify_report(inst, report: BoundReport, tol=None):
         # gl is one round; the skew strategy only shapes later rounds
         steps = cert["iterations"] if report.name == "ggl" else (cert,)
         strategy = SkewStrategy(cert.get("strategy", "none"))
+        # cbar[k] is fitting program k's objective b.y + z at (y, z); the
+        # program is taken without rows, so it has no row gaps
+        fit_objective = LinearProgram("max", tuple(bqp.b) + (ONE,), (),
+                                      ((None, None),) * (bqp.B.rows + 1))
         q_cur = bqp.Q
         c_total = [ZERO] * m
         for it, step in enumerate(steps):
+            if it:  # as in the bound, the residual is folded between rounds
+                q_cur = _next_matrix(q_cur, qbar, strategy)
             ycols = step["ybar_columns"]
             zbar = step["zbar"]
             cbar = step["cbar"]
@@ -775,16 +735,15 @@ def verify_report(inst, report: BoundReport, tol=None):
                         f"round {it}: fitted matrix exceeds the "
                         f"current matrix at ({c // m}, {c % m})")
             for k in range(m):
-                want = _dot(bqp.b, [num(v) for v in ycols[k]], num) \
-                    + num(zbar[k])
-                if abs(num(cbar[k]) - want) > tol:
-                    msgs.append(f"round {it}: cbar[{k}] inconsistent")
+                msgs += [f"round {it}: cbar[{k}]: {msg}"
+                         for msg in point_violations(
+                             fit_objective, tuple(ycols[k]) + (zbar[k],),
+                             cbar[k], num, tol, gaps=())]
             c_total = [a + rat_from(c) for a, c in zip(c_total, cbar)]
-            q_cur = _next_matrix(q_cur, qbar, strategy)
-        # the bound's final LP; costs are Fraction sums, as in ggl_bound
+        # the bound's final LP; costs are Fraction sums, as in the bound
         lp = _polytope_lp(bqp, [a + l for a, l in zip(c_total, bqp.linear)])
-        msgs += _row_violations(lp, cert["x"], report.value, num, tol)
-        msgs += _dual_violations(lp, cert["duals"], report.value, num, tol)
+        msgs += point_violations(lp, cert["x"], report.value, num, tol)
+        msgs += dual_violations(lp, cert["duals"], report.value, num, tol)
 
     elif report.name in ("rlt1", "lbb_prime", "lbb_star", "lbb_generic"):
         cert = report.certificate
@@ -796,18 +755,18 @@ def verify_report(inst, report: BoundReport, tol=None):
                 msgs.append("a family member is not symmetric")
         lp, pairs = _lifted_lp(bqp, report.name, members, sparsity)
         if report.name == "rlt1":
-            if [tuple(p) for p in cert["pairs"]] != pairs:
+            if tuple(tuple(p) for p in cert["pairs"]) != pairs:
                 msgs.append(
                     "certificate pairs differ from the program's pairs")
-            msgs += _row_violations(lp, tuple(cert["x"]) + tuple(cert["w"]),
-                                    report.value, num, tol)
+            msgs += point_violations(lp, tuple(cert["x"]) + tuple(cert["w"]),
+                                     report.value, num, tol)
             duals = cert["duals"]
         else:  # the duals the linearization was read off, in row order
             duals = tuple(chain(
                 cert["y"], cert.get("alpha", ()),
                 (2 * num(v) for row in cert.get("Y", ()) for v in row),
                 (-num(v) for v in cert.get("z", ()))))
-        msgs += _dual_violations(lp, duals, report.value, num, tol)
+        msgs += dual_violations(lp, duals, report.value, num, tol)
 
     elif report.name == "opt":
         pass  # nothing to re-derive beyond brute force itself

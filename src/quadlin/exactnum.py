@@ -44,16 +44,8 @@ def vector(values) -> tuple:
     return tuple(rat(v) for v in values)
 
 
-def vzeros(n: int) -> tuple:
-    return (ZERO,) * n
-
-
 def vadd(u, v) -> tuple:
     return tuple(a + b for a, b in zip(u, v, strict=True))
-
-
-def vsub(u, v) -> tuple:
-    return tuple(a - b for a, b in zip(u, v, strict=True))
 
 
 def vscale(k, u) -> tuple:
@@ -181,11 +173,6 @@ class RationalMatrix:
             return False
         return all(self.at(i, j) == self.at(j, i)
                    for i in range(self.rows) for j in range(i + 1, self.cols))
-
-    def diagonal_vector(self) -> tuple:
-        if self.rows != self.cols:
-            raise ValueError("not square")
-        return tuple(self.at(i, i) for i in range(self.rows))
 
     def _same_shape(self, other: "RationalMatrix") -> None:
         if (self.rows, self.cols) != (other.rows, other.cols):

@@ -111,10 +111,10 @@ class LinearProgram:
         """This program with the right-hand sides rhs, one per row.
 
         Only the new values are validated (exact, and one per row); the
-        coefficients, int_rows and the standard-form layout, which does
-        not depend on the right-hand sides, are shared with this program,
-        so preparing the new one works out only each row's scale, sign,
-        relation and right-hand side numerator.
+        coefficients, int_rows, int_columns and the standard-form layout,
+        which does not depend on the right-hand sides, are shared with
+        this program, so preparing the new one works out only each row's
+        scale, sign, relation and right-hand side numerator.
         """
         rhs = tuple(rat(v) for v in rhs)
         if len(rhs) != self.nrows:
@@ -128,6 +128,7 @@ class LinearProgram:
                             ("objective", self.objective), ("rows", rows),
                             ("bounds", self.bounds),
                             ("int_rows", self.int_rows),
+                            ("int_columns", self.int_columns),
                             ("_layout", self._layout)):
             object.__setattr__(new, name, value)
         return new
@@ -148,6 +149,13 @@ class LinearProgram:
         is only replayed in floats never pays for it."""
         return tuple((tuple(nums), k) for nums, k in
                      (common_denominator(coeffs) for coeffs, _, _ in self.rows))
+
+    @cached_property
+    def int_columns(self) -> tuple:
+        """int_rows' numerators by variable, one tuple per column, worked
+        out on first use and kept; the exact reduced costs read them."""
+        return tuple(zip(*(nums for nums, _ in self.int_rows))) \
+            or ((),) * self.nvars
 
     @property
     def columns(self) -> list:
@@ -649,10 +657,52 @@ def _reduced_costs(lp: LinearProgram, y, num) -> list:
     dens = [v.denominator * k for v, (_, k) in zip(y, lp.int_rows)]
     dy = lcm(*set(dens))
     ys = [v.numerator * (dy // d) for v, d in zip(y, dens)]
-    cols = list(zip(*(nums for nums, _ in lp.int_rows))) or [()] * lp.nvars
     return [Fraction(c.numerator * dy - sum(map(mul, col, ys)) * c.denominator,
                      c.denominator * dy)
-            for c, col in zip(lp.objective, cols)]
+            for c, col in zip(lp.objective, lp.int_columns)]
+
+
+def point_violations(lp: LinearProgram, x, value, num, tol,
+                     gaps=None) -> list:
+    """Why x is not a point of lp with objective value: each coordinate
+    outside its bounds, each row off its relation and an objective other
+    than value, within the absolute tol (0 compares directly).  x and
+    value are taken to num (rat or float); gaps are x's row gaps
+    (_row_gaps) if the caller has them already."""
+    if len(x) != lp.nvars:
+        return ["certificate has the wrong number of variables"]
+    x = [num(v) for v in x]
+    msgs = []
+    for j, (lo, hi) in enumerate(lp.bounds):
+        if lo is not None and (x[j] < num(lo) - tol if tol
+                               else x[j] < num(lo)):
+            msgs.append(f"x[{j}] below lower bound")
+        if hi is not None and (x[j] > num(hi) + tol if tol
+                               else x[j] > num(hi)):
+            msgs.append(f"x[{j}] above upper bound")
+    if gaps is None:
+        gaps = _row_gaps(lp, x, num)
+    msgs += [f"row {i} violated ({rel})"
+             for i, ((_, rel, _), s) in enumerate(zip(lp.rows, gaps))
+             if (rel != GE and s > tol) or (rel != LE and s < -tol)]
+    if abs(_dot(lp.objective, x, num) - num(value)) > tol:
+        msgs.append("objective value mismatch")
+    return msgs
+
+
+def dual_violations(lp: LinearProgram, y, value, num, tol) -> list:
+    """Why y does not certify value as a lower bound of lp, which must be
+    min c.x over equality rows Ax = b and x >= 0: each column j with
+    (A^T y)_j > c_j, and b.y other than value, within the absolute tol.
+    y and value are taken to num (rat or float)."""
+    if len(y) != lp.nrows:
+        return ["certificate has the wrong number of duals"]
+    y = [num(v) for v in y]
+    msgs = [f"duals violate column {j}"
+            for j, r in enumerate(_reduced_costs(lp, y, num)) if r < -tol]
+    if abs(_dot([b for _, _, b in lp.rows], y, num) - num(value)) > tol:
+        msgs.append("dual objective does not match the certificate")
+    return msgs
 
 
 def verify_solution(lp: LinearProgram, result: LpResult, tol=None):
@@ -660,10 +710,11 @@ def verify_solution(lp: LinearProgram, result: LpResult, tol=None):
 
     Exact results are checked with zero tolerance, float results within
     tol (default 1e-7).  Returns (ok, messages); together the conditions
-    (primal feasibility, dual signs, complementary slackness, reduced
-    costs consistent with active bounds) certify optimality.  Row gaps
-    and reduced costs come from _row_gaps and _reduced_costs, which sum
-    integers for exact results; the conditions are the same for both.
+    (primal feasibility and the objective, from point_violations, then
+    dual signs, complementary slackness and reduced costs consistent with
+    active bounds) certify optimality.  Row gaps and reduced costs come
+    from _row_gaps and _reduced_costs, which sum integers for exact
+    results; the conditions are the same for both.
     """
     if result.status != OPTIMAL:
         raise ValueError("only optimal results carry a certificate")
@@ -673,32 +724,11 @@ def verify_solution(lp: LinearProgram, result: LpResult, tol=None):
     conv = rat if exact else float
     x = [conv(v) for v in result.x]
     y = [conv(v) for v in result.duals]
-    msgs = []
-    n = lp.nvars
-    if len(x) != n or len(y) != lp.nrows:
+    if len(x) != lp.nvars or len(y) != lp.nrows:
         return False, ("certificate has wrong dimensions",)
 
-    # a zero tol compares directly, building no Fraction for a difference
-    for j, (lo, hi) in enumerate(lp.bounds):
-        if lo is not None and (x[j] < conv(lo) - tol if tol
-                               else x[j] < conv(lo)):
-            msgs.append(f"x[{j}] below lower bound")
-        if hi is not None and (x[j] > conv(hi) + tol if tol
-                               else x[j] > conv(hi)):
-            msgs.append(f"x[{j}] above upper bound")
-
     slacks = _row_gaps(lp, x, conv)
-    for i, ((_, rel, _), s) in enumerate(zip(lp.rows, slacks)):
-        if rel == LE and s > tol:
-            msgs.append(f"row {i} violated (<=)")
-        elif rel == GE and s < -tol:
-            msgs.append(f"row {i} violated (>=)")
-        elif rel == EQ and abs(s) > tol:
-            msgs.append(f"row {i} violated (=)")
-
-    obj = _dot(lp.objective, x, conv)
-    if abs(obj - conv(result.value)) > tol:
-        msgs.append("objective value mismatch")
+    msgs = point_violations(lp, x, result.value, conv, tol, slacks)
 
     minimizing = lp.sense == "min"
     for i, (_, rel, _) in enumerate(lp.rows):

@@ -109,6 +109,10 @@ def test_gl_equals_first_ggl_round():
     one_round = ggl_bound(inst, max_iter=1, mode="exact")
     assert one_round.value == gl.value
     assert one_round.trace == (gl.value,)
+    assert one_round.pivots == gl.pivots
+    cert = one_round.certificate
+    assert gl.certificate == dict(cert["iterations"][0], x=cert["x"],
+                                  duals=cert["duals"])
 
 
 def test_ggl_trace_is_nondecreasing():
@@ -205,7 +209,7 @@ def test_rlt1_and_lbb_prime_share_one_solve_per_sparsity(monkeypatch):
         return lpsolve.solve_lp(lp, mode=mode)
 
     monkeypatch.setattr(bounds, "solve_lp", counting)
-    monkeypatch.setattr(bounds, "_last_lifted", {})
+    bounds._solve_lifting_lp.cache_clear()
     inst = _random_qspp(random.Random(77), m_max=9)
     pairs = forbidden_pairs(inst.graph)
     assert pairs
@@ -668,6 +672,28 @@ def test_verify_report_rejects_malformed_fitting_certificates(mode):
     for rep, cert in forged:
         ok, msgs = verify_report(inst, replace(rep, certificate=cert))
         assert not ok and msgs, (rep.name, cert.keys())
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_verify_report_rejects_a_raised_dual_in_a_later_ggl_round(mode):
+    # round 1 fits the residual that round 0 leaves: a raised y there is
+    # caught in round 1, and round 0 still replays clean
+    rng = random.Random(6)
+    inst = _random_qspp(rng, m_max=8)
+    bqp = qspp_to_bqp(inst)
+    rep = ggl_bound(inst, strategy=SkewStrategy.SYMMETRIZE, mode=mode)
+    assert verify_report(inst, rep)[0]
+    rounds = [dict(step) for step in rep.certificate["iterations"]]
+    assert len(rounds) > 1
+    r = next(r for r, v in enumerate(bqp.b) if v)
+    ycols = [list(col) for col in rounds[1]["ybar_columns"]]
+    ycols[0][r] += 1
+    rounds[1]["ybar_columns"] = tuple(map(tuple, ycols))
+    ok, msgs = verify_report(inst, replace(rep, certificate=dict(
+        rep.certificate, iterations=tuple(rounds))))
+    assert not ok
+    assert any(msg.startswith("round 1:") for msg in msgs), msgs
+    assert not any(msg.startswith("round 0:") for msg in msgs), msgs
 
 
 def test_verify_report_has_zero_tolerance_on_exact_rlt1():
