@@ -48,14 +48,17 @@ from operator import mul
 from quadlin.exactnum import (
     ONE,
     ZERO,
+    NonFiniteError,
     RationalMatrix,
     common_denominator,
     rat,
+    rat_from,
     vdot,
 )
 from quadlin.graph import forbidden_pairs
 from quadlin.lpsolve import (
     EQ,
+    FLOAT_CHECK_TOL,
     LE,
     OPTIMAL,
     UNBOUNDED,
@@ -118,13 +121,6 @@ def _bqp(inst) -> BqpInstance:
     if isinstance(inst, BqpInstance):
         return inst
     raise TypeError(f"expected a problem instance, got {type(inst).__name__}")
-
-
-def rat_from(v):
-    """Fraction from exact data or from a float (exact binary value)."""
-    if isinstance(v, float):
-        return Fraction(v)
-    return rat(v)
 
 
 def _bound_mode(bqp: BqpInstance, mode: str, nrows: int, nvars: int) -> str:
@@ -446,12 +442,17 @@ def _lifted_bound(bqp: BqpInstance, name: str, mode: str, members=None,
         res = _solve_lifting_lp(bqp, sparsity, mode)
     else:  # member rows: a family's LP is not asked for twice
         res = solve_lp(lp, mode=mode)
-    if res.status == UNBOUNDED:  # its dual, the linearization LP, is empty
-        raise BoundComputationError(
-            f"{name}: no combination of the family's linearizable "
-            "matrices stays below Q")
     if res.status != OPTIMAL:
-        raise BoundComputationError(f"{name}: lifting LP is {res.status}")
+        why = f"lifting LP is {res.status}"
+        if res.status == UNBOUNDED and members is not None:
+            # its dual, the linearization LP, is empty
+            why = ("no combination of the family's linearizable matrices "
+                   "stays below Q")
+        elif res.status == UNBOUNDED:  # such x_j leave their pairs free
+            idle = [j for j in range(bqp.m) if not any(bqp.B.column(j))]
+            if idle:
+                why += f"; variables in no row of B: {idle}"
+        raise BoundComputationError(f"{name}: {why}")
     n, m = bqp.B.rows, bqp.m
     u = res.duals
     if name == "rlt1":
@@ -683,17 +684,18 @@ def verify_report(inst, report: BoundReport):
     and for gl, ggl and rlt1 so must the certificate's point satisfy its
     rows (lpsolve.point_violations).  An lbb certificate is turned back
     into the duals of the lifting LP it was read off; gl and ggl also
-    re-check each fitting round.  Exact reports are checked exactly,
-    float reports within 1e-7 on every row, column and value.  An
-    lbb_prime or rlt1 report that drops pairs (``sparsity``) passes only
-    if each pair is a structural zero of the instance, so never on an
-    instance without a structure.
+    re-check each fitting round.  Every check is exact, a float read at
+    its exact binary value: exact reports pass with zero tolerance, float
+    reports within an absolute FLOAT_CHECK_TOL (1e-7) on every row,
+    column and value, and a NaN or an infinity anywhere in the value or
+    the certificate fails.  An lbb_prime or rlt1 report that drops pairs
+    (``sparsity``) passes only if each pair is a structural zero of the
+    instance, so never on an instance without a structure.
     """
     bqp = _bqp(inst)
     m = bqp.m
-    exact = report.mode == "exact"
-    tol = 0 if exact else 1e-7
-    num = rat if exact else float
+    tol = 0 if report.mode == "exact" else FLOAT_CHECK_TOL
+    cert = report.certificate
     msgs = []
     sparsity = frozenset(tuple(p) for p in report.sparsity or ())
     if sparsity and report.name in ("lbb_prime", "rlt1"):
@@ -707,71 +709,73 @@ def verify_report(inst, report: BoundReport):
                 msgs.append(f"sparsity pairs {sorted(stray)} are not "
                             "structural zeros")
 
-    if report.name in ("gl", "ggl"):
-        cert = report.certificate
-        shape = _fitting_shape(cert, report.name, bqp.B.rows, m)
-        if shape:
-            return False, tuple(msgs + shape)
-        # gl is one round; the skew strategy only shapes later rounds
-        steps = cert["iterations"] if report.name == "ggl" else (cert,)
-        strategy = SkewStrategy(cert.get("strategy", "none"))
-        # cbar[k] is fitting program k's objective b.y + z at (y, z); the
-        # program is taken without rows, so it has no row gaps
-        fit_objective = LinearProgram("max", tuple(bqp.b) + (ONE,), (),
-                                      ((None, None),) * (bqp.B.rows + 1))
-        q_cur = bqp.Q
-        c_total = [ZERO] * m
-        for it, step in enumerate(steps):
-            if it:  # as in the bound, the residual is folded between rounds
-                q_cur = _next_matrix(q_cur, qbar, strategy)
-            ycols = step["ybar_columns"]
-            zbar = step["zbar"]
-            cbar = step["cbar"]
-            qbar = _fitted_matrix(bqp, ycols, zbar)
-            for c, (a, b) in enumerate(zip(qbar.entries, q_cur.entries)):
-                a, b = num(a), num(b)
-                if a > b + tol if tol else a > b:  # no Fraction for b + 0
+    try:
+        if report.name in ("gl", "ggl"):
+            shape = _fitting_shape(cert, report.name, bqp.B.rows, m)
+            if shape:
+                return False, tuple(msgs + shape)
+            # gl is one round; the skew strategy only shapes later rounds
+            steps = cert["iterations"] if report.name == "ggl" else (cert,)
+            strategy = SkewStrategy(cert.get("strategy", "none"))
+            # cbar[k] is fitting program k's objective b.y + z at (y, z);
+            # the program is taken without rows, so it has no row gaps
+            fit_objective = LinearProgram("max", tuple(bqp.b) + (ONE,), (),
+                                          ((None, None),) * (bqp.B.rows + 1))
+            q_cur = bqp.Q
+            c_total = [ZERO] * m
+            for it, step in enumerate(steps):
+                if it:  # as in the bound, fold the residual between rounds
+                    q_cur = _next_matrix(q_cur, qbar, strategy)
+                # read once here; below, rat_from passes them through
+                ycols = [[rat_from(v) for v in col]
+                         for col in step["ybar_columns"]]
+                zbar = [rat_from(v) for v in step["zbar"]]
+                cbar = [rat_from(v) for v in step["cbar"]]
+                qbar = _fitted_matrix(bqp, ycols, zbar)
+                for c, (a, b) in enumerate(zip(qbar.entries, q_cur.entries)):
+                    if a > b and (not tol or a - b > tol):
+                        msgs.append(
+                            f"round {it}: fitted matrix exceeds the "
+                            f"current matrix at ({c // m}, {c % m})")
+                for k in range(m):
+                    msgs += [f"round {it}: cbar[{k}]: {msg}"
+                             for msg in point_violations(
+                                 fit_objective, ycols[k] + [zbar[k]],
+                                 cbar[k], tol, gaps=())]
+                c_total = [a + c for a, c in zip(c_total, cbar)]
+            # the bound's final LP; costs are Fraction sums, as in the bound
+            lp = _polytope_lp(bqp, [a + l
+                                    for a, l in zip(c_total, bqp.linear)])
+            msgs += point_violations(lp, cert["x"], report.value, tol)
+            msgs += dual_violations(lp, cert["duals"], report.value, tol)
+
+        elif report.name in ("rlt1", "lbb_prime", "lbb_star", "lbb_generic"):
+            members = None
+            if report.name in ("lbb_star", "lbb_generic"):
+                members = _family_members(cert["members"], m)
+                if report.name == "lbb_star" \
+                        and not all(q.is_symmetric() for q, _ in members):
+                    msgs.append("a family member is not symmetric")
+            lp, pairs = _lifted_lp(bqp, report.name, members, sparsity)
+            if report.name == "rlt1":
+                if tuple(tuple(p) for p in cert["pairs"]) != pairs:
                     msgs.append(
-                        f"round {it}: fitted matrix exceeds the "
-                        f"current matrix at ({c // m}, {c % m})")
-            for k in range(m):
-                msgs += [f"round {it}: cbar[{k}]: {msg}"
-                         for msg in point_violations(
-                             fit_objective, tuple(ycols[k]) + (zbar[k],),
-                             cbar[k], num, tol, gaps=())]
-            c_total = [a + rat_from(c) for a, c in zip(c_total, cbar)]
-        # the bound's final LP; costs are Fraction sums, as in the bound
-        lp = _polytope_lp(bqp, [a + l for a, l in zip(c_total, bqp.linear)])
-        msgs += point_violations(lp, cert["x"], report.value, num, tol)
-        msgs += dual_violations(lp, cert["duals"], report.value, num, tol)
+                        "certificate pairs differ from the program's pairs")
+                msgs += point_violations(
+                    lp, tuple(cert["x"]) + tuple(cert["w"]), report.value,
+                    tol)
+                duals = cert["duals"]
+            else:  # the duals the linearization was read off, in row order
+                duals = tuple(chain(
+                    cert["y"], cert.get("alpha", ()),
+                    (2 * rat_from(v) for row in cert.get("Y", ())
+                     for v in row),
+                    (-rat_from(v) for v in cert.get("z", ()))))
+            msgs += dual_violations(lp, duals, report.value, tol)
 
-    elif report.name in ("rlt1", "lbb_prime", "lbb_star", "lbb_generic"):
-        cert = report.certificate
-        members = None
-        if report.name in ("lbb_star", "lbb_generic"):
-            members = _family_members(cert["members"], m)
-            if report.name == "lbb_star" \
-                    and not all(q.is_symmetric() for q, _ in members):
-                msgs.append("a family member is not symmetric")
-        lp, pairs = _lifted_lp(bqp, report.name, members, sparsity)
-        if report.name == "rlt1":
-            if tuple(tuple(p) for p in cert["pairs"]) != pairs:
-                msgs.append(
-                    "certificate pairs differ from the program's pairs")
-            msgs += point_violations(lp, tuple(cert["x"]) + tuple(cert["w"]),
-                                     report.value, num, tol)
-            duals = cert["duals"]
-        else:  # the duals the linearization was read off, in row order
-            duals = tuple(chain(
-                cert["y"], cert.get("alpha", ()),
-                (2 * num(v) for row in cert.get("Y", ()) for v in row),
-                (-num(v) for v in cert.get("z", ()))))
-        msgs += dual_violations(lp, duals, report.value, num, tol)
-
-    elif report.name == "opt":
-        pass  # nothing to re-derive beyond brute force itself
-
-    else:
-        msgs.append(f"unknown report kind {report.name!r}")
+        elif report.name != "opt":  # opt: nothing beyond brute force itself
+            msgs.append(f"unknown report kind {report.name!r}")
+    except NonFiniteError:
+        msgs.append("certificate has a non-finite value")
 
     return not msgs, tuple(msgs)

@@ -246,26 +246,14 @@ def parse_instance(text: str) -> ParsedInstance:
             raise ParseError(f"line {no}: bad sizes")
         _check_variables(m, no)
         b_rows, tag_b = _dense_rows(lines, nrows, m, "constraint row")
-        no, toks = lines.take(nrows, "right-hand side")
-        rhs = []
-        tag_rhs = False
-        for tok in toks:
-            v, was_float = _parse_value(tok, no)
-            rhs.append(v)
-            tag_rhs = tag_rhs or was_float
+        (rhs,), tag_rhs = _dense_rows(lines, 1, nrows, "right-hand side")
         q, tag_q = _matrix_from_triplets(lines, m)
         linear = (ZERO,) * m
         tag_l = False
         nxt = lines.peek()
         if nxt is not None and nxt[1] == ["linear"]:
             lines.take()
-            no, toks = lines.take(m, "linear term")
-            lin = []
-            for tok in toks:
-                v, was_float = _parse_value(tok, no)
-                lin.append(v)
-                tag_l = tag_l or was_float
-            linear = tuple(lin)
+            (linear,), tag_l = _dense_rows(lines, 1, m, "linear term")
         lines.done("the instance body")
         inst = BqpInstance(
             B=RationalMatrix.from_rows(b_rows), b=tuple(rhs), Q=q,

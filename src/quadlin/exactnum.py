@@ -37,6 +37,22 @@ def rat(value) -> Fraction:
     raise TypeError(f"not an exact rational: {value!r}")
 
 
+class NonFiniteError(ValueError):
+    """A float that is NaN or infinite has no exact value."""
+
+
+def rat_from(value) -> Fraction:
+    """rat, with a float read as the exact rational it is (its binary
+    value, 0.1 as 3602879701896397/36028797018963968); NaN and infinities
+    raise NonFiniteError."""
+    if isinstance(value, float):
+        try:
+            return Fraction(value)
+        except (ValueError, OverflowError):
+            raise NonFiniteError(f"non-finite value {value!r}") from None
+    return rat(value)
+
+
 # ---------------------------------------------------------------------------
 # vectors (plain tuples of Fractions)
 

@@ -15,14 +15,18 @@ numerators too: a LinearProgram takes each row once, on first use, to
 integer numerators over the lcm of its denominators (int_rows);
 preparation maps those onto the standard-form columns and rescales them
 only where the shifted right-hand side needs it, the read-back builds
-one Fraction per value and dual, and the exact KKT check evaluates every
-row and every reduced cost as an integer dot product, one Fraction per
-row and per column.  with_rhs gives a program new right-hand sides and
-shares everything else, the part of the standard form that does not
-depend on them included, so a program solved for many right-hand sides
-is validated and laid out once.  Float mode runs on a numpy
-tableau with fixed tolerances and raises NumericalBreakdown instead of
-returning garbage when the arithmetic degrades.
+one Fraction per value and dual, and the KKT check evaluates every row
+and every reduced cost as an integer dot product, one Fraction per row
+and per column.  Every certificate check (point_violations,
+dual_violations, verify_solution) is exact, for float results too: a
+float is read at its exact binary value, and a float result passes
+within an absolute FLOAT_CHECK_TOL (1e-7), an exact one with none.
+with_rhs gives a program new right-hand sides and shares everything
+else, the part of the standard form that does not depend on them
+included, so a program solved for many right-hand sides is validated and
+laid out once.  Float mode runs on a numpy tableau with fixed tolerances
+and raises NumericalBreakdown instead of returning garbage when the
+arithmetic degrades.
 
 Variables carry individual bounds.  Free variables are split into a
 difference of two nonnegative ones, finite lower bounds are shifted to
@@ -41,7 +45,8 @@ from operator import mul
 
 import numpy as np
 
-from quadlin.exactnum import ZERO, common_denominator, rat, vdot
+from quadlin.exactnum import (ZERO, NonFiniteError, common_denominator, rat,
+                              rat_from, vdot)
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -52,6 +57,9 @@ _RELATIONS = (LE, EQ, GE)
 
 MODE_ENV_VAR = "QUADLIN_MODE"
 EXACT_SIZE_LIMIT = 260      # beyond this many rows or vars, auto picks float
+
+# every check of a float result: an absolute tolerance, the exact 1/10**7
+FLOAT_CHECK_TOL = Fraction(1, 10 ** 7)
 
 _FEAS_TOL = 1e-7            # float mode: feasibility / phase-1 acceptance
 _PIVOT_TOL = 1e-9           # float mode: smallest usable pivot / cost entry
@@ -145,22 +153,16 @@ class LinearProgram:
     def int_rows(self) -> tuple:
         """Per row, (integer numerators of its coefficients, their lcm k),
         worked out on first use and kept; not part of equality or hashing.
-        Only exact evaluation and preparation read it, so a program that
-        is only replayed in floats never pays for it."""
+        Preparation and every certificate check read it."""
         return tuple((tuple(nums), k) for nums, k in
                      (common_denominator(coeffs) for coeffs, _, _ in self.rows))
 
     @cached_property
     def int_columns(self) -> tuple:
         """int_rows' numerators by variable, one tuple per column, worked
-        out on first use and kept; the exact reduced costs read them."""
+        out on first use and kept; the reduced costs read them."""
         return tuple(zip(*(nums for nums, _ in self.int_rows))) \
             or ((),) * self.nvars
-
-    @property
-    def columns(self) -> list:
-        """The row coefficients by variable: one tuple per column."""
-        return list(zip(*(c for c, _, _ in self.rows))) or [()] * self.nvars
 
 
 def linear_program(sense, objective, rows, bounds=None) -> LinearProgram:
@@ -624,20 +626,10 @@ def solve_lp(lp: LinearProgram, mode: str = "auto") -> LpResult:
     return result
 
 
-def _dot(coeffs, v, num):
-    """coeffs . v for v already in num: exactnum.vdot for exact data, a
-    float sum over the nonzero coefficients in order otherwise."""
-    if num is rat:
-        return vdot(coeffs, v)
-    return sum((num(a) * x for a, x in zip(coeffs, v) if a), num(0))
-
-
-def _row_gaps(lp: LinearProgram, x, num) -> list:
-    """a_i . x - b_i for every row i, with x already in num.  Exact: x
-    over one common denominator, each row an integer dot product with its
-    int_rows numerators, one Fraction per row."""
-    if num is not rat:
-        return [_dot(coeffs, x, num) - num(rhs) for coeffs, _, rhs in lp.rows]
+def _row_gaps(lp: LinearProgram, x) -> list:
+    """a_i . x - b_i for every row i, with x exact: x over one common
+    denominator, each row an integer dot product with its int_rows
+    numerators, one Fraction per row."""
     xs, dx = common_denominator(x)
     gaps = []
     for (nums, k), (_, _, rhs) in zip(lp.int_rows, lp.rows):
@@ -647,13 +639,10 @@ def _row_gaps(lp: LinearProgram, x, num) -> list:
     return gaps
 
 
-def _reduced_costs(lp: LinearProgram, y, num) -> list:
-    """c_j - (A^T y)_j for every column j, with y already in num.  Exact:
-    each y_i / k_i (k_i row i's lcm) over one common denominator, each
-    column an integer dot product, one Fraction per column."""
-    if num is not rat:
-        return [num(c) - _dot(col, y, num)
-                for c, col in zip(lp.objective, lp.columns)]
+def _reduced_costs(lp: LinearProgram, y) -> list:
+    """c_j - (A^T y)_j for every column j, with y exact: each y_i / k_i
+    (k_i row i's lcm) over one common denominator, each column an integer
+    dot product (int_columns), one Fraction per column."""
     dens = [v.denominator * k for v, (_, k) in zip(y, lp.int_rows)]
     dy = lcm(*set(dens))
     ys = [v.numerator * (dy // d) for v, d in zip(y, dens)]
@@ -662,103 +651,108 @@ def _reduced_costs(lp: LinearProgram, y, num) -> list:
             for c, col in zip(lp.objective, lp.int_columns)]
 
 
-def point_violations(lp: LinearProgram, x, value, num, tol,
-                     gaps=None) -> list:
+def point_violations(lp: LinearProgram, x, value, tol=0, gaps=None) -> list:
     """Why x is not a point of lp with objective value: each coordinate
     outside its bounds, each row off its relation and an objective other
-    than value, within the absolute tol (0 compares directly).  x and
-    value are taken to num (rat or float); gaps are x's row gaps
+    than value, by more than the absolute tol (0, or FLOAT_CHECK_TOL for
+    a float result).  x and value are read as exact rationals, a float
+    at its exact binary value (exactnum.rat_from, which raises
+    NonFiniteError on NaN or an infinity); gaps are x's row gaps
     (_row_gaps) if the caller has them already."""
     if len(x) != lp.nvars:
         return ["certificate has the wrong number of variables"]
-    x = [num(v) for v in x]
+    x = [rat_from(v) for v in x]
+    ntol = -tol
     msgs = []
-    for j, (lo, hi) in enumerate(lp.bounds):
-        if lo is not None and (x[j] < num(lo) - tol if tol
-                               else x[j] < num(lo)):
+    for j, ((lo, hi), v) in enumerate(zip(lp.bounds, x)):
+        if lo is not None and lo > v and (not tol or lo - v > tol):
             msgs.append(f"x[{j}] below lower bound")
-        if hi is not None and (x[j] > num(hi) + tol if tol
-                               else x[j] > num(hi)):
+        if hi is not None and v > hi and (not tol or v - hi > tol):
             msgs.append(f"x[{j}] above upper bound")
     if gaps is None:
-        gaps = _row_gaps(lp, x, num)
+        gaps = _row_gaps(lp, x)
     msgs += [f"row {i} violated ({rel})"
              for i, ((_, rel, _), s) in enumerate(zip(lp.rows, gaps))
-             if (rel != GE and s > tol) or (rel != LE and s < -tol)]
-    if abs(_dot(lp.objective, x, num) - num(value)) > tol:
+             if (rel != GE and s > tol) or (rel != LE and s < ntol)]
+    if abs(vdot(lp.objective, x) - rat_from(value)) > tol:
         msgs.append("objective value mismatch")
     return msgs
 
 
-def dual_violations(lp: LinearProgram, y, value, num, tol) -> list:
+def dual_violations(lp: LinearProgram, y, value, tol=0) -> list:
     """Why y does not certify value as a lower bound of lp, which must be
     min c.x over equality rows Ax = b and x >= 0: each column j with
-    (A^T y)_j > c_j, and b.y other than value, within the absolute tol.
-    y and value are taken to num (rat or float)."""
+    (A^T y)_j > c_j, and b.y other than value, by more than the absolute
+    tol.  y and value are read as exact rationals, as in
+    point_violations."""
     if len(y) != lp.nrows:
         return ["certificate has the wrong number of duals"]
-    y = [num(v) for v in y]
+    y = [rat_from(v) for v in y]
     msgs = [f"duals violate column {j}"
-            for j, r in enumerate(_reduced_costs(lp, y, num)) if r < -tol]
-    if abs(_dot([b for _, _, b in lp.rows], y, num) - num(value)) > tol:
+            for j, r in enumerate(_reduced_costs(lp, y))
+            if r < 0 and (not tol or -r > tol)]
+    if abs(vdot([b for _, _, b in lp.rows], y) - rat_from(value)) > tol:
         msgs.append("dual objective does not match the certificate")
     return msgs
 
 
-def verify_solution(lp: LinearProgram, result: LpResult, tol=None):
+def verify_solution(lp: LinearProgram, result: LpResult):
     """Full KKT check of an optimal result against the original program.
 
-    Exact results are checked with zero tolerance, float results within
-    tol (default 1e-7).  Returns (ok, messages); together the conditions
-    (primal feasibility and the objective, from point_violations, then
-    dual signs, complementary slackness and reduced costs consistent with
-    active bounds) certify optimality.  Row gaps and reduced costs come
-    from _row_gaps and _reduced_costs, which sum integers for exact
-    results; the conditions are the same for both.
+    Every check is exact: x, the duals and the value are read as exact
+    rationals, floats at their exact binary values, and must hold with
+    zero tolerance for an exact result, within FLOAT_CHECK_TOL (1e-7)
+    for a float one; a NaN or an infinity fails.  Returns (ok,
+    messages); together the conditions (primal feasibility and the
+    objective, from point_violations, then dual signs, complementary
+    slackness and reduced costs consistent with active bounds) certify
+    optimality.  Row gaps and reduced costs are integer sums (_row_gaps,
+    _reduced_costs).
     """
     if result.status != OPTIMAL:
         raise ValueError("only optimal results carry a certificate")
-    exact = result.mode == "exact"
-    if tol is None:
-        tol = 0 if exact else _FEAS_TOL
-    conv = rat if exact else float
-    x = [conv(v) for v in result.x]
-    y = [conv(v) for v in result.duals]
-    if len(x) != lp.nvars or len(y) != lp.nrows:
+    tol = 0 if result.mode == "exact" else FLOAT_CHECK_TOL
+    if len(result.x) != lp.nvars or len(result.duals) != lp.nrows:
         return False, ("certificate has wrong dimensions",)
+    try:
+        x = [rat_from(v) for v in result.x]
+        y = [rat_from(v) for v in result.duals]
+        value = rat_from(result.value)
+    except NonFiniteError:
+        return False, ("certificate has a non-finite value",)
 
-    slacks = _row_gaps(lp, x, conv)
-    msgs = point_violations(lp, x, result.value, conv, tol, slacks)
+    slacks = _row_gaps(lp, x)
+    msgs = point_violations(lp, x, value, tol, slacks)
+
+    def exceeds(a, b):
+        """a > b by more than tol, which grows with 1 + |a - b|."""
+        return a > b and (not tol or a - b > tol * (1 + a - b))
 
     minimizing = lp.sense == "min"
+    ntol = -tol
     for i, (_, rel, _) in enumerate(lp.rows):
-        yi = y[i]
-        if rel == LE and (yi > tol if minimizing else yi < -tol):
+        yi, s = y[i], slacks[i]
+        if rel == LE and (yi > tol if minimizing else yi < ntol):
             msgs.append(f"dual sign wrong on row {i} (<=)")
-        if rel == GE and (yi < -tol if minimizing else yi > tol):
+        if rel == GE and (yi < ntol if minimizing else yi > tol):
             msgs.append(f"dual sign wrong on row {i} (>=)")
-        # tolerances grow with 1 + |value|; a zero tolerance stays zero
-        if yi and slacks[i] and \
-                abs(yi * slacks[i]) > (tol * (1 + abs(yi)) if tol else tol):
+        if yi and s and (not tol or abs(yi * s) > tol * (1 + abs(yi))):
             msgs.append(f"complementary slackness fails on row {i}")
 
-    def near(a, b):
-        return abs(a - b) <= tol if tol else a == b
-
-    for j, r in enumerate(_reduced_costs(lp, y, conv)):
+    for j, r in enumerate(_reduced_costs(lp, y)):
         lo, hi = lp.bounds[j]
-        at_lo = lo is not None and near(x[j], conv(lo))
-        at_hi = hi is not None and near(x[j], conv(hi))
-        r_tol = tol * (1 + abs(r)) if tol else tol
+        v = x[j]
+        at_lo = lo is not None and (v == lo or tol and abs(v - lo) <= tol)
+        at_hi = hi is not None and (v == hi or tol and abs(v - hi) <= tol)
         if at_lo and at_hi:
             continue  # fixed variable: any reduced cost is fine
         if at_lo:
-            if (r < -r_tol) if minimizing else (r > r_tol):
+            if exceeds(0, r) if minimizing else exceeds(r, 0):
                 msgs.append(f"reduced cost sign wrong at lower bound x[{j}]")
         elif at_hi:
-            if (r > r_tol) if minimizing else (r < -r_tol):
+            if exceeds(r, 0) if minimizing else exceeds(0, r):
                 msgs.append(f"reduced cost sign wrong at upper bound x[{j}]")
-        elif abs(r) > r_tol:
+        elif exceeds(r, 0) or exceeds(0, r):
             msgs.append(f"reduced cost nonzero on interior variable x[{j}]")
 
     return not msgs, tuple(msgs)

@@ -461,6 +461,20 @@ def test_a_family_that_cannot_stay_below_q_fails_the_bound(mode):
     assert "unbounded" not in str(exc.value)
 
 
+@pytest.mark.parametrize("bound", [lbb_prime, rlt1])
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_an_unbounded_lifting_lp_names_the_variables_outside_b(bound, mode):
+    # x_2 is in no row of B, so nothing bounds its pair variables and
+    # -X_22 falls without end; neither bound has a family to blame
+    inst = BqpInstance(B=RationalMatrix.from_rows([[1, 1, 0]]), b=(1,),
+                       Q=RationalMatrix.diagonal([0, 0, -1]))
+    with pytest.raises(BoundComputationError,
+                       match="lifting LP is unbounded") as exc:
+        bound(inst, mode=mode)
+    assert "no row of B: [2]" in str(exc.value)
+    assert "family" not in str(exc.value)
+
+
 def test_zero_matrix_gives_zero_across_the_ladder():
     g = diamond()
     inst = QsppInstance(g, RationalMatrix.zeros(4, 4))
@@ -694,6 +708,36 @@ def test_verify_report_rejects_a_raised_dual_in_a_later_ggl_round(mode):
     assert not ok
     assert any(msg.startswith("round 1:") for msg in msgs), msgs
     assert not any(msg.startswith("round 0:") for msg in msgs), msgs
+
+
+def _with_entry(cert, path, value):
+    """cert with the entry at path (keys and indices) set to value."""
+    if not path:
+        return value
+    key, *rest = path
+    if isinstance(cert, dict):
+        return dict(cert, **{key: _with_entry(cert[key], rest, value)})
+    items = list(cert)
+    items[key] = _with_entry(items[key], rest, value)
+    return tuple(items)
+
+
+@pytest.mark.parametrize("bound, path", [
+    (gl_bound, ("ybar_columns", 0, 0)),
+    (ggl_bound, ("iterations", -1, "zbar", 0)),
+    (lbb_prime, ("Y", 0, 0)),
+    (rlt1, ("w", 0)),
+], ids=["gl", "ggl", "lbb_prime", "rlt1"])
+def test_verify_report_rejects_a_non_finite_certificate(bound, path):
+    # a NaN compares false with everything, so a float check would pass
+    # it; read exactly, it has no value and the replay says so
+    inst = generate_tournament(5)
+    rep = bound(inst, mode="float")
+    assert verify_report(inst, rep) == (True, ())
+    want = (False, ("certificate has a non-finite value",))
+    forged = _with_entry(rep.certificate, path, float("nan"))
+    assert verify_report(inst, replace(rep, certificate=forged)) == want
+    assert verify_report(inst, replace(rep, value=float("inf"))) == want
 
 
 def test_verify_report_has_zero_tolerance_on_exact_rlt1():

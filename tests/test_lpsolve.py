@@ -350,6 +350,26 @@ def test_exact_certificate_has_zero_tolerance():
         assert verify_solution(lp, replace(res, **moved)) == (False, want)
 
 
+def test_float_duals_are_checked_at_their_exact_values():
+    # 1e17 + 1.0 - 1e17 sums to 0.0 in floats; read exactly, b.y is 0 as
+    # claimed but column 0's reduced cost is 0 - (1e17 + 1 - 1e17) = -1
+    lp = linear_program("min", [0], [((1,), EQ, 0)] * 3)
+    y = (1e17, 1.0, -1e17)
+    for tol in (0, lpsolve.FLOAT_CHECK_TOL):
+        assert lpsolve.dual_violations(lp, y, 0.0, tol) == [
+            "duals violate column 0"]
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_verify_rejects_a_non_finite_float_result(bad):
+    lp = linear_program("min", [1, 1], [((1, 1), GE, 1)])
+    res = solve_lp(lp, mode="float")
+    assert verify_solution(lp, res) == (True, ())
+    for moved in ({"value": bad}, {"x": (bad, 0.0)}, {"duals": (bad,)}):
+        assert verify_solution(lp, replace(res, **moved)) == (
+            False, ("certificate has a non-finite value",))
+
+
 def test_mode_resolution(monkeypatch):
     lp = linear_program("min", [1], [((1,), GE, 1)])
     monkeypatch.setenv(MODE_ENV_VAR, "float")
