@@ -444,11 +444,11 @@ def _lifted_bound(bqp: BqpInstance, name: str, mode: str, members=None,
         res = solve_lp(lp, mode=mode)
     if res.status != OPTIMAL:
         why = f"lifting LP is {res.status}"
-        if res.status == UNBOUNDED and members is not None:
-            # its dual, the linearization LP, is empty
-            why = ("no combination of the family's linearizable matrices "
-                   "stays below Q")
-        elif res.status == UNBOUNDED:  # such x_j leave their pairs free
+        if res.status == UNBOUNDED:
+            if members:  # its dual, the linearization LP, is empty
+                why = ("no combination of the family's linearizable "
+                       "matrices stays below Q")
+            # such x_j leave their pairs free
             idle = [j for j in range(bqp.m) if not any(bqp.B.column(j))]
             if idle:
                 why += f"; variables in no row of B: {idle}"
@@ -548,7 +548,8 @@ def lbb_star(inst, family=None, mode: str = "auto") -> BoundReport:
     symmetrized internally ((M + M^T)/2 carries the same linearization
     vector, skew parts being linearizable with the zero vector); that
     never changes the optimum and lets one pair variable per unordered
-    pair suffice.  With family=None an instance carrying
+    pair suffice; a skew member leaves an all-zero row, which the simplex
+    drops as redundant.  With family=None an instance carrying
     shortest-path structure gets its graph's spanning set and the report
     is flagged canonical; passing a SpanningSet directly also counts.
     """
@@ -567,11 +568,8 @@ def lbb_star(inst, family=None, mode: str = "auto") -> BoundReport:
         canonical = True
     elif isinstance(family, SpanningSet):
         canonical = True
-    members = []
-    for q, c in _family_members(family, bqp.m):
-        q = _sym_matrix(q)
-        if any(q.entries) or any(c):  # skew members symmetrize away
-            members.append((q, c))
+    members = [(_sym_matrix(q), c)
+               for q, c in _family_members(family, bqp.m)]
     return _lifted_bound(bqp, "lbb_star", mode, members=members,
                          canonical=canonical)
 

@@ -444,6 +444,8 @@ def _cmd_linearize(args, out) -> int:
 
 
 def _cmd_spanning_set(args, out) -> int:
+    """Payload: the symmetric ``members`` with their linearizations, and
+    a ``dimension`` that also counts the m(m-1)/2 implied skew ones."""
     started = time.monotonic()
     parsed = _load(args.file)
     inst = _require_qspp(parsed, "spanning-set")
@@ -596,7 +598,8 @@ def _build_parser() -> argparse.ArgumentParser:
     li.set_defaults(func=_cmd_linearize)
 
     sp = sub.add_parser("spanning-set",
-                        help="basis of the linearizable cost matrices")
+                        help="symmetric basis of the linearizable cost "
+                        "matrices (skew ones implied)")
     sp.add_argument("file")
     sp.set_defaults(func=_cmd_spanning_set)
 

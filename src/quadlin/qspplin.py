@@ -19,8 +19,9 @@ the first failing arc plus the two differing vectors form a refutation
 witness that is independently checkable by path enumeration.
 
 All of the above is linear in Q, so stacking the per-arc residual maps and
-taking a null-space basis yields a spanning set of the zero-diagonal
-linearizable matrices for the graph.
+taking a null-space basis yields symmetric members that, with the skew
+matrices (implied, not listed), span the graph's zero-diagonal
+linearizable matrices.
 
 Diagonal entries of Q are linear costs in disguise (x_e^2 == x_e) and are
 normalized away on entry and folded back into the output vector; asymmetry
@@ -30,8 +31,8 @@ Arithmetic: every map above only adds and subtracts the pair sums
 q_ij + q_ji and the given costs, so each computation scales its inputs
 once to integer numerators over one common denominator, runs on Python
 ints, and builds a Fraction only for the values it returns.  Membership in
-a spanning set reduces the query against a forward elimination of the
-members, computed on the first query and kept on the instance.
+a spanning set reduces the query's pair sums against a forward
+elimination of the members', kept on the instance.
 """
 
 from __future__ import annotations
@@ -340,48 +341,51 @@ def linearize_qspp(inst: QsppInstance) -> LinearizationOutcome:
 # s_ij = q_ij + q_ji (i < j) --- every map only ever reads those sums ---
 # each per-arc residual becomes an integer matrix row; Q is linearizable
 # iff its s-coordinates lie in the common null space.  A null-space basis,
-# lifted to symmetric matrices and joined with the canonical skew matrices
-# (always linearizable, with zero linearization vector), spans the
-# zero-diagonal linearizable matrices.
+# lifted to symmetric matrices, spans the zero-diagonal linearizable
+# matrices together with the skew ones, which are linearizable with the
+# zero vector and so are implied, not listed.
 
 @dataclass(frozen=True)
 class SpanningSet:
-    """Basis (Q_i, c_i) of the zero-diagonal linearizable matrices."""
+    """Symmetric basis (Q_i, c_i) of the zero-diagonal linearizable
+    matrices modulo the skew ones, which are implied; ``dimension`` also
+    counts those m(m-1)/2 skew directions."""
 
     members: tuple
     dimension: int
 
     def contains(self, q: RationalMatrix) -> bool:
-        """Is q in the span?  Elimination over off-diagonal coordinates.
+        """Is q in the span of the members and the skew matrices?
 
-        The members' coordinate rows, as integers, are forward-eliminated
-        on the first query and the echelon form is kept on the instance:
-        the first query pays for the elimination, and every query reduces
-        only its own row against it.  Members all have zero diagonal, so
-        anything with a nonzero diagonal entry is outside the span by
-        definition.  Raises ValueError("shape mismatch") when q's size
-        differs from the members'.
+        Skew parts never matter, so only the pair sums q_ij + q_ji (i < j)
+        are compared: the members' pair-sum rows, as integers, are
+        forward-eliminated on the first query and kept on the instance;
+        every query reduces only its own row against them.  Members all
+        have zero diagonal, so anything with a nonzero diagonal entry is
+        outside the span by definition.  Raises ValueError("shape
+        mismatch") when q's size differs from the members'.
         """
         if self.members:
             size = self.members[0][0].rows
             if (q.rows, q.cols) != (size, size):
                 raise ValueError("shape mismatch")
-        if any(q.at(i, i) != 0 for i in range(q.rows)):
+        coords, diag = _pair_coords(q)
+        if any(diag):
             return False
-        lead, _ = int_reduce(self._echelon, _offdiag_coords(q))
+        lead, _ = int_reduce(self._echelon, coords)
         return lead < 0
 
     @cached_property
     def _echelon(self) -> dict:
-        return int_echelon(_offdiag_coords(qi) for qi, _ in self.members)
+        return int_echelon(_pair_coords(qi)[0] for qi, _ in self.members)
 
 
-def _offdiag_coords(q: RationalMatrix) -> list:
-    """q's off-diagonal entries, row by row, as integers over their least
-    common denominator (membership only needs the direction)."""
-    step = q.cols + 1
-    return common_denominator(
-        [v for k, v in enumerate(q.entries) if k % step])[0]
+def _pair_coords(q: RationalMatrix):
+    """``(coords, diag)``: q's pair sums q_ij + q_ji (i < j), row by row,
+    and its diagonal, as integers over one common denominator (membership
+    only needs the direction)."""
+    s, diag, _ = _pair_sums(q)
+    return [x for i, row in enumerate(s) for x in row[i + 1:]], diag
 
 
 def _pair_index(m: int):
@@ -415,9 +419,10 @@ def _symbolic_pseudo(cor: Dag, pidx, top_of):
 def spanning_set(g: Dag) -> SpanningSet:
     """Spanning set of the zero-diagonal linearizable matrices for g.
 
-    Every member comes with its linearization vector; symmetric members
-    carry the reduced vector read off the target pseudo-linearization map,
-    skew members carry zero.  The residual maps are integer rows over the
+    The members are a symmetric basis, each with the reduced linearization
+    vector read off the target pseudo-linearization map; the skew
+    directions are implied (linearizable with the zero vector) and only
+    counted in ``dimension``.  The residual maps are integer rows over the
     pair coordinates; each null-space vector is scaled once to integer
     numerators over one common denominator, and its linearization vector
     is a sparse integer dot product with the target's symbolic
@@ -487,9 +492,5 @@ def spanning_set(g: Dag) -> SpanningSet:
         c = tuple(Fraction(2 * sum(prow[k] * x for k, x in support), den)
                   for prow in p_t)
         members.append((RationalMatrix(m, m, tuple(flat)), c))
-    for i, j in pairs:
-        flat = [ZERO] * (m * m)
-        flat[i * m + j] = ONE
-        flat[j * m + i] = -ONE
-        members.append((RationalMatrix(m, m, tuple(flat)), (ZERO,) * m))
-    return SpanningSet(members=tuple(members), dimension=len(members))
+    return SpanningSet(members=tuple(members),
+                       dimension=len(members) + width)

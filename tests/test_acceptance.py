@@ -14,7 +14,8 @@ itself when a guarantee does not hold):
      basis member verifies by path enumeration
   5. the bound ladder gl <= ggl (both skew strategies) <= lbb_prime
      = rlt1 <= lbb_star <= optimum holds in exact arithmetic, with
-     the middle equality bit-exact
+     the middle equality bit-exact; with every linearizable matrix of
+     a generic BQP, lbb_star is strictly above lbb_prime on seeded draws
   6. lbb_prime is bit-exactly invariant under skew-plus-diagonal
      objective reformulations
   7. the simplex core agrees with a vertex-enumeration oracle, exactly
@@ -32,6 +33,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from quadlin.bounds import (
+    BoundComputationError,
     SkewStrategy,
     ggl_bound,
     gl_bound,
@@ -39,11 +41,13 @@ from quadlin.bounds import (
     lbb_star,
     rlt1,
     verify_chain,
+    verify_report,
 )
 from quadlin.cli import main as cli_main
-from quadlin.exactnum import RationalMatrix
+from quadlin.exactnum import RationalMatrix, null_space_basis
 from quadlin.lpsolve import EQ, GE, LE, OPTIMAL, linear_program, solve_lp
 from quadlin.model import (
+    BqpInstance,
     LinearizableFamily,
     QsppInstance,
     brute_force_opt,
@@ -234,6 +238,28 @@ def _generator_family(rng, inst, count=3):
     return LinearizableFamily.from_generators(inst, gens, symmetrize=True)
 
 
+def _enumerated_family(inst):
+    """Every linearizable direction of a BQP, from its feasible set.
+
+    (A, c) with A symmetric and zero-diagonal is linearizable iff
+    sum_{i<j} 2 A_ij x_i x_j - c . x == 0 on every feasible x, so a
+    null-space basis of those rows spans all such pairs; with the
+    diagonal (x_i^2 == x_i) and the skew matrices, which lbb_star covers
+    by itself, that is the paper's full set of linearizable matrices.
+    """
+    m = inst.m
+    pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
+    rows = [[F(2 * x[i] * x[j]) for i, j in pairs] + [F(-v) for v in x]
+            for x in enumerate_feasible(inst)]
+    members = []
+    for vec in null_space_basis(RationalMatrix.from_rows(rows)):
+        q = [[F(0)] * m for _ in range(m)]
+        for (i, j), v in zip(pairs, vec):
+            q[i][j] = q[j][i] = v
+        members.append((RationalMatrix.from_rows(q), vec[len(pairs):]))
+    return LinearizableFamily.verified(inst, members)
+
+
 def test_bound_ladder_in_exact_arithmetic(capsys):
     rng = random.Random(2005)
     plan = []
@@ -291,6 +317,39 @@ def test_bound_ladder_in_exact_arithmetic(capsys):
             f"{len(plan) - corridors} assignment), chain and bit-exact "
             f"middle equality on all, lbb_star strictly above lbb_prime "
             f"on {strict_star}")
+
+
+def test_full_family_bound_can_be_strictly_stronger(capsys):
+    # the paper's claim: lbb_star over every linearizable matrix is at
+    # least lbb_prime, and strictly above it on some generic BQPs
+    rng = random.Random(2024)
+    draws, solved, strict = 30, 0, 0
+    for _ in range(draws):
+        m = rng.randint(5, 7)
+        B = [[rng.randint(0, 2) for _ in range(m)] for _ in range(2)]
+        x0 = [rng.randint(0, 1) for _ in range(m)]
+        inst = BqpInstance(
+            B=RationalMatrix.from_rows(B),
+            b=tuple(sum(a * x for a, x in zip(row, x0)) for row in B),
+            Q=RationalMatrix.from_rows(
+                [[rng.randint(-5, 5) for _ in range(m)] for _ in range(m)]))
+        try:
+            prime = lbb_prime(inst, mode="exact")
+        except BoundComputationError:
+            continue  # e.g. a variable in no row of B
+        star = lbb_star(inst, family=_enumerated_family(inst), mode="exact")
+        for rep in (prime, star):
+            ok, msgs = verify_report(inst, rep)
+            assert ok, (rep.name, msgs)
+        opt, _ = brute_force_opt(inst)
+        verify_chain([prime, star], opt=opt)
+        solved += 1
+        strict += star.value > prime.value
+    assert (solved, strict) == (17, 7)
+    with capsys.disabled():
+        _ok("full family",
+            f"{solved}/{draws} generic BQPs solved, lbb_star strictly "
+            f"above lbb_prime on {strict}, chain and replay on all")
 
 
 def test_reformulation_leaves_lbb_prime_unchanged(capsys):

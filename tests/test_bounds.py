@@ -3,6 +3,7 @@
 import random
 from dataclasses import replace
 from fractions import Fraction
+from functools import partial
 
 import pytest
 
@@ -159,15 +160,17 @@ def _pinned_qap():
     (_pinned_corridor, {
         "gl": ("-35/2", 70),
         "ggl-upper": ("-14", 164),
-        "ggl-sym": ("-6192449487634435/1125899906842624", 2472)}),
+        "ggl-sym": ("-6192449487634435/1125899906842624", 2472),
+        "lbb_star": ("-11/2", 65)}),
     (_pinned_qap, {
         "gl": ("33", 85),
         "ggl-upper": ("33", 205),
         "ggl-sym": ("19140298416324607/562949953421312", 2780)}),
 ], ids=["corridor", "qap"])
 def test_gl_and_ggl_values_and_pivot_counts_are_pinned(inst, pins):
-    # exact values and pivot counts of the column-fitting bounds; a change
-    # that moves a pivot path or a fitted value shows here
+    # exact values and pivot counts of the column-fitting bounds, and of
+    # the canonical lbb_star (43 spanning members) where the instance has
+    # a graph; a change that moves a pivot path or a value shows here
     inst = inst()
     reports = {
         "gl": gl_bound(inst, mode="exact"),
@@ -176,6 +179,8 @@ def test_gl_and_ggl_values_and_pivot_counts_are_pinned(inst, pins):
         "ggl-sym": ggl_bound(
             inst, strategy=SkewStrategy.SYMMETRIZE, mode="exact"),
     }
+    if "lbb_star" in pins:
+        reports["lbb_star"] = lbb_star(inst, mode="exact")
     assert {name: (str(rep.value), rep.pivots)
             for name, rep in reports.items()} == pins
 
@@ -407,6 +412,16 @@ def _diag_units(m):
     return out
 
 
+def _skew_units(m):
+    out = []
+    for i in range(m):
+        for j in range(i + 1, m):
+            q = [[ZERO] * m for _ in range(m)]
+            q[i][j], q[j][i] = ONE, -ONE
+            out.append((RationalMatrix.from_rows(q), (ZERO,) * m))
+    return out
+
+
 def test_generic_family_bound_is_skew_sensitive_but_star_is_not():
     # zero costs on the diamond; arcs 0 and 2 share the upper path
     g = diamond()
@@ -434,8 +449,9 @@ def test_generic_family_bound_is_skew_sensitive_but_star_is_not():
     star_b = lbb_star(shifted, family=family, mode="exact")
     assert star_a.value == star_b.value == 0
 
-    # a family that spans the shifted skew direction absorbs it instead
-    full = list(spanning_set(g).members) + _diag_units(m)
+    # a family that spans the shifted skew direction absorbs it instead;
+    # a spanning set leaves the skew directions implied, so list them
+    full = list(spanning_set(g).members) + _diag_units(m) + _skew_units(m)
     assert lbb_generic(inst, full, mode="exact").value \
         == lbb_generic(shifted, full, mode="exact").value
 
@@ -446,6 +462,21 @@ def test_generic_family_bound_is_skew_sensitive_but_star_is_not():
         assert not linearization_violations(which, rep), rep.name
         assert linearization_violations(
             which, replace(rep, value=rep.value + 1)), rep.name
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_a_skew_member_leaves_lbb_star_unchanged(mode):
+    # a skew member symmetrizes to zero: its row in the lifting LP is all
+    # zero, so the value stays and the certificate still replays
+    inst = _random_qspp(random.Random(7), m_max=7)
+    m = inst.graph.m
+    family = list(spanning_set(inst.graph).members)[:5] + _diag_units(m)
+    plain = lbb_star(inst, family=family, mode=mode)
+    skewed = lbb_star(inst, family=family + _skew_units(m)[:1], mode=mode)
+    assert skewed.value == plain.value
+    assert len(skewed.certificate["members"]) == len(family) + 1
+    ok, msgs = verify_report(inst, skewed)
+    assert ok, msgs
 
 
 @pytest.mark.parametrize("mode", ["exact", "float"])
@@ -461,11 +492,13 @@ def test_a_family_that_cannot_stay_below_q_fails_the_bound(mode):
     assert "unbounded" not in str(exc.value)
 
 
-@pytest.mark.parametrize("bound", [lbb_prime, rlt1])
+@pytest.mark.parametrize("bound", [
+    lbb_prime, rlt1,
+    pytest.param(partial(lbb_star, family=()), id="lbb_star-empty-family")])
 @pytest.mark.parametrize("mode", ["exact", "float"])
 def test_an_unbounded_lifting_lp_names_the_variables_outside_b(bound, mode):
     # x_2 is in no row of B, so nothing bounds its pair variables and
-    # -X_22 falls without end; neither bound has a family to blame
+    # -X_22 falls without end; no bound here has a family to blame
     inst = BqpInstance(B=RationalMatrix.from_rows([[1, 1, 0]]), b=(1,),
                        Q=RationalMatrix.diagonal([0, 0, -1]))
     with pytest.raises(BoundComputationError,

@@ -422,8 +422,9 @@ def test_linearize_round_trip_property(seed):
 # spanning sets
 
 def test_spanning_diamond_dimension():
+    # 6 symmetric members; the 6 skew directions are implied
     ss = spanning_set(diamond())
-    assert ss.dimension == 12 and len(ss.members) == 12
+    assert ss.dimension == 12 and len(ss.members) == 6
 
 
 def test_spanning_single_path_all_matrices():
@@ -443,15 +444,19 @@ def test_spanning_members_verify_and_are_independent():
         ss = spanning_set(g)
         coord_rows = []
         for q, c in ss.members:
+            assert q.is_symmetric()
             assert all(q.at(i, i) == 0 for i in range(g.m))
             assert is_linearization(QsppInstance(g, q), q, c)
             coord_rows.append([q.at(i, j) for i in range(g.m)
                                for j in range(g.m) if i != j])
-        assert matrix_rank(RationalMatrix.from_rows(coord_rows)) == ss.dimension
+        assert matrix_rank(RationalMatrix.from_rows(coord_rows)) \
+            == len(ss.members)
+        assert ss.dimension == len(ss.members) + g.m * (g.m - 1) // 2
 
 
 def test_spanning_membership_matches_decision():
     rng = random.Random(43)
+    skew_rng = random.Random(143)  # keeps rng's draws as they were
     for _ in range(12):
         g = random_corridor_dag(rng, n_max=6, m_max=9)
         ss = spanning_set(g)
@@ -459,6 +464,11 @@ def test_spanning_membership_matches_decision():
             q = RationalMatrix.from_rows(zero_diag_rows(rng, g.m))
             verdict = linearize_qspp(QsppInstance(g, q)).linearizable
             assert ss.contains(q) == verdict
+            # skew directions are implied: adding one keeps the verdict
+            upper = RationalMatrix.from_rows(
+                [[rand_rational(skew_rng) if j > i else F(0)
+                  for j in range(g.m)] for i in range(g.m)])
+            assert ss.contains(q + upper - upper.transpose()) == verdict
 
 
 def test_spanning_rejects_nonzero_diagonal():
@@ -478,19 +488,21 @@ def test_spanning_contains_rejects_shape_mismatch():
 
 def test_contains_matches_rank_reference():
     # A hand-built set with dependent members (a duplicate, and the sum of
-    # two members) against a Fraction rank test done here.  The first
-    # member is scaled by 3, so some pivots are not units.
+    # two members) against a Fraction rank test done here over the pair
+    # sums q_ij + q_ji, the coordinates left once skew parts are implied.
+    # The first member is scaled by 3, so some pivots are not units.
     rng = random.Random(44)
     g = double_diamond()
     m = g.m
     base = spanning_set(g).members
     (q0, c0), (q1, c1), (q2, c2) = base[0], base[1], base[3]
     members = ((q0.scale(3), vscale(3, c0)),) + base[1:5] + (
-        base[1], (q1 + q2, vadd(c1, c2))) + base[-3:]
+        base[1], (q1 + q2, vadd(c1, c2)))
     ss = SpanningSet(members=members, dimension=len(members))
 
     def coords(q):
-        return [q.at(i, j) for i in range(m) for j in range(m) if i != j]
+        return [q.at(i, j) + q.at(j, i)
+                for i in range(m) for j in range(i + 1, m)]
 
     rows = [coords(q) for q, _ in members]
     base_rank = matrix_rank(RationalMatrix.from_rows(rows))
