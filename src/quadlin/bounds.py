@@ -10,7 +10,7 @@ of linearizable matrices):
               polytope point under the fitted linear costs.
   ggl         iterated gl: subtract the fitted part, optionally shuffle the
               residual with a skew matrix (which never changes x^T R x),
-              accumulate the linear parts, repeat.
+              accumulate the linear parts, repeat.  gl is its first round.
   lbb_prime   one LP over (y, Y, z): max b.y subject to dual feasibility
               and B^T Y + Y^T B + Diag(z) elementwise below sym(Q).
   rlt1        level-1 reformulation-linearization: lift to pair variables
@@ -30,9 +30,13 @@ reads its linearization certificate off the duals.  lbb_prime uses the
 sum matrices B^T Y + Y^T B + Diag(z) alone, lbb_star adds a family, both
 against sym(Q); lbb_generic uses a family alone against the raw Q.
 
+gl and ggl solve one fitting program per column k (_fitting_programs):
+max b.y + z subject to B^T y + e_k z <= Q[:, k].  Its rows at the fit
+are Qbar[:, k] - Q[:, k], so the residual is minus the row gaps.
+
 Every report carries enough certificate data for verify_report to confirm
 the bound from first principles without re-running the solver: it
-rebuilds the LP the bound solved and evaluates that LP's rows at the
+rebuilds each LP the bound solved and evaluates that LP's rows at the
 certificate's point, and its columns at the certificate's duals.
 """
 
@@ -43,14 +47,12 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
-from operator import mul
 
 from quadlin.exactnum import (
     ONE,
     ZERO,
     NonFiniteError,
     RationalMatrix,
-    common_denominator,
     rat,
     rat_from,
     vdot,
@@ -65,6 +67,7 @@ from quadlin.lpsolve import (
     LinearProgram,
     _requested_mode,
     _resolve_mode,
+    _row_gaps,
     dual_violations,
     point_violations,
     solve_lp,
@@ -207,57 +210,44 @@ def _fit_columns(programs, q: RationalMatrix, mode):
     once per bound; each round solves programs[k].with_rhs(q[:, k]), which
     shares their coefficients and standard-form layout, so only the new
     right-hand sides are validated and prepared.
-    Returns (ybar columns, zbar, cbar, pivots).
+    Returns (the programs solved, ybar columns, zbar, cbar, pivots).
     """
     n = programs[0].nvars - 1
+    lps = [lp.with_rhs(q.column(k)) for k, lp in enumerate(programs)]
     ycols = []
     zbar = []
     cbar = []
     pivots = 0
-    for k, lp in enumerate(programs):
-        res = _solve(lp.with_rhs(q.column(k)), mode,
-                     f"column {k} fitting program")
+    for k, lp in enumerate(lps):
+        res = _solve(lp, mode, f"column {k} fitting program")
         ycols.append(res.x[:n])
         zbar.append(res.x[n])
         cbar.append(res.value)
         pivots += res.pivots
-    return ycols, zbar, cbar, pivots
+    return lps, ycols, zbar, cbar, pivots
 
 
-def _fitted_matrix(bqp: BqpInstance, ycols, zbar) -> RationalMatrix:
-    """Qbar = B^T Ybar + Diag(zbar) with Ybar's k-th column ycols[k].
-    Each ycols[k] goes over one common denominator, so every cell is one
-    integer dot product with B's column numerators and one Fraction."""
-    m = bqp.m
-    bcols = [common_denominator(bqp.B.column(i)) for i in range(m)]
-    ys = [common_denominator([rat_from(v) for v in col]) for col in ycols]
-    flat = [Fraction(sum(map(mul, bnums, ynums)), kb * dy)
-            for bnums, kb in bcols for ynums, dy in ys]
-    for k, z in enumerate(zbar):
-        flat[k * m + k] += rat_from(z)
-    return RationalMatrix(m, m, tuple(flat))
-
-
-def _next_matrix(q: RationalMatrix, qbar: RationalMatrix,
-                 strategy: SkewStrategy) -> RationalMatrix:
-    """The residual R = q - qbar reshuffled per strategy: R itself, R with
+def _next_matrix(gaps, strategy: SkewStrategy) -> RationalMatrix:
+    """The residual R = q - Qbar reshuffled per strategy: R itself, R with
     R_ij + R_ji above the diagonal and zeros below, or (R + R^T) / 2.
-    Each folded entry is one exact sum of the four cells behind it."""
+    gaps[k] are fitting program k's row gaps at its fit (y_k, z_k): row i
+    is B[:, i].y_k + [i == k] z_k - q[i][k] = Qbar[i][k] - q[i][k], so R
+    is minus their transpose, and a folded entry is one exact sum."""
+    m = len(gaps)
     if strategy == SkewStrategy.NONE:
-        return q - qbar
+        return RationalMatrix.from_rows(
+            [[-gaps[j][i] for j in range(m)] for i in range(m)])
     if strategy == SkewStrategy.UPPER_TRIANGULAR:
-        w, mirror = (ONE, -ONE, ONE, -ONE), False
+        w, mirror = (-ONE, -ONE), False
     elif strategy == SkewStrategy.SYMMETRIZE:
-        w, mirror = (_HALF, -_HALF, _HALF, -_HALF), True
+        w, mirror = (-_HALF, -_HALF), True
     else:
         raise ValueError(f"unknown strategy {strategy!r}")
-    m = q.rows
     rows = [[ZERO] * m for _ in range(m)]
     for i in range(m):
-        rows[i][i] = q.at(i, i) - qbar.at(i, i)
+        rows[i][i] = -gaps[i][i]
         for j in range(i + 1, m):
-            rows[i][j] = vdot(
-                (q.at(i, j), qbar.at(i, j), q.at(j, i), qbar.at(j, i)), w)
+            rows[i][j] = vdot((gaps[j][i], gaps[i][j]), w)
             if mirror:
                 rows[j][i] = rows[i][j]
     return RationalMatrix.from_rows(rows)
@@ -281,10 +271,11 @@ def _fitting_rounds(inst, strategy: SkewStrategy, max_iter: int,
     pivots = 0
     programs = _fitting_programs(bqp)
     for it in range(max_iter):
-        if it:
-            q_cur = _next_matrix(q_cur, _fitted_matrix(bqp, ycols, zbar),
-                                 strategy)
-        ycols, zbar, cbar, piv = _fit_columns(programs, q_cur, mode)
+        if it:  # the residual is minus the last fit's row gaps
+            q_cur = _next_matrix(
+                [_row_gaps(lp, [rat_from(v) for v in y] + [rat_from(z)])
+                 for lp, y, z in zip(lps, ycols, zbar)], strategy)
+        lps, ycols, zbar, cbar, piv = _fit_columns(programs, q_cur, mode)
         c_total = [a + rat_from(c) for a, c in zip(c_total, cbar)]
         lp = _polytope_lp(bqp, [a + l for a, l in zip(c_total, bqp.linear)])
         final = _solve(lp, mode, "feasible-set minimum")
@@ -308,13 +299,10 @@ def _fitting_rounds(inst, strategy: SkewStrategy, max_iter: int,
 
 
 def gl_bound(inst, mode: str = "auto") -> BoundReport:
-    """One-shot column fitting bound: ggl's first round.  Its certificate
-    is that round's fit (ybar_columns, zbar, cbar) with the point and
-    duals of the polytope LP."""
-    rep = _fitting_rounds(inst, SkewStrategy.NONE, 1, mode)
-    cert = rep.certificate
-    return replace(rep, name="gl", trace=(), certificate=dict(
-        cert["iterations"][0], x=cert["x"], duals=cert["duals"]))
+    """One-shot column fitting bound: ggl's first round, with ggl's
+    certificate (strategy "none", one round in iterations)."""
+    return replace(_fitting_rounds(inst, SkewStrategy.NONE, 1, mode),
+                   name="gl", trace=())
 
 
 def ggl_bound(inst, strategy: SkewStrategy = SkewStrategy.NONE,
@@ -644,21 +632,34 @@ def optimum_report(inst, cap: int = 1_000_000) -> BoundReport:
                        certificate={"argmin": argmin})
 
 
-def _fitting_shape(cert: dict, name: str, n: int, m: int) -> list:
-    """Why a gl or ggl certificate cannot be replayed: a missing key, an
-    unknown strategy, no round, or a round without m columns of n duals,
-    m zbar and m cbar entries."""
-    keys = ("x", "duals", "iterations") if name == "ggl" else ("x", "duals")
-    missing = [key for key in keys if key not in cert]
-    if missing:
-        return [f"certificate lacks {', '.join(missing)}"]
-    if cert.get("strategy", "none") not in {s.value for s in SkewStrategy}:
+# the certificate keys each kind's replay reads; opt replays nothing
+_FIT_KEYS = ("strategy", "iterations", "x", "duals")
+_CERT_KEYS = {"gl": _FIT_KEYS, "ggl": _FIT_KEYS, "opt": (),
+              "rlt1": ("x", "pairs", "w", "duals"),
+              "lbb_prime": ("y", "Y", "z"),
+              "lbb_star": ("y", "Y", "z", "alpha", "members"),
+              "lbb_generic": ("y", "alpha", "members")}
+
+
+def _holds_float(obj) -> bool:
+    """Whether obj is a float or holds one in a tuple, list or dict."""
+    if isinstance(obj, dict):
+        obj = tuple(obj.values())
+    if isinstance(obj, (tuple, list)):
+        return any(map(_holds_float, obj))
+    return isinstance(obj, float)
+
+
+def _fitting_shape(cert: dict, n: int, m: int) -> list:
+    """Why a gl or ggl certificate cannot be replayed: an unknown
+    strategy, no round, or a round without m columns of n duals, m zbar
+    and m cbar entries."""
+    if cert["strategy"] not in {s.value for s in SkewStrategy}:
         return [f"unknown skew strategy {cert['strategy']!r}"]
-    steps = cert["iterations"] if name == "ggl" else (cert,)
-    if not steps:
+    if not cert["iterations"]:
         return ["certificate has no fitting round"]
     msgs = []
-    for it, step in enumerate(steps):
+    for it, step in enumerate(cert["iterations"]):
         missing = [key for key in ("ybar_columns", "zbar", "cbar")
                    if key not in step]
         if missing:
@@ -681,19 +682,30 @@ def verify_report(inst, report: BoundReport):
     satisfy its columns and reach the value (lpsolve.dual_violations),
     and for gl, ggl and rlt1 so must the certificate's point satisfy its
     rows (lpsolve.point_violations).  An lbb certificate is turned back
-    into the duals of the lifting LP it was read off; gl and ggl also
-    re-check each fitting round.  Every check is exact, a float read at
-    its exact binary value: exact reports pass with zero tolerance, float
-    reports within an absolute FLOAT_CHECK_TOL (1e-7) on every row,
-    column and value, and a NaN or an infinity anywhere in the value or
-    the certificate fails.  An lbb_prime or rlt1 report that drops pairs
-    (``sparsity``) passes only if each pair is a structural zero of the
-    instance, so never on an instance without a structure.
+    into the duals of the lifting LP it was read off.  In each gl/ggl
+    round, column k's fit must be a point of fitting program k with
+    value cbar[k]; its row gaps fold into the next round as in the bound.
+    Every check is exact, a float read at its exact binary value: exact
+    reports pass with zero tolerance, float reports within an absolute
+    FLOAT_CHECK_TOL (1e-7), and a NaN or an infinity fails.  So does an
+    unknown kind or mode, a missing certificate key, an exact report
+    holding a float, and an lbb_prime or rlt1 report dropping a pair
+    (``sparsity``) that is not a structural zero of the instance.
     """
+    cert = report.certificate
+    keys = _CERT_KEYS.get(report.name)
+    if keys is None:
+        return False, (f"unknown report kind {report.name!r}",)
+    if report.mode not in ("exact", "float"):
+        return False, (f"unknown mode {report.mode!r}",)
+    missing = [key for key in keys if key not in cert]
+    if missing:
+        return False, (f"certificate lacks {', '.join(missing)}",)
+    if report.mode == "exact" and _holds_float((report.value, cert)):
+        return False, ("an exact report holds a float",)
     bqp = _bqp(inst)
     m = bqp.m
     tol = 0 if report.mode == "exact" else FLOAT_CHECK_TOL
-    cert = report.certificate
     msgs = []
     sparsity = frozenset(tuple(p) for p in report.sparsity or ())
     if sparsity and report.name in ("lbb_prime", "rlt1"):
@@ -709,45 +721,34 @@ def verify_report(inst, report: BoundReport):
 
     try:
         if report.name in ("gl", "ggl"):
-            shape = _fitting_shape(cert, report.name, bqp.B.rows, m)
+            shape = _fitting_shape(cert, bqp.B.rows, m)
             if shape:
                 return False, tuple(msgs + shape)
-            # gl is one round; the skew strategy only shapes later rounds
-            steps = cert["iterations"] if report.name == "ggl" else (cert,)
-            strategy = SkewStrategy(cert.get("strategy", "none"))
-            # cbar[k] is fitting program k's objective b.y + z at (y, z);
-            # the program is taken without rows, so it has no row gaps
-            fit_objective = LinearProgram("max", tuple(bqp.b) + (ONE,), (),
-                                          ((None, None),) * (bqp.B.rows + 1))
+            strategy = SkewStrategy(cert["strategy"])
+            programs = _fitting_programs(bqp)
             q_cur = bqp.Q
             c_total = [ZERO] * m
-            for it, step in enumerate(steps):
+            for it, step in enumerate(cert["iterations"]):
                 if it:  # as in the bound, fold the residual between rounds
-                    q_cur = _next_matrix(q_cur, qbar, strategy)
-                # read once here; below, rat_from passes them through
-                ycols = [[rat_from(v) for v in col]
-                         for col in step["ybar_columns"]]
-                zbar = [rat_from(v) for v in step["zbar"]]
-                cbar = [rat_from(v) for v in step["cbar"]]
-                qbar = _fitted_matrix(bqp, ycols, zbar)
-                for c, (a, b) in enumerate(zip(qbar.entries, q_cur.entries)):
-                    if a > b and (not tol or a - b > tol):
-                        msgs.append(
-                            f"round {it}: fitted matrix exceeds the "
-                            f"current matrix at ({c // m}, {c % m})")
-                for k in range(m):
-                    msgs += [f"round {it}: cbar[{k}]: {msg}"
+                    q_cur = _next_matrix(gaps, strategy)
+                gaps = []
+                for k, (ycol, z, c) in enumerate(zip(
+                        step["ybar_columns"], step["zbar"], step["cbar"])):
+                    lp = programs[k].with_rhs(q_cur.column(k))
+                    fit = [rat_from(v) for v in ycol] + [rat_from(z)]
+                    gaps.append(_row_gaps(lp, fit))
+                    msgs += [f"round {it}: column {k}: {msg}"
                              for msg in point_violations(
-                                 fit_objective, ycols[k] + [zbar[k]],
-                                 cbar[k], tol, gaps=())]
-                c_total = [a + c for a, c in zip(c_total, cbar)]
+                                 lp, fit, c, tol, gaps[-1])]
+                c_total = [a + rat_from(c)
+                           for a, c in zip(c_total, step["cbar"])]
             # the bound's final LP; costs are Fraction sums, as in the bound
             lp = _polytope_lp(bqp, [a + l
                                     for a, l in zip(c_total, bqp.linear)])
             msgs += point_violations(lp, cert["x"], report.value, tol)
             msgs += dual_violations(lp, cert["duals"], report.value, tol)
 
-        elif report.name in ("rlt1", "lbb_prime", "lbb_star", "lbb_generic"):
+        elif report.name != "opt":  # opt: nothing beyond brute force itself
             members = None
             if report.name in ("lbb_star", "lbb_generic"):
                 members = _family_members(cert["members"], m)
@@ -770,9 +771,6 @@ def verify_report(inst, report: BoundReport):
                      for v in row),
                     (-rat_from(v) for v in cert.get("z", ()))))
             msgs += dual_violations(lp, duals, report.value, tol)
-
-        elif report.name != "opt":  # opt: nothing beyond brute force itself
-            msgs.append(f"unknown report kind {report.name!r}")
     except NonFiniteError:
         msgs.append("certificate has a non-finite value")
 

@@ -281,6 +281,7 @@ def test_bound_ladder_in_exact_arithmetic(capsys):
         plan.append(("qap", 4))
 
     strict_star = 0
+    replay_s = 0.0
     for kind, payload in plan:
         if kind == "qspp":
             g = payload
@@ -308,6 +309,11 @@ def test_bound_ladder_in_exact_arithmetic(capsys):
             assert not linearization_violations(bqp, rep), rep.name
         opt, _ = brute_force_opt(inst)
         verify_chain(reports, opt=opt)
+        started = time.perf_counter()
+        for rep in reports:
+            ok, msgs = verify_report(inst, rep)
+            assert ok, (rep.name, msgs)
+        replay_s += time.perf_counter() - started
         if star.value > prime.value:
             strict_star += 1
     corridors = sum(1 for kind, _ in plan if kind == "qspp")
@@ -316,7 +322,7 @@ def test_bound_ladder_in_exact_arithmetic(capsys):
             f"{len(plan)} instances ({corridors} corridor, "
             f"{len(plan) - corridors} assignment), chain and bit-exact "
             f"middle equality on all, lbb_star strictly above lbb_prime "
-            f"on {strict_star}")
+            f"on {strict_star}, every report replayed ({replay_s:.1f} s)")
 
 
 def test_full_family_bound_can_be_strictly_stronger(capsys):

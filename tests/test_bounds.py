@@ -111,9 +111,7 @@ def test_gl_equals_first_ggl_round():
     assert one_round.value == gl.value
     assert one_round.trace == (gl.value,)
     assert one_round.pivots == gl.pivots
-    cert = one_round.certificate
-    assert gl.certificate == dict(cert["iterations"][0], x=cert["x"],
-                                  duals=cert["duals"])
+    assert gl.certificate == one_round.certificate
 
 
 def test_ggl_trace_is_nondecreasing():
@@ -185,25 +183,36 @@ def test_gl_and_ggl_values_and_pivot_counts_are_pinned(inst, pins):
             for name, rep in reports.items()} == pins
 
 
-def test_fitted_matrix_matches_a_fraction_sum():
+def test_residual_is_minus_the_fitting_programs_row_gaps():
     # B with denominators 1, 2, 3 and 7; ycols exact with their own
-    # denominators, or floats as a float-mode certificate carries them
+    # denominators, or floats as a float-mode certificate carries them;
+    # the row gaps of program k at (y_k, z_k) are column k of Qbar - Q
     rng = random.Random(5)
     n, m = 3, 5
     B = RationalMatrix.from_rows(
         [[Fraction(rng.randint(-6, 6), rng.choice((1, 2, 3, 7)))
           for _ in range(m)] for _ in range(n)])
-    bqp = BqpInstance(B=B, b=(ONE,) * n, Q=RationalMatrix.zeros(m, m))
+    Q = RationalMatrix.from_rows(
+        [[Fraction(rng.randint(-9, 9), rng.randint(1, 4)) for _ in range(m)]
+         for _ in range(m)])
+    bqp = BqpInstance(B=B, b=(ONE,) * n, Q=Q)
+    programs = bounds._fitting_programs(bqp)
     exact = [[Fraction(rng.randint(-9, 9), rng.randint(1, 12))
               for _ in range(n)] for _ in range(m)]
     floats = [[rng.uniform(-3, 3) for _ in range(n)] for _ in range(m)]
     for ycols, zbar in ((exact, [Fraction(k, 5) for k in range(m)]),
                         (floats, [0.25 * k - 0.6 for k in range(m)])):
-        want = [[sum((B.at(r, i) * Fraction(ycols[k][r]) for r in range(n)),
-                     Fraction(0))
-                 + (Fraction(zbar[k]) if i == k else 0)
+        want = [[Q.at(i, k)
+                 - sum((B.at(r, i) * Fraction(ycols[k][r]) for r in range(n)),
+                       Fraction(0))
+                 - (Fraction(zbar[k]) if i == k else 0)
                  for k in range(m)] for i in range(m)]
-        assert bounds._fitted_matrix(bqp, ycols, zbar).to_rows() == want
+        gaps = [lpsolve._row_gaps(
+            programs[k].with_rhs(Q.column(k)),
+            [Fraction(v) for v in ycols[k]] + [Fraction(zbar[k])])
+            for k in range(m)]
+        assert bounds._next_matrix(
+            gaps, SkewStrategy.NONE).to_rows() == want
 
 
 def test_rlt1_and_lbb_prime_share_one_solve_per_sparsity(monkeypatch):
@@ -575,14 +584,23 @@ def test_verify_report_catches_tampered_certificates():
     assert not ok
 
     gl = gl_bound(inst, mode="exact")
-    cert = dict(gl.certificate)
-    cb = list(cert["cbar"])
+    step = dict(gl.certificate["iterations"][0])
+    cb = list(step["cbar"])
     cb[0] += 1
-    cert["cbar"] = tuple(cb)
+    step["cbar"] = tuple(cb)
     ok, msgs = verify_report(inst, BoundReport(
         name="gl", value=gl.value, mode="exact",
-        relaxation_only=gl.relaxation_only, certificate=cert))
+        relaxation_only=gl.relaxation_only,
+        certificate=dict(gl.certificate, iterations=(step,))))
     assert not ok
+    assert "round 0: column 0: objective value mismatch" in msgs
+    # zbar[0] sits in row 0 of column 0's fitting program only
+    step = dict(gl.certificate["iterations"][0])
+    step["zbar"] = (step["zbar"][0] + 10 ** 6,) + step["zbar"][1:]
+    ok, msgs = verify_report(inst, replace(
+        gl, certificate=dict(gl.certificate, iterations=(step,))))
+    assert not ok
+    assert "round 0: column 0: row 0 violated (<=)" in msgs
 
 
 @pytest.mark.parametrize("mode", ["exact", "float"])
@@ -679,12 +697,9 @@ def test_verify_report_rejects_forged_duals(mode):
     ggl = ggl_bound(inst, strategy=SkewStrategy.UPPER_TRIANGULAR, mode=mode)
     lifted = rlt1(inst, mode=mode)
     for rep, lp in (
-            (gl, bounds._polytope_lp(bqp, [
-                bounds.rat_from(c) + l
-                for c, l in zip(gl.certificate["cbar"], bqp.linear)])),
-            (ggl, bounds._polytope_lp(bqp, [
-                c + l for c, l in zip(ggl.certificate["c_total"],
-                                      bqp.linear)])),
+            *((fit, bounds._polytope_lp(bqp, [
+                c + l for c, l in zip(fit.certificate["c_total"],
+                                      bqp.linear)])) for fit in (gl, ggl)),
             (lifted, bounds._rlt1_lp(bqp, None)[0])):
         assert verify_report(inst, rep)[0], rep.name
         cert = dict(rep.certificate, duals=_forge_a_dual(rep, lp))
@@ -699,26 +714,75 @@ def test_verify_report_rejects_malformed_fitting_certificates(mode):
     inst = _random_qspp(rng, m_max=8)
     gl = gl_bound(inst, mode=mode)
     ggl = ggl_bound(inst, strategy=SkewStrategy.UPPER_TRIANGULAR, mode=mode)
-    rounds = [dict(step) for step in ggl.certificate["iterations"]]
     forged = []
-    for key in ("ybar_columns", "zbar", "cbar"):
-        cert = dict(gl.certificate)
-        cert[key] = cert[key][:-1]
-        forged.append((gl, cert))
-        step = dict(rounds[-1], **{key: rounds[-1][key][:-1]})
-        forged.append((ggl, dict(ggl.certificate,
-                                 iterations=tuple(rounds[:-1] + [step]))))
-        missing = dict(gl.certificate)
-        del missing[key]
-        forged.append((gl, missing))
-    ycols = gl.certificate["ybar_columns"]
-    forged.append((gl, dict(gl.certificate, ybar_columns=(
-        ycols[:-1] + (ycols[-1][:-1],)))))
-    forged.append((ggl, dict(ggl.certificate, iterations=())))
-    forged.append((ggl, dict(ggl.certificate, strategy="sideways")))
+    for rep in (gl, ggl):
+        cert = rep.certificate
+        rounds = [dict(step) for step in cert["iterations"]]
+
+        def last_round(step):
+            return dict(cert, iterations=tuple(rounds[:-1] + [step]))
+
+        for key in ("ybar_columns", "zbar", "cbar"):
+            forged.append((rep, last_round(
+                dict(rounds[-1], **{key: rounds[-1][key][:-1]}))))
+            missing = dict(rounds[-1])
+            del missing[key]
+            forged.append((rep, last_round(missing)))
+        ycols = rounds[-1]["ybar_columns"]
+        forged.append((rep, last_round(dict(
+            rounds[-1], ybar_columns=ycols[:-1] + (ycols[-1][:-1],)))))
+        for key in ("strategy", "iterations", "x", "duals"):
+            missing = dict(cert)
+            del missing[key]
+            forged.append((rep, missing))
+        forged.append((rep, dict(cert, iterations=())))
+        forged.append((rep, dict(cert, strategy="sideways")))
     for rep, cert in forged:
         ok, msgs = verify_report(inst, replace(rep, certificate=cert))
         assert not ok and msgs, (rep.name, cert.keys())
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_verify_report_rejects_malformed_lifted_certificates(mode):
+    # a lifted certificate without a key the replay reads is rejected
+    # with a message naming the key, not a KeyError
+    rng = random.Random(6)
+    inst = _random_qspp(rng, m_max=8)
+    family = list(spanning_set(inst.graph).members) + _diag_units(inst.m)
+    for rep in (rlt1(inst, mode=mode), lbb_prime(inst, mode=mode),
+                lbb_star(inst, mode=mode),
+                lbb_generic(inst, family, mode=mode)):
+        assert verify_report(inst, rep) == (True, ()), rep.name
+        for key in rep.certificate:
+            cert = dict(rep.certificate)
+            del cert[key]
+            assert verify_report(inst, replace(rep, certificate=cert)) == (
+                False, (f"certificate lacks {key}",)), (rep.name, key)
+
+
+_FLOAT_KINDS = {
+    "gl": gl_bound,
+    "ggl": ggl_bound,
+    "lbb_prime": lbb_prime,
+    "rlt1": rlt1,
+    "lbb_star": lbb_star,
+    "lbb_generic": lambda inst, mode: lbb_generic(
+        inst, list(spanning_set(inst.graph).members) + _diag_units(inst.m),
+        mode=mode),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(_FLOAT_KINDS))
+def test_verify_report_rejects_a_float_report_relabelled_exact(kind):
+    # the tournament's float values are exact binary numbers, so a
+    # zero-tolerance replay of the floats alone would pass them
+    inst = generate_tournament(5)
+    rep = _FLOAT_KINDS[kind](inst, mode="float")
+    assert verify_report(inst, rep) == (True, ())
+    assert verify_report(inst, replace(rep, mode="exact")) == (
+        False, ("an exact report holds a float",))
+    assert verify_report(inst, replace(rep, mode="approximate")) == (
+        False, ("unknown mode 'approximate'",))
 
 
 @pytest.mark.parametrize("mode", ["exact", "float"])
@@ -739,7 +803,7 @@ def test_verify_report_rejects_a_raised_dual_in_a_later_ggl_round(mode):
     ok, msgs = verify_report(inst, replace(rep, certificate=dict(
         rep.certificate, iterations=tuple(rounds))))
     assert not ok
-    assert any(msg.startswith("round 1:") for msg in msgs), msgs
+    assert "round 1: column 0: objective value mismatch" in msgs, msgs
     assert not any(msg.startswith("round 0:") for msg in msgs), msgs
 
 
@@ -756,7 +820,7 @@ def _with_entry(cert, path, value):
 
 
 @pytest.mark.parametrize("bound, path", [
-    (gl_bound, ("ybar_columns", 0, 0)),
+    (gl_bound, ("iterations", 0, "ybar_columns", 0, 0)),
     (ggl_bound, ("iterations", -1, "zbar", 0)),
     (lbb_prime, ("Y", 0, 0)),
     (rlt1, ("w", 0)),

@@ -457,18 +457,32 @@ def test_spanning_members_verify_and_are_independent():
 def test_spanning_membership_matches_decision():
     rng = random.Random(43)
     skew_rng = random.Random(143)  # keeps rng's draws as they were
-    for _ in range(12):
-        g = random_corridor_dag(rng, n_max=6, m_max=9)
+    proper_rng = random.Random(243)
+
+    def graphs():
+        for _ in range(12):  # each of these spans the whole space
+            yield random_corridor_dag(rng, n_max=6, m_max=9)
+        # spans that are proper subspaces, so random queries fall outside
+        yield diamond_chain(2)
+        yield double_diamond()
+        for _ in range(2):
+            yield random_corridor_dag(proper_rng, n_max=7, m_max=10,
+                                      require_overdetermined=True)
+
+    verdicts = set()
+    for g in graphs():
         ss = spanning_set(g)
         for _ in range(6):
             q = RationalMatrix.from_rows(zero_diag_rows(rng, g.m))
             verdict = linearize_qspp(QsppInstance(g, q)).linearizable
             assert ss.contains(q) == verdict
+            verdicts.add(verdict)
             # skew directions are implied: adding one keeps the verdict
             upper = RationalMatrix.from_rows(
                 [[rand_rational(skew_rng) if j > i else F(0)
                   for j in range(g.m)] for i in range(g.m)])
             assert ss.contains(q + upper - upper.transpose()) == verdict
+    assert verdicts == {True, False}
 
 
 def test_spanning_rejects_nonzero_diagonal():
