@@ -32,7 +32,10 @@ against sym(Q); lbb_generic uses a family alone against the raw Q.
 
 gl and ggl solve one fitting program per column k (_fitting_programs):
 max b.y + z subject to B^T y + e_k z <= Q[:, k].  Its rows at the fit
-are Qbar[:, k] - Q[:, k], so the residual is minus the row gaps.
+are Qbar[:, k] - Q[:, k], so the residual is minus the row gaps.  A
+program whose column is the one it was last solved for is not solved
+again, in the bound or in its replay: its result, row gaps and checks
+are kept from that round, since the same program gives the same answer.
 
 Every report carries enough certificate data for verify_report to confirm
 the bound from first principles without re-running the solver: it
@@ -113,7 +116,8 @@ class BoundReport:
     relaxation_only: bool          # polytope not certified integral
     certificate: dict
     trace: tuple = ()              # ggl: bound value after each iteration
-    pivots: int = 0
+    pivots: int = 0                # summed over every LP of every round;
+                                   # a kept fitting solve counts again
     sparsity: tuple = None
     canonical_family: bool = False  # lbb_star built from a spanning set
 
@@ -204,27 +208,25 @@ def _fitting_programs(bqp: BqpInstance) -> list:
         free) for k in range(m)]
 
 
-def _fit_columns(programs, q: RationalMatrix, mode):
+def _fit_columns(programs, q: RationalMatrix, mode, last) -> list:
     """Best per-column (y_k, z_k): max b.y_k + z_k with
     B^T y_k + e_k z_k <= q[:, k].  programs are _fitting_programs, built
-    once per bound; each round solves programs[k].with_rhs(q[:, k]), which
-    shares their coefficients and standard-form layout, so only the new
-    right-hand sides are validated and prepared.
-    Returns (the programs solved, ybar columns, zbar, cbar, pivots).
+    once per bound; program k is solved as programs[k].with_rhs(q[:, k]),
+    which shares their coefficients and standard-form layout.  last[k] is
+    column k's fit from the round before, or None: a fit is (right-hand
+    side, LpResult, row gaps at the fit), and a column equal to the last
+    one solved keeps its fit, since the simplex is deterministic and the
+    exact check already certified that very program.  Returns the fits.
     """
-    n = programs[0].nvars - 1
-    lps = [lp.with_rhs(q.column(k)) for k, lp in enumerate(programs)]
-    ycols = []
-    zbar = []
-    cbar = []
-    pivots = 0
-    for k, lp in enumerate(lps):
-        res = _solve(lp, mode, f"column {k} fitting program")
-        ycols.append(res.x[:n])
-        zbar.append(res.x[n])
-        cbar.append(res.value)
-        pivots += res.pivots
-    return lps, ycols, zbar, cbar, pivots
+    fits = []
+    for k, (program, fit) in enumerate(zip(programs, last)):
+        rhs = q.column(k)
+        if fit is None or fit[0] != rhs:
+            lp = program.with_rhs(rhs)
+            res = _solve(lp, mode, f"column {k} fitting program")
+            fit = (rhs, res, _row_gaps(lp, [rat_from(v) for v in res.x]))
+        fits.append(fit)
+    return fits
 
 
 def _next_matrix(gaps, strategy: SkewStrategy) -> RationalMatrix:
@@ -270,19 +272,22 @@ def _fitting_rounds(inst, strategy: SkewStrategy, max_iter: int,
     iterations = []
     pivots = 0
     programs = _fitting_programs(bqp)
+    fits = [None] * m
     for it in range(max_iter):
         if it:  # the residual is minus the last fit's row gaps
-            q_cur = _next_matrix(
-                [_row_gaps(lp, [rat_from(v) for v in y] + [rat_from(z)])
-                 for lp, y, z in zip(lps, ycols, zbar)], strategy)
-        lps, ycols, zbar, cbar, piv = _fit_columns(programs, q_cur, mode)
+            q_cur = _next_matrix([gaps for _, _, gaps in fits], strategy)
+        fits = _fit_columns(programs, q_cur, mode, fits)
+        results = [res for _, res, _ in fits]
+        cbar = [res.value for res in results]
         c_total = [a + rat_from(c) for a, c in zip(c_total, cbar)]
         lp = _polytope_lp(bqp, [a + l for a, l in zip(c_total, bqp.linear)])
         final = _solve(lp, mode, "feasible-set minimum")
         trace.append(final.value)
-        iterations.append({"ybar_columns": tuple(map(tuple, ycols)),
-                           "zbar": tuple(zbar), "cbar": tuple(cbar)})
-        pivots += piv + final.pivots
+        iterations.append({
+            "ybar_columns": tuple(res.x[:n] for res in results),
+            "zbar": tuple(res.x[n] for res in results),
+            "cbar": tuple(cbar)})
+        pivots += sum(res.pivots for res in results) + final.pivots
         if all(rat(c) == 0 for c in cbar) if mode == "exact" \
                 else max(abs(float(c)) for c in cbar) <= 1e-9:
             break
@@ -319,7 +324,10 @@ def ggl_bound(inst, strategy: SkewStrategy = SkewStrategy.NONE,
     In exact mode SYMMETRIZE usually runs all max_iter rounds: the halved
     residual shrinks but never reaches zero (on a 10-arc corridor DAG the
     bound is -5.5029 after 10 rounds and -5.5000029 after 20), so
-    max_iter bounds the work.
+    max_iter bounds the work.  A column that a round leaves unchanged is
+    not fitted again: its fitting program keeps the last solve (96 of
+    SYMMETRIZE's 450 programs on a QAP with n = 3), and pivots counts
+    that solve's pivots in every round that uses it.
     """
     return _fitting_rounds(inst, strategy, max_iter, mode)
 
@@ -650,6 +658,19 @@ def _holds_float(obj) -> bool:
     return isinstance(obj, float)
 
 
+def _not_sequences(cert: dict, keys) -> list:
+    """Why a certificate's entries cannot be read: each key but a
+    strategy must hold a tuple or list, and so must each row of Y and
+    each of rlt1's pairs."""
+    seq = (tuple, list)
+    bad = [key for key in keys
+           if key != "strategy" and not isinstance(cert[key], seq)]
+    return [f"certificate {key} is not a tuple or list" for key in bad] + [
+        f"certificate {key} has an item that is not a tuple or list"
+        for key in ("Y", "pairs") if key in keys and key not in bad
+        and not all(isinstance(v, seq) for v in cert[key])]
+
+
 def _fitting_shape(cert: dict, n: int, m: int) -> list:
     """Why a gl or ggl certificate cannot be replayed: an unknown
     strategy, no round, or a round without m columns of n duals, m zbar
@@ -685,11 +706,16 @@ def verify_report(inst, report: BoundReport):
     into the duals of the lifting LP it was read off.  In each gl/ggl
     round, column k's fit must be a point of fitting program k with
     value cbar[k]; its row gaps fold into the next round as in the bound.
+    An entry (right-hand side, ybar column, zbar[k], cbar[k], all read
+    exactly) equal to the one column k was last checked with reuses that
+    check's gaps and messages, labelled with the current round.
     Every check is exact, a float read at its exact binary value: exact
     reports pass with zero tolerance, float reports within an absolute
     FLOAT_CHECK_TOL (1e-7), and a NaN or an infinity fails.  So does an
-    unknown kind or mode, a missing certificate key, an exact report
-    holding a float, and an lbb_prime or rlt1 report dropping a pair
+    unknown kind or mode, a missing certificate key, an entry of the
+    wrong shape (a vector that is not a tuple or list, a family member
+    that is not an m x m matrix with m costs), an exact report holding a
+    float, and an lbb_prime or rlt1 report dropping a pair
     (``sparsity``) that is not a structural zero of the instance.
     """
     cert = report.certificate
@@ -701,6 +727,9 @@ def verify_report(inst, report: BoundReport):
     missing = [key for key in keys if key not in cert]
     if missing:
         return False, (f"certificate lacks {', '.join(missing)}",)
+    malformed = _not_sequences(cert, keys)
+    if malformed:
+        return False, tuple(malformed)
     if report.mode == "exact" and _holds_float((report.value, cert)):
         return False, ("an exact report holds a float",)
     bqp = _bqp(inst)
@@ -728,20 +757,25 @@ def verify_report(inst, report: BoundReport):
             programs = _fitting_programs(bqp)
             q_cur = bqp.Q
             c_total = [ZERO] * m
+            # per column, the last entry checked in full, its row gaps and
+            # its violations: the same entry again is the same check
+            checked = [None] * m
             for it, step in enumerate(cert["iterations"]):
                 if it:  # as in the bound, fold the residual between rounds
-                    q_cur = _next_matrix(gaps, strategy)
-                gaps = []
+                    q_cur = _next_matrix([g for _, g, _ in checked], strategy)
                 for k, (ycol, z, c) in enumerate(zip(
                         step["ybar_columns"], step["zbar"], step["cbar"])):
-                    lp = programs[k].with_rhs(q_cur.column(k))
-                    fit = [rat_from(v) for v in ycol] + [rat_from(z)]
-                    gaps.append(_row_gaps(lp, fit))
+                    fit = tuple(rat_from(v) for v in ycol) + (rat_from(z),)
+                    c = rat_from(c)
+                    entry = (q_cur.column(k), fit, c)
+                    if checked[k] is None or checked[k][0] != entry:
+                        lp = programs[k].with_rhs(entry[0])
+                        gaps = _row_gaps(lp, fit)
+                        checked[k] = (entry, gaps, point_violations(
+                            lp, fit, c, tol, gaps))
                     msgs += [f"round {it}: column {k}: {msg}"
-                             for msg in point_violations(
-                                 lp, fit, c, tol, gaps[-1])]
-                c_total = [a + rat_from(c)
-                           for a, c in zip(c_total, step["cbar"])]
+                             for msg in checked[k][2]]
+                    c_total[k] += c
             # the bound's final LP; costs are Fraction sums, as in the bound
             lp = _polytope_lp(bqp, [a + l
                                     for a, l in zip(c_total, bqp.linear)])
@@ -751,13 +785,18 @@ def verify_report(inst, report: BoundReport):
         elif report.name != "opt":  # opt: nothing beyond brute force itself
             members = None
             if report.name in ("lbb_star", "lbb_generic"):
-                members = _family_members(cert["members"], m)
+                try:
+                    members = _family_members(cert["members"], m)
+                except (TypeError, ValueError) as exc:
+                    return False, tuple(msgs + [
+                        f"certificate members are not {m} x {m} exact "
+                        f"matrices with {m} exact costs ({exc})"])
                 if report.name == "lbb_star" \
                         and not all(q.is_symmetric() for q, _ in members):
                     msgs.append("a family member is not symmetric")
             lp, pairs = _lifted_lp(bqp, report.name, members, sparsity)
             if report.name == "rlt1":
-                if tuple(tuple(p) for p in cert["pairs"]) != pairs:
+                if tuple(map(tuple, cert["pairs"])) != pairs:
                     msgs.append(
                         "certificate pairs differ from the program's pairs")
                 msgs += point_violations(

@@ -24,9 +24,9 @@ within an absolute FLOAT_CHECK_TOL (1e-7), an exact one with none.
 with_rhs gives a program new right-hand sides and shares everything
 else, the part of the standard form that does not depend on them
 included, so a program solved for many right-hand sides is validated and
-laid out once.  Float mode runs on a numpy tableau with fixed tolerances
-and raises NumericalBreakdown instead of returning garbage when the
-arithmetic degrades.
+laid out once, when the first of them is solved.  Float mode runs on a
+numpy tableau with fixed tolerances and raises NumericalBreakdown
+instead of returning garbage when the arithmetic degrades.
 
 Variables carry individual bounds.  Free variables are split into a
 difference of two nonnegative ones, finite lower bounds are shifted to
@@ -113,22 +113,23 @@ class LinearProgram:
             raise ValueError("bounds length mismatch")
         object.__setattr__(self, "bounds", tuple(bnds))
 
-    _layout = None  # set by with_rhs; not a field
+    _base = None  # set by with_rhs: the program whose layout it shares
 
     def with_rhs(self, rhs) -> "LinearProgram":
         """This program with the right-hand sides rhs, one per row.
 
         Only the new values are validated (exact, and one per row); the
-        coefficients, int_rows, int_columns and the standard-form layout,
-        which does not depend on the right-hand sides, are shared with
-        this program, so preparing the new one works out only each row's
-        scale, sign, relation and right-hand side numerator.
+        coefficients, int_rows and int_columns are shared with this
+        program, and so is the standard-form layout, which does not depend
+        on the right-hand sides: it is worked out when the first program
+        made this way is prepared and kept for all of them, so a program
+        that is never solved is never laid out.  Preparing the new one
+        works out only each row's scale, sign, relation and right-hand
+        side numerator.
         """
         rhs = tuple(rat(v) for v in rhs)
         if len(rhs) != self.nrows:
             raise ValueError("rhs length mismatch")
-        if self._layout is None:
-            object.__setattr__(self, "_layout", _standard_layout(self))
         new = object.__new__(LinearProgram)
         rows = tuple((coeffs, rel, b)
                      for (coeffs, rel, _), b in zip(self.rows, rhs))
@@ -137,9 +138,15 @@ class LinearProgram:
                             ("bounds", self.bounds),
                             ("int_rows", self.int_rows),
                             ("int_columns", self.int_columns),
-                            ("_layout", self._layout)):
+                            ("_base", self._base or self)):
             object.__setattr__(new, name, value)
         return new
+
+    @cached_property
+    def _shared_layout(self):
+        """The standard-form layout of the programs with_rhs made from
+        this one, worked out when the first of them is prepared."""
+        return _standard_layout(self)
 
     @property
     def nvars(self) -> int:
@@ -267,7 +274,8 @@ def _prepare(lp: LinearProgram) -> _Prepared:
     what its right-hand side decides.  The row goes over lcm(k, the
     shifted rhs's denominator) and is negated if that rhs is negative, so
     that every right-hand side is nonnegative."""
-    lay = lp._layout or _standard_layout(lp)
+    lay = _standard_layout(lp) if lp._base is None \
+        else lp._base._shared_layout
     p = _Prepared()
     for name in ("ncols", "col_meta", "obj_int", "obj_scale", "obj_const",
                  "sense_sign", "bound_infeasible"):

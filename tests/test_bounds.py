@@ -183,6 +183,94 @@ def test_gl_and_ggl_values_and_pivot_counts_are_pinned(inst, pins):
             for name, rep in reports.items()} == pins
 
 
+def _round_columns(bqp, rep):
+    """Per round of a gl or ggl report, the right-hand sides of its m
+    fitting programs: the columns of Q, then of the residual each round
+    leaves, worked out from the certificate."""
+    programs = bounds._fitting_programs(bqp)
+    strategy = SkewStrategy(rep.certificate["strategy"])
+    q = bqp.Q
+    out = []
+    for step in rep.certificate["iterations"]:
+        cols = [q.column(k) for k in range(bqp.m)]
+        out.append(cols)
+        q = bounds._next_matrix([lpsolve._row_gaps(
+            programs[k].with_rhs(cols[k]),
+            [Fraction(v) for v in y] + [Fraction(z)])
+            for k, (y, z) in enumerate(zip(step["ybar_columns"],
+                                           step["zbar"]))], strategy)
+    return out
+
+
+def test_ggl_solves_each_changed_fitting_program_once(monkeypatch):
+    # a fitting program whose column is the one it was last solved for
+    # keeps that solve: the fitting solves are the (round, k) whose
+    # column changed, plus one polytope LP per round, and the exact KKT
+    # check runs once per solve
+    solves = {"max": 0, "min": 0}
+    checks = []
+    solve, check = bounds.solve_lp, lpsolve.verify_solution
+
+    def counting_solve(lp, mode="auto"):
+        solves[lp.sense] += 1
+        return solve(lp, mode=mode)
+
+    def counting_check(lp, result):
+        checks.append(lp)
+        return check(lp, result)
+
+    monkeypatch.setattr(bounds, "solve_lp", counting_solve)
+    monkeypatch.setattr(lpsolve, "verify_solution", counting_check)
+    inst = _pinned_qap()
+    rep = ggl_bound(inst, strategy=SkewStrategy.SYMMETRIZE, mode="exact")
+    assert (str(rep.value), rep.pivots) == (
+        "19140298416324607/562949953421312", 2780)
+    cols = _round_columns(inst, rep)
+    changed = sum(t == 0 or cols[t][k] != cols[t - 1][k]
+                  for t in range(len(cols)) for k in range(inst.m))
+    assert len(cols) * inst.m > changed
+    assert solves == {"max": changed, "min": len(cols)}
+    assert len(checks) == changed + len(cols)
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_verify_report_rejects_a_forged_repeated_round(mode):
+    # the replay checks a column again only if its entry or right-hand
+    # side changed: a raised zbar in a repeated column is still caught in
+    # its own round, and so is a copied entry whose right-hand side moved
+    inst = _pinned_qap()
+    rep = ggl_bound(inst, strategy=SkewStrategy.SYMMETRIZE, mode=mode)
+    assert verify_report(inst, rep) == (True, ())
+    rounds = rep.certificate["iterations"]
+    cols = _round_columns(inst, rep)
+
+    def entry(t, k):
+        return tuple(rounds[t][key][k]
+                     for key in ("ybar_columns", "zbar", "cbar"))
+
+    def forged(t, k, ycol, z, c):
+        cert = rep.certificate
+        for key, value in (("ybar_columns", ycol), ("zbar", z),
+                           ("cbar", c)):
+            cert = _with_entry(cert, ("iterations", t, key, k), value)
+        return replace(rep, certificate=cert)
+
+    t, k = next((t, k) for t in range(1, len(rounds)) for k in range(inst.m)
+                if cols[t][k] == cols[t - 1][k]
+                and entry(t, k) == entry(t - 1, k))
+    ycol, z, c = entry(t, k)
+    ok, msgs = verify_report(inst, forged(t, k, ycol, z + 1, c))
+    assert not ok
+    assert any(msg.startswith(f"round {t}: column {k}: ") for msg in msgs)
+    assert not any(msg.startswith(f"round {t - 1}:") for msg in msgs)
+
+    t, k = next((t, k) for t in range(1, len(rounds)) for k in range(inst.m)
+                if cols[t][k] != cols[t - 1][k])
+    ok, msgs = verify_report(inst, forged(t, k, *entry(t - 1, k)))
+    assert not ok
+    assert any(msg.startswith(f"round {t}: column {k}: ") for msg in msgs)
+
+
 def test_residual_is_minus_the_fitting_programs_row_gaps():
     # B with denominators 1, 2, 3 and 7; ycols exact with their own
     # denominators, or floats as a float-mode certificate carries them;
@@ -745,19 +833,33 @@ def test_verify_report_rejects_malformed_fitting_certificates(mode):
 @pytest.mark.parametrize("mode", ["exact", "float"])
 def test_verify_report_rejects_malformed_lifted_certificates(mode):
     # a lifted certificate without a key the replay reads is rejected
-    # with a message naming the key, not a KeyError
+    # with a message naming the key, not a KeyError; one whose entries
+    # have the wrong shape is rejected with messages, not an exception
     rng = random.Random(6)
     inst = _random_qspp(rng, m_max=8)
     family = list(spanning_set(inst.graph).members) + _diag_units(inst.m)
-    for rep in (rlt1(inst, mode=mode), lbb_prime(inst, mode=mode),
-                lbb_star(inst, mode=mode),
-                lbb_generic(inst, family, mode=mode)):
+    reports = (rlt1(inst, mode=mode), lbb_prime(inst, mode=mode),
+               lbb_star(inst, mode=mode),
+               lbb_generic(inst, family, mode=mode))
+    for rep in reports:
         assert verify_report(inst, rep) == (True, ()), rep.name
         for key in rep.certificate:
             cert = dict(rep.certificate)
             del cert[key]
             assert verify_report(inst, replace(rep, certificate=cert)) == (
                 False, (f"certificate lacks {key}",)), (rep.name, key)
+    forged = [(reports[0], "pairs", (1, 2)), (reports[0], "x", 5),
+              (reports[1], "Y", (1, 2))]
+    for rep in reports[2:]:
+        (q, c), *rest = rep.certificate["members"]
+        forged += [(rep, "members", ((q, c[:-1]), *rest)),
+                   (rep, "members", ((q[:-1], c), *rest)),
+                   (rep, "members", ((q,), *rest)),
+                   (rep, "alpha", 5)]
+    for rep, key, value in forged:
+        ok, msgs = verify_report(inst, replace(
+            rep, certificate=dict(rep.certificate, **{key: value})))
+        assert not ok and msgs, (rep.name, key, value)
 
 
 _FLOAT_KINDS = {

@@ -284,6 +284,33 @@ def test_with_rhs_prepares_and_solves_like_a_fresh_program(sense, obj):
         lp.with_rhs((1, 2))
 
 
+def test_with_rhs_lays_out_on_the_first_prepare_and_shares_it(monkeypatch):
+    # programs made by with_rhs, also from one another, are laid out once,
+    # when the first of them is prepared; one never prepared is never
+    # laid out
+    layouts = []
+    layout = lpsolve._standard_layout
+
+    def counting(lp):
+        layouts.append(lp)
+        return layout(lp)
+
+    monkeypatch.setattr(lpsolve, "_standard_layout", counting)
+    lp = linear_program("min", (1, 2), [((1, 1), GE, 1), ((1, -1), LE, 2)],
+                        [(F(1, 3), None), (None, 4)])
+    a = lp.with_rhs((2, 1))
+    b = a.with_rhs((F(1, 2), -1))
+    assert layouts == []
+    first = lpsolve._prepare(b)
+    assert layouts == [lp]
+    second = lpsolve._prepare(a)
+    assert layouts == [lp]
+    assert second.obj_int is first.obj_int
+    fresh = linear_program("min", (1, 2), [((1, 1), GE, 2), ((1, -1), LE, 1)],
+                           [(F(1, 3), None), (None, 4)])
+    assert solve_lp(a, mode="exact") == solve_lp(fresh, mode="exact")
+
+
 def test_exact_agrees_with_enumeration_oracle():
     rng = random.Random(7)
     seen = {OPTIMAL: 0, INFEASIBLE: 0, UNBOUNDED: 0}
