@@ -29,6 +29,11 @@ of linearizable matrices is elementwise nonnegative), so each lbb bound
 reads its linearization certificate off the duals.  lbb_prime uses the
 sum matrices B^T Y + Y^T B + Diag(z) alone, lbb_star adds a family, both
 against sym(Q); lbb_generic uses a family alone against the raw Q.
+lbb_star first decides, in exact integers, which member rows the
+member-less lifting LP already implies (_unimplied_members): those get
+no row and weight 0, and with none left it takes the solve rlt1 and
+lbb_prime share.  On every shortest-path graph tested, and for every
+generator family, each member is implied: there lbb_star is lbb_prime.
 
 gl and ggl solve one fitting program per column k (_fitting_programs):
 max b.y + z subject to B^T y + e_k z <= Q[:, k].  Its rows at the fit
@@ -48,7 +53,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import chain
 
 from quadlin.exactnum import (
@@ -56,6 +61,9 @@ from quadlin.exactnum import (
     ZERO,
     NonFiniteError,
     RationalMatrix,
+    common_denominator,
+    int_echelon,
+    int_reduce,
     rat,
     rat_from,
     vdot,
@@ -117,7 +125,9 @@ class BoundReport:
     certificate: dict
     trace: tuple = ()              # ggl: bound value after each iteration
     pivots: int = 0                # summed over every LP of every round;
-                                   # a kept fitting solve counts again
+                                   # a kept fitting solve counts again;
+                                   # lbb_star: the solve it used, shared
+                                   # with lbb_prime when no row is left
     sparsity: tuple = None
     canonical_family: bool = False  # lbb_star built from a spanning set
 
@@ -208,23 +218,38 @@ def _fitting_programs(bqp: BqpInstance) -> list:
         free) for k in range(m)]
 
 
+@dataclass
+class _Fit:
+    """One solve of a fitting program: its right-hand side, the program
+    and its LpResult.  The row gaps at the fit are worked out when a
+    next round folds them, once, and kept while the fit is."""
+
+    rhs: tuple
+    lp: LinearProgram
+    res: object
+
+    @cached_property
+    def gaps(self) -> list:
+        return _row_gaps(self.lp, [rat_from(v) for v in self.res.x])
+
+
 def _fit_columns(programs, q: RationalMatrix, mode, last) -> list:
     """Best per-column (y_k, z_k): max b.y_k + z_k with
     B^T y_k + e_k z_k <= q[:, k].  programs are _fitting_programs, built
     once per bound; program k is solved as programs[k].with_rhs(q[:, k]),
     which shares their coefficients and standard-form layout.  last[k] is
-    column k's fit from the round before, or None: a fit is (right-hand
-    side, LpResult, row gaps at the fit), and a column equal to the last
-    one solved keeps its fit, since the simplex is deterministic and the
-    exact check already certified that very program.  Returns the fits.
+    column k's _Fit from the round before, or None; a column equal to the
+    last one solved keeps its fit, since the simplex is deterministic and
+    the exact check already certified that very program.  Returns the
+    fits.
     """
     fits = []
     for k, (program, fit) in enumerate(zip(programs, last)):
         rhs = q.column(k)
-        if fit is None or fit[0] != rhs:
+        if fit is None or fit.rhs != rhs:
             lp = program.with_rhs(rhs)
             res = _solve(lp, mode, f"column {k} fitting program")
-            fit = (rhs, res, _row_gaps(lp, [rat_from(v) for v in res.x]))
+            fit = _Fit(rhs, lp, res)
         fits.append(fit)
     return fits
 
@@ -275,9 +300,9 @@ def _fitting_rounds(inst, strategy: SkewStrategy, max_iter: int,
     fits = [None] * m
     for it in range(max_iter):
         if it:  # the residual is minus the last fit's row gaps
-            q_cur = _next_matrix([gaps for _, _, gaps in fits], strategy)
+            q_cur = _next_matrix([fit.gaps for fit in fits], strategy)
         fits = _fit_columns(programs, q_cur, mode, fits)
-        results = [res for _, res, _ in fits]
+        results = [fit.res for fit in fits]
         cbar = [res.value for res in results]
         c_total = [a + rat_from(c) for a, c in zip(c_total, cbar)]
         lp = _polytope_lp(bqp, [a + l for a, l in zip(c_total, bqp.linear)])
@@ -339,6 +364,19 @@ def _sym_matrix(q: RationalMatrix) -> RationalMatrix:
     return (q + q.transpose()).scale(_HALF)
 
 
+def _cellsums(q: RationalMatrix, pairs, ordered=False) -> list:
+    """Per pair, the sum of q over the cells it covers: (i, j) and (j, i)
+    for i < j unless ordered, else its one cell."""
+    return [q.at(i, j) if ordered or i == j else q.at(i, j) + q.at(j, i)
+            for i, j in pairs]
+
+
+def _member_row(member, pairs, ordered=False) -> tuple:
+    """The coefficients of <Q_t, X> - c_t . x for member (Q_t, c_t)."""
+    q, c = member
+    return tuple(-v for v in c) + tuple(_cellsums(q, pairs, ordered))
+
+
 def _rlt1_lp(bqp: BqpInstance, sparsity, members=(), ordered=False):
     """(LP, pairs) of the lifting LP behind rlt1 and the lbb bounds.
 
@@ -351,15 +389,23 @@ def _rlt1_lp(bqp: BqpInstance, sparsity, members=(), ordered=False):
       sum_p cellsum(Q_t, p) w_p - c_t . x = 0       duals alpha_t
       (B X)_rj - b_r x_j = 0   (unless ordered)     duals 2 Y_rj
       x_j - w_jj = 0           (unless ordered)     duals -z_j
-    in this order, with one row per member (Q_t, c_t).  A member row is
-    often implied by the lifted rows; listed first, it tends to keep a
-    nonzero dual while the simplex leaves a lifted row redundant (dual
-    0), so family weights show in the certificate.  The LP dual is the
-    linearization LP, max b . y over the duals subject to
+    in this order, with one row per member (Q_t, c_t).  The LP dual is
+    the linearization LP, max b . y over the duals subject to
       B^T y <= 2 Y^T b + z + sum(alpha_t c_t) + linear
       B^T Y + Y^T B + Diag(z) + sum(alpha_t Q_t) <= Q
     on every cell a pair covers; unless ordered, Q is symmetrized and
     the (Y, z) terms are present.
+
+    Unordered and with every pair, each feasible point has w_p = 0 on
+    the instance's structural-zero pairs (_structural_sparsity).  On a
+    shortest-path DAG, column j of X is an s-t flow of value x_j that
+    carries x_j = X_jj on arc j, so every path of its decomposition uses
+    arc j, and X_kj = 0 for each arc k sharing no path with j.  On an
+    assignment, the lifted row-sum row of row i at placement (i, l) reads
+    sum_j X_(ij),(il) = x_il = X_(il),(il), so X_(ij),(il) = 0 for j != l;
+    columns alike.  So a member row in the span of this LP's rows and of
+    those w_p = 0 cuts nothing off, and lbb_star leaves it out
+    (_unimplied_members).
     """
     n, m = bqp.B.rows, bqp.m
     if ordered:
@@ -369,19 +415,14 @@ def _rlt1_lp(bqp: BqpInstance, sparsity, members=(), ordered=False):
                  if not (sparsity and i != j and (i, j) in sparsity)]
     pidx = {p: m + k for k, p in enumerate(pairs)}
     nvars = m + len(pairs)
-
-    def cellsums(q):
-        return [q.at(i, j) if ordered or i == j else q.at(i, j) + q.at(j, i)
-                for i, j in pairs]
-
-    obj = list(bqp.linear) + cellsums(bqp.Q)
+    obj = list(bqp.linear) + _cellsums(bqp.Q, pairs, ordered)
     rows = []
     for r in range(n):  # Bx = b
         coeffs = [ZERO] * nvars
         coeffs[:m] = bqp.B.row(r)
         rows.append((tuple(coeffs), EQ, bqp.b[r]))
-    for q, c in members:  # <Q_t, X> - c_t . x = 0
-        rows.append((tuple(-v for v in c) + tuple(cellsums(q)), EQ, ZERO))
+    for member in members:  # <Q_t, X> - c_t . x = 0
+        rows.append((_member_row(member, pairs, ordered), EQ, ZERO))
     for r in range(0 if ordered else n):  # (B X)_{r j} - b_r x_j = 0
         for j in range(m):
             coeffs = [ZERO] * nvars
@@ -410,16 +451,54 @@ def _lifting_lp(bqp: BqpInstance, sparsity: frozenset):
 
 
 @lru_cache(maxsize=1)
+def _lifting_echelon(bqp: BqpInstance):
+    """(columns, echelon) for _unimplied_members, kept for the last
+    instance.
+
+    The rows of _lifting_lp(bqp, frozenset()), right-hand sides appended,
+    as integers in int_echelon's form over columns, the LP's variables
+    without the structural-zero pairs: every feasible point has those
+    w_p = 0 (see _rlt1_lp), so deleting their columns adds the cuts
+    w_p = 0.  Pair columns come first, which keeps the elimination short.
+    """
+    lp, pairs = _lifting_lp(bqp, frozenset())
+    m = bqp.m
+    zero = _structural_sparsity(bqp) if bqp.structure else frozenset()
+    columns = [m + k for k, p in enumerate(pairs) if p not in zero]
+    columns += range(m)
+    return columns, int_echelon(
+        common_denominator([coeffs[j] for j in columns] + [rhs])[0]
+        for coeffs, _, rhs in lp.rows)
+
+
+def _unimplied_members(bqp: BqpInstance, members) -> list:
+    """The indices t of the symmetric members (Q_t, c_t) whose row
+    <Q_t, X> - c_t . x = 0 the member-less lifting LP does not imply:
+    the row, right-hand side 0, does not reduce to zero against
+    _lifting_echelon.  Any other row holds at every feasible point, so
+    leaving it out keeps the optimum."""
+    columns, echelon = _lifting_echelon(bqp)
+    pairs = _lifting_lp(bqp, frozenset())[1]
+    live = []
+    for t, member in enumerate(members):
+        row = _member_row(member, pairs)
+        nums, _ = common_denominator([row[j] for j in columns] + [ZERO])
+        if int_reduce(echelon, nums)[0] >= 0:
+            live.append(t)
+    return live
+
+
+@lru_cache(maxsize=1)
 def _solve_lifting_lp(bqp: BqpInstance, sparsity: frozenset, mode: str):
     """solve_lp on _lifting_lp(bqp, sparsity), kept for the last key."""
     return solve_lp(_lifting_lp(bqp, sparsity)[0], mode=mode)
 
 
 def _lifted_lp(bqp: BqpInstance, name: str, members, sparsity: frozenset):
-    """_rlt1_lp as the bound called name solves it: rlt1 and lbb_prime
-    (members None) drop sparsity pairs and share _lifting_lp; a family's
-    LP is built afresh, and only lbb_generic's compares against the raw
-    Q, over every ordered pair."""
+    """_rlt1_lp as the report called name is replayed against: rlt1 and
+    lbb_prime (members None) drop sparsity pairs and share _lifting_lp;
+    a family's LP has a row for every member, and only lbb_generic's
+    compares against the raw Q, over every ordered pair."""
     if members is None:
         return _lifting_lp(bqp, sparsity)
     return _rlt1_lp(bqp, None, members, name == "lbb_generic")
@@ -431,13 +510,25 @@ def _lifted_bound(bqp: BqpInstance, name: str, mode: str, members=None,
     is its point and duals; the lbb bounds read theirs off the duals:
     y, Y (the lifted rows' duals halved, row r of Y from rows (r, *)),
     z (minus the diagonal rows' duals), alpha (the member rows' duals)
-    and, for a family bound, the members."""
-    lp, pairs = _lifted_lp(bqp, name, members, sparsity)
+    and, for a family bound, the members.
+
+    lbb_star solves only the rows of the members that the member-less
+    lifting LP does not imply (_unimplied_members); an implied member
+    gets weight 0.  The optimum is the same, and so is the value, exactly;
+    with no row left it is _solve_lifting_lp's solve, which rlt1 and
+    lbb_prime share.  The certificate still lists every member, and its
+    duals, with those zeros, satisfy the LP with every member row, which
+    verify_report rebuilds.
+    """
+    live = _unimplied_members(bqp, members) if name == "lbb_star" \
+        else range(len(members or ()))
+    rows = [members[t] for t in live]
+    fresh = rows or name == "lbb_generic"  # member rows: not asked twice
+    lp, pairs = _rlt1_lp(bqp, None, rows, name == "lbb_generic") if fresh \
+        else _lifting_lp(bqp, sparsity)
     mode = _bound_mode(bqp, mode, lp.nrows, lp.nvars)
-    if members is None:
-        res = _solve_lifting_lp(bqp, sparsity, mode)
-    else:  # member rows: a family's LP is not asked for twice
-        res = solve_lp(lp, mode=mode)
+    res = solve_lp(lp, mode=mode) if fresh \
+        else _solve_lifting_lp(bqp, sparsity, mode)
     if res.status != OPTIMAL:
         why = f"lifting LP is {res.status}"
         if res.status == UNBOUNDED:
@@ -455,7 +546,7 @@ def _lifted_bound(bqp: BqpInstance, name: str, mode: str, members=None,
         cert = {"x": res.x[:m], "pairs": pairs, "w": res.x[m:],
                 "duals": u}
     else:
-        k = n + len(members or ())  # the lifted rows start here
+        k = n + len(rows)  # the lifted rows start here
         cert = {"y": u[:n]}
         if name != "lbb_generic":
             cert["Y"] = tuple(
@@ -463,7 +554,10 @@ def _lifted_bound(bqp: BqpInstance, name: str, mode: str, members=None,
                 for r in range(n))
             cert["z"] = tuple(-v for v in u[k + n * m:])
         if members is not None:
-            cert["alpha"] = u[n:k]
+            alpha = [ZERO if mode == "exact" else 0.0] * len(members)
+            for t, a in zip(live, u[n:k]):
+                alpha[t] = a
+            cert["alpha"] = tuple(alpha)
             cert["members"] = tuple((q.to_rows(), c) for q, c in members)
     return BoundReport(
         name=name, value=res.value, mode=mode,
@@ -540,14 +634,22 @@ def lbb_star(inst, family=None, mode: str = "auto") -> BoundReport:
 
     Setting alpha = 0 recovers lbb_prime, so the value dominates it for
     any certified family; an empty family collapses to lbb_prime exactly.
-    Solved as its dual: rlt1's LP plus one row per member.  Members are
-    symmetrized internally ((M + M^T)/2 carries the same linearization
-    vector, skew parts being linearizable with the zero vector); that
-    never changes the optimum and lets one pair variable per unordered
-    pair suffice; a skew member leaves an all-zero row, which the simplex
-    drops as redundant.  With family=None an instance carrying
-    shortest-path structure gets its graph's spanning set and the report
-    is flagged canonical; passing a SpanningSet directly also counts.
+    Solved as its dual: rlt1's LP plus one row per member whose row that
+    LP does not already imply.  Members are symmetrized internally
+    ((M + M^T)/2 carries the same linearization vector, skew parts being
+    linearizable with the zero vector); that never changes the optimum
+    and lets one pair variable per unordered pair suffice.  A member row
+    in the span of the lifting LP's rows and of w_p = 0 on the
+    instance's structural-zero pairs (see _rlt1_lp) holds at every
+    feasible point, so it gets no row and weight 0 (a skew member's
+    all-zero row is one).  Every spanning member of each shortest-path
+    graph tested is implied, and so is every member of a
+    LinearizableFamily.from_generators family, which are lbb_prime's own
+    sum matrices: there no member row is left, and lbb_star takes the
+    lifting solve that lbb_prime and rlt1 share, value and pivots.  With
+    family=None an instance carrying shortest-path structure gets its
+    graph's spanning set and the report is flagged canonical; passing a
+    SpanningSet directly also counts.
     """
     bqp = _bqp(inst)
     canonical = False

@@ -5,7 +5,14 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+from quadlin.exactnum import RationalMatrix, null_space_basis
 from quadlin.graph import Dag, count_st_paths, prune_to_corridor
+from quadlin.model import (
+    BqpInstance,
+    LinearizableFamily,
+    enumerate_feasible,
+    qap_to_bqp,
+)
 
 
 def diamond() -> Dag:
@@ -84,3 +91,59 @@ def rand_symmetric_rows(rng: random.Random, m: int, zero_diag=True, **kw):
 
 def rand_rows(rng: random.Random, r: int, c: int, **kw):
     return [[rand_rational(rng, **kw) for _ in range(c)] for _ in range(r)]
+
+
+def qap_instance(rng: random.Random, n: int) -> BqpInstance:
+    """QAP with flows and distances drawn from 0..4, zero diagonals."""
+    def offdiag():
+        return RationalMatrix.from_rows(
+            [[Fraction(rng.randint(0, 4)) if i != j else Fraction(0)
+              for j in range(n)] for i in range(n)])
+    return qap_to_bqp(offdiag(), offdiag())
+
+
+def generator_family(rng: random.Random, inst: BqpInstance, count=3):
+    """count symmetrized generator members B^T Y + Y^T B + Diag(z), with
+    Y and z drawn from -2..2."""
+    gens = []
+    for _ in range(count):
+        y = [[Fraction(rng.randint(-2, 2)) for _ in range(inst.m)]
+             for _ in range(inst.B.rows)]
+        z = [Fraction(rng.randint(-2, 2)) for _ in range(inst.m)]
+        gens.append((y, z))
+    return LinearizableFamily.from_generators(inst, gens, symmetrize=True)
+
+
+def generic_bqp(rng: random.Random) -> BqpInstance:
+    """A raw BQP: m = 5..7, two rows of B from 0..2, b from a random
+    binary point, Q from -5..5."""
+    m = rng.randint(5, 7)
+    B = [[rng.randint(0, 2) for _ in range(m)] for _ in range(2)]
+    x0 = [rng.randint(0, 1) for _ in range(m)]
+    return BqpInstance(
+        B=RationalMatrix.from_rows(B),
+        b=tuple(sum(a * x for a, x in zip(row, x0)) for row in B),
+        Q=RationalMatrix.from_rows(
+            [[rng.randint(-5, 5) for _ in range(m)] for _ in range(m)]))
+
+
+def enumerated_family(inst: BqpInstance) -> LinearizableFamily:
+    """Every linearizable direction of a BQP, from its feasible set.
+
+    (A, c) with A symmetric and zero-diagonal is linearizable iff
+    sum_{i<j} 2 A_ij x_i x_j - c . x == 0 on every feasible x, so a
+    null-space basis of those rows spans all such pairs; with the
+    diagonal (x_i^2 == x_i) and the skew matrices, which lbb_star covers
+    by itself, that is the paper's full set of linearizable matrices.
+    """
+    m = inst.m
+    pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
+    rows = [[Fraction(2 * x[i] * x[j]) for i, j in pairs]
+            + [Fraction(-v) for v in x] for x in enumerate_feasible(inst)]
+    members = []
+    for vec in null_space_basis(RationalMatrix.from_rows(rows)):
+        q = [[Fraction(0)] * m for _ in range(m)]
+        for (i, j), v in zip(pairs, vec):
+            q[i][j] = q[j][i] = v
+        members.append((RationalMatrix.from_rows(q), vec[len(pairs):]))
+    return LinearizableFamily.verified(inst, members)

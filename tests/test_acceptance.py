@@ -14,8 +14,10 @@ itself when a guarantee does not hold):
      basis member verifies by path enumeration
   5. the bound ladder gl <= ggl (both skew strategies) <= lbb_prime
      = rlt1 <= lbb_star <= optimum holds in exact arithmetic, with
-     the middle equality bit-exact; with every linearizable matrix of
-     a generic BQP, lbb_star is strictly above lbb_prime on seeded draws
+     the middle equality bit-exact, and with spanning and generator
+     families lbb_star is lbb_prime, every member implied (weight 0);
+     with every linearizable matrix of a generic BQP, lbb_star is
+     strictly above lbb_prime on seeded draws
   6. lbb_prime is bit-exactly invariant under skew-plus-diagonal
      objective reformulations
   7. the simplex core agrees with a vertex-enumeration oracle, exactly
@@ -44,24 +46,29 @@ from quadlin.bounds import (
     verify_report,
 )
 from quadlin.cli import main as cli_main
-from quadlin.exactnum import RationalMatrix, null_space_basis
+from quadlin.exactnum import RationalMatrix
 from quadlin.lpsolve import EQ, GE, LE, OPTIMAL, linear_program, solve_lp
 from quadlin.model import (
-    BqpInstance,
-    LinearizableFamily,
     QsppInstance,
     brute_force_opt,
     enumerate_feasible,
     is_linearization,
     make_linearizable,
-    qap_to_bqp,
     qspp_to_bqp,
     quadratic_value,
     reformulate,
 )
 from quadlin.qspplin import linearize_qspp, spanning_set
 
-from helpers import double_diamond, rand_rational, random_corridor_dag
+from helpers import (
+    double_diamond,
+    enumerated_family,
+    generator_family,
+    generic_bqp,
+    qap_instance,
+    rand_rational,
+    random_corridor_dag,
+)
 from oracles import (
     linearization_violations,
     lp_oracle,
@@ -220,46 +227,6 @@ def test_spanning_sets_agree_with_the_decision(capsys):
             f"{memberships} membership agreements")
 
 
-def _qap_instance(rng, n):
-    def offdiag():
-        return RationalMatrix.from_rows(
-            [[F(rng.randint(0, 4)) if i != j else F(0) for j in range(n)]
-             for i in range(n)])
-    return qap_to_bqp(offdiag(), offdiag())
-
-
-def _generator_family(rng, inst, count=3):
-    gens = []
-    for _ in range(count):
-        y = [[F(rng.randint(-2, 2)) for _ in range(inst.m)]
-             for _ in range(inst.B.rows)]
-        z = [F(rng.randint(-2, 2)) for _ in range(inst.m)]
-        gens.append((y, z))
-    return LinearizableFamily.from_generators(inst, gens, symmetrize=True)
-
-
-def _enumerated_family(inst):
-    """Every linearizable direction of a BQP, from its feasible set.
-
-    (A, c) with A symmetric and zero-diagonal is linearizable iff
-    sum_{i<j} 2 A_ij x_i x_j - c . x == 0 on every feasible x, so a
-    null-space basis of those rows spans all such pairs; with the
-    diagonal (x_i^2 == x_i) and the skew matrices, which lbb_star covers
-    by itself, that is the paper's full set of linearizable matrices.
-    """
-    m = inst.m
-    pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
-    rows = [[F(2 * x[i] * x[j]) for i, j in pairs] + [F(-v) for v in x]
-            for x in enumerate_feasible(inst)]
-    members = []
-    for vec in null_space_basis(RationalMatrix.from_rows(rows)):
-        q = [[F(0)] * m for _ in range(m)]
-        for (i, j), v in zip(pairs, vec):
-            q[i][j] = q[j][i] = v
-        members.append((RationalMatrix.from_rows(q), vec[len(pairs):]))
-    return LinearizableFamily.verified(inst, members)
-
-
 def test_bound_ladder_in_exact_arithmetic(capsys):
     rng = random.Random(2005)
     plan = []
@@ -280,7 +247,6 @@ def test_bound_ladder_in_exact_arithmetic(capsys):
     for _ in range(3):
         plan.append(("qap", 4))
 
-    strict_star = 0
     replay_s = 0.0
     for kind, payload in plan:
         if kind == "qspp":
@@ -289,8 +255,8 @@ def test_bound_ladder_in_exact_arithmetic(capsys):
             star = lbb_star(inst, mode="exact")
             assert star.canonical_family
         else:
-            inst = _qap_instance(rng, payload)
-            star = lbb_star(inst, family=_generator_family(rng, inst),
+            inst = qap_instance(rng, payload)
+            star = lbb_star(inst, family=generator_family(rng, inst),
                             mode="exact")
         reports = [
             gl_bound(inst, mode="exact"),
@@ -314,15 +280,18 @@ def test_bound_ladder_in_exact_arithmetic(capsys):
             ok, msgs = verify_report(inst, rep)
             assert ok, (rep.name, msgs)
         replay_s += time.perf_counter() - started
-        if star.value > prime.value:
-            strict_star += 1
+        # every member row is implied by the lifting LP (bounds._rlt1_lp):
+        # weight 0, and nothing above lbb_prime
+        assert not any(star.certificate["alpha"])
+        assert star.value == prime.value
     corridors = sum(1 for kind, _ in plan if kind == "qspp")
     with capsys.disabled():
         _ok("bound ladder",
             f"{len(plan)} instances ({corridors} corridor, "
             f"{len(plan) - corridors} assignment), chain and bit-exact "
-            f"middle equality on all, lbb_star strictly above lbb_prime "
-            f"on {strict_star}, every report replayed ({replay_s:.1f} s)")
+            f"middle equality on all, lbb_star equal to lbb_prime with "
+            f"every member weight 0 on all, every report replayed "
+            f"({replay_s:.1f} s)")
 
 
 def test_full_family_bound_can_be_strictly_stronger(capsys):
@@ -331,19 +300,12 @@ def test_full_family_bound_can_be_strictly_stronger(capsys):
     rng = random.Random(2024)
     draws, solved, strict = 30, 0, 0
     for _ in range(draws):
-        m = rng.randint(5, 7)
-        B = [[rng.randint(0, 2) for _ in range(m)] for _ in range(2)]
-        x0 = [rng.randint(0, 1) for _ in range(m)]
-        inst = BqpInstance(
-            B=RationalMatrix.from_rows(B),
-            b=tuple(sum(a * x for a, x in zip(row, x0)) for row in B),
-            Q=RationalMatrix.from_rows(
-                [[rng.randint(-5, 5) for _ in range(m)] for _ in range(m)]))
+        inst = generic_bqp(rng)
         try:
             prime = lbb_prime(inst, mode="exact")
         except BoundComputationError:
             continue  # e.g. a variable in no row of B
-        star = lbb_star(inst, family=_enumerated_family(inst), mode="exact")
+        star = lbb_star(inst, family=enumerated_family(inst), mode="exact")
         for rep in (prime, star):
             ok, msgs = verify_report(inst, rep)
             assert ok, (rep.name, msgs)

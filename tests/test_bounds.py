@@ -23,7 +23,7 @@ from quadlin.bounds import (
     verify_chain,
     verify_report,
 )
-from quadlin.exactnum import RationalMatrix, ZERO, ONE
+from quadlin.exactnum import RationalMatrix, ZERO, ONE, matrix_rank
 from quadlin.graph import forbidden_pairs
 from quadlin.model import (
     BqpInstance,
@@ -41,6 +41,10 @@ from quadlin.qspplin import spanning_set
 from helpers import (
     diamond,
     double_diamond,
+    enumerated_family,
+    generator_family,
+    generic_bqp,
+    qap_instance,
     rand_rows,
     rand_symmetric_rows,
     random_corridor_dag,
@@ -154,12 +158,21 @@ def _pinned_qap():
     return qap_to_bqp(a, d)
 
 
+def _strict_generic_bqp():
+    """The second draw of generic_bqp(Random(2024)): m = 7, where lbb_star
+    over enumerated_family (26 members, none implied by the lifting LP)
+    is -9 and lbb_prime -2985/16."""
+    rng = random.Random(2024)
+    generic_bqp(rng)
+    return generic_bqp(rng)
+
+
 @pytest.mark.parametrize("inst, pins", [
     (_pinned_corridor, {
         "gl": ("-35/2", 70),
         "ggl-upper": ("-14", 164),
         "ggl-sym": ("-6192449487634435/1125899906842624", 2472),
-        "lbb_star": ("-11/2", 65)}),
+        "lbb_star": ("-11/2", 96)}),
     (_pinned_qap, {
         "gl": ("33", 85),
         "ggl-upper": ("33", 205),
@@ -167,8 +180,9 @@ def _pinned_qap():
 ], ids=["corridor", "qap"])
 def test_gl_and_ggl_values_and_pivot_counts_are_pinned(inst, pins):
     # exact values and pivot counts of the column-fitting bounds, and of
-    # the canonical lbb_star (43 spanning members) where the instance has
-    # a graph; a change that moves a pivot path or a value shows here
+    # the canonical lbb_star (43 spanning members, all implied, so it
+    # reports lbb_prime's lifting solve) where the instance has a graph;
+    # a change that moves a pivot path or a value shows here
     inst = inst()
     reports = {
         "gl": gl_bound(inst, mode="exact"),
@@ -179,6 +193,8 @@ def test_gl_and_ggl_values_and_pivot_counts_are_pinned(inst, pins):
     }
     if "lbb_star" in pins:
         reports["lbb_star"] = lbb_star(inst, mode="exact")
+        assert reports["lbb_star"].pivots \
+            == lbb_prime(inst, mode="exact").pivots
     assert {name: (str(rep.value), rep.pivots)
             for name, rep in reports.items()} == pins
 
@@ -324,6 +340,87 @@ def test_rlt1_and_lbb_prime_share_one_solve_per_sparsity(monkeypatch):
     assert len(calls) == 2
 
 
+def _pair_row(member, pairs):
+    """<Q_t, X> - c_t . x over x and the pairs (i <= j) of the lifting
+    LP, right-hand side 0 appended: a pair covers (i, j) and (j, i)."""
+    q, c = member
+    return [-v for v in c] + [
+        q.at(i, j) + (q.at(j, i) if i != j else 0) for i, j in pairs] + [0]
+
+
+def test_lbb_star_solves_only_the_member_rows_the_lifting_lp_leaves_open(
+        monkeypatch):
+    calls = []
+
+    def counting(lp, mode="auto"):
+        calls.append(lp)
+        return lpsolve.solve_lp(lp, mode=mode)
+
+    monkeypatch.setattr(bounds, "solve_lp", counting)
+    # canonical members on a corridor, generator members on an
+    # assignment: every row is implied, so lbb_star takes lbb_prime's
+    # solve, value and pivots, with every weight 0
+    qap = _pinned_qap()
+    for inst, family in ((_pinned_corridor(), None),
+                         (qap, generator_family(random.Random(0), qap))):
+        prime = lbb_prime(inst, mode="exact")
+        calls.clear()
+        star = lbb_star(inst, family=family, mode="exact")
+        assert not calls
+        assert (star.value, star.pivots) == (prime.value, prime.pivots)
+        assert star.certificate["members"]
+        assert not any(star.certificate["alpha"])
+        assert verify_report(inst, star)[0]
+    # a generic BQP with every linearizable matrix and the diagonal units:
+    # the LP carries exactly the member rows outside the span of the
+    # lifting LP's rows, found here by rank
+    inst = _strict_generic_bqp()
+    members = list(enumerated_family(inst).members) + _diag_units(inst.m)
+    lifting, pairs = bounds._rlt1_lp(inst, frozenset())
+    base = [list(coeffs) + [rhs] for coeffs, _, rhs in lifting.rows]
+    rank = matrix_rank(RationalMatrix.from_rows(base))
+    live = [matrix_rank(RationalMatrix.from_rows(
+        base + [_pair_row(member, pairs)])) > rank for member in members]
+    assert sum(live) == len(members) - inst.m  # the diagonal units
+    calls.clear()
+    star = lbb_star(inst, family=members, mode="exact")
+    (lp,) = calls
+    assert lp.nrows == lifting.nrows + sum(live)
+    assert star.value == -9 > lbb_prime(inst, mode="exact").value
+    alpha = star.certificate["alpha"]
+    assert len(alpha) == len(members)
+    assert not any(a for a, kept in zip(alpha, live) if not kept)
+    assert verify_report(inst, star)[0]
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_an_implied_family_is_still_named_on_an_unbounded_lifting_lp(mode):
+    # the diagonal units' rows are the lifting LP's own x_j = w_jj rows,
+    # so none is solved; the LP is unbounded (x_2 is in no row of B), and
+    # the error blames the family, which lbb_star has
+    inst = BqpInstance(B=RationalMatrix.from_rows([[1, 1, 0]]), b=(1,),
+                       Q=RationalMatrix.diagonal([0, 0, -1]))
+    with pytest.raises(BoundComputationError) as exc:
+        lbb_star(inst, family=_diag_units(3), mode=mode)
+    assert str(exc.value) == (
+        "lbb_star: no combination of the family's linearizable matrices "
+        "stays below Q; variables in no row of B: [2]")
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_float_lbb_star_with_a_generator_family_is_float_lbb_prime(seed):
+    # a generator family's members are lbb_prime's own sum matrices, so
+    # float lbb_star solves no member row and returns lbb_prime's value;
+    # the float LP with those rows ends "infeasible" on these instances
+    rng = random.Random(seed)
+    inst = qap_instance(rng, 4)
+    star = lbb_star(inst, family=generator_family(rng, inst), mode="float")
+    assert star.mode == "float"
+    assert star.value == lbb_prime(inst, mode="float").value
+    ok, msgs = verify_report(inst, star)
+    assert ok, msgs
+
+
 def test_ggl_rejects_nonpositive_iteration_budget():
     inst = QsppInstance(diamond(), RationalMatrix.zeros(4, 4))
     with pytest.raises(ValueError):
@@ -353,18 +450,24 @@ def test_sparsity_from_forbidden_pairs_keeps_chain_valid():
         if pairs:
             seen_nontrivial += 1
         full_p = lbb_prime(inst, mode="exact")
-        full_r = rlt1(inst, mode="exact")
         sp_p = lbb_prime(inst, sparsity=pairs, mode="exact")
         sp_r = rlt1(inst, sparsity=pairs, mode="exact")
         opt, _ = brute_force_opt(inst)
         assert sp_p.value == sp_r.value
-        # dropping genuinely-forbidden pairs can only tighten, never break
-        assert full_p.value <= sp_p.value <= opt
+        # the lifting LP already forces w_p = 0 on a forbidden pair (see
+        # bounds._rlt1_lp), so dropping those pairs changes nothing
+        assert full_p.value == sp_p.value <= opt
         ok, msgs = verify_report(inst, sp_p)
         assert ok, msgs
         ok, msgs = verify_report(inst, sp_r)
         assert ok, msgs
     assert seen_nontrivial >= 3
+    # so do an assignment's row and column pairs
+    inst = _pinned_qap()
+    sparse = lbb_prime(inst, sparsity=bounds._structural_sparsity(inst),
+                       mode="exact")
+    assert sparse.value == lbb_prime(inst, mode="exact").value
+    assert verify_report(inst, sparse)[0]
 
 
 def test_sparsity_rejects_bad_pairs():
@@ -563,8 +666,9 @@ def test_generic_family_bound_is_skew_sensitive_but_star_is_not():
 
 @pytest.mark.parametrize("mode", ["exact", "float"])
 def test_a_skew_member_leaves_lbb_star_unchanged(mode):
-    # a skew member symmetrizes to zero: its row in the lifting LP is all
-    # zero, so the value stays and the certificate still replays
+    # a skew member symmetrizes to zero: its all-zero row is implied, so
+    # it gets no row and weight 0, the value stays and the certificate,
+    # which lists it, still replays
     inst = _random_qspp(random.Random(7), m_max=7)
     m = inst.graph.m
     family = list(spanning_set(inst.graph).members)[:5] + _diag_units(m)
@@ -711,16 +815,26 @@ def test_verify_report_rejects_a_raised_value_for_every_kind(mode):
         assert not ok and msgs, rep.name
 
 
+def _family_reports(mode):
+    """(instance, report) of lbb_star and lbb_generic, each with members
+    of weight alpha_t != 0.  A forged member of weight 0 leaves a valid
+    certificate, and on a corridor every spanning member's row is implied
+    (weight 0 in lbb_star), so lbb_star runs on a generic BQP with all of
+    its linearizable matrices."""
+    inst = _random_qspp(random.Random(6), m_max=8)
+    family = list(spanning_set(inst.graph).members) + _diag_units(inst.m)
+    strict = _strict_generic_bqp()
+    return ((strict, lbb_star(strict, family=enumerated_family(strict),
+                              mode=mode)),
+            (inst, lbb_generic(inst, family, mode=mode)))
+
+
 @pytest.mark.parametrize("mode", ["exact", "float"])
 def test_verify_report_rejects_a_member_with_a_raised_lower_entry(mode):
     # a forged member that only differs below the diagonal must not slip
     # past a check of the unordered pairs
-    rng = random.Random(6)
-    inst = _random_qspp(rng, m_max=8)
-    m = inst.m
-    family = list(spanning_set(inst.graph).members) + _diag_units(m)
-    for rep in (lbb_star(inst, mode=mode),
-                lbb_generic(inst, family, mode=mode)):
+    for inst, rep in _family_reports(mode):
+        m = inst.m
         assert verify_report(inst, rep)[0], rep.name
         cert = dict(rep.certificate)
         alpha = cert["alpha"]
@@ -739,15 +853,11 @@ def test_verify_report_rejects_a_member_with_a_raised_lower_entry(mode):
 def test_verify_report_checks_every_pair_of_a_family_bound(mode):
     # only lbb_prime takes a sparsity set; a family report that names one
     # must not get the domination row of a forged pair skipped
-    rng = random.Random(6)
-    inst = _random_qspp(rng, m_max=8)
-    m = inst.m
-    forbidden = forbidden_pairs(inst.graph)
-    i, j = next((i, j) for i in range(m) for j in range(i + 1, m)
-                if (i, j) not in forbidden)
-    family = list(spanning_set(inst.graph).members) + _diag_units(m)
-    for rep in (lbb_star(inst, mode=mode),
-                lbb_generic(inst, family, mode=mode)):
+    for inst, rep in _family_reports(mode):
+        forbidden = forbidden_pairs(inst.graph) \
+            if isinstance(inst, QsppInstance) else ()
+        i, j = next((i, j) for i in range(inst.m)
+                    for j in range(i + 1, inst.m) if (i, j) not in forbidden)
         assert verify_report(inst, rep)[0], rep.name
         cert = dict(rep.certificate)
         alpha = cert["alpha"]
