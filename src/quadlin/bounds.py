@@ -37,23 +37,30 @@ generator family, each member is implied: there lbb_star is lbb_prime.
 
 gl and ggl solve one fitting program per column k (_fitting_programs):
 max b.y + z subject to B^T y + e_k z <= Q[:, k].  Its rows at the fit
-are Qbar[:, k] - Q[:, k], so the residual is minus the row gaps.  A
-program whose column is the one it was last solved for is not solved
-again, in the bound or in its replay: its result, row gaps and checks
-are kept from that round, since the same program gives the same answer.
+are Qbar[:, k] - Q[:, k], so the residual is minus the row gaps.  On a
+shortest-path instance B is the DAG's flow rows, program k is the dual
+of "cheapest s-t path through arc k" and the polytope LP a shortest
+path: both are solved by DAG dynamic programs in integers (_dag_fit,
+_path_minimum), each checked by weak duality before it is used, and no
+LP is built; on other instances each is a simplex solve.  A program
+whose column is the one it was last fitted for is not fitted again, in
+the bound or in its replay: its result, row gaps and checks are kept
+from that round, since the same program gives the same answer.
 
 Every report carries enough certificate data for verify_report to confirm
 the bound from first principles without re-running the solver: it
 rebuilds each LP the bound solved and evaluates that LP's rows at the
-certificate's point, and its columns at the certificate's duals.
+certificate's point, and its columns at the certificate's duals; a
+family bound's weighted members are first confirmed linearizable.
 """
 
 from __future__ import annotations
 
 import enum
+from collections.abc import Callable
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property, lru_cache, partial
 from itertools import chain
 
 from quadlin.exactnum import (
@@ -68,14 +75,25 @@ from quadlin.exactnum import (
     rat_from,
     vdot,
 )
-from quadlin.graph import forbidden_pairs
+from quadlin.graph import (
+    Dag,
+    PathExplosion,
+    forbidden_pairs,
+    is_corridor,
+    reachable_from,
+    reaches,
+    shortest_paths,
+)
 from quadlin.lpsolve import (
     EQ,
     FLOAT_CHECK_TOL,
+    INFEASIBLE,
     LE,
     OPTIMAL,
     UNBOUNDED,
     LinearProgram,
+    LpError,
+    LpResult,
     _requested_mode,
     _resolve_mode,
     _row_gaps,
@@ -85,12 +103,19 @@ from quadlin.lpsolve import (
 )
 from quadlin.model import (
     BqpInstance,
+    EnumerationTooLarge,
     FloatTaggedError,
     QsppInstance,
     brute_force_opt,
+    is_linearization,
     qspp_to_bqp,
 )
-from quadlin.qspplin import SpanningSet, spanning_set
+from quadlin.qspplin import (
+    SpanningSet,
+    equivalent_cost_vectors,
+    linearize_qspp,
+    spanning_set,
+)
 
 
 _HALF = Fraction(1, 2)
@@ -125,7 +150,8 @@ class BoundReport:
     certificate: dict
     trace: tuple = ()              # ggl: bound value after each iteration
     pivots: int = 0                # summed over every LP of every round;
-                                   # a kept fitting solve counts again;
+                                   # a kept fitting solve counts again,
+                                   # a DAG fit or minimum counts 0;
                                    # lbb_star: the solve it used, shared
                                    # with lbb_prime when no row is left
     sparsity: tuple = None
@@ -220,38 +246,161 @@ def _fitting_programs(bqp: BqpInstance) -> list:
 
 @dataclass
 class _Fit:
-    """One solve of a fitting program: its right-hand side, the program
-    and its LpResult.  The row gaps at the fit are worked out when a
+    """One fit of column k: its right-hand side, an LpResult whose x is
+    (y_k, z_k) and value cbar[k], and gaps_at, which gives the fitting
+    program's row gaps at the exact x.  The gaps are worked out when a
     next round folds them, once, and kept while the fit is."""
 
     rhs: tuple
-    lp: LinearProgram
-    res: object
+    res: LpResult
+    gaps_at: Callable
 
     @cached_property
     def gaps(self) -> list:
-        return _row_gaps(self.lp, [rat_from(v) for v in self.res.x])
+        return self.gaps_at([rat_from(v) for v in self.res.x])
 
 
-def _fit_columns(programs, q: RationalMatrix, mode, last) -> list:
+def _fit_columns(fit, q: RationalMatrix, last) -> list:
     """Best per-column (y_k, z_k): max b.y_k + z_k with
-    B^T y_k + e_k z_k <= q[:, k].  programs are _fitting_programs, built
-    once per bound; program k is solved as programs[k].with_rhs(q[:, k]),
-    which shares their coefficients and standard-form layout.  last[k] is
-    column k's _Fit from the round before, or None; a column equal to the
-    last one solved keeps its fit, since the simplex is deterministic and
-    the exact check already certified that very program.  Returns the
-    fits.
-    """
+    B^T y_k + e_k z_k <= q[:, k], as the _Fit that fit(k, q[:, k])
+    returns.  last[k] is column k's _Fit from the round before, or None;
+    a column equal to the last one fitted keeps its fit, since the same
+    program gives the same answer and its check already passed."""
     fits = []
-    for k, (program, fit) in enumerate(zip(programs, last)):
+    for k, old in enumerate(last):
         rhs = q.column(k)
-        if fit is None or fit.rhs != rhs:
-            lp = program.with_rhs(rhs)
-            res = _solve(lp, mode, f"column {k} fitting program")
-            fit = _Fit(rhs, lp, res)
-        fits.append(fit)
+        fits.append(old if old is not None and old.rhs == rhs
+                    else fit(k, rhs))
     return fits
+
+
+# ---------------------------------------------------------------------------
+# gl and ggl on a shortest-path instance: B is the DAG's flow rows, so
+# fitting program k is the dual of "cheapest s-t path through arc k" and
+# the polytope LP a shortest path; both are solved by DAG dynamic programs
+# over integer numerators, and certified by weak duality before use
+
+def _qspp_graph(bqp: BqpInstance):
+    """The DAG of an instance with shortest-path structure, else None."""
+    if bqp.structure and bqp.structure[0] == "qspp":
+        return bqp.structure[1]
+    return None
+
+
+def _require_st_arcs(g: Dag) -> None:
+    """Raise the simplex's error for the first arc on no s-t path: no
+    path uses it, so its fitting program is unbounded.  Past this check
+    every vertex with an arc lies on an s-t path."""
+    from_s, to_t = reachable_from(g, g.source), reaches(g, g.target)
+    for k, (u, v) in enumerate(g.arcs):
+        if u not in from_s or v not in to_t:
+            raise BoundComputationError(
+                f"column {k} fitting program: LP is {UNBOUNDED}")
+
+
+def _walk(g: Dag, pred, end: int) -> list:
+    """The arcs of the path that shortest_paths' pred records to end."""
+    arcs = []
+    while pred[end] is not None:
+        arcs.append(pred[end])
+        end = g.arcs[pred[end]][0]
+    return arcs[::-1]
+
+
+def _dag_fit(g: Dag, cost, k: int):
+    """(pi, z, path) for fitting program k on g's flow rows under the
+    integer arc costs cost (column k over one denominator).
+
+    With d_s the distances from s, d_h those from v for arc k = (u, v),
+    and R the vertices v reaches (d_s is read only off R, so on paths
+    that never use arc k): pi is d_s off R and C + d_h on R, where C is
+    the least d_s(a) + cost(a, b) - d_h(b) over the arcs (a, b) entering
+    R, arc k among them; a vertex with no arc gets 0.  Every arc but k
+    then has pi_b - pi_a <= cost(a, b), y = -pi and
+    z = cost(k) + pi_u - pi_v make row k tight, and path, the cheapest
+    s-t path through k, costs pi_t - pi_s + z.  Which optimum is taken
+    leaves gl's value as it is but moves ggl's later rounds; this one,
+    read from s, was measured against the one read from t and against
+    their mean (CHANGES.md).
+    """
+    u, v = g.arcs[k]
+    d_s, pred_s = shortest_paths(g, cost, g.source)
+    d_h, pred_h = shortest_paths(g, cost, v)
+    c = min(d_s[a] + cost[j] - d_h[b] for j, (a, b) in enumerate(g.arcs)
+            if d_h[a] is None and d_h[b] is not None)
+    pi = [c + h if h is not None else d if d is not None else 0
+          for d, h in zip(d_s, d_h)]
+    path = _walk(g, pred_s, u) + [k] + _walk(g, pred_h, g.target)
+    return pi, cost[k] + pi[u] - pi[v], path
+
+
+def _certify_potentials(g: Dag, cost, pi, path, k=-1, z=0):
+    """pi_t - pi_s + z, the value of y = -pi and z in fitting program k
+    (k = -1: of y in the polytope LP's dual), checked in integers: every
+    row gap pi_b - pi_a + [j == k] z - cost(a, b) must be <= 0, and path
+    an s-t path, through k if k >= 0, costing that value, which by weak
+    duality makes both optimal.  Raises LpError otherwise."""
+    for j, (a, b) in enumerate(g.arcs):
+        if pi[b] - pi[a] + (z if j == k else 0) > cost[j]:
+            raise LpError(f"DAG potentials violate arc {j}")
+    at = g.source
+    for j in path:
+        if g.arcs[j][0] != at:
+            raise LpError("DAG certificate path is not a path")
+        at = g.arcs[j][1]
+    value = pi[g.target] - pi[g.source] + z
+    if at != g.target or (k >= 0 and k not in path) \
+            or sum(cost[j] for j in path) != value:
+        raise LpError("DAG certificate path does not match the potentials")
+    return value
+
+
+def _exact_or_float(nums, den, mode) -> tuple:
+    """nums over den, as Fractions or, in float mode, rounded floats."""
+    if mode == "exact":
+        return tuple(Fraction(v, den) for v in nums)
+    return tuple(v / den for v in nums)
+
+
+def _graph_fit(g: Dag, k: int, rhs, mode: str) -> _Fit:
+    """Column k's _Fit from _dag_fit, certified; 0 pivots."""
+    cost, den = common_denominator(rhs)
+    pi, z, path = _dag_fit(g, cost, k)
+    cbar = _certify_potentials(g, cost, pi, path, k, z)
+    *x, value = _exact_or_float([-p for p in pi] + [z, cbar], den, mode)
+    return _Fit(rhs, LpResult(OPTIMAL, value, tuple(x), mode=mode),
+                partial(_arc_gaps, g, k, rhs))
+
+
+def _arc_gaps(g: Dag, k: int, rhs, x) -> list:
+    """Fitting program k's row gaps at the exact x = (y, z) on g's flow
+    rows, y_a - y_b + [j == k] z - rhs[j] for arc j = (a, b), as _row_gaps
+    gives them: integers over one denominator, one Fraction per row.  In
+    float mode x holds the floats reported, so the bound folds the same
+    gaps as its replay."""
+    nums, den = common_denominator(list(x) + list(rhs))
+    n = g.n
+    z = nums[n]
+    return [Fraction(nums[a] - nums[b] - nums[n + 1 + j]
+                     + (z if j == k else 0), den)
+            for j, (a, b) in enumerate(g.arcs)]
+
+
+def _path_minimum(g: Dag, costs, mode: str) -> LpResult:
+    """The polytope LP's optimum on g: a shortest s-t path under costs,
+    with duals y = -d_s (0 at a vertex with no arc), certified."""
+    nums, den = common_denominator(costs)
+    dist, pred = shortest_paths(g, nums, g.source)
+    if g.source == g.target or dist[g.target] is None:
+        raise BoundComputationError(
+            f"feasible-set minimum: LP is {INFEASIBLE}")
+    pi = [0 if d is None else d for d in dist]
+    path = _walk(g, pred, g.target)
+    value = _certify_potentials(g, nums, pi, path)
+    on = set(path)
+    *duals, value = _exact_or_float([-p for p in pi] + [value], den, mode)
+    x = _exact_or_float([int(j in on) for j in range(g.m)], 1, mode)
+    return LpResult(OPTIMAL, value, x, tuple(duals), mode=mode)
 
 
 def _next_matrix(gaps, strategy: SkewStrategy) -> RationalMatrix:
@@ -285,28 +434,44 @@ def _fitting_rounds(inst, strategy: SkewStrategy, max_iter: int,
     """The rounds of ggl_bound, of which gl_bound is the first: each
     round fits the current matrix, moves its value into the linear term
     and solves the polytope LP under the accumulated costs; between
-    rounds the residual is reshuffled per the strategy."""
+    rounds the residual is reshuffled per the strategy.  On a
+    shortest-path instance the fits and the minimum are DAG dynamic
+    programs (_graph_fit, _path_minimum), elsewhere simplex solves."""
     if max_iter < 1:
         raise ValueError("max_iter must be positive")
     bqp = _bqp(inst)
     n, m = bqp.B.rows, bqp.m
     mode = _bound_mode(bqp, mode, max(m, n), n + 1)
+    g = _qspp_graph(bqp)
+    if g is not None:
+        _require_st_arcs(g)
+        fit_column = partial(_graph_fit, g, mode=mode)
+        minimum = partial(_path_minimum, g, mode=mode)
+    else:
+        programs = _fitting_programs(bqp)
+
+        def fit_column(k, rhs):
+            lp = programs[k].with_rhs(rhs)
+            return _Fit(rhs, _solve(lp, mode, f"column {k} fitting program"),
+                        partial(_row_gaps, lp))
+
+        def minimum(costs):
+            return _solve(_polytope_lp(bqp, costs), mode,
+                          "feasible-set minimum")
     q_cur = bqp.Q
     c_total = [ZERO] * m
     trace = []
     iterations = []
     pivots = 0
-    programs = _fitting_programs(bqp)
     fits = [None] * m
     for it in range(max_iter):
         if it:  # the residual is minus the last fit's row gaps
             q_cur = _next_matrix([fit.gaps for fit in fits], strategy)
-        fits = _fit_columns(programs, q_cur, mode, fits)
+        fits = _fit_columns(fit_column, q_cur, fits)
         results = [fit.res for fit in fits]
         cbar = [res.value for res in results]
         c_total = [a + rat_from(c) for a, c in zip(c_total, cbar)]
-        lp = _polytope_lp(bqp, [a + l for a, l in zip(c_total, bqp.linear)])
-        final = _solve(lp, mode, "feasible-set minimum")
+        final = minimum([a + l for a, l in zip(c_total, bqp.linear)])
         trace.append(final.value)
         iterations.append({
             "ybar_columns": tuple(res.x[:n] for res in results),
@@ -347,12 +512,15 @@ def ggl_bound(inst, strategy: SkewStrategy = SkewStrategy.NONE,
     nondecreasing: the residual of every round is elementwise
     nonnegative, so every fitted part after the first is nonnegative.
     In exact mode SYMMETRIZE usually runs all max_iter rounds: the halved
-    residual shrinks but never reaches zero (on a 10-arc corridor DAG the
-    bound is -5.5029 after 10 rounds and -5.5000029 after 20), so
-    max_iter bounds the work.  A column that a round leaves unchanged is
-    not fitted again: its fitting program keeps the last solve (96 of
-    SYMMETRIZE's 450 programs on a QAP with n = 3), and pivots counts
-    that solve's pivots in every round that uses it.
+    residual shrinks but never reaches zero (on a 10-arc corridor DAG,
+    with simplex fits, the bound was -5.5029 after 10 rounds and
+    -5.5000029 after 20), so max_iter bounds the work.  After the first
+    round the value depends on which optimal fit each round takes: on a
+    shortest-path instance that is _dag_fit's potentials, elsewhere the
+    simplex's duals.  A column that a round leaves unchanged is not
+    fitted again: it keeps its last fit (96 of SYMMETRIZE's 450 programs
+    on a QAP with n = 3), and pivots counts that solve's pivots in every
+    round that uses it.
     """
     return _fitting_rounds(inst, strategy, max_iter, mode)
 
@@ -497,10 +665,13 @@ def _solve_lifting_lp(bqp: BqpInstance, sparsity: frozenset, mode: str):
 def _lifted_lp(bqp: BqpInstance, name: str, members, sparsity: frozenset):
     """_rlt1_lp as the report called name is replayed against: rlt1 and
     lbb_prime (members None) drop sparsity pairs and share _lifting_lp;
-    a family's LP has a row for every member, and only lbb_generic's
-    compares against the raw Q, over every ordered pair."""
+    a family's LP has a row for every member given, and only
+    lbb_generic's compares against the raw Q, over every ordered pair;
+    lbb_star's with no member row is lbb_prime's with every pair."""
     if members is None:
         return _lifting_lp(bqp, sparsity)
+    if not members and name == "lbb_star":
+        return _lifting_lp(bqp, frozenset())
     return _rlt1_lp(bqp, None, members, name == "lbb_generic")
 
 
@@ -654,11 +825,8 @@ def lbb_star(inst, family=None, mode: str = "auto") -> BoundReport:
     bqp = _bqp(inst)
     canonical = False
     if family is None:
-        if isinstance(inst, QsppInstance):
-            graph = inst.graph
-        elif bqp.structure and bqp.structure[0] == "qspp":
-            graph = bqp.structure[1]
-        else:
+        graph = _qspp_graph(bqp)
+        if graph is None:
             raise ValueError(
                 "lbb_star needs an explicit family unless the instance "
                 "has shortest-path structure")
@@ -797,6 +965,32 @@ def _fitting_shape(cert: dict, n: int, m: int) -> list:
     return msgs
 
 
+def _unconfirmed_members(bqp: BqpInstance, members, labels) -> list:
+    """Why the members (Q_t, c_t), labelled t, are not confirmed
+    linearizable, x^T Q_t x == c_t . x on every feasible x: on a corridor
+    DAG by the paper's test (linearize_qspp, then equivalent_cost_vectors
+    against c_t), elsewhere by enumeration (is_linearization) under its
+    cap, past which a member cannot be confirmed."""
+    g = _qspp_graph(bqp)
+    corridor = g is not None and is_corridor(g)
+    msgs = []
+    for t, (q, c) in zip(labels, members):
+        if corridor:
+            out = linearize_qspp(QsppInstance(g, q))
+            ok = out.linearizable \
+                and equivalent_cost_vectors(g, out.linearization, c)
+        else:
+            try:
+                ok = is_linearization(bqp, q, c)
+            except (EnumerationTooLarge, PathExplosion) as exc:
+                msgs.append(f"member {t}'s linearizability cannot be "
+                            f"confirmed: {exc}")
+                continue
+        if not ok:
+            msgs.append(f"member {t} is not linearizable with its costs")
+    return msgs
+
+
 def verify_report(inst, report: BoundReport):
     """Re-derive the bound's validity from its certificate.
 
@@ -805,7 +999,10 @@ def verify_report(inst, report: BoundReport):
     satisfy its columns and reach the value (lpsolve.dual_violations),
     and for gl, ggl and rlt1 so must the certificate's point satisfy its
     rows (lpsolve.point_violations).  An lbb certificate is turned back
-    into the duals of the lifting LP it was read off.  In each gl/ggl
+    into the duals of the lifting LP it was read off; a family bound's LP
+    gets a row for each member of weight alpha_t != 0 only, and each such
+    member must be confirmed linearizable (_unconfirmed_members); a
+    member of weight 0 takes no part in the proof.  In each gl/ggl
     round, column k's fit must be a point of fitting program k with
     value cbar[k]; its row gaps fold into the next round as in the bound.
     An entry (right-hand side, ybar column, zbar[k], cbar[k], all read
@@ -816,9 +1013,10 @@ def verify_report(inst, report: BoundReport):
     FLOAT_CHECK_TOL (1e-7), and a NaN or an infinity fails.  So does an
     unknown kind or mode, a missing certificate key, an entry of the
     wrong shape (a vector that is not a tuple or list, a family member
-    that is not an m x m matrix with m costs), an exact report holding a
-    float, and an lbb_prime or rlt1 report dropping a pair
-    (``sparsity``) that is not a structural zero of the instance.
+    that is not an m x m matrix with m costs, alpha without one weight
+    per member), an exact report holding a float, and an lbb_prime or
+    rlt1 report dropping a pair (``sparsity``) that is not a structural
+    zero of the instance.
     """
     cert = report.certificate
     keys = _CERT_KEYS.get(report.name)
@@ -832,6 +1030,9 @@ def verify_report(inst, report: BoundReport):
     malformed = _not_sequences(cert, keys)
     if malformed:
         return False, tuple(malformed)
+    if "members" in keys and len(cert["alpha"]) != len(cert["members"]):
+        return False, ("certificate alpha does not have one weight per "
+                       "member",)
     if report.mode == "exact" and _holds_float((report.value, cert)):
         return False, ("an exact report holds a float",)
     bqp = _bqp(inst)
@@ -885,7 +1086,7 @@ def verify_report(inst, report: BoundReport):
             msgs += dual_violations(lp, cert["duals"], report.value, tol)
 
         elif report.name != "opt":  # opt: nothing beyond brute force itself
-            members = None
+            members, alpha = None, ()
             if report.name in ("lbb_star", "lbb_generic"):
                 try:
                     members = _family_members(cert["members"], m)
@@ -896,6 +1097,13 @@ def verify_report(inst, report: BoundReport):
                 if report.name == "lbb_star" \
                         and not all(q.is_symmetric() for q, _ in members):
                     msgs.append("a family member is not symmetric")
+                # a member row of weight 0 adds nothing to A^T y: only the
+                # weighted members are confirmed and get their rows
+                weighted = [t for t, a in enumerate(cert["alpha"])
+                            if rat_from(a) != 0]
+                members = [members[t] for t in weighted]
+                alpha = [cert["alpha"][t] for t in weighted]
+                msgs += _unconfirmed_members(bqp, members, weighted)
             lp, pairs = _lifted_lp(bqp, report.name, members, sparsity)
             if report.name == "rlt1":
                 if tuple(map(tuple, cert["pairs"])) != pairs:
@@ -907,7 +1115,7 @@ def verify_report(inst, report: BoundReport):
                 duals = cert["duals"]
             else:  # the duals the linearization was read off, in row order
                 duals = tuple(chain(
-                    cert["y"], cert.get("alpha", ()),
+                    cert["y"], alpha,
                     (2 * rat_from(v) for row in cert.get("Y", ())
                      for v in row),
                     (-rat_from(v) for v in cert.get("z", ()))))

@@ -185,10 +185,8 @@ class RationalMatrix:
         return RationalMatrix(self.rows, other.cols, tuple(flat))
 
     def is_symmetric(self) -> bool:
-        if self.rows != self.cols:
-            return False
-        return all(self.at(i, j) == self.at(j, i)
-                   for i in range(self.rows) for j in range(i + 1, self.cols))
+        return self.rows == self.cols and all(
+            self.row(i) == self.column(i) for i in range(self.rows))
 
     def _same_shape(self, other: "RationalMatrix") -> None:
         if (self.rows, self.cols) != (other.rows, other.cols):

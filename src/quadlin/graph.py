@@ -246,6 +246,27 @@ def enumerate_st_paths(g: Dag, cap: int = PATH_CAP_DEFAULT) -> list:
     return paths
 
 
+def shortest_paths(g: Dag, cost, start: int):
+    """(dist, pred): per vertex, the least cost of a start-v path under
+    the arc costs cost, and the last arc of one such path; None for a
+    vertex that start does not reach (pred[start] too).
+    One sweep in topological order; ties go to the smaller arc label."""
+    dist = [None] * g.n
+    pred = [None] * g.n
+    dist[start] = 0
+    arcs = g.arcs
+    for v in g.topo_order[g.topo_pos[start] + 1:]:
+        best = arc = None
+        for label in g.in_arcs[v]:
+            d = dist[arcs[label][0]]
+            if d is not None:
+                d += cost[label]
+                if best is None or d < best:
+                    best, arc = d, label
+        dist[v], pred[v] = best, arc
+    return dist, pred
+
+
 def _require_corridor(g: Dag):
     if not is_corridor(g):
         raise GraphError("graph is not corridor-pruned "

@@ -23,8 +23,14 @@ from quadlin.bounds import (
     verify_chain,
     verify_report,
 )
-from quadlin.exactnum import RationalMatrix, ZERO, ONE, matrix_rank
-from quadlin.graph import forbidden_pairs
+from quadlin.exactnum import (
+    ONE,
+    ZERO,
+    RationalMatrix,
+    common_denominator,
+    matrix_rank,
+)
+from quadlin.graph import Dag, forbidden_pairs
 from quadlin.model import (
     BqpInstance,
     FloatTaggedError,
@@ -169,9 +175,9 @@ def _strict_generic_bqp():
 
 @pytest.mark.parametrize("inst, pins", [
     (_pinned_corridor, {
-        "gl": ("-35/2", 70),
-        "ggl-upper": ("-14", 164),
-        "ggl-sym": ("-6192449487634435/1125899906842624", 2472),
+        "gl": ("-35/2", 0),
+        "ggl-upper": ("-27/2", 0),
+        "ggl-sym": ("-10203467905761283/1125899906842624", 0),
         "lbb_star": ("-11/2", 96)}),
     (_pinned_qap, {
         "gl": ("33", 85),
@@ -179,10 +185,11 @@ def _strict_generic_bqp():
         "ggl-sym": ("19140298416324607/562949953421312", 2780)}),
 ], ids=["corridor", "qap"])
 def test_gl_and_ggl_values_and_pivot_counts_are_pinned(inst, pins):
-    # exact values and pivot counts of the column-fitting bounds, and of
-    # the canonical lbb_star (43 spanning members, all implied, so it
-    # reports lbb_prime's lifting solve) where the instance has a graph;
-    # a change that moves a pivot path or a value shows here
+    # exact values and pivot counts of the column-fitting bounds (0 on a
+    # graph, whose fits are DAG dynamic programs), and of the canonical
+    # lbb_star (43 spanning members, all implied, so it reports
+    # lbb_prime's lifting solve) where the instance has a graph; a change
+    # that moves a pivot path or a value shows here
     inst = inst()
     reports = {
         "gl": gl_bound(inst, mode="exact"),
@@ -317,6 +324,89 @@ def test_residual_is_minus_the_fitting_programs_row_gaps():
             for k in range(m)]
         assert bounds._next_matrix(
             gaps, SkewStrategy.NONE).to_rows() == want
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_dag_fit_matches_the_simplex(mode):
+    # on a shortest-path instance gl fits each column by DAG dynamic
+    # programs; cbar and the bound are LP optima, unique in value, so they
+    # equal the simplex's, and each fit is a point of its fitting program
+    # whose row gaps are the program's
+    rng = random.Random(41)
+    tol = 0 if mode == "exact" else 1e-9
+    for _ in range(6):
+        inst = _random_qspp(rng)
+        bqp = qspp_to_bqp(inst)
+        programs = bounds._fitting_programs(bqp)
+        gl = gl_bound(inst, mode=mode)
+        step = gl.certificate["iterations"][0]
+        cbars = []
+        for k in range(bqp.m):
+            rhs = bqp.Q.column(k)
+            lp = programs[k].with_rhs(rhs)
+            res = lpsolve.solve_lp(lp, mode=mode)
+            assert abs(step["cbar"][k] - res.value) <= tol
+            cbars.append(Fraction(res.value))
+            fit = bounds._graph_fit(inst.graph, k, rhs, mode)
+            x = [Fraction(v) for v in fit.res.x]
+            assert fit.gaps == lpsolve._row_gaps(lp, x)
+            if mode == "exact":
+                assert lpsolve.point_violations(lp, x, fit.res.value) == []
+        simplex = lpsolve.solve_lp(bounds._polytope_lp(bqp, cbars), mode=mode)
+        assert abs(gl.value - simplex.value) <= tol
+        assert gl.pivots == 0
+
+
+def test_a_raised_potential_fails_the_dag_self_check():
+    rng = random.Random(43)
+    inst = _random_qspp(rng)
+    g = inst.graph
+    for k in range(g.m):
+        cost, den = common_denominator(inst.Q.column(k))
+        pi, z, path = bounds._dag_fit(g, cost, k)
+        value = bounds._certify_potentials(g, cost, pi, path, k, z)
+        assert value == sum(cost[j] for j in path)
+        assert Fraction(value, den) == gl_bound(inst, mode="exact") \
+            .certificate["iterations"][0]["cbar"][k]
+        for v in [g.source] + [g.arcs[j][1] for j in path]:
+            raised = list(pi)
+            raised[v] += 1
+            with pytest.raises(lpsolve.LpError):
+                bounds._certify_potentials(g, cost, raised, path, k, z)
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_gl_and_ggl_on_a_corridor_solve_no_lp(monkeypatch, mode):
+    calls = []
+
+    def counting(lp, mode="auto"):
+        calls.append(lp)
+        return lpsolve.solve_lp(lp, mode=mode)
+
+    monkeypatch.setattr(bounds, "solve_lp", counting)
+    inst = _pinned_corridor()
+    for rep in (gl_bound(inst, mode=mode),
+                ggl_bound(inst, strategy=SkewStrategy.UPPER_TRIANGULAR,
+                          mode=mode),
+                ggl_bound(inst, strategy=SkewStrategy.SYMMETRIZE,
+                          mode=mode)):
+        assert (rep.mode, rep.pivots) == (mode, 0)
+        assert verify_report(inst, rep) == (True, ())
+    assert calls == []
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_gl_and_ggl_name_the_column_of_an_arc_on_no_path(mode):
+    # s -> 1 -> t plus a dangling arc 1 -> 3: no s-t path uses arc 2, so
+    # its fitting program is unbounded, as the simplex finds it
+    g = Dag(4, [(0, 1), (1, 2), (1, 3)], 0, 2)
+    inst = QsppInstance(g, RationalMatrix.from_rows(rand_rows(
+        random.Random(1), 3, 3)))
+    for bound in (gl_bound, partial(ggl_bound,
+                                    strategy=SkewStrategy.SYMMETRIZE)):
+        with pytest.raises(BoundComputationError) as exc:
+            bound(inst, mode=mode)
+        assert str(exc.value) == "column 2 fitting program: LP is unbounded"
 
 
 def test_rlt1_and_lbb_prime_share_one_solve_per_sparsity(monkeypatch):
@@ -872,6 +962,49 @@ def test_verify_report_checks_every_pair_of_a_family_bound(mode):
         forged = replace(rep, certificate=cert, sparsity=((i, j),))
         ok, msgs = verify_report(inst, forged)
         assert not ok and msgs, rep.name
+
+
+def test_verify_report_rejects_a_forged_family_member():
+    # the member (0, e_j) claims x_j = 0 on every path, false for an arc
+    # of the optimal path: its row lifts lbb_star above the optimum, and
+    # the duals still certify that LP, so only the member check catches it
+    rng = random.Random(20250819)
+    for _ in range(10):
+        g = random_corridor_dag(rng, 4, 7, m_max=10)
+        inst = QsppInstance(g, RationalMatrix.from_rows(
+            rand_rows(rng, g.m, g.m)))
+        opt, argmin = brute_force_opt(inst)
+        j = argmin.index(1)
+        forged = [(RationalMatrix.zeros(g.m, g.m),
+                   tuple(ONE if i == j else ZERO for i in range(g.m)))]
+        rep = lbb_star(inst, family=forged, mode="exact")
+        assert rep.value > opt
+        assert verify_report(inst, rep) == (
+            False, ("member 0 is not linearizable with its costs",))
+
+
+def test_verify_report_confirms_weighted_members_by_enumeration():
+    # off a graph, a weighted member is confirmed on every feasible point
+    inst = _pinned_qap()
+    _, argmin = brute_force_opt(inst)
+    e = tuple(ONE if v else ZERO for v in argmin)
+    zero = RationalMatrix.zeros(inst.m, inst.m)
+    rep = lbb_star(inst, family=[(zero, e)], mode="exact")
+    assert rep.certificate["alpha"][0] != 0
+    assert verify_report(inst, rep) == (
+        False, ("member 0 is not linearizable with its costs",))
+    # past the enumeration cap (2^21 binary points) nothing is confirmed
+    m = 21
+    bqp = BqpInstance(B=RationalMatrix.from_rows([[1] * m]), b=(1,),
+                      Q=RationalMatrix.zeros(m, m))
+    rep = BoundReport(
+        name="lbb_generic", value=ZERO, mode="exact", relaxation_only=True,
+        certificate={"y": (ZERO,), "alpha": (ONE,),
+                     "members": ((RationalMatrix.zeros(m, m).to_rows(),
+                                  (ZERO,) * m),)})
+    assert verify_report(bqp, rep) == (False, (
+        "member 0's linearizability cannot be confirmed: 2^21 binary "
+        "vectors",))
 
 
 def _forge_a_dual(rep, lp):
