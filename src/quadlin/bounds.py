@@ -43,15 +43,19 @@ of "cheapest s-t path through arc k" and the polytope LP a shortest
 path: both are solved by DAG dynamic programs in integers (_dag_fit,
 _path_minimum), each checked by weak duality before it is used, and no
 LP is built; on other instances each is a simplex solve.  A program
-whose column is the one it was last fitted for is not fitted again, in
-the bound or in its replay: its result, row gaps and checks are kept
-from that round, since the same program gives the same answer.
+whose column is the one it was last fitted for is not fitted again: its
+result and row gaps are kept from that round, since the same program
+gives the same answer.  As the paper proves, gl and ggl are
+linearization bounds: with Ybar and zbar the fits summed over every
+round, (y, Ybar / 2, zbar) is an lbb_prime certificate of their value,
+y the last round's polytope duals, and it is the certificate they carry.
 
 Every report carries enough certificate data for verify_report to confirm
 the bound from first principles without re-running the solver: it
-rebuilds each LP the bound solved and evaluates that LP's rows at the
-certificate's point, and its columns at the certificate's duals; a
-family bound's weighted members are first confirmed linearizable.
+rebuilds the lifting LP (for rlt1, lbb_prime, gl and ggl alike) and
+evaluates its rows at the certificate's point, or its columns at the
+certificate's duals; a family bound's weighted members are first
+confirmed linearizable.
 """
 
 from __future__ import annotations
@@ -376,8 +380,8 @@ def _arc_gaps(g: Dag, k: int, rhs, x) -> list:
     """Fitting program k's row gaps at the exact x = (y, z) on g's flow
     rows, y_a - y_b + [j == k] z - rhs[j] for arc j = (a, b), as _row_gaps
     gives them: integers over one denominator, one Fraction per row.  In
-    float mode x holds the floats reported, so the bound folds the same
-    gaps as its replay."""
+    float mode x holds the floats reported, so the residual folded is
+    that of the fits the certificate sums."""
     nums, den = common_denominator(list(x) + list(rhs))
     n = g.n
     z = nums[n]
@@ -436,7 +440,15 @@ def _fitting_rounds(inst, strategy: SkewStrategy, max_iter: int,
     and solves the polytope LP under the accumulated costs; between
     rounds the residual is reshuffled per the strategy.  On a
     shortest-path instance the fits and the minimum are DAG dynamic
-    programs (_graph_fit, _path_minimum), elsewhere simplex solves."""
+    programs (_graph_fit, _path_minimum), elsewhere simplex solves.
+
+    The certificate is lbb_prime's (y, Y, z): y the last minimum's duals,
+    Y half the sum over rounds of the fits' y-parts, as n rows of m, and
+    z the sum of their z-parts.  Each round's fitted matrix is
+    B^T Ybar_r + Diag(zbar_r), no reshuffle changes the symmetric part of
+    the residual, and the last residual is elementwise nonnegative, so
+    B^T Y + Y^T B + Diag(z) stays below sym(Q); 2 Y^T b + z is the summed
+    linear part the last minimum was taken under, and b.y its value."""
     if max_iter < 1:
         raise ValueError("max_iter must be positive")
     bqp = _bqp(inst)
@@ -460,8 +472,8 @@ def _fitting_rounds(inst, strategy: SkewStrategy, max_iter: int,
                           "feasible-set minimum")
     q_cur = bqp.Q
     c_total = [ZERO] * m
+    fitted = [(ZERO,) * (n + 1)] * m  # per column, its fits' (y, z) summed
     trace = []
-    iterations = []
     pivots = 0
     fits = [None] * m
     for it in range(max_iter):
@@ -471,12 +483,10 @@ def _fitting_rounds(inst, strategy: SkewStrategy, max_iter: int,
         results = [fit.res for fit in fits]
         cbar = [res.value for res in results]
         c_total = [a + rat_from(c) for a, c in zip(c_total, cbar)]
+        fitted = [[a + v for a, v in zip(acc, res.x)]
+                  for acc, res in zip(fitted, results)]
         final = minimum([a + l for a, l in zip(c_total, bqp.linear)])
         trace.append(final.value)
-        iterations.append({
-            "ybar_columns": tuple(res.x[:n] for res in results),
-            "zbar": tuple(res.x[n] for res in results),
-            "cbar": tuple(cbar)})
         pivots += sum(res.pivots for res in results) + final.pivots
         if all(rat(c) == 0 for c in cbar) if mode == "exact" \
                 else max(abs(float(c)) for c in cbar) <= 1e-9:
@@ -485,17 +495,17 @@ def _fitting_rounds(inst, strategy: SkewStrategy, max_iter: int,
         name="ggl", value=final.value, mode=mode,
         relaxation_only=not bqp.integral_polytope,
         certificate={
-            "strategy": strategy.value,
-            "iterations": tuple(iterations),
-            "c_total": tuple(c_total),
-            "x": final.x, "duals": final.duals,
+            "y": final.duals,
+            "Y": tuple(tuple(col[r] / 2 for col in fitted)
+                       for r in range(n)),
+            "z": tuple(col[n] for col in fitted),
         },
         trace=tuple(trace), pivots=pivots)
 
 
 def gl_bound(inst, mode: str = "auto") -> BoundReport:
     """One-shot column fitting bound: ggl's first round, with ggl's
-    certificate (strategy "none", one round in iterations)."""
+    certificate, lbb_prime's (y, Y, z) for one round's fits."""
     return replace(_fitting_rounds(inst, SkewStrategy.NONE, 1, mode),
                    name="gl", trace=())
 
@@ -520,7 +530,9 @@ def ggl_bound(inst, strategy: SkewStrategy = SkewStrategy.NONE,
     simplex's duals.  A column that a round leaves unchanged is not
     fitted again: it keeps its last fit (96 of SYMMETRIZE's 450 programs
     on a QAP with n = 3), and pivots counts that solve's pivots in every
-    round that uses it.
+    round that uses it.  The certificate is lbb_prime's, read off the
+    fits summed over every round (_fitting_rounds), so verify_report
+    replays it against the lifting LP and no round is replayed.
     """
     return _fitting_rounds(inst, strategy, max_iter, mode)
 
@@ -663,9 +675,9 @@ def _solve_lifting_lp(bqp: BqpInstance, sparsity: frozenset, mode: str):
 
 
 def _lifted_lp(bqp: BqpInstance, name: str, members, sparsity: frozenset):
-    """_rlt1_lp as the report called name is replayed against: rlt1 and
-    lbb_prime (members None) drop sparsity pairs and share _lifting_lp;
-    a family's LP has a row for every member given, and only
+    """_rlt1_lp as the report called name is replayed against: rlt1,
+    lbb_prime, gl and ggl (members None) drop sparsity pairs and share
+    _lifting_lp; a family's LP has a row for every member given, and only
     lbb_generic's compares against the raw Q, over every ordered pair;
     lbb_star's with no member row is lbb_prime's with every pair."""
     if members is None:
@@ -681,15 +693,16 @@ def _lifted_bound(bqp: BqpInstance, name: str, mode: str, members=None,
     is its point and duals; the lbb bounds read theirs off the duals:
     y, Y (the lifted rows' duals halved, row r of Y from rows (r, *)),
     z (minus the diagonal rows' duals), alpha (the member rows' duals)
-    and, for a family bound, the members.
+    and, for a family bound, the members those rows were solved for.
 
     lbb_star solves only the rows of the members that the member-less
-    lifting LP does not imply (_unimplied_members); an implied member
-    gets weight 0.  The optimum is the same, and so is the value, exactly;
-    with no row left it is _solve_lifting_lp's solve, which rlt1 and
-    lbb_prime share.  The certificate still lists every member, and its
-    duals, with those zeros, satisfy the LP with every member row, which
-    verify_report rebuilds.
+    lifting LP does not imply (_unimplied_members).  The optimum is the
+    same, and so is the value, exactly; with no row left it is
+    _solve_lifting_lp's solve, which rlt1 and lbb_prime share.  The
+    certificate lists only the members solved: an implied member would
+    carry weight 0, and a row of weight 0 adds nothing to the replay, so
+    canonical lbb_star on a DAG carries no member and replays as
+    lbb_prime's.
     """
     live = _unimplied_members(bqp, members) if name == "lbb_star" \
         else range(len(members or ()))
@@ -725,11 +738,8 @@ def _lifted_bound(bqp: BqpInstance, name: str, mode: str, members=None,
                 for r in range(n))
             cert["z"] = tuple(-v for v in u[k + n * m:])
         if members is not None:
-            alpha = [ZERO if mode == "exact" else 0.0] * len(members)
-            for t, a in zip(live, u[n:k]):
-                alpha[t] = a
-            cert["alpha"] = tuple(alpha)
-            cert["members"] = tuple((q.to_rows(), c) for q, c in members)
+            cert["alpha"] = tuple(u[n:k])
+            cert["members"] = tuple((q.to_rows(), c) for q, c in rows)
     return BoundReport(
         name=name, value=res.value, mode=mode,
         relaxation_only=not bqp.integral_polytope,
@@ -812,9 +822,9 @@ def lbb_star(inst, family=None, mode: str = "auto") -> BoundReport:
     and lets one pair variable per unordered pair suffice.  A member row
     in the span of the lifting LP's rows and of w_p = 0 on the
     instance's structural-zero pairs (see _rlt1_lp) holds at every
-    feasible point, so it gets no row and weight 0 (a skew member's
-    all-zero row is one).  Every spanning member of each shortest-path
-    graph tested is implied, and so is every member of a
+    feasible point, so it gets no row and the certificate leaves it out
+    (a skew member's all-zero row is one).  Every spanning member of
+    each shortest-path graph tested is implied, and so is every member of a
     LinearizableFamily.from_generators family, which are lbb_prime's own
     sum matrices: there no member row is left, and lbb_star takes the
     lifting solve that lbb_prime and rlt1 share, value and pivots.  With
@@ -910,12 +920,13 @@ def optimum_report(inst, cap: int = 1_000_000) -> BoundReport:
                        certificate={"argmin": argmin})
 
 
-# the certificate keys each kind's replay reads; opt replays nothing
-_FIT_KEYS = ("strategy", "iterations", "x", "duals")
-_CERT_KEYS = {"gl": _FIT_KEYS, "ggl": _FIT_KEYS, "opt": (),
+# the certificate keys each kind's replay reads; opt replays nothing, and
+# gl and ggl carry lbb_prime's certificate
+_PRIME_KEYS = ("y", "Y", "z")
+_CERT_KEYS = {"gl": _PRIME_KEYS, "ggl": _PRIME_KEYS, "opt": (),
               "rlt1": ("x", "pairs", "w", "duals"),
-              "lbb_prime": ("y", "Y", "z"),
-              "lbb_star": ("y", "Y", "z", "alpha", "members"),
+              "lbb_prime": _PRIME_KEYS,
+              "lbb_star": _PRIME_KEYS + ("alpha", "members"),
               "lbb_generic": ("y", "alpha", "members")}
 
 
@@ -929,40 +940,14 @@ def _holds_float(obj) -> bool:
 
 
 def _not_sequences(cert: dict, keys) -> list:
-    """Why a certificate's entries cannot be read: each key but a
-    strategy must hold a tuple or list, and so must each row of Y and
-    each of rlt1's pairs."""
+    """Why a certificate's entries cannot be read: each key must hold a
+    tuple or list, and so must each row of Y and each of rlt1's pairs."""
     seq = (tuple, list)
-    bad = [key for key in keys
-           if key != "strategy" and not isinstance(cert[key], seq)]
+    bad = [key for key in keys if not isinstance(cert[key], seq)]
     return [f"certificate {key} is not a tuple or list" for key in bad] + [
         f"certificate {key} has an item that is not a tuple or list"
         for key in ("Y", "pairs") if key in keys and key not in bad
         and not all(isinstance(v, seq) for v in cert[key])]
-
-
-def _fitting_shape(cert: dict, n: int, m: int) -> list:
-    """Why a gl or ggl certificate cannot be replayed: an unknown
-    strategy, no round, or a round without m columns of n duals, m zbar
-    and m cbar entries."""
-    if cert["strategy"] not in {s.value for s in SkewStrategy}:
-        return [f"unknown skew strategy {cert['strategy']!r}"]
-    if not cert["iterations"]:
-        return ["certificate has no fitting round"]
-    msgs = []
-    for it, step in enumerate(cert["iterations"]):
-        missing = [key for key in ("ybar_columns", "zbar", "cbar")
-                   if key not in step]
-        if missing:
-            msgs.append(f"round {it}: certificate lacks {', '.join(missing)}")
-            continue
-        ycols = step["ybar_columns"]
-        if len(ycols) != m or any(len(col) != n for col in ycols):
-            msgs.append(f"round {it}: ybar_columns is not {m} columns "
-                        f"of {n} duals")
-        msgs += [f"round {it}: {key} does not have {m} entries"
-                 for key in ("zbar", "cbar") if len(step[key]) != m]
-    return msgs
 
 
 def _unconfirmed_members(bqp: BqpInstance, members, labels) -> list:
@@ -997,26 +982,23 @@ def verify_report(inst, report: BoundReport):
     Returns (ok, messages).  The LP a bound solved, min over Ax = b,
     x >= 0, is rebuilt from the instance: the certificate's duals must
     satisfy its columns and reach the value (lpsolve.dual_violations),
-    and for gl, ggl and rlt1 so must the certificate's point satisfy its
-    rows (lpsolve.point_violations).  An lbb certificate is turned back
-    into the duals of the lifting LP it was read off; a family bound's LP
-    gets a row for each member of weight alpha_t != 0 only, and each such
-    member must be confirmed linearizable (_unconfirmed_members); a
-    member of weight 0 takes no part in the proof.  In each gl/ggl
-    round, column k's fit must be a point of fitting program k with
-    value cbar[k]; its row gaps fold into the next round as in the bound.
-    An entry (right-hand side, ybar column, zbar[k], cbar[k], all read
-    exactly) equal to the one column k was last checked with reuses that
-    check's gaps and messages, labelled with the current round.
+    and for rlt1 so must the certificate's point satisfy its rows
+    (lpsolve.point_violations).  An lbb certificate is turned back into
+    the duals of the lifting LP it was read off; gl and ggl carry
+    lbb_prime's certificate and are replayed as it is, against the
+    member-less lifting LP.  A family bound's LP gets a row for each
+    member of weight alpha_t != 0 only, and each such member must be
+    confirmed linearizable (_unconfirmed_members); a member of weight 0
+    takes no part in the proof.
     Every check is exact, a float read at its exact binary value: exact
     reports pass with zero tolerance, float reports within an absolute
     FLOAT_CHECK_TOL (1e-7), and a NaN or an infinity fails.  So does an
     unknown kind or mode, a missing certificate key, an entry of the
     wrong shape (a vector that is not a tuple or list, a family member
     that is not an m x m matrix with m costs, alpha without one weight
-    per member), an exact report holding a float, and an lbb_prime or
-    rlt1 report dropping a pair (``sparsity``) that is not a structural
-    zero of the instance.
+    per member), an exact report holding a float, and a gl, ggl,
+    lbb_prime or rlt1 report dropping a pair (``sparsity``) that is not
+    a structural zero of the instance.
     """
     cert = report.certificate
     keys = _CERT_KEYS.get(report.name)
@@ -1035,13 +1017,16 @@ def verify_report(inst, report: BoundReport):
                        "member",)
     if report.mode == "exact" and _holds_float((report.value, cert)):
         return False, ("an exact report holds a float",)
+    if report.name == "opt":  # nothing to replay beyond brute force itself
+        return True, ()
     bqp = _bqp(inst)
     m = bqp.m
     tol = 0 if report.mode == "exact" else FLOAT_CHECK_TOL
     msgs = []
     sparsity = frozenset(tuple(p) for p in report.sparsity or ())
-    if sparsity and report.name in ("lbb_prime", "rlt1"):
-        # dropped pairs are trusted below, so each must be a proven zero
+    if sparsity and "members" not in keys:
+        # the member-less lifting LP drops these pairs, so each must be a
+        # proven zero
         if not bqp.structure:
             msgs.append("sparsity cannot be confirmed on an instance "
                         "without structure")
@@ -1052,74 +1037,38 @@ def verify_report(inst, report: BoundReport):
                             "structural zeros")
 
     try:
-        if report.name in ("gl", "ggl"):
-            shape = _fitting_shape(cert, bqp.B.rows, m)
-            if shape:
-                return False, tuple(msgs + shape)
-            strategy = SkewStrategy(cert["strategy"])
-            programs = _fitting_programs(bqp)
-            q_cur = bqp.Q
-            c_total = [ZERO] * m
-            # per column, the last entry checked in full, its row gaps and
-            # its violations: the same entry again is the same check
-            checked = [None] * m
-            for it, step in enumerate(cert["iterations"]):
-                if it:  # as in the bound, fold the residual between rounds
-                    q_cur = _next_matrix([g for _, g, _ in checked], strategy)
-                for k, (ycol, z, c) in enumerate(zip(
-                        step["ybar_columns"], step["zbar"], step["cbar"])):
-                    fit = tuple(rat_from(v) for v in ycol) + (rat_from(z),)
-                    c = rat_from(c)
-                    entry = (q_cur.column(k), fit, c)
-                    if checked[k] is None or checked[k][0] != entry:
-                        lp = programs[k].with_rhs(entry[0])
-                        gaps = _row_gaps(lp, fit)
-                        checked[k] = (entry, gaps, point_violations(
-                            lp, fit, c, tol, gaps))
-                    msgs += [f"round {it}: column {k}: {msg}"
-                             for msg in checked[k][2]]
-                    c_total[k] += c
-            # the bound's final LP; costs are Fraction sums, as in the bound
-            lp = _polytope_lp(bqp, [a + l
-                                    for a, l in zip(c_total, bqp.linear)])
-            msgs += point_violations(lp, cert["x"], report.value, tol)
-            msgs += dual_violations(lp, cert["duals"], report.value, tol)
-
-        elif report.name != "opt":  # opt: nothing beyond brute force itself
-            members, alpha = None, ()
-            if report.name in ("lbb_star", "lbb_generic"):
-                try:
-                    members = _family_members(cert["members"], m)
-                except (TypeError, ValueError) as exc:
-                    return False, tuple(msgs + [
-                        f"certificate members are not {m} x {m} exact "
-                        f"matrices with {m} exact costs ({exc})"])
-                if report.name == "lbb_star" \
-                        and not all(q.is_symmetric() for q, _ in members):
-                    msgs.append("a family member is not symmetric")
-                # a member row of weight 0 adds nothing to A^T y: only the
-                # weighted members are confirmed and get their rows
-                weighted = [t for t, a in enumerate(cert["alpha"])
-                            if rat_from(a) != 0]
-                members = [members[t] for t in weighted]
-                alpha = [cert["alpha"][t] for t in weighted]
-                msgs += _unconfirmed_members(bqp, members, weighted)
-            lp, pairs = _lifted_lp(bqp, report.name, members, sparsity)
-            if report.name == "rlt1":
-                if tuple(map(tuple, cert["pairs"])) != pairs:
-                    msgs.append(
-                        "certificate pairs differ from the program's pairs")
-                msgs += point_violations(
-                    lp, tuple(cert["x"]) + tuple(cert["w"]), report.value,
-                    tol)
-                duals = cert["duals"]
-            else:  # the duals the linearization was read off, in row order
-                duals = tuple(chain(
-                    cert["y"], alpha,
-                    (2 * rat_from(v) for row in cert.get("Y", ())
-                     for v in row),
-                    (-rat_from(v) for v in cert.get("z", ()))))
-            msgs += dual_violations(lp, duals, report.value, tol)
+        members, alpha = None, ()
+        if "members" in keys:
+            try:
+                members = _family_members(cert["members"], m)
+            except (TypeError, ValueError) as exc:
+                return False, tuple(msgs + [
+                    f"certificate members are not {m} x {m} exact "
+                    f"matrices with {m} exact costs ({exc})"])
+            if report.name == "lbb_star" \
+                    and not all(q.is_symmetric() for q, _ in members):
+                msgs.append("a family member is not symmetric")
+            # a member row of weight 0 adds nothing to A^T y: only the
+            # weighted members are confirmed and get their rows
+            weighted = [t for t, a in enumerate(cert["alpha"])
+                        if rat_from(a) != 0]
+            members = [members[t] for t in weighted]
+            alpha = [cert["alpha"][t] for t in weighted]
+            msgs += _unconfirmed_members(bqp, members, weighted)
+        lp, pairs = _lifted_lp(bqp, report.name, members, sparsity)
+        if report.name == "rlt1":
+            if tuple(map(tuple, cert["pairs"])) != pairs:
+                msgs.append(
+                    "certificate pairs differ from the program's pairs")
+            msgs += point_violations(
+                lp, tuple(cert["x"]) + tuple(cert["w"]), report.value, tol)
+            duals = cert["duals"]
+        else:  # the duals the linearization was read off, in row order
+            duals = tuple(chain(
+                cert["y"], alpha,
+                (2 * rat_from(v) for row in cert.get("Y", ()) for v in row),
+                (-rat_from(v) for v in cert.get("z", ()))))
+        msgs += dual_violations(lp, duals, report.value, tol)
     except NonFiniteError:
         msgs.append("certificate has a non-finite value")
 

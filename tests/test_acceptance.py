@@ -31,6 +31,7 @@ Run time for the whole gate is a few minutes; everything is seeded.
 import json
 import random
 import time
+from dataclasses import replace
 from fractions import Fraction
 from pathlib import Path
 
@@ -248,6 +249,7 @@ def test_bound_ladder_in_exact_arithmetic(capsys):
         plan.append(("qap", 4))
 
     replay_s = 0.0
+    fitted = 0
     for kind, payload in plan:
         if kind == "qspp":
             g = payload
@@ -271,8 +273,14 @@ def test_bound_ladder_in_exact_arithmetic(capsys):
         assert isinstance(prime.value, Fraction)
         assert prime.value == lifted.value  # bit-exact
         bqp = qspp_to_bqp(inst) if kind == "qspp" else inst
-        for rep in (prime, star):  # the paper's inequalities, not the LP's
+        # the paper's inequalities, not the LP's; gl and ggl are
+        # linearization bounds, and their certificates are lbb_prime's
+        for rep in (*reports[:3], prime, star):
             assert not linearization_violations(bqp, rep), rep.name
+        for rep in reports[:3]:
+            ok, msgs = verify_report(inst, replace(rep, name="lbb_prime"))
+            assert ok, (rep.name, msgs)
+            fitted += 1
         opt, _ = brute_force_opt(inst)
         verify_chain(reports, opt=opt)
         started = time.perf_counter()
@@ -281,7 +289,7 @@ def test_bound_ladder_in_exact_arithmetic(capsys):
             assert ok, (rep.name, msgs)
         replay_s += time.perf_counter() - started
         # every member row is implied by the lifting LP (bounds._rlt1_lp):
-        # weight 0, and nothing above lbb_prime
+        # none is solved, and nothing is above lbb_prime
         assert not any(star.certificate["alpha"])
         assert star.value == prime.value
     corridors = sum(1 for kind, _ in plan if kind == "qspp")
@@ -290,8 +298,9 @@ def test_bound_ladder_in_exact_arithmetic(capsys):
             f"{len(plan)} instances ({corridors} corridor, "
             f"{len(plan) - corridors} assignment), chain and bit-exact "
             f"middle equality on all, lbb_star equal to lbb_prime with "
-            f"every member weight 0 on all, every report replayed "
-            f"({replay_s:.1f} s)")
+            f"no member weighted on all, every report replayed "
+            f"({replay_s:.1f} s), {fitted} gl/ggl reports in the paper's "
+            f"inequalities and replayed as lbb_prime")
 
 
 def test_full_family_bound_can_be_strictly_stronger(capsys):
