@@ -113,6 +113,7 @@ from quadlin.model import (
     brute_force_opt,
     is_linearization,
     qspp_to_bqp,
+    quadratic_value,
 )
 from quadlin.qspplin import (
     SpanningSet,
@@ -264,18 +265,15 @@ class _Fit:
         return self.gaps_at([rat_from(v) for v in self.res.x])
 
 
-def _fit_columns(fit, q: RationalMatrix, last) -> list:
+def _fit_columns(fit, columns, last) -> list:
     """Best per-column (y_k, z_k): max b.y_k + z_k with
-    B^T y_k + e_k z_k <= q[:, k], as the _Fit that fit(k, q[:, k])
-    returns.  last[k] is column k's _Fit from the round before, or None;
-    a column equal to the last one fitted keeps its fit, since the same
-    program gives the same answer and its check already passed."""
-    fits = []
-    for k, old in enumerate(last):
-        rhs = q.column(k)
-        fits.append(old if old is not None and old.rhs == rhs
-                    else fit(k, rhs))
-    return fits
+    B^T y_k + e_k z_k <= columns[k], the current matrix's column k as a
+    tuple, as the _Fit that fit(k, columns[k]) returns.  last[k] is
+    column k's _Fit from the round before, or None; a column equal to the
+    last one fitted keeps its fit, since the same program gives the same
+    answer and its check already passed."""
+    return [old if old is not None and old.rhs == rhs else fit(k, rhs)
+            for k, (rhs, old) in enumerate(zip(columns, last))]
 
 
 # ---------------------------------------------------------------------------
@@ -407,30 +405,27 @@ def _path_minimum(g: Dag, costs, mode: str) -> LpResult:
     return LpResult(OPTIMAL, value, x, tuple(duals), mode=mode)
 
 
-def _next_matrix(gaps, strategy: SkewStrategy) -> RationalMatrix:
-    """The residual R = q - Qbar reshuffled per strategy: R itself, R with
-    R_ij + R_ji above the diagonal and zeros below, or (R + R^T) / 2.
-    gaps[k] are fitting program k's row gaps at its fit (y_k, z_k): row i
-    is B[:, i].y_k + [i == k] z_k - q[i][k] = Qbar[i][k] - q[i][k], so R
-    is minus their transpose, and a folded entry is one exact sum."""
-    m = len(gaps)
+def _next_columns(gaps, strategy: SkewStrategy) -> list:
+    """The columns, as tuples, of the residual R = q - Qbar reshuffled per
+    strategy: R itself, R with R_ij + R_ji above the diagonal and zeros
+    below, or (R + R^T) / 2.  gaps[k] are fitting program k's row gaps at
+    its fit (y_k, z_k): row i is B[:, i].y_k + [i == k] z_k - q[i][k] =
+    Qbar[i][k] - q[i][k], so column k of R is minus gaps[k], and a folded
+    entry is one exact sum."""
     if strategy == SkewStrategy.NONE:
-        return RationalMatrix.from_rows(
-            [[-gaps[j][i] for j in range(m)] for i in range(m)])
-    if strategy == SkewStrategy.UPPER_TRIANGULAR:
-        w, mirror = (-ONE, -ONE), False
-    elif strategy == SkewStrategy.SYMMETRIZE:
-        w, mirror = (-_HALF, -_HALF), True
-    else:
-        raise ValueError(f"unknown strategy {strategy!r}")
-    rows = [[ZERO] * m for _ in range(m)]
+        return [tuple(-v for v in col) for col in gaps]
+    w, mirror = ((-ONE, -ONE), False) \
+        if strategy == SkewStrategy.UPPER_TRIANGULAR \
+        else ((-_HALF, -_HALF), True)
+    m = len(gaps)
+    cols = [[ZERO] * m for _ in range(m)]
     for i in range(m):
-        rows[i][i] = -gaps[i][i]
+        cols[i][i] = -gaps[i][i]
         for j in range(i + 1, m):
-            rows[i][j] = vdot((gaps[j][i], gaps[i][j]), w)
+            cols[j][i] = vdot((gaps[j][i], gaps[i][j]), w)
             if mirror:
-                rows[j][i] = rows[i][j]
-    return RationalMatrix.from_rows(rows)
+                cols[i][j] = cols[j][i]
+    return [tuple(col) for col in cols]
 
 
 def _fitting_rounds(inst, strategy: SkewStrategy, max_iter: int,
@@ -451,6 +446,8 @@ def _fitting_rounds(inst, strategy: SkewStrategy, max_iter: int,
     linear part the last minimum was taken under, and b.y its value."""
     if max_iter < 1:
         raise ValueError("max_iter must be positive")
+    if not isinstance(strategy, SkewStrategy):
+        raise ValueError(f"unknown strategy {strategy!r}")
     bqp = _bqp(inst)
     n, m = bqp.B.rows, bqp.m
     mode = _bound_mode(bqp, mode, max(m, n), n + 1)
@@ -470,7 +467,7 @@ def _fitting_rounds(inst, strategy: SkewStrategy, max_iter: int,
         def minimum(costs):
             return _solve(_polytope_lp(bqp, costs), mode,
                           "feasible-set minimum")
-    q_cur = bqp.Q
+    columns = [bqp.Q.column(k) for k in range(m)]
     c_total = [ZERO] * m
     fitted = [(ZERO,) * (n + 1)] * m  # per column, its fits' (y, z) summed
     trace = []
@@ -478,8 +475,8 @@ def _fitting_rounds(inst, strategy: SkewStrategy, max_iter: int,
     fits = [None] * m
     for it in range(max_iter):
         if it:  # the residual is minus the last fit's row gaps
-            q_cur = _next_matrix([fit.gaps for fit in fits], strategy)
-        fits = _fit_columns(fit_column, q_cur, fits)
+            columns = _next_columns([fit.gaps for fit in fits], strategy)
+        fits = _fit_columns(fit_column, columns, fits)
         results = [fit.res for fit in fits]
         cbar = [res.value for res in results]
         c_total = [a + rat_from(c) for a, c in zip(c_total, cbar)]
@@ -630,35 +627,26 @@ def _lifting_lp(bqp: BqpInstance, sparsity: frozenset):
     return _rlt1_lp(bqp, sparsity)
 
 
-@lru_cache(maxsize=1)
-def _lifting_echelon(bqp: BqpInstance):
-    """(columns, echelon) for _unimplied_members, kept for the last
-    instance.
+def _unimplied_members(bqp: BqpInstance, members) -> list:
+    """The indices t of the symmetric members (Q_t, c_t) whose row
+    <Q_t, X> - c_t . x = 0 the member-less lifting LP does not imply.
 
     The rows of _lifting_lp(bqp, frozenset()), right-hand sides appended,
-    as integers in int_echelon's form over columns, the LP's variables
+    are taken to integers in int_echelon's form over the LP's variables
     without the structural-zero pairs: every feasible point has those
     w_p = 0 (see _rlt1_lp), so deleting their columns adds the cuts
     w_p = 0.  Pair columns come first, which keeps the elimination short.
-    """
+    A member's row, right-hand side 0, that reduces to zero against that
+    form holds at every feasible point, so leaving it out keeps the
+    optimum."""
     lp, pairs = _lifting_lp(bqp, frozenset())
     m = bqp.m
     zero = _structural_sparsity(bqp) if bqp.structure else frozenset()
     columns = [m + k for k, p in enumerate(pairs) if p not in zero]
     columns += range(m)
-    return columns, int_echelon(
+    echelon = int_echelon(
         common_denominator([coeffs[j] for j in columns] + [rhs])[0]
         for coeffs, _, rhs in lp.rows)
-
-
-def _unimplied_members(bqp: BqpInstance, members) -> list:
-    """The indices t of the symmetric members (Q_t, c_t) whose row
-    <Q_t, X> - c_t . x = 0 the member-less lifting LP does not imply:
-    the row, right-hand side 0, does not reduce to zero against
-    _lifting_echelon.  Any other row holds at every feasible point, so
-    leaving it out keeps the optimum."""
-    columns, echelon = _lifting_echelon(bqp)
-    pairs = _lifting_lp(bqp, frozenset())[1]
     live = []
     for t, member in enumerate(members):
         row = _member_row(member, pairs)
@@ -675,16 +663,17 @@ def _solve_lifting_lp(bqp: BqpInstance, sparsity: frozenset, mode: str):
 
 
 def _lifted_lp(bqp: BqpInstance, name: str, members, sparsity: frozenset):
-    """_rlt1_lp as the report called name is replayed against: rlt1,
-    lbb_prime, gl and ggl (members None) drop sparsity pairs and share
-    _lifting_lp; a family's LP has a row for every member given, and only
-    lbb_generic's compares against the raw Q, over every ordered pair;
-    lbb_star's with no member row is lbb_prime's with every pair."""
-    if members is None:
-        return _lifting_lp(bqp, sparsity)
-    if not members and name == "lbb_star":
-        return _lifting_lp(bqp, frozenset())
-    return _rlt1_lp(bqp, None, members, name == "lbb_generic")
+    """(lp, pairs, key): _rlt1_lp as the report called name is solved and
+    replayed against.  rlt1, lbb_prime, gl and ggl (members None) drop
+    sparsity pairs and share _lifting_lp; a family's LP has a row for
+    every member given, and only lbb_generic's compares against the raw
+    Q, over every ordered pair; lbb_star's with no member row is
+    lbb_prime's with every pair.  key is the sparsity _lifting_lp was
+    asked for, or None for an LP built afresh."""
+    if members is None or not members and name == "lbb_star":
+        key = frozenset() if members is not None else sparsity
+        return (*_lifting_lp(bqp, key), key)
+    return (*_rlt1_lp(bqp, None, members, name == "lbb_generic"), None)
 
 
 def _lifted_bound(bqp: BqpInstance, name: str, mode: str, members=None,
@@ -695,24 +684,23 @@ def _lifted_bound(bqp: BqpInstance, name: str, mode: str, members=None,
     z (minus the diagonal rows' duals), alpha (the member rows' duals)
     and, for a family bound, the members those rows were solved for.
 
-    lbb_star solves only the rows of the members that the member-less
-    lifting LP does not imply (_unimplied_members).  The optimum is the
-    same, and so is the value, exactly; with no row left it is
-    _solve_lifting_lp's solve, which rlt1 and lbb_prime share.  The
-    certificate lists only the members solved: an implied member would
-    carry weight 0, and a row of weight 0 adds nothing to the replay, so
-    canonical lbb_star on a DAG carries no member and replays as
-    lbb_prime's.
+    The LP is _lifted_lp's, the one the report is replayed against; the
+    cached _lifting_lp is solved through _solve_lifting_lp, which rlt1,
+    lbb_prime and an lbb_star with no member row left share.  lbb_star
+    solves only the rows of the members that the member-less lifting LP
+    does not imply (_unimplied_members).  The optimum is the same, and so
+    is the value, exactly.  The certificate lists only the members
+    solved: an implied member would carry weight 0, and a row of weight 0
+    adds nothing to the replay, so canonical lbb_star on a DAG carries no
+    member and replays as lbb_prime's.
     """
     live = _unimplied_members(bqp, members) if name == "lbb_star" \
         else range(len(members or ()))
-    rows = [members[t] for t in live]
-    fresh = rows or name == "lbb_generic"  # member rows: not asked twice
-    lp, pairs = _rlt1_lp(bqp, None, rows, name == "lbb_generic") if fresh \
-        else _lifting_lp(bqp, sparsity)
+    rows = None if members is None else [members[t] for t in live]
+    lp, pairs, key = _lifted_lp(bqp, name, rows, sparsity)
     mode = _bound_mode(bqp, mode, lp.nrows, lp.nvars)
-    res = solve_lp(lp, mode=mode) if fresh \
-        else _solve_lifting_lp(bqp, sparsity, mode)
+    res = solve_lp(lp, mode=mode) if key is None \
+        else _solve_lifting_lp(bqp, key, mode)
     if res.status != OPTIMAL:
         why = f"lifting LP is {res.status}"
         if res.status == UNBOUNDED:
@@ -730,7 +718,7 @@ def _lifted_bound(bqp: BqpInstance, name: str, mode: str, members=None,
         cert = {"x": res.x[:m], "pairs": pairs, "w": res.x[m:],
                 "duals": u}
     else:
-        k = n + len(rows)  # the lifted rows start here
+        k = n + len(live)  # the lifted rows start here
         cert = {"y": u[:n]}
         if name != "lbb_generic":
             cert["Y"] = tuple(
@@ -920,34 +908,73 @@ def optimum_report(inst, cap: int = 1_000_000) -> BoundReport:
                        certificate={"argmin": argmin})
 
 
-# the certificate keys each kind's replay reads; opt replays nothing, and
-# gl and ggl carry lbb_prime's certificate
+# the certificate keys each kind's replay reads; gl and ggl carry
+# lbb_prime's certificate
 _PRIME_KEYS = ("y", "Y", "z")
-_CERT_KEYS = {"gl": _PRIME_KEYS, "ggl": _PRIME_KEYS, "opt": (),
+_CERT_KEYS = {"gl": _PRIME_KEYS, "ggl": _PRIME_KEYS, "opt": ("argmin",),
               "rlt1": ("x", "pairs", "w", "duals"),
               "lbb_prime": _PRIME_KEYS,
               "lbb_star": _PRIME_KEYS + ("alpha", "members"),
               "lbb_generic": ("y", "alpha", "members")}
 
 
-def _holds_float(obj) -> bool:
-    """Whether obj is a float or holds one in a tuple, list or dict."""
+_NUMBER = (int, Fraction, float)
+
+
+def _leaves(obj):
+    """The entries of obj, read through tuples, lists, dicts and
+    matrices."""
     if isinstance(obj, dict):
         obj = tuple(obj.values())
+    elif isinstance(obj, RationalMatrix):
+        obj = obj.entries
     if isinstance(obj, (tuple, list)):
-        return any(map(_holds_float, obj))
-    return isinstance(obj, float)
+        for item in obj:
+            yield from _leaves(item)
+    else:
+        yield obj
 
 
-def _not_sequences(cert: dict, keys) -> list:
-    """Why a certificate's entries cannot be read: each key must hold a
-    tuple or list, and so must each row of Y and each of rlt1's pairs."""
-    seq = (tuple, list)
+def _holds_float(obj) -> bool:
+    """Whether obj is a float or holds one (_leaves)."""
+    return any(isinstance(v, float) for v in _leaves(obj))
+
+
+def _unreadable(report: BoundReport, keys) -> list:
+    """Why a report cannot be read: each certificate key must hold a
+    tuple or list, and so must each row of Y and each of rlt1's pairs;
+    every entry they hold, and the value, must be an int, a Fraction or
+    a float; sparsity, if given, must hold pairs of ints."""
+    cert, seq = report.certificate, (tuple, list)
     bad = [key for key in keys if not isinstance(cert[key], seq)]
-    return [f"certificate {key} is not a tuple or list" for key in bad] + [
+    msgs = [f"certificate {key} is not a tuple or list" for key in bad] + [
         f"certificate {key} has an item that is not a tuple or list"
         for key in ("Y", "pairs") if key in keys and key not in bad
         and not all(isinstance(v, seq) for v in cert[key])]
+    msgs += [f"certificate {key} holds an entry that is not a number"
+             for key in keys
+             if not all(isinstance(v, _NUMBER) for v in _leaves(cert[key]))]
+    if not isinstance(report.value, _NUMBER):
+        msgs.append("report value is not a number")
+    pairs = report.sparsity or ()
+    if not isinstance(pairs, (tuple, list, set, frozenset)) or not all(
+            isinstance(p, seq) and len(p) == 2
+            and all(isinstance(i, int) for i in p) for p in pairs):
+        msgs.append("report sparsity is not a set of index pairs")
+    return msgs
+
+
+def _unattained(bqp: BqpInstance, x, value) -> list:
+    """Why x is not a feasible 0/1 point of bqp at which
+    x^T Q x + linear . x equals value exactly."""
+    if len(x) != bqp.m or any(v not in (0, 1) for v in x):
+        return [f"certificate argmin is not a 0/1 vector of length {bqp.m}"]
+    x = [ONE if v else ZERO for v in x]
+    msgs = [f"certificate argmin violates row {r} of Bx = b"
+            for r in range(bqp.B.rows) if vdot(bqp.B.row(r), x) != bqp.b[r]]
+    if quadratic_value(bqp.Q, x) + vdot(bqp.linear, x) != rat_from(value):
+        msgs.append("certificate argmin does not attain the value")
+    return msgs
 
 
 def _unconfirmed_members(bqp: BqpInstance, members, labels) -> list:
@@ -989,16 +1016,20 @@ def verify_report(inst, report: BoundReport):
     member-less lifting LP.  A family bound's LP gets a row for each
     member of weight alpha_t != 0 only, and each such member must be
     confirmed linearizable (_unconfirmed_members); a member of weight 0
-    takes no part in the proof.
+    takes no part in the proof.  An opt report's argmin must be a 0/1
+    point with Bx = b at which x^T Q x + linear . x is the value, exactly:
+    that confirms the value is attained, not that it is the least.
     Every check is exact, a float read at its exact binary value: exact
     reports pass with zero tolerance, float reports within an absolute
     FLOAT_CHECK_TOL (1e-7), and a NaN or an infinity fails.  So does an
     unknown kind or mode, a missing certificate key, an entry of the
     wrong shape (a vector that is not a tuple or list, a family member
     that is not an m x m matrix with m costs, alpha without one weight
-    per member), an exact report holding a float, and a gl, ggl,
-    lbb_prime or rlt1 report dropping a pair (``sparsity``) that is not
-    a structural zero of the instance.
+    per member), a certificate entry or value that is not an int, a
+    Fraction or a float, sparsity that is not pairs of ints, an exact
+    report holding a float, and a gl, ggl, lbb_prime or rlt1 report
+    dropping a pair (``sparsity``) that is not a structural zero of the
+    instance.
     """
     cert = report.certificate
     keys = _CERT_KEYS.get(report.name)
@@ -1009,7 +1040,7 @@ def verify_report(inst, report: BoundReport):
     missing = [key for key in keys if key not in cert]
     if missing:
         return False, (f"certificate lacks {', '.join(missing)}",)
-    malformed = _not_sequences(cert, keys)
+    malformed = _unreadable(report, keys)
     if malformed:
         return False, tuple(malformed)
     if "members" in keys and len(cert["alpha"]) != len(cert["members"]):
@@ -1017,10 +1048,14 @@ def verify_report(inst, report: BoundReport):
                        "member",)
     if report.mode == "exact" and _holds_float((report.value, cert)):
         return False, ("an exact report holds a float",)
-    if report.name == "opt":  # nothing to replay beyond brute force itself
-        return True, ()
     bqp = _bqp(inst)
     m = bqp.m
+    if report.name == "opt":  # attained; only enumeration shows least
+        try:
+            msgs = _unattained(bqp, cert["argmin"], report.value)
+        except NonFiniteError:
+            msgs = ["certificate has a non-finite value"]
+        return not msgs, tuple(msgs)
     tol = 0 if report.mode == "exact" else FLOAT_CHECK_TOL
     msgs = []
     sparsity = frozenset(tuple(p) for p in report.sparsity or ())
@@ -1055,7 +1090,7 @@ def verify_report(inst, report: BoundReport):
             members = [members[t] for t in weighted]
             alpha = [cert["alpha"][t] for t in weighted]
             msgs += _unconfirmed_members(bqp, members, weighted)
-        lp, pairs = _lifted_lp(bqp, report.name, members, sparsity)
+        lp, pairs, _ = _lifted_lp(bqp, report.name, members, sparsity)
         if report.name == "rlt1":
             if tuple(map(tuple, cert["pairs"])) != pairs:
                 msgs.append(

@@ -275,9 +275,9 @@ def test_ggl_solves_each_changed_fitting_program_once(monkeypatch):
         checks.append(lp)
         return check(lp, result)
 
-    def recording_fits(fit, q, last):
-        cols.append([q.column(k) for k in range(q.cols)])
-        return fit_columns(fit, q, last)
+    def recording_fits(fit, columns, last):
+        cols.append(list(columns))
+        return fit_columns(fit, columns, last)
 
     monkeypatch.setattr(bounds, "solve_lp", counting_solve)
     monkeypatch.setattr(lpsolve, "verify_solution", counting_check)
@@ -297,7 +297,8 @@ def test_ggl_solves_each_changed_fitting_program_once(monkeypatch):
 def test_residual_is_minus_the_fitting_programs_row_gaps():
     # B with denominators 1, 2, 3 and 7; ycols exact with their own
     # denominators, or floats as a float-mode certificate carries them;
-    # the row gaps of program k at (y_k, z_k) are column k of Qbar - Q
+    # the row gaps of program k at (y_k, z_k) are column k of Qbar - Q,
+    # so column k of the residual is minus them
     rng = random.Random(5)
     n, m = 3, 5
     B = RationalMatrix.from_rows(
@@ -322,8 +323,8 @@ def test_residual_is_minus_the_fitting_programs_row_gaps():
             programs[k].with_rhs(Q.column(k)),
             [Fraction(v) for v in ycols[k]] + [Fraction(zbar[k])])
             for k in range(m)]
-        assert bounds._next_matrix(
-            gaps, SkewStrategy.NONE).to_rows() == want
+        assert bounds._next_columns(gaps, SkewStrategy.NONE) == [
+            tuple(row[k] for row in want) for k in range(m)]
 
 
 @pytest.mark.parametrize("mode", ["exact", "float"])
@@ -516,6 +517,14 @@ def test_ggl_rejects_nonpositive_iteration_budget():
     inst = QsppInstance(diamond(), RationalMatrix.zeros(4, 4))
     with pytest.raises(ValueError):
         ggl_bound(inst, max_iter=0)
+
+
+def test_ggl_rejects_an_unknown_strategy_before_any_fit():
+    # one round folds no residual, the only step that uses the strategy,
+    # so the check must come before any fit
+    with pytest.raises(ValueError, match="unknown strategy 'symmetrize'"):
+        ggl_bound(generate_tournament(5), strategy="symmetrize", max_iter=1,
+                  mode="exact")
 
 
 def test_lbb_prime_equals_rlt1_bit_exact():
@@ -1116,6 +1125,47 @@ def test_verify_report_rejects_malformed_lifted_certificates(mode):
         assert not ok and msgs, (rep.name, key, value)
 
 
+@pytest.mark.parametrize("mode", ["exact", "float"])
+@pytest.mark.parametrize("make", [
+    lambda: generate_tournament(5),
+    lambda: _random_qspp(random.Random(6), m_max=8),
+], ids=["tournament5", "corridor"])
+def test_verify_report_rejects_entries_that_are_not_numbers(make, mode):
+    # a certificate entry, value or sparsity pair that cannot be read as
+    # a number is a rejection with a message, not a ValueError or
+    # TypeError from the exact conversion
+    inst = make()
+    prime, lifted = lbb_prime(inst, mode=mode), rlt1(inst, mode=mode)
+    forged = [
+        (_with_entry(prime.certificate, ("y", 0), "a"), prime,
+         "certificate y holds an entry that is not a number"),
+        (_with_entry(prime.certificate, ("y", 0), None), prime,
+         "certificate y holds an entry that is not a number"),
+        (_with_entry(lifted.certificate, ("x", 0), "q"), lifted,
+         "certificate x holds an entry that is not a number"),
+    ]
+    for cert, rep, msg in forged:
+        assert verify_report(inst, replace(rep, certificate=cert)) == (
+            False, (msg,)), msg
+    for rep in (prime, lifted, gl_bound(inst, mode=mode)):
+        assert verify_report(inst, replace(rep, value="zz")) == (
+            False, ("report value is not a number",)), rep.name
+        assert verify_report(inst, replace(rep, sparsity=(5,))) == (
+            False, ("report sparsity is not a set of index pairs",)), rep.name
+
+
+def test_verify_report_rejects_an_unknown_kind_and_a_short_alpha():
+    inst = _random_qspp(random.Random(6), m_max=8)
+    rep = lbb_prime(inst, mode="exact")
+    assert verify_report(inst, replace(rep, name="lbb_double")) == (
+        False, ("unknown report kind 'lbb_double'",))
+    for where, rep in _family_reports("exact"):
+        cert = dict(rep.certificate, alpha=rep.certificate["alpha"][:-1])
+        assert verify_report(where, replace(rep, certificate=cert)) == (
+            False, ("certificate alpha does not have one weight per "
+                    "member",)), rep.name
+
+
 _FLOAT_KINDS = {
     "gl": gl_bound,
     "ggl": ggl_bound,
@@ -1253,6 +1303,25 @@ def test_optimum_report_wraps_brute_force():
     assert rep.value == value
     assert rep.certificate["argmin"] == argmin
     assert not rep.relaxation_only
+
+
+def test_verify_report_checks_that_opt_attains_its_value():
+    # the replay confirms the value is attained at a feasible 0/1 point;
+    # that it is the least is the enumeration's claim alone
+    inst = generate_tournament(5)
+    rep = optimum_report(inst)
+    assert (rep.value, rep.certificate["argmin"]) == (
+        8, (1, 0, 0, 0, 1, 0, 0, 0, 1, 0))
+    assert verify_report(inst, rep) == (True, ())
+    assert verify_report(inst, replace(rep, certificate={})) == (
+        False, ("certificate lacks argmin",))
+    forged = [replace(rep, value=-10 ** 9)] + [
+        replace(rep, certificate={"argmin": argmin})
+        for argmin in ((1,) * 10, (1, 0, 0), (2,) + (0,) * 9,
+                       (1, 0, 0, 0, 1, 0, 0, 0, 1, 1))]
+    for bad in forged:
+        ok, msgs = verify_report(inst, bad)
+        assert not ok and msgs, bad
 
 
 def test_float_mode_tracks_exact_values():

@@ -13,9 +13,18 @@ from hypothesis import strategies as st
 import quadlin
 
 from quadlin import cli
-from quadlin.bounds import SkewStrategy, ggl_bound, gl_bound, lbb_prime, rlt1
+from quadlin.bounds import (
+    SkewStrategy,
+    ggl_bound,
+    gl_bound,
+    lbb_prime,
+    lbb_star,
+    rlt1,
+)
 from quadlin.cli import (
     EXIT_CHAIN,
+    EXIT_EXPLOSION,
+    EXIT_LP,
     EXIT_PARSE,
     EXIT_VALIDATION,
     ParsedInstance,
@@ -374,6 +383,18 @@ def test_bound_values_match_the_library(capsys, tmp_path):
     assert payload["trace"] == [str(v) for v in direct.trace]
 
 
+def test_bound_lbbstar_reports_its_canonical_family(capsys, tmp_path):
+    f = tmp_path / "dia.qspp"
+    f.write_text(DIAMOND)
+    code, out, err = run_cli(capsys, ["bound", str(f), "--method", "lbbstar"])
+    assert (code, err) == (0, "")
+    payload = payload_of(out)
+    assert (payload["method"], payload["canonical_family"]) == (
+        "lbb_star", True)
+    assert payload["value"] == str(
+        lbb_star(parse_instance(DIAMOND).instance).value)
+
+
 def test_bound_sparsity_flag_tightens_rlt1(capsys, tmp_path):
     f = tmp_path / "t6.qspp"
     run_cli(capsys, ["generate", "tournament", "--n", "6", "-o", str(f)])
@@ -439,6 +460,20 @@ def test_verify_chain_replays_every_certificate(capsys, tmp_path,
     assert "objective" in payload["detail"]
 
 
+def test_verify_chain_without_the_optimum_still_checks_the_chain(
+        capsys, tmp_path):
+    # past the enumeration cap the optimum is left out, not an error
+    f = tmp_path / "t5.qspp"
+    run_cli(capsys, ["generate", "tournament", "--n", "5", "-o", str(f)])
+    code, out, err = run_cli(capsys, ["verify-chain", str(f), "--cap", "1"])
+    assert (code, err) == (0, "")
+    payload = payload_of(out)
+    assert set(payload) == {"command", "instance", "values", "optimum",
+                            "verdict", "relations"}
+    assert (payload["optimum"], payload["verdict"]) == (None, "ok")
+    assert payload["relations"] and "all <= opt" not in payload["relations"]
+
+
 def test_reports_are_deterministic(capsys, tmp_path):
     f = tmp_path / "t5.qspp"
     run_cli(capsys, ["generate", "tournament", "--n", "5", "-o", str(f)])
@@ -476,6 +511,25 @@ def test_semantic_failures_exit_3(capsys, tmp_path):
     code, _, err = run_cli(capsys, ["bound", str(tagged), "--method", "gl",
                                     "--mode", "exact"])
     assert code == EXIT_VALIDATION and "float" in err
+
+
+def test_enumeration_cap_exits_4(capsys, tmp_path):
+    f = tmp_path / "t5.qspp"
+    run_cli(capsys, ["generate", "tournament", "--n", "5", "-o", str(f)])
+    code, out, err = run_cli(capsys, ["opt", str(f), "--cap", "1"])
+    assert (code, out) == (EXIT_EXPLOSION, "")
+    assert "8 paths exceed cap 1" in err and "Traceback" not in err
+
+
+def test_an_unbounded_fitting_program_exits_5(capsys, tmp_path):
+    # the second arc, 1 -> 2 (column 1, counted from 0), lies on no path
+    # from 1 to 3
+    f = tmp_path / "dangling.qspp"
+    f.write_text("qspp\n3 2\n1 3\n1 3\n1 2\n0\n")
+    code, out, err = run_cli(capsys, ["bound", str(f), "--method", "gl"])
+    assert (code, out) == (EXIT_LP, "")
+    assert "column 1 fitting program: LP is unbounded" in err
+    assert "Traceback" not in err
 
 
 def test_mode_flag_and_environment_control_arithmetic(capsys, tmp_path,

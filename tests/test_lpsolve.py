@@ -284,10 +284,9 @@ def test_with_rhs_prepares_and_solves_like_a_fresh_program(sense, obj):
         lp.with_rhs((1, 2))
 
 
-def test_with_rhs_lays_out_on_the_first_prepare_and_shares_it(monkeypatch):
-    # programs made by with_rhs, also from one another, are laid out once,
-    # when the first of them is prepared; one never prepared is never
-    # laid out
+def test_with_rhs_lays_out_once_and_shares_it(monkeypatch):
+    # programs made by with_rhs, also from one another, share the one
+    # layout of the program they came from
     layouts = []
     layout = lpsolve._standard_layout
 
@@ -300,7 +299,6 @@ def test_with_rhs_lays_out_on_the_first_prepare_and_shares_it(monkeypatch):
                         [(F(1, 3), None), (None, 4)])
     a = lp.with_rhs((2, 1))
     b = a.with_rhs((F(1, 2), -1))
-    assert layouts == []
     first = lpsolve._prepare(b)
     assert layouts == [lp]
     second = lpsolve._prepare(a)
