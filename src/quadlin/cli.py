@@ -24,8 +24,9 @@ of comments or whitespace in the source file.
 Reports are JSON on stdout: a deterministic ``payload`` (exact values as
 fraction strings, stable key order) plus a ``runtime_s`` field outside
 it.  Exit codes: 0 ok, 2 unreadable or malformed file, 3 semantic
-validation failure, 4 enumeration cap exceeded, 5 LP failure, 6 bound
-chain violation or a certificate that verify_report rejects.
+validation failure, 4 enumeration cap exceeded (paths, permutations or
+binary vectors), 5 LP failure, 6 bound chain violation or a certificate
+that verify_report rejects.
 """
 
 from __future__ import annotations
@@ -56,6 +57,7 @@ from quadlin.graph import Dag, GraphError, PathExplosion
 from quadlin.lpsolve import LpError
 from quadlin.model import (
     BqpInstance,
+    EnumerationTooLarge,
     FloatTaggedError,
     QsppInstance,
     brute_force_opt,
@@ -72,6 +74,10 @@ EXIT_LP = 5
 EXIT_CHAIN = 6
 
 MAX_VARIABLES = 1000  # Q is m x m; no bound gets near this size anyway
+
+# what brute_force_opt raises past its cap: paths, or permutations and
+# binary vectors
+_CAP_EXCEEDED = (PathExplosion, EnumerationTooLarge)
 
 
 class ParseError(ValueError):
@@ -401,6 +407,10 @@ def _load(path: str) -> ParsedInstance:
 def _cmd_generate(args, out) -> int:
     if args.kind != "tournament":
         raise ValueError(f"unknown generator {args.kind!r}")
+    arcs = args.n * (args.n - 1) // 2
+    if args.n >= 2 and arcs > MAX_VARIABLES:  # before Q is arcs x arcs
+        raise ValueError(f"tournament --n {args.n} has {arcs} arcs, more "
+                         f"than the cap of {MAX_VARIABLES}")
     inst = generate_tournament(args.n)
     text = serialize_instance(ParsedInstance("qspp", inst))
     if args.output:
@@ -546,7 +556,7 @@ def _cmd_verify_chain(args, out) -> int:
     opt = None
     try:
         opt, _ = brute_force_opt(inst, cap=args.cap)
-    except PathExplosion:
+    except _CAP_EXCEEDED:
         pass  # chain is still checkable without the optimum
     payload = {"command": "verify-chain",
                "instance": _instance_meta(parsed),
@@ -641,7 +651,7 @@ def main(argv=None) -> int:
     except ParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except PathExplosion as exc:
+    except _CAP_EXCEEDED as exc:
         print(f"error: enumeration cap exceeded: {exc}", file=sys.stderr)
         return EXIT_EXPLOSION
     except (LpError, BoundComputationError) as exc:

@@ -14,7 +14,7 @@ before it is returned.  The code around the simplex works on integer
 numerators too: a LinearProgram takes each row once, on first use, to
 integer numerators over the lcm of its denominators (int_rows);
 preparation maps those onto the standard-form columns and rescales them
-only where the shifted right-hand side needs it, the read-back builds
+only where the right-hand side needs it, the read-back builds
 one Fraction per value and dual, and the KKT check evaluates every row
 and every reduced cost as an integer dot product, one Fraction per row
 and per column.  Every certificate check (point_violations,
@@ -28,10 +28,10 @@ laid out once.  Float mode runs on a numpy tableau with fixed tolerances
 and raises NumericalBreakdown instead of returning garbage when the
 arithmetic degrades.
 
-Variables carry individual bounds.  Free variables are split into a
-difference of two nonnegative ones, finite lower bounds are shifted to
-zero, and finite upper bounds become internal rows; callers only ever see
-the original variable space, with one dual value per original row.
+Every variable is x >= 0 or free, the two kinds quadlin's programs use.
+A free variable is split into a difference of two nonnegative ones;
+callers only ever see the original variable space, with one dual value
+per original row.
 """
 
 from __future__ import annotations
@@ -77,10 +77,12 @@ class NumericalBreakdown(LpError):
 
 @dataclass(frozen=True)
 class LinearProgram:
-    """min or max objective . x subject to rows and per-variable bounds.
+    """min or max objective . x subject to rows, each variable x >= 0 or
+    free.
 
     rows: tuple of (coeffs, relation, rhs), relation in {"<=", "=", ">="}.
-    bounds: per variable (lower, upper); None means unbounded on that side.
+    bounds: per variable (0, None) for x >= 0 or (None, None) for a free
+    one; any other pair raises ValueError.
     All numeric data is exact (Fraction); float mode converts internally.
     """
 
@@ -106,9 +108,10 @@ class LinearProgram:
         object.__setattr__(self, "rows", tuple(rows))
         bnds = []
         for lo, hi in self.bounds:
-            lo = None if lo is None else rat(lo)
-            hi = None if hi is None else rat(hi)
-            bnds.append((lo, hi))
+            if hi is not None or (lo is not None and rat(lo) != 0):
+                raise ValueError("a variable must be x >= 0, (0, None), or "
+                                 f"free, (None, None), got ({lo!r}, {hi!r})")
+            bnds.append((None if lo is None else ZERO, None))
         if len(bnds) != n:
             raise ValueError("bounds length mismatch")
         object.__setattr__(self, "bounds", tuple(bnds))
@@ -194,107 +197,73 @@ _FLIPPED = {LE: GE, GE: LE, EQ: EQ}
 
 class _Layout:
     """The part of a program's standard form that does not depend on its
-    right-hand sides: the columns, per user row its integer numerators
-    on the columns with their lcm k and its value at the lower-bound
-    shift (None if no shifted column is used), the finished upper-bound
-    rows, and the objective's numerators, scale and constant."""
+    right-hand sides: the columns (per variable its column and, if it is
+    free, the column of its negative part), per user row its integer
+    numerators on the columns with their lcm k, and the objective's
+    numerators and scale."""
 
-    __slots__ = ("ncols", "col_meta", "lines", "upper", "obj_int",
-                 "obj_scale", "obj_const", "sense_sign", "bound_infeasible")
+    __slots__ = ("ncols", "col_meta", "lines", "obj_int", "obj_scale",
+                 "sense_sign")
 
 
 def _standard_layout(lp: LinearProgram) -> _Layout:
     lay = _Layout()
     lay.sense_sign = 1 if lp.sense == "min" else -1
-    lay.bound_infeasible = any(lo is not None and hi is not None and hi < lo
-                               for lo, hi in lp.bounds)
 
     col_meta = []
     ncols = 0
     for lo, _ in lp.bounds:
-        if lo is None:
-            col_meta.append(("split", ncols, ncols + 1))
-            ncols += 2
-        else:
-            col_meta.append(("shift", ncols, lo))
-            ncols += 1
+        col_meta.append((ncols, ncols + 1 if lo is None else None))
+        ncols += 1 if lo is not None else 2
     lay.ncols = ncols
     lay.col_meta = col_meta
-    shift = [ZERO if lo is None else lo for lo, _ in lp.bounds]
 
     def to_cols(nums, sign):
         """Integer user coefficients, times sign, on the columns: the one
-        on x_j lands on its shifted column, or with opposite signs on the
-        two columns of its split."""
+        on x_j lands on its column, or with opposite signs on the two
+        columns of its split."""
         line = [0] * ncols
-        for meta, v in zip(col_meta, nums):
+        for (pos, neg), v in zip(col_meta, nums):
             if v:
-                line[meta[1]] = sign * v
-                if meta[0] == "split":
-                    line[meta[2]] = -sign * v
+                line[pos] = sign * v
+                if neg is not None:
+                    line[neg] = -sign * v
         return line
 
     # without a split column, the int_rows numerators are the lines
     split = ncols != lp.nvars
-    shifted = [j for j, s in enumerate(shift) if s]
-    lay.lines = [(to_cols(nums, 1) if split else nums, k,
-                  vdot(coeffs, shift) if any(nums[j] for j in shifted)
-                  else None)
-                 for (coeffs, _, _), (nums, k) in zip(lp.rows, lp.int_rows)]
-    lay.upper = []
-    for j, (_, hi) in enumerate(lp.bounds):
-        if hi is not None:  # x_j <= hi, after the user rows
-            b = hi - shift[j]
-            sign = -1 if b < 0 else 1
-            unit = [0] * lp.nvars
-            unit[j] = b.denominator
-            lay.upper.append((to_cols(unit, sign) + [sign * b.numerator],
-                              LE if sign > 0 else GE, sign * b.denominator))
-
+    lay.lines = [(to_cols(nums, 1) if split else nums, k)
+                 for nums, k in lp.int_rows]
     nums, lay.obj_scale = common_denominator(lp.objective)
     lay.obj_int = to_cols(nums, lay.sense_sign)
-    lay.obj_const = vdot(lp.objective, shift)
     return lay
 
 
 class _Prepared:
     __slots__ = ("ncols", "col_meta", "rows_int", "rels", "row_scale",
-                 "n_user", "obj_int", "obj_scale", "obj_const",
-                 "sense_sign", "bound_infeasible")
+                 "obj_int", "obj_scale", "sense_sign")
 
 
 def _prepare(lp: LinearProgram) -> _Prepared:
     """The integer standard form the simplex starts from: lp's layout,
-    and per user row only what its right-hand side decides.  The row
-    goes over lcm(k, the shifted rhs's denominator) and is negated if
-    that rhs is negative, so that every right-hand side is
-    nonnegative."""
+    and per row only what its right-hand side decides.  The row goes
+    over lcm(k, the rhs's denominator) and is negated if the rhs is
+    negative, so that every right-hand side is nonnegative."""
     lay = lp._layout
     p = _Prepared()
-    for name in ("ncols", "col_meta", "obj_int", "obj_scale", "obj_const",
-                 "sense_sign", "bound_infeasible"):
+    for name in ("ncols", "col_meta", "obj_int", "obj_scale", "sense_sign"):
         setattr(p, name, getattr(lay, name))
-    rows_int, rels, row_scale = [], [], []
-    for (_, rel, rhs), (line, k, offset) in zip(lp.rows, lay.lines):
-        if offset is not None:
-            rhs -= offset
+    p.rows_int, p.rels, p.row_scale = [], [], []
+    for (_, rel, rhs), (line, k) in zip(lp.rows, lay.lines):
         scale = lcm(k, rhs.denominator)
         b = rhs.numerator * (scale // rhs.denominator)
         sign = -1 if b < 0 else 1
         f = sign * (scale // k)
         row = list(line) if f == 1 else [v * f for v in line]
         row.append(sign * b)
-        rows_int.append(row)
-        rels.append(rel if sign > 0 else _FLIPPED[rel])
-        row_scale.append(sign * scale)
-    for row, rel, scale in lay.upper:
-        rows_int.append(row)
-        rels.append(rel)
-        row_scale.append(scale)
-    p.n_user = len(lp.rows)
-    p.rows_int = rows_int
-    p.rels = rels
-    p.row_scale = row_scale
+        p.rows_int.append(row)
+        p.rels.append(rel if sign > 0 else _FLIPPED[rel])
+        p.row_scale.append(sign * scale)
     return p
 
 
@@ -342,6 +311,9 @@ class _Tableau:
     """
 
     error = LpError
+    # read-back of an x >= 0 variable and of the value: float mode adds
+    # 0.0, which turns a -0.0 into 0.0
+    _unsigned_zero = staticmethod(lambda v: v)
 
     def __init__(self, prep: _Prepared):
         nrows = len(prep.rows_int)
@@ -431,20 +403,16 @@ class _Tableau:
         for i, b in enumerate(self.basis):
             if b < prep.ncols:
                 vals[b] = self._cell(i, rhs)
-        # a zero shift is added in float mode only, where it turns -0.0
-        # into 0.0
-        x = tuple((vals[meta[1]] + num(meta[2])
-                   if meta[2] or num is float else vals[meta[1]])
-                  if meta[0] == "shift" else vals[meta[1]] - vals[meta[2]]
-                  for meta in prep.col_meta)
+        x = tuple(self._unsigned_zero(vals[pos]) if neg is None
+                  else vals[pos] - vals[neg] for pos, neg in prep.col_meta)
         # the cost row holds minus the reduced costs and minus the value
         sign = -prep.sense_sign
-        value = (self._cell(self.z2_idx, rhs, sign, prep.obj_scale)
-                 + num(prep.obj_const))
+        value = self._unsigned_zero(
+            self._cell(self.z2_idx, rhs, sign, prep.obj_scale))
         duals = tuple(
             self._cell(self.z2_idx, self.art_col.get(i, self.slack_col.get(i)),
                        sign * prep.row_scale[i], prep.obj_scale)
-            for i in range(prep.n_user))
+            for i in range(self.nrows))
         return LpResult(OPTIMAL, value, x, duals, self.mode, self.pivots)
 
 
@@ -539,6 +507,7 @@ class _FloatTableau(_Tableau):
     mode = "float"
     num = float
     error = NumericalBreakdown
+    _unsigned_zero = staticmethod(lambda v: v + 0.0)
 
     def __init__(self, prep: _Prepared):
         super().__init__(prep)
@@ -615,11 +584,8 @@ class _FloatTableau(_Tableau):
 def solve_lp(lp: LinearProgram, mode: str = "auto") -> LpResult:
     """Solve the program; exact results are KKT-certified before returning."""
     mode = _resolve_mode(mode, lp.nrows, lp.nvars)
-    prep = _prepare(lp)
-    if prep.bound_infeasible:
-        return LpResult(status=INFEASIBLE, mode=mode)
     tableau = _ExactTableau if mode == "exact" else _FloatTableau
-    result = tableau(prep).solve()
+    result = tableau(_prepare(lp)).solve()
     if mode == "exact" and result.status == OPTIMAL:
         ok, messages = verify_solution(lp, result)
         if not ok:
@@ -654,8 +620,8 @@ def _reduced_costs(lp: LinearProgram, y) -> list:
 
 
 def point_violations(lp: LinearProgram, x, value, tol=0, gaps=None) -> list:
-    """Why x is not a point of lp with objective value: each coordinate
-    outside its bounds, each row off its relation and an objective other
+    """Why x is not a point of lp with objective value: each x >= 0
+    variable below 0, each row off its relation and an objective other
     than value, by more than the absolute tol (0, or FLOAT_CHECK_TOL for
     a float result).  x and value are read as exact rationals, a float
     at its exact binary value (exactnum.rat_from, which raises
@@ -666,11 +632,9 @@ def point_violations(lp: LinearProgram, x, value, tol=0, gaps=None) -> list:
     x = [rat_from(v) for v in x]
     ntol = -tol
     msgs = []
-    for j, ((lo, hi), v) in enumerate(zip(lp.bounds, x)):
-        if lo is not None and lo > v and (not tol or lo - v > tol):
+    for j, ((lo, _), v) in enumerate(zip(lp.bounds, x)):
+        if lo is not None and v < 0 and (not tol or -v > tol):
             msgs.append(f"x[{j}] below lower bound")
-        if hi is not None and v > hi and (not tol or v - hi > tol):
-            msgs.append(f"x[{j}] above upper bound")
     if gaps is None:
         gaps = _row_gaps(lp, x)
     msgs += [f"row {i} violated ({rel})"
@@ -707,7 +671,8 @@ def verify_solution(lp: LinearProgram, result: LpResult):
     for a float one; a NaN or an infinity fails.  Returns (ok,
     messages); together the conditions (primal feasibility and the
     objective, from point_violations, then dual signs, complementary
-    slackness and reduced costs consistent with active bounds) certify
+    slackness, and reduced costs: of the optimal sign on an x >= 0
+    variable at 0, zero on every other variable, x >= 0 or free) certify
     optimality.  Row gaps and reduced costs are integer sums (_row_gaps,
     _reduced_costs).
     """
@@ -741,19 +706,11 @@ def verify_solution(lp: LinearProgram, result: LpResult):
         if yi and s and (not tol or abs(yi * s) > tol * (1 + abs(yi))):
             msgs.append(f"complementary slackness fails on row {i}")
 
-    for j, r in enumerate(_reduced_costs(lp, y)):
-        lo, hi = lp.bounds[j]
-        v = x[j]
-        at_lo = lo is not None and (v == lo or tol and abs(v - lo) <= tol)
-        at_hi = hi is not None and (v == hi or tol and abs(v - hi) <= tol)
-        if at_lo and at_hi:
-            continue  # fixed variable: any reduced cost is fine
-        if at_lo:
+    for j, ((lo, _), r, v) in enumerate(zip(lp.bounds,
+                                            _reduced_costs(lp, y), x)):
+        if lo is not None and (v == 0 or tol and abs(v) <= tol):
             if exceeds(0, r) if minimizing else exceeds(r, 0):
                 msgs.append(f"reduced cost sign wrong at lower bound x[{j}]")
-        elif at_hi:
-            if exceeds(r, 0) if minimizing else exceeds(0, r):
-                msgs.append(f"reduced cost sign wrong at upper bound x[{j}]")
         elif exceeds(r, 0) or exceeds(0, r):
             msgs.append(f"reduced cost nonzero on interior variable x[{j}]")
 

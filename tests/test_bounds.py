@@ -232,14 +232,17 @@ def _strict_generic_bqp():
     (_pinned_qap, {
         "gl": ("33", 85),
         "ggl-upper": ("33", 205),
-        "ggl-sym": ("19140298416324607/562949953421312", 2780)}),
+        "ggl-sym": ("19140298416324607/562949953421312", 2780),
+        "lbb_prime": ("35", 73),
+        "rlt1": ("35", 73)}),
 ], ids=["corridor", "qap"])
 def test_gl_and_ggl_values_and_pivot_counts_are_pinned(inst, pins):
     # exact values and pivot counts of the column-fitting bounds (0 on a
-    # graph, whose fits are DAG dynamic programs), and of the canonical
+    # graph, whose fits are DAG dynamic programs), of the canonical
     # lbb_star (43 spanning members, all implied, so it reports
-    # lbb_prime's lifting solve) where the instance has a graph; a change
-    # that moves a pivot path or a value shows here
+    # lbb_prime's lifting solve) where the instance has a graph, and of
+    # the lifting LP where it is pinned; a change that moves a pivot path
+    # or a value, or the standard form's column order, shows here
     inst = inst()
     reports = {
         "gl": gl_bound(inst, mode="exact"),
@@ -252,8 +255,18 @@ def test_gl_and_ggl_values_and_pivot_counts_are_pinned(inst, pins):
         reports["lbb_star"] = lbb_star(inst, mode="exact")
         assert reports["lbb_star"].pivots \
             == lbb_prime(inst, mode="exact").pivots
+    for name, bound in (("lbb_prime", lbb_prime), ("rlt1", rlt1)):
+        if name in pins:
+            reports[name] = bound(inst, mode="exact")
     assert {name: (str(rep.value), rep.pivots)
             for name, rep in reports.items()} == pins
+
+
+def test_float_rlt1_value_and_pivot_count_are_pinned():
+    # the lifting LP of the tournament n = 5 on the float tableau: a change
+    # that moves its pivot path shows here
+    rep = rlt1(generate_tournament(5), mode="float")
+    assert (rep.mode, repr(rep.value), rep.pivots) == ("float", "8.0", 63)
 
 
 def test_ggl_solves_each_changed_fitting_program_once(monkeypatch):

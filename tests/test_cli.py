@@ -521,6 +521,34 @@ def test_enumeration_cap_exits_4(capsys, tmp_path):
     assert "8 paths exceed cap 1" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("name, text, err_text", [
+    ("q3.qap", QAP3, "6 permutations"),
+    ("small.bqp", BQP_SMALL, "2^2 binary vectors")], ids=["qap", "bqp"])
+def test_enumeration_cap_exits_4_on_qap_and_bqp(capsys, tmp_path, name, text,
+                                                err_text):
+    f = tmp_path / name
+    f.write_text(text)
+    code, out, err = run_cli(capsys, ["opt", str(f), "--cap", "1"])
+    assert (code, out) == (EXIT_EXPLOSION, "")
+    assert f"enumeration cap exceeded: {err_text}" in err
+    assert "Traceback" not in err
+    # verify-chain leaves the optimum out past the cap, as on a qspp file
+    code, out, err = run_cli(capsys, ["verify-chain", str(f), "--cap", "1"])
+    assert (code, err) == (0, "")
+    payload = payload_of(out)
+    assert (payload["optimum"], payload["verdict"]) == (None, "ok")
+
+
+def test_generate_refuses_a_tournament_over_the_variable_cap(capsys,
+                                                             tmp_path):
+    # n = 46 has 1035 arcs, which every other subcommand would refuse
+    target = tmp_path / "t46.qspp"
+    code, out, err = run_cli(
+        capsys, ["generate", "tournament", "--n", "46", "-o", str(target)])
+    assert (code, out) == (EXIT_VALIDATION, "")
+    assert "1035 arcs" in err and not target.exists()
+
+
 def test_an_unbounded_fitting_program_exits_5(capsys, tmp_path):
     # the second arc, 1 -> 2 (column 1, counted from 0), lies on no path
     # from 1 to 3

@@ -29,6 +29,8 @@ from helpers import rand_rational
 from oracles import lp_oracle, standard_form
 
 F = Fraction
+FREE = (None, None)
+NONNEG = (0, None)
 
 
 def test_single_covering_row():
@@ -64,9 +66,6 @@ def test_infeasible_and_unbounded():
     assert solve_lp(lp, mode="exact").status == INFEASIBLE
     lp2 = linear_program("max", [1], [])
     assert solve_lp(lp2, mode="exact").status == UNBOUNDED
-    # feasible region pinched by bounds alone
-    lp3 = LinearProgram("min", (F(1),), (), ((F(2), F(1)),))
-    assert solve_lp(lp3, mode="exact").status == INFEASIBLE
 
 
 def test_bounds_handling():
@@ -75,22 +74,31 @@ def test_bounds_handling():
     res = solve_lp(free, mode="exact")
     assert res.status == OPTIMAL and res.value == -3 and res.x == (F(-3),)
 
-    upper = LinearProgram("max", (F(1),), (), ((F(0), F(7)),))
-    assert solve_lp(upper, mode="exact").value == 7
 
-    shifted = LinearProgram("min", (F(1),), (), ((F(2), None),))
-    assert solve_lp(shifted, mode="exact").value == 2
+@pytest.mark.parametrize("bound", [(0, 5), (F(1, 2), None), (-5, None),
+                                   (None, 3), (2, 1)],
+                         ids=["boxed", "shifted", "negative lower",
+                              "upper only", "pinched"])
+def test_only_nonnegative_and_free_variables_are_accepted(bound):
+    # a variable is x >= 0 or free: a finite upper bound or a nonzero
+    # lower bound is refused, whichever constructor is used
+    with pytest.raises(ValueError):
+        LinearProgram("min", (F(1), F(1)), (), ((0, None), bound))
+    with pytest.raises(ValueError):
+        linear_program("min", [1, 1], [], [(None, None), bound])
+    ok = linear_program("min", [1, 1], [], [(F(0), None), (None, None)])
+    assert ok.bounds == ((0, None), (None, None))
+    assert ok == linear_program("min", [1, 1], [], [(0, None), FREE])
 
-    fixed = LinearProgram("max", (F(3),), (), ((F(4), F(4)),))
-    res = solve_lp(fixed, mode="exact")
-    assert res.value == 12 and res.x == (F(4),)
 
-    neg_lo = LinearProgram("min", (F(1),), (), ((F(-5), None),))
-    assert solve_lp(neg_lo, mode="exact").value == -5
-
-    free_upper = LinearProgram("max", (F(1),), (), ((None, F(3)),))
-    res = solve_lp(free_upper, mode="exact")
-    assert res.value == 3 and res.x == (F(3),)
+def test_float_read_back_gives_no_negative_zero():
+    # min x over x >= 0: the cost row's 0.0 times the sign of a min is
+    # -0.0, which the read-back turns into 0.0; exact mode has no -0
+    for lp in (linear_program("min", [1], []),
+               linear_program("min", [1, 1], [((1, -1), EQ, 0)])):
+        res = solve_lp(lp, mode="float")
+        assert repr((res.value, res.x)) == repr((0.0, (0.0,) * lp.nvars))
+        assert solve_lp(lp, mode="exact").value == 0
 
 
 def test_beale_cycling_example_terminates():
@@ -126,9 +134,6 @@ def test_verify_rejects_tampered_result():
     assert not ok and msgs
 
 
-FREE = (None, None)
-NONNEG = (0, None)
-
 # One KKT condition broken at a time: (sense, objective, rows, bounds,
 # x, duals, value, the one message verify_solution must give).  A free
 # variable with a matching reduced cost keeps the other conditions intact.
@@ -139,8 +144,7 @@ _KKT_BREAKS = [
      "row 0 violated (=)"),
     ("min", [0], [((1,), GE, 1)], [FREE], [0], [0], 0,
      "row 0 violated (>=)"),
-    ("min", [0], [], [(0, 1)], [-1], [], 0, "x[0] below lower bound"),
-    ("min", [0], [], [(0, 1)], [2], [], 0, "x[0] above upper bound"),
+    ("min", [0], [], [NONNEG], [-1], [], 0, "x[0] below lower bound"),
     ("min", [1], [((1,), GE, 1)], [NONNEG], [1], [1], 2,
      "objective value mismatch"),
     ("min", [1], [((1,), LE, 1)], [FREE], [1], [1], 1,
@@ -157,11 +161,7 @@ _KKT_BREAKS = [
      "reduced cost sign wrong at lower bound x[0]"),
     ("max", [1], [], [NONNEG], [0], [], 0,
      "reduced cost sign wrong at lower bound x[0]"),
-    ("min", [1], [], [(None, 1)], [1], [], 1,
-     "reduced cost sign wrong at upper bound x[0]"),
-    ("max", [-1], [], [(None, 1)], [1], [], -1,
-     "reduced cost sign wrong at upper bound x[0]"),
-    ("min", [1], [], [(0, 2)], [1], [], 1,
+    ("min", [1], [], [NONNEG], [1], [], 1,
      "reduced cost nonzero on interior variable x[0]"),
 ]
 
@@ -198,20 +198,12 @@ def _random_lp(rng, max_vars=4, max_rows=5):
 
 def test_prepare_matches_the_fraction_standard_form():
     rng = random.Random(11)
-    kinds = {"free": 0, "shifted": 0, "boxed": 0, "upper": 0, "flipped": 0}
+    kinds = {"free": 0, "nonneg": 0, "flipped": 0}
     for _ in range(300):
         n = rng.randint(1, 5)
-        bnds = []
-        for _ in range(n):
-            lo = rng.choice([None, 0, rand_rational(rng, span=3)])
-            hi = rng.choice([None, None, rand_rational(rng, span=4)])
-            if lo is not None and hi is not None and hi < lo:
-                lo, hi = hi, lo
-            bnds.append((lo, hi))
-            kinds["free"] += lo is None and hi is None
-            kinds["shifted"] += lo is not None and lo != 0
-            kinds["boxed"] += lo is not None and hi is not None
-            kinds["upper"] += lo is None and hi is not None
+        bnds = [rng.choice([FREE, NONNEG]) for _ in range(n)]
+        kinds["free"] += bnds.count(FREE)
+        kinds["nonneg"] += bnds.count(NONNEG)
         rows = [(tuple(rand_rational(rng, span=3, denoms=(1, 2, 3, 6))
                        if rng.random() < 0.7 else 0 for _ in range(n)),
                  rng.choice([LE, GE, EQ]), rand_rational(rng, span=6))
@@ -220,44 +212,35 @@ def test_prepare_matches_the_fraction_standard_form():
                for _ in range(n)]
         lp = linear_program(rng.choice(["min", "max"]), obj, rows, bnds)
         want = standard_form(lp)
+        # no variable is shifted, so the objective has no constant
+        assert want.pop("obj_const") == 0
         prep = lpsolve._prepare(lp)
         kinds["flipped"] += sum(s < 0 for s in want["row_scale"])
         for field, value in want.items():
             assert getattr(prep, field) == value, field
     assert min(kinds.values()) > 30, kinds
 
-    # integer coefficients and rhs 1, but x0 >= 1/7: the shifted rhs 5/7
-    # sets the row scale, which the coefficients alone would leave at 1
-    shifted = linear_program("min", [1, 1], [((2, 3), GE, 1)],
-                             [(F(1, 7), None), (0, None)])
-    # boxed and shifted: x0 in [1/7, 3/2] adds the unit row x0' <= 19/14
-    boxed = linear_program("max", [1, F(1, 2)], [((2, 3), LE, 1)],
-                           [(F(1, 7), F(3, 2)), (0, None)])
-    for lp, rows_int, row_scale in (
-            (shifted, [[14, 21, 5]], [7]),
-            (boxed, [[14, 21, 5], [14, 0, 19]], [7, 14])):
-        prep = lpsolve._prepare(lp)
-        assert prep.rows_int == rows_int
-        assert prep.row_scale == row_scale
-        for field, value in standard_form(lp).items():
-            assert getattr(prep, field) == value, field
+    # integer coefficients and rhs 5/7: the rhs sets the row scale, which
+    # the coefficients alone would leave at 1
+    scaled = linear_program("min", [1, 1], [((2, 3), GE, F(5, 7))])
+    prep = lpsolve._prepare(scaled)
+    assert (prep.rows_int, prep.row_scale) == ([[14, 21, 5]], [7])
 
     # the integer rows take no part in equality or hashing
-    again = linear_program("min", [F(2, 2), 1], [((F(4, 2), 3), GE, F(1))],
-                           [(F(2, 14), None), (F(0), None)])
-    assert again == shifted and hash(again) == hash(shifted)
-    assert again.int_rows == shifted.int_rows == (((2, 3), 1),)
+    again = linear_program("min", [F(2, 2), 1], [((F(4, 2), 3), GE, F(5, 7))],
+                           [(F(0), None), (0, None)])
+    assert again == scaled and hash(again) == hash(scaled)
+    assert again.int_rows == scaled.int_rows == (((2, 3), 1),)
 
 
 @pytest.mark.parametrize("sense, obj", [("min", (1, 2, 1, 1)),
                                         ("max", (-1, 1, -1, F(1, 3)))])
 def test_with_rhs_prepares_and_solves_like_a_fresh_program(sense, obj):
-    # x0 >= 1/3 and x3 in [-1/2, 4] are shifted, x1 in [0, 5/2] and x3
-    # add upper-bound rows, x2 is free.  The base rhs flips the >= row
-    # (-2 - 1/12 < 0); the first new rhs flips the <= row instead (it
-    # becomes >= and takes an artificial), gives the = row and both
-    # others new denominators, and unflips the >= row
-    bnds = [(F(1, 3), None), (0, F(5, 2)), (None, None), (F(-1, 2), 4)]
+    # x2 is free, the others x >= 0.  The base rhs flips the >= row (-2 <
+    # 0); the first new rhs flips the <= row instead (it becomes >= and
+    # takes an artificial), gives the = row and both others new
+    # denominators, and unflips the >= row
+    bnds = [NONNEG, NONNEG, FREE, NONNEG]
     coeffs = [(1, -1, 1, 0), (2, 1, -1, 1), (1, 0, 1, F(1, 2))]
     rels = [LE, EQ, GE]
     lp = linear_program(sense, obj, zip(coeffs, rels, (3, 1, -2)), bnds)
@@ -275,9 +258,8 @@ def test_with_rhs_prepares_and_solves_like_a_fresh_program(sense, obj):
             assert (a.value, a.x, a.duals, a.pivots) \
                 == (b.value, b.x, b.duals, b.pivots)
     flipped = lpsolve._prepare(lp.with_rhs((F(-1, 4), F(7, 5), F(5, 7))))
-    assert (base.rels[:3], base.row_scale[:3]) == ([LE, EQ, LE], [3, 6, -12])
-    assert (flipped.rels[:3], flipped.row_scale[:3]) \
-        == ([GE, EQ, GE], [-12, 30, 84])
+    assert (base.rels, base.row_scale) == ([LE, EQ, LE], [1, 1, -2])
+    assert (flipped.rels, flipped.row_scale) == ([GE, EQ, GE], [-4, 5, 14])
     with pytest.raises(TypeError):
         lp.with_rhs((0.5, 1, 1))
     with pytest.raises(ValueError):
@@ -296,7 +278,7 @@ def test_with_rhs_lays_out_once_and_shares_it(monkeypatch):
 
     monkeypatch.setattr(lpsolve, "_standard_layout", counting)
     lp = linear_program("min", (1, 2), [((1, 1), GE, 1), ((1, -1), LE, 2)],
-                        [(F(1, 3), None), (None, 4)])
+                        [NONNEG, FREE])
     a = lp.with_rhs((2, 1))
     b = a.with_rhs((F(1, 2), -1))
     first = lpsolve._prepare(b)
@@ -305,7 +287,7 @@ def test_with_rhs_lays_out_once_and_shares_it(monkeypatch):
     assert layouts == [lp]
     assert second.obj_int is first.obj_int
     fresh = linear_program("min", (1, 2), [((1, 1), GE, 2), ((1, -1), LE, 1)],
-                           [(F(1, 3), None), (None, 4)])
+                           [NONNEG, FREE])
     assert solve_lp(a, mode="exact") == solve_lp(fresh, mode="exact")
 
 
