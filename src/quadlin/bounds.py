@@ -393,7 +393,7 @@ def _path_minimum(g: Dag, costs, mode: str) -> LpResult:
     with duals y = -d_s (0 at a vertex with no arc), certified."""
     nums, den = common_denominator(costs)
     dist, pred = shortest_paths(g, nums, g.source)
-    if g.source == g.target or dist[g.target] is None:
+    if dist[g.target] is None:
         raise BoundComputationError(
             f"feasible-set minimum: LP is {INFEASIBLE}")
     pi = [0 if d is None else d for d in dist]
@@ -486,7 +486,7 @@ def _fitting_rounds(inst, strategy: SkewStrategy, max_iter: int,
         trace.append(final.value)
         pivots += sum(res.pivots for res in results) + final.pivots
         if all(rat(c) == 0 for c in cbar) if mode == "exact" \
-                else max(abs(float(c)) for c in cbar) <= 1e-9:
+                else all(abs(float(c)) <= 1e-9 for c in cbar):
             break
     return BoundReport(
         name="ggl", value=final.value, mode=mode,

@@ -111,8 +111,8 @@ def qspp_to_bqp(inst: QsppInstance) -> BqpInstance:
         rows[t][label] += ONE
         rows[h][label] -= ONE
     b = [ZERO] * g.n
-    b[g.source] = ONE
-    b[g.target] = -ONE
+    b[g.source] += ONE
+    b[g.target] -= ONE
     return BqpInstance(
         B=RationalMatrix.from_rows(rows), b=tuple(b), Q=inst.Q,
         integral_polytope=True, structure=("qspp", g),

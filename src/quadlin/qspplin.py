@@ -18,10 +18,14 @@ e = (u, v) the pseudo-linearization p_v, pushed down to the corridor of u
 the first failing arc plus the two differing vectors form a refutation
 witness that is independently checkable by path enumeration.
 
-All of the above is linear in Q, so stacking the per-arc residual maps and
-taking a null-space basis yields symmetric members that, with the skew
-matrices (implied, not listed), span the graph's zero-diagonal
-linearizable matrices.
+All of the above is linear in Q and only adds and subtracts pair sums, so
+the spanning set is the decision's recursion (``_recursion``) run on the
+pair coordinates q_ij + q_ji (i < j) instead of on numbers: each per-arc
+residual becomes an integer row over those coordinates, and a null-space
+basis of the rows yields symmetric members that, with the skew matrices
+(implied, not listed), span the graph's zero-diagonal linearizable
+matrices.  The same trick on unit arc coordinates gives the reduction
+matrix.
 
 Diagonal entries of Q are linear costs in disguise (x_e^2 == x_e) and are
 normalized away on entry and folded back into the output vector; asymmetry
@@ -110,27 +114,59 @@ def _over(nums, den) -> tuple:
 
 
 def reduction_matrix(g: Dag) -> RationalMatrix:
-    """Matrix R with R c == reduce_cost_vector(g, c) for all c."""
+    """Matrix R with R c == reduce_cost_vector(g, c) for all c: the sweep
+    run on the unit coordinates, so row e holds the coefficients of the
+    reduced arc e."""
     if not is_corridor(g):
         raise GraphError("reduced form needs a corridor graph")
-    rows = _reduce_rows(g, [[ONE if i == j else ZERO for j in range(g.m)]
-                            for i in range(g.m)])
-    return RationalMatrix.from_rows(rows)
+    rows = [_Lin({j: 1}) for j in range(g.m)]
+    _reduce_numerators(g, rows)
+    return RationalMatrix.from_rows(_dense(r, g.m) for r in rows)
 
 
-def _reduce_rows(g: Dag, rows):
-    """Sweep where each arc entry is itself a vector (list); in place.
+class _Lin(dict):
+    """An integer combination ``{coordinate: coefficient}`` with no zero
+    coefficient.  It adds, subtracts and compares with 0 the way the ints
+    of the integer cores do, so those cores run on it unchanged: on unit
+    coordinates they give their maps' matrices.  Never mutated after it is
+    built, so values may be shared."""
 
-    Same steps as reduce_cost_vector, lifted to vector-valued entries.
-    rows[f] is rebound before rf is consumed, so rf keeps the old value.
-    """
-    for v, f in _sweep_order(g):
-        rf = rows[f]
-        for e in g.out_arcs[v]:
-            rows[e] = [a - b for a, b in zip(rows[e], rf)]
-        for e in g.in_arcs[v]:
-            rows[e] = [a + b for a, b in zip(rows[e], rf)]
-    return rows
+    __slots__ = ()
+
+    def _plus(self, other, sign):
+        out = _Lin(self)
+        for k, x in (other.items() if other else ()):
+            y = out.get(k, 0) + sign * x
+            if y:
+                out[k] = y
+            else:
+                del out[k]
+        return out
+
+    def __add__(self, other):
+        return self._plus(other, 1)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        return self._plus(other, -1)
+
+    def __rsub__(self, other):
+        return _Lin()._plus(self, -1)._plus(other, 1)
+
+    def __eq__(self, other):
+        return dict.__eq__(self, other or {})
+
+    def __ne__(self, other):
+        return not self == other
+
+
+def _dense(x, width: int) -> list:
+    """An int 0 or a ``_Lin`` as a list of ``width`` coefficients."""
+    row = [0] * width
+    for k, c in (x.items() if x else ()):
+        row[k] = c
+    return row
 
 
 def equivalent_cost_vectors(g: Dag, c1, c2) -> bool:
@@ -173,14 +209,6 @@ def _pair_sums(q: RationalMatrix):
     return s, diag, den
 
 
-def _critical_arcs(g: Dag):
-    """(non-basic arcs, [(basic arc, arcs of its critical path)]), basic
-    arcs in canonical order; every other basic arc on the path comes
-    earlier."""
-    nb, path = _critical_paths(g)
-    return nb, [(e, path(e).arcs) for e in basic_arc_order(g)]
-
-
 def _pseudo_numerators(g: Dag, s, top) -> list:
     """Integer core of pseudo_linearization.
 
@@ -190,7 +218,9 @@ def _pseudo_numerators(g: Dag, s, top) -> list:
     other basic arcs on the path (non-basic arcs stay 0).
     """
     out = [0] * g.m
-    for e, arcs in _critical_arcs(g)[1]:
+    path = _critical_paths(g)[1]
+    for e in basic_arc_order(g):
+        arcs = path(e).arcs
         tops = [top[a] for a in arcs]
         cost = 0
         for k, a in enumerate(tops):
@@ -283,6 +313,37 @@ class LinearizationOutcome:
     witness: Witness = None
 
 
+def _recursion(g: Dag, s):
+    """``(corridors, pseudo, pushed)``: the corridor to every vertex but the
+    source and its pseudo-linearization numerators, and a generator of
+    ``(arc, tail, head, actual)`` for every arc not leaving the source,
+    where ``actual`` is the head corridor's pseudo-linearization pushed
+    across the arc and reduced, to compare with ``pseudo[tail]``.
+
+    ``s`` holds pair sums as in ``_pseudo_numerators``: ints give the
+    decision, ``_Lin`` pair coordinates give the residual maps' rows.
+    """
+    corridors, pseudo = {}, {}
+    for v in g.topo_order:
+        if v != g.source:  # arcs out of the source are not checked
+            cor = corridors[v] = prune_to_corridor(g, v)
+            pseudo[v] = _pseudo_numerators(cor, s, cor.parent_arc)
+
+    def pushed():
+        for e, (u, v) in enumerate(g.arcs):
+            if u == g.source:
+                continue  # the corridor to the source has no arcs
+            cor = corridors[v]
+            e_local = cor.parent_arc.index(e)
+            child = prune_to_corridor(cor, cor.arcs[e_local][0])
+            actual = _push_numerators(child, pseudo[v], s[e], e_local,
+                                      cor.parent_arc)
+            _reduce_numerators(child, actual)
+            yield e, u, v, actual
+
+    return corridors, pseudo, pushed()
+
+
 def linearize_qspp(inst: QsppInstance) -> LinearizationOutcome:
     """Decide linearizability of the instance's cost matrix exactly.
 
@@ -299,35 +360,16 @@ def linearize_qspp(inst: QsppInstance) -> LinearizationOutcome:
     if g.source == g.target:
         return LinearizationOutcome(linearizable=True, linearization=())
     s, diag, den = _pair_sums(inst.Q)
-
-    corridors = {}
-    locals_of = {}
-    pseudo = {}
-    for v in g.topo_order:
-        if v == g.source:
-            continue  # never consulted: arcs out of the source are not checked
-        cor = prune_to_corridor(g, v)
-        corridors[v] = cor
-        locals_of[v] = {top: i for i, top in enumerate(cor.parent_arc)}
-        pseudo[v] = _pseudo_numerators(cor, s, cor.parent_arc)
-
-    for e_top, (u, v) in enumerate(g.arcs):
-        if u == g.source:
-            continue  # the corridor to the source has no arcs
-        cor_v = corridors[v]
-        e_local = locals_of[v][e_top]
-        child = prune_to_corridor(cor_v, cor_v.arcs[e_local][0])
-        reduced = _push_numerators(child, pseudo[v], s[e_top], e_local,
-                                   cor_v.parent_arc)
-        _reduce_numerators(child, reduced)
-        if reduced != pseudo[u]:
+    corridors, pseudo, pushed = _recursion(g, s)
+    for e, u, v, actual in pushed:
+        if actual != pseudo[u]:
             return LinearizationOutcome(
                 linearizable=False,
                 witness=Witness(
-                    arc=e_top, tail=u, head=v,
+                    arc=e, tail=u, head=v,
                     arc_labels=corridors[u].parent_arc,
                     expected=_over(pseudo[u], den),
-                    actual=_over(reduced, den)))
+                    actual=_over(actual, den)))
 
     _reduce_numerators(g, diag)
     c = [a + b for a, b in zip(pseudo[g.target], diag)]
@@ -337,9 +379,9 @@ def linearize_qspp(inst: QsppInstance) -> LinearizationOutcome:
 # ---------------------------------------------------------------------------
 # spanning sets
 #
-# Everything above is linear in Q.  Working over the coordinates
+# Everything above is linear in Q.  Run over the coordinates
 # s_ij = q_ij + q_ji (i < j) --- every map only ever reads those sums ---
-# each per-arc residual becomes an integer matrix row; Q is linearizable
+# the decision's per-arc residuals become integer rows; Q is linearizable
 # iff its s-coordinates lie in the common null space.  A null-space basis,
 # lifted to symmetric matrices, spans the zero-diagonal linearizable
 # matrices together with the skew ones, which are linearizable with the
@@ -388,92 +430,39 @@ def _pair_coords(q: RationalMatrix):
     return [x for i, row in enumerate(s) for x in row[i + 1:]], diag
 
 
-def _pair_index(m: int):
-    pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
-    return pairs, {p: k for k, p in enumerate(pairs)}
-
-
-def _symbolic_pseudo(cor: Dag, pidx, top_of):
-    """Rows over pair coordinates: row a gives p[a] as a functional of Q.
-
-    The forward substitution of _pseudo_numerators, on vector values.
-    """
-    width = len(pidx)
-    nb, critical = _critical_arcs(cor)
-    out = [[0] * width for _ in range(cor.m)]
-    for e, arcs in critical:
-        row = [0] * width
-        tops = [top_of[a] for a in arcs]
-        for x in range(len(tops)):
-            for y in range(x + 1, len(tops)):
-                a, b = tops[x], tops[y]
-                key = (a, b) if a < b else (b, a)
-                row[pidx[key]] += 1
-        for a in arcs:
-            if a != e and a not in nb:
-                row = [x - y for x, y in zip(row, out[a])]
-        out[e] = row
-    return out
-
-
 def spanning_set(g: Dag) -> SpanningSet:
     """Spanning set of the zero-diagonal linearizable matrices for g.
 
     The members are a symmetric basis, each with the reduced linearization
     vector read off the target pseudo-linearization map; the skew
     directions are implied (linearizable with the zero vector) and only
-    counted in ``dimension``.  The residual maps are integer rows over the
-    pair coordinates; each null-space vector is scaled once to integer
-    numerators over one common denominator, and its linearization vector
-    is a sparse integer dot product with the target's symbolic
-    pseudo-linearization rows, turned into Fractions only at the end.
+    counted in ``dimension``.  ``linearize_qspp``'s recursion, run with
+    each pair sum s_ij replaced by its unit coordinate, yields every
+    per-arc residual as an integer row over the pair coordinates and the
+    target's pseudo-linearization as integer rows over them.  Each
+    null-space vector is scaled once to integer numerators over one common
+    denominator, and its linearization vector is a sparse integer dot
+    product with those target rows, turned into Fractions only at the end.
     """
     if not is_corridor(g):
         raise GraphError("spanning sets need a corridor graph")
     if g.source == g.target:
         return SpanningSet(members=(), dimension=0)
     m = g.m
-    pairs, pidx = _pair_index(m)
+    pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
     width = len(pairs)
+    s = [[0] * m for _ in range(m)]
+    for k, (i, j) in enumerate(pairs):
+        s[i][j] = s[j][i] = _Lin({k: 1})
 
-    corridors = {}
-    locals_of = {}
-    sym_pseudo = {}
-    for v in g.topo_order:
-        if v == g.source:
-            continue
-        cor = prune_to_corridor(g, v)
-        corridors[v] = cor
-        locals_of[v] = {top: i for i, top in enumerate(cor.parent_arc)}
-        sym_pseudo[v] = _symbolic_pseudo(cor, pidx, cor.parent_arc)
-
+    _, pseudo, pushed = _recursion(g, s)
     residuals = set()
-    for e_top, (u, v) in enumerate(g.arcs):
-        if u == g.source:
-            continue
-        cor_v = corridors[v]
-        loc_v = locals_of[v]
-        p_v = sym_pseudo[v]
-        e_local = loc_v[e_top]
-        child = prune_to_corridor(cor_v, cor_v.arcs[e_local][0])
-        pushed = []
-        p_e_row = p_v[e_local]
-        for a_local in range(child.m):
-            a_in_v = child.parent_arc[a_local]
-            a_top = cor_v.parent_arc[a_in_v]
-            key = (e_top, a_top) if e_top < a_top else (a_top, e_top)
-            row = list(p_v[a_in_v])
-            row[pidx[key]] -= 1
-            if child.arcs[a_local][0] == child.source:
-                row = [x + y for x, y in zip(row, p_e_row)]
-            pushed.append(row)
-        _reduce_rows(child, pushed)
-        for row, prow in zip(pushed, sym_pseudo[u]):
-            res = tuple(x - y for x, y in zip(row, prow))
-            if any(res):
-                residuals.add(res)
+    for _, u, _, actual in pushed:
+        for a, b in zip(actual, pseudo[u]):
+            if a != b:
+                residuals.add(tuple(_dense(a - b, width)))
 
-    p_t = sym_pseudo[g.target]
+    p_t = [_dense(p, width) for p in pseudo[g.target]]
     if residuals:
         sym_basis = null_space_basis(RationalMatrix.from_rows(sorted(residuals)))
     else:

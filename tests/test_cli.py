@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import random
@@ -22,6 +24,7 @@ from quadlin.bounds import (
     rlt1,
 )
 from quadlin.cli import (
+    _METHODS,
     EXIT_CHAIN,
     EXIT_EXPLOSION,
     EXIT_LP,
@@ -269,14 +272,14 @@ _FUZZ_TOKENS = ("nan", "1e999", "-1e999", "1/0", "3/-2", "0", "-1", "2",
                 "9" * 5000, "linear", "qspp", "x")
 
 
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
-@given(base=st.sampled_from(_generated_texts()),
-       edits=st.lists(st.tuples(st.sampled_from(  # replace keeps the layout
-           ("replace", "replace", "replace", "add", "drop")),
-                                st.integers(0, 10 ** 6),
-                                st.sampled_from(_FUZZ_TOKENS)),
-                      min_size=1, max_size=4))
-def test_parse_instance_survives_mutated_tokens(base, edits):
+_FUZZ_EDITS = st.lists(
+    st.tuples(st.sampled_from(  # replace keeps the layout
+        ("replace", "replace", "replace", "add", "drop")),
+        st.integers(0, 10 ** 6), st.sampled_from(_FUZZ_TOKENS)),
+    min_size=1, max_size=4)
+
+
+def _mutated(base, edits):
     lines = [line.split() for line in base.splitlines()]
     for kind, pos, token in edits:
         spots = [(r, c) for r, line in enumerate(lines)
@@ -288,10 +291,43 @@ def test_parse_instance_survives_mutated_tokens(base, edits):
             lines[r].insert(c, token)
         else:
             del lines[r][c]
+    return "\n".join(" ".join(line) for line in lines)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(base=st.sampled_from(_generated_texts()), edits=_FUZZ_EDITS)
+def test_parse_instance_survives_mutated_tokens(base, edits):
     try:
-        parse_instance("\n".join(" ".join(line) for line in lines))
+        parse_instance(_mutated(base, edits))
     except (ParseError, ValueError, TypeError, GraphError, FloatTaggedError):
         pass
+
+
+# Every subcommand that reads an instance, each kept bounded: opt and
+# verify-chain enumerate at most 500 solutions, ggl stops after 5 rounds
+# and verify-chain runs in float mode.
+_FUZZ_COMMANDS = (
+    ["linearize"], ["spanning-set"], ["opt", "--cap", "500"],
+    ["bound", "--method", "gl"], ["bound", "--method", "lbbp"],
+    ["bound", "--method", "ggl", "--max-iter", "5"],
+    ["bound", "--method", "rlt1"], ["bound", "--method", "lbbstar"],
+    ["verify-chain", "--mode", "float", "--cap", "500"],
+)
+_DOCUMENTED_EXITS = {0, EXIT_PARSE, EXIT_VALIDATION, EXIT_EXPLOSION, EXIT_LP,
+                     EXIT_CHAIN}
+
+
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
+@given(base=st.sampled_from(_generated_texts()), edits=_FUZZ_EDITS)
+def test_every_subcommand_exits_with_a_documented_code(tmp_path_factory,
+                                                        base, edits):
+    path = tmp_path_factory.getbasetemp() / "fuzzed.txt"
+    path.write_text(_mutated(base, edits))
+    for command in _FUZZ_COMMANDS:
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            code = main([command[0], str(path)] + command[1:])
+        assert code in _DOCUMENTED_EXITS, (command, code)
 
 
 # ---------------------------------------------------------------------------
@@ -435,6 +471,25 @@ def test_verify_chain_ok_on_qspp_and_qap(capsys, tmp_path):
             assert "lbb_star" not in payload["values"]
         assert payload["optimum"] is not None
         assert payload["relations"]
+
+
+def test_source_equal_to_target_is_the_empty_path_everywhere(capsys,
+                                                             tmp_path):
+    # one vertex, no arcs: the only path is the empty one, of cost 0
+    f = tmp_path / "point.qspp"
+    f.write_text("qspp\n1 0\n1 1\n0\n")
+    for mode in ("exact", "float"):
+        for method in [["--method", m] for m in sorted(_METHODS)] + [
+                ["--method", "ggl", "--strategy", s] for s in ("upper", "sym")]:
+            code, out, err = run_cli(capsys, ["bound", str(f), "--mode", mode]
+                                     + method)
+            assert (code, err) == (0, ""), (method, mode)
+            assert payload_of(out)["value"] in ("0", 0.0), (method, mode)
+        code, out, err = run_cli(capsys, ["verify-chain", str(f), "--mode",
+                                          mode])
+        assert (code, err) == (0, ""), mode
+        payload = payload_of(out)
+        assert (payload["verdict"], payload["optimum"]) == ("ok", "0"), mode
 
 
 def test_verify_chain_replays_every_certificate(capsys, tmp_path,

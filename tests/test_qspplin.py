@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -23,6 +24,7 @@ from quadlin.graph import (
 from quadlin.model import (
     FloatTaggedError,
     QsppInstance,
+    generate_tournament,
     is_linearization,
     make_linearizable,
     qspp_to_bqp,
@@ -539,3 +541,30 @@ def test_contains_matches_rank_reference():
         assert verdict == (stacked == base_rank)
         verdicts.add(verdict)
     assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize("n, shape, members_sha, reduction_sha, arc", [
+    (5, (89, 44),
+     "f8ba8d475bfe1432a764d85696214468ff0a0eec269ea702729b4fb9ab8b2a38",
+     "d4eeba0dc7fd5fdaa85972e4eccccebdeeb8e85974adb6f13074f7ffde7d029d", 8),
+    (6, (205, 100),
+     "a8898fc249e149a58dda093f33ccbd9a553eec47f5e91aa6b9e01bee159e582f",
+     "4d6c1e71af3700b3edc0b2de76f4cc70abe1520b5d30b2f659a92425c18aa4f0", 10),
+])
+def test_recursion_outputs_are_pinned_on_tournaments(n, shape, members_sha,
+                                                     reduction_sha, arc):
+    # The decision, the spanning set and the reduction matrix run one
+    # recursion on ints and on pair or unit coordinates; every output they
+    # give is pinned bit for bit.
+    def sha(value):
+        return hashlib.sha256(repr(value).encode()).hexdigest()
+
+    inst = generate_tournament(n)
+    ss = spanning_set(inst.graph)
+    assert (ss.dimension, len(ss.members)) == shape
+    assert sha([(q.entries, c) for q, c in ss.members]) == members_sha
+    assert sha(reduction_matrix(inst.graph).entries) == reduction_sha
+    w = linearize_qspp(inst).witness
+    assert (w.arc, w.tail, w.head) == (arc, 2, 4)
+    assert exact_tuple(w.expected) == (2, 0, 0)
+    assert exact_tuple(w.actual) == (2, -16, 0)
