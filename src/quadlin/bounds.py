@@ -24,6 +24,9 @@ of linearizable matrices):
 rlt1, lbb_prime, lbb_star and lbb_generic solve one lifting LP
 (_rlt1_lp): min <Q, X> + linear . x over the lifted polytope, plus one
 row <Q_t, X> = c_t . x per linearizable member (Q_t, c_t) of a family.
+On a structured instance it has no pair variable for a structural zero,
+two arcs on no common path or two placements in one row or column of an
+assignment, since X is 0 there at every feasible point.
 Its dual is the linearization LP (max b.y such that Q minus a combination
 of linearizable matrices is elementwise nonnegative), so each lbb bound
 reads its linearization certificate off the duals.  lbb_prime uses the
@@ -159,7 +162,6 @@ class BoundReport:
                                    # a DAG fit or minimum counts 0;
                                    # lbb_star: the solve it used, shared
                                    # with lbb_prime when no row is left
-    sparsity: tuple = None
     canonical_family: bool = False  # lbb_star built from a spanning set
 
 
@@ -182,12 +184,11 @@ def _bound_mode(bqp: BqpInstance, mode: str, nrows: int, nvars: int) -> str:
     return "float"
 
 
-def _structural_sparsity(inst) -> frozenset:
+def _structural_sparsity(bqp: BqpInstance) -> frozenset:
     """Pairs (i, j), i < j, that the instance's structure proves never
     both 1: arcs on no common path (``("qspp", g)``), or two placements
     in one row or one column of the permutation matrix (``("qap", n)``).
-    """
-    bqp = _bqp(inst)
+    A raw bqp instance has none."""
     kind = bqp.structure[0] if bqp.structure else None
     if kind == "qspp":
         return forbidden_pairs(bqp.structure[1])
@@ -198,28 +199,7 @@ def _structural_sparsity(inst) -> frozenset:
             for i in range(n) for j in range(n)
             for k in range(n) for el in range(n)
             if i * n + j < k * n + el and (i == k or j == el))
-    raise ValueError(
-        "no structural sparsity is known for a raw bqp instance")
-
-
-def _check_sparsity(sparsity, bqp: BqpInstance) -> frozenset:
-    """The pairs as (min, max), none for None; on a structured instance
-    each must be one of its structural zeros, since dropping any other
-    pair can lift the bound above the optimum."""
-    if sparsity is None:
-        return frozenset()
-    known = _structural_sparsity(bqp) if bqp.structure else None
-    out = set()
-    for i, j in sparsity:
-        i, j = int(i), int(j)
-        if not (0 <= i < bqp.m and 0 <= j < bqp.m) or i == j:
-            raise ValueError(f"bad sparsity pair ({i}, {j})")
-        pair = (min(i, j), max(i, j))
-        if known is not None and pair not in known:
-            raise ValueError(
-                f"sparsity pair {pair} is not a structural zero")
-        out.add(pair)
-    return frozenset(out)
+    return frozenset()
 
 
 def _solve(lp, mode, what):
@@ -554,14 +534,15 @@ def _member_row(member, pairs, ordered=False) -> tuple:
     return tuple(-v for v in c) + tuple(_cellsums(q, pairs, ordered))
 
 
-def _rlt1_lp(bqp: BqpInstance, sparsity, members=(), ordered=False):
+def _rlt1_lp(bqp: BqpInstance, members=(), ordered=False):
     """(LP, pairs) of the lifting LP behind rlt1 and the lbb bounds.
 
-    Variables x (m), then one w_p >= 0 per pair p: the pairs i <= j not in
-    sparsity, or every ordered pair when ordered (lbb_generic).  A pair
-    costs the sum of Q over the cells it covers, (i, j) and (j, i) for
-    i < j, else its one cell; with X_ij = w of the pair covering (i, j),
-    minimize linear . x + <Q, X> subject to
+    Variables x (m), then one w_p >= 0 per pair p: the pairs i <= j that
+    are not structural zeros of the instance (_structural_sparsity; a raw
+    bqp has none), or every ordered pair when ordered (lbb_generic).  A
+    pair costs the sum of Q over the cells it covers, (i, j) and (j, i)
+    for i < j, else its one cell; with X_ij = w of the pair covering
+    (i, j), minimize linear . x + <Q, X> subject to
       Bx = b                                        duals y
       sum_p cellsum(Q_t, p) w_p - c_t . x = 0       duals alpha_t
       (B X)_rj - b_r x_j = 0   (unless ordered)     duals 2 Y_rj
@@ -573,23 +554,29 @@ def _rlt1_lp(bqp: BqpInstance, sparsity, members=(), ordered=False):
     on every cell a pair covers; unless ordered, Q is symmetrized and
     the (Y, z) terms are present.
 
-    Unordered and with every pair, each feasible point has w_p = 0 on
-    the instance's structural-zero pairs (_structural_sparsity).  On a
+    Leaving out the structural zeros keeps the optimum: with a w_p for
+    every pair, each feasible point has w_p = 0 on them.  On a
     shortest-path DAG, column j of X is an s-t flow of value x_j that
     carries x_j = X_jj on arc j, so every path of its decomposition uses
     arc j, and X_kj = 0 for each arc k sharing no path with j.  On an
     assignment, the lifted row-sum row of row i at placement (i, l) reads
     sum_j X_(ij),(il) = x_il = X_(il),(il), so X_(ij),(il) = 0 for j != l;
-    columns alike.  So a member row in the span of this LP's rows and of
-    those w_p = 0 cuts nothing off, and lbb_star leaves it out
+    columns alike.  A dual certificate therefore dominates sym(Q) only
+    off the structural zeros.  That is sound: x_i x_j = 0 at every
+    feasible 0/1 point on such a pair, so its cells add nothing to
+    x^T Q x whatever their sign, and x x^T is still a feasible X.  It
+    holds because the zeros are read off the instance, here and in
+    replay, never off a report.  A member row in the span of this LP's
+    rows cuts nothing off, and lbb_star leaves it out
     (_unimplied_members).
     """
     n, m = bqp.B.rows, bqp.m
     if ordered:
         pairs = [(i, j) for i in range(m) for j in range(m)]
     else:
+        zero = _structural_sparsity(bqp)
         pairs = [(i, j) for i in range(m) for j in range(i, m)
-                 if not (sparsity and i != j and (i, j) in sparsity)]
+                 if (i, j) not in zero]
     pidx = {p: m + k for k, p in enumerate(pairs)}
     nvars = m + len(pairs)
     obj = list(bqp.linear) + _cellsums(bqp.Q, pairs, ordered)
@@ -620,30 +607,24 @@ def _rlt1_lp(bqp: BqpInstance, sparsity, members=(), ordered=False):
 
 
 @lru_cache(maxsize=1)
-def _lifting_lp(bqp: BqpInstance, sparsity: frozenset):
-    """_rlt1_lp without members, kept for the last instance and sparsity:
-    rlt1 and lbb_prime solve the very same LP, callers ask for both in
-    turn, and each replay rebuilds it."""
-    return _rlt1_lp(bqp, sparsity)
+def _lifting_lp(bqp: BqpInstance):
+    """_rlt1_lp without members, kept for the last instance: rlt1 and
+    lbb_prime solve the very same LP, callers ask for both in turn, and
+    each replay rebuilds it."""
+    return _rlt1_lp(bqp)
 
 
 def _unimplied_members(bqp: BqpInstance, members) -> list:
     """The indices t of the symmetric members (Q_t, c_t) whose row
     <Q_t, X> - c_t . x = 0 the member-less lifting LP does not imply.
 
-    The rows of _lifting_lp(bqp, frozenset()), right-hand sides appended,
-    are taken to integers in int_echelon's form over the LP's variables
-    without the structural-zero pairs: every feasible point has those
-    w_p = 0 (see _rlt1_lp), so deleting their columns adds the cuts
-    w_p = 0.  Pair columns come first, which keeps the elimination short.
-    A member's row, right-hand side 0, that reduces to zero against that
-    form holds at every feasible point, so leaving it out keeps the
-    optimum."""
-    lp, pairs = _lifting_lp(bqp, frozenset())
-    m = bqp.m
-    zero = _structural_sparsity(bqp) if bqp.structure else frozenset()
-    columns = [m + k for k, p in enumerate(pairs) if p not in zero]
-    columns += range(m)
+    The rows of _lifting_lp(bqp), right-hand sides appended, are taken
+    to integers in int_echelon's form, pair columns first, which keeps
+    the elimination short.  A member's row, right-hand side 0, that
+    reduces to zero against that form holds at every feasible point, so
+    leaving it out keeps the optimum."""
+    lp, pairs = _lifting_lp(bqp)
+    columns = [*range(bqp.m, lp.nvars), *range(bqp.m)]
     echelon = int_echelon(
         common_denominator([coeffs[j] for j in columns] + [rhs])[0]
         for coeffs, _, rhs in lp.rows)
@@ -657,27 +638,25 @@ def _unimplied_members(bqp: BqpInstance, members) -> list:
 
 
 @lru_cache(maxsize=1)
-def _solve_lifting_lp(bqp: BqpInstance, sparsity: frozenset, mode: str):
-    """solve_lp on _lifting_lp(bqp, sparsity), kept for the last key."""
-    return solve_lp(_lifting_lp(bqp, sparsity)[0], mode=mode)
+def _solve_lifting_lp(bqp: BqpInstance, mode: str):
+    """solve_lp on _lifting_lp(bqp), kept for the last instance and
+    mode."""
+    return solve_lp(_lifting_lp(bqp)[0], mode=mode)
 
 
-def _lifted_lp(bqp: BqpInstance, name: str, members, sparsity: frozenset):
-    """(lp, pairs, key): _rlt1_lp as the report called name is solved and
-    replayed against.  rlt1, lbb_prime, gl and ggl (members None) drop
-    sparsity pairs and share _lifting_lp; a family's LP has a row for
-    every member given, and only lbb_generic's compares against the raw
-    Q, over every ordered pair; lbb_star's with no member row is
-    lbb_prime's with every pair.  key is the sparsity _lifting_lp was
-    asked for, or None for an LP built afresh."""
+def _lifted_lp(bqp: BqpInstance, name: str, members):
+    """(lp, pairs, shared): _rlt1_lp as the report called name is solved
+    and replayed against.  rlt1, lbb_prime, gl and ggl (members None)
+    and an lbb_star with no member row share _lifting_lp (shared True);
+    a family's LP has a row for every member given, and only
+    lbb_generic's compares against the raw Q, over every ordered pair."""
     if members is None or not members and name == "lbb_star":
-        key = frozenset() if members is not None else sparsity
-        return (*_lifting_lp(bqp, key), key)
-    return (*_rlt1_lp(bqp, None, members, name == "lbb_generic"), None)
+        return (*_lifting_lp(bqp), True)
+    return (*_rlt1_lp(bqp, members, name == "lbb_generic"), False)
 
 
 def _lifted_bound(bqp: BqpInstance, name: str, mode: str, members=None,
-                  sparsity=frozenset(), canonical=False) -> BoundReport:
+                  canonical=False) -> BoundReport:
     """Solve the lifting LP of the bound called name.  rlt1's certificate
     is its point and duals; the lbb bounds read theirs off the duals:
     y, Y (the lifted rows' duals halved, row r of Y from rows (r, *)),
@@ -697,10 +676,10 @@ def _lifted_bound(bqp: BqpInstance, name: str, mode: str, members=None,
     live = _unimplied_members(bqp, members) if name == "lbb_star" \
         else range(len(members or ()))
     rows = None if members is None else [members[t] for t in live]
-    lp, pairs, key = _lifted_lp(bqp, name, rows, sparsity)
+    lp, pairs, shared = _lifted_lp(bqp, name, rows)
     mode = _bound_mode(bqp, mode, lp.nrows, lp.nvars)
-    res = solve_lp(lp, mode=mode) if key is None \
-        else _solve_lifting_lp(bqp, key, mode)
+    res = _solve_lifting_lp(bqp, mode) if shared \
+        else solve_lp(lp, mode=mode)
     if res.status != OPTIMAL:
         why = f"lifting LP is {res.status}"
         if res.status == UNBOUNDED:
@@ -731,39 +710,40 @@ def _lifted_bound(bqp: BqpInstance, name: str, mode: str, members=None,
     return BoundReport(
         name=name, value=res.value, mode=mode,
         relaxation_only=not bqp.integral_polytope,
-        certificate=cert, pivots=res.pivots,
-        sparsity=tuple(sorted(sparsity)) if sparsity else None,
-        canonical_family=canonical)
+        certificate=cert, pivots=res.pivots, canonical_family=canonical)
 
 
-def lbb_prime(inst, sparsity=None, mode: str = "auto") -> BoundReport:
+def lbb_prime(inst, mode: str = "auto") -> BoundReport:
     """Linearization bound over the sum matrices B^T Y + Y^T B + Diag(z).
 
     max b . y over free y (n), Y (n x m), z (m) subject to
       B^T y <= 2 Y^T b + z + linear
-      (B^T Y + Y^T B + Diag(z))_ij <= sym(Q)_ij  for pairs i <= j not in
-      the sparsity set (the left side is symmetric, so one row per
-      unordered pair suffices).
+      (B^T Y + Y^T B + Diag(z))_ij <= sym(Q)_ij  for pairs i <= j that
+      are not structural zeros (the left side is symmetric, so one row
+      per unordered pair suffices).
+    On a structural zero, x_i x_j = 0 at every feasible point, so
+    leaving its cell undominated loses no soundness (see _rlt1_lp).
     This LP is the dual of rlt1's, so lbb_prime solves rlt1's LP and reads
     (y, Y, z) off its duals; the value is rlt1's by construction.
     """
-    bqp = _bqp(inst)
-    sparsity = _check_sparsity(sparsity, bqp)
-    return _lifted_bound(bqp, "lbb_prime", mode, sparsity=sparsity)
+    return _lifted_bound(_bqp(inst), "lbb_prime", mode)
 
 
-def rlt1(inst, sparsity=None, mode: str = "auto") -> BoundReport:
+def rlt1(inst, mode: str = "auto") -> BoundReport:
     """Level-1 lifting bound (Sherali & Adams' RLT); the LP dual of
     lbb_prime.
 
     Variables x (m) and one pair variable w_ij per unordered pair (i, j)
-    not excluded by sparsity (w_ii always present), all nonnegative;
-    minimize <Q, X> + linear . x with X_ij = X_ji = w_ij, subject to
+    that is not a structural zero (w_ii always present), all
+    nonnegative; minimize <Q, X> + linear . x with X_ij = X_ji = w_ij,
+    subject to
       Bx = b,  B X = b x^T (row by row),  diag(X) = x.
+    Every feasible point of the LP with all pairs has w_ij = 0 on a
+    structural zero, so the optimum is the same, and its duals dominate
+    sym(Q) only off the structural zeros, where x_i x_j = 0 at every
+    feasible point (see _rlt1_lp).
     """
-    bqp = _bqp(inst)
-    sparsity = _check_sparsity(sparsity, bqp)
-    return _lifted_bound(bqp, "rlt1", mode, sparsity=sparsity)
+    return _lifted_bound(_bqp(inst), "rlt1", mode)
 
 
 def _family_members(family, m):
@@ -807,11 +787,12 @@ def lbb_star(inst, family=None, mode: str = "auto") -> BoundReport:
     LP does not already imply.  Members are symmetrized internally
     ((M + M^T)/2 carries the same linearization vector, skew parts being
     linearizable with the zero vector); that never changes the optimum
-    and lets one pair variable per unordered pair suffice.  A member row
-    in the span of the lifting LP's rows and of w_p = 0 on the
-    instance's structural-zero pairs (see _rlt1_lp) holds at every
-    feasible point, so it gets no row and the certificate leaves it out
-    (a skew member's all-zero row is one).  Every spanning member of
+    and lets one pair variable per unordered pair suffice.  Like
+    lbb_prime's, the certificate dominates sym(Q) only off the
+    structural zeros (see _rlt1_lp).  A member row in the span of the
+    lifting LP's rows holds at every feasible point, so it gets no row
+    and the certificate leaves it out (a skew member's all-zero row is
+    one).  Every spanning member of
     each shortest-path graph tested is implied, and so is every member of a
     LinearizableFamily.from_generators family, which are lbb_prime's own
     sum matrices: there no member row is left, and lbb_star takes the
@@ -944,7 +925,7 @@ def _unreadable(report: BoundReport, keys) -> list:
     """Why a report cannot be read: each certificate key must hold a
     tuple or list, and so must each row of Y and each of rlt1's pairs;
     every entry they hold, and the value, must be an int, a Fraction or
-    a float; sparsity, if given, must hold pairs of ints."""
+    a float."""
     cert, seq = report.certificate, (tuple, list)
     bad = [key for key in keys if not isinstance(cert[key], seq)]
     msgs = [f"certificate {key} is not a tuple or list" for key in bad] + [
@@ -956,11 +937,6 @@ def _unreadable(report: BoundReport, keys) -> list:
              if not all(isinstance(v, _NUMBER) for v in _leaves(cert[key]))]
     if not isinstance(report.value, _NUMBER):
         msgs.append("report value is not a number")
-    pairs = report.sparsity or ()
-    if not isinstance(pairs, (tuple, list, set, frozenset)) or not all(
-            isinstance(p, seq) and len(p) == 2
-            and all(isinstance(i, int) for i in p) for p in pairs):
-        msgs.append("report sparsity is not a set of index pairs")
     return msgs
 
 
@@ -1013,7 +989,11 @@ def verify_report(inst, report: BoundReport):
     (lpsolve.point_violations).  An lbb certificate is turned back into
     the duals of the lifting LP it was read off; gl and ggl carry
     lbb_prime's certificate and are replayed as it is, against the
-    member-less lifting LP.  A family bound's LP gets a row for each
+    member-less lifting LP.  Unless ordered (lbb_generic), that LP has
+    no pair for the instance's structural zeros, so a certificate need
+    dominate sym(Q) only off them: x_i x_j = 0 at every feasible point
+    there (see _rlt1_lp).  The zeros are worked out from the instance,
+    never read off the report.  A family bound's LP gets a row for each
     member of weight alpha_t != 0 only, and each such member must be
     confirmed linearizable (_unconfirmed_members); a member of weight 0
     takes no part in the proof.  An opt report's argmin must be a 0/1
@@ -1026,10 +1006,7 @@ def verify_report(inst, report: BoundReport):
     wrong shape (a vector that is not a tuple or list, a family member
     that is not an m x m matrix with m costs, alpha without one weight
     per member), a certificate entry or value that is not an int, a
-    Fraction or a float, sparsity that is not pairs of ints, an exact
-    report holding a float, and a gl, ggl, lbb_prime or rlt1 report
-    dropping a pair (``sparsity``) that is not a structural zero of the
-    instance.
+    Fraction or a float, and an exact report holding a float.
     """
     cert = report.certificate
     keys = _CERT_KEYS.get(report.name)
@@ -1058,19 +1035,6 @@ def verify_report(inst, report: BoundReport):
         return not msgs, tuple(msgs)
     tol = 0 if report.mode == "exact" else FLOAT_CHECK_TOL
     msgs = []
-    sparsity = frozenset(tuple(p) for p in report.sparsity or ())
-    if sparsity and "members" not in keys:
-        # the member-less lifting LP drops these pairs, so each must be a
-        # proven zero
-        if not bqp.structure:
-            msgs.append("sparsity cannot be confirmed on an instance "
-                        "without structure")
-        else:
-            stray = sparsity - _structural_sparsity(bqp)
-            if stray:
-                msgs.append(f"sparsity pairs {sorted(stray)} are not "
-                            "structural zeros")
-
     try:
         members, alpha = None, ()
         if "members" in keys:
@@ -1090,7 +1054,7 @@ def verify_report(inst, report: BoundReport):
             members = [members[t] for t in weighted]
             alpha = [cert["alpha"][t] for t in weighted]
             msgs += _unconfirmed_members(bqp, members, weighted)
-        lp, pairs, _ = _lifted_lp(bqp, report.name, members, sparsity)
+        lp, pairs, _ = _lifted_lp(bqp, report.name, members)
         if report.name == "rlt1":
             if tuple(map(tuple, cert["pairs"])) != pairs:
                 msgs.append(

@@ -43,7 +43,6 @@ from quadlin.bounds import (
     BoundComputationError,
     ChainViolation,
     SkewStrategy,
-    _structural_sparsity,
     gl_bound,
     ggl_bound,
     lbb_prime,
@@ -483,18 +482,17 @@ _STRATEGIES = {"none": SkewStrategy.NONE,
 
 
 def _run_bound(parsed: ParsedInstance, method: str, strategy: str,
-               sparsity: bool, mode: str, max_iter: int):
+               mode: str, max_iter: int):
     inst = parsed.instance
     if method == "gl":
         return gl_bound(inst, mode=mode)
     if method == "ggl":
         return ggl_bound(inst, strategy=_STRATEGIES[strategy],
                          max_iter=max_iter, mode=mode)
-    pairs = _structural_sparsity(inst) if sparsity else None
     if method == "lbb_prime":
-        return lbb_prime(inst, sparsity=pairs, mode=mode)
+        return lbb_prime(inst, mode=mode)
     if method == "rlt1":
-        return rlt1(inst, sparsity=pairs, mode=mode)
+        return rlt1(inst, mode=mode)
     if method == "lbb_star":
         _require_qspp(parsed, "the spanning-set bound")
         return lbb_star(inst, mode=mode)
@@ -514,8 +512,6 @@ def _bound_payload(report) -> dict:
         payload["trace"] = [_value_json(v) for v in report.trace]
     if report.name == "lbb_star":
         payload["canonical_family"] = report.canonical_family
-    if report.sparsity is not None:
-        payload["sparsity_pairs"] = len(report.sparsity)
     return payload
 
 
@@ -523,7 +519,7 @@ def _cmd_bound(args, out) -> int:
     started = time.monotonic()
     parsed = _load(args.file)
     report = _run_bound(parsed, _METHODS[args.method], args.strategy,
-                        args.sparsity, args.mode, args.max_iter)
+                        args.mode, args.max_iter)
     payload = {"command": "bound", "instance": _instance_meta(parsed)}
     payload.update(_bound_payload(report))
     _emit(payload, started, out)
@@ -618,8 +614,6 @@ def _build_parser() -> argparse.ArgumentParser:
     bd.add_argument("--method", required=True, choices=sorted(_METHODS))
     bd.add_argument("--strategy", choices=sorted(_STRATEGIES),
                     default="none", help="skew reshuffle for ggl")
-    bd.add_argument("--sparsity", action="store_true",
-                    help="drop never-co-occurring pairs (structural)")
     bd.add_argument("--mode", choices=["auto", "exact", "float"],
                     default="auto")
     bd.add_argument("--max-iter", type=int, default=50,

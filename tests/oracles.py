@@ -187,6 +187,44 @@ def lp_oracle(sense, objective, constraints, lower_bounds):
 # ---------------------------------------------------------------------------
 # linearization certificates in the paper's own inequalities
 
+def _st_paths(g) -> list:
+    """Every s-t path of the DAG g, as a list of arc labels, by
+    depth-first enumeration."""
+    out = []
+
+    def walk(v, arcs):
+        if v == g.target:
+            out.append(arcs)
+            return
+        for label in g.out_arcs[v]:
+            walk(g.arcs[label][1], arcs + [label])
+
+    walk(g.source, [])
+    return out
+
+
+def structural_zeros(bqp) -> set:
+    """The ordered cells (i, j), i != j, where x_i x_j = 0 on every
+    feasible point by the instance's structure alone: two arcs on no
+    common s-t path, found by enumerating the paths, or two QAP
+    placements (facility i at location j is x[i*n + j]) in one row or
+    one column.  A raw instance has none.  On a corridor DAG, where
+    every arc lies on an s-t path, these are exactly the pairs that
+    neither arc's head reaches the other's tail."""
+    kind = bqp.structure[0] if bqp.structure else None
+    m = bqp.m
+    if kind == "qspp":
+        together = {(i, j) for path in _st_paths(bqp.structure[1])
+                    for i in path for j in path}
+        return {(i, j) for i in range(m) for j in range(m)
+                if i != j and (i, j) not in together}
+    if kind == "qap":
+        n = bqp.structure[1]
+        return {(i, j) for i in range(m) for j in range(m) if i != j
+                and (i // n == j // n or i % n == j % n)}
+    return set()
+
+
 def linearization_violations(bqp, report) -> list:
     """Where an exact lbb certificate breaks the paper's inequalities.
 
@@ -195,7 +233,9 @@ def linearization_violations(bqp, report) -> list:
     when absent -- checks, in plain Fraction loops:
       B^T y <= 2 Y^T b + z + linear + sum(alpha_t c_t), column by column;
       B^T Y + Y^T B + Diag(z) + sum(alpha_t Q_t) <= T on every ordered
-      cell (i, j) whose pair is not in report.sparsity;
+      cell (i, j) but the instance's structural zeros (structural_zeros),
+      where x_i x_j = 0 on every feasible point; lbb_generic's check
+      skips no cell;
       b . y == report.value.
     """
     B = [[Fraction(v) for v in bqp.B.row(r)] for r in range(bqp.B.rows)]
@@ -212,7 +252,7 @@ def linearization_violations(bqp, report) -> list:
                 [Fraction(v) for v in ct])
                for qt, ct in cert.get("members", ())]
     raw = report.name == "lbb_generic"
-    skip = {(i, j) for p in report.sparsity or () for i, j in (p, p[::-1])}
+    skip = set() if raw else structural_zeros(bqp)
     msgs = []
     for j in range(m):
         lhs = sum(B[r][j] * y[r] for r in range(n))

@@ -56,7 +56,7 @@ from helpers import (
     rand_symmetric_rows,
     random_corridor_dag,
 )
-from oracles import linearization_violations
+from oracles import linearization_violations, structural_zeros
 
 
 def _random_qspp(rng, m_max=10, symmetric=False):
@@ -228,13 +228,13 @@ def _strict_generic_bqp():
         "gl": ("-35/2", 0),
         "ggl-upper": ("-27/2", 0),
         "ggl-sym": ("-10203467905761283/1125899906842624", 0),
-        "lbb_star": ("-11/2", 96)}),
+        "lbb_star": ("-11/2", 46)}),
     (_pinned_qap, {
         "gl": ("33", 85),
         "ggl-upper": ("33", 205),
         "ggl-sym": ("19140298416324607/562949953421312", 2780),
-        "lbb_prime": ("35", 73),
-        "rlt1": ("35", 73)}),
+        "lbb_prime": ("35", 39),
+        "rlt1": ("35", 39)}),
 ], ids=["corridor", "qap"])
 def test_gl_and_ggl_values_and_pivot_counts_are_pinned(inst, pins):
     # exact values and pivot counts of the column-fitting bounds (0 on a
@@ -266,7 +266,7 @@ def test_float_rlt1_value_and_pivot_count_are_pinned():
     # the lifting LP of the tournament n = 5 on the float tableau: a change
     # that moves its pivot path shows here
     rep = rlt1(generate_tournament(5), mode="float")
-    assert (rep.mode, repr(rep.value), rep.pivots) == ("float", "8.0", 63)
+    assert (rep.mode, repr(rep.value), rep.pivots) == ("float", "8.0", 35)
 
 
 def test_ggl_solves_each_changed_fitting_program_once(monkeypatch):
@@ -423,7 +423,9 @@ def test_gl_and_ggl_name_the_column_of_an_arc_on_no_path(mode):
         assert str(exc.value) == "column 2 fitting program: LP is unbounded"
 
 
-def test_rlt1_and_lbb_prime_share_one_solve_per_sparsity(monkeypatch):
+def test_rlt1_and_lbb_prime_share_one_solve(monkeypatch):
+    # one lifting LP per instance, without its structural-zero pairs: the
+    # two bounds take one solve, and another instance or mode solves anew
     calls = []
 
     def counting(lp, mode="auto"):
@@ -433,15 +435,20 @@ def test_rlt1_and_lbb_prime_share_one_solve_per_sparsity(monkeypatch):
     monkeypatch.setattr(bounds, "solve_lp", counting)
     bounds._solve_lifting_lp.cache_clear()
     inst = _random_qspp(random.Random(77), m_max=9)
-    pairs = forbidden_pairs(inst.graph)
-    assert pairs
-    a = lbb_prime(inst, sparsity=pairs, mode="exact")
-    b = rlt1(inst, sparsity=pairs, mode="exact")
+    m, zeros = inst.graph.m, forbidden_pairs(inst.graph)
+    assert zeros
+    a = lbb_prime(inst, mode="exact")
+    b = rlt1(inst, mode="exact")
     assert len(calls) == 1 and a.value == b.value and a.pivots == b.pivots
+    assert calls[0].nvars == m + m * (m + 1) // 2 - len(zeros)
+    assert not zeros & set(b.certificate["pairs"])
     calls.clear()
-    lbb_prime(inst, mode="exact")
-    rlt1(inst, sparsity=pairs, mode="exact")
-    assert len(calls) == 2
+    lbb_prime(inst, mode="float")
+    rlt1(inst, mode="float")
+    assert len(calls) == 1
+    lbb_prime(generate_tournament(4), mode="float")
+    rlt1(inst, mode="float")
+    assert len(calls) == 3
 
 
 def _pair_row(member, pairs):
@@ -479,7 +486,7 @@ def test_lbb_star_solves_only_the_member_rows_the_lifting_lp_leaves_open(
     # lifting LP's rows, found here by rank
     inst = _strict_generic_bqp()
     members = list(enumerated_family(inst).members) + _diag_units(inst.m)
-    lifting, pairs = bounds._rlt1_lp(inst, frozenset())
+    lifting, pairs = bounds._rlt1_lp(inst)
     base = [list(coeffs) + [rhs] for coeffs, _, rhs in lifting.rows]
     rank = matrix_rank(RationalMatrix.from_rows(base))
     live = [matrix_rank(RationalMatrix.from_rows(
@@ -555,76 +562,99 @@ def test_lbb_prime_equals_rlt1_bit_exact():
 
 
 def test_sparsity_from_forbidden_pairs_keeps_chain_valid():
+    # the lifting LP leaves out the forbidden pairs, which every feasible
+    # point of the LP with all pairs has at 0 (see bounds._rlt1_lp): the
+    # raw twin, without structure, keeps every pair and gives the same
+    # value, bit for bit
     rng = random.Random(77)
     seen_nontrivial = 0
     for _ in range(6):
         inst = _random_qspp(rng, m_max=9)
-        pairs = forbidden_pairs(inst.graph)
-        if pairs:
-            seen_nontrivial += 1
-        full_p = lbb_prime(inst, mode="exact")
-        sp_p = lbb_prime(inst, sparsity=pairs, mode="exact")
-        sp_r = rlt1(inst, sparsity=pairs, mode="exact")
+        raw = replace(qspp_to_bqp(inst), structure=None)
+        zeros = forbidden_pairs(inst.graph)
+        seen_nontrivial += bool(zeros)
+        full = rlt1(raw, mode="exact")
+        prime, lifted = lbb_prime(inst, mode="exact"), rlt1(inst, mode="exact")
+        assert set(full.certificate["pairs"]) \
+            == set(lifted.certificate["pairs"]) | zeros
         opt, _ = brute_force_opt(inst)
-        assert sp_p.value == sp_r.value
-        # the lifting LP already forces w_p = 0 on a forbidden pair (see
-        # bounds._rlt1_lp), so dropping those pairs changes nothing
-        assert full_p.value == sp_p.value <= opt
-        ok, msgs = verify_report(inst, sp_p)
-        assert ok, msgs
-        ok, msgs = verify_report(inst, sp_r)
-        assert ok, msgs
+        assert prime.value == lifted.value == full.value <= opt
+        verify_chain([gl_bound(inst, mode="exact"), prime, lifted,
+                      lbb_star(inst, mode="exact")], opt=opt)
+        for rep in (prime, lifted):
+            assert verify_report(inst, rep) == (True, ()), rep.name
     assert seen_nontrivial >= 3
     # so do an assignment's row and column pairs
     inst = _pinned_qap()
-    sparse = lbb_prime(inst, sparsity=bounds._structural_sparsity(inst),
-                       mode="exact")
-    assert sparse.value == lbb_prime(inst, mode="exact").value
-    assert verify_report(inst, sparse)[0]
+    assert lbb_prime(inst, mode="exact").value \
+        == lbb_prime(replace(inst, structure=None), mode="exact").value
 
 
 def test_sparsity_rejects_bad_pairs():
-    inst = QsppInstance(diamond(), RationalMatrix.zeros(4, 4))
-    with pytest.raises(ValueError):
-        lbb_prime(inst, sparsity=[(1, 1)])
-    with pytest.raises(ValueError):
-        rlt1(inst, sparsity=[(0, 99)])
+    # an rlt1 certificate must list the pairs of the instance's own
+    # lifting LP: one solved on the raw twin lists the structural zeros
+    # as well, and the structured one lacks them on the raw twin, where
+    # its duals also stay above Q on some of those cells
+    inst = _random_qspp(random.Random(6), m_max=8)
+    raw = replace(qspp_to_bqp(inst), structure=None)
+    assert forbidden_pairs(inst.graph)
+    for rep, target in ((rlt1(raw, mode="exact"), inst),
+                        (rlt1(inst, mode="exact"), raw)):
+        ok, msgs = verify_report(target, rep)
+        assert not ok and msgs[:2] == (
+            "certificate pairs differ from the program's pairs",
+            "certificate has the wrong number of variables"), msgs
+
+
+def _forged_prime(bqp, drop, mode):
+    """An lbb_prime report read, as bounds._lifted_bound reads it, off
+    the lifting LP with the pairs in drop left out: its certificate need
+    not dominate sym(Q) on their cells."""
+    lp, pairs = bounds._rlt1_lp(bqp)
+    gone = {bqp.m + pairs.index(p) for p in drop}
+    keep = [j for j in range(lp.nvars) if j not in gone]
+    res = lpsolve.solve_lp(lpsolve.LinearProgram(
+        "min", [lp.objective[j] for j in keep],
+        [([coeffs[j] for j in keep], rel, rhs)
+         for coeffs, rel, rhs in lp.rows],
+        [lp.bounds[j] for j in keep]), mode=mode)
+    n, m, u = bqp.B.rows, bqp.m, res.duals
+    return BoundReport(
+        name="lbb_prime", value=res.value, mode=mode, relaxation_only=False,
+        certificate={"y": u[:n],
+                     "Y": tuple(tuple(v / 2 for v in u[n + r * m:
+                                                      n + (r + 1) * m])
+                                for r in range(n)),
+                     "z": tuple(-v for v in u[n + n * m:])})
 
 
 @pytest.mark.parametrize("mode", ["exact", "float"])
 def test_sparsity_must_be_structural_zeros(mode):
-    # arcs 0 and 2 lie on the optimal path; dropping their domination row
-    # lifts lbb_prime and rlt1 to 5 against an optimum of 1/2
-    inst = _random_qspp(random.Random(6), m_max=8)
-    forbidden = forbidden_pairs(inst.graph)
-    assert (0, 2) not in forbidden
-    pairs = forbidden | {(0, 2)}
-    opt, _ = brute_force_opt(inst)
-    bqp = qspp_to_bqp(inst)
-    raw = BqpInstance(B=bqp.B, b=bqp.b, Q=bqp.Q, integral_polytope=True)
-    reports = []
-    for bound in (lbb_prime, rlt1):
-        with pytest.raises(ValueError):
-            bound(inst, sparsity=pairs, mode=mode)
-        # without a structure nothing checks the pairs, so replay must
-        # refuse them against either instance
-        reports.append(bound(raw, sparsity=pairs, mode=mode))
-        assert reports[-1].value > opt
-    # gl and ggl are replayed against the same LP, which drops a report's
-    # pairs: theirs must be structural zeros too, and on an instance
-    # without structure no pair is
-    for bound in (gl_bound, ggl_bound):
-        rep = bound(raw, mode=mode)
-        structural = replace(rep, sparsity=tuple(sorted(forbidden)))
-        assert verify_report(inst, structural) == (True, ())
-        assert verify_report(raw, structural) == (False, (
-            "sparsity cannot be confirmed on an instance without "
-            "structure",))
-        reports.append(replace(rep, sparsity=tuple(sorted(pairs))))
-    for forged in reports:
-        for target in (inst, raw):
-            ok, msgs = verify_report(target, forged)
-            assert not ok and msgs, (forged.name, target)
+    # a certificate may stay above sym(Q) only on a structural zero; one
+    # read off the lifting LP without the pairs of the optimum's support,
+    # which are no structural zeros, must be rejected on a corridor DAG,
+    # on an assignment and on their raw twins, which have no structural
+    # zero and keep all m(m + 1) / 2 pairs
+    corridor, qap = qspp_to_bqp(_pinned_corridor()), _pinned_qap()
+    for bqp in (corridor, qap, replace(corridor, structure=None),
+                replace(qap, structure=None)):
+        m, zeros = bqp.m, bounds._structural_sparsity(bqp)
+        assert bool(zeros) == bool(bqp.structure)
+        pairs = bounds._rlt1_lp(bqp)[1]
+        assert len(pairs) == m * (m + 1) // 2 - len(zeros)
+        _, argmin = brute_force_opt(bqp)
+        on = [i for i, v in enumerate(argmin) if v]
+        drop = [(i, j) for i in on for j in on if i < j]
+        assert not zeros & set(drop)
+        forged = _forged_prime(bqp, drop, mode)
+        if mode == "exact":  # above sym(Q) on some dropped cells alone
+            cells = set(drop) | {(j, i) for i, j in drop}
+            msgs = linearization_violations(bqp, forged)
+            assert msgs and set(msgs) <= {
+                f"matrix part exceeds Q at {cell}" for cell in cells}
+        ok, msgs = verify_report(bqp, forged)
+        assert not ok and all("column" in msg for msg in msgs), msgs
+        assert verify_report(bqp, lbb_prime(bqp, mode=mode)) == (True, ())
 
 
 def test_structural_sparsity_of_qap_is_row_and_column_pairs():
@@ -632,18 +662,39 @@ def test_structural_sparsity_of_qap_is_row_and_column_pairs():
                       [[0, 1, 4], [1, 0, 2], [4, 2, 0]])
     pairs = bounds._structural_sparsity(inst)
     # x[i*3 + j]: facility i at location j; 3 rows and 3 columns of 3
-    # cells give 18 pairs that no permutation sets both
+    # cells give 18 pairs that no permutation sets both, and the
+    # oracle, from the assignment alone, finds the same cells
     assert len(pairs) == 18
     assert (0, 1) in pairs and (0, 3) in pairs and (0, 4) not in pairs
+    assert {(i, j) for i, j in structural_zeros(inst) if i < j} == pairs
     opt, _ = brute_force_opt(inst)
     for bound in (lbb_prime, rlt1):
-        rep = bound(inst, sparsity=pairs, mode="exact")
+        rep = bound(inst, mode="exact")
         assert rep.value <= opt
         ok, msgs = verify_report(inst, rep)
         assert ok, msgs
-    with pytest.raises(ValueError):
-        bounds._structural_sparsity(BqpInstance(B=inst.B, b=inst.b,
-                                                Q=inst.Q))
+    # 45 unordered pairs, of which the lifting LP keeps 27
+    assert len(rep.certificate["pairs"]) == 27
+    assert bounds._structural_sparsity(replace(inst, structure=None)) \
+        == frozenset()
+    # on a corridor DAG the oracle's paths give the forbidden pairs
+    g = _pinned_corridor().graph
+    assert {(i, j) for i, j in structural_zeros(qspp_to_bqp(
+        QsppInstance(g, RationalMatrix.zeros(g.m, g.m)))) if i < j} \
+        == forbidden_pairs(g)
+
+
+def test_auto_mode_stays_exact_on_tournament_8(monkeypatch):
+    # without its structural zeros the lifting LP of the tournament
+    # n = 8 has 260 rows and 182 columns, within the exact size limit
+    # (with every pair it has 434 columns and auto mode fell to float)
+    monkeypatch.delenv("QUADLIN_MODE", raising=False)
+    inst = generate_tournament(8)
+    lp = bounds._rlt1_lp(qspp_to_bqp(inst))[0]
+    assert (lp.nrows, lp.nvars) == (260, 182)
+    for rep in (lbb_prime(inst), rlt1(inst), lbb_star(inst)):
+        assert (rep.mode, rep.value) == ("exact", 17), rep.name
+        assert verify_report(inst, rep) == (True, ()), rep.name
 
 
 def test_lbb_prime_invariant_under_reformulation():
@@ -982,8 +1033,8 @@ def test_verify_report_rejects_a_member_with_a_raised_lower_entry(mode):
 
 @pytest.mark.parametrize("mode", ["exact", "float"])
 def test_verify_report_checks_every_pair_of_a_family_bound(mode):
-    # only lbb_prime takes a sparsity set; a family report that names one
-    # must not get the domination row of a forged pair skipped
+    # a member raised on a pair that is not a structural zero must not
+    # get its domination row skipped
     for inst, rep in _family_reports(mode):
         forbidden = forbidden_pairs(inst.graph) \
             if isinstance(inst, QsppInstance) else ()
@@ -1000,8 +1051,7 @@ def test_verify_report_checks_every_pair_of_a_family_bound(mode):
         members = list(cert["members"])
         members[t] = (rows, members[t][1])
         cert["members"] = tuple(members)
-        forged = replace(rep, certificate=cert, sparsity=((i, j),))
-        ok, msgs = verify_report(inst, forged)
+        ok, msgs = verify_report(inst, replace(rep, certificate=cert))
         assert not ok and msgs, rep.name
 
 
@@ -1065,7 +1115,7 @@ def test_verify_report_rejects_forged_duals(mode):
     rng = random.Random(6)
     inst = _random_qspp(rng, m_max=8)
     rep = rlt1(inst, mode=mode)
-    lp = bounds._rlt1_lp(qspp_to_bqp(inst), None)[0]
+    lp = bounds._rlt1_lp(qspp_to_bqp(inst))[0]
     assert verify_report(inst, rep)[0]
     cert = dict(rep.certificate, duals=_forge_a_dual(rep, lp))
     ok, msgs = verify_report(inst, replace(rep, certificate=cert))
@@ -1144,9 +1194,9 @@ def test_verify_report_rejects_malformed_lifted_certificates(mode):
     lambda: _random_qspp(random.Random(6), m_max=8),
 ], ids=["tournament5", "corridor"])
 def test_verify_report_rejects_entries_that_are_not_numbers(make, mode):
-    # a certificate entry, value or sparsity pair that cannot be read as
-    # a number is a rejection with a message, not a ValueError or
-    # TypeError from the exact conversion
+    # a certificate entry or value that cannot be read as a number is a
+    # rejection with a message, not a ValueError or TypeError from the
+    # exact conversion
     inst = make()
     prime, lifted = lbb_prime(inst, mode=mode), rlt1(inst, mode=mode)
     forged = [
@@ -1163,8 +1213,6 @@ def test_verify_report_rejects_entries_that_are_not_numbers(make, mode):
     for rep in (prime, lifted, gl_bound(inst, mode=mode)):
         assert verify_report(inst, replace(rep, value="zz")) == (
             False, ("report value is not a number",)), rep.name
-        assert verify_report(inst, replace(rep, sparsity=(5,))) == (
-            False, ("report sparsity is not a set of index pairs",)), rep.name
 
 
 def test_verify_report_rejects_an_unknown_kind_and_a_short_alpha():
@@ -1278,13 +1326,11 @@ def test_verify_report_rejects_rlt1_pairs_missing_a_live_pair(mode):
 def test_auto_mode_switches_to_float_one_past_the_size_limit(monkeypatch):
     rng = random.Random(7)
     inst = _random_qspp(rng, m_max=8)
-    pairs = forbidden_pairs(inst.graph)
-    assert pairs
+    assert forbidden_pairs(inst.graph)
     family = list(spanning_set(inst.graph).members) + _diag_units(inst.m)
     runs = {
         "lbb_prime": lambda mode: lbb_prime(inst, mode=mode),
-        "sparse lbb_prime": lambda mode: lbb_prime(inst, sparsity=pairs,
-                                                   mode=mode),
+        "rlt1": lambda mode: rlt1(inst, mode=mode),
         "lbb_star": lambda mode: lbb_star(inst, mode=mode),
         "lbb_generic": lambda mode: lbb_generic(inst, family, mode=mode),
     }

@@ -431,16 +431,16 @@ def test_bound_lbbstar_reports_its_canonical_family(capsys, tmp_path):
         lbb_star(parse_instance(DIAMOND).instance).value)
 
 
-def test_bound_sparsity_flag_tightens_rlt1(capsys, tmp_path):
+def test_bound_rlt1_on_tournament_6_is_13(capsys, tmp_path):
+    # the lifting LP leaves out the structural zeros by itself; the
+    # paper's tournament n = 6 has rlt1 exactly 13
     f = tmp_path / "t6.qspp"
     run_cli(capsys, ["generate", "tournament", "--n", "6", "-o", str(f)])
-    _, full, _ = run_cli(capsys, ["bound", str(f), "--method", "rlt1"])
-    _, sparse, _ = run_cli(capsys, ["bound", str(f), "--method", "rlt1",
-                                    "--sparsity"])
-    vf = F(payload_of(full)["value"])
-    vs = F(payload_of(sparse)["value"])
-    assert vf <= vs
-    assert payload_of(sparse)["sparsity_pairs"] > 0
+    code, out, err = run_cli(capsys, ["bound", str(f), "--method", "rlt1"])
+    assert (code, err) == (0, "")
+    payload = payload_of(out)
+    assert (payload["method"], payload["mode"], payload["value"]) == (
+        "rlt1", "exact", "13")
 
 
 def test_opt_matches_brute_force(capsys, tmp_path):
