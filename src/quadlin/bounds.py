@@ -19,7 +19,8 @@ of linearizable matrices):
   lbb_star    family bound: pick A = sum(lam_i Q_i) elementwise below
               sym(Q) from a family of linearizable matrices and use its
               linearization; with a spanning family this dominates
-              lbb_prime on integral polytopes.
+              lbb_prime on integral polytopes, and on a corridor DAG
+              it equals it.
 
 rlt1, lbb_prime, lbb_star and lbb_generic solve one lifting LP
 (_rlt1_lp): min <Q, X> + linear . x over the lifted polytope, plus one
@@ -32,11 +33,15 @@ of linearizable matrices is elementwise nonnegative), so each lbb bound
 reads its linearization certificate off the duals.  lbb_prime uses the
 sum matrices B^T Y + Y^T B + Diag(z) alone, lbb_star adds a family, both
 against sym(Q); lbb_generic uses a family alone against the raw Q.
-lbb_star first decides, in exact integers, which member rows the
-member-less lifting LP already implies (_unimplied_members): those get
-no row and weight 0, and with none left it takes the solve rlt1 and
-lbb_prime share.  On every shortest-path graph tested, and for every
-generator family, each member is implied: there lbb_star is lbb_prime.
+Given a family, lbb_star first decides, in exact integers, which
+member rows the member-less lifting LP already implies
+(_unimplied_members): those get no row and weight 0, and with none left
+it takes the solve rlt1 and lbb_prime share.  Every member of a
+generator family is implied, and on a corridor DAG so is every
+linearizable member: the lifting LP's equality rows cut out the affine
+hull of the lifted path points, proved on every corridor DAG on at most
+5 vertices (see lbb_star).  So the canonical lbb_star (family=None) is
+lbb_prime's solve; it builds no spanning set and runs no rank test.
 
 gl and ggl solve one fitting program per column k (_fitting_programs):
 max b.y + z subject to B^T y + e_k z <= Q[:, k].  Its rows at the fit
@@ -84,6 +89,7 @@ from quadlin.exactnum import (
 )
 from quadlin.graph import (
     Dag,
+    GraphError,
     PathExplosion,
     forbidden_pairs,
     is_corridor,
@@ -119,10 +125,9 @@ from quadlin.model import (
     quadratic_value,
 )
 from quadlin.qspplin import (
-    SpanningSet,
     equivalent_cost_vectors,
     linearize_qspp,
-    spanning_set,
+    spanning_set,  # unused here; bench/tracing.py wraps this binding by name
 )
 
 
@@ -162,7 +167,8 @@ class BoundReport:
                                    # a DAG fit or minimum counts 0;
                                    # lbb_star: the solve it used, shared
                                    # with lbb_prime when no row is left
-    canonical_family: bool = False  # lbb_star built from a spanning set
+    canonical_family: bool = False  # lbb_star over its graph's whole
+                                    # linearizable family (family=None)
 
 
 def _bqp(inst) -> BqpInstance:
@@ -568,7 +574,9 @@ def _rlt1_lp(bqp: BqpInstance, members=(), ordered=False):
     holds because the zeros are read off the instance, here and in
     replay, never off a report.  A member row in the span of this LP's
     rows cuts nothing off, and lbb_star leaves it out
-    (_unimplied_members).
+    (_unimplied_members); on a corridor DAG every linearizable member's
+    row is in that span (lbb_star's lemma, checked on every corridor DAG
+    on at most 5 vertices), so canonical lbb_star adds no row.
     """
     n, m = bqp.B.rows, bqp.m
     if ordered:
@@ -655,8 +663,8 @@ def _lifted_lp(bqp: BqpInstance, name: str, members):
     return (*_rlt1_lp(bqp, members, name == "lbb_generic"), False)
 
 
-def _lifted_bound(bqp: BqpInstance, name: str, mode: str, members=None,
-                  canonical=False) -> BoundReport:
+def _lifted_bound(bqp: BqpInstance, name: str, mode: str,
+                  members=None) -> BoundReport:
     """Solve the lifting LP of the bound called name.  rlt1's certificate
     is its point and duals; the lbb bounds read theirs off the duals:
     y, Y (the lifted rows' duals halved, row r of Y from rows (r, *)),
@@ -665,16 +673,16 @@ def _lifted_bound(bqp: BqpInstance, name: str, mode: str, members=None,
 
     The LP is _lifted_lp's, the one the report is replayed against; the
     cached _lifting_lp is solved through _solve_lifting_lp, which rlt1,
-    lbb_prime and an lbb_star with no member row left share.  lbb_star
-    solves only the rows of the members that the member-less lifting LP
-    does not imply (_unimplied_members).  The optimum is the same, and so
-    is the value, exactly.  The certificate lists only the members
+    lbb_prime and an lbb_star with no member row left share.  Given
+    members, lbb_star solves only the rows that the member-less lifting
+    LP does not imply (_unimplied_members).  The optimum is the same, and
+    so is the value, exactly.  The certificate lists only the members
     solved: an implied member would carry weight 0, and a row of weight 0
-    adds nothing to the replay, so canonical lbb_star on a DAG carries no
-    member and replays as lbb_prime's.
+    adds nothing to the replay.  Canonical lbb_star passes no member
+    (lbb_star), so it carries none and replays as lbb_prime's.
     """
     live = _unimplied_members(bqp, members) if name == "lbb_star" \
-        else range(len(members or ()))
+        and members else range(len(members or ()))
     rows = None if members is None else [members[t] for t in live]
     lp, pairs, shared = _lifted_lp(bqp, name, rows)
     mode = _bound_mode(bqp, mode, lp.nrows, lp.nvars)
@@ -710,7 +718,7 @@ def _lifted_bound(bqp: BqpInstance, name: str, mode: str, members=None,
     return BoundReport(
         name=name, value=res.value, mode=mode,
         relaxation_only=not bqp.integral_polytope,
-        certificate=cert, pivots=res.pivots, canonical_family=canonical)
+        certificate=cert, pivots=res.pivots)
 
 
 def lbb_prime(inst, mode: str = "auto") -> BoundReport:
@@ -792,31 +800,46 @@ def lbb_star(inst, family=None, mode: str = "auto") -> BoundReport:
     structural zeros (see _rlt1_lp).  A member row in the span of the
     lifting LP's rows holds at every feasible point, so it gets no row
     and the certificate leaves it out (a skew member's all-zero row is
-    one).  Every spanning member of
-    each shortest-path graph tested is implied, and so is every member of a
-    LinearizableFamily.from_generators family, which are lbb_prime's own
-    sum matrices: there no member row is left, and lbb_star takes the
-    lifting solve that lbb_prime and rlt1 share, value and pivots.  With
-    family=None an instance carrying shortest-path structure gets its
-    graph's spanning set and the report is flagged canonical; passing a
-    SpanningSet directly also counts.
+    one, and so is every member of a LinearizableFamily.from_generators
+    family, which are lbb_prime's own sum matrices).
+
+    family=None asks for the canonical family, every linearizable matrix
+    of the instance's graph; the instance must have shortest-path
+    structure (ValueError) on a corridor graph (GraphError).  The report
+    is flagged canonical_family, and it is lbb_prime's lifting solve:
+    value, certificate and pivots, with no member, no spanning set built
+    and no member tested.  On a corridor DAG that is lbb_star over the
+    whole family, by this argument.  Let [A, b] be the equality rows of
+    the member-less lifting LP (_lifting_lp) and p(x) = (x, w), with
+    w_ij = x_i x_j on its pairs, the lifted point of an s-t path x; each
+    has A p(x) = b.  Lemma: the solutions of A v = b are the affine hull
+    of the lifted path points, rank [A, b] + rank {(p(x), 1)} = N + 1
+    for N columns.  A linearizable (Q_t, c_t) has x^T Q_t x = c_t . x on
+    every path, and x_i x_j = 0 there on every structural zero the LP
+    leaves out, so its row, right-hand side 0, vanishes at every
+    (p(x), 1); the rows of [A, -b] span every such row by the lemma, so
+    the member row is implied and adds nothing.  The lemma, and with it
+    lbb_star == lbb_prime for every linearizable family, is checked on
+    every corridor DAG on at most 5 vertices and on every one on at most
+    4 vertices with up to two parallel arcs per vertex pair
+    (tests/test_lbb_star_theorem.py).  Soundness never rests on it: had
+    the canonical family a live member, leaving it out would give
+    lbb_prime's bound, weaker but valid, and it replays as lbb_prime's.
     """
     bqp = _bqp(inst)
-    canonical = False
-    if family is None:
-        graph = _qspp_graph(bqp)
-        if graph is None:
-            raise ValueError(
-                "lbb_star needs an explicit family unless the instance "
-                "has shortest-path structure")
-        family = spanning_set(graph)
-        canonical = True
-    elif isinstance(family, SpanningSet):
-        canonical = True
-    members = [(_sym_matrix(q), c)
-               for q, c in _family_members(family, bqp.m)]
-    return _lifted_bound(bqp, "lbb_star", mode, members=members,
-                         canonical=canonical)
+    if family is not None:
+        members = [(_sym_matrix(q), c)
+                   for q, c in _family_members(family, bqp.m)]
+        return _lifted_bound(bqp, "lbb_star", mode, members=members)
+    graph = _qspp_graph(bqp)
+    if graph is None:
+        raise ValueError(
+            "lbb_star needs an explicit family unless the instance "
+            "has shortest-path structure")
+    if not is_corridor(graph):
+        raise GraphError("spanning sets need a corridor graph")
+    return replace(_lifted_bound(bqp, "lbb_star", mode, members=[]),
+                   canonical_family=True)
 
 
 # ---------------------------------------------------------------------------

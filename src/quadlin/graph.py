@@ -340,9 +340,11 @@ def critical_path(g: Dag, e: int) -> StPath:
 def forbidden_pairs(g: Dag) -> frozenset:
     """Arc pairs (i, j), i < j, that can never lie on a common path.
 
-    Sound under-approximation: a pair is reported when neither arc's head
-    can reach the other's tail (this subsumes shared tails and shared heads
-    in a DAG).  Pairs not reported may or may not co-occur.
+    A pair is reported when neither arc's head can reach the other's tail
+    (this subsumes shared tails and shared heads in a DAG).  That is sound
+    on any DAG, and exact on a corridor: there, if the head of i reaches
+    the tail of j, some s-t path runs through i and then j.  On a graph
+    with arcs on no s-t path, pairs not reported may or may not co-occur.
     """
     masks = _reach_masks(g)
     out = set()

@@ -322,6 +322,12 @@ def _recursion(g: Dag, s):
 
     ``s`` holds pair sums as in ``_pseudo_numerators``: ints give the
     decision, ``_Lin`` pair coordinates give the residual maps' rows.
+
+    Each corridor is pruned once, from g.  For an arc (u, v) the head
+    corridor pruned to u is ``corridors[u]``: g is a corridor, so every
+    s-u path extends by the arc to an s-v path, and pruning keeps the
+    parent's label order.  The head's pseudo-linearization is read on
+    g's labels, which ``corridors[u]`` maps to.
     """
     corridors, pseudo = {}, {}
     for v in g.topo_order:
@@ -333,12 +339,10 @@ def _recursion(g: Dag, s):
         for e, (u, v) in enumerate(g.arcs):
             if u == g.source:
                 continue  # the corridor to the source has no arcs
-            cor = corridors[v]
-            e_local = cor.parent_arc.index(e)
-            child = prune_to_corridor(cor, cor.arcs[e_local][0])
-            actual = _push_numerators(child, pseudo[v], s[e], e_local,
-                                      cor.parent_arc)
-            _reduce_numerators(child, actual)
+            head = dict(zip(corridors[v].parent_arc, pseudo[v]))
+            actual = _push_numerators(corridors[u], head, s[e], e,
+                                      range(g.m))
+            _reduce_numerators(corridors[u], actual)
             yield e, u, v, actual
 
     return corridors, pseudo, pushed()

@@ -14,9 +14,11 @@ itself when a guarantee does not hold):
      basis member verifies by path enumeration
   5. the bound ladder gl <= ggl (both skew strategies) <= lbb_prime
      = rlt1 <= lbb_star <= optimum holds in exact arithmetic, with
-     the middle equality bit-exact, and with spanning and generator
-     families lbb_star is lbb_prime, every member implied (weight 0);
-     with every linearizable matrix of a generic BQP, lbb_star is
+     the middle equality bit-exact; the canonical lbb_star on a
+     corridor DAG is lbb_prime (no member: tests/test_lbb_star_theorem.py
+     proves each one implied on every small graph), and with generator
+     families every member is implied (weight 0), so it is lbb_prime
+     too; with every linearizable matrix of a generic BQP, lbb_star is
      strictly above lbb_prime on seeded draws
   6. lbb_prime is bit-exactly invariant under skew-plus-diagonal
      objective reformulations
@@ -288,8 +290,9 @@ def test_bound_ladder_in_exact_arithmetic(capsys):
             ok, msgs = verify_report(inst, rep)
             assert ok, (rep.name, msgs)
         replay_s += time.perf_counter() - started
-        # every member row is implied by the lifting LP (bounds._rlt1_lp):
-        # none is solved, and nothing is above lbb_prime
+        # canonical lbb_star lists no member, and every generator member
+        # row is implied by the lifting LP (bounds._rlt1_lp): none is
+        # weighted, and nothing is above lbb_prime
         assert not any(star.certificate["alpha"])
         assert star.value == prime.value
     corridors = sum(1 for kind, _ in plan if kind == "qspp")

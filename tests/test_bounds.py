@@ -31,7 +31,7 @@ from quadlin.exactnum import (
     common_denominator,
     matrix_rank,
 )
-from quadlin.graph import Dag, forbidden_pairs
+from quadlin.graph import Dag, GraphError, forbidden_pairs
 from quadlin.model import (
     BqpInstance,
     FloatTaggedError,
@@ -239,10 +239,10 @@ def _strict_generic_bqp():
 def test_gl_and_ggl_values_and_pivot_counts_are_pinned(inst, pins):
     # exact values and pivot counts of the column-fitting bounds (0 on a
     # graph, whose fits are DAG dynamic programs), of the canonical
-    # lbb_star (43 spanning members, all implied, so it reports
-    # lbb_prime's lifting solve) where the instance has a graph, and of
-    # the lifting LP where it is pinned; a change that moves a pivot path
-    # or a value, or the standard form's column order, shows here
+    # lbb_star (no member row, so it reports lbb_prime's lifting solve)
+    # where the instance has a graph, and of the lifting LP where it is
+    # pinned; a change that moves a pivot path or a value, or the
+    # standard form's column order, shows here
     inst = inst()
     reports = {
         "gl": gl_bound(inst, mode="exact"),
@@ -715,16 +715,43 @@ def test_lbb_prime_invariant_under_reformulation():
         assert lbb_prime(reformulate(inst, s, d), mode="exact").value == base
 
 
-def test_lbb_star_dominates_lbb_prime_on_corridors():
+def test_lbb_star_equals_lbb_prime_on_corridors():
+    # the canonical family adds nothing on a corridor DAG (the lemma in
+    # lbb_star's docstring, tests/test_lbb_star_theorem.py): the report
+    # is lbb_prime's solve, weighting no member
     rng = random.Random(13)
     for _ in range(6):
         inst = _random_qspp(rng, m_max=9)
         prime = lbb_prime(inst, mode="exact")
         star = lbb_star(inst, mode="exact")
         assert star.canonical_family
-        assert star.value >= prime.value
+        assert (star.value, star.pivots) == (prime.value, prime.pivots)
+        assert all(star.certificate[key] == prime.certificate[key]
+                   for key in ("y", "Y", "z"))
+        assert star.certificate["alpha"] == star.certificate["members"] \
+            == ()
         ok, msgs = verify_report(inst, star)
         assert ok, msgs
+
+
+def test_canonical_lbb_star_builds_no_spanning_set_and_tests_no_member(
+        monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("canonical lbb_star needs no family")
+
+    monkeypatch.setattr(bounds, "spanning_set", refuse)
+    monkeypatch.setattr(bounds, "_unimplied_members", refuse)
+    star = lbb_star(generate_tournament(8), mode="exact")
+    assert (star.canonical_family, star.value) == (True, 17)
+    inst = _random_qspp(random.Random(17), m_max=10)
+    star = lbb_star(inst, mode="exact")
+    assert star.canonical_family
+    assert star.value == lbb_prime(inst, mode="exact").value
+    assert verify_report(inst, star) == (True, ())
+    # a graph off the corridor is refused as the spanning set refuses it
+    g = Dag(4, [(0, 1), (1, 3), (0, 2)], 0, 3)
+    with pytest.raises(GraphError, match="corridor"):
+        lbb_star(QsppInstance(g, RationalMatrix.zeros(3, 3)))
 
 
 def test_lbb_star_with_empty_family_is_lbb_prime():
@@ -735,14 +762,27 @@ def test_lbb_star_with_empty_family_is_lbb_prime():
     assert collapsed.value == lbb_prime(inst, mode="exact").value
 
 
-def test_lbb_star_recognizes_a_spanning_set_argument():
+def test_lbb_star_flags_only_the_family_it_derives():
+    # an explicit spanning set of the instance's own graph gives the
+    # canonical value, but the flag is lbb_star's to set
     rng = random.Random(41)
     inst = _random_qspp(rng, m_max=7)
-    span = spanning_set(inst.graph)
-    explicit = lbb_star(inst, family=span, mode="exact")
+    explicit = lbb_star(inst, family=spanning_set(inst.graph), mode="exact")
     derived = lbb_star(inst, mode="exact")
-    assert explicit.canonical_family
+    assert derived.canonical_family and not explicit.canonical_family
     assert explicit.value == derived.value
+    # another 5-arc graph's spanning set: its members are no linearizable
+    # matrices here, the report is not flagged, and replay rejects the
+    # members the LP weighted
+    g = Dag(4, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)], 0, 3)
+    other = Dag(3, [(0, 1), (0, 1), (0, 2), (1, 2), (1, 2)], 0, 2)
+    inst = QsppInstance(g, RationalMatrix.from_rows(
+        rand_rows(random.Random(1), 5, 5)))
+    foreign = lbb_star(inst, family=spanning_set(other), mode="exact")
+    assert not foreign.canonical_family
+    assert any(foreign.certificate["alpha"])
+    ok, msgs = verify_report(inst, foreign)
+    assert not ok and "member 0 is not linearizable with its costs" in msgs
 
 
 def test_lbb_star_with_generator_family_still_dominates_rlt1_on_qap():

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from quadlin import qspplin
 from quadlin.exactnum import (
     RationalMatrix,
     matrix_rank,
@@ -20,6 +21,7 @@ from quadlin.graph import (
     critical_path,
     enumerate_st_paths,
     non_basic_arcs,
+    prune_to_corridor,
 )
 from quadlin.model import (
     FloatTaggedError,
@@ -568,3 +570,22 @@ def test_recursion_outputs_are_pinned_on_tournaments(n, shape, members_sha,
     assert (w.arc, w.tail, w.head) == (arc, 2, 4)
     assert exact_tuple(w.expected) == (2, 0, 0)
     assert exact_tuple(w.actual) == (2, -16, 0)
+
+
+def test_recursion_prunes_each_corridor_once(monkeypatch):
+    # one corridor per vertex but the source, pruned from the graph: the
+    # tail corridor of an arc is read off the table, not pruned again
+    # from the head's
+    calls = []
+
+    def counting(g, v):
+        calls.append(v)
+        return prune_to_corridor(g, v)
+
+    monkeypatch.setattr(qspplin, "prune_to_corridor", counting)
+    inst = generate_tournament(7)
+    spanning_set(inst.graph)
+    assert len(calls) == 6
+    calls.clear()
+    linearize_qspp(inst)
+    assert len(calls) == 6
