@@ -43,15 +43,19 @@ hull of the lifted path points, proved on every corridor DAG on at most
 5 vertices (see lbb_star).  So the canonical lbb_star (family=None) is
 lbb_prime's solve; it builds no spanning set and runs no rank test.
 
-gl and ggl solve one fitting program per column k (_fitting_programs):
-max b.y + z subject to B^T y + e_k z <= Q[:, k].  Its rows at the fit
-are Qbar[:, k] - Q[:, k], so the residual is minus the row gaps.  On a
-shortest-path instance B is the DAG's flow rows, program k is the dual
-of "cheapest s-t path through arc k" and the polytope LP a shortest
-path: both are solved by DAG dynamic programs in integers (_dag_fit,
-_path_minimum), each checked by weak duality before it is used, and no
-LP is built; on other instances each is a simplex solve.  A program
-whose column is the one it was last fitted for is not fitted again: its
+gl and ggl solve one fitting program per column k: max b.y + z over
+free (y, z) subject to B^T y + e_k z <= Q[:, k].  Its row gaps at the
+fit are Qbar[:, k] - Q[:, k], so the residual is minus the row gaps,
+which one function works out from B's sparse integer columns
+(_fit_gaps) whichever way the fit was found.  On a shortest-path
+instance B is the DAG's flow rows, program k is the dual of "cheapest
+s-t path through arc k" and the polytope LP a shortest path: both are
+solved by DAG dynamic programs in integers (_dag_fit, _path_minimum),
+each checked by weak duality before it is used, and no LP is built.  On
+other instances each is a simplex solve of the program stated as a
+minimum over x >= 0, as every quadlin LP is: min -(b.y + z) over the
+split y = y+ - y-, z = z+ - z- (_fitting_programs).  A program whose
+column is the one it was last fitted for is not fitted again: its
 result and row gaps are kept from that round, since the same program
 gives the same answer.  As the paper proves, gl and ggl are
 linearization bounds: with Ybar and zbar the fits summed over every
@@ -63,16 +67,16 @@ the bound from first principles without re-running the solver: it
 rebuilds the lifting LP (for rlt1, lbb_prime, gl and ggl alike) and
 evaluates its rows at the certificate's point, or its columns at the
 certificate's duals; a family bound's weighted members are first
-confirmed linearizable.
+confirmed linearizable, as the bound itself confirms them before it
+reports.
 """
 
 from __future__ import annotations
 
 import enum
-from collections.abc import Callable
 from dataclasses import dataclass, replace
 from fractions import Fraction
-from functools import cached_property, lru_cache, partial
+from functools import lru_cache, partial
 from itertools import chain
 
 from quadlin.exactnum import (
@@ -109,7 +113,6 @@ from quadlin.lpsolve import (
     LpResult,
     _requested_mode,
     _resolve_mode,
-    _row_gaps,
     dual_violations,
     point_violations,
     solve_lp,
@@ -218,47 +221,66 @@ def _solve(lp, mode, what):
 def _polytope_lp(bqp: BqpInstance, costs) -> LinearProgram:
     """min costs . x over Bx = b, x >= 0."""
     rows = [(bqp.B.row(i), EQ, bqp.b[i]) for i in range(bqp.B.rows)]
-    return LinearProgram("min", tuple(costs), tuple(rows),
-                         tuple((ZERO, None) for _ in range(bqp.m)))
+    return LinearProgram(tuple(costs), tuple(rows))
+
+
+def _split(values) -> tuple:
+    """Each v as (v, -v): coefficients on a free variable's split."""
+    return tuple(chain.from_iterable((v, -v) for v in values))
 
 
 def _fitting_programs(bqp: BqpInstance) -> list:
-    """The m column-fitting programs of _fit_columns with right-hand
-    sides 0: program k is max b.y + z over free (y, z) subject to
-    B^T y + e_k z <= 0."""
-    n, m = bqp.B.rows, bqp.m
-    free = ((None, None),) * (n + 1)
-    obj = tuple(bqp.b) + (ONE,)
-    bcols = [bqp.B.column(i) for i in range(m)]
-    return [LinearProgram("max", obj, tuple(
-        (bcols[i] + (ONE if i == k else ZERO,), LE, ZERO) for i in range(m)),
-        free) for k in range(m)]
+    """The m column-fitting programs with right-hand sides 0.  Program k
+    is max b.y + z over free (y, z) subject to B^T y + e_k z <= 0,
+    stated as min -(b.y + z) over the nonnegative split
+    (y_0+, y_0-, ..., z+, z-), y = y+ - y-, each row coefficient v as
+    (v, -v); its value is -cbar[k].  Row i is one of two tuples, with
+    z's coefficient 1 or 0, shared by every program."""
+    obj = _split(-v for v in (*bqp.b, ONE))
+    rows = [[(_split((*bqp.B.column(i), e)), LE, ZERO) for e in (ZERO, ONE)]
+            for i in range(bqp.m)]
+    return [LinearProgram(obj, tuple(r[i == k] for i, r in enumerate(rows)))
+            for k in range(bqp.m)]
 
 
-@dataclass
-class _Fit:
-    """One fit of column k: its right-hand side, an LpResult whose x is
-    (y_k, z_k) and value cbar[k], and gaps_at, which gives the fitting
-    program's row gaps at the exact x.  The gaps are worked out when a
-    next round folds them, once, and kept while the fit is."""
+def _sparse_columns(B: RationalMatrix) -> tuple:
+    """(entries, ks): per column i of B, its lcm k_i of denominators, and
+    each nonzero entry B[r, i] as (i, m + r, its numerator over k_i), m
+    the number of columns: m + r indexes y_r in _fit_gaps' numerators,
+    which hold rhs first."""
+    cols = [common_denominator(B.column(i)) for i in range(B.cols)]
+    return ([(i, B.cols + r, v) for i, (nums, _) in enumerate(cols)
+             for r, v in enumerate(nums) if v], [k for _, k in cols])
 
-    rhs: tuple
-    res: LpResult
-    gaps_at: Callable
 
-    @cached_property
-    def gaps(self) -> list:
-        return self.gaps_at([rat_from(v) for v in self.res.x])
+def _fit_gaps(entries, ks, k: int, rhs, x) -> list:
+    """Fitting program k's row gaps B[:, i].y + [i == k] z - rhs[i] at
+    x = (y, z), read exactly (a float at its exact binary value), for
+    every column i of B, given as _sparse_columns' entries and ks: x and
+    rhs over one denominator d, each gap an integer sum over B's nonzero
+    entries, over k_i d, one Fraction per row.  On a DAG a column holds
+    two entries, so a fit's gaps take O(m).  In float mode x holds the
+    floats reported, so the residual folded is that of the fits the
+    certificate sums."""
+    nums, d = common_denominator(list(rhs) + [rat_from(v) for v in x])
+    acc = [-ki * v for ki, v in zip(ks, nums)]  # nums: rhs, then y, z
+    acc[k] += ks[k] * nums[-1]
+    for i, j, v in entries:
+        acc[i] += v * nums[j]
+    return [Fraction(s, ki * d) for s, ki in zip(acc, ks)]
 
 
 def _fit_columns(fit, columns, last) -> list:
     """Best per-column (y_k, z_k): max b.y_k + z_k with
     B^T y_k + e_k z_k <= columns[k], the current matrix's column k as a
-    tuple, as the _Fit that fit(k, columns[k]) returns.  last[k] is
-    column k's _Fit from the round before, or None; a column equal to the
-    last one fitted keeps its fit, since the same program gives the same
-    answer and its check already passed."""
-    return [old if old is not None and old.rhs == rhs else fit(k, rhs)
+    tuple.  Per column, (rhs, res, gaps): res the LpResult that
+    fit(k, rhs) returns, whose x is (y_k, z_k) and value cbar[k], and
+    gaps the program's row gaps there (_fit_gaps), None until a next
+    round folds them.  last[k] is column k's fit from the round before,
+    or None; a column equal to the last one fitted keeps its fit and
+    gaps, since the same program gives the same answer and its check
+    already passed."""
+    return [old if old and old[0] == rhs else (rhs, fit(k, rhs), None)
             for k, (rhs, old) in enumerate(zip(columns, last))]
 
 
@@ -350,28 +372,14 @@ def _exact_or_float(nums, den, mode) -> tuple:
     return tuple(v / den for v in nums)
 
 
-def _graph_fit(g: Dag, k: int, rhs, mode: str) -> _Fit:
-    """Column k's _Fit from _dag_fit, certified; 0 pivots."""
+def _graph_fit(g: Dag, k: int, rhs, mode: str) -> LpResult:
+    """Column k's fit from _dag_fit, certified: x is (y_k, z_k) and the
+    value cbar[k]; 0 pivots."""
     cost, den = common_denominator(rhs)
     pi, z, path = _dag_fit(g, cost, k)
     cbar = _certify_potentials(g, cost, pi, path, k, z)
     *x, value = _exact_or_float([-p for p in pi] + [z, cbar], den, mode)
-    return _Fit(rhs, LpResult(OPTIMAL, value, tuple(x), mode=mode),
-                partial(_arc_gaps, g, k, rhs))
-
-
-def _arc_gaps(g: Dag, k: int, rhs, x) -> list:
-    """Fitting program k's row gaps at the exact x = (y, z) on g's flow
-    rows, y_a - y_b + [j == k] z - rhs[j] for arc j = (a, b), as _row_gaps
-    gives them: integers over one denominator, one Fraction per row.  In
-    float mode x holds the floats reported, so the residual folded is
-    that of the fits the certificate sums."""
-    nums, den = common_denominator(list(x) + list(rhs))
-    n = g.n
-    z = nums[n]
-    return [Fraction(nums[a] - nums[b] - nums[n + 1 + j]
-                     + (z if j == k else 0), den)
-            for j, (a, b) in enumerate(g.arcs)]
+    return LpResult(OPTIMAL, value, tuple(x), mode=mode)
 
 
 def _path_minimum(g: Dag, costs, mode: str) -> LpResult:
@@ -440,19 +448,22 @@ def _fitting_rounds(inst, strategy: SkewStrategy, max_iter: int,
     g = _qspp_graph(bqp)
     if g is not None:
         _require_st_arcs(g)
-        fit_column = partial(_graph_fit, g, mode=mode)
+        fit = partial(_graph_fit, g, mode=mode)
         minimum = partial(_path_minimum, g, mode=mode)
     else:
         programs = _fitting_programs(bqp)
 
-        def fit_column(k, rhs):
-            lp = programs[k].with_rhs(rhs)
-            return _Fit(rhs, _solve(lp, mode, f"column {k} fitting program"),
-                        partial(_row_gaps, lp))
+        def fit(k, rhs):  # read back as (y_k, z_k) and cbar[k]
+            res = _solve(programs[k].with_rhs(rhs), mode,
+                         f"column {k} fitting program")
+            x = res.x
+            return replace(res, value=-res.value,
+                           x=tuple(a - b for a, b in zip(x[::2], x[1::2])))
 
         def minimum(costs):
             return _solve(_polytope_lp(bqp, costs), mode,
                           "feasible-set minimum")
+    bcols = _sparse_columns(bqp.B)
     columns = [bqp.Q.column(k) for k in range(m)]
     c_total = [ZERO] * m
     fitted = [(ZERO,) * (n + 1)] * m  # per column, its fits' (y, z) summed
@@ -460,10 +471,12 @@ def _fitting_rounds(inst, strategy: SkewStrategy, max_iter: int,
     pivots = 0
     fits = [None] * m
     for it in range(max_iter):
-        if it:  # the residual is minus the last fit's row gaps
-            columns = _next_columns([fit.gaps for fit in fits], strategy)
-        fits = _fit_columns(fit_column, columns, fits)
-        results = [fit.res for fit in fits]
+        if it:  # the residual is minus the last fits' row gaps
+            fits = [(rhs, res, gaps or _fit_gaps(*bcols, k, rhs, res.x))
+                    for k, (rhs, res, gaps) in enumerate(fits)]
+            columns = _next_columns([gaps for *_, gaps in fits], strategy)
+        fits = _fit_columns(fit, columns, fits)
+        results = [res for _, res, _ in fits]
         cbar = [res.value for res in results]
         c_total = [a + rat_from(c) for a, c in zip(c_total, cbar)]
         fitted = [[a + v for a, v in zip(acc, res.x)]
@@ -609,9 +622,7 @@ def _rlt1_lp(bqp: BqpInstance, members=(), ordered=False):
         coeffs[j] = ONE
         coeffs[pidx[(j, j)]] = -ONE
         rows.append((tuple(coeffs), EQ, ZERO))
-    lp = LinearProgram("min", tuple(obj), tuple(rows),
-                       tuple((ZERO, None) for _ in range(nvars)))
-    return lp, tuple(pairs)
+    return LinearProgram(tuple(obj), tuple(rows)), tuple(pairs)
 
 
 @lru_cache(maxsize=1)
@@ -679,7 +690,11 @@ def _lifted_bound(bqp: BqpInstance, name: str, mode: str,
     so is the value, exactly.  The certificate lists only the members
     solved: an implied member would carry weight 0, and a row of weight 0
     adds nothing to the replay.  Canonical lbb_star passes no member
-    (lbb_star), so it carries none and replays as lbb_prime's.
+    (lbb_star), so it carries none and replays as lbb_prime's.  Every
+    member of weight alpha_t != 0 is confirmed linearizable as replay
+    confirms it (_unconfirmed_members), else ValueError with replay's
+    messages: an unconfirmed member's row can cut off feasible points,
+    and the value with them.
     """
     live = _unimplied_members(bqp, members) if name == "lbb_star" \
         and members else range(len(members or ()))
@@ -715,6 +730,11 @@ def _lifted_bound(bqp: BqpInstance, name: str, mode: str,
         if members is not None:
             cert["alpha"] = tuple(u[n:k])
             cert["members"] = tuple((q.to_rows(), c) for q, c in rows)
+            weighted = [t for t, a in enumerate(cert["alpha"]) if a]
+            unconfirmed = weighted and _unconfirmed_members(
+                bqp, [rows[t] for t in weighted], weighted)
+            if unconfirmed:
+                raise ValueError(f"{name}: " + "; ".join(unconfirmed))
     return BoundReport(
         name=name, value=res.value, mode=mode,
         relaxation_only=not bqp.integral_polytope,
@@ -775,7 +795,8 @@ def lbb_generic(inst, family, mode: str = "auto") -> BoundReport:
     change this bound, because elementwise domination is not invariant
     under them; lbb_star removes that dependence by symmetrizing.  Solved
     as its dual: _rlt1_lp over every ordered pair, without the lifted
-    rows, with one row per member.
+    rows, with one row per member.  A member the solve weights that is
+    not confirmed linearizable raises ValueError (_lifted_bound).
     """
     bqp = _bqp(inst)
     return _lifted_bound(bqp, "lbb_generic", mode,
@@ -801,7 +822,9 @@ def lbb_star(inst, family=None, mode: str = "auto") -> BoundReport:
     lifting LP's rows holds at every feasible point, so it gets no row
     and the certificate leaves it out (a skew member's all-zero row is
     one, and so is every member of a LinearizableFamily.from_generators
-    family, which are lbb_prime's own sum matrices).
+    family, which are lbb_prime's own sum matrices).  A member the solve
+    weights that is not confirmed linearizable raises ValueError
+    (_lifted_bound).
 
     family=None asks for the canonical family, every linearizable matrix
     of the instance's graph; the instance must have shortest-path

@@ -12,26 +12,26 @@ is a minor of the starting integer matrix), so no rationals appear inside
 the hot loop and every optimal result is certified by a full KKT check
 before it is returned.  The code around the simplex works on integer
 numerators too: a LinearProgram takes each row once, on first use, to
-integer numerators over the lcm of its denominators (int_rows);
-preparation maps those onto the standard-form columns and rescales them
-only where the right-hand side needs it, the read-back builds
-one Fraction per value and dual, and the KKT check evaluates every row
-and every reduced cost as an integer dot product, one Fraction per row
-and per column.  Every certificate check (point_violations,
+integer numerators over the lcm of its denominators (int_rows), and
+its objective alike (int_objective); preparation rescales a row only
+where its right-hand side needs it, the read-back builds one Fraction
+per value and dual, and the KKT check evaluates every row
+and every reduced cost as an integer dot product, one Fraction for each
+that is not 0.  Every certificate check (point_violations,
 dual_violations, verify_solution) is exact, for float results too: a
 float is read at its exact binary value, and a float result passes
 within an absolute FLOAT_CHECK_TOL (1e-7), an exact one with none.
 with_rhs gives a program new right-hand sides and shares everything
-else, the part of the standard form that does not depend on them
-included, so a program solved for many right-hand sides is validated and
-laid out once.  Float mode runs on a numpy tableau with fixed tolerances
-and raises NumericalBreakdown instead of returning garbage when the
-arithmetic degrades.
+else, the integer rows and objective included, so a program solved for
+many right-hand sides is validated and taken to integers once.  Float
+mode runs on a numpy tableau with fixed tolerances and raises
+NumericalBreakdown instead of returning garbage when the arithmetic
+degrades.
 
-Every variable is x >= 0 or free, the two kinds quadlin's programs use.
-A free variable is split into a difference of two nonnegative ones;
-callers only ever see the original variable space, with one dual value
-per original row.
+Every program is a minimum over x >= 0, the one kind quadlin builds: a
+maximum is minus the minimum of the negated objective, and a free
+variable is the difference of two nonnegative ones, which the caller
+splits.  A result has one dual value per row.
 """
 
 from __future__ import annotations
@@ -77,23 +77,16 @@ class NumericalBreakdown(LpError):
 
 @dataclass(frozen=True)
 class LinearProgram:
-    """min or max objective . x subject to rows, each variable x >= 0 or
-    free.
+    """min objective . x subject to rows, over x >= 0.
 
     rows: tuple of (coeffs, relation, rhs), relation in {"<=", "=", ">="}.
-    bounds: per variable (0, None) for x >= 0 or (None, None) for a free
-    one; any other pair raises ValueError.
     All numeric data is exact (Fraction); float mode converts internally.
     """
 
-    sense: str
     objective: tuple
     rows: tuple
-    bounds: tuple
 
     def __post_init__(self):
-        if self.sense not in ("min", "max"):
-            raise ValueError(f"sense must be min or max, got {self.sense!r}")
         obj = tuple(rat(v) for v in self.objective)
         object.__setattr__(self, "objective", obj)
         n = len(obj)
@@ -106,24 +99,15 @@ class LinearProgram:
                 raise ValueError(f"bad relation {rel!r}")
             rows.append((coeffs, rel, rat(rhs)))
         object.__setattr__(self, "rows", tuple(rows))
-        bnds = []
-        for lo, hi in self.bounds:
-            if hi is not None or (lo is not None and rat(lo) != 0):
-                raise ValueError("a variable must be x >= 0, (0, None), or "
-                                 f"free, (None, None), got ({lo!r}, {hi!r})")
-            bnds.append((None if lo is None else ZERO, None))
-        if len(bnds) != n:
-            raise ValueError("bounds length mismatch")
-        object.__setattr__(self, "bounds", tuple(bnds))
 
     def with_rhs(self, rhs) -> "LinearProgram":
         """This program with the right-hand sides rhs, one per row.
 
         Only the new values are validated (exact, and one per row); the
-        coefficients, int_rows, int_columns and the standard-form layout,
-        which does not depend on the right-hand sides, are shared with
-        this program, so preparing the new one works out only each row's
-        scale, sign, relation and right-hand side numerator.
+        coefficients and their integer forms (int_rows, int_columns,
+        int_objective), which do not depend on the right-hand sides, are
+        shared with this program, so preparing the new one works out only
+        each row's scale, sign, relation and right-hand side numerator.
         """
         rhs = tuple(rat(v) for v in rhs)
         if len(rhs) != self.nrows:
@@ -131,12 +115,10 @@ class LinearProgram:
         new = object.__new__(LinearProgram)
         rows = tuple((coeffs, rel, b)
                      for (coeffs, rel, _), b in zip(self.rows, rhs))
-        for name, value in (("sense", self.sense),
-                            ("objective", self.objective), ("rows", rows),
-                            ("bounds", self.bounds),
+        for name, value in (("objective", self.objective), ("rows", rows),
                             ("int_rows", self.int_rows),
                             ("int_columns", self.int_columns),
-                            ("_layout", self._layout)):
+                            ("int_objective", self.int_objective)):
             object.__setattr__(new, name, value)
         return new
 
@@ -164,19 +146,24 @@ class LinearProgram:
             or ((),) * self.nvars
 
     @cached_property
-    def _layout(self) -> "_Layout":
-        """The standard-form layout (_standard_layout), worked out on
-        first use and kept; with_rhs shares it."""
-        return _standard_layout(self)
+    def int_objective(self) -> tuple:
+        """(integer numerators of the objective, their lcm), worked out on
+        first use and kept; preparation reads it."""
+        return common_denominator(self.objective)
 
 
 def linear_program(sense, objective, rows, bounds=None) -> LinearProgram:
-    """Convenience constructor; default bounds are x >= 0."""
-    objective = tuple(objective)
-    if bounds is None:
-        bounds = tuple((ZERO, None) for _ in objective)
-    return LinearProgram(sense=sense, objective=objective,
-                         rows=tuple(rows), bounds=tuple(bounds))
+    """min objective . x subject to rows, over x >= 0, checked: sense must
+    be "min" and no bounds may be given.  A maximum is minus the minimum
+    of the negated objective; a free variable x is x+ - x- over two
+    nonnegative variables."""
+    if sense != "min":
+        raise ValueError(f"every program is a minimum, got {sense!r}: "
+                         "minimize the negated objective instead")
+    if bounds is not None:
+        raise ValueError("every variable is x >= 0: split a free variable "
+                         "x into x+ - x-")
+    return LinearProgram(tuple(objective), tuple(rows))
 
 
 @dataclass(frozen=True)
@@ -195,66 +182,22 @@ class LpResult:
 _FLIPPED = {LE: GE, GE: LE, EQ: EQ}
 
 
-class _Layout:
-    """The part of a program's standard form that does not depend on its
-    right-hand sides: the columns (per variable its column and, if it is
-    free, the column of its negative part), per user row its integer
-    numerators on the columns with their lcm k, and the objective's
-    numerators and scale."""
-
-    __slots__ = ("ncols", "col_meta", "lines", "obj_int", "obj_scale",
-                 "sense_sign")
-
-
-def _standard_layout(lp: LinearProgram) -> _Layout:
-    lay = _Layout()
-    lay.sense_sign = 1 if lp.sense == "min" else -1
-
-    col_meta = []
-    ncols = 0
-    for lo, _ in lp.bounds:
-        col_meta.append((ncols, ncols + 1 if lo is None else None))
-        ncols += 1 if lo is not None else 2
-    lay.ncols = ncols
-    lay.col_meta = col_meta
-
-    def to_cols(nums, sign):
-        """Integer user coefficients, times sign, on the columns: the one
-        on x_j lands on its column, or with opposite signs on the two
-        columns of its split."""
-        line = [0] * ncols
-        for (pos, neg), v in zip(col_meta, nums):
-            if v:
-                line[pos] = sign * v
-                if neg is not None:
-                    line[neg] = -sign * v
-        return line
-
-    # without a split column, the int_rows numerators are the lines
-    split = ncols != lp.nvars
-    lay.lines = [(to_cols(nums, 1) if split else nums, k)
-                 for nums, k in lp.int_rows]
-    nums, lay.obj_scale = common_denominator(lp.objective)
-    lay.obj_int = to_cols(nums, lay.sense_sign)
-    return lay
-
-
 class _Prepared:
-    __slots__ = ("ncols", "col_meta", "rows_int", "rels", "row_scale",
-                 "obj_int", "obj_scale", "sense_sign")
+    __slots__ = ("ncols", "rows_int", "rels", "row_scale", "obj_int",
+                 "obj_scale")
 
 
 def _prepare(lp: LinearProgram) -> _Prepared:
-    """The integer standard form the simplex starts from: lp's layout,
-    and per row only what its right-hand side decides.  The row goes
-    over lcm(k, the rhs's denominator) and is negated if the rhs is
-    negative, so that every right-hand side is nonnegative."""
-    lay = lp._layout
+    """The integer standard form the simplex starts from: lp's integer
+    objective and rows, and per row only what its right-hand side
+    decides.  The row goes over lcm(k, the rhs's denominator) and is
+    negated if the rhs is negative, so that every right-hand side is
+    nonnegative."""
     p = _Prepared()
-    for name in ("ncols", "col_meta", "obj_int", "obj_scale", "sense_sign"):
-        setattr(p, name, getattr(lay, name))
+    p.ncols = lp.nvars
+    p.obj_int, p.obj_scale = lp.int_objective
     p.rows_int, p.rels, p.row_scale = [], [], []
-    for (_, rel, rhs), (line, k) in zip(lp.rows, lay.lines):
+    for (_, rel, rhs), (line, k) in zip(lp.rows, lp.int_rows):
         scale = lcm(k, rhs.denominator)
         b = rhs.numerator * (scale // rhs.denominator)
         sign = -1 if b < 0 else 1
@@ -311,8 +254,8 @@ class _Tableau:
     """
 
     error = LpError
-    # read-back of an x >= 0 variable and of the value: float mode adds
-    # 0.0, which turns a -0.0 into 0.0
+    # read-back of x and of the value: float mode adds 0.0, which turns a
+    # -0.0 into 0.0
     _unsigned_zero = staticmethod(lambda v: v)
 
     def __init__(self, prep: _Prepared):
@@ -403,15 +346,13 @@ class _Tableau:
         for i, b in enumerate(self.basis):
             if b < prep.ncols:
                 vals[b] = self._cell(i, rhs)
-        x = tuple(self._unsigned_zero(vals[pos]) if neg is None
-                  else vals[pos] - vals[neg] for pos, neg in prep.col_meta)
+        x = tuple(map(self._unsigned_zero, vals))
         # the cost row holds minus the reduced costs and minus the value
-        sign = -prep.sense_sign
         value = self._unsigned_zero(
-            self._cell(self.z2_idx, rhs, sign, prep.obj_scale))
+            self._cell(self.z2_idx, rhs, -1, prep.obj_scale))
         duals = tuple(
             self._cell(self.z2_idx, self.art_col.get(i, self.slack_col.get(i)),
-                       sign * prep.row_scale[i], prep.obj_scale)
+                       -prep.row_scale[i], prep.obj_scale)
             for i in range(self.nrows))
         return LpResult(OPTIMAL, value, x, duals, self.mode, self.pivots)
 
@@ -594,36 +535,43 @@ def solve_lp(lp: LinearProgram, mode: str = "auto") -> LpResult:
     return result
 
 
+def _ratio(n: int, d: int) -> Fraction:
+    """n / d, building no Fraction for n = 0: at an optimum every tight
+    row's gap and every basic or split column's reduced cost is 0."""
+    return Fraction(n, d) if n else ZERO
+
+
 def _row_gaps(lp: LinearProgram, x) -> list:
     """a_i . x - b_i for every row i, with x exact: x over one common
     denominator, each row an integer dot product with its int_rows
-    numerators, one Fraction per row."""
+    numerators, one Fraction per nonzero gap."""
     xs, dx = common_denominator(x)
     gaps = []
     for (nums, k), (_, _, rhs) in zip(lp.int_rows, lp.rows):
         q = rhs.denominator
-        gaps.append(Fraction(sum(map(mul, nums, xs)) * q
-                             - rhs.numerator * k * dx, k * dx * q))
+        gaps.append(_ratio(sum(map(mul, nums, xs)) * q
+                           - rhs.numerator * k * dx, k * dx * q))
     return gaps
 
 
 def _reduced_costs(lp: LinearProgram, y) -> list:
     """c_j - (A^T y)_j for every column j, with y exact: each y_i / k_i
-    (k_i row i's lcm) over one common denominator, each column an integer
-    dot product (int_columns), one Fraction per column."""
+    (k_i row i's lcm) and c over one common denominator (int_objective),
+    each column an integer dot product (int_columns), one Fraction per
+    nonzero reduced cost."""
     dens = [v.denominator * k for v, (_, k) in zip(y, lp.int_rows)]
     dy = lcm(*set(dens))
     ys = [v.numerator * (dy // d) for v, d in zip(y, dens)]
-    return [Fraction(c.numerator * dy - sum(map(mul, col, ys)) * c.denominator,
-                     c.denominator * dy)
-            for c, col in zip(lp.objective, lp.int_columns)]
+    cs, kc = lp.int_objective
+    return [_ratio(c * dy - sum(map(mul, col, ys)) * kc, kc * dy)
+            for c, col in zip(cs, lp.int_columns)]
 
 
 def point_violations(lp: LinearProgram, x, value, tol=0, gaps=None) -> list:
-    """Why x is not a point of lp with objective value: each x >= 0
-    variable below 0, each row off its relation and an objective other
-    than value, by more than the absolute tol (0, or FLOAT_CHECK_TOL for
-    a float result).  x and value are read as exact rationals, a float
+    """Why x is not a point of lp with objective value: each variable
+    below 0, each row off its relation and an objective other than
+    value, by more than the absolute tol (0, or FLOAT_CHECK_TOL for a
+    float result).  x and value are read as exact rationals, a float
     at its exact binary value (exactnum.rat_from, which raises
     NonFiniteError on NaN or an infinity); gaps are x's row gaps
     (_row_gaps) if the caller has them already."""
@@ -631,10 +579,8 @@ def point_violations(lp: LinearProgram, x, value, tol=0, gaps=None) -> list:
         return ["certificate has the wrong number of variables"]
     x = [rat_from(v) for v in x]
     ntol = -tol
-    msgs = []
-    for j, ((lo, _), v) in enumerate(zip(lp.bounds, x)):
-        if lo is not None and v < 0 and (not tol or -v > tol):
-            msgs.append(f"x[{j}] below lower bound")
+    msgs = [f"x[{j}] below lower bound" for j, v in enumerate(x)
+            if v.numerator < 0 and (not tol or -v > tol)]
     if gaps is None:
         gaps = _row_gaps(lp, x)
     msgs += [f"row {i} violated ({rel})"
@@ -671,10 +617,9 @@ def verify_solution(lp: LinearProgram, result: LpResult):
     for a float one; a NaN or an infinity fails.  Returns (ok,
     messages); together the conditions (primal feasibility and the
     objective, from point_violations, then dual signs, complementary
-    slackness, and reduced costs: of the optimal sign on an x >= 0
-    variable at 0, zero on every other variable, x >= 0 or free) certify
-    optimality.  Row gaps and reduced costs are integer sums (_row_gaps,
-    _reduced_costs).
+    slackness, and reduced costs: nonnegative on a variable at 0, zero
+    on every other) certify optimality.  Row gaps and reduced costs are
+    integer sums (_row_gaps, _reduced_costs).
     """
     if result.status != OPTIMAL:
         raise ValueError("only optimal results carry a certificate")
@@ -695,21 +640,21 @@ def verify_solution(lp: LinearProgram, result: LpResult):
         """a > b by more than tol, which grows with 1 + |a - b|."""
         return a > b and (not tol or a - b > tol * (1 + a - b))
 
-    minimizing = lp.sense == "min"
     ntol = -tol
     for i, (_, rel, _) in enumerate(lp.rows):
         yi, s = y[i], slacks[i]
-        if rel == LE and (yi > tol if minimizing else yi < ntol):
+        if rel == LE and yi > tol:
             msgs.append(f"dual sign wrong on row {i} (<=)")
-        if rel == GE and (yi < ntol if minimizing else yi > tol):
+        if rel == GE and yi < ntol:
             msgs.append(f"dual sign wrong on row {i} (>=)")
         if yi and s and (not tol or abs(yi * s) > tol * (1 + abs(yi))):
             msgs.append(f"complementary slackness fails on row {i}")
 
-    for j, ((lo, _), r, v) in enumerate(zip(lp.bounds,
-                                            _reduced_costs(lp, y), x)):
-        if lo is not None and (v == 0 or tol and abs(v) <= tol):
-            if exceeds(0, r) if minimizing else exceeds(r, 0):
+    for j, (r, v) in enumerate(zip(_reduced_costs(lp, y), x)):
+        if not r:  # meets both conditions below
+            continue
+        if v == 0 or tol and abs(v) <= tol:
+            if exceeds(0, r):
                 msgs.append(f"reduced cost sign wrong at lower bound x[{j}]")
         elif exceeds(r, 0) or exceeds(0, r):
             msgs.append(f"reduced cost nonzero on interior variable x[{j}]")

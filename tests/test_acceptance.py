@@ -363,7 +363,9 @@ def test_simplex_against_vertex_enumeration(capsys):
     statuses = {}
     for _ in range(trials):
         n = rng.randint(1, 4)
+        # a max is solved as the min of its negated objective, negated
         sense = rng.choice(["min", "max"])
+        sign = 1 if sense == "min" else -1
         obj = [rand_rational(rng, span=4) for _ in range(n)]
         rows = []
         for _ in range(rng.randint(0, 7)):
@@ -373,20 +375,19 @@ def test_simplex_against_vertex_enumeration(capsys):
         if rng.random() < 0.6 and len(rows) < 8:
             rows.append((tuple(F(1) for _ in range(n)), LE,
                          F(rng.randint(2, 9))))
-        lp = linear_program(sense, obj, rows)
-        want_status, want_value = lp_oracle(
-            lp.sense, lp.objective, lp.rows, [lo for lo, _ in lp.bounds])
+        lp = linear_program("min", [sign * v for v in obj], rows)
+        want_status, want_value = lp_oracle(sense, obj, rows, [0] * n)
 
         exact = solve_lp(lp, mode="exact")
         assert exact.status == want_status
         if want_status == OPTIMAL:
-            assert exact.value == want_value  # zero tolerance
+            assert sign * exact.value == want_value  # zero tolerance
 
         approx = solve_lp(lp, mode="float")
         assert approx.status == want_status
         if want_status == OPTIMAL:
             ref = float(want_value)
-            assert abs(approx.value - ref) <= 1e-7 * (1 + abs(ref))
+            assert abs(sign * approx.value - ref) <= 1e-7 * (1 + abs(ref))
         statuses[want_status] = statuses.get(want_status, 0) + 1
     assert len(statuses) == 3, statuses
     with capsys.disabled():

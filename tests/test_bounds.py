@@ -32,6 +32,7 @@ from quadlin.exactnum import (
     matrix_rank,
 )
 from quadlin.graph import Dag, GraphError, forbidden_pairs
+from quadlin.lpsolve import EQ, LE
 from quadlin.model import (
     BqpInstance,
     FloatTaggedError,
@@ -262,6 +263,26 @@ def test_gl_and_ggl_values_and_pivot_counts_are_pinned(inst, pins):
             for name, rep in reports.items()} == pins
 
 
+def test_float_simplex_fits_are_pinned():
+    # the fitting programs of a QAP, which has no graph, on the float
+    # tableau: (repr of the value, pivots, rounds) of gl and of ggl under
+    # each strategy; a change that moves a pivot path, the split of the
+    # fit's free variables or the stopping test shows here
+    inst = _pinned_qap()
+    reports = {"gl": gl_bound(inst, mode="float")}
+    for name, strategy in (("ggl", SkewStrategy.NONE),
+                           ("ggl-upper", SkewStrategy.UPPER_TRIANGULAR),
+                           ("ggl-sym", SkewStrategy.SYMMETRIZE)):
+        reports[name] = ggl_bound(inst, strategy=strategy, mode="float")
+    assert {name: (repr(rep.value), rep.pivots, len(rep.trace) or 1)
+            for name, rep in reports.items()} == {
+        "gl": ("33.0", 85, 1),
+        "ggl": ("33.0", 149, 2),
+        "ggl-upper": ("33.0", 205, 3),
+        "ggl-sym": ("33.99999999906868", 1795, 32)}
+    assert {rep.mode for rep in reports.values()} == {"float"}
+
+
 def test_float_rlt1_value_and_pivot_count_are_pinned():
     # the lifting LP of the tournament n = 5 on the float tableau: a change
     # that moves its pivot path shows here
@@ -271,17 +292,17 @@ def test_float_rlt1_value_and_pivot_count_are_pinned():
 
 def test_ggl_solves_each_changed_fitting_program_once(monkeypatch):
     # a fitting program whose column is the one it was last solved for
-    # keeps that solve: the fitting solves are the (round, k) whose
-    # column changed, plus one polytope LP per round, and the exact KKT
-    # check runs once per solve
-    solves = {"max": 0, "min": 0}
+    # keeps that solve: the fitting solves (<= rows) are the (round, k)
+    # whose column changed, plus one polytope LP (= rows) per round, and
+    # the exact KKT check runs once per solve
+    solves = {LE: 0, EQ: 0}
     checks = []
     cols = []  # per round, the right-hand sides of its m fitting programs
     solve, check = bounds.solve_lp, lpsolve.verify_solution
     fit_columns = bounds._fit_columns
 
     def counting_solve(lp, mode="auto"):
-        solves[lp.sense] += 1
+        solves[lp.rows[0][1]] += 1
         return solve(lp, mode=mode)
 
     def counting_check(lp, result):
@@ -303,15 +324,23 @@ def test_ggl_solves_each_changed_fitting_program_once(monkeypatch):
     changed = sum(t == 0 or cols[t][k] != cols[t - 1][k]
                   for t in range(len(cols)) for k in range(inst.m))
     assert len(cols) * inst.m > changed
-    assert solves == {"max": changed, "min": len(cols)}
+    assert solves == {LE: changed, EQ: len(cols)}
     assert len(checks) == changed + len(cols)
+
+
+def _split_point(x) -> list:
+    """x over free variables as the point (x_0+, x_0-, ...) of their
+    split, each part >= 0."""
+    return [part for v in x for part in (max(v, 0), max(-v, 0))]
 
 
 def test_residual_is_minus_the_fitting_programs_row_gaps():
     # B with denominators 1, 2, 3 and 7; ycols exact with their own
     # denominators, or floats as a float-mode certificate carries them;
-    # the row gaps of program k at (y_k, z_k) are column k of Qbar - Q,
-    # so column k of the residual is minus them
+    # the row gaps of program k at (y_k, z_k), its split point in the
+    # program's nonnegative variables, are column k of Qbar - Q, so
+    # column k of the residual is minus them; _fit_gaps gives them from
+    # B's sparse columns
     rng = random.Random(5)
     n, m = 3, 5
     B = RationalMatrix.from_rows(
@@ -334,8 +363,12 @@ def test_residual_is_minus_the_fitting_programs_row_gaps():
                  for k in range(m)] for i in range(m)]
         gaps = [lpsolve._row_gaps(
             programs[k].with_rhs(Q.column(k)),
-            [Fraction(v) for v in ycols[k]] + [Fraction(zbar[k])])
+            _split_point([Fraction(v) for v in ycols[k]]
+                         + [Fraction(zbar[k])]))
             for k in range(m)]
+        assert gaps == [bounds._fit_gaps(
+            *bounds._sparse_columns(B), k, Q.column(k),
+            list(ycols[k]) + [zbar[k]]) for k in range(m)]
         assert bounds._next_columns(gaps, SkewStrategy.NONE) == [
             tuple(row[k] for row in want) for k in range(m)]
 
@@ -344,14 +377,15 @@ def test_residual_is_minus_the_fitting_programs_row_gaps():
 def test_dag_fit_matches_the_simplex(mode):
     # on a shortest-path instance gl fits each column by DAG dynamic
     # programs; cbar and the bound are LP optima, unique in value, so they
-    # equal the simplex's, and each fit is a point of its fitting program
-    # whose row gaps are the program's
+    # equal the simplex's (whose minimum is -cbar), and each fit, split,
+    # is a point of its fitting program whose row gaps are the program's
     rng = random.Random(41)
     tol = 0 if mode == "exact" else 1e-9
     for _ in range(6):
         inst = _random_qspp(rng)
         bqp = qspp_to_bqp(inst)
         programs = bounds._fitting_programs(bqp)
+        bcols = bounds._sparse_columns(bqp.B)
         gl = gl_bound(inst, mode=mode)
         cbar = _fitted_linear(bqp, gl)
         cbars = []
@@ -359,13 +393,14 @@ def test_dag_fit_matches_the_simplex(mode):
             rhs = bqp.Q.column(k)
             lp = programs[k].with_rhs(rhs)
             res = lpsolve.solve_lp(lp, mode=mode)
-            assert abs(cbar[k] - Fraction(res.value)) <= tol
-            cbars.append(Fraction(res.value))
+            assert abs(cbar[k] + Fraction(res.value)) <= tol
+            cbars.append(-Fraction(res.value))
             fit = bounds._graph_fit(inst.graph, k, rhs, mode)
-            x = [Fraction(v) for v in fit.res.x]
-            assert fit.gaps == lpsolve._row_gaps(lp, x)
+            x = _split_point([Fraction(v) for v in fit.x])
+            assert bounds._fit_gaps(*bcols, k, rhs, fit.x) \
+                == lpsolve._row_gaps(lp, x)
             if mode == "exact":
-                assert lpsolve.point_violations(lp, x, fit.res.value) == []
+                assert lpsolve.point_violations(lp, x, -fit.value) == []
         simplex = lpsolve.solve_lp(bounds._polytope_lp(bqp, cbars), mode=mode)
         assert abs(gl.value - simplex.value) <= tol
         assert gl.pivots == 0
@@ -614,10 +649,9 @@ def _forged_prime(bqp, drop, mode):
     gone = {bqp.m + pairs.index(p) for p in drop}
     keep = [j for j in range(lp.nvars) if j not in gone]
     res = lpsolve.solve_lp(lpsolve.LinearProgram(
-        "min", [lp.objective[j] for j in keep],
+        [lp.objective[j] for j in keep],
         [([coeffs[j] for j in keep], rel, rhs)
-         for coeffs, rel, rhs in lp.rows],
-        [lp.bounds[j] for j in keep]), mode=mode)
+         for coeffs, rel, rhs in lp.rows]), mode=mode)
     n, m, u = bqp.B.rows, bqp.m, res.duals
     return BoundReport(
         name="lbb_prime", value=res.value, mode=mode, relaxation_only=False,
@@ -762,7 +796,7 @@ def test_lbb_star_with_empty_family_is_lbb_prime():
     assert collapsed.value == lbb_prime(inst, mode="exact").value
 
 
-def test_lbb_star_flags_only_the_family_it_derives():
+def test_lbb_star_flags_only_the_family_it_derives(monkeypatch):
     # an explicit spanning set of the instance's own graph gives the
     # canonical value, but the flag is lbb_star's to set
     rng = random.Random(41)
@@ -772,13 +806,16 @@ def test_lbb_star_flags_only_the_family_it_derives():
     assert derived.canonical_family and not explicit.canonical_family
     assert explicit.value == derived.value
     # another 5-arc graph's spanning set: its members are no linearizable
-    # matrices here, the report is not flagged, and replay rejects the
-    # members the LP weighted
+    # matrices here, and the LP weights some of them, so the bound refuses
+    # to report, with replay's message; past that check its value, -1,
+    # is above the optimum, -7, the report is not flagged, and replay
+    # rejects the members the LP weighted
     g = Dag(4, [(0, 1), (0, 2), (1, 2), (1, 3), (2, 3)], 0, 3)
     other = Dag(3, [(0, 1), (0, 1), (0, 2), (1, 2), (1, 2)], 0, 2)
     inst = QsppInstance(g, RationalMatrix.from_rows(
         rand_rows(random.Random(1), 5, 5)))
-    foreign = lbb_star(inst, family=spanning_set(other), mode="exact")
+    foreign = _unchecked_lbb_star(monkeypatch, inst, spanning_set(other))
+    assert (foreign.value, brute_force_opt(qspp_to_bqp(inst))[0]) == (-1, -7)
     assert not foreign.canonical_family
     assert any(foreign.certificate["alpha"])
     ok, msgs = verify_report(inst, foreign)
@@ -1095,10 +1132,22 @@ def test_verify_report_checks_every_pair_of_a_family_bound(mode):
         assert not ok and msgs, rep.name
 
 
-def test_verify_report_rejects_a_forged_family_member():
+def _unchecked_lbb_star(monkeypatch, inst, family):
+    """lbb_star's exact report with its member check skipped, as a report
+    forged past that check reads; the bound itself refuses the family."""
+    with pytest.raises(ValueError,
+                       match="member 0 is not linearizable with its costs"):
+        lbb_star(inst, family=family, mode="exact")
+    with monkeypatch.context() as patch:
+        patch.setattr(bounds, "_unconfirmed_members", lambda *args: [])
+        return lbb_star(inst, family=family, mode="exact")
+
+
+def test_verify_report_rejects_a_forged_family_member(monkeypatch):
     # the member (0, e_j) claims x_j = 0 on every path, false for an arc
     # of the optimal path: its row lifts lbb_star above the optimum, and
-    # the duals still certify that LP, so only the member check catches it
+    # the duals still certify that LP, so only the member check catches
+    # it, in the bound and in replay
     rng = random.Random(20250819)
     for _ in range(10):
         g = random_corridor_dag(rng, 4, 7, m_max=10)
@@ -1108,19 +1157,21 @@ def test_verify_report_rejects_a_forged_family_member():
         j = argmin.index(1)
         forged = [(RationalMatrix.zeros(g.m, g.m),
                    tuple(ONE if i == j else ZERO for i in range(g.m)))]
-        rep = lbb_star(inst, family=forged, mode="exact")
+        rep = _unchecked_lbb_star(monkeypatch, inst, forged)
         assert rep.value > opt
         assert verify_report(inst, rep) == (
             False, ("member 0 is not linearizable with its costs",))
 
 
-def test_verify_report_confirms_weighted_members_by_enumeration():
-    # off a graph, a weighted member is confirmed on every feasible point
+def test_verify_report_confirms_weighted_members_by_enumeration(
+        monkeypatch):
+    # off a graph, a weighted member is confirmed on every feasible point,
+    # in the bound and in replay
     inst = _pinned_qap()
     _, argmin = brute_force_opt(inst)
     e = tuple(ONE if v else ZERO for v in argmin)
     zero = RationalMatrix.zeros(inst.m, inst.m)
-    rep = lbb_star(inst, family=[(zero, e)], mode="exact")
+    rep = _unchecked_lbb_star(monkeypatch, inst, [(zero, e)])
     assert rep.certificate["alpha"][0] != 0
     assert verify_report(inst, rep) == (
         False, ("member 0 is not linearizable with its costs",))

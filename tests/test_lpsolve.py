@@ -29,8 +29,6 @@ from helpers import rand_rational
 from oracles import lp_oracle, standard_form
 
 F = Fraction
-FREE = (None, None)
-NONNEG = (0, None)
 
 
 def test_single_covering_row():
@@ -41,14 +39,15 @@ def test_single_covering_row():
 
 
 def test_classic_max_two_vars():
-    lp = linear_program("max", [2, 3], [
+    # max 2x + 3y is minus the minimum of -2x - 3y
+    lp = linear_program("min", [-2, -3], [
         ((1, 2), LE, 14),
         ((3, -1), GE, 0),
         ((1, -1), LE, 2),
     ])
     res = solve_lp(lp, mode="exact")
     assert res.status == OPTIMAL
-    assert res.value == 24 and res.x == (F(6), F(4))
+    assert res.value == -24 and res.x == (F(6), F(4))
 
 
 def test_equality_rows():
@@ -64,15 +63,15 @@ def test_equality_rows():
 def test_infeasible_and_unbounded():
     lp = linear_program("min", [1], [((1,), GE, 1), ((1,), LE, 0)])
     assert solve_lp(lp, mode="exact").status == INFEASIBLE
-    lp2 = linear_program("max", [1], [])
+    lp2 = linear_program("min", [-1], [])
     assert solve_lp(lp2, mode="exact").status == UNBOUNDED
 
 
 def test_bounds_handling():
-    free = LinearProgram("min", (F(1),), (((F(1),), GE, F(-3)),),
-                         ((None, None),))
+    # a free x is x+ - x- over x+, x- >= 0: min x subject to x >= -3
+    free = LinearProgram((F(1), F(-1)), (((F(1), F(-1)), GE, F(-3)),))
     res = solve_lp(free, mode="exact")
-    assert res.status == OPTIMAL and res.value == -3 and res.x == (F(-3),)
+    assert res.status == OPTIMAL and res.value == -3 and res.x == (0, F(3))
 
 
 @pytest.mark.parametrize("bound", [(0, 5), (F(1, 2), None), (-5, None),
@@ -80,15 +79,22 @@ def test_bounds_handling():
                          ids=["boxed", "shifted", "negative lower",
                               "upper only", "pinched"])
 def test_only_nonnegative_and_free_variables_are_accepted(bound):
-    # a variable is x >= 0 or free: a finite upper bound or a nonzero
-    # lower bound is refused, whichever constructor is used
-    with pytest.raises(ValueError):
-        LinearProgram("min", (F(1), F(1)), (), ((0, None), bound))
-    with pytest.raises(ValueError):
-        linear_program("min", [1, 1], [], [(None, None), bound])
-    ok = linear_program("min", [1, 1], [], [(F(0), None), (None, None)])
-    assert ok.bounds == ((0, None), (None, None))
-    assert ok == linear_program("min", [1, 1], [], [(0, None), FREE])
+    # every variable is x >= 0, and a free one is stated as its split
+    # x+ - x-: linear_program refuses a bounds argument, whatever it
+    # says, free or x >= 0 included, and any sense but min, and names
+    # the restatement; LinearProgram has no bounds and no sense at all
+    for bounds in ([(0, None), bound], [(None, None), (0, None)],
+                   [(0, None)] * 2):
+        with pytest.raises(ValueError, match="split a free variable"):
+            linear_program("min", [1, 1], [], bounds)
+    for sense in ("max", "best"):
+        with pytest.raises(ValueError, match="negated objective"):
+            linear_program(sense, [1, 1], [])
+    with pytest.raises(TypeError):
+        LinearProgram("min", (F(1), F(1)), ())
+    ok = linear_program("min", [1, 1], [])
+    assert ok == LinearProgram((F(1), F(1)), ())
+    assert not hasattr(ok, "sense") and not hasattr(ok, "bounds")
 
 
 def test_float_read_back_gives_no_negative_zero():
@@ -112,15 +118,16 @@ def test_beale_cycling_example_terminates():
 
 
 def test_duals_match_shadow_prices():
-    lp = linear_program("max", [3, 5], [
+    # max 3x + 5y as the min of -3x - 5y: its duals are the max's negated
+    lp = linear_program("min", [-3, -5], [
         ((1, 0), LE, 4),
         ((0, 2), LE, 12),
         ((3, 2), LE, 18),
     ])
     res = solve_lp(lp, mode="exact")
-    assert res.status == OPTIMAL and res.value == 36
-    # textbook duals: increasing rhs 2 or 3 by one unit raises the optimum
-    assert res.duals == (F(0), F(3, 2), F(1))
+    assert res.status == OPTIMAL and res.value == -36
+    # textbook duals: increasing rhs 2 or 3 by one unit raises the max
+    assert res.duals == (F(0), F(-3, 2), F(-1))
     ok, msgs = verify_solution(lp, res)
     assert ok, msgs
 
@@ -134,43 +141,32 @@ def test_verify_rejects_tampered_result():
     assert not ok and msgs
 
 
-# One KKT condition broken at a time: (sense, objective, rows, bounds,
-# x, duals, value, the one message verify_solution must give).  A free
-# variable with a matching reduced cost keeps the other conditions intact.
+# One KKT condition broken at a time: (objective, rows, x, duals, value,
+# the one message verify_solution must give), every variable x >= 0.
 _KKT_BREAKS = [
-    ("min", [0], [((1,), LE, 1)], [FREE], [2], [0], 0,
-     "row 0 violated (<=)"),
-    ("min", [0], [((1,), EQ, 1)], [FREE], [0], [0], 0,
-     "row 0 violated (=)"),
-    ("min", [0], [((1,), GE, 1)], [FREE], [0], [0], 0,
-     "row 0 violated (>=)"),
-    ("min", [0], [], [NONNEG], [-1], [], 0, "x[0] below lower bound"),
-    ("min", [1], [((1,), GE, 1)], [NONNEG], [1], [1], 2,
-     "objective value mismatch"),
-    ("min", [1], [((1,), LE, 1)], [FREE], [1], [1], 1,
+    ([0], [((1,), LE, 1)], [2], [0], 0, "row 0 violated (<=)"),
+    ([0], [((1,), EQ, 1)], [0], [0], 0, "row 0 violated (=)"),
+    ([0], [((1,), GE, 1)], [0], [0], 0, "row 0 violated (>=)"),
+    ([0], [], [-1], [], 0, "x[0] below lower bound"),
+    ([1], [((1,), GE, 1)], [1], [1], 2, "objective value mismatch"),
+    ([1], [((1,), LE, 1)], [1], [1], 1, "dual sign wrong on row 0 (<=)"),
+    ([1], [((2,), LE, 2)], [1], [F(1, 2)], 1,
      "dual sign wrong on row 0 (<=)"),
-    ("max", [-1], [((1,), LE, 1)], [FREE], [1], [-1], -1,
-     "dual sign wrong on row 0 (<=)"),
-    ("min", [-1], [((1,), GE, 1)], [FREE], [1], [-1], -1,
-     "dual sign wrong on row 0 (>=)"),
-    ("max", [1], [((1,), GE, 1)], [FREE], [1], [1], 1,
-     "dual sign wrong on row 0 (>=)"),
-    ("min", [1], [((1,), GE, 1)], [FREE], [2], [1], 2,
+    ([-1], [((1,), GE, 1)], [1], [-1], -1, "dual sign wrong on row 0 (>=)"),
+    ([-2], [((2,), GE, 2)], [1], [-1], -2, "dual sign wrong on row 0 (>=)"),
+    ([1], [((1,), GE, 1)], [2], [1], 2,
      "complementary slackness fails on row 0"),
-    ("min", [-1], [], [NONNEG], [0], [], 0,
-     "reduced cost sign wrong at lower bound x[0]"),
-    ("max", [1], [], [NONNEG], [0], [], 0,
-     "reduced cost sign wrong at lower bound x[0]"),
-    ("min", [1], [], [NONNEG], [1], [], 1,
-     "reduced cost nonzero on interior variable x[0]"),
+    ([-1], [], [0], [], 0, "reduced cost sign wrong at lower bound x[0]"),
+    ([-2], [], [0], [], 0, "reduced cost sign wrong at lower bound x[0]"),
+    ([1], [], [1], [], 1, "reduced cost nonzero on interior variable x[0]"),
 ]
 
 
 @pytest.mark.parametrize("mode", ["exact", "float"])
 @pytest.mark.parametrize("case", _KKT_BREAKS, ids=lambda c: c[-1])
 def test_verify_names_each_broken_kkt_condition(case, mode):
-    sense, obj, rows, bnds, x, duals, value, message = case
-    lp = linear_program(sense, obj, rows, bnds)
+    obj, rows, x, duals, value, message = case
+    lp = linear_program("min", obj, rows)
     num = F if mode == "exact" else float
     res = LpResult(status=OPTIMAL, value=num(value),
                    x=tuple(map(num, x)), duals=tuple(map(num, duals)),
@@ -180,44 +176,41 @@ def test_verify_names_each_broken_kkt_condition(case, mode):
 
 def _random_lp(rng, max_vars=4, max_rows=5):
     n = rng.randint(1, max_vars)
-    sense = rng.choice(["min", "max"])
-    obj = [rand_rational(rng, span=4) for _ in range(n)]
+    # a max is stated as the min of its negated objective
+    sign = rng.choice([1, -1])
+    obj = [sign * rand_rational(rng, span=4) for _ in range(n)]
     rows = []
     for _ in range(rng.randint(0, max_rows)):
         coeffs = tuple(rand_rational(rng, span=3) for _ in range(n))
         rel = rng.choice([LE, GE, EQ])
         rhs = rand_rational(rng, span=6)
         rows.append((coeffs, rel, rhs))
-    # cap sometimes; uncapped max problems go unbounded regularly, which
-    # keeps all three statuses represented (bounds stay finite below for
-    # the enumeration oracle)
+    # cap sometimes; uncapped negated objectives go unbounded regularly,
+    # which keeps all three statuses represented
     if rng.random() < 0.6:
         rows.append((tuple(F(1) for _ in range(n)), LE, F(rng.randint(2, 9))))
-    return linear_program(sense, obj, rows)
+    return linear_program("min", obj, rows)
 
 
 def test_prepare_matches_the_fraction_standard_form():
     rng = random.Random(11)
-    kinds = {"free": 0, "nonneg": 0, "flipped": 0}
+    kinds = {"nonneg": 0, "flipped": 0}
     for _ in range(300):
         n = rng.randint(1, 5)
-        bnds = [rng.choice([FREE, NONNEG]) for _ in range(n)]
-        kinds["free"] += bnds.count(FREE)
-        kinds["nonneg"] += bnds.count(NONNEG)
+        kinds["nonneg"] += n
         rows = [(tuple(rand_rational(rng, span=3, denoms=(1, 2, 3, 6))
                        if rng.random() < 0.7 else 0 for _ in range(n)),
                  rng.choice([LE, GE, EQ]), rand_rational(rng, span=6))
                 for _ in range(rng.randint(0, 5))]
         obj = [rand_rational(rng, span=4, denoms=(1, 2, 5))
                for _ in range(n)]
-        lp = linear_program(rng.choice(["min", "max"]), obj, rows, bnds)
+        lp = linear_program("min", obj, rows)
         want = standard_form(lp)
-        # no variable is shifted, so the objective has no constant
-        assert want.pop("obj_const") == 0
         prep = lpsolve._prepare(lp)
         kinds["flipped"] += sum(s < 0 for s in want["row_scale"])
         for field, value in want.items():
             assert getattr(prep, field) == value, field
+        assert prep.ncols == n
     assert min(kinds.values()) > 30, kinds
 
     # integer coefficients and rhs 5/7: the rhs sets the row scale, which
@@ -227,27 +220,27 @@ def test_prepare_matches_the_fraction_standard_form():
     assert (prep.rows_int, prep.row_scale) == ([[14, 21, 5]], [7])
 
     # the integer rows take no part in equality or hashing
-    again = linear_program("min", [F(2, 2), 1], [((F(4, 2), 3), GE, F(5, 7))],
-                           [(F(0), None), (0, None)])
+    again = linear_program("min", [F(2, 2), 1], [((F(4, 2), 3), GE, F(5, 7))])
     assert again == scaled and hash(again) == hash(scaled)
     assert again.int_rows == scaled.int_rows == (((2, 3), 1),)
 
 
-@pytest.mark.parametrize("sense, obj", [("min", (1, 2, 1, 1)),
-                                        ("max", (-1, 1, -1, F(1, 3)))])
+@pytest.mark.parametrize("sense, obj", [("min", (1, 2, 1, -1, 1)),
+                                        ("max", (-1, 1, -1, 1, F(1, 3)))])
 def test_with_rhs_prepares_and_solves_like_a_fresh_program(sense, obj):
-    # x2 is free, the others x >= 0.  The base rhs flips the >= row (-2 <
-    # 0); the first new rhs flips the <= row instead (it becomes >= and
-    # takes an artificial), gives the = row and both others new
-    # denominators, and unflips the >= row
-    bnds = [NONNEG, NONNEG, FREE, NONNEG]
-    coeffs = [(1, -1, 1, 0), (2, 1, -1, 1), (1, 0, 1, F(1, 2))]
+    # a max is solved as the min of its negated objective, and x2 is free,
+    # split into columns 2 and 3 (x2 = x2+ - x2-).  The base rhs flips the
+    # >= row (-2 < 0); the first new rhs flips the <= row instead (it
+    # becomes >= and takes an artificial), gives the = row and both others
+    # new denominators, and unflips the >= row
+    obj = [v if sense == "min" else -v for v in obj]
+    coeffs = [(1, -1, 1, -1, 0), (2, 1, -1, 1, 1), (1, 0, 1, -1, F(1, 2))]
     rels = [LE, EQ, GE]
-    lp = linear_program(sense, obj, zip(coeffs, rels, (3, 1, -2)), bnds)
+    lp = linear_program("min", obj, zip(coeffs, rels, (3, 1, -2)))
     base = lpsolve._prepare(lp)
     for rhs in ((F(-1, 4), F(7, 5), F(5, 7)), (0, 2, 1), (3, 1, -2)):
         new = lp.with_rhs(rhs)
-        fresh = linear_program(sense, obj, zip(coeffs, rels, rhs), bnds)
+        fresh = linear_program("min", obj, zip(coeffs, rels, rhs))
         assert new == fresh and hash(new) == hash(fresh)
         got, want = lpsolve._prepare(new), lpsolve._prepare(fresh)
         for field in lpsolve._Prepared.__slots__:
@@ -267,27 +260,30 @@ def test_with_rhs_prepares_and_solves_like_a_fresh_program(sense, obj):
 
 
 def test_with_rhs_lays_out_once_and_shares_it(monkeypatch):
-    # programs made by with_rhs, also from one another, share the one
-    # layout of the program they came from
-    layouts = []
-    layout = lpsolve._standard_layout
+    # programs made by with_rhs, also from one another, share the integer
+    # rows, columns and objective of the program they came from, worked
+    # out once
+    taken = []
+    common_denominator = lpsolve.common_denominator
 
-    def counting(lp):
-        layouts.append(lp)
-        return layout(lp)
+    def counting(values):
+        taken.append(tuple(values))
+        return common_denominator(taken[-1])
 
-    monkeypatch.setattr(lpsolve, "_standard_layout", counting)
-    lp = linear_program("min", (1, 2), [((1, 1), GE, 1), ((1, -1), LE, 2)],
-                        [NONNEG, FREE])
+    monkeypatch.setattr(lpsolve, "common_denominator", counting)
+    lp = linear_program("min", (1, 2, -2),
+                        [((1, 1, -1), GE, 1), ((1, -1, 1), LE, 2)])
     a = lp.with_rhs((2, 1))
     b = a.with_rhs((F(1, 2), -1))
     first = lpsolve._prepare(b)
-    assert layouts == [lp]
+    assert taken == [(1, 1, -1), (1, -1, 1), (1, 2, -2)]
     second = lpsolve._prepare(a)
-    assert layouts == [lp]
+    assert len(taken) == 3
     assert second.obj_int is first.obj_int
-    fresh = linear_program("min", (1, 2), [((1, 1), GE, 2), ((1, -1), LE, 1)],
-                           [NONNEG, FREE])
+    for name in ("int_rows", "int_columns", "int_objective"):
+        assert getattr(a, name) is getattr(b, name) is getattr(lp, name)
+    fresh = linear_program("min", (1, 2, -2),
+                           [((1, 1, -1), GE, 2), ((1, -1, 1), LE, 1)])
     assert solve_lp(a, mode="exact") == solve_lp(fresh, mode="exact")
 
 
@@ -297,8 +293,7 @@ def test_exact_agrees_with_enumeration_oracle():
     for _ in range(140):
         lp = _random_lp(rng)
         want_status, want_value = lp_oracle(
-            lp.sense, lp.objective, lp.rows,
-            [lo for lo, _ in lp.bounds])
+            "min", lp.objective, lp.rows, [0] * lp.nvars)
         res = solve_lp(lp, mode="exact")
         assert res.status == want_status
         if want_status == OPTIMAL:
@@ -395,6 +390,8 @@ def test_validation_errors():
     with pytest.raises(ValueError):
         linear_program("best", [1], [])
     with pytest.raises(ValueError):
+        linear_program("max", [1], [])
+    with pytest.raises(ValueError):
         linear_program("min", [1], [((1, 2), LE, 0)])
     with pytest.raises(ValueError):
         linear_program("min", [1], [((1,), "<", 0)])
@@ -428,8 +425,9 @@ def test_flow_polytope_shortest_path():
 
 
 def test_pivot_caps_raise_each_modes_error(monkeypatch):
-    # max x + y + z under x, y, z <= 1: one pivot per variable
-    lp = linear_program("max", [1, 1, 1], [
+    # max x + y + z under x, y, z <= 1, as min -x - y - z: one pivot per
+    # variable
+    lp = linear_program("min", [-1, -1, -1], [
         ((1, 0, 0), LE, 1), ((0, 1, 0), LE, 1), ((0, 0, 1), LE, 1)])
     assert solve_lp(lp, mode="exact").pivots == 3
     assert solve_lp(lp, mode="float").pivots == 3
@@ -447,8 +445,9 @@ def test_degenerate_lp_through_blands_rule_in_both_modes(monkeypatch):
     # Chvatal's cycling example (Linear Programming, 1983, p. 31) with its
     # slacks written as columns, so that scaling the rows to integers
     # keeps them at the textbook scale: Dantzig's rule cycles through
-    # degenerate bases until the stall limit hands over to Bland's rule
-    lp = linear_program("max", [10, -57, -9, -24, 0, 0], [
+    # degenerate bases until the stall limit hands over to Bland's rule;
+    # its max is stated as the min of the negated objective
+    lp = linear_program("min", [-10, 57, 9, 24, 0, 0], [
         ((F(1, 2), F(-11, 2), F(-5, 2), 9, 1, 0), LE, 0),
         ((F(1, 2), F(-3, 2), F(-1, 2), 1, 0, 1), LE, 0),
         ((1, 0, 0, 0, 0, 0), LE, 1),
@@ -463,5 +462,5 @@ def test_degenerate_lp_through_blands_rule_in_both_modes(monkeypatch):
 
         monkeypatch.setattr(tableau, "_entering", recording)
         res = solve_lp(lp, mode=tableau.mode)
-        assert res.status == OPTIMAL and res.value == 1, tableau.mode
+        assert res.status == OPTIMAL and res.value == -1, tableau.mode
         assert any(rules), f"{tableau.mode} mode never used Bland's rule"
