@@ -513,22 +513,26 @@ def ggl_bound(inst, strategy: SkewStrategy = SkewStrategy.NONE,
     Each round fits the current matrix, moves its value into the linear
     term, and continues on the residual (reshuffled per the strategy).
     Stops after the round whose fitted linear part vanishes (exactly in
-    exact mode, every entry within 1e-9 in float mode), or after max_iter
-    rounds.  The trace holds the bound after each round and is
+    exact mode, every entry within 1e-9 in float mode), or after
+    max_iter rounds.  The trace holds the bound after each round and is
     nondecreasing: the residual of every round is elementwise
     nonnegative, so every fitted part after the first is nonnegative.
-    In exact mode SYMMETRIZE usually runs all max_iter rounds: the halved
-    residual shrinks but never reaches zero (on a 10-arc corridor DAG,
-    with simplex fits, the bound was -5.5029 after 10 rounds and
-    -5.5000029 after 20), so max_iter bounds the work.  After the first
-    round the value depends on which optimal fit each round takes: on a
-    shortest-path instance that is _dag_fit's potentials, elsewhere the
-    simplex's duals.  A column that a round leaves unchanged is not
-    fitted again: it keeps its last fit (96 of SYMMETRIZE's 450 programs
-    on a QAP with n = 3), and pivots counts that solve's pivots in every
-    round that uses it.  The certificate is lbb_prime's, read off the
-    fits summed over every round (_fitting_rounds), so verify_report
-    replays it against the lifting LP and no round is replayed.
+    With SkewStrategy.NONE, ggl is gl: each column's fit is optimal, so
+    its residual has minimum 0 over the polytope with x_k = 1, round 2
+    fits a zero linear part and the loop stops with gl's value.  Only
+    the skew reshuffle moves ggl past gl.  In exact mode SYMMETRIZE
+    usually runs all max_iter rounds: the halved residual shrinks but
+    never reaches zero (on a 10-arc corridor DAG, with simplex fits, the
+    bound was -5.5029 after 10 rounds and -5.5000029 after 20), so
+    max_iter bounds the work.  After the first round the value depends
+    on which optimal fit each round takes: on a shortest-path instance
+    that is _dag_fit's potentials, elsewhere the simplex's duals.  A
+    column that a round leaves unchanged is not fitted again: it keeps
+    its last fit (96 of SYMMETRIZE's 450 programs on a QAP with n = 3),
+    and pivots counts that solve's pivots in every round that uses it.
+    The certificate is lbb_prime's, read off the fits summed over every
+    round (_fitting_rounds), so verify_report replays it against the
+    lifting LP and no round is replayed.
     """
     return _fitting_rounds(inst, strategy, max_iter, mode)
 
@@ -1031,28 +1035,30 @@ def verify_report(inst, report: BoundReport):
     Returns (ok, messages).  The LP a bound solved, min over Ax = b,
     x >= 0, is rebuilt from the instance: the certificate's duals must
     satisfy its columns and reach the value (lpsolve.dual_violations),
-    and for rlt1 so must the certificate's point satisfy its rows
-    (lpsolve.point_violations).  An lbb certificate is turned back into
-    the duals of the lifting LP it was read off; gl and ggl carry
-    lbb_prime's certificate and are replayed as it is, against the
-    member-less lifting LP.  Unless ordered (lbb_generic), that LP has
-    no pair for the instance's structural zeros, so a certificate need
-    dominate sym(Q) only off them: x_i x_j = 0 at every feasible point
-    there (see _rlt1_lp).  The zeros are worked out from the instance,
-    never read off the report.  A family bound's LP gets a row for each
-    member of weight alpha_t != 0 only, and each such member must be
-    confirmed linearizable (_unconfirmed_members); a member of weight 0
-    takes no part in the proof.  An opt report's argmin must be a 0/1
-    point with Bx = b at which x^T Q x + linear . x is the value, exactly:
-    that confirms the value is attained, not that it is the least.
-    Every check is exact, a float read at its exact binary value: exact
-    reports pass with zero tolerance, float reports within an absolute
-    FLOAT_CHECK_TOL (1e-7), and a NaN or an infinity fails.  So does an
-    unknown kind or mode, a missing certificate key, an entry of the
-    wrong shape (a vector that is not a tuple or list, a family member
-    that is not an m x m matrix with m costs, alpha without one weight
-    per member), a certificate entry or value that is not an int, a
-    Fraction or a float, and an exact report holding a float.
+    which proves the value a lower bound, and for rlt1 the certificate's
+    point must satisfy its rows and reach the value too
+    (lpsolve.point_violations), which with the duals is the weak-duality
+    certificate lpsolve.verify_solution checks.  An lbb certificate is
+    turned back into the duals of the lifting LP it was read off; gl and
+    ggl carry lbb_prime's certificate and are replayed as it is, against
+    the member-less lifting LP.  Unless ordered (lbb_generic), that LP
+    has no pair for the instance's structural zeros, so a certificate
+    need dominate sym(Q) only off them: x_i x_j = 0 at every feasible
+    point there (see _rlt1_lp).  The zeros are worked out from the
+    instance, never read off the report.  A family bound's LP gets a row
+    for each member of weight alpha_t != 0 only, and each such member
+    must be confirmed linearizable (_unconfirmed_members); a member of
+    weight 0 takes no part in the proof.  An opt report's argmin must be
+    a 0/1 point with Bx = b at which x^T Q x + linear . x is the value,
+    exactly: that confirms the value is attained, not that it is the
+    least.  Every check is exact, a float read at its exact binary
+    value: exact reports pass with zero tolerance, float reports within
+    an absolute FLOAT_CHECK_TOL (1e-7), and a NaN or an infinity fails.
+    So does an unknown kind or mode, a missing certificate key, an entry
+    of the wrong shape (a vector that is not a tuple or list, a family
+    member that is not an m x m matrix with m costs, alpha without one
+    weight per member), a certificate entry or value that is not an int,
+    a Fraction or a float, and an exact report holding a float.
     """
     cert = report.certificate
     keys = _CERT_KEYS.get(report.name)

@@ -9,18 +9,21 @@ tableau as one integer matrix plus a positive common denominator and
 pivots fraction-free: the update
 ``T'[i] = (T[i]*T[r][c] - T[r]*T[i][c]) // d`` divides exactly (every entry
 is a minor of the starting integer matrix), so no rationals appear inside
-the hot loop and every optimal result is certified by a full KKT check
-before it is returned.  The code around the simplex works on integer
-numerators too: a LinearProgram takes each row once, on first use, to
-integer numerators over the lcm of its denominators (int_rows), and
-its objective alike (int_objective); preparation rescales a row only
-where its right-hand side needs it, the read-back builds one Fraction
-per value and dual, and the KKT check evaluates every row
-and every reduced cost as an integer dot product, one Fraction for each
-that is not 0.  Every certificate check (point_violations,
-dual_violations, verify_solution) is exact, for float results too: a
-float is read at its exact binary value, and a float result passes
-within an absolute FLOAT_CHECK_TOL (1e-7), an exact one with none.
+the hot loop and every optimal result is certified before it is
+returned.  The certificate is weak duality (verify_solution): x is a
+point of the program (point_violations), the duals y are feasible for
+its dual (dual_violations), and both reach the value.  The code around
+the simplex works on integer numerators too: a LinearProgram takes each
+row once, on first use, to integer numerators over the lcm of its
+denominators (int_rows), and its objective alike (int_objective);
+preparation rescales a row only where its right-hand side needs it, the
+read-back builds one Fraction per value and dual, and the checks
+evaluate every row and every reduced cost as an integer dot product,
+one Fraction for each that is not 0, and test its sign on the
+numerator.  Every certificate check (point_violations, dual_violations,
+verify_solution) is exact, for float results too: a float is read at
+its exact binary value, and a float result passes within an absolute
+FLOAT_CHECK_TOL (1e-7), an exact one with none.
 with_rhs gives a program new right-hand sides and shares everything
 else, the integer rows and objective included, so a program solved for
 many right-hand sides is validated and taken to integers once.  Float
@@ -523,7 +526,8 @@ class _FloatTableau(_Tableau):
 # public entry points
 
 def solve_lp(lp: LinearProgram, mode: str = "auto") -> LpResult:
-    """Solve the program; exact results are KKT-certified before returning."""
+    """Solve the program; an exact optimum is certified by weak duality
+    (verify_solution) before it is returned."""
     mode = _resolve_mode(mode, lp.nrows, lp.nvars)
     tableau = _ExactTableau if mode == "exact" else _FloatTableau
     result = tableau(_prepare(lp)).solve()
@@ -567,96 +571,76 @@ def _reduced_costs(lp: LinearProgram, y) -> list:
             for c, col in zip(cs, lp.int_columns)]
 
 
-def point_violations(lp: LinearProgram, x, value, tol=0, gaps=None) -> list:
+def _beyond(v, tol, below=True, above=True) -> bool:
+    """v < -tol (if below) or v > tol (if above), for a Fraction v and an
+    absolute tol >= 0: a sign test on v's numerator, then, only for a
+    nonzero tol, one comparison."""
+    n = v.numerator
+    return (below and n < 0 or above and n > 0) and (not tol or abs(v) > tol)
+
+
+def point_violations(lp: LinearProgram, x, value, tol=0) -> list:
     """Why x is not a point of lp with objective value: each variable
     below 0, each row off its relation and an objective other than
     value, by more than the absolute tol (0, or FLOAT_CHECK_TOL for a
     float result).  x and value are read as exact rationals, a float
     at its exact binary value (exactnum.rat_from, which raises
-    NonFiniteError on NaN or an infinity); gaps are x's row gaps
-    (_row_gaps) if the caller has them already."""
+    NonFiniteError on NaN or an infinity)."""
     if len(x) != lp.nvars:
         return ["certificate has the wrong number of variables"]
     x = [rat_from(v) for v in x]
-    ntol = -tol
     msgs = [f"x[{j}] below lower bound" for j, v in enumerate(x)
-            if v.numerator < 0 and (not tol or -v > tol)]
-    if gaps is None:
-        gaps = _row_gaps(lp, x)
+            if _beyond(v, tol, above=False)]
     msgs += [f"row {i} violated ({rel})"
-             for i, ((_, rel, _), s) in enumerate(zip(lp.rows, gaps))
-             if (rel != GE and s > tol) or (rel != LE and s < ntol)]
-    if abs(vdot(lp.objective, x) - rat_from(value)) > tol:
+             for i, ((_, rel, _), s) in enumerate(zip(lp.rows,
+                                                      _row_gaps(lp, x)))
+             if _beyond(s, tol, below=rel != LE, above=rel != GE)]
+    if _beyond(vdot(lp.objective, x) - rat_from(value), tol):
         msgs.append("objective value mismatch")
     return msgs
 
 
 def dual_violations(lp: LinearProgram, y, value, tol=0) -> list:
-    """Why y does not certify value as a lower bound of lp, which must be
-    min c.x over equality rows Ax = b and x >= 0: each column j with
-    (A^T y)_j > c_j, and b.y other than value, by more than the absolute
-    tol.  y and value are read as exact rationals, as in
+    """Why y does not certify value as a lower bound of lp, min c.x over
+    its rows and x >= 0: each dual of the wrong sign (y_i > 0 on a <=
+    row, y_i < 0 on a >= row; an = row's is free), each column j with
+    (A^T y)_j > c_j, and b.y other than value, by more than the
+    absolute tol.  y and value are read as exact rationals, as in
     point_violations."""
     if len(y) != lp.nrows:
         return ["certificate has the wrong number of duals"]
     y = [rat_from(v) for v in y]
-    msgs = [f"duals violate column {j}"
-            for j, r in enumerate(_reduced_costs(lp, y))
-            if r < 0 and (not tol or -r > tol)]
-    if abs(vdot([b for _, _, b in lp.rows], y) - rat_from(value)) > tol:
+    msgs = [f"dual sign wrong on row {i} ({rel})"
+            for i, ((_, rel, _), v) in enumerate(zip(lp.rows, y))
+            if _beyond(v, tol, below=rel == GE, above=rel == LE)]
+    msgs += [f"duals violate column {j}"
+             for j, r in enumerate(_reduced_costs(lp, y))
+             if _beyond(r, tol, above=False)]
+    if _beyond(vdot([b for _, _, b in lp.rows], y) - rat_from(value), tol):
         msgs.append("dual objective does not match the certificate")
     return msgs
 
 
 def verify_solution(lp: LinearProgram, result: LpResult):
-    """Full KKT check of an optimal result against the original program.
+    """Weak-duality certificate of an optimal result: returns (ok,
+    messages).
 
-    Every check is exact: x, the duals and the value are read as exact
+    x must be a point of lp with objective value (point_violations) and
+    the duals must certify value as a lower bound (dual_violations).
+    Then c.x = b.y, and as c.x - b.y = r.x + y.(Ax - b), with r the
+    reduced costs, is a sum of nonnegative terms at a feasible x and y,
+    zero exactly under complementary slackness, both are optimal.  Every
+    check is exact: x, the duals and the value are read as exact
     rationals, floats at their exact binary values, and must hold with
     zero tolerance for an exact result, within FLOAT_CHECK_TOL (1e-7)
-    for a float one; a NaN or an infinity fails.  Returns (ok,
-    messages); together the conditions (primal feasibility and the
-    objective, from point_violations, then dual signs, complementary
-    slackness, and reduced costs: nonnegative on a variable at 0, zero
-    on every other) certify optimality.  Row gaps and reduced costs are
-    integer sums (_row_gaps, _reduced_costs).
+    for a float one; a NaN or an infinity fails.
     """
     if result.status != OPTIMAL:
         raise ValueError("only optimal results carry a certificate")
     tol = 0 if result.mode == "exact" else FLOAT_CHECK_TOL
-    if len(result.x) != lp.nvars or len(result.duals) != lp.nrows:
-        return False, ("certificate has wrong dimensions",)
     try:
-        x = [rat_from(v) for v in result.x]
-        y = [rat_from(v) for v in result.duals]
-        value = rat_from(result.value)
+        msgs = (point_violations(lp, result.x, result.value, tol)
+                + dual_violations(lp, result.duals, result.value, tol))
     except NonFiniteError:
         return False, ("certificate has a non-finite value",)
-
-    slacks = _row_gaps(lp, x)
-    msgs = point_violations(lp, x, value, tol, slacks)
-
-    def exceeds(a, b):
-        """a > b by more than tol, which grows with 1 + |a - b|."""
-        return a > b and (not tol or a - b > tol * (1 + a - b))
-
-    ntol = -tol
-    for i, (_, rel, _) in enumerate(lp.rows):
-        yi, s = y[i], slacks[i]
-        if rel == LE and yi > tol:
-            msgs.append(f"dual sign wrong on row {i} (<=)")
-        if rel == GE and yi < ntol:
-            msgs.append(f"dual sign wrong on row {i} (>=)")
-        if yi and s and (not tol or abs(yi * s) > tol * (1 + abs(yi))):
-            msgs.append(f"complementary slackness fails on row {i}")
-
-    for j, (r, v) in enumerate(zip(_reduced_costs(lp, y), x)):
-        if not r:  # meets both conditions below
-            continue
-        if v == 0 or tol and abs(v) <= tol:
-            if exceeds(0, r):
-                msgs.append(f"reduced cost sign wrong at lower bound x[{j}]")
-        elif exceeds(r, 0) or exceeds(0, r):
-            msgs.append(f"reduced cost nonzero on interior variable x[{j}]")
-
     return not msgs, tuple(msgs)

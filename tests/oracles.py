@@ -305,3 +305,38 @@ def standard_form(lp) -> dict:
     out["obj_scale"] = k
     out["obj_int"] = [int(v * k) for v in obj]
     return out
+
+
+# ---------------------------------------------------------------------------
+# LP optimality, condition by condition
+
+def kkt_violations(lp, x, y, value) -> list:
+    """The KKT conditions of an optimum x with duals y and objective
+    value of lp, min c.x over its rows and x >= 0, each written out and
+    checked exactly: x >= 0, every row, c.x = value, the dual signs
+    (y_i <= 0 on a <= row, y_i >= 0 on a >= row), complementary slackness
+    y_i (a_i.x - b_i) = 0, and the reduced costs r = c - A^T y, r_j >= 0
+    where x_j = 0 and r_j = 0 elsewhere.  [] when they all hold; unlike
+    weak duality, b.y is never compared with the value."""
+    x = [Fraction(v) for v in x]
+    y = [Fraction(v) for v in y]
+    msgs = [f"x[{j}] below lower bound" for j, v in enumerate(x) if v < 0]
+    gaps = [sum(a * v for a, v in zip(coeffs, x)) - rhs
+            for coeffs, _, rhs in lp.rows]
+    for i, ((_, rel, _), s) in enumerate(zip(lp.rows, gaps)):
+        if (rel != ">=" and s > 0) or (rel != "<=" and s < 0):
+            msgs.append(f"row {i} violated ({rel})")
+    if sum(c * v for c, v in zip(lp.objective, x)) != Fraction(value):
+        msgs.append("objective value mismatch")
+    for i, ((_, rel, _), s, yi) in enumerate(zip(lp.rows, gaps, y)):
+        if (rel == "<=" and yi > 0) or (rel == ">=" and yi < 0):
+            msgs.append(f"dual sign wrong on row {i} ({rel})")
+        if yi * s != 0:
+            msgs.append(f"complementary slackness fails on row {i}")
+    for j, (c, v) in enumerate(zip(lp.objective, x)):
+        r = c - sum(coeffs[j] * yi for (coeffs, _, _), yi in zip(lp.rows, y))
+        if v == 0 and r < 0:
+            msgs.append(f"reduced cost sign wrong at lower bound x[{j}]")
+        elif v != 0 and r != 0:
+            msgs.append(f"reduced cost nonzero on interior variable x[{j}]")
+    return msgs

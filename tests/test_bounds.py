@@ -126,6 +126,24 @@ def test_gl_equals_first_ggl_round():
     assert gl.certificate == one_round.certificate
 
 
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_ggl_without_a_skew_is_gl(mode):
+    # with no skew, each column's residual has minimum 0 over the
+    # polytope with x_k = 1, so round 2 fits a zero linear part and ggl
+    # stops there with gl's value: only a reshuffle moves ggl past gl
+    rng = random.Random(24)
+    for k in range(12):
+        inst = qap_instance(rng, 3) if k % 3 == 2 \
+            else _random_qspp(rng, m_max=10)
+        gl = gl_bound(inst, mode=mode)
+        ggl = ggl_bound(inst, strategy=SkewStrategy.NONE, mode=mode)
+        assert len(ggl.trace) <= 2, (k, ggl.trace)
+        if mode == "exact":
+            assert ggl.value == gl.value, k
+        else:
+            assert abs(ggl.value - gl.value) <= 1e-9, k
+
+
 def _fitted_linear(bqp, rep):
     """2 Y^T b + z of a gl or ggl certificate: per column k, the fitted
     linear parts cbar[k] summed over every round, as exact rationals."""
@@ -294,7 +312,7 @@ def test_ggl_solves_each_changed_fitting_program_once(monkeypatch):
     # a fitting program whose column is the one it was last solved for
     # keeps that solve: the fitting solves (<= rows) are the (round, k)
     # whose column changed, plus one polytope LP (= rows) per round, and
-    # the exact KKT check runs once per solve
+    # the exact self-check (verify_solution) runs once per solve
     solves = {LE: 0, EQ: 0}
     checks = []
     cols = []  # per round, the right-hand sides of its m fitting programs

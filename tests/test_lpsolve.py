@@ -1,5 +1,6 @@
 import os
 import random
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 
@@ -26,7 +27,7 @@ from quadlin.lpsolve import (
 )
 
 from helpers import rand_rational
-from oracles import lp_oracle, standard_form
+from oracles import kkt_violations, lp_oracle, standard_form
 
 F = Fraction
 
@@ -142,36 +143,58 @@ def test_verify_rejects_tampered_result():
 
 
 # One KKT condition broken at a time: (objective, rows, x, duals, value,
-# the one message verify_solution must give), every variable x >= 0.
+# the broken condition, then the messages verify_solution must give if
+# they are not just the condition), every variable x >= 0.  The checks
+# are weak duality's, point_violations and dual_violations: complementary
+# slackness and a nonzero reduced cost on a variable above 0 show as a
+# dual objective b.y other than the value, a negative reduced cost as a
+# violated dual column, and a wrong value as both objectives off.
+_DUAL_OBJECTIVE = "dual objective does not match the certificate"
 _KKT_BREAKS = [
     ([0], [((1,), LE, 1)], [2], [0], 0, "row 0 violated (<=)"),
     ([0], [((1,), EQ, 1)], [0], [0], 0, "row 0 violated (=)"),
     ([0], [((1,), GE, 1)], [0], [0], 0, "row 0 violated (>=)"),
     ([0], [], [-1], [], 0, "x[0] below lower bound"),
-    ([1], [((1,), GE, 1)], [1], [1], 2, "objective value mismatch"),
+    ([1], [((1,), GE, 1)], [1], [1], 2, "objective value mismatch",
+     "objective value mismatch", _DUAL_OBJECTIVE),
     ([1], [((1,), LE, 1)], [1], [1], 1, "dual sign wrong on row 0 (<=)"),
     ([1], [((2,), LE, 2)], [1], [F(1, 2)], 1,
      "dual sign wrong on row 0 (<=)"),
     ([-1], [((1,), GE, 1)], [1], [-1], -1, "dual sign wrong on row 0 (>=)"),
     ([-2], [((2,), GE, 2)], [1], [-1], -2, "dual sign wrong on row 0 (>=)"),
     ([1], [((1,), GE, 1)], [2], [1], 2,
-     "complementary slackness fails on row 0"),
-    ([-1], [], [0], [], 0, "reduced cost sign wrong at lower bound x[0]"),
-    ([-2], [], [0], [], 0, "reduced cost sign wrong at lower bound x[0]"),
-    ([1], [], [1], [], 1, "reduced cost nonzero on interior variable x[0]"),
+     "complementary slackness fails on row 0", _DUAL_OBJECTIVE),
+    ([-1], [], [0], [], 0, "reduced cost sign wrong at lower bound x[0]",
+     "duals violate column 0"),
+    ([-2], [], [0], [], 0, "reduced cost sign wrong at lower bound x[0]",
+     "duals violate column 0"),
+    ([1], [], [1], [], 1, "reduced cost nonzero on interior variable x[0]",
+     _DUAL_OBJECTIVE),
 ]
 
 
 @pytest.mark.parametrize("mode", ["exact", "float"])
-@pytest.mark.parametrize("case", _KKT_BREAKS, ids=lambda c: c[-1])
+@pytest.mark.parametrize("case", _KKT_BREAKS, ids=lambda c: c[5])
 def test_verify_names_each_broken_kkt_condition(case, mode):
-    obj, rows, x, duals, value, message = case
+    obj, rows, x, duals, value, condition, *messages = case
     lp = linear_program("min", obj, rows)
     num = F if mode == "exact" else float
     res = LpResult(status=OPTIMAL, value=num(value),
                    x=tuple(map(num, x)), duals=tuple(map(num, duals)),
                    mode=mode)
-    assert verify_solution(lp, res) == (False, (message,))
+    assert verify_solution(lp, res) == (False,
+                                        tuple(messages) or (condition,))
+
+
+@pytest.mark.parametrize("rel, cost", [(LE, 1), (GE, -1)])
+def test_dual_violations_tests_the_sign_of_an_inequality_dual(rel, cost):
+    # min x over x <= 1 is 0, and min -x over x >= 1 is unbounded: the
+    # dual y = cost meets column 0 (c - y = 0) and b.y = cost, so only
+    # its sign, wrong for a min, keeps cost from passing as a lower bound
+    lp = linear_program("min", [cost], [((1,), rel, 1)])
+    for tol in (0, lpsolve.FLOAT_CHECK_TOL):
+        assert lpsolve.dual_violations(lp, (cost,), cost, tol) == [
+            f"dual sign wrong on row 0 ({rel})"]
 
 
 def _random_lp(rng, max_vars=4, max_rows=5):
@@ -322,7 +345,7 @@ def test_float_tracks_exact():
 def test_exact_solutions_self_certify(seed):
     rng = random.Random(seed)
     lp = _random_lp(rng, max_vars=5, max_rows=6)
-    res = solve_lp(lp, mode="exact")  # raises LpError if KKT fails
+    res = solve_lp(lp, mode="exact")  # raises LpError if its check fails
     if res.status == OPTIMAL:
         ok, msgs = verify_solution(lp, res)
         assert ok, msgs
@@ -330,7 +353,10 @@ def test_exact_solutions_self_certify(seed):
 
 def test_exact_certificate_has_zero_tolerance():
     # one coordinate of x, one dual or the value moved by 3**-150 breaks
-    # exactly the condition it touches, even over rows with denominators
+    # exactly the conditions it touches, even over rows with denominators:
+    # a moved x leaves the rows and c.x = value, a moved dual leaves
+    # b.y = value (and y_0 = 6 + eps leaves column 0 too), a moved value
+    # both objectives
     eps = F(1, 3 ** 150)
     lp = linear_program("min", [2, 3], [
         ((F(1, 3), F(2, 7)), EQ, F(1, 3)),
@@ -341,15 +367,51 @@ def test_exact_certificate_has_zero_tolerance():
     assert verify_solution(lp, res) == (True, ())
     for moved, want in (
             ({"x": (1 + eps, F(0))},
-             ("row 0 violated (=)", "objective value mismatch",
-              "complementary slackness fails on row 0")),
+             ("row 0 violated (=)", "objective value mismatch")),
             ({"duals": (6 + eps, F(0))},
-             ("reduced cost nonzero on interior variable x[0]",)),
-            ({"duals": (F(6), -eps)},
-             ("complementary slackness fails on row 1",
-              "reduced cost nonzero on interior variable x[0]")),
-            ({"value": 2 - eps}, ("objective value mismatch",))):
+             ("duals violate column 0", _DUAL_OBJECTIVE)),
+            ({"duals": (F(6), -eps)}, (_DUAL_OBJECTIVE,)),
+            ({"value": 2 - eps},
+             ("objective value mismatch", _DUAL_OBJECTIVE))):
         assert verify_solution(lp, replace(res, **moved)) == (False, want)
+
+
+def _one_entry_moves(res, deltas):
+    """res with one entry of x, one dual or the value moved by each
+    delta."""
+    for field in ("x", "duals"):
+        vec = getattr(res, field)
+        for j in range(len(vec)):
+            for d in deltas:
+                moved = list(vec)
+                moved[j] += d
+                yield replace(res, **{field: tuple(moved)})
+    for d in deltas:
+        yield replace(res, value=res.value + d)
+
+
+def test_weak_duality_gives_the_kkt_verdict():
+    # verify_solution checks a point and duals that meet only in the
+    # value; the KKT conditions written out (oracles.kkt_violations)
+    # must reach the same verdict on every exact optimum and on every
+    # move of one entry of its x, its duals or its value by +-1 or
+    # +-3**-150, whether the move breaks the certificate or not
+    rng = random.Random(24)
+    eps = F(1, 3 ** 150)
+    verdicts = Counter()
+    optima = 0
+    while optima < 40:
+        lp = _random_lp(rng)
+        res = solve_lp(lp, mode="exact")
+        if res.status != OPTIMAL:
+            continue
+        optima += 1
+        for case in (res, *_one_entry_moves(res, (1, -1, eps, -eps))):
+            ok = not kkt_violations(lp, case.x, case.duals, case.value)
+            assert verify_solution(lp, case)[0] == ok, (lp, case)
+            verdicts[ok] += 1
+    assert verdicts[True] > optima and verdicts[False] > 10 * optima, \
+        verdicts
 
 
 def test_float_duals_are_checked_at_their_exact_values():
