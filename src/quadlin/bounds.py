@@ -45,19 +45,24 @@ lbb_prime's solve; it builds no spanning set and runs no rank test.
 
 gl and ggl solve one fitting program per column k: max b.y + z over
 free (y, z) subject to B^T y + e_k z <= Q[:, k].  Its row gaps at the
-fit are Qbar[:, k] - Q[:, k], so the residual is minus the row gaps,
-which one function works out from B's sparse integer columns
-(_fit_gaps) whichever way the fit was found.  On a shortest-path
-instance B is the DAG's flow rows, program k is the dual of "cheapest
-s-t path through arc k" and the polytope LP a shortest path: both are
-solved by DAG dynamic programs in integers (_dag_fit, _path_minimum),
-each checked by weak duality before it is used, and no LP is built.  On
-other instances each is a simplex solve of the program stated as a
-minimum over x >= 0, as every quadlin LP is: min -(b.y + z) over the
-split y = y+ - y-, z = z+ - z- (_fitting_programs).  A program whose
-column is the one it was last fitted for is not fitted again: its
-result and row gaps are kept from that round, since the same program
-gives the same answer.  As the paper proves, gl and ggl are
+fit are Qbar[:, k] - Q[:, k], so the residual is minus the row gaps:
+on a DAG the integers the fit's weak-duality check works out, elsewhere
+worked out from B's sparse integer columns (_fit_gaps).  The rounds
+run in integers in both modes: the residual is one integer matrix over
+one denominator, each fit is read at its exact value, and Fractions
+(or, in float mode, correctly rounded floats) are made only for the
+report.
+On a shortest-path instance B is the DAG's flow rows, program k is the
+dual of "cheapest s-t path through arc k" and the polytope LP a
+shortest path: both are solved by DAG dynamic programs in integers
+(_dag_fit, _path_minimum), each checked by weak duality before it is
+used, and no LP is built.  On other instances each is a simplex solve
+of the program stated as a minimum over x >= 0, as every quadlin LP is:
+min -(b.y + z) over the split y = y+ - y-, z = z+ - z-
+(_fitting_programs).  A program whose column is the one it was last
+fitted for is not fitted again: its result and row gaps are kept from
+that round, since the same program gives the same answer.  As the
+paper proves, gl and ggl are
 linearization bounds: with Ybar and zbar the fits summed over every
 round, (y, Ybar / 2, zbar) is an lbb_prime certificate of their value,
 y the last round's polytope duals, and it is the certificate they carry.
@@ -78,6 +83,8 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import chain
+from math import gcd, lcm
+from typing import NamedTuple
 
 from quadlin.exactnum import (
     ONE,
@@ -135,6 +142,12 @@ from quadlin.qspplin import (
 
 
 _HALF = Fraction(1, 2)
+
+# the most rounds ggl_bound runs: exact SYMMETRIZE rarely stops before
+# max_iter, and each round adds about a bit to every residual integer;
+# 10,000 such rounds took 6.4 s on tournament n = 5 and 17.5 s on n = 7
+# (Python 3.11, one core)
+MAX_ITER = 10_000
 
 
 class BoundComputationError(RuntimeError):
@@ -244,44 +257,52 @@ def _fitting_programs(bqp: BqpInstance) -> list:
 
 
 def _sparse_columns(B: RationalMatrix) -> tuple:
-    """(entries, ks): per column i of B, its lcm k_i of denominators, and
-    each nonzero entry B[r, i] as (i, m + r, its numerator over k_i), m
-    the number of columns: m + r indexes y_r in _fit_gaps' numerators,
-    which hold rhs first."""
-    cols = [common_denominator(B.column(i)) for i in range(B.cols)]
-    return ([(i, B.cols + r, v) for i, (nums, _) in enumerate(cols)
-             for r, v in enumerate(nums) if v], [k for _, k in cols])
+    """(entries, K): B over the lcm K of its denominators, each nonzero
+    entry B[r, i] as (i, r, its numerator), the form _fit_gaps reads."""
+    nums, K = common_denominator(B.entries)
+    return ([(i, r, v) for r in range(B.rows) for i in range(B.cols)
+             if (v := nums[r * B.cols + i])], K)
 
 
-def _fit_gaps(entries, ks, k: int, rhs, x) -> list:
+def _fit_gaps(bcols, k: int, rhs, x) -> list:
     """Fitting program k's row gaps B[:, i].y + [i == k] z - rhs[i] at
-    x = (y, z), read exactly (a float at its exact binary value), for
-    every column i of B, given as _sparse_columns' entries and ks: x and
-    rhs over one denominator d, each gap an integer sum over B's nonzero
-    entries, over k_i d, one Fraction per row.  On a DAG a column holds
-    two entries, so a fit's gaps take O(m).  In float mode x holds the
-    floats reported, so the residual folded is that of the fits the
-    certificate sums."""
-    nums, d = common_denominator(list(rhs) + [rat_from(v) for v in x])
-    acc = [-ki * v for ki, v in zip(ks, nums)]  # nums: rhs, then y, z
-    acc[k] += ks[k] * nums[-1]
-    for i, j, v in entries:
-        acc[i] += v * nums[j]
-    return [Fraction(s, ki * d) for s, ki in zip(acc, ks)]
+    x = (y, z), for every column i of B, given as _sparse_columns'
+    (entries, K): rhs and x integers over one denominator d, the gaps
+    integers over K d, each a sum over B's nonzero entries.  On a DAG
+    they are the gaps _certify_potentials checks, and a DAG fit takes
+    those."""
+    entries, K = bcols
+    acc = [-K * v for v in rhs]
+    acc[k] += K * x[-1]
+    for i, r, v in entries:
+        acc[i] += v * x[r]
+    return acc
 
 
-def _fit_columns(fit, columns, last) -> list:
-    """Best per-column (y_k, z_k): max b.y_k + z_k with
-    B^T y_k + e_k z_k <= columns[k], the current matrix's column k as a
-    tuple.  Per column, (rhs, res, gaps): res the LpResult that
-    fit(k, rhs) returns, whose x is (y_k, z_k) and value cbar[k], and
-    gaps the program's row gaps there (_fit_gaps), None until a next
-    round folds them.  last[k] is column k's fit from the round before,
-    or None; a column equal to the last one fitted keeps its fit and
-    gaps, since the same program gives the same answer and its check
-    already passed."""
-    return [old if old and old[0] == rhs else (rhs, fit(k, rhs), None)
-            for k, (rhs, old) in enumerate(zip(columns, last))]
+class _Fit(NamedTuple):
+    """Column k's fit: x = (y_k, z_k) and its value cbar[k] as integers
+    over d, for the column rhs, integers over den, that it was fitted
+    for, and program k's row gaps there as (integers, denominator)."""
+    rhs: tuple
+    den: int
+    x: tuple
+    cbar: int
+    d: int
+    gaps: tuple
+    pivots: int = 0
+
+
+def _fit_columns(fit, columns, den, last) -> list:
+    """Per column k of the current matrix, integers over den, its _Fit:
+    fit(k, rhs, den), the best (y_k, z_k), max b.y_k + z_k with
+    B^T y_k + e_k z_k <= rhs / den, or last[k], column k's fit from the
+    round before (None in the first), if that was fitted for the same
+    column: it keeps its fit and gaps, since the same program gives the
+    same answer and its check already passed."""
+    return [old if old and (old.rhs == rhs if old.den == den else all(
+        a * den == b * old.den for a, b in zip(old.rhs, rhs)))
+        else fit(k, rhs, den)
+        for k, (rhs, old) in enumerate(zip(columns, last))]
 
 
 # ---------------------------------------------------------------------------
@@ -328,10 +349,12 @@ def _dag_fit(g: Dag, cost, k: int):
     R, arc k among them; a vertex with no arc gets 0.  Every arc but k
     then has pi_b - pi_a <= cost(a, b), y = -pi and
     z = cost(k) + pi_u - pi_v make row k tight, and path, the cheapest
-    s-t path through k, costs pi_t - pi_s + z.  Which optimum is taken
-    leaves gl's value as it is but moves ggl's later rounds; this one,
-    read from s, was measured against the one read from t and against
-    their mean (CHANGES.md).
+    s-t path through k, costs pi_t - pi_s + z.  Shortest paths, their
+    ties and the least C are unchanged when every cost is scaled by the
+    same positive factor, so pi and z scale with it: any denominator
+    gives the same fit.  Which optimum is taken leaves gl's value as it
+    is but moves ggl's later rounds; this one, read from s, was measured
+    against the one read from t and against their mean (CHANGES.md).
     """
     u, v = g.arcs[k]
     d_s, pred_s = shortest_paths(g, cost, g.source)
@@ -345,14 +368,18 @@ def _dag_fit(g: Dag, cost, k: int):
 
 
 def _certify_potentials(g: Dag, cost, pi, path, k=-1, z=0):
-    """pi_t - pi_s + z, the value of y = -pi and z in fitting program k
-    (k = -1: of y in the polytope LP's dual), checked in integers: every
-    row gap pi_b - pi_a + [j == k] z - cost(a, b) must be <= 0, and path
-    an s-t path, through k if k >= 0, costing that value, which by weak
-    duality makes both optimal.  Raises LpError otherwise."""
-    for j, (a, b) in enumerate(g.arcs):
-        if pi[b] - pi[a] + (z if j == k else 0) > cost[j]:
-            raise LpError(f"DAG potentials violate arc {j}")
+    """(value, gaps) for y = -pi and z in fitting program k (k = -1: for
+    y in the polytope LP's dual), checked in integers: the row gaps
+    pi_b - pi_a + [j == k] z - cost(a, b), one per arc j = (a, b), must
+    all be <= 0, and path must be an s-t path, through k if k >= 0,
+    costing value = pi_t - pi_s + z, which by weak duality makes both
+    optimal.  Raises LpError otherwise."""
+    gaps = [pi[b] - pi[a] - c for (a, b), c in zip(g.arcs, cost)]
+    if k >= 0:
+        gaps[k] += z
+    if max(gaps, default=0) > 0:
+        bad = next(j for j, v in enumerate(gaps) if v > 0)
+        raise LpError(f"DAG potentials violate arc {bad}")
     at = g.source
     for j in path:
         if g.arcs[j][0] != at:
@@ -362,64 +389,70 @@ def _certify_potentials(g: Dag, cost, pi, path, k=-1, z=0):
     if at != g.target or (k >= 0 and k not in path) \
             or sum(cost[j] for j in path) != value:
         raise LpError("DAG certificate path does not match the potentials")
-    return value
+    return value, gaps
 
 
-def _exact_or_float(nums, den, mode) -> tuple:
-    """nums over den, as Fractions or, in float mode, rounded floats."""
-    if mode == "exact":
-        return tuple(Fraction(v, den) for v in nums)
-    return tuple(v / den for v in nums)
+def _quotient(num: int, den: int, mode: str):
+    """num / den as a Fraction or, in float mode, the float nearest it
+    (int true division rounds correctly)."""
+    return Fraction(num, den) if mode == "exact" else num / den
 
 
-def _graph_fit(g: Dag, k: int, rhs, mode: str) -> LpResult:
-    """Column k's fit from _dag_fit, certified: x is (y_k, z_k) and the
-    value cbar[k]; 0 pivots."""
-    cost, den = common_denominator(rhs)
-    pi, z, path = _dag_fit(g, cost, k)
-    cbar = _certify_potentials(g, cost, pi, path, k, z)
-    *x, value = _exact_or_float([-p for p in pi] + [z, cbar], den, mode)
-    return LpResult(OPTIMAL, value, tuple(x), mode=mode)
+def _graph_fit(g: Dag, k: int, rhs, den: int) -> _Fit:
+    """Column k's fit from _dag_fit, over den itself, with the row gaps
+    its certificate checked (_certify_potentials), which are _fit_gaps'
+    on the DAG's flow rows; 0 pivots."""
+    pi, z, path = _dag_fit(g, rhs, k)
+    cbar, gaps = _certify_potentials(g, rhs, pi, path, k, z)
+    return _Fit(rhs, den, (*(-p for p in pi), z), cbar, den, (gaps, den))
 
 
-def _path_minimum(g: Dag, costs, mode: str) -> LpResult:
-    """The polytope LP's optimum on g: a shortest s-t path under costs,
-    with duals y = -d_s (0 at a vertex with no arc), certified."""
-    nums, den = common_denominator(costs)
-    dist, pred = shortest_paths(g, nums, g.source)
+def _path_minimum(g: Dag, costs, den: int, mode: str) -> LpResult:
+    """The polytope LP's optimum value on g under the integer costs over
+    den, that of a shortest s-t path, with duals y = -d_s (0 at a vertex
+    with no arc), certified; the path itself is not reported."""
+    dist, pred = shortest_paths(g, costs, g.source)
     if dist[g.target] is None:
         raise BoundComputationError(
             f"feasible-set minimum: LP is {INFEASIBLE}")
     pi = [0 if d is None else d for d in dist]
     path = _walk(g, pred, g.target)
-    value = _certify_potentials(g, nums, pi, path)
-    on = set(path)
-    *duals, value = _exact_or_float([-p for p in pi] + [value], den, mode)
-    x = _exact_or_float([int(j in on) for j in range(g.m)], 1, mode)
-    return LpResult(OPTIMAL, value, x, tuple(duals), mode=mode)
+    value, _ = _certify_potentials(g, costs, pi, path)
+    return LpResult(OPTIMAL, _quotient(value, den, mode),
+                    duals=tuple(_quotient(-p, den, mode) for p in pi),
+                    mode=mode)
 
 
-def _next_columns(gaps, strategy: SkewStrategy) -> list:
-    """The columns, as tuples, of the residual R = q - Qbar reshuffled per
-    strategy: R itself, R with R_ij + R_ji above the diagonal and zeros
-    below, or (R + R^T) / 2.  gaps[k] are fitting program k's row gaps at
-    its fit (y_k, z_k): row i is B[:, i].y_k + [i == k] z_k - q[i][k] =
-    Qbar[i][k] - q[i][k], so column k of R is minus gaps[k], and a folded
-    entry is one exact sum."""
+def _next_columns(gaps, strategy: SkewStrategy) -> tuple:
+    """(columns, den): the columns, as tuples of integers over den, of the
+    residual R = q - Qbar reshuffled per strategy: R itself, R with
+    R_ij + R_ji above the diagonal and zeros below, or (R + R^T) / 2,
+    whose sums are not halved but taken over twice the denominator.
+    gaps[k] is fitting program k's row gaps at its fit (y_k, z_k), as
+    (integers, denominator): row i is B[:, i].y_k + [i == k] z_k - q[i][k]
+    = Qbar[i][k] - q[i][k], so column k of R is minus gaps[k].  The gaps
+    are brought to the lcm of their denominators, and the columns and den
+    are divided by their gcd."""
+    den = lcm(*(d for _, d in gaps))
+    g = [nums if d == den else [v * (den // d) for v in nums]
+         for nums, d in gaps]
     if strategy == SkewStrategy.NONE:
-        return [tuple(-v for v in col) for col in gaps]
-    w, mirror = ((-ONE, -ONE), False) \
-        if strategy == SkewStrategy.UPPER_TRIANGULAR \
-        else ((-_HALF, -_HALF), True)
-    m = len(gaps)
-    cols = [[ZERO] * m for _ in range(m)]
-    for i in range(m):
-        cols[i][i] = -gaps[i][i]
-        for j in range(i + 1, m):
-            cols[j][i] = vdot((gaps[j][i], gaps[i][j]), w)
-            if mirror:
-                cols[i][j] = cols[j][i]
-    return [tuple(col) for col in cols]
+        cols = [[-v for v in col] for col in g]
+    else:
+        mirror = strategy == SkewStrategy.SYMMETRIZE
+        m = len(g)
+        cols = [[0] * m for _ in range(m)]
+        for i in range(m):
+            cols[i][i] = -(2 if mirror else 1) * g[i][i]
+            for j in range(i + 1, m):
+                cols[j][i] = -(g[j][i] + g[i][j])
+                if mirror:
+                    cols[i][j] = cols[j][i]
+        den *= 2 if mirror else 1
+    common = gcd(den, *chain.from_iterable(cols))
+    if common == 1:
+        return [tuple(col) for col in cols], den
+    return [tuple(v // common for v in col) for col in cols], den // common
 
 
 def _fitting_rounds(inst, strategy: SkewStrategy, max_iter: int,
@@ -431,6 +464,16 @@ def _fitting_rounds(inst, strategy: SkewStrategy, max_iter: int,
     shortest-path instance the fits and the minimum are DAG dynamic
     programs (_graph_fit, _path_minimum), elsewhere simplex solves.
 
+    Every round runs in integers, in either mode: the residual is one
+    matrix of integers over one denominator, the fits' (y, z) and values
+    are summed as integers over another, and a minimum's costs are those
+    sums plus the linear term over the lcm of the two.  A simplex fit's
+    right-hand sides are the residual's column as Fractions and its
+    result is read exactly (a float at its exact binary value), which
+    can move the residual to a larger denominator.  Fractions, or in
+    float mode the nearest floats, are made only for the report: the
+    trace, the value and the certificate.
+
     The certificate is lbb_prime's (y, Y, z): y the last minimum's duals,
     Y half the sum over rounds of the fits' y-parts, as n rows of m, and
     z the sum of their z-parts.  Each round's fitted matrix is
@@ -438,8 +481,8 @@ def _fitting_rounds(inst, strategy: SkewStrategy, max_iter: int,
     the residual, and the last residual is elementwise nonnegative, so
     B^T Y + Y^T B + Diag(z) stays below sym(Q); 2 Y^T b + z is the summed
     linear part the last minimum was taken under, and b.y its value."""
-    if max_iter < 1:
-        raise ValueError("max_iter must be positive")
+    if not 1 <= max_iter <= MAX_ITER:
+        raise ValueError(f"max_iter must be between 1 and {MAX_ITER}")
     if not isinstance(strategy, SkewStrategy):
         raise ValueError(f"unknown strategy {strategy!r}")
     bqp = _bqp(inst)
@@ -448,53 +491,63 @@ def _fitting_rounds(inst, strategy: SkewStrategy, max_iter: int,
     g = _qspp_graph(bqp)
     if g is not None:
         _require_st_arcs(g)
-        fit = partial(_graph_fit, g, mode=mode)
+        fit = partial(_graph_fit, g)
         minimum = partial(_path_minimum, g, mode=mode)
     else:
-        programs = _fitting_programs(bqp)
+        programs, bcols = _fitting_programs(bqp), _sparse_columns(bqp.B)
 
-        def fit(k, rhs):  # read back as (y_k, z_k) and cbar[k]
-            res = _solve(programs[k].with_rhs(rhs), mode,
-                         f"column {k} fitting program")
+        def fit(k, rhs, den):  # read back as (y_k, z_k) and cbar[k]
+            res = _solve(
+                programs[k].with_rhs(Fraction(v, den) for v in rhs), mode,
+                f"column {k} fitting program")
             x = res.x
-            return replace(res, value=-res.value,
-                           x=tuple(a - b for a, b in zip(x[::2], x[1::2])))
+            nums, dx = common_denominator(
+                [rat_from(a - b) for a, b in zip(x[::2], x[1::2])]
+                + [rat_from(-res.value)])
+            d = lcm(dx, den)  # a multiple of den, so rhs scales to it
+            *x, cbar = (v * (d // dx) for v in nums)
+            gaps = _fit_gaps(bcols, k, [v * (d // den) for v in rhs], x)
+            return _Fit(rhs, den, tuple(x), cbar, d, (gaps, bcols[1] * d),
+                        res.pivots)
 
-        def minimum(costs):
-            return _solve(_polytope_lp(bqp, costs), mode,
-                          "feasible-set minimum")
-    bcols = _sparse_columns(bqp.B)
-    columns = [bqp.Q.column(k) for k in range(m)]
-    c_total = [ZERO] * m
-    fitted = [(ZERO,) * (n + 1)] * m  # per column, its fits' (y, z) summed
+        def minimum(costs, den):
+            return _solve(
+                _polytope_lp(bqp, (Fraction(c, den) for c in costs)), mode,
+                "feasible-set minimum")
+    qnums, den = common_denominator(bqp.Q.entries)
+    columns = [tuple(qnums[k::m]) for k in range(m)]
+    lin, lin_den = common_denominator(bqp.linear)
+    # per column, its fits' (y, z) and cbar summed, over acc_den
+    fitted, acc_den = [[0] * (n + 2) for _ in range(m)], 1
     trace = []
     pivots = 0
     fits = [None] * m
     for it in range(max_iter):
         if it:  # the residual is minus the last fits' row gaps
-            fits = [(rhs, res, gaps or _fit_gaps(*bcols, k, rhs, res.x))
-                    for k, (rhs, res, gaps) in enumerate(fits)]
-            columns = _next_columns([gaps for *_, gaps in fits], strategy)
-        fits = _fit_columns(fit, columns, fits)
-        results = [res for _, res, _ in fits]
-        cbar = [res.value for res in results]
-        c_total = [a + rat_from(c) for a, c in zip(c_total, cbar)]
-        fitted = [[a + v for a, v in zip(acc, res.x)]
-                  for acc, res in zip(fitted, results)]
-        final = minimum([a + l for a, l in zip(c_total, bqp.linear)])
+            columns, den = _next_columns([f.gaps for f in fits], strategy)
+        fits = _fit_columns(fit, columns, den, fits)
+        step = lcm(acc_den, *(f.d for f in fits)) // acc_den
+        acc_den *= step
+        fitted = [[a * step + v * (acc_den // f.d)
+                   for a, v in zip(acc, (*f.x, f.cbar))]
+                  for acc, f in zip(fitted, fits)]
+        cost_den = lcm(acc_den, lin_den)
+        final = minimum(
+            [acc[-1] * (cost_den // acc_den) + v * (cost_den // lin_den)
+             for acc, v in zip(fitted, lin)], cost_den)
         trace.append(final.value)
-        pivots += sum(res.pivots for res in results) + final.pivots
-        if all(rat(c) == 0 for c in cbar) if mode == "exact" \
-                else all(abs(float(c)) <= 1e-9 for c in cbar):
+        pivots += sum(f.pivots for f in fits) + final.pivots
+        if not any(f.cbar for f in fits) if mode == "exact" \
+                else all(abs(f.cbar / f.d) <= 1e-9 for f in fits):
             break
     return BoundReport(
         name="ggl", value=final.value, mode=mode,
         relaxation_only=not bqp.integral_polytope,
         certificate={
             "y": final.duals,
-            "Y": tuple(tuple(col[r] / 2 for col in fitted)
-                       for r in range(n)),
-            "z": tuple(col[n] for col in fitted),
+            "Y": tuple(tuple(_quotient(acc[r], 2 * acc_den, mode)
+                             for acc in fitted) for r in range(n)),
+            "z": tuple(_quotient(acc[n], acc_den, mode) for acc in fitted),
         },
         trace=tuple(trace), pivots=pivots)
 
@@ -514,25 +567,30 @@ def ggl_bound(inst, strategy: SkewStrategy = SkewStrategy.NONE,
     term, and continues on the residual (reshuffled per the strategy).
     Stops after the round whose fitted linear part vanishes (exactly in
     exact mode, every entry within 1e-9 in float mode), or after
-    max_iter rounds.  The trace holds the bound after each round and is
-    nondecreasing: the residual of every round is elementwise
-    nonnegative, so every fitted part after the first is nonnegative.
-    With SkewStrategy.NONE, ggl is gl: each column's fit is optimal, so
-    its residual has minimum 0 over the polytope with x_k = 1, round 2
-    fits a zero linear part and the loop stops with gl's value.  Only
-    the skew reshuffle moves ggl past gl.  In exact mode SYMMETRIZE
-    usually runs all max_iter rounds: the halved residual shrinks but
-    never reaches zero (on a 10-arc corridor DAG, with simplex fits, the
-    bound was -5.5029 after 10 rounds and -5.5000029 after 20), so
-    max_iter bounds the work.  After the first round the value depends
-    on which optimal fit each round takes: on a shortest-path instance
-    that is _dag_fit's potentials, elsewhere the simplex's duals.  A
-    column that a round leaves unchanged is not fitted again: it keeps
-    its last fit (96 of SYMMETRIZE's 450 programs on a QAP with n = 3),
-    and pivots counts that solve's pivots in every round that uses it.
-    The certificate is lbb_prime's, read off the fits summed over every
-    round (_fitting_rounds), so verify_report replays it against the
-    lifting LP and no round is replayed.
+    max_iter rounds, at most MAX_ITER (ValueError above it or below 1).
+    The trace holds the bound after each round and is nondecreasing: the
+    residual of every round is elementwise nonnegative, so every fitted
+    part after the first is nonnegative.  With SkewStrategy.NONE, ggl is
+    gl: each column's fit is optimal, so its residual has minimum 0 over
+    the polytope with x_k = 1, round 2 fits a zero linear part and the
+    loop stops with gl's value.  Only the skew reshuffle moves ggl past
+    gl.  In exact mode SYMMETRIZE usually runs all max_iter rounds: the
+    halved residual shrinks but never reaches zero (on the pinned 10-arc
+    corridor DAG of the tests, with DAG fits, the bound is
+    -145/16 - 3/2^r after r >= 10 rounds: -9283/1024 after 10,
+    -9502723/2^20 after 20, -10203467905761283/2^50 after 50), so
+    max_iter bounds the work.  The
+    rounds run in integers in both modes (_fitting_rounds), so a float
+    report's trace is the exact one rounded, entry by entry, up to the
+    round where its 1e-9 test stops it.  After the first round the value
+    depends on which optimal fit each round takes: on a shortest-path
+    instance that is _dag_fit's potentials, elsewhere the simplex's
+    duals.  A column that a round leaves unchanged is not fitted again:
+    it keeps its last fit (96 of SYMMETRIZE's 450 programs on a QAP with
+    n = 3), and pivots counts that solve's pivots in every round that
+    uses it.  The certificate is lbb_prime's, read off the fits summed
+    over every round (_fitting_rounds), so verify_report replays it
+    against the lifting LP and no round is replayed.
     """
     return _fitting_rounds(inst, strategy, max_iter, mode)
 

@@ -40,6 +40,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from quadlin.bounds import (
+    MAX_ITER,
     BoundComputationError,
     ChainViolation,
     SkewStrategy,
@@ -617,7 +618,7 @@ def _build_parser() -> argparse.ArgumentParser:
     bd.add_argument("--mode", choices=["auto", "exact", "float"],
                     default="auto")
     bd.add_argument("--max-iter", type=int, default=50,
-                    help="ggl iteration cap")
+                    help=f"ggl iteration cap, 1 to {MAX_ITER}")
     bd.set_defaults(func=_cmd_bound)
 
     op = sub.add_parser("opt", help="exact optimum by enumeration")

@@ -340,3 +340,103 @@ def kkt_violations(lp, x, y, value) -> list:
         elif v != 0 and r != 0:
             msgs.append(f"reduced cost nonzero on interior variable x[{j}]")
     return msgs
+
+
+# ---------------------------------------------------------------------------
+# ggl's rounds with a Fraction residual
+
+def fraction_fold_ggl(inst, strategy, max_iter, mode) -> tuple:
+    """(value, trace, certificate, pivots) of ggl_bound's rounds with the
+    residual, the fitted linear parts and the summed fits held as
+    Fractions, entry by entry, as they were before the fold moved to
+    integers: each fit's x is reported in the mode's arithmetic (floats
+    rounded one by one in float mode), its row gaps are worked out from
+    that x at its exact value, and the summed fits are added in the
+    mode's arithmetic.  The fits themselves are bounds' DAG programs or
+    simplex solves, unchecked, and every column is fitted afresh each
+    round."""
+    from quadlin import bounds
+    from quadlin.graph import shortest_paths
+    from quadlin.lpsolve import OPTIMAL, solve_lp
+
+    def report(nums, den):
+        if mode == "exact":
+            return [Fraction(v, den) for v in nums]
+        return [v / den for v in nums]
+
+    def common(values):
+        den = lcm(*(v.denominator for v in values))
+        return [int(v * den) for v in values], den
+
+    def solved(lp):
+        res = solve_lp(lp, mode=mode)
+        assert res.status == OPTIMAL, res.status
+        return res
+
+    bqp = bounds._bqp(inst)
+    n, m = bqp.B.rows, bqp.m
+    mode = bounds._bound_mode(bqp, mode, max(m, n), n + 1)
+    g = bounds._qspp_graph(bqp)
+    programs = bounds._fitting_programs(bqp)
+
+    def fit(k, rhs):  # (x = (y, z), cbar, pivots)
+        if g is None:
+            res = solved(programs[k].with_rhs(rhs))
+            x = res.x
+            return ([a - b for a, b in zip(x[::2], x[1::2])], -res.value,
+                    res.pivots)
+        cost, den = common(rhs)
+        pi, z, _ = bounds._dag_fit(g, cost, k)
+        cbar = pi[g.target] - pi[g.source] + z
+        *x, cbar = report([-p for p in pi] + [z, cbar], den)
+        return x, cbar, 0
+
+    def minimum(costs):  # (value, duals, pivots)
+        if g is None:
+            res = solved(bounds._polytope_lp(bqp, costs))
+            return res.value, res.duals, res.pivots
+        nums, den = common(costs)
+        dist, _ = shortest_paths(g, nums, g.source)
+        pi = [0 if d is None else d for d in dist]
+        *duals, value = report([-p for p in pi] + [dist[g.target]], den)
+        return value, tuple(duals), 0
+
+    def gaps(k, rhs, x):  # B[:, i].y + [i == k] z - rhs[i], exactly
+        x = [Fraction(v) for v in x]
+        return [sum((bqp.B.at(r, i) * x[r] for r in range(n)), Fraction(0))
+                + (x[n] if i == k else 0) - rhs[i] for i in range(m)]
+
+    half = Fraction(1, 2)
+    columns = [bqp.Q.column(k) for k in range(m)]
+    c_total = [Fraction(0)] * m
+    fitted = [[Fraction(0)] * (n + 1) for _ in range(m)]
+    trace, pivots = [], 0
+    for it in range(max_iter):
+        if it:
+            gs = [gaps(k, rhs, x) for k, (rhs, (x, _, _))
+                  in enumerate(zip(columns, fits))]
+            cols = [[-v for v in col] for col in gs]
+            if strategy != bounds.SkewStrategy.NONE:
+                w = half if strategy == bounds.SkewStrategy.SYMMETRIZE \
+                    else 1
+                for i in range(m):
+                    for j in range(i + 1, m):
+                        cols[j][i] = -w * (gs[j][i] + gs[i][j])
+                        cols[i][j] = cols[j][i] if w == half else 0
+            columns = [tuple(col) for col in cols]
+        fits = [fit(k, rhs) for k, rhs in enumerate(columns)]
+        c_total = [a + Fraction(c) for a, (_, c, _) in zip(c_total, fits)]
+        fitted = [[a + v for a, v in zip(acc, x)]
+                  for acc, (x, _, _) in zip(fitted, fits)]
+        value, duals, piv = minimum(
+            [a + v for a, v in zip(c_total, bqp.linear)])
+        trace.append(value)
+        pivots += sum(p for _, _, p in fits) + piv
+        if all(Fraction(c) == 0 if mode == "exact" else abs(float(c)) <= 1e-9
+               for _, c, _ in fits):
+            break
+    certificate = {
+        "y": duals,
+        "Y": tuple(tuple(acc[r] / 2 for acc in fitted) for r in range(n)),
+        "z": tuple(acc[n] for acc in fitted)}
+    return value, tuple(trace), certificate, pivots

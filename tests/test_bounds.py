@@ -57,7 +57,11 @@ from helpers import (
     rand_symmetric_rows,
     random_corridor_dag,
 )
-from oracles import linearization_violations, structural_zeros
+from oracles import (
+    fraction_fold_ggl,
+    linearization_violations,
+    structural_zeros,
+)
 
 
 def _random_qspp(rng, m_max=10, symmetric=False):
@@ -327,9 +331,9 @@ def test_ggl_solves_each_changed_fitting_program_once(monkeypatch):
         checks.append(lp)
         return check(lp, result)
 
-    def recording_fits(fit, columns, last):
-        cols.append(list(columns))
-        return fit_columns(fit, columns, last)
+    def recording_fits(fit, columns, den, last):
+        cols.append([tuple(Fraction(v, den) for v in col) for col in columns])
+        return fit_columns(fit, columns, den, last)
 
     monkeypatch.setattr(bounds, "solve_lp", counting_solve)
     monkeypatch.setattr(lpsolve, "verify_solution", counting_check)
@@ -346,6 +350,64 @@ def test_ggl_solves_each_changed_fitting_program_once(monkeypatch):
     assert len(checks) == changed + len(cols)
 
 
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_integer_fold_matches_the_fraction_fold(mode):
+    # ggl's rounds hold the residual and the summed fits as integers over
+    # one denominator each; the Fraction fold they replaced
+    # (oracles.fraction_fold_ggl) gives the very same value, trace,
+    # certificate and pivots under every strategy, on corridor DAGs
+    # (DAG fits), tournaments and a QAP (simplex fits); in float mode
+    # every value here is dyadic, so the old per-entry rounding was exact
+    rng = random.Random(2)
+    insts = [_random_qspp(rng) for _ in range(3)] + [
+        _pinned_corridor(), generate_tournament(5), generate_tournament(6),
+        _pinned_qap()]
+    for i, inst in enumerate(insts):
+        for strategy in SkewStrategy:
+            rep = ggl_bound(inst, strategy=strategy, mode=mode)
+            want = fraction_fold_ggl(inst, strategy, 50, mode)
+            got = (rep.value, rep.trace, rep.certificate, rep.pivots)
+            assert repr(got) == repr(want), (i, strategy)
+
+
+def test_float_ggl_trace_is_the_exact_trace_rounded():
+    # both modes run one integer loop and round only the report, so each
+    # round of a float run is the exact run's value, correctly rounded;
+    # the float run stops at its 1e-9 test, no later than the exact one
+    rng = random.Random(4)
+    for inst in (_pinned_corridor(), _random_qspp(rng), _random_qspp(rng)):
+        for strategy in SkewStrategy:
+            exact = ggl_bound(inst, strategy=strategy, mode="exact")
+            rounded = ggl_bound(inst, strategy=strategy, mode="float")
+            assert len(rounded.trace) <= len(exact.trace)
+            for i, v in enumerate(rounded.trace):
+                assert float(exact.trace[i]) == v, (strategy, i)
+            assert rounded.value == rounded.trace[-1]
+
+
+def test_ggl_on_a_corridor_builds_fractions_only_for_its_report(
+        monkeypatch):
+    # the residual, the fits and their sums are integers: a round makes
+    # Fractions only for its minimum (its value and n duals), and the
+    # report n m + m more for Y and z; a Fraction per residual entry
+    # would be m^2 per round (the instance is encoded beforehand)
+    inst = qspp_to_bqp(_pinned_corridor())
+    n, m = inst.B.rows, inst.m
+    made = []
+    new = Fraction.__new__
+
+    def counting(cls, *args, **kwargs):
+        made.append(cls)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counting)
+    rep = ggl_bound(inst, strategy=SkewStrategy.SYMMETRIZE, mode="exact")
+    monkeypatch.undo()
+    rounds = len(rep.trace)
+    assert rounds == 50
+    assert len(made) <= rounds * (1 + n) + n * m + m
+
+
 def _split_point(x) -> list:
     """x over free variables as the point (x_0+, x_0-, ...) of their
     split, each part >= 0."""
@@ -358,7 +420,7 @@ def test_residual_is_minus_the_fitting_programs_row_gaps():
     # the row gaps of program k at (y_k, z_k), its split point in the
     # program's nonnegative variables, are column k of Qbar - Q, so
     # column k of the residual is minus them; _fit_gaps gives them from
-    # B's sparse columns
+    # B's sparse columns, in integers over one denominator
     rng = random.Random(5)
     n, m = 3, 5
     B = RationalMatrix.from_rows(
@@ -384,10 +446,17 @@ def test_residual_is_minus_the_fitting_programs_row_gaps():
             _split_point([Fraction(v) for v in ycols[k]]
                          + [Fraction(zbar[k])]))
             for k in range(m)]
-        assert gaps == [bounds._fit_gaps(
-            *bounds._sparse_columns(B), k, Q.column(k),
-            list(ycols[k]) + [zbar[k]]) for k in range(m)]
-        assert bounds._next_columns(gaps, SkewStrategy.NONE) == [
+        bcols = bounds._sparse_columns(B)
+        ints = []
+        for k in range(m):
+            nums, d = common_denominator(
+                list(Q.column(k))
+                + [Fraction(v) for v in (*ycols[k], zbar[k])])
+            ints.append((bounds._fit_gaps(bcols, k, nums[:m], nums[m:]),
+                         bcols[1] * d))
+        assert gaps == [[Fraction(v, d) for v in nums] for nums, d in ints]
+        cols, den = bounds._next_columns(ints, SkewStrategy.NONE)
+        assert [tuple(Fraction(v, den) for v in col) for col in cols] == [
             tuple(row[k] for row in want) for k in range(m)]
 
 
@@ -413,12 +482,15 @@ def test_dag_fit_matches_the_simplex(mode):
             res = lpsolve.solve_lp(lp, mode=mode)
             assert abs(cbar[k] + Fraction(res.value)) <= tol
             cbars.append(-Fraction(res.value))
-            fit = bounds._graph_fit(inst.graph, k, rhs, mode)
-            x = _split_point([Fraction(v) for v in fit.x])
-            assert bounds._fit_gaps(*bcols, k, rhs, fit.x) \
+            cost, den = common_denominator(rhs)
+            fit = bounds._graph_fit(inst.graph, k, cost, den)
+            x = _split_point([Fraction(v, fit.d) for v in fit.x])
+            assert [Fraction(v, bcols[1] * fit.d)
+                    for v in bounds._fit_gaps(bcols, k, cost, fit.x)] \
+                == [Fraction(v, fit.gaps[1]) for v in fit.gaps[0]] \
                 == lpsolve._row_gaps(lp, x)
-            if mode == "exact":
-                assert lpsolve.point_violations(lp, x, -fit.value) == []
+            assert lpsolve.point_violations(
+                lp, x, -Fraction(fit.cbar, fit.d)) == []
         simplex = lpsolve.solve_lp(bounds._polytope_lp(bqp, cbars), mode=mode)
         assert abs(gl.value - simplex.value) <= tol
         assert gl.pivots == 0
@@ -432,7 +504,7 @@ def test_a_raised_potential_fails_the_dag_self_check():
     for k in range(g.m):
         cost, den = common_denominator(inst.Q.column(k))
         pi, z, path = bounds._dag_fit(g, cost, k)
-        value = bounds._certify_potentials(g, cost, pi, path, k, z)
+        value, _ = bounds._certify_potentials(g, cost, pi, path, k, z)
         assert value == sum(cost[j] for j in path)
         assert Fraction(value, den) == cbar[k]
         for v in [g.source] + [g.arcs[j][1] for j in path]:

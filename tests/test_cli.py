@@ -16,6 +16,7 @@ import quadlin
 
 from quadlin import cli
 from quadlin.bounds import (
+    MAX_ITER,
     SkewStrategy,
     ggl_bound,
     gl_bound,
@@ -602,6 +603,20 @@ def test_generate_refuses_a_tournament_over_the_variable_cap(capsys,
         capsys, ["generate", "tournament", "--n", "46", "-o", str(target)])
     assert (code, out) == (EXIT_VALIDATION, "")
     assert "1035 arcs" in err and not target.exists()
+
+
+def test_ggl_iteration_budget_outside_its_range_exits_3(capsys, tmp_path):
+    # exact SYMMETRIZE rarely stops before max_iter, so a huge budget is
+    # an unbounded run; both ends of the range are refused before any fit
+    f = tmp_path / "t5.qspp"
+    run_cli(capsys, ["generate", "tournament", "--n", "5", "-o", str(f)])
+    for budget in (0, MAX_ITER + 1, 100_000_000):
+        code, out, err = run_cli(capsys, [
+            "bound", str(f), "--method", "ggl", "--strategy", "sym",
+            "--mode", "exact", "--max-iter", str(budget)])
+        assert (code, out) == (EXIT_VALIDATION, ""), budget
+        assert f"max_iter must be between 1 and {MAX_ITER}" in err
+        assert "Traceback" not in err
 
 
 def test_an_unbounded_fitting_program_exits_5(capsys, tmp_path):
