@@ -9,6 +9,8 @@ The package provides
   shortest-path cost matrices (:mod:`quadlin.qspplin`),
 * a self-contained primal simplex with exact and float modes
   (:mod:`quadlin.lpsolve`),
+* combinatorial solvers for gl and ggl's LPs on shortest-path and
+  assignment structure (:mod:`quadlin.combinatorial`),
 * the lower-bound ladder and its verification (:mod:`quadlin.bounds`),
 * a command line front end (:mod:`quadlin.cli`).
 """

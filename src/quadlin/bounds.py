@@ -45,24 +45,27 @@ lbb_prime's solve; it builds no spanning set and runs no rank test.
 
 gl and ggl solve one fitting program per column k: max b.y + z over
 free (y, z) subject to B^T y + e_k z <= Q[:, k].  Its row gaps at the
-fit are Qbar[:, k] - Q[:, k], so the residual is minus the row gaps:
-on a DAG the integers the fit's weak-duality check works out, elsewhere
+fit are Qbar[:, k] - Q[:, k], so the residual is minus the row gaps,
 worked out from B's sparse integer columns (_fit_gaps).  The rounds
 run in integers in both modes: the residual is one integer matrix over
 one denominator, each fit is read at its exact value, and Fractions
 (or, in float mode, correctly rounded floats) are made only for the
 report.
-On a shortest-path instance B is the DAG's flow rows, program k is the
-dual of "cheapest s-t path through arc k" and the polytope LP a
-shortest path: both are solved by DAG dynamic programs in integers
-(_dag_fit, _path_minimum), each checked by weak duality before it is
-used, and no LP is built.  On other instances each is a simplex solve
-of the program stated as a minimum over x >= 0, as every quadlin LP is:
-min -(b.y + z) over the split y = y+ - y-, z = z+ - z-
-(_fitting_programs).  A program whose column is the one it was last
-fitted for is not fitted again: its result and row gaps are kept from
-that round, since the same program gives the same answer.  As the
-paper proves, gl and ggl are
+On a structured instance no LP is built.  On a shortest-path instance
+B is the DAG's flow rows, program k is the dual of "cheapest s-t path
+through arc k" and the polytope LP a shortest path, both solved by DAG
+dynamic programs.  On a QAP program k is the dual of "cheapest
+assignment with placement k fixed" and the polytope LP an assignment,
+both solved by the Hungarian method: the Gilmore-Lawler bound.  Each
+solver (quadlin.combinatorial) hands over integer duals and the 0/1
+point they price, and one weak-duality check against B itself
+(_weak_duality) certifies both before use.  Only a
+generic BQP takes a simplex solve of each, the program stated as a
+minimum over x >= 0, as every quadlin LP is: min -(b.y + z) over the
+split y = y+ - y-, z = z+ - z- (_fitting_programs).  A program whose
+column is the one it was last fitted for is not fitted again: its
+result and row gaps are kept from that round, since the same program
+gives the same answer.  As the paper proves, gl and ggl are
 linearization bounds: with Ybar and zbar the fits summed over every
 round, (y, Ybar / 2, zbar) is an lbb_prime certificate of their value,
 y the last round's polytope duals, and it is the certificate they carry.
@@ -84,6 +87,7 @@ from fractions import Fraction
 from functools import lru_cache, partial
 from itertools import chain
 from math import gcd, lcm
+from operator import mul
 from typing import NamedTuple
 
 from quadlin.exactnum import (
@@ -98,6 +102,12 @@ from quadlin.exactnum import (
     rat_from,
     vdot,
 )
+from quadlin.combinatorial import (
+    assignment_fit,
+    assignment_minimum,
+    dag_fit,
+    dag_minimum,
+)
 from quadlin.graph import (
     Dag,
     GraphError,
@@ -106,7 +116,6 @@ from quadlin.graph import (
     is_corridor,
     reachable_from,
     reaches,
-    shortest_paths,
 )
 from quadlin.lpsolve import (
     EQ,
@@ -180,7 +189,8 @@ class BoundReport:
     trace: tuple = ()              # ggl: bound value after each iteration
     pivots: int = 0                # summed over every LP of every round;
                                    # a kept fitting solve counts again,
-                                   # a DAG fit or minimum counts 0;
+                                   # a DAG or assignment fit or minimum
+                                   # counts 0;
                                    # lbb_star: the solve it used, shared
                                    # with lbb_prime when no row is left
     canonical_family: bool = False  # lbb_star over its graph's whole
@@ -257,24 +267,40 @@ def _fitting_programs(bqp: BqpInstance) -> list:
 
 
 def _sparse_columns(B: RationalMatrix) -> tuple:
-    """(entries, K): B over the lcm K of its denominators, each nonzero
-    entry B[r, i] as (i, r, its numerator), the form _fit_gaps reads."""
+    """(entries, K): B over the lcm K of its denominators, its nonzero
+    entries B[r, i] in the form _fit_gaps reads, three lists: (i, r)
+    where the numerator is 1, (i, r) where it is -1, and
+    (i, r, numerator) for the rest.  A network or an assignment matrix
+    has only the first two, which need no product."""
     nums, K = common_denominator(B.entries)
-    return ([(i, r, v) for r in range(B.rows) for i in range(B.cols)
-             if (v := nums[r * B.cols + i])], K)
+    entries = ([], [], [])
+    for r in range(B.rows):
+        for i in range(B.cols):
+            v = nums[r * B.cols + i]
+            if v in (1, -1):
+                entries[v < 0].append((i, r))
+            elif v:
+                entries[2].append((i, r, v))
+    return entries, K
 
 
 def _fit_gaps(bcols, k: int, rhs, x) -> list:
     """Fitting program k's row gaps B[:, i].y + [i == k] z - rhs[i] at
     x = (y, z), for every column i of B, given as _sparse_columns'
     (entries, K): rhs and x integers over one denominator d, the gaps
-    integers over K d, each a sum over B's nonzero entries.  On a DAG
-    they are the gaps _certify_potentials checks, and a DAG fit takes
-    those."""
-    entries, K = bcols
-    acc = [-K * v for v in rhs]
-    acc[k] += K * x[-1]
-    for i, r, v in entries:
+    integers over K d, each a sum over B's nonzero entries.  With k = -1
+    x is y alone, and the gaps are the polytope LP's dual row gaps
+    under the costs rhs.  A structured fit's weak-duality check works
+    them out (_weak_duality), and the fit keeps those."""
+    (plus, minus, other), K = bcols
+    acc = [-v for v in rhs] if K == 1 else [-K * v for v in rhs]
+    if k >= 0:
+        acc[k] += K * x[-1]
+    for i, r in plus:
+        acc[i] += x[r]
+    for i, r in minus:
+        acc[i] -= x[r]
+    for i, r, v in other:
         acc[i] += v * x[r]
     return acc
 
@@ -305,11 +331,17 @@ def _fit_columns(fit, columns, den, last) -> list:
         for k, (rhs, old) in enumerate(zip(columns, last))]
 
 
+def _quotient(num: int, den: int, mode: str):
+    """num / den as a Fraction or, in float mode, the float nearest it
+    (int true division rounds correctly)."""
+    return Fraction(num, den) if mode == "exact" else num / den
+
+
 # ---------------------------------------------------------------------------
-# gl and ggl on a shortest-path instance: B is the DAG's flow rows, so
-# fitting program k is the dual of "cheapest s-t path through arc k" and
-# the polytope LP a shortest path; both are solved by DAG dynamic programs
-# over integer numerators, and certified by weak duality before use
+# gl and ggl on a structured instance: a shortest-path DAG's or a QAP's
+# fitting programs and polytope LP are solved in integers by
+# quadlin.combinatorial, which hands over integer duals and the 0/1 point
+# they price, and each answer is certified by weak duality before use
 
 def _qspp_graph(bqp: BqpInstance):
     """The DAG of an instance with shortest-path structure, else None."""
@@ -318,109 +350,112 @@ def _qspp_graph(bqp: BqpInstance):
     return None
 
 
+class _IntSystem(NamedTuple):
+    """Bx = b in integers, with B over the lcm K of its denominators and
+    b over its own, bden: B as _sparse_columns' (entries, K), the b
+    numerators, bden, and per column i its nonzero entries as
+    (row, numerator times bden) pairs, so that B x = b at a 0/1 point
+    when the pairs of its columns sum, row by row, to target, K times
+    the b numerators."""
+    bcols: tuple
+    b: tuple
+    bden: int
+    columns: dict
+    target: list
+
+
+def _int_system(bqp: BqpInstance) -> _IntSystem:
+    B, m = bqp.B, bqp.m
+    nums, K = common_denominator(B.entries)
+    b, bden = common_denominator(bqp.b)
+    columns = {i: [(r, nums[r * m + i] * bden) for r in range(B.rows)
+                   if nums[r * m + i]] for i in range(m)}
+    return _IntSystem(_sparse_columns(B), tuple(b), bden, columns,
+                      [K * v for v in b])
+
+
+def _weak_duality(system: _IntSystem, k: int, rhs, x, point):
+    """(value, gaps) for x = (y, z) in fitting program k (k = -1, x = y:
+    for y in the polytope LP's dual under the costs rhs), checked in
+    integers, rhs and x over one denominator d.  The row gaps
+    B[:, i].y + [i == k] z - rhs[i] (_fit_gaps, over K d) must all be
+    <= 0, and point, the columns where a 0/1 vector is 1, must satisfy
+    Bx = b, hold k if k >= 0 and cost value = b.y + z, over d; by weak
+    duality that makes both optimal.  Raises LpError otherwise."""
+    gaps = _fit_gaps(system.bcols, k, rhs, x)
+    if max(gaps, default=0) > 0:
+        bad = next(i for i, v in enumerate(gaps) if v > 0)
+        raise LpError(f"certificate duals violate column {bad}")
+    cols, columns = set(point), system.columns
+    lhs, value = [0] * len(system.b), 0
+    for i in cols:
+        if i not in columns:
+            raise LpError(f"certificate point has no column {i}")
+        value += rhs[i]
+        for r, v in columns[i]:
+            lhs[r] += v
+    if lhs != system.target or (k >= 0 and k not in cols):
+        raise LpError("certificate point is not a 0/1 point of Bx = b"
+                      + (f" through column {k}" if k >= 0 else ""))
+    z = x[-1] if k >= 0 else 0
+    if value * system.bden != sum(map(mul, system.b, x)) + system.bden * z:
+        raise LpError("certificate point does not match the duals")
+    return value, gaps
+
+
+def _certified_fit(system: _IntSystem, solve, k: int, rhs,
+                   den: int) -> _Fit:
+    """Column k's fit from solve(rhs, k) -> (y, z, point), checked by
+    _weak_duality, over den itself, with the row gaps the check worked
+    out; 0 pivots."""
+    y, z, point = solve(rhs, k)
+    x = (*y, z)
+    cbar, gaps = _weak_duality(system, k, rhs, x, point)
+    return _Fit(rhs, den, x, cbar, den, (gaps, system.bcols[1] * den))
+
+
+def _certified_minimum(system: _IntSystem, solve, costs, den: int,
+                       mode: str) -> LpResult:
+    """The polytope LP's optimum under the integer costs over den from
+    solve(costs) -> (y, point), checked by _weak_duality, with duals y;
+    the point itself is not reported."""
+    y, point = solve(costs)
+    value, _ = _weak_duality(system, -1, costs, y, point)
+    return LpResult(OPTIMAL, _quotient(value, den, mode),
+                    duals=tuple(_quotient(v, den, mode) for v in y),
+                    mode=mode)
+
+
 def _require_st_arcs(g: Dag) -> None:
     """Raise the simplex's error for the first arc on no s-t path: no
-    path uses it, so its fitting program is unbounded.  Past this check
-    every vertex with an arc lies on an s-t path."""
+    path uses it, so its fitting program is unbounded; and, with no arc
+    left to fit, for an s that does not reach t: the polytope LP is
+    infeasible.  Past this check every vertex with an arc lies on an s-t
+    path."""
     from_s, to_t = reachable_from(g, g.source), reaches(g, g.target)
     for k, (u, v) in enumerate(g.arcs):
         if u not in from_s or v not in to_t:
             raise BoundComputationError(
                 f"column {k} fitting program: LP is {UNBOUNDED}")
-
-
-def _walk(g: Dag, pred, end: int) -> list:
-    """The arcs of the path that shortest_paths' pred records to end."""
-    arcs = []
-    while pred[end] is not None:
-        arcs.append(pred[end])
-        end = g.arcs[pred[end]][0]
-    return arcs[::-1]
-
-
-def _dag_fit(g: Dag, cost, k: int):
-    """(pi, z, path) for fitting program k on g's flow rows under the
-    integer arc costs cost (column k over one denominator).
-
-    With d_s the distances from s, d_h those from v for arc k = (u, v),
-    and R the vertices v reaches (d_s is read only off R, so on paths
-    that never use arc k): pi is d_s off R and C + d_h on R, where C is
-    the least d_s(a) + cost(a, b) - d_h(b) over the arcs (a, b) entering
-    R, arc k among them; a vertex with no arc gets 0.  Every arc but k
-    then has pi_b - pi_a <= cost(a, b), y = -pi and
-    z = cost(k) + pi_u - pi_v make row k tight, and path, the cheapest
-    s-t path through k, costs pi_t - pi_s + z.  Shortest paths, their
-    ties and the least C are unchanged when every cost is scaled by the
-    same positive factor, so pi and z scale with it: any denominator
-    gives the same fit.  Which optimum is taken leaves gl's value as it
-    is but moves ggl's later rounds; this one, read from s, was measured
-    against the one read from t and against their mean (CHANGES.md).
-    """
-    u, v = g.arcs[k]
-    d_s, pred_s = shortest_paths(g, cost, g.source)
-    d_h, pred_h = shortest_paths(g, cost, v)
-    c = min(d_s[a] + cost[j] - d_h[b] for j, (a, b) in enumerate(g.arcs)
-            if d_h[a] is None and d_h[b] is not None)
-    pi = [c + h if h is not None else d if d is not None else 0
-          for d, h in zip(d_s, d_h)]
-    path = _walk(g, pred_s, u) + [k] + _walk(g, pred_h, g.target)
-    return pi, cost[k] + pi[u] - pi[v], path
-
-
-def _certify_potentials(g: Dag, cost, pi, path, k=-1, z=0):
-    """(value, gaps) for y = -pi and z in fitting program k (k = -1: for
-    y in the polytope LP's dual), checked in integers: the row gaps
-    pi_b - pi_a + [j == k] z - cost(a, b), one per arc j = (a, b), must
-    all be <= 0, and path must be an s-t path, through k if k >= 0,
-    costing value = pi_t - pi_s + z, which by weak duality makes both
-    optimal.  Raises LpError otherwise."""
-    gaps = [pi[b] - pi[a] - c for (a, b), c in zip(g.arcs, cost)]
-    if k >= 0:
-        gaps[k] += z
-    if max(gaps, default=0) > 0:
-        bad = next(j for j, v in enumerate(gaps) if v > 0)
-        raise LpError(f"DAG potentials violate arc {bad}")
-    at = g.source
-    for j in path:
-        if g.arcs[j][0] != at:
-            raise LpError("DAG certificate path is not a path")
-        at = g.arcs[j][1]
-    value = pi[g.target] - pi[g.source] + z
-    if at != g.target or (k >= 0 and k not in path) \
-            or sum(cost[j] for j in path) != value:
-        raise LpError("DAG certificate path does not match the potentials")
-    return value, gaps
-
-
-def _quotient(num: int, den: int, mode: str):
-    """num / den as a Fraction or, in float mode, the float nearest it
-    (int true division rounds correctly)."""
-    return Fraction(num, den) if mode == "exact" else num / den
-
-
-def _graph_fit(g: Dag, k: int, rhs, den: int) -> _Fit:
-    """Column k's fit from _dag_fit, over den itself, with the row gaps
-    its certificate checked (_certify_potentials), which are _fit_gaps'
-    on the DAG's flow rows; 0 pivots."""
-    pi, z, path = _dag_fit(g, rhs, k)
-    cbar, gaps = _certify_potentials(g, rhs, pi, path, k, z)
-    return _Fit(rhs, den, (*(-p for p in pi), z), cbar, den, (gaps, den))
-
-
-def _path_minimum(g: Dag, costs, den: int, mode: str) -> LpResult:
-    """The polytope LP's optimum value on g under the integer costs over
-    den, that of a shortest s-t path, with duals y = -d_s (0 at a vertex
-    with no arc), certified; the path itself is not reported."""
-    dist, pred = shortest_paths(g, costs, g.source)
-    if dist[g.target] is None:
+    if g.target not in from_s:
         raise BoundComputationError(
             f"feasible-set minimum: LP is {INFEASIBLE}")
-    pi = [0 if d is None else d for d in dist]
-    path = _walk(g, pred, g.target)
-    value, _ = _certify_potentials(g, costs, pi, path)
-    return LpResult(OPTIMAL, _quotient(value, den, mode),
-                    duals=tuple(_quotient(-p, den, mode) for p in pi),
-                    mode=mode)
+
+
+def _combinatorial_solvers(bqp: BqpInstance):
+    """(fit, minimum) for gl and ggl on a structured instance: fit(rhs,
+    k) -> (y, z, point) solves fitting program k, minimum(costs) ->
+    (y, point) the polytope LP, both in integers and unchecked (see
+    _certified_fit and _certified_minimum); None for a generic BQP."""
+    kind = bqp.structure[0] if bqp.structure else None
+    if kind == "qspp":
+        g = bqp.structure[1]
+        _require_st_arcs(g)
+        return partial(dag_fit, g), partial(dag_minimum, g)
+    if kind == "qap":
+        n = bqp.structure[1]
+        return partial(assignment_fit, n), partial(assignment_minimum, n)
+    return None
 
 
 def _next_columns(gaps, strategy: SkewStrategy) -> tuple:
@@ -462,7 +497,9 @@ def _fitting_rounds(inst, strategy: SkewStrategy, max_iter: int,
     and solves the polytope LP under the accumulated costs; between
     rounds the residual is reshuffled per the strategy.  On a
     shortest-path instance the fits and the minimum are DAG dynamic
-    programs (_graph_fit, _path_minimum), elsewhere simplex solves.
+    programs, on a QAP Hungarian assignments (_combinatorial_solvers),
+    each certified by _weak_duality and counted as 0 pivots; only a
+    generic BQP takes simplex solves.
 
     Every round runs in integers, in either mode: the residual is one
     matrix of integers over one denominator, the fits' (y, z) and values
@@ -488,11 +525,11 @@ def _fitting_rounds(inst, strategy: SkewStrategy, max_iter: int,
     bqp = _bqp(inst)
     n, m = bqp.B.rows, bqp.m
     mode = _bound_mode(bqp, mode, max(m, n), n + 1)
-    g = _qspp_graph(bqp)
-    if g is not None:
-        _require_st_arcs(g)
-        fit = partial(_graph_fit, g)
-        minimum = partial(_path_minimum, g, mode=mode)
+    solvers = _combinatorial_solvers(bqp)
+    if solvers is not None:
+        system = _int_system(bqp)
+        fit = partial(_certified_fit, system, solvers[0])
+        minimum = partial(_certified_minimum, system, solvers[1], mode=mode)
     else:
         programs, bcols = _fitting_programs(bqp), _sparse_columns(bqp.B)
 
@@ -584,11 +621,15 @@ def ggl_bound(inst, strategy: SkewStrategy = SkewStrategy.NONE,
     report's trace is the exact one rounded, entry by entry, up to the
     round where its 1e-9 test stops it.  After the first round the value
     depends on which optimal fit each round takes: on a shortest-path
-    instance that is _dag_fit's potentials, elsewhere the simplex's
-    duals.  A column that a round leaves unchanged is not fitted again:
-    it keeps its last fit (96 of SYMMETRIZE's 450 programs on a QAP with
-    n = 3), and pivots counts that solve's pivots in every round that
-    uses it.  The certificate is lbb_prime's, read off the fits summed
+    instance that is combinatorial.dag_fit's potentials, on a QAP the
+    Hungarian method's (combinatorial.assignment_fit), on a generic BQP
+    the simplex's duals.
+    A column that a round leaves unchanged is not fitted again: it keeps
+    its last fit (96 of SYMMETRIZE's 450 programs on the generic copy,
+    structure=None, of the tests' pinned QAP with n = 3), and pivots
+    counts that solve's pivots in every round that uses it; a DAG or
+    assignment fit counts 0, so gl and ggl on a structured instance
+    report 0 pivots.  The certificate is lbb_prime's, read off the fits summed
     over every round (_fitting_rounds), so verify_report replays it
     against the lifting LP and no round is replayed.
     """

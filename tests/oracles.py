@@ -355,7 +355,7 @@ def fraction_fold_ggl(inst, strategy, max_iter, mode) -> tuple:
     mode's arithmetic.  The fits themselves are bounds' DAG programs or
     simplex solves, unchecked, and every column is fitted afresh each
     round."""
-    from quadlin import bounds
+    from quadlin import bounds, combinatorial
     from quadlin.graph import shortest_paths
     from quadlin.lpsolve import OPTIMAL, solve_lp
 
@@ -386,9 +386,9 @@ def fraction_fold_ggl(inst, strategy, max_iter, mode) -> tuple:
             return ([a - b for a, b in zip(x[::2], x[1::2])], -res.value,
                     res.pivots)
         cost, den = common(rhs)
-        pi, z, _ = bounds._dag_fit(g, cost, k)
-        cbar = pi[g.target] - pi[g.source] + z
-        *x, cbar = report([-p for p in pi] + [z, cbar], den)
+        y, z, _ = combinatorial.dag_fit(g, cost, k)
+        cbar = y[g.source] - y[g.target] + z
+        *x, cbar = report([*y, z, cbar], den)
         return x, cbar, 0
 
     def minimum(costs):  # (value, duals, pivots)

@@ -8,7 +8,7 @@ from operator import getitem
 
 import pytest
 
-from quadlin import bounds, lpsolve
+from quadlin import bounds, combinatorial, lpsolve
 from quadlin.bounds import (
     BoundComputationError,
     BoundReport,
@@ -162,10 +162,12 @@ def test_gl_and_ggl_certificates_are_linearization_certificates(mode):
     # linearization B^T Y + Y^T B + Diag(z) stays below sym(Q) on every
     # cell, the duals y satisfy the polytope LP's columns under the
     # costs 2 Y^T b + z + linear, and b.y is the value; on corridors the
-    # fits are DAG programs, on a QAP simplex solves
+    # fits are DAG programs, on a QAP assignments, on its generic copy
+    # simplex solves
     tol = 0 if mode == "exact" else lpsolve.FLOAT_CHECK_TOL
     rng = random.Random(11)
-    for inst in (_random_qspp(rng), _random_qspp(rng), _pinned_qap()):
+    for inst in (_random_qspp(rng), _random_qspp(rng), _pinned_qap(),
+                 _generic_qap()):
         bqp = inst if isinstance(inst, BqpInstance) else qspp_to_bqp(inst)
         n, m = bqp.B.rows, bqp.m
         for rep in (gl_bound(inst, mode=mode),
@@ -253,15 +255,18 @@ def _strict_generic_bqp():
         "ggl-sym": ("-10203467905761283/1125899906842624", 0),
         "lbb_star": ("-11/2", 46)}),
     (_pinned_qap, {
-        "gl": ("33", 85),
-        "ggl-upper": ("33", 205),
-        "ggl-sym": ("19140298416324607/562949953421312", 2780),
+        "gl": ("33", 0),
+        "ggl-upper": ("33", 0),
+        "ggl-sym": ("19140298416324607/562949953421312", 0),
         "lbb_prime": ("35", 39),
         "rlt1": ("35", 39)}),
 ], ids=["corridor", "qap"])
 def test_gl_and_ggl_values_and_pivot_counts_are_pinned(inst, pins):
     # exact values and pivot counts of the column-fitting bounds (0 on a
-    # graph, whose fits are DAG dynamic programs), of the canonical
+    # graph and on a QAP, whose fits are DAG dynamic programs and
+    # assignments; the simplex fits of the generic copy of the QAP are
+    # pinned in test_float_simplex_fits_are_pinned and
+    # test_ggl_solves_each_changed_fitting_program_once), of the canonical
     # lbb_star (no member row, so it reports lbb_prime's lifting solve)
     # where the instance has a graph, and of the lifting LP where it is
     # pinned; a change that moves a pivot path or a value, or the
@@ -285,12 +290,19 @@ def test_gl_and_ggl_values_and_pivot_counts_are_pinned(inst, pins):
             for name, rep in reports.items()} == pins
 
 
+def _generic_qap():
+    """The pinned QAP without its structure: a generic BQP, whose fitting
+    programs and minima are simplex solves."""
+    return replace(_pinned_qap(), structure=None)
+
+
 def test_float_simplex_fits_are_pinned():
-    # the fitting programs of a QAP, which has no graph, on the float
-    # tableau: (repr of the value, pivots, rounds) of gl and of ggl under
-    # each strategy; a change that moves a pivot path, the split of the
-    # fit's free variables or the stopping test shows here
-    inst = _pinned_qap()
+    # the fitting programs of a generic BQP (the pinned QAP without its
+    # structure) on the float tableau: (repr of the value, pivots,
+    # rounds) of gl and of ggl under each strategy; a change that moves a
+    # pivot path, the split of the fit's free variables or the stopping
+    # test shows here
+    inst = _generic_qap()
     reports = {"gl": gl_bound(inst, mode="float")}
     for name, strategy in (("ggl", SkewStrategy.NONE),
                            ("ggl-upper", SkewStrategy.UPPER_TRIANGULAR),
@@ -338,7 +350,7 @@ def test_ggl_solves_each_changed_fitting_program_once(monkeypatch):
     monkeypatch.setattr(bounds, "solve_lp", counting_solve)
     monkeypatch.setattr(lpsolve, "verify_solution", counting_check)
     monkeypatch.setattr(bounds, "_fit_columns", recording_fits)
-    inst = _pinned_qap()
+    inst = _generic_qap()
     rep = ggl_bound(inst, strategy=SkewStrategy.SYMMETRIZE, mode="exact")
     assert (str(rep.value), rep.pivots) == (
         "19140298416324607/562949953421312", 2780)
@@ -356,12 +368,13 @@ def test_integer_fold_matches_the_fraction_fold(mode):
     # one denominator each; the Fraction fold they replaced
     # (oracles.fraction_fold_ggl) gives the very same value, trace,
     # certificate and pivots under every strategy, on corridor DAGs
-    # (DAG fits), tournaments and a QAP (simplex fits); in float mode
-    # every value here is dyadic, so the old per-entry rounding was exact
+    # (DAG fits), tournaments and a generic BQP (simplex fits); in float
+    # mode every value here is dyadic, so the old per-entry rounding was
+    # exact
     rng = random.Random(2)
     insts = [_random_qspp(rng) for _ in range(3)] + [
         _pinned_corridor(), generate_tournament(5), generate_tournament(6),
-        _pinned_qap()]
+        _generic_qap()]
     for i, inst in enumerate(insts):
         for strategy in SkewStrategy:
             rep = ggl_bound(inst, strategy=strategy, mode=mode)
@@ -373,9 +386,12 @@ def test_integer_fold_matches_the_fraction_fold(mode):
 def test_float_ggl_trace_is_the_exact_trace_rounded():
     # both modes run one integer loop and round only the report, so each
     # round of a float run is the exact run's value, correctly rounded;
-    # the float run stops at its 1e-9 test, no later than the exact one
+    # the float run stops at its 1e-9 test, no later than the exact one.
+    # On a QAP too, where a float run that is not the exact one rounded
+    # can end above the exact bound: 665/8 on the seed-0 QAP with n = 6
     rng = random.Random(4)
-    for inst in (_pinned_corridor(), _random_qspp(rng), _random_qspp(rng)):
+    for inst in (_pinned_corridor(), _random_qspp(rng), _random_qspp(rng),
+                 _pinned_qap(), qap_instance(random.Random(0), 6)):
         for strategy in SkewStrategy:
             exact = ggl_bound(inst, strategy=strategy, mode="exact")
             rounded = ggl_bound(inst, strategy=strategy, mode="float")
@@ -460,62 +476,131 @@ def test_residual_is_minus_the_fitting_programs_row_gaps():
             tuple(row[k] for row in want) for k in range(m)]
 
 
+def _gl_fits_match_the_simplex(inst, mode):
+    """gl on a structured instance against the simplex: cbar and the
+    bound are LP optima, unique in value, so they equal the simplex's
+    (whose minimum of fitting program k is -cbar[k]), and each fit that
+    _combinatorial_solvers' fit hands to _certified_fit, split, is a
+    point of its fitting program whose row gaps are the fit's; returns
+    gl's report."""
+    bqp = bounds._bqp(inst)
+    tol = 0 if mode == "exact" else 1e-9
+    programs = bounds._fitting_programs(bqp)
+    bcols = bounds._sparse_columns(bqp.B)
+    system = bounds._int_system(bqp)
+    solve, _ = bounds._combinatorial_solvers(bqp)
+    gl = gl_bound(inst, mode=mode)
+    cbar = _fitted_linear(bqp, gl)
+    cbars = []
+    for k in range(bqp.m):
+        rhs = bqp.Q.column(k)
+        lp = programs[k].with_rhs(rhs)
+        res = lpsolve.solve_lp(lp, mode=mode)
+        assert abs(cbar[k] + Fraction(res.value)) <= tol
+        cbars.append(-Fraction(res.value))
+        cost, den = common_denominator(rhs)
+        fit = bounds._certified_fit(system, solve, k, cost, den)
+        x = _split_point([Fraction(v, fit.d) for v in fit.x])
+        assert [Fraction(v, bcols[1] * fit.d)
+                for v in bounds._fit_gaps(bcols, k, cost, fit.x)] \
+            == [Fraction(v, fit.gaps[1]) for v in fit.gaps[0]] \
+            == lpsolve._row_gaps(lp, x)
+        assert lpsolve.point_violations(
+            lp, x, -Fraction(fit.cbar, fit.d)) == []
+    simplex = lpsolve.solve_lp(bounds._polytope_lp(bqp, cbars), mode=mode)
+    assert abs(gl.value - simplex.value) <= tol
+    assert gl.pivots == 0
+    return gl
+
+
 @pytest.mark.parametrize("mode", ["exact", "float"])
 def test_dag_fit_matches_the_simplex(mode):
     # on a shortest-path instance gl fits each column by DAG dynamic
-    # programs; cbar and the bound are LP optima, unique in value, so they
-    # equal the simplex's (whose minimum is -cbar), and each fit, split,
-    # is a point of its fitting program whose row gaps are the program's
+    # programs
     rng = random.Random(41)
-    tol = 0 if mode == "exact" else 1e-9
     for _ in range(6):
-        inst = _random_qspp(rng)
-        bqp = qspp_to_bqp(inst)
-        programs = bounds._fitting_programs(bqp)
-        bcols = bounds._sparse_columns(bqp.B)
-        gl = gl_bound(inst, mode=mode)
-        cbar = _fitted_linear(bqp, gl)
-        cbars = []
-        for k in range(bqp.m):
-            rhs = bqp.Q.column(k)
-            lp = programs[k].with_rhs(rhs)
-            res = lpsolve.solve_lp(lp, mode=mode)
-            assert abs(cbar[k] + Fraction(res.value)) <= tol
-            cbars.append(-Fraction(res.value))
-            cost, den = common_denominator(rhs)
-            fit = bounds._graph_fit(inst.graph, k, cost, den)
-            x = _split_point([Fraction(v, fit.d) for v in fit.x])
-            assert [Fraction(v, bcols[1] * fit.d)
-                    for v in bounds._fit_gaps(bcols, k, cost, fit.x)] \
-                == [Fraction(v, fit.gaps[1]) for v in fit.gaps[0]] \
-                == lpsolve._row_gaps(lp, x)
-            assert lpsolve.point_violations(
-                lp, x, -Fraction(fit.cbar, fit.d)) == []
-        simplex = lpsolve.solve_lp(bounds._polytope_lp(bqp, cbars), mode=mode)
-        assert abs(gl.value - simplex.value) <= tol
-        assert gl.pivots == 0
+        _gl_fits_match_the_simplex(_random_qspp(rng), mode)
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_assignment_fit_matches_the_simplex(mode):
+    # on a QAP gl fits each column by the Hungarian method, n = 2 being
+    # the 1 x 1 assignment without the fixed placement's row and column;
+    # the generic copy, fitted by simplex solves, has gl's value
+    rng = random.Random(45)
+    for n in (2, 3, 3, 4, 5):
+        inst = qap_instance(rng, n)
+        gl = _gl_fits_match_the_simplex(inst, mode)
+        generic = gl_bound(replace(inst, structure=None), mode=mode)
+        if mode == "exact":
+            assert gl.value == generic.value, n
+        else:
+            assert abs(gl.value - generic.value) <= 1e-9, n
 
 
 def test_a_raised_potential_fails_the_dag_self_check():
     rng = random.Random(43)
     inst = _random_qspp(rng)
     g = inst.graph
+    system = bounds._int_system(qspp_to_bqp(inst))
     cbar = _fitted_linear(qspp_to_bqp(inst), gl_bound(inst, mode="exact"))
     for k in range(g.m):
         cost, den = common_denominator(inst.Q.column(k))
-        pi, z, path = bounds._dag_fit(g, cost, k)
-        value, _ = bounds._certify_potentials(g, cost, pi, path, k, z)
+        y, z, path = combinatorial.dag_fit(g, cost, k)
+        value, _ = bounds._weak_duality(system, k, cost, (*y, z), path)
         assert value == sum(cost[j] for j in path)
         assert Fraction(value, den) == cbar[k]
         for v in [g.source] + [g.arcs[j][1] for j in path]:
-            raised = list(pi)
-            raised[v] += 1
+            raised = list(y)  # y = -pi: a raised potential pi_v
+            raised[v] -= 1
             with pytest.raises(lpsolve.LpError):
-                bounds._certify_potentials(g, cost, raised, path, k, z)
+                bounds._weak_duality(system, k, cost, (*raised, z), path)
+
+
+def test_a_raised_potential_fails_the_assignment_self_check():
+    # every potential is tight on the permutation, so raising one makes a
+    # row gap positive, and lowering one leaves b.y + z below the
+    # permutation's cost; a permutation that misses placement k, or a
+    # placement set that is no permutation, is no point of the program
+    n = 4
+    inst = qap_instance(random.Random(46), n)
+    system = bounds._int_system(inst)
+    cbar = _fitted_linear(inst, gl_bound(inst, mode="exact"))
+    for k in range(inst.m):
+        cost, den = common_denominator(inst.Q.column(k))
+        y, z, perm = combinatorial.assignment_fit(n, cost, k)
+        x = (*y, z)
+        value, _ = bounds._weak_duality(system, k, cost, x, perm)
+        assert value == sum(cost[j] for j in perm)
+        assert Fraction(value, den) == cbar[k]
+        for r in range(len(x)):
+            for step in (1, -1):
+                forged = list(x)
+                forged[r] += step
+                with pytest.raises(lpsolve.LpError):
+                    bounds._weak_duality(system, k, cost, forged, perm)
+        i0, j0 = divmod(k, n)
+        others = [[i * n + (j0 + 1 + i - i0) % n for i in range(n)],
+                  [j for j in perm if j != k], perm + [perm[-1] ^ 1]]
+        assert k not in others[0]
+        for point in others:
+            with pytest.raises(lpsolve.LpError):
+                bounds._weak_duality(system, k, cost, x, point)
+    # the polytope LP under gl's costs, and gl's value, the same way
+    costs, den = common_denominator(cbar)
+    y, perm = combinatorial.assignment_minimum(n, costs)
+    value, _ = bounds._weak_duality(system, -1, costs, y, perm)
+    assert Fraction(value, den) == gl_bound(inst, mode="exact").value
+    for r in range(len(y)):
+        raised = list(y)
+        raised[r] += 1
+        with pytest.raises(lpsolve.LpError):
+            bounds._weak_duality(system, -1, costs, raised, perm)
 
 
 @pytest.mark.parametrize("mode", ["exact", "float"])
 def test_gl_and_ggl_on_a_corridor_solve_no_lp(monkeypatch, mode):
+    # nor on a QAP, where float ggl-sym is the exact bound rounded
     calls = []
 
     def counting(lp, mode="auto"):
@@ -523,14 +608,28 @@ def test_gl_and_ggl_on_a_corridor_solve_no_lp(monkeypatch, mode):
         return lpsolve.solve_lp(lp, mode=mode)
 
     monkeypatch.setattr(bounds, "solve_lp", counting)
-    inst = _pinned_corridor()
-    for rep in (gl_bound(inst, mode=mode),
-                ggl_bound(inst, strategy=SkewStrategy.UPPER_TRIANGULAR,
-                          mode=mode),
-                ggl_bound(inst, strategy=SkewStrategy.SYMMETRIZE,
-                          mode=mode)):
-        assert (rep.mode, rep.pivots) == (mode, 0)
-        assert verify_report(inst, rep) == (True, ())
+    for inst in (_pinned_corridor(), _pinned_qap()):
+        for rep in (gl_bound(inst, mode=mode),
+                    ggl_bound(inst, strategy=SkewStrategy.UPPER_TRIANGULAR,
+                              mode=mode),
+                    ggl_bound(inst, strategy=SkewStrategy.SYMMETRIZE,
+                              mode=mode)):
+            assert (rep.mode, rep.pivots) == (mode, 0)
+            assert verify_report(inst, rep) == (True, ())
+    assert calls == []
+    if mode == "float":
+        assert repr(rep.value) == "33.99999999953434"
+
+
+def test_ggl_sym_on_seeded_qaps_solves_no_lp(monkeypatch):
+    # exact ggl-sym on the seed-0 QAPs with n = 4 and n = 5, fitted by
+    # assignments, has the values the simplex fits give
+    calls = []
+    monkeypatch.setattr(bounds, "solve_lp", calls.append)
+    for n, want in ((4, "54"), (5, "315/4")):
+        rep = ggl_bound(qap_instance(random.Random(0), n),
+                        strategy=SkewStrategy.SYMMETRIZE, mode="exact")
+        assert (str(rep.value), rep.pivots, len(rep.trace)) == (want, 0, 50)
     assert calls == []
 
 

@@ -474,6 +474,32 @@ def test_verify_chain_ok_on_qspp_and_qap(capsys, tmp_path):
         assert payload["relations"]
 
 
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_bound_ggl_on_a_qap_solves_no_lp_and_verify_chain_replays_it(
+        capsys, tmp_path, mode):
+    # a QAP's fits and minima are Hungarian assignments, so gl and ggl
+    # report 0 pivots, and verify-chain replays the same values
+    f = tmp_path / "q3.qap"
+    f.write_text(QAP3)
+    values = {}
+    for tag, method in (("gl", ["--method", "gl"]),
+                        ("ggl_upper", ["--method", "ggl", "--strategy",
+                                       "upper"]),
+                        ("ggl_sym", ["--method", "ggl", "--strategy",
+                                     "sym"])):
+        code, out, err = run_cli(capsys, ["bound", str(f), "--mode", mode]
+                                 + method)
+        assert (code, err) == (0, ""), tag
+        payload = payload_of(out)
+        assert (payload["mode"], payload["pivots"]) == (mode, 0), tag
+        values[tag] = payload["value"]
+    code, out, err = run_cli(capsys, ["verify-chain", str(f), "--mode", mode])
+    assert (code, err) == (0, "")
+    payload = payload_of(out)
+    assert payload["verdict"] == "ok"
+    assert {tag: payload["values"][tag] for tag in values} == values
+
+
 def test_source_equal_to_target_is_the_empty_path_everywhere(capsys,
                                                              tmp_path):
     # one vertex, no arcs: the only path is the empty one, of cost 0
