@@ -5,31 +5,27 @@ to Bland's rule after a long run of degenerate pivots, phase 1, driving
 basic artificials out of the basis, phase 2, and one read-back of x, the
 value and the duals.  The two arithmetics supply only pricing, the ratio
 test, the elimination step and a few cell tests.  Exact mode keeps the
-tableau as one integer matrix plus a positive common denominator and
-pivots fraction-free: the update
-``T'[i] = (T[i]*T[r][c] - T[r]*T[i][c]) // d`` divides exactly (every entry
-is a minor of the starting integer matrix), so no rationals appear inside
-the hot loop and every optimal result is certified before it is
-returned.  The certificate is weak duality (verify_solution): x is a
-point of the program (point_violations), the duals y are feasible for
-its dual (dual_violations), and both reach the value.  The code around
-the simplex works on integer numerators too: a LinearProgram takes each
-row once, on first use, to integer numerators over the lcm of its
-denominators (int_rows), and its objective alike (int_objective);
-preparation rescales a row only where its right-hand side needs it, the
-read-back builds one Fraction per value and dual, and the checks
-evaluate every row and every reduced cost as an integer dot product,
-one Fraction for each that is not 0, and test its sign on the
-numerator.  Every certificate check (point_violations, dual_violations,
-verify_solution) is exact, for float results too: a float is read at
-its exact binary value, and a float result passes within an absolute
-FLOAT_CHECK_TOL (1e-7), an exact one with none.
-with_rhs gives a program new right-hand sides and shares everything
-else, the integer rows and objective included, so a program solved for
-many right-hand sides is validated and taken to integers once.  Float
-mode runs on a numpy tableau with fixed tolerances and raises
-NumericalBreakdown instead of returning garbage when the arithmetic
-degrades.
+tableau as one numpy int64 array over a positive common denominator d
+and pivots fraction-free (Bareiss): every entry is a minor of the
+starting integer matrix, so each division is exact and no rational
+appears in the loop.  Before an update could leave int64 the array moves
+to Python ints and the same code goes on; the ratio test and the
+read-back work in Python ints throughout.  Every optimal result is
+certified before it is returned, by weak duality (verify_solution): x is
+a point of the program (point_violations), the duals y are feasible for
+its dual (dual_violations), and both reach the value.  A LinearProgram
+takes each row once, on first use, to integer numerators over the lcm of
+its denominators (int_rows), and its objective alike (int_objective);
+preparation rescales a row only where its right-hand side needs it, and
+the checks evaluate every row and reduced cost as an integer dot product
+and test its sign on the numerator.  Every check is exact, for float
+results too: a float is read at its exact binary value, and a float
+result passes within an absolute FLOAT_CHECK_TOL (1e-7), an exact one
+with none.  with_rhs gives a program new right-hand sides and shares
+everything else, so a program solved for many right-hand sides is
+validated and taken to integers once.  Float mode runs on a numpy
+tableau with fixed tolerances and raises NumericalBreakdown instead of
+returning garbage when the arithmetic degrades.
 
 Every program is a minimum over x >= 0, the one kind quadlin builds: a
 maximum is minus the minimum of the negated objective, and a free
@@ -67,6 +63,7 @@ FLOAT_CHECK_TOL = Fraction(1, 10 ** 7)
 _FEAS_TOL = 1e-7            # float mode: feasibility / phase-1 acceptance
 _PIVOT_TOL = 1e-9           # float mode: smallest usable pivot / cost entry
 _PIVOT_HARD_CAP = 200_000   # exact mode safety net (Bland terminates first)
+_INT64_SAFE = 2 ** 31       # exact mode: int64 while max|T| stays below
 _FLOAT_PIVOT_CAP = 50_000
 
 
@@ -270,6 +267,7 @@ class _Tableau:
             if rel in (LE, GE):
                 slack_col[i] = col
                 col += 1
+        self.art_start = col
         for i, rel in enumerate(prep.rels):
             if rel in (GE, EQ):
                 art_col[i] = col
@@ -281,7 +279,6 @@ class _Tableau:
         self.nrows = nrows
         self.slack_col = slack_col
         self.art_col = art_col
-        self.art_set = frozenset(art_col.values())
         self.z2_idx = nrows
         self.z1_idx = nrows + 1
         self.pivots = 0
@@ -337,7 +334,7 @@ class _Tableau:
             if self._infeasible():
                 return LpResult(INFEASIBLE, mode=self.mode, pivots=self.pivots)
             for i in range(self.nrows):  # drive out basic artificials
-                if self.basis[i] in self.art_set:
+                if self.basis[i] >= self.art_start:
                     enter = self._first_usable(i)
                     if enter is not None:  # else the row was redundant
                         self._pivot(i, enter)
@@ -361,87 +358,95 @@ class _Tableau:
 
 
 class _ExactTableau(_Tableau):
-    """Integer tableau over one positive common denominator d; the
-    fraction-free update divides exactly (every entry is a minor of the
-    starting integer matrix)."""
+    """Bareiss tableau: a numpy int64 array over one positive common
+    denominator d, every entry a minor of the starting integer matrix.
+    int64 wraps silently, so where an entry does not fit or an update
+    could overflow (_fits), the array moves to Python ints (dtype object)
+    and the same code goes on."""
 
     mode = "exact"
     num = staticmethod(rat)
 
     def __init__(self, prep: _Prepared):
         super().__init__(prep)
-        tab = list(self._int_rows())
-        z1 = [0] * (self.rhs + 1)
-        for ac in self.art_col.values():
-            z1[ac] = 1
-        for i in self.art_col:
-            z1 = [a - b for a, b in zip(z1, tab[i])]
-        tab.append(z1)
-        self.tab = tab
-        self.d = 1
+        rows = [*self._int_rows(), [0] * (self.rhs + 1)]
+        try:
+            tab = np.array(rows, dtype=np.int64)
+        except OverflowError:
+            tab = np.array(rows, dtype=object)
+        if tab.dtype != object and not _fits(tab):
+            tab = tab.astype(object)
+        tab[-1] = -tab.take(list(self.art_col), 0).sum(0)
+        tab[-1, self.art_start:self.rhs] = 1
+        self.tab, self.d = tab, 1
 
     def _pivot_cap(self):
         return _PIVOT_HARD_CAP
 
     def _cell(self, i, j, k=1, den=1):
-        return Fraction(k * self.tab[i][j], den * self.d)
+        return Fraction(k * self.tab.item(i, j), den * self.d)
 
     def _entering(self, cost_idx, bland):
-        zrow, art = self.tab[cost_idx], self.art_set
-        enter = None
-        best = 0
-        for j in range(self.rhs):
-            if j not in art and zrow[j] < best:
-                if bland:
-                    return j
-                best = zrow[j]
-                enter = j
-        return enter
+        zrow = self.tab[cost_idx, :self.art_start]
+        if not zrow.size:
+            return None
+        j = int((zrow < 0).argmax() if bland else zrow.argmin())
+        return j if zrow.item(j) < 0 else None
 
     def _leaving(self, enter):
-        tab, rhs = self.tab, self.rhs
-        leave = None
-        for i in range(self.nrows):
-            t = tab[i][enter]
-            if t > 0:
-                if leave is None:
-                    leave = i
-                else:
-                    lhs = tab[i][rhs] * tab[leave][enter]
-                    rhs_ = tab[leave][rhs] * t
-                    if lhs < rhs_ or (lhs == rhs_
-                                      and self.basis[i] < self.basis[leave]):
-                        leave = i
+        col = self.tab[:self.nrows, enter]
+        cand = (col > 0).nonzero()[0]
+        if not cand.size:
+            return None
+        ts, bs = col[cand].tolist(), self.tab[cand, self.rhs].tolist()
+        basis, cand = self.basis, cand.tolist()
+        leave, t, b = cand[0], ts[0], bs[0]
+        for i, ti, bi in zip(cand, ts, bs):
+            lhs, rhs = bi * t, b * ti
+            if lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
+                leave, t, b = i, ti, bi
         return leave
 
     def _degenerate(self, r):
-        return self.tab[r][self.rhs] == 0
+        return self.tab.item(r, self.rhs) == 0
 
     def _first_usable(self, r):
-        row = self.tab[r]
-        return next((j for j in range(self.rhs)
-                     if j not in self.art_set and row[j] != 0), None)
+        nz = self.tab[r, :self.art_start].nonzero()[0]
+        return int(nz[0]) if nz.size else None
 
     def _infeasible(self):
-        return self.tab[self.z1_idx][self.rhs] != 0
+        return self.tab.item(self.z1_idx, self.rhs) != 0
 
     def _eliminate(self, r, c):
-        """T'[i] = (T[i]*T[r][c] - T[r]*T[i][c]) // d; a negative pivot
-        first negates its row, which keeps the new denominator positive."""
+        """With piv = |T[r][c]| and p = T[r] signed so that p[c] = piv:
+        T'[r] = p, T'[i] = (T[i]*piv - T[i][c]*p) // d where T[i][c] != 0,
+        else T[i]*piv // d (if piv != d).  The rows it multiplies, every
+        row if piv != d, must _fit first."""
         tab, d = self.tab, self.d
-        if tab[r][c] < 0:
-            tab[r] = [-v for v in tab[r]]
-        prow = tab[r]
-        piv = prow[c]
-        for i, row in enumerate(tab):
-            if i == r:
-                continue
-            f = row[c]
-            if f:
-                tab[i] = [(v * piv - pv * f) // d for v, pv in zip(row, prow)]
-            elif piv != d:
-                tab[i] = [(v * piv) // d for v in row]
+        rows = tab[:, c].nonzero()[0]
+        sub = tab.take(rows, 0)
+        piv = abs(tab.item(r, c))
+        if tab.dtype != object and not _fits(sub if piv == d else tab):
+            self.tab = tab.astype(object)
+            return self._eliminate(r, c)
+        prow = tab[r].copy() if tab.item(r, c) > 0 else -tab[r]
+        fp = sub[:, c, None] * prow
+        if piv != 1:
+            sub *= piv
+        sub -= fp
+        if d != 1:
+            sub //= d
+        if piv != d:
+            tab *= piv
+            tab //= d
+        tab[rows] = sub
+        tab[r] = prow
         self.d = piv
+
+
+def _fits(tab) -> bool:
+    """max|T| < 2**31: no update, 2 * max|T|**2 at most, leaves int64."""
+    return -_INT64_SAFE < tab.min() and tab.max() < _INT64_SAFE
 
 
 class _FloatTableau(_Tableau):
@@ -466,9 +471,6 @@ class _FloatTableau(_Tableau):
             z1 -= tab[i]
         tab[self.nrows + 1] = z1
         self.tab = tab
-        self.art_mask = np.zeros(width, dtype=bool)
-        self.art_mask[list(self.art_set)] = True
-        self.art_mask[self.rhs] = True
         self.feas_tol = _FEAS_TOL * max(
             1.0, max((abs(tab[i, self.rhs]) for i in range(self.nrows)),
                      default=1.0))
@@ -480,8 +482,8 @@ class _FloatTableau(_Tableau):
         return float(k) * float(self.tab[i, j]) / den
 
     def _entering(self, cost_idx, bland):
-        zrow = self.tab[cost_idx]
-        cand = np.where(~self.art_mask & (zrow < -_PIVOT_TOL))[0]
+        zrow = self.tab[cost_idx, :self.art_start]
+        cand = np.where(zrow < -_PIVOT_TOL)[0]
         if cand.size == 0:
             return None
         return int(cand[0]) if bland else int(cand[np.argmin(zrow[cand])])
@@ -501,9 +503,7 @@ class _FloatTableau(_Tableau):
         return self.tab[r, self.rhs] <= _PIVOT_TOL
 
     def _first_usable(self, r):
-        row = self.tab[r, :self.rhs]
-        cand = np.where(~self.art_mask[:self.rhs]
-                        & (np.abs(row) > _PIVOT_TOL))[0]
+        cand = np.where(np.abs(self.tab[r, :self.art_start]) > _PIVOT_TOL)[0]
         return int(cand[0]) if cand.size else None
 
     def _infeasible(self):

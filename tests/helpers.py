@@ -147,3 +147,12 @@ def enumerated_family(inst: BqpInstance) -> LinearizableFamily:
             q[i][j] = q[j][i] = v
         members.append((RationalMatrix.from_rows(q), vec[len(pairs):]))
     return LinearizableFamily.verified(inst, members)
+
+
+def python_int_fractions(res) -> bool:
+    """Is every value, x and dual of an exact LpResult a Fraction whose
+    numerator and denominator are Python ints, never numpy integers?"""
+    values = [res.value, *(res.x or ()), *(res.duals or ())]
+    return all(type(v) is Fraction and type(v.numerator) is int
+               and type(v.denominator) is int
+               for v in values if v is not None)

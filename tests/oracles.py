@@ -2,7 +2,9 @@
 
 Everything here is written from first principles (enumeration, determinants,
 Fourier-style eliminations) and deliberately avoids the production code paths
-it is used to check.
+it is used to check.  The exceptions say which part they check:
+ListTableau shares the simplex loop and checks only its arithmetic, and
+fraction_fold_ggl shares the fits and checks only ggl's integer fold.
 """
 
 from __future__ import annotations
@@ -10,6 +12,8 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 from math import lcm
+
+from quadlin import lpsolve
 
 
 # ---------------------------------------------------------------------------
@@ -305,6 +309,101 @@ def standard_form(lp) -> dict:
     out["obj_scale"] = k
     out["obj_int"] = [int(v * k) for v in obj]
     return out
+
+
+# ---------------------------------------------------------------------------
+# the exact simplex on lists of Python ints
+
+class ListTableau(lpsolve._Tableau):
+    """lpsolve's exact tableau as it was written first: a list of Python
+    int lists over one positive common denominator d, every row rebuilt
+    on each pivot.  It shares lpsolve's simplex loop and keeps the same
+    rules (Dantzig pricing, the first index of the minimum; Bland's rule,
+    the first negative entry; ratio ties to the smallest basis index), so
+    a solve takes the same pivots: it checks only the arithmetic of
+    lpsolve's int64 array and its switch to Python ints."""
+
+    mode = "exact"
+    num = Fraction
+
+    def __init__(self, prep):
+        super().__init__(prep)
+        tab = list(self._int_rows())
+        z1 = [0] * (self.rhs + 1)
+        for ac in self.art_col.values():
+            z1[ac] = 1
+        for i in self.art_col:
+            z1 = [a - b for a, b in zip(z1, tab[i])]
+        tab.append(z1)
+        self.tab = tab
+        self.d = 1
+
+    def _pivot_cap(self):
+        return lpsolve._PIVOT_HARD_CAP
+
+    def _cell(self, i, j, k=1, den=1):
+        return Fraction(k * self.tab[i][j], den * self.d)
+
+    def _entering(self, cost_idx, bland):
+        zrow = self.tab[cost_idx]
+        enter = None
+        best = 0
+        for j in range(self.art_start):
+            if zrow[j] < best:
+                if bland:
+                    return j
+                best = zrow[j]
+                enter = j
+        return enter
+
+    def _leaving(self, enter):
+        tab, rhs = self.tab, self.rhs
+        leave = None
+        for i in range(self.nrows):
+            t = tab[i][enter]
+            if t > 0:
+                if leave is None:
+                    leave = i
+                else:
+                    lhs = tab[i][rhs] * tab[leave][enter]
+                    rhs_ = tab[leave][rhs] * t
+                    if lhs < rhs_ or (lhs == rhs_
+                                      and self.basis[i] < self.basis[leave]):
+                        leave = i
+        return leave
+
+    def _degenerate(self, r):
+        return self.tab[r][self.rhs] == 0
+
+    def _first_usable(self, r):
+        row = self.tab[r]
+        return next((j for j in range(self.art_start) if row[j] != 0), None)
+
+    def _infeasible(self):
+        return self.tab[self.z1_idx][self.rhs] != 0
+
+    def _eliminate(self, r, c):
+        """T'[i] = (T[i]*T[r][c] - T[r]*T[i][c]) // d; a negative pivot
+        first negates its row, which keeps the new denominator positive."""
+        tab, d = self.tab, self.d
+        if tab[r][c] < 0:
+            tab[r] = [-v for v in tab[r]]
+        prow = tab[r]
+        piv = prow[c]
+        for i, row in enumerate(tab):
+            if i == r:
+                continue
+            f = row[c]
+            if f:
+                tab[i] = [(v * piv - pv * f) // d for v, pv in zip(row, prow)]
+            elif piv != d:
+                tab[i] = [(v * piv) // d for v in row]
+        self.d = piv
+
+
+def list_tableau_solve(lp):
+    """The LpResult of ListTableau on lp, in exact mode, unchecked."""
+    return ListTableau(lpsolve._prepare(lp)).solve()
 
 
 # ---------------------------------------------------------------------------

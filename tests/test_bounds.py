@@ -52,6 +52,7 @@ from helpers import (
     enumerated_family,
     generator_family,
     generic_bqp,
+    python_int_fractions,
     qap_instance,
     rand_rows,
     rand_symmetric_rows,
@@ -60,6 +61,7 @@ from helpers import (
 from oracles import (
     fraction_fold_ggl,
     linearization_violations,
+    list_tableau_solve,
     structural_zeros,
 )
 
@@ -918,6 +920,27 @@ def test_auto_mode_stays_exact_on_tournament_8(monkeypatch):
     for rep in (lbb_prime(inst), rlt1(inst), lbb_star(inst)):
         assert (rep.mode, rep.value) == ("exact", 17), rep.name
         assert verify_report(inst, rep) == (True, ()), rep.name
+
+
+@pytest.mark.parametrize("inst", [partial(generate_tournament, 6),
+                                  _pinned_qap], ids=["tournament6", "qap"])
+def test_lifting_lp_matches_the_list_tableau(inst):
+    # the exact int64 tableau against the list-of-ints one it replaced,
+    # on a degenerate lifting LP of each kind: the same LpResult, pivots
+    # included, every number a Fraction over Python ints
+    lp = bounds._lifting_lp(bounds._bqp(inst()))[0]
+    res = lpsolve.solve_lp(lp, mode="exact")
+    assert res == list_tableau_solve(lp)
+    assert python_int_fractions(res)
+
+
+def test_exact_rlt1_on_tournament_9_is_pinned():
+    # 369 rows by 282 columns, past EXACT_SIZE_LIMIT, so auto would run
+    # float; exact mode solves it in 366 pivots, and the replay holds
+    inst = generate_tournament(9)
+    rep = rlt1(inst, mode="exact")
+    assert (rep.mode, rep.value, rep.pivots) == ("exact", 16, 366)
+    assert verify_report(inst, rep) == (True, ())
 
 
 def test_lbb_prime_invariant_under_reformulation():

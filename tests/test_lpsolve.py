@@ -4,6 +4,7 @@ from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -26,8 +27,9 @@ from quadlin.lpsolve import (
     verify_solution,
 )
 
-from helpers import rand_rational
-from oracles import kkt_violations, lp_oracle, standard_form
+from helpers import python_int_fractions, rand_rational
+from oracles import (kkt_violations, list_tableau_solve, lp_oracle,
+                     standard_form)
 
 F = Fraction
 
@@ -503,17 +505,22 @@ def test_pivot_caps_raise_each_modes_error(monkeypatch):
         solve_lp(lp, mode="float")
 
 
-def test_degenerate_lp_through_blands_rule_in_both_modes(monkeypatch):
-    # Chvatal's cycling example (Linear Programming, 1983, p. 31) with its
-    # slacks written as columns, so that scaling the rows to integers
-    # keeps them at the textbook scale: Dantzig's rule cycles through
-    # degenerate bases until the stall limit hands over to Bland's rule;
-    # its max is stated as the min of the negated objective
-    lp = linear_program("min", [-10, 57, 9, 24, 0, 0], [
+def _chvatal_lp():
+    """Chvatal's cycling example (Linear Programming, 1983, p. 31) with its
+    slacks written as columns, so that scaling the rows to integers keeps
+    them at the textbook scale; its max is stated as the min of the
+    negated objective."""
+    return linear_program("min", [-10, 57, 9, 24, 0, 0], [
         ((F(1, 2), F(-11, 2), F(-5, 2), 9, 1, 0), LE, 0),
         ((F(1, 2), F(-3, 2), F(-1, 2), 1, 0, 1), LE, 0),
         ((1, 0, 0, 0, 0, 0), LE, 1),
     ])
+
+
+def test_degenerate_lp_through_blands_rule_in_both_modes(monkeypatch):
+    # Dantzig's rule cycles through degenerate bases of Chvatal's example
+    # until the stall limit hands over to Bland's rule
+    lp = _chvatal_lp()
     for tableau in (lpsolve._ExactTableau, lpsolve._FloatTableau):
         rules = []
 
@@ -526,3 +533,63 @@ def test_degenerate_lp_through_blands_rule_in_both_modes(monkeypatch):
         res = solve_lp(lp, mode=tableau.mode)
         assert res.status == OPTIMAL and res.value == -1, tableau.mode
         assert any(rules), f"{tableau.mode} mode never used Bland's rule"
+
+
+def test_exact_tableau_matches_the_list_tableau():
+    # the int64 tableau against the list-of-ints one it replaced, which
+    # shares the simplex loop: the same status, value, x, duals and
+    # pivots, every number a Fraction over Python ints, on random LPs of
+    # every status and on Chvatal's cycling example
+    rng = random.Random(7)
+    lps = [_random_lp(rng) for _ in range(140)] + [_chvatal_lp()]
+    seen = Counter()
+    for lp in lps:
+        res = solve_lp(lp, mode="exact")
+        assert res == list_tableau_solve(lp)
+        assert python_int_fractions(res)
+        seen[res.status] += 1
+    assert min(seen[s] for s in (OPTIMAL, INFEASIBLE, UNBOUNDED)) > 5, seen
+
+
+def test_exact_tableau_switches_to_python_ints_mid_solve(monkeypatch):
+    # with the int64 bound lowered to 2**6, every program here starts in
+    # int64 (Chvatal's largest entry is 57), and Chvatal's example and
+    # three of the random ones grow past the bound and go on in Python
+    # ints; each result equals the list tableau's
+    monkeypatch.setattr(lpsolve, "_INT64_SAFE", 2 ** 6)
+    rng = random.Random(7)
+    switched = []
+    for lp in [_chvatal_lp()] + [_random_lp(rng) for _ in range(60)]:
+        tableau = lpsolve._ExactTableau(lpsolve._prepare(lp))
+        assert tableau.tab.dtype == np.int64
+        res = tableau.solve()
+        switched.append(tableau.tab.dtype == object)
+        assert res == list_tableau_solve(lp) == solve_lp(lp, mode="exact")
+        assert python_int_fractions(res)
+    assert switched[0] and sum(switched) == 4
+
+
+@pytest.mark.parametrize("k", [2 ** 40 + 1, 2 ** 70 + 1],
+                         ids=["2**40", "2**70"])
+def test_exact_tableau_starts_in_python_ints_past_int64(k):
+    # every coefficient, right-hand side and cost times k: past 2**31 the
+    # tableau is built in int64 and moved to Python ints before the first
+    # pivot, past 2**63 it is built in Python ints; either way the result
+    # is the list tableau's, and the optimum that of the unscaled program
+    rng = random.Random(3)
+    for _ in range(20):
+        lp = _random_lp(rng)
+        big = LinearProgram(
+            tuple(v * k for v in lp.objective),
+            tuple((tuple(a * k for a in coeffs), rel, b * k)
+                  for coeffs, rel, b in lp.rows))
+        tableau = lpsolve._ExactTableau(lpsolve._prepare(big))
+        assert tableau.tab.dtype == object
+        res = tableau.solve()
+        assert tableau.tab.dtype == object
+        assert res == list_tableau_solve(big) == solve_lp(big, mode="exact")
+        assert python_int_fractions(res)
+        want = solve_lp(lp, mode="exact")
+        assert res.status == want.status
+        if res.status == OPTIMAL:
+            assert (res.value, res.x) == (want.value * k, want.x)
