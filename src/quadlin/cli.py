@@ -36,7 +36,7 @@ import hashlib
 import json
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from quadlin.bounds import (
@@ -279,9 +279,7 @@ def parse_instance(text: str) -> ParsedInstance:
     d = RationalMatrix.from_rows(d_rows)
     inst = qap_to_bqp(a, d)
     if tag_a or tag_d:
-        inst = BqpInstance(B=inst.B, b=inst.b, Q=inst.Q, linear=inst.linear,
-                           integral_polytope=inst.integral_polytope,
-                           structure=inst.structure, float_tagged=True)
+        inst = replace(inst, float_tagged=True)
     return ParsedInstance("qap", inst, qap_flows=a, qap_dists=d)
 
 

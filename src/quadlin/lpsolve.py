@@ -2,30 +2,39 @@
 
 The simplex is written once (``_Tableau``): Dantzig pricing that switches
 to Bland's rule after a long run of degenerate pivots, phase 1, driving
-basic artificials out of the basis, phase 2, and one read-back of x, the
-value and the duals.  The two arithmetics supply only pricing, the ratio
-test, the elimination step and a few cell tests.  Exact mode keeps the
-tableau as one numpy int64 array over a positive common denominator d
-and pivots fraction-free (Bareiss): every entry is a minor of the
-starting integer matrix, so each division is exact and no rational
-appears in the loop.  Before an update could leave int64 the array moves
-to Python ints and the same code goes on; the ratio test and the
-read-back work in Python ints throughout.  Every optimal result is
-certified before it is returned, by weak duality (verify_solution): x is
-a point of the program (point_violations), the duals y are feasible for
-its dual (dual_violations), and both reach the value.  A LinearProgram
-takes each row once, on first use, to integer numerators over the lcm of
-its denominators (int_rows), and its objective alike (int_objective);
-preparation rescales a row only where its right-hand side needs it, and
-the checks evaluate every row and reduced cost as an integer dot product
-and test its sign on the numerator.  Every check is exact, for float
-results too: a float is read at its exact binary value, and a float
-result passes within an absolute FLOAT_CHECK_TOL (1e-7), an exact one
-with none.  with_rhs gives a program new right-hand sides and shares
-everything else, so a program solved for many right-hand sides is
-validated and taken to integers once.  Float mode runs on a numpy
-tableau with fixed tolerances and raises NumericalBreakdown instead of
-returning garbage when the arithmetic degrades.
+basic artificials out of the basis, phase 2, one read-back of x, the
+value and the duals, and every sign test, each against the mode's
+tolerance (0 in exact mode).  The tableau is built from the
+LinearProgram in one step: the column layout and the starting basis are
+laid out once, and each arithmetic writes its rows through one hook and
+supplies only the ratio test, the elimination step and the read of a
+cell.  Exact mode writes each row's integer numerators over lcm(k, the
+rhs's denominator), keeps the tableau as one numpy int64 array over a
+positive common denominator d and pivots fraction-free (Bareiss): every
+entry is a minor of the starting integer matrix, so each division is
+exact and no rational appears in the loop.  Before an update could leave
+int64 the array moves to Python ints and the same code goes on; the
+ratio test and the read-back work in Python ints throughout.  Every
+exact optimum is certified before it is returned, by weak duality
+(verify_solution): x is a point of the program (point_violations), the
+duals y are feasible for its dual (dual_violations), and both reach the
+value.  Float mode starts from the LP's own coefficients, correctly
+rounded (a row is negated where its rhs is negative), so its fixed
+tolerances act at the LP's own scale; it raises NumericalBreakdown
+instead of returning garbage when the arithmetic degrades, and its
+optima are not checked here: only a replay (verify_solution,
+bounds.verify_report) checks one, within FLOAT_CHECK_TOL (1e-7).
+
+A LinearProgram takes each row once, on first use, to integer numerators
+over the lcm of its denominators (int_rows), and its objective alike
+(int_objective); the tableau and the checks read them, and the
+checks evaluate every row and reduced cost as an integer dot product and
+test its sign on the numerator.  Every check is exact, for float results
+too: a float is read at its exact binary value, and a float result
+passes within an absolute FLOAT_CHECK_TOL, an exact one with none.
+with_rhs gives a program new right-hand sides and shares everything
+else, so a program solved for many right-hand sides is validated and
+taken to integers once.
 
 Every program is a minimum over x >= 0, the one kind quadlin builds: a
 maximum is minus the minimum of the negated objective, and a free
@@ -106,7 +115,7 @@ class LinearProgram:
         Only the new values are validated (exact, and one per row); the
         coefficients and their integer forms (int_rows, int_columns,
         int_objective), which do not depend on the right-hand sides, are
-        shared with this program, so preparing the new one works out only
+        shared with this program, so building its tableau works out only
         each row's scale, sign, relation and right-hand side numerator.
         """
         rhs = tuple(rat(v) for v in rhs)
@@ -134,7 +143,7 @@ class LinearProgram:
     def int_rows(self) -> tuple:
         """Per row, (integer numerators of its coefficients, their lcm k),
         worked out on first use and kept; not part of equality or hashing.
-        Preparation and every certificate check read it."""
+        The tableau and every certificate check read it."""
         return tuple((tuple(nums), k) for nums, k in
                      (common_denominator(coeffs) for coeffs, _, _ in self.rows))
 
@@ -148,7 +157,7 @@ class LinearProgram:
     @cached_property
     def int_objective(self) -> tuple:
         """(integer numerators of the objective, their lcm), worked out on
-        first use and kept; preparation reads it."""
+        first use and kept; the tableau reads it."""
         return common_denominator(self.objective)
 
 
@@ -174,40 +183,6 @@ class LpResult:
     duals: tuple = None         # one per original row
     mode: str = "exact"
     pivots: int = 0
-
-
-# ---------------------------------------------------------------------------
-# standard-form preparation (shared by both modes)
-
-_FLIPPED = {LE: GE, GE: LE, EQ: EQ}
-
-
-class _Prepared:
-    __slots__ = ("ncols", "rows_int", "rels", "row_scale", "obj_int",
-                 "obj_scale")
-
-
-def _prepare(lp: LinearProgram) -> _Prepared:
-    """The integer standard form the simplex starts from: lp's integer
-    objective and rows, and per row only what its right-hand side
-    decides.  The row goes over lcm(k, the rhs's denominator) and is
-    negated if the rhs is negative, so that every right-hand side is
-    nonnegative."""
-    p = _Prepared()
-    p.ncols = lp.nvars
-    p.obj_int, p.obj_scale = lp.int_objective
-    p.rows_int, p.rels, p.row_scale = [], [], []
-    for (_, rel, rhs), (line, k) in zip(lp.rows, lp.int_rows):
-        scale = lcm(k, rhs.denominator)
-        b = rhs.numerator * (scale // rhs.denominator)
-        sign = -1 if b < 0 else 1
-        f = sign * (scale // k)
-        row = list(line) if f == 1 else [v * f for v in line]
-        row.append(sign * b)
-        p.rows_int.append(row)
-        p.rels.append(rel if sign > 0 else _FLIPPED[rel])
-        p.row_scale.append(sign * scale)
-    return p
 
 
 def _requested_mode(mode: str):
@@ -236,69 +211,103 @@ def _resolve_mode(mode: str, nrows: int, nvars: int) -> str:
 # ---------------------------------------------------------------------------
 # the simplex, once for both arithmetics
 
+_FLIPPED = {LE: GE, GE: LE, EQ: EQ}
+
+
 class _Tableau:
     """Two-phase primal simplex over a tableau whose arithmetic the
     subclass supplies.
 
-    Structural columns come first, then one slack per inequality row, then
-    one artificial per >= or = row, then the right-hand side; the starting
+    _Tableau(lp) lays the tableau out once for both modes and hands the
+    mode's _build its integer rows: row i is lp's integer row (int_rows)
+    over s_i = lcm(its k, its rhs's denominator), negated, with "<=" and
+    ">=" swapped, where its rhs is negative, so that every right-hand
+    side is nonnegative, and its scale is that sign times s_i; the
+    objective row is int_objective over its lcm.  _build writes them in
+    the mode's arithmetic, adds the phase-1 cost row and sets the
+    row_scale and obj_scale that the read-back divides by.  Structural
+    columns come first, then one slack per inequality row, then one
+    artificial per >= or = row, then the right-hand side; the starting
     basis takes each row's slack if the row is <=, else its artificial.
     Below the constraint rows sit the phase-2 and the phase-1 cost rows.
 
     Pricing is Dantzig's rule until more than max(40, rows) degenerate
     pivots in a row, then Bland's rule for the rest of the phase; ratio
-    ties go to the row whose basic column has the smallest index.
-    Subclasses give the mode, the number type (num), the error class and
-    the arithmetic: _entering, _leaving, _degenerate, _eliminate,
-    _first_usable, _infeasible, _cell (k * T[i][j] / den) and _pivot_cap.
+    ties go to the row whose basic column has the smallest index.  Every
+    sign test is written here once, against the mode's tol (cost and
+    cell entries) and feas_tol (the phase-1 value), both 0 in exact mode.
+    Subclasses give the mode, the number type (num), the error class,
+    the tolerances and the arithmetic: _build, _leaving, _eliminate,
+    _cell (k * T[i][j] / den) and _pivot_cap.
     """
 
     error = LpError
+    tol = feas_tol = 0
     # read-back of x and of the value: float mode adds 0.0, which turns a
     # -0.0 into 0.0
     _unsigned_zero = staticmethod(lambda v: v)
 
-    def __init__(self, prep: _Prepared):
-        nrows = len(prep.rows_int)
-        slack_col = {}
-        art_col = {}
-        col = prep.ncols
-        for i, rel in enumerate(prep.rels):
-            if rel in (LE, GE):
-                slack_col[i] = col
-                col += 1
-        self.art_start = col
-        for i, rel in enumerate(prep.rels):
-            if rel in (GE, EQ):
-                art_col[i] = col
-                col += 1
-        self.rhs = col
-        self.basis = [slack_col[i] if rel == LE else art_col[i]
-                      for i, rel in enumerate(prep.rels)]
-        self.prep = prep
-        self.nrows = nrows
-        self.slack_col = slack_col
-        self.art_col = art_col
-        self.z2_idx = nrows
-        self.z1_idx = nrows + 1
+    def __init__(self, lp: LinearProgram):
+        n = self.ncols = lp.nvars
+        rows = []
+        for (_, rel, rhs), (nums, k) in zip(lp.rows, lp.int_rows):
+            s = lcm(k, rhs.denominator)
+            b = rhs.numerator * (s // rhs.denominator)
+            if b < 0:
+                s, b, rel = -s, -b, _FLIPPED[rel]
+            rows.append((nums if s == k else [v * (s // k) for v in nums],
+                         b, s, rel))
+        rels = [rel for *_, rel in rows]
+        slacks = [i for i, rel in enumerate(rels) if rel != EQ]
+        arts = [i for i, rel in enumerate(rels) if rel != LE]
+        self.slack_col = {i: n + j for j, i in enumerate(slacks)}
+        self.art_start = n + len(slacks)
+        self.art_col = {i: self.art_start + j for j, i in enumerate(arts)}
+        self.rhs = self.art_start + len(arts)
+        self.nrows = len(rows)
+        # each row's own column: its artificial, else its slack
+        self.own = [self.art_col.get(i, self.slack_col.get(i))
+                    for i in range(self.nrows)]
+        self.basis = list(self.own)
+        self.z2_idx = self.nrows
+        self.z1_idx = self.nrows + 1
         self.pivots = 0
-
-    def _int_rows(self):
-        """Yield the constraint rows and the phase-2 cost row as int lists."""
-        prep = self.prep
-        ncols, width = prep.ncols, self.rhs + 1
-        for i, row in enumerate(prep.rows_int):
-            line = [0] * width
-            line[:ncols] = row[:ncols]
-            line[self.rhs] = row[ncols]
-            if i in self.slack_col:
-                line[self.slack_col[i]] = 1 if prep.rels[i] == LE else -1
-            if i in self.art_col:
+        pad = [0] * (self.rhs + 1 - n)
+        lines = []
+        for i, (nums, b, _, rel) in enumerate(rows):
+            line = [*nums, *pad]
+            line[-1] = b
+            if rel != EQ:
+                line[self.slack_col[i]] = 1 if rel == LE else -1
+            if rel != LE:
                 line[self.art_col[i]] = 1
-            yield line
-        z2 = [0] * width
-        z2[:ncols] = prep.obj_int
-        yield z2
+            lines.append(line)
+        obj, obj_scale = lp.int_objective
+        lines.append([*obj, *pad])
+        self._build(lines, [s for _, _, s, _ in rows], obj_scale)
+
+    def _entering(self, cost_idx, bland):
+        """The entering column: among the cost entries below -tol, the
+        first under Bland's rule, else the first of the smallest (the
+        row's first smallest entry, if it is below -tol)."""
+        zrow = self.tab[cost_idx, :self.art_start]
+        if not zrow.size:
+            return None
+        j = int((zrow < -self.tol).argmax() if bland else zrow.argmin())
+        return j if zrow.item(j) < -self.tol else None
+
+    def _degenerate(self, r):
+        return self.tab.item(r, self.rhs) <= self.tol
+
+    def _first_usable(self, r):
+        """The first column before the artificials whose entry in row r
+        exceeds tol in magnitude, else None."""
+        row = self.tab[r]
+        return next((j for j in row[:self.art_start].nonzero()[0].tolist()
+                     if abs(row.item(j)) > self.tol), None)
+
+    def _infeasible(self):
+        return -self.tab.item(self.z1_idx, self.rhs) > self.feas_tol
 
     def _pivot(self, r, c):
         self._eliminate(r, c)
@@ -341,19 +350,17 @@ class _Tableau:
         if self._phase(self.z2_idx) == UNBOUNDED:
             return LpResult(UNBOUNDED, mode=self.mode, pivots=self.pivots)
 
-        prep, num, rhs = self.prep, self.num, self.rhs
-        vals = [num(0)] * prep.ncols
+        rhs = self.rhs
+        vals = [self.num(0)] * self.ncols
         for i, b in enumerate(self.basis):
-            if b < prep.ncols:
+            if b < self.ncols:
                 vals[b] = self._cell(i, rhs)
         x = tuple(map(self._unsigned_zero, vals))
         # the cost row holds minus the reduced costs and minus the value
         value = self._unsigned_zero(
-            self._cell(self.z2_idx, rhs, -1, prep.obj_scale))
-        duals = tuple(
-            self._cell(self.z2_idx, self.art_col.get(i, self.slack_col.get(i)),
-                       -prep.row_scale[i], prep.obj_scale)
-            for i in range(self.nrows))
+            self._cell(self.z2_idx, rhs, -1, self.obj_scale))
+        duals = tuple(self._cell(self.z2_idx, c, -s, self.obj_scale)
+                      for c, s in zip(self.own, self.row_scale))
         return LpResult(OPTIMAL, value, x, duals, self.mode, self.pivots)
 
 
@@ -367,9 +374,8 @@ class _ExactTableau(_Tableau):
     mode = "exact"
     num = staticmethod(rat)
 
-    def __init__(self, prep: _Prepared):
-        super().__init__(prep)
-        rows = [*self._int_rows(), [0] * (self.rhs + 1)]
+    def _build(self, rows, row_scale, obj_scale):
+        rows.append([0] * (self.rhs + 1))
         try:
             tab = np.array(rows, dtype=np.int64)
         except OverflowError:
@@ -379,19 +385,13 @@ class _ExactTableau(_Tableau):
         tab[-1] = -tab.take(list(self.art_col), 0).sum(0)
         tab[-1, self.art_start:self.rhs] = 1
         self.tab, self.d = tab, 1
+        self.row_scale, self.obj_scale = row_scale, obj_scale
 
     def _pivot_cap(self):
         return _PIVOT_HARD_CAP
 
     def _cell(self, i, j, k=1, den=1):
         return Fraction(k * self.tab.item(i, j), den * self.d)
-
-    def _entering(self, cost_idx, bland):
-        zrow = self.tab[cost_idx, :self.art_start]
-        if not zrow.size:
-            return None
-        j = int((zrow < 0).argmax() if bland else zrow.argmin())
-        return j if zrow.item(j) < 0 else None
 
     def _leaving(self, enter):
         col = self.tab[:self.nrows, enter]
@@ -406,16 +406,6 @@ class _ExactTableau(_Tableau):
             if lhs < rhs or (lhs == rhs and basis[i] < basis[leave]):
                 leave, t, b = i, ti, bi
         return leave
-
-    def _degenerate(self, r):
-        return self.tab.item(r, self.rhs) == 0
-
-    def _first_usable(self, r):
-        nz = self.tab[r, :self.art_start].nonzero()[0]
-        return int(nz[0]) if nz.size else None
-
-    def _infeasible(self):
-        return self.tab.item(self.z1_idx, self.rhs) != 0
 
     def _eliminate(self, r, c):
         """With piv = |T[r][c]| and p = T[r] signed so that p[c] = piv:
@@ -456,37 +446,37 @@ class _FloatTableau(_Tableau):
     mode = "float"
     num = float
     error = NumericalBreakdown
+    tol = _PIVOT_TOL
     _unsigned_zero = staticmethod(lambda v: v + 0.0)
 
-    def __init__(self, prep: _Prepared):
-        super().__init__(prep)
-        width = self.rhs + 1
-        tab = np.zeros((self.nrows + 2, width))
-        for i, line in enumerate(self._int_rows()):
-            tab[i] = line
-        z1 = np.zeros(width)
+    def _build(self, rows, row_scale, obj_scale):
+        """The LP's own coefficients, correctly rounded: a row over a scale
+        s other than +-1, and the objective over obj_scale, is divided by
+        |s| back to lp's values (sign-flipped where its rhs is negative),
+        so the read-back divides by no scale."""
+        n, rhs = self.ncols, self.rhs
+        for line, s in zip(rows, [*row_scale, obj_scale]):
+            if abs(s) != 1:
+                line[:n] = [v / abs(s) for v in line[:n]]
+                line[rhs] /= abs(s)
+        tab = np.zeros((self.nrows + 2, rhs + 1))
+        tab[:-1] = rows
+        z1 = np.zeros(rhs + 1)
         for ac in self.art_col.values():
             z1[ac] = 1.0
         for i in self.art_col:
             z1 -= tab[i]
-        tab[self.nrows + 1] = z1
+        tab[-1] = z1
         self.tab = tab
-        self.feas_tol = _FEAS_TOL * max(
-            1.0, max((abs(tab[i, self.rhs]) for i in range(self.nrows)),
-                     default=1.0))
+        self.feas_tol = _FEAS_TOL * max([1.0, *tab[:self.nrows, rhs].tolist()])
+        self.row_scale = [1 if s > 0 else -1 for s in row_scale]
+        self.obj_scale = 1
 
     def _pivot_cap(self):
         return _FLOAT_PIVOT_CAP
 
     def _cell(self, i, j, k=1, den=1):
         return float(k) * float(self.tab[i, j]) / den
-
-    def _entering(self, cost_idx, bland):
-        zrow = self.tab[cost_idx, :self.art_start]
-        cand = np.where(zrow < -_PIVOT_TOL)[0]
-        if cand.size == 0:
-            return None
-        return int(cand[0]) if bland else int(cand[np.argmin(zrow[cand])])
 
     def _leaving(self, enter):
         tab = self.tab
@@ -498,16 +488,6 @@ class _FloatTableau(_Tableau):
         best = ratios.min()
         ties = pos[np.where(ratios <= best + _PIVOT_TOL * (1 + abs(best)))[0]]
         return int(min(ties, key=lambda i: self.basis[i]))
-
-    def _degenerate(self, r):
-        return self.tab[r, self.rhs] <= _PIVOT_TOL
-
-    def _first_usable(self, r):
-        cand = np.where(np.abs(self.tab[r, :self.art_start]) > _PIVOT_TOL)[0]
-        return int(cand[0]) if cand.size else None
-
-    def _infeasible(self):
-        return -self.tab[self.z1_idx, self.rhs] > self.feas_tol
 
     def _eliminate(self, r, c):
         tab = self.tab
@@ -530,7 +510,7 @@ def solve_lp(lp: LinearProgram, mode: str = "auto") -> LpResult:
     (verify_solution) before it is returned."""
     mode = _resolve_mode(mode, lp.nrows, lp.nvars)
     tableau = _ExactTableau if mode == "exact" else _FloatTableau
-    result = tableau(_prepare(lp)).solve()
+    result = tableau(lp).solve()
     if mode == "exact" and result.status == OPTIMAL:
         ok, messages = verify_solution(lp, result)
         if not ok:

@@ -326,17 +326,15 @@ class ListTableau(lpsolve._Tableau):
     mode = "exact"
     num = Fraction
 
-    def __init__(self, prep):
-        super().__init__(prep)
-        tab = list(self._int_rows())
+    def _build(self, rows, row_scale, obj_scale):
         z1 = [0] * (self.rhs + 1)
         for ac in self.art_col.values():
             z1[ac] = 1
         for i in self.art_col:
-            z1 = [a - b for a, b in zip(z1, tab[i])]
-        tab.append(z1)
-        self.tab = tab
+            z1 = [a - b for a, b in zip(z1, rows[i])]
+        self.tab = [*rows, z1]
         self.d = 1
+        self.row_scale, self.obj_scale = row_scale, obj_scale
 
     def _pivot_cap(self):
         return lpsolve._PIVOT_HARD_CAP
@@ -399,11 +397,6 @@ class ListTableau(lpsolve._Tableau):
             elif piv != d:
                 tab[i] = [(v * piv) // d for v in row]
         self.d = piv
-
-
-def list_tableau_solve(lp):
-    """The LpResult of ListTableau on lp, in exact mode, unchecked."""
-    return ListTableau(lpsolve._prepare(lp)).solve()
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ from operator import getitem
 
 import pytest
 
-from quadlin import bounds, combinatorial, lpsolve
+from quadlin import bounds, cli, combinatorial, lpsolve
 from quadlin.bounds import (
     BoundComputationError,
     BoundReport,
@@ -59,9 +59,9 @@ from helpers import (
     random_corridor_dag,
 )
 from oracles import (
+    ListTableau,
     fraction_fold_ggl,
     linearization_violations,
-    list_tableau_solve,
     structural_zeros,
 )
 
@@ -324,6 +324,40 @@ def test_float_rlt1_value_and_pivot_count_are_pinned():
     # that moves its pivot path shows here
     rep = rlt1(generate_tournament(5), mode="float")
     assert (rep.mode, repr(rep.value), rep.pivots) == ("float", "8.0", 35)
+
+
+def _decimal_assignment_bqp(rng) -> str:
+    """A bqp file over the 3 x 3 assignment polytope, its three item rows
+    and two of its position rows (the third is implied), b = 1, whose Q
+    cells are each present with probability 0.6, at 4-decimal values in
+    [-20, 20]."""
+    rows = [[int(v // 3 == i) for v in range(9)] for i in range(3)]
+    rows += [[int(v % 3 == j) for v in range(9)] for j in range(2)]
+    cells = [f"{i + 1} {j + 1} {rng.uniform(-20, 20):.4f}"
+             for i in range(9) for j in range(9) if rng.random() < 0.6]
+    return "\n".join(["bqp", "5 9", *(" ".join(map(str, r)) for r in rows),
+                      "1 1 1 1 1", str(len(cells)), *cells])
+
+
+def test_float_gl_equals_exact_gl_on_decimal_data():
+    # a decimal file is float data, so gl runs in float mode; over
+    # 4-decimal Q values the exact tableau scales a fitting program's
+    # rows to about 10**16, but the float tableau starts from the LP's
+    # own coefficients and reaches exact gl on the same rationals, on
+    # seeded generic BQPs and on a decimal QAP read without its structure
+    # (a simplex fit per column), whose float report replays
+    insts = [cli.parse_instance(_decimal_assignment_bqp(random.Random(seed)))
+             .instance for seed in range(40)]
+    qap = cli.parse_instance(
+        "qap\n3\n-4.74 2.23 4.79\n4.98 2.01 -4.51\n3.42 -2.81 1.46\n"
+        "4.52 2.12 -3.65\n-2.08 4.18 -3.50\n1.11 -0.86 -3.39\n").instance
+    insts.append(replace(qap, structure=None))
+    for inst in insts:
+        got = gl_bound(inst)
+        want = gl_bound(replace(inst, float_tagged=False))
+        assert (got.mode, want.mode) == ("float", "exact")
+        assert got.value == pytest.approx(float(want.value), rel=1e-6)
+    assert verify_report(insts[-1], got) == (True, ())
 
 
 def test_ggl_solves_each_changed_fitting_program_once(monkeypatch):
@@ -930,7 +964,7 @@ def test_lifting_lp_matches_the_list_tableau(inst):
     # included, every number a Fraction over Python ints
     lp = bounds._lifting_lp(bounds._bqp(inst()))[0]
     res = lpsolve.solve_lp(lp, mode="exact")
-    assert res == list_tableau_solve(lp)
+    assert res == ListTableau(lp).solve()
     assert python_int_fractions(res)
 
 

@@ -28,8 +28,7 @@ from quadlin.lpsolve import (
 )
 
 from helpers import python_int_fractions, rand_rational
-from oracles import (kkt_violations, list_tableau_solve, lp_oracle,
-                     standard_form)
+from oracles import ListTableau, kkt_violations, lp_oracle, standard_form
 
 F = Fraction
 
@@ -199,16 +198,16 @@ def test_dual_violations_tests_the_sign_of_an_inequality_dual(rel, cost):
             f"dual sign wrong on row 0 ({rel})"]
 
 
-def _random_lp(rng, max_vars=4, max_rows=5):
+def _random_lp(rng, max_vars=4, max_rows=5, num=rand_rational):
     n = rng.randint(1, max_vars)
     # a max is stated as the min of its negated objective
     sign = rng.choice([1, -1])
-    obj = [sign * rand_rational(rng, span=4) for _ in range(n)]
+    obj = [sign * num(rng, span=4) for _ in range(n)]
     rows = []
     for _ in range(rng.randint(0, max_rows)):
-        coeffs = tuple(rand_rational(rng, span=3) for _ in range(n))
+        coeffs = tuple(num(rng, span=3) for _ in range(n))
         rel = rng.choice([LE, GE, EQ])
-        rhs = rand_rational(rng, span=6)
+        rhs = num(rng, span=6)
         rows.append((coeffs, rel, rhs))
     # cap sometimes; uncapped negated objectives go unbounded regularly,
     # which keeps all three statuses represented
@@ -217,7 +216,28 @@ def _random_lp(rng, max_vars=4, max_rows=5):
     return linear_program("min", obj, rows)
 
 
-def test_prepare_matches_the_fraction_standard_form():
+def _starting_form(lp) -> dict:
+    """The exact tableau's starting rows in oracles.standard_form's terms:
+    each row's structural numerators and right-hand side, its relation
+    read off its slack (+1 for <=, -1 for >=, none for =), row_scale, and
+    the objective row and obj_scale.  Every >= and = row, and only those,
+    starts with its artificial basic."""
+    t = lpsolve._ExactTableau(lp)
+    tab = t.tab.tolist()
+    rels = [EQ if i not in t.slack_col
+            else LE if tab[i][t.slack_col[i]] == 1 else GE
+            for i in range(t.nrows)]
+    assert t.basis == [t.art_col[i] if rel != LE else t.slack_col[i]
+                       for i, rel in enumerate(rels)]
+    assert all(tab[i][c] == 1 for i, c in t.art_col.items())
+    return {"ncols": t.ncols,
+            "rows_int": [row[:t.ncols] + [row[t.rhs]]
+                         for row in tab[:t.nrows]],
+            "rels": rels, "row_scale": t.row_scale,
+            "obj_int": tab[t.z2_idx][:t.ncols], "obj_scale": t.obj_scale}
+
+
+def test_tableau_starts_from_the_fraction_standard_form():
     rng = random.Random(11)
     kinds = {"nonneg": 0, "flipped": 0}
     for _ in range(300):
@@ -231,18 +251,18 @@ def test_prepare_matches_the_fraction_standard_form():
                for _ in range(n)]
         lp = linear_program("min", obj, rows)
         want = standard_form(lp)
-        prep = lpsolve._prepare(lp)
+        got = _starting_form(lp)
         kinds["flipped"] += sum(s < 0 for s in want["row_scale"])
         for field, value in want.items():
-            assert getattr(prep, field) == value, field
-        assert prep.ncols == n
+            assert got[field] == value, field
+        assert got["ncols"] == n
     assert min(kinds.values()) > 30, kinds
 
     # integer coefficients and rhs 5/7: the rhs sets the row scale, which
     # the coefficients alone would leave at 1
     scaled = linear_program("min", [1, 1], [((2, 3), GE, F(5, 7))])
-    prep = lpsolve._prepare(scaled)
-    assert (prep.rows_int, prep.row_scale) == ([[14, 21, 5]], [7])
+    got = _starting_form(scaled)
+    assert (got["rows_int"], got["row_scale"]) == ([[14, 21, 5]], [7])
 
     # the integer rows take no part in equality or hashing
     again = linear_program("min", [F(2, 2), 1], [((F(4, 2), 3), GE, F(5, 7))])
@@ -262,22 +282,23 @@ def test_with_rhs_prepares_and_solves_like_a_fresh_program(sense, obj):
     coeffs = [(1, -1, 1, -1, 0), (2, 1, -1, 1, 1), (1, 0, 1, -1, F(1, 2))]
     rels = [LE, EQ, GE]
     lp = linear_program("min", obj, zip(coeffs, rels, (3, 1, -2)))
-    base = lpsolve._prepare(lp)
+    base = _starting_form(lp)
     for rhs in ((F(-1, 4), F(7, 5), F(5, 7)), (0, 2, 1), (3, 1, -2)):
         new = lp.with_rhs(rhs)
         fresh = linear_program("min", obj, zip(coeffs, rels, rhs))
         assert new == fresh and hash(new) == hash(fresh)
-        got, want = lpsolve._prepare(new), lpsolve._prepare(fresh)
-        for field in lpsolve._Prepared.__slots__:
-            assert getattr(got, field) == getattr(want, field), field
+        assert _starting_form(new) == _starting_form(fresh)
+        got, want = lpsolve._ExactTableau(new), lpsolve._ExactTableau(fresh)
+        assert np.array_equal(got.tab, want.tab)
         for mode in ("exact", "float"):
             a, b = solve_lp(new, mode=mode), solve_lp(fresh, mode=mode)
             assert a.status == OPTIMAL
             assert (a.value, a.x, a.duals, a.pivots) \
                 == (b.value, b.x, b.duals, b.pivots)
-    flipped = lpsolve._prepare(lp.with_rhs((F(-1, 4), F(7, 5), F(5, 7))))
-    assert (base.rels, base.row_scale) == ([LE, EQ, LE], [1, 1, -2])
-    assert (flipped.rels, flipped.row_scale) == ([GE, EQ, GE], [-4, 5, 14])
+    flipped = _starting_form(lp.with_rhs((F(-1, 4), F(7, 5), F(5, 7))))
+    assert (base["rels"], base["row_scale"]) == ([LE, EQ, LE], [1, 1, -2])
+    assert (flipped["rels"], flipped["row_scale"]) \
+        == ([GE, EQ, GE], [-4, 5, 14])
     with pytest.raises(TypeError):
         lp.with_rhs((0.5, 1, 1))
     with pytest.raises(ValueError):
@@ -300,11 +321,11 @@ def test_with_rhs_lays_out_once_and_shares_it(monkeypatch):
                         [((1, 1, -1), GE, 1), ((1, -1, 1), LE, 2)])
     a = lp.with_rhs((2, 1))
     b = a.with_rhs((F(1, 2), -1))
-    first = lpsolve._prepare(b)
+    first = _starting_form(b)
     assert taken == [(1, 1, -1), (1, -1, 1), (1, 2, -2)]
-    second = lpsolve._prepare(a)
+    second = _starting_form(a)
     assert len(taken) == 3
-    assert second.obj_int is first.obj_int
+    assert second["obj_int"] == first["obj_int"] == [1, 2, -2]
     for name in ("int_rows", "int_columns", "int_objective"):
         assert getattr(a, name) is getattr(b, name) is getattr(lp, name)
     fresh = linear_program("min", (1, 2, -2),
@@ -327,19 +348,29 @@ def test_exact_agrees_with_enumeration_oracle():
     assert all(seen[s] > 5 for s in seen), seen
 
 
+def _full_mantissa(rng, span):
+    """A float in [-3, 3] read at its exact value, whose denominator is a
+    power of 2 past 2**50: the exact tableau scales its row by that."""
+    return F(rng.uniform(-3, 3))
+
+
 def test_float_tracks_exact():
-    rng = random.Random(8)
-    for _ in range(100):
-        lp = _random_lp(rng)
-        res_e = solve_lp(lp, mode="exact")
-        res_f = solve_lp(lp, mode="float")
-        assert res_f.mode == "float"
-        assert res_f.status == res_e.status
-        if res_e.status == OPTIMAL:
-            ref = float(res_e.value)
-            assert abs(res_f.value - ref) <= 1e-7 * (1 + abs(ref))
-            ok, msgs = verify_solution(lp, res_f)
-            assert ok, msgs
+    # on small rationals and on full-mantissa floats: the float tableau
+    # starts from the LP's own coefficients, not the exact tableau's
+    # integer rows
+    for num, count in ((rand_rational, 100), (_full_mantissa, 300)):
+        rng = random.Random(8)
+        for _ in range(count):
+            lp = _random_lp(rng, num=num)
+            res_e = solve_lp(lp, mode="exact")
+            res_f = solve_lp(lp, mode="float")
+            assert res_f.mode == "float"
+            assert res_f.status == res_e.status
+            if res_e.status == OPTIMAL:
+                ref = float(res_e.value)
+                assert abs(res_f.value - ref) <= 1e-7 * (1 + abs(ref))
+                ok, msgs = verify_solution(lp, res_f)
+                assert ok, msgs
 
 
 @settings(max_examples=50, deadline=None)
@@ -545,7 +576,7 @@ def test_exact_tableau_matches_the_list_tableau():
     seen = Counter()
     for lp in lps:
         res = solve_lp(lp, mode="exact")
-        assert res == list_tableau_solve(lp)
+        assert res == ListTableau(lp).solve()
         assert python_int_fractions(res)
         seen[res.status] += 1
     assert min(seen[s] for s in (OPTIMAL, INFEASIBLE, UNBOUNDED)) > 5, seen
@@ -560,11 +591,11 @@ def test_exact_tableau_switches_to_python_ints_mid_solve(monkeypatch):
     rng = random.Random(7)
     switched = []
     for lp in [_chvatal_lp()] + [_random_lp(rng) for _ in range(60)]:
-        tableau = lpsolve._ExactTableau(lpsolve._prepare(lp))
+        tableau = lpsolve._ExactTableau(lp)
         assert tableau.tab.dtype == np.int64
         res = tableau.solve()
         switched.append(tableau.tab.dtype == object)
-        assert res == list_tableau_solve(lp) == solve_lp(lp, mode="exact")
+        assert res == ListTableau(lp).solve() == solve_lp(lp, mode="exact")
         assert python_int_fractions(res)
     assert switched[0] and sum(switched) == 4
 
@@ -583,11 +614,11 @@ def test_exact_tableau_starts_in_python_ints_past_int64(k):
             tuple(v * k for v in lp.objective),
             tuple((tuple(a * k for a in coeffs), rel, b * k)
                   for coeffs, rel, b in lp.rows))
-        tableau = lpsolve._ExactTableau(lpsolve._prepare(big))
+        tableau = lpsolve._ExactTableau(big)
         assert tableau.tab.dtype == object
         res = tableau.solve()
         assert tableau.tab.dtype == object
-        assert res == list_tableau_solve(big) == solve_lp(big, mode="exact")
+        assert res == ListTableau(big).solve() == solve_lp(big, mode="exact")
         assert python_int_fractions(res)
         want = solve_lp(lp, mode="exact")
         assert res.status == want.status
