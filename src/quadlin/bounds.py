@@ -62,13 +62,14 @@ point they price, and one weak-duality check against B itself
 (_weak_duality) certifies both before use.  Only a
 generic BQP takes a simplex solve of each, the program stated as a
 minimum over x >= 0, as every quadlin LP is: min -(b.y + z) over the
-split y = y+ - y-, z = z+ - z- (_fitting_programs).  A program whose
-column is the one it was last fitted for is not fitted again: its
-result and row gaps are kept from that round, since the same program
-gives the same answer.  As the paper proves, gl and ggl are
-linearization bounds: with Ybar and zbar the fits summed over every
-round, (y, Ybar / 2, zbar) is an lbb_prime certificate of their value,
-y the last round's polytope duals, and it is the certificate they carry.
+split y = y+ - y-, z = z+ - z- (_fitting_programs).  Every round fits
+every column afresh, save that a simplex fit keeps its last solve per
+column: a program whose column is the one it was last solved for gives
+the same answer, so its result and row gaps are kept.  As the paper
+proves, gl and ggl are linearization bounds: with Ybar and zbar the
+fits summed over every round, (y, Ybar / 2, zbar) is an lbb_prime
+certificate of their value, y the last round's polytope duals, and it
+is the certificate they carry.
 
 Every report carries enough certificate data for verify_report to confirm
 the bound from first principles without re-running the solver: it
@@ -127,7 +128,6 @@ from quadlin.lpsolve import (
     LinearProgram,
     LpError,
     LpResult,
-    _requested_mode,
     _resolve_mode,
     dual_violations,
     point_violations,
@@ -188,9 +188,9 @@ class BoundReport:
     certificate: dict
     trace: tuple = ()              # ggl: bound value after each iteration
     pivots: int = 0                # summed over every LP of every round;
-                                   # a kept fitting solve counts again,
-                                   # a DAG or assignment fit or minimum
-                                   # counts 0;
+                                   # a generic BQP's kept simplex fit
+                                   # counts again, a DAG or assignment
+                                   # fit or minimum counts 0;
                                    # lbb_star: the solve it used, shared
                                    # with lbb_prime when no row is left
     canonical_family: bool = False  # lbb_star over its graph's whole
@@ -208,12 +208,12 @@ def _bqp(inst) -> BqpInstance:
 def _bound_mode(bqp: BqpInstance, mode: str, nrows: int, nvars: int) -> str:
     """lpsolve's mode rule, with float-tagged data read as float unless
     exact mode is requested, which is refused."""
-    if not bqp.float_tagged:
-        return _resolve_mode(mode, nrows, nvars)
-    if _requested_mode(mode) == "exact":
-        raise FloatTaggedError(
-            "instance carries float data; exact mode refused")
-    return "float"
+    if bqp.float_tagged:
+        if mode == "exact":
+            raise FloatTaggedError(
+                "instance carries float data; exact mode refused")
+        mode = "float" if mode == "auto" else mode
+    return _resolve_mode(mode, nrows, nvars)
 
 
 def _structural_sparsity(bqp: BqpInstance) -> frozenset:
@@ -307,28 +307,12 @@ def _fit_gaps(bcols, k: int, rhs, x) -> list:
 
 class _Fit(NamedTuple):
     """Column k's fit: x = (y_k, z_k) and its value cbar[k] as integers
-    over d, for the column rhs, integers over den, that it was fitted
-    for, and program k's row gaps there as (integers, denominator)."""
-    rhs: tuple
-    den: int
+    over d, and program k's row gaps there as (integers, denominator)."""
     x: tuple
     cbar: int
     d: int
     gaps: tuple
     pivots: int = 0
-
-
-def _fit_columns(fit, columns, den, last) -> list:
-    """Per column k of the current matrix, integers over den, its _Fit:
-    fit(k, rhs, den), the best (y_k, z_k), max b.y_k + z_k with
-    B^T y_k + e_k z_k <= rhs / den, or last[k], column k's fit from the
-    round before (None in the first), if that was fitted for the same
-    column: it keeps its fit and gaps, since the same program gives the
-    same answer and its check already passed."""
-    return [old if old and (old.rhs == rhs if old.den == den else all(
-        a * den == b * old.den for a, b in zip(old.rhs, rhs)))
-        else fit(k, rhs, den)
-        for k, (rhs, old) in enumerate(zip(columns, last))]
 
 
 def _quotient(num: int, den: int, mode: str):
@@ -411,7 +395,7 @@ def _certified_fit(system: _IntSystem, solve, k: int, rhs,
     y, z, point = solve(rhs, k)
     x = (*y, z)
     cbar, gaps = _weak_duality(system, k, rhs, x, point)
-    return _Fit(rhs, den, x, cbar, den, (gaps, system.bcols[1] * den))
+    return _Fit(x, cbar, den, (gaps, system.bcols[1] * den))
 
 
 def _certified_minimum(system: _IntSystem, solve, costs, den: int,
@@ -499,7 +483,8 @@ def _fitting_rounds(inst, strategy: SkewStrategy, max_iter: int,
     shortest-path instance the fits and the minimum are DAG dynamic
     programs, on a QAP Hungarian assignments (_combinatorial_solvers),
     each certified by _weak_duality and counted as 0 pivots; only a
-    generic BQP takes simplex solves.
+    generic BQP takes simplex solves, and keeps each column's last one
+    for as long as the column (a reduced rational vector) is the same.
 
     Every round runs in integers, in either mode: the residual is one
     matrix of integers over one denominator, the fits' (y, z) and values
@@ -532,8 +517,13 @@ def _fitting_rounds(inst, strategy: SkewStrategy, max_iter: int,
         minimum = partial(_certified_minimum, system, solvers[1], mode=mode)
     else:
         programs, bcols = _fitting_programs(bqp), _sparse_columns(bqp.B)
+        kept = [None] * m  # per column, (the column reduced, its last fit)
 
         def fit(k, rhs, den):  # read back as (y_k, z_k) and cbar[k]
+            common = gcd(den, *rhs)
+            column = (den // common, *(v // common for v in rhs))
+            if kept[k] and kept[k][0] == column:
+                return kept[k][1]
             res = _solve(
                 programs[k].with_rhs(Fraction(v, den) for v in rhs), mode,
                 f"column {k} fitting program")
@@ -544,8 +534,9 @@ def _fitting_rounds(inst, strategy: SkewStrategy, max_iter: int,
             d = lcm(dx, den)  # a multiple of den, so rhs scales to it
             *x, cbar = (v * (d // dx) for v in nums)
             gaps = _fit_gaps(bcols, k, [v * (d // den) for v in rhs], x)
-            return _Fit(rhs, den, tuple(x), cbar, d, (gaps, bcols[1] * d),
-                        res.pivots)
+            kept[k] = column, _Fit(tuple(x), cbar, d, (gaps, bcols[1] * d),
+                                   res.pivots)
+            return kept[k][1]
 
         def minimum(costs, den):
             return _solve(
@@ -558,11 +549,10 @@ def _fitting_rounds(inst, strategy: SkewStrategy, max_iter: int,
     fitted, acc_den = [[0] * (n + 2) for _ in range(m)], 1
     trace = []
     pivots = 0
-    fits = [None] * m
     for it in range(max_iter):
         if it:  # the residual is minus the last fits' row gaps
             columns, den = _next_columns([f.gaps for f in fits], strategy)
-        fits = _fit_columns(fit, columns, den, fits)
+        fits = [fit(k, rhs, den) for k, rhs in enumerate(columns)]
         step = lcm(acc_den, *(f.d for f in fits)) // acc_den
         acc_den *= step
         fitted = [[a * step + v * (acc_den // f.d)
@@ -624,14 +614,16 @@ def ggl_bound(inst, strategy: SkewStrategy = SkewStrategy.NONE,
     instance that is combinatorial.dag_fit's potentials, on a QAP the
     Hungarian method's (combinatorial.assignment_fit), on a generic BQP
     the simplex's duals.
-    A column that a round leaves unchanged is not fitted again: it keeps
-    its last fit (96 of SYMMETRIZE's 450 programs on the generic copy,
+    Every round fits every column.  A DAG or assignment fit is solved
+    afresh and counts 0 pivots, so gl and ggl on a structured instance
+    report 0 pivots.  Only the simplex fit of a generic BQP keeps its
+    solve: a column that a round leaves unchanged takes its last fit
+    back (96 of SYMMETRIZE's 450 programs on the generic copy,
     structure=None, of the tests' pinned QAP with n = 3), and pivots
-    counts that solve's pivots in every round that uses it; a DAG or
-    assignment fit counts 0, so gl and ggl on a structured instance
-    report 0 pivots.  The certificate is lbb_prime's, read off the fits summed
-    over every round (_fitting_rounds), so verify_report replays it
-    against the lifting LP and no round is replayed.
+    counts that solve's pivots in every round that uses it.  The
+    certificate is lbb_prime's, read off the fits summed over every
+    round (_fitting_rounds), so verify_report replays it against the
+    lifting LP and no round is replayed.
     """
     return _fitting_rounds(inst, strategy, max_iter, mode)
 

@@ -339,12 +339,6 @@ def instance_digest(parsed: ParsedInstance) -> str:
 # ---------------------------------------------------------------------------
 # JSON plumbing
 
-def _value_json(v):
-    if isinstance(v, float):
-        return v
-    return str(v)
-
-
 def _jsonable(obj):
     if obj is None or isinstance(obj, (bool, int, str)):
         return obj
@@ -435,8 +429,7 @@ def _cmd_linearize(args, out) -> int:
     payload = {"command": "linearize", "instance": _instance_meta(parsed),
                "linearizable": outcome.linearizable}
     if outcome.linearizable:
-        payload["linearization"] = [_value_json(v)
-                                    for v in outcome.linearization]
+        payload["linearization"] = _jsonable(outcome.linearization)
     else:
         w = outcome.witness
         payload["witness"] = {
@@ -444,8 +437,8 @@ def _cmd_linearize(args, out) -> int:
             "tail": w.tail + 1,
             "head": w.head + 1,
             "corridor_arcs": [a + 1 for a in w.arc_labels],
-            "expected": [_value_json(v) for v in w.expected],
-            "actual": [_value_json(v) for v in w.actual],
+            "expected": _jsonable(w.expected),
+            "actual": _jsonable(w.actual),
         }
     _emit(payload, started, out)
     return EXIT_OK
@@ -460,11 +453,11 @@ def _cmd_spanning_set(args, out) -> int:
     span = spanning_set(inst.graph)
     members = []
     for q, c in span.members:
-        triplets = [[i + 1, j + 1, _value_json(q.at(i, j))]
+        triplets = [[i + 1, j + 1, _jsonable(q.at(i, j))]
                     for i in range(q.rows) for j in range(q.cols)
                     if q.at(i, j) != 0]
         members.append({"matrix": triplets,
-                        "linearization": [_value_json(v) for v in c]})
+                        "linearization": _jsonable(c)})
     payload = {"command": "spanning-set",
                "instance": _instance_meta(parsed),
                "dimension": span.dimension,
@@ -501,14 +494,14 @@ def _run_bound(parsed: ParsedInstance, method: str, strategy: str,
 def _bound_payload(report) -> dict:
     payload = {
         "method": report.name,
-        "value": _value_json(report.value),
+        "value": _jsonable(report.value),
         "mode": report.mode,
         "relaxation_only": report.relaxation_only,
         "pivots": report.pivots,
         "certificate_digest": _certificate_digest(report.certificate),
     }
     if report.trace:
-        payload["trace"] = [_value_json(v) for v in report.trace]
+        payload["trace"] = _jsonable(report.trace)
     if report.name == "lbb_star":
         payload["canonical_family"] = report.canonical_family
     return payload
@@ -530,7 +523,7 @@ def _cmd_opt(args, out) -> int:
     parsed = _load(args.file)
     value, argmin = brute_force_opt(parsed.instance, cap=args.cap)
     payload = {"command": "opt", "instance": _instance_meta(parsed),
-               "value": _value_json(value),
+               "value": _jsonable(value),
                "argmin": [int(v) for v in argmin]}
     _emit(payload, started, out)
     return EXIT_OK
@@ -555,9 +548,9 @@ def _cmd_verify_chain(args, out) -> int:
         pass  # chain is still checkable without the optimum
     payload = {"command": "verify-chain",
                "instance": _instance_meta(parsed),
-               "values": {tag: _value_json(rep.value)
+               "values": {tag: _jsonable(rep.value)
                           for tag, rep in runs},
-               "optimum": None if opt is None else _value_json(opt)}
+               "optimum": _jsonable(opt)}
     problems = []
     for tag, rep in runs:
         ok, messages = verify_report(inst, rep)

@@ -56,10 +56,6 @@ def rat_from(value) -> Fraction:
 # ---------------------------------------------------------------------------
 # vectors (plain tuples of Fractions)
 
-def vector(values) -> tuple:
-    return tuple(rat(v) for v in values)
-
-
 def vadd(u, v) -> tuple:
     return tuple(a + b for a, b in zip(u, v, strict=True))
 

@@ -99,12 +99,6 @@ class Dag:
     def m(self) -> int:
         return len(self.arcs)
 
-    def tail(self, label: int) -> int:
-        return self.arcs[label][0]
-
-    def head(self, label: int) -> int:
-        return self.arcs[label][1]
-
     def _kahn(self):
         indeg = [0] * self.n
         for _, h in self.arcs:

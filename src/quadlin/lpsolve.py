@@ -44,7 +44,6 @@ splits.  A result has one dual value per row.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -63,7 +62,6 @@ UNBOUNDED = "unbounded"
 LE, EQ, GE = "<=", "=", ">="
 _RELATIONS = (LE, EQ, GE)
 
-MODE_ENV_VAR = "QUADLIN_MODE"
 EXACT_SIZE_LIMIT = 260      # beyond this many rows or vars, auto picks float
 
 # every check of a float result: an absolute tolerance, the exact 1/10**7
@@ -185,26 +183,13 @@ class LpResult:
     pivots: int = 0
 
 
-def _requested_mode(mode: str):
-    """The explicit mode, else the one QUADLIN_MODE names, else None."""
+def _resolve_mode(mode: str, nrows: int, nvars: int) -> str:
+    """exact or float as given; auto is float past EXACT_SIZE_LIMIT rows
+    or vars, else exact."""
     if mode in ("exact", "float"):
         return mode
     if mode != "auto":
         raise ValueError(f"mode must be auto, exact or float, got {mode!r}")
-    env = os.environ.get(MODE_ENV_VAR, "").strip().lower()
-    if env in ("exact", "float"):
-        return env
-    if env:
-        raise ValueError(
-            f"{MODE_ENV_VAR} must be 'exact' or 'float', got {env!r}")
-    return None
-
-
-def _resolve_mode(mode: str, nrows: int, nvars: int) -> str:
-    """Requested mode, else float past EXACT_SIZE_LIMIT rows or vars."""
-    requested = _requested_mode(mode)
-    if requested is not None:
-        return requested
     return "float" if max(nrows, nvars) > EXACT_SIZE_LIMIT else "exact"
 
 

@@ -254,13 +254,11 @@ def enumerate_feasible(inst, cap: int = PATH_CAP_DEFAULT) -> list:
     QAP-structured instances walk permutations, anything else scans
     {0,1}^m; the two latter raise EnumerationTooLarge past the cap.
     """
-    if isinstance(inst, QsppInstance):
-        return [p.incidence(inst.m)
-                for p in enumerate_st_paths(inst.graph, cap=cap)]
-    structure = inst.structure
+    structure = ("qspp", inst.graph) if isinstance(inst, QsppInstance) \
+        else inst.structure
     if structure and structure[0] == "qspp":
-        g = structure[1]
-        return [p.incidence(inst.m) for p in enumerate_st_paths(g, cap=cap)]
+        return [p.incidence(inst.m)
+                for p in enumerate_st_paths(structure[1], cap=cap)]
     if structure and structure[0] == "qap":
         n = structure[1]
         if factorial(n) > cap:
@@ -288,12 +286,9 @@ def brute_force_opt(inst, cap: int = PATH_CAP_DEFAULT):
     feasible = enumerate_feasible(inst, cap=cap)
     if not feasible:
         raise ValueError("empty feasible set")
-    if isinstance(inst, QsppInstance):
-        linear = (ZERO,) * inst.m
-        q = inst.Q
-    else:
-        linear = inst.linear
-        q = inst.Q
+    q = inst.Q
+    linear = (ZERO,) * inst.m if isinstance(inst, QsppInstance) \
+        else inst.linear
     best = None
     best_x = None
     for x in feasible:

@@ -32,7 +32,7 @@ from quadlin.exactnum import (
     matrix_rank,
 )
 from quadlin.graph import Dag, GraphError, forbidden_pairs
-from quadlin.lpsolve import EQ, LE
+from quadlin.lpsolve import EQ
 from quadlin.model import (
     BqpInstance,
     FloatTaggedError,
@@ -361,41 +361,72 @@ def test_float_gl_equals_exact_gl_on_decimal_data():
 
 
 def test_ggl_solves_each_changed_fitting_program_once(monkeypatch):
-    # a fitting program whose column is the one it was last solved for
-    # keeps that solve: the fitting solves (<= rows) are the (round, k)
-    # whose column changed, plus one polytope LP (= rows) per round, and
+    # a generic BQP's simplex fit keeps its last solve per column: the
+    # fitting solves (<= rows) are the (round, k) whose column changed,
+    # each for that column, plus one polytope LP (= rows) per round, and
     # the exact self-check (verify_solution) runs once per solve
-    solves = {LE: 0, EQ: 0}
+    rounds = [[]]  # per round, the (k, right-hand sides) it solved
+    cols = []  # per round, the columns of its m fitting programs
     checks = []
-    cols = []  # per round, the right-hand sides of its m fitting programs
     solve, check = bounds.solve_lp, lpsolve.verify_solution
-    fit_columns = bounds._fit_columns
+    next_columns = bounds._next_columns
 
     def counting_solve(lp, mode="auto"):
-        solves[lp.rows[0][1]] += 1
+        if lp.rows[0][1] == EQ:
+            rounds.append([])
+        else:  # program k's row k gives z the coefficient 1
+            k = next(i for i, (a, _, _) in enumerate(lp.rows) if a[-2] == 1)
+            rounds[-1].append((k, tuple(rhs for _, _, rhs in lp.rows)))
         return solve(lp, mode=mode)
 
     def counting_check(lp, result):
         checks.append(lp)
         return check(lp, result)
 
-    def recording_fits(fit, columns, den, last):
-        cols.append([tuple(Fraction(v, den) for v in col) for col in columns])
-        return fit_columns(fit, columns, den, last)
+    def recording_columns(gaps, strategy):
+        columns, den = next_columns(gaps, strategy)
+        cols.append([tuple(Fraction(v, den) for v in c) for c in columns])
+        return columns, den
 
     monkeypatch.setattr(bounds, "solve_lp", counting_solve)
     monkeypatch.setattr(lpsolve, "verify_solution", counting_check)
-    monkeypatch.setattr(bounds, "_fit_columns", recording_fits)
+    monkeypatch.setattr(bounds, "_next_columns", recording_columns)
     inst = _generic_qap()
     rep = ggl_bound(inst, strategy=SkewStrategy.SYMMETRIZE, mode="exact")
     assert (str(rep.value), rep.pivots) == (
         "19140298416324607/562949953421312", 2780)
-    assert len(cols) == len(rep.trace)
-    changed = sum(t == 0 or cols[t][k] != cols[t - 1][k]
-                  for t in range(len(cols)) for k in range(inst.m))
-    assert len(cols) * inst.m > changed
-    assert solves == {LE: changed, EQ: len(cols)}
-    assert len(checks) == changed + len(cols)
+    cols.insert(0, [tuple(inst.Q.column(k)) for k in range(inst.m)])
+    solved = rounds[:-1]
+    assert len(cols) == len(solved) == len(rep.trace) and rounds[-1] == []
+    changed = [[(k, col) for k, col in enumerate(cols[t])
+                if t == 0 or col != cols[t - 1][k]] for t in range(len(cols))]
+    assert solved == changed
+    fits = sum(map(len, solved))
+    assert (fits, len(cols) * inst.m) == (354, 450)
+    assert len(checks) == fits + len(cols)
+
+
+@pytest.mark.parametrize("inst, calls", [
+    (_pinned_corridor, ("dag_fit", 30)),
+    (_pinned_qap, ("assignment_fit", 27)),
+], ids=["corridor", "qap"])
+def test_ggl_fits_every_structured_column_every_round(monkeypatch, inst,
+                                                       calls):
+    # a DAG or assignment fit keeps nothing: each round fits all m
+    # columns, the unchanged ones too (3 rounds of 10 arcs, 3 of 9
+    # placements)
+    name, want = calls
+    inst, count = inst(), []
+    solver = getattr(bounds, name)
+
+    def counting(*args):
+        count.append(args)
+        return solver(*args)
+
+    monkeypatch.setattr(bounds, name, counting)
+    rep = ggl_bound(inst, strategy=SkewStrategy.UPPER_TRIANGULAR,
+                    mode="exact")
+    assert len(count) == len(rep.trace) * inst.m == want
 
 
 @pytest.mark.parametrize("mode", ["exact", "float"])
@@ -943,11 +974,10 @@ def test_structural_sparsity_of_qap_is_row_and_column_pairs():
         == forbidden_pairs(g)
 
 
-def test_auto_mode_stays_exact_on_tournament_8(monkeypatch):
+def test_auto_mode_stays_exact_on_tournament_8():
     # without its structural zeros the lifting LP of the tournament
     # n = 8 has 260 rows and 182 columns, within the exact size limit
     # (with every pair it has 434 columns and auto mode fell to float)
-    monkeypatch.delenv("QUADLIN_MODE", raising=False)
     inst = generate_tournament(8)
     lp = bounds._rlt1_lp(qspp_to_bqp(inst))[0]
     assert (lp.nrows, lp.nvars) == (260, 182)
@@ -1671,7 +1701,6 @@ def test_auto_mode_switches_to_float_one_past_the_size_limit(monkeypatch):
         "lbb_star": lambda mode: lbb_star(inst, mode=mode),
         "lbb_generic": lambda mode: lbb_generic(inst, family, mode=mode),
     }
-    monkeypatch.delenv("QUADLIN_MODE", raising=False)
     sizes = []
     solve = bounds.solve_lp
 
@@ -1743,18 +1772,13 @@ def test_float_tagged_instances_refuse_exact_mode():
     assert rep.mode == "float"
 
 
-def test_mode_env_variable_steers_auto(monkeypatch):
-    g = diamond()
-    inst = QsppInstance(g, RationalMatrix.zeros(4, 4))
+def test_the_environment_does_not_choose_the_mode(monkeypatch):
+    # the arithmetic is chosen by mode= alone: a variable that once
+    # steered auto mode now changes nothing
+    inst = QsppInstance(diamond(), RationalMatrix.zeros(4, 4))
+    lp = bounds._polytope_lp(qspp_to_bqp(inst), (ONE,) * inst.m)
     monkeypatch.setenv("QUADLIN_MODE", "float")
-    assert gl_bound(inst, mode="auto").mode == "float"
-    monkeypatch.setenv("QUADLIN_MODE", "exact")
-    assert gl_bound(inst, mode="auto").mode == "exact"
-    monkeypatch.setenv("QUADLIN_MODE", "sometimes")
+    assert gl_bound(inst).mode == "exact"
+    assert lpsolve.solve_lp(lp).mode == "exact"
     with pytest.raises(ValueError):
-        gl_bound(inst, mode="auto")
-    monkeypatch.delenv("QUADLIN_MODE")
-    assert gl_bound(inst, mode="auto").mode == "exact"
-    # explicit argument beats the environment
-    monkeypatch.setenv("QUADLIN_MODE", "float")
-    assert gl_bound(inst, mode="exact").mode == "exact"
+        gl_bound(inst, mode="sometimes")

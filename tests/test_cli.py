@@ -656,8 +656,7 @@ def test_an_unbounded_fitting_program_exits_5(capsys, tmp_path):
     assert "Traceback" not in err
 
 
-def test_mode_flag_and_environment_control_arithmetic(capsys, tmp_path,
-                                                      monkeypatch):
+def test_mode_flag_controls_arithmetic(capsys, tmp_path):
     f = tmp_path / "dia.qspp"
     f.write_text(DIAMOND)
     _, out, _ = run_cli(capsys, ["bound", str(f), "--method", "gl",
@@ -666,10 +665,6 @@ def test_mode_flag_and_environment_control_arithmetic(capsys, tmp_path,
     assert payload["mode"] == "float"
     assert isinstance(payload["value"], float)
 
-    monkeypatch.setenv("QUADLIN_MODE", "float")
-    _, out, _ = run_cli(capsys, ["bound", str(f), "--method", "gl"])
-    assert payload_of(out)["mode"] == "float"
-    # explicit flag beats the environment
     _, out, _ = run_cli(capsys, ["bound", str(f), "--method", "gl",
                                  "--mode", "exact"])
     payload = payload_of(out)

@@ -1,4 +1,3 @@
-import os
 import random
 from collections import Counter
 from dataclasses import replace
@@ -15,7 +14,6 @@ from quadlin.lpsolve import (
     GE,
     INFEASIBLE,
     LE,
-    MODE_ENV_VAR,
     OPTIMAL,
     UNBOUNDED,
     LinearProgram,
@@ -467,17 +465,12 @@ def test_verify_rejects_a_non_finite_float_result(bad):
             False, ("certificate has a non-finite value",))
 
 
-def test_mode_resolution(monkeypatch):
+def test_mode_resolution():
     lp = linear_program("min", [1], [((1,), GE, 1)])
-    monkeypatch.setenv(MODE_ENV_VAR, "float")
-    assert solve_lp(lp).mode == "float"
-    assert solve_lp(lp, mode="exact").mode == "exact"  # explicit wins
-    monkeypatch.setenv(MODE_ENV_VAR, "exact")
-    assert solve_lp(lp).mode == "exact"
-    monkeypatch.setenv(MODE_ENV_VAR, "bogus")
+    assert solve_lp(lp, mode="float").mode == "float"
+    assert solve_lp(lp, mode="exact").mode == "exact"
     with pytest.raises(ValueError):
-        solve_lp(lp)
-    monkeypatch.delenv(MODE_ENV_VAR)
+        solve_lp(lp, mode="bogus")
     assert solve_lp(lp).mode == "exact"  # small program, auto stays exact
 
 
