@@ -130,6 +130,7 @@ from quadlin.lpsolve import (
     LpResult,
     _resolve_mode,
     dual_violations,
+    nonzero_pairs,
     point_violations,
     solve_lp,
 )
@@ -243,7 +244,8 @@ def _solve(lp, mode, what):
 
 def _polytope_lp(bqp: BqpInstance, costs) -> LinearProgram:
     """min costs . x over Bx = b, x >= 0."""
-    rows = [(bqp.B.row(i), EQ, bqp.b[i]) for i in range(bqp.B.rows)]
+    rows = [(nonzero_pairs(bqp.B.row(i)), EQ, bqp.b[i])
+            for i in range(bqp.B.rows)]
     return LinearProgram(tuple(costs), tuple(rows))
 
 
@@ -260,8 +262,8 @@ def _fitting_programs(bqp: BqpInstance) -> list:
     (v, -v); its value is -cbar[k].  Row i is one of two tuples, with
     z's coefficient 1 or 0, shared by every program."""
     obj = _split(-v for v in (*bqp.b, ONE))
-    rows = [[(_split((*bqp.B.column(i), e)), LE, ZERO) for e in (ZERO, ONE)]
-            for i in range(bqp.m)]
+    rows = [[(nonzero_pairs(_split((*bqp.B.column(i), e))), LE, ZERO)
+             for e in (ZERO, ONE)] for i in range(bqp.m)]
     return [LinearProgram(obj, tuple(r[i == k] for i, r in enumerate(rows)))
             for k in range(bqp.m)]
 
@@ -643,9 +645,10 @@ def _cellsums(q: RationalMatrix, pairs, ordered=False) -> list:
 
 
 def _member_row(member, pairs, ordered=False) -> tuple:
-    """The coefficients of <Q_t, X> - c_t . x for member (Q_t, c_t)."""
+    """The nonzero coefficients of <Q_t, X> - c_t . x for member
+    (Q_t, c_t), as (index, value) pairs over x and then the pairs."""
     q, c = member
-    return tuple(-v for v in c) + tuple(_cellsums(q, pairs, ordered))
+    return nonzero_pairs([*(-v for v in c), *_cellsums(q, pairs, ordered)])
 
 
 def _rlt1_lp(bqp: BqpInstance, members=(), ordered=False):
@@ -694,29 +697,24 @@ def _rlt1_lp(bqp: BqpInstance, members=(), ordered=False):
         pairs = [(i, j) for i in range(m) for j in range(i, m)
                  if (i, j) not in zero]
     pidx = {p: m + k for k, p in enumerate(pairs)}
-    nvars = m + len(pairs)
     obj = list(bqp.linear) + _cellsums(bqp.Q, pairs, ordered)
-    rows = []
-    for r in range(n):  # Bx = b
-        coeffs = [ZERO] * nvars
-        coeffs[:m] = bqp.B.row(r)
-        rows.append((tuple(coeffs), EQ, bqp.b[r]))
+    rows = [(nonzero_pairs(bqp.B.row(r)), EQ, bqp.b[r])  # Bx = b
+            for r in range(n)]
     for member in members:  # <Q_t, X> - c_t . x = 0
         rows.append((_member_row(member, pairs, ordered), EQ, ZERO))
     for r in range(0 if ordered else n):  # (B X)_{r j} - b_r x_j = 0
+        brow = nonzero_pairs(bqp.B.row(r))
         for j in range(m):
-            coeffs = [ZERO] * nvars
-            coeffs[j] = -bqp.b[r]
-            for k in range(m):
+            # x_j, then for k ascending the pair covering (k, j), whose
+            # column ascends with k: (k, j) for k < j, then (j, k)
+            coeffs = [(j, -bqp.b[r])] if bqp.b[r] else []
+            for k, v in brow:
                 col = pidx.get((k, j) if k <= j else (j, k))
                 if col is not None:
-                    coeffs[col] += bqp.B.at(r, k)
-            rows.append((tuple(coeffs), EQ, ZERO))
+                    coeffs.append((col, v))
+            rows.append((coeffs, EQ, ZERO))
     for j in range(0 if ordered else m):  # x_j - w_jj = 0
-        coeffs = [ZERO] * nvars
-        coeffs[j] = ONE
-        coeffs[pidx[(j, j)]] = -ONE
-        rows.append((tuple(coeffs), EQ, ZERO))
+        rows.append((((j, ONE), (pidx[(j, j)], -ONE)), EQ, ZERO))
     return LinearProgram(tuple(obj), tuple(rows)), tuple(pairs)
 
 
@@ -733,22 +731,25 @@ def _unimplied_members(bqp: BqpInstance, members) -> list:
     <Q_t, X> - c_t . x = 0 the member-less lifting LP does not imply.
 
     The rows of _lifting_lp(bqp), right-hand sides appended, are taken
-    to integers in int_echelon's form, pair columns first, which keeps
-    the elimination short.  A member's row, right-hand side 0, that
+    to dense integer rows for int_echelon, pair columns first, which
+    keeps the elimination short.  A member's row, right-hand side 0, that
     reduces to zero against that form holds at every feasible point, so
     leaving it out keeps the optimum."""
     lp, pairs = _lifting_lp(bqp)
-    columns = [*range(bqp.m, lp.nvars), *range(bqp.m)]
-    echelon = int_echelon(
-        common_denominator([coeffs[j] for j in columns] + [rhs])[0]
-        for coeffs, _, rhs in lp.rows)
-    live = []
-    for t, member in enumerate(members):
-        row = _member_row(member, pairs)
-        nums, _ = common_denominator([row[j] for j in columns] + [ZERO])
-        if int_reduce(echelon, nums)[0] >= 0:
-            live.append(t)
-    return live
+    m, nvars = bqp.m, lp.nvars
+    place = [*range(nvars - m, nvars), *range(nvars - m)]  # of column j
+
+    def dense(coeffs, rhs):  # a sparse row in int_echelon's form
+        nums, _ = common_denominator([*(v for _, v in coeffs), rhs])
+        row = [0] * nvars + nums[-1:]
+        for (j, _), v in zip(coeffs, nums):
+            row[place[j]] = v
+        return row
+
+    echelon = int_echelon(dense(coeffs, rhs) for coeffs, _, rhs in lp.rows)
+    rows = (dense(_member_row(member, pairs), ZERO) for member in members)
+    return [t for t, row in enumerate(rows)
+            if int_reduce(echelon, row)[0] >= 0]
 
 
 @lru_cache(maxsize=1)

@@ -342,8 +342,8 @@ def instance_digest(parsed: ParsedInstance) -> str:
 def _jsonable(obj):
     if obj is None or isinstance(obj, (bool, int, str)):
         return obj
-    if isinstance(obj, float):
-        return obj
+    if isinstance(obj, float):  # -0.0 == 0.0, so both are written 0.0
+        return obj or 0.0
     if isinstance(obj, Fraction):
         return str(obj)
     if isinstance(obj, RationalMatrix):

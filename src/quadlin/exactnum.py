@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import gcd, lcm
 
 Rational = Fraction
@@ -88,11 +89,22 @@ def vdot(u, v) -> Fraction:
 
 @dataclass(frozen=True)
 class RationalMatrix:
-    """Dense row-major matrix of Fractions, immutable after construction."""
+    """Dense row-major matrix of Fractions, immutable after construction.
+
+    Its hash is worked out once, on first use, and kept: a matrix shared
+    by many instances (an instance's Q) is hashed once however often the
+    instances are looked up."""
 
     rows: int
     cols: int
     entries: tuple
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.rows, self.cols, self.entries))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @staticmethod
     def from_rows(rows) -> "RationalMatrix":

@@ -6,30 +6,35 @@ basic artificials out of the basis, phase 2, one read-back of x, the
 value and the duals, and every sign test, each against the mode's
 tolerance (0 in exact mode).  The tableau is built from the
 LinearProgram in one step: the column layout and the starting basis are
-laid out once, and each arithmetic writes its rows through one hook and
-supplies only the ratio test, the elimination step and the read of a
-cell.  Exact mode writes each row's integer numerators over lcm(k, the
-rhs's denominator), keeps the tableau as one numpy int64 array over a
-positive common denominator d and pivots fraction-free (Bareiss): every
-entry is a minor of the starting integer matrix, so each division is
-exact and no rational appears in the loop.  Before an update could leave
-int64 the array moves to Python ints and the same code goes on; the
-ratio test and the read-back work in Python ints throughout.  Every
-exact optimum is certified before it is returned, by weak duality
-(verify_solution): x is a point of the program (point_violations), the
-duals y are feasible for its dual (dual_violations), and both reach the
-value.  Float mode starts from the LP's own coefficients, correctly
-rounded (a row is negated where its rhs is negative), so its fixed
-tolerances act at the LP's own scale; it raises NumericalBreakdown
-instead of returning garbage when the arithmetic degrades, and its
-optima are not checked here: only a replay (verify_solution,
-bounds.verify_report) checks one, within FLOAT_CHECK_TOL (1e-7).
+laid out once, the rows' nonzeros are scattered into one numpy array of
+zeros in the mode's arithmetic, and each arithmetic supplies only the
+ratio test, the elimination step and the read of a cell.  Exact mode
+writes each row's integer numerators over lcm(k, the rhs's denominator),
+keeps the tableau as one numpy int64 array over a positive common
+denominator d and pivots fraction-free (Bareiss): every entry is a minor
+of the starting integer matrix, so each division is exact and no
+rational appears in the loop.  Before an update could leave int64 the
+array moves to Python ints and the same code goes on; the ratio test and
+the read-back work in Python ints throughout.  Every exact optimum is
+certified before it is returned, by weak duality (verify_solution): x is
+a point of the program (point_violations), the duals y are feasible for
+its dual (dual_violations), and both reach the value.  Float mode starts
+from the LP's own coefficients, correctly rounded (a row is negated
+where its rhs is negative), so its fixed tolerances act at the LP's own
+scale; as in exact mode, a pivot subtracts its row only from the rows
+with a nonzero in its column.  It raises NumericalBreakdown instead of
+returning garbage when the arithmetic degrades, and its optima are not
+checked here: only a replay (verify_solution, bounds.verify_report)
+checks one, within FLOAT_CHECK_TOL (1e-7).
 
-A LinearProgram takes each row once, on first use, to integer numerators
-over the lcm of its denominators (int_rows), and its objective alike
-(int_objective); the tableau and the checks read them, and the
-checks evaluate every row and reduced cost as an integer dot product and
-test its sign on the numerator.  Every check is exact, for float results
+A LinearProgram stores each row sparse: its nonzero coefficients as
+(index, value) pairs, indices ascending (linear_program takes dense rows
+and keeps only their nonzeros).  It takes each row once, on first use,
+to integer numerators over the lcm of its denominators (int_rows, by
+column int_columns), and its objective alike (int_objective); the
+tableau and the checks read only those nonzeros, and the checks
+evaluate every row and reduced cost as an integer dot product and test
+its sign on the numerator.  Every check is exact, for float results
 too: a float is read at its exact binary value, and a float result
 passes within an absolute FLOAT_CHECK_TOL, an exact one with none.
 with_rhs gives a program new right-hand sides and shares everything
@@ -48,7 +53,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
-from operator import mul
 
 import numpy as np
 
@@ -86,7 +90,11 @@ class NumericalBreakdown(LpError):
 class LinearProgram:
     """min objective . x subject to rows, over x >= 0.
 
-    rows: tuple of (coeffs, relation, rhs), relation in {"<=", "=", ">="}.
+    objective: one coefficient per variable.  rows: tuple of (coeffs,
+    relation, rhs), relation in {"<=", "=", ">="}, coeffs the row's
+    nonzero coefficients as (index, value) pairs, indices ascending and
+    in range(nvars); an unsorted, repeated or out-of-range index or a
+    zero value is a ValueError.  linear_program takes dense rows.
     All numeric data is exact (Fraction); float mode converts internally.
     """
 
@@ -99,12 +107,9 @@ class LinearProgram:
         n = len(obj)
         rows = []
         for coeffs, rel, rhs in self.rows:
-            coeffs = tuple(rat(v) for v in coeffs)
-            if len(coeffs) != n:
-                raise ValueError("row length mismatch")
             if rel not in _RELATIONS:
                 raise ValueError(f"bad relation {rel!r}")
-            rows.append((coeffs, rel, rat(rhs)))
+            rows.append((_checked_pairs(coeffs, n), rel, rat(rhs)))
         object.__setattr__(self, "rows", tuple(rows))
 
     def with_rhs(self, rhs) -> "LinearProgram":
@@ -139,18 +144,26 @@ class LinearProgram:
 
     @cached_property
     def int_rows(self) -> tuple:
-        """Per row, (integer numerators of its coefficients, their lcm k),
-        worked out on first use and kept; not part of equality or hashing.
-        The tableau and every certificate check read it."""
-        return tuple((tuple(nums), k) for nums, k in
-                     (common_denominator(coeffs) for coeffs, _, _ in self.rows))
+        """Per row, ((index, integer numerator) pairs of its nonzero
+        coefficients, their lcm k), worked out on first use and kept; not
+        part of equality or hashing.  The tableau and every certificate
+        check read it."""
+        out = []
+        for coeffs, _, _ in self.rows:
+            nums, k = common_denominator(v for _, v in coeffs)
+            out.append((tuple(zip((j for j, _ in coeffs), nums)), k))
+        return tuple(out)
 
     @cached_property
     def int_columns(self) -> tuple:
-        """int_rows' numerators by variable, one tuple per column, worked
-        out on first use and kept; the reduced costs read them."""
-        return tuple(zip(*(nums for nums, _ in self.int_rows))) \
-            or ((),) * self.nvars
+        """int_rows by variable: per column, its (row, integer numerator)
+        pairs, rows ascending, worked out on first use and kept; the
+        reduced costs read them."""
+        columns = [[] for _ in range(self.nvars)]
+        for i, (pairs, _) in enumerate(self.int_rows):
+            for j, v in pairs:
+                columns[j].append((i, v))
+        return tuple(map(tuple, columns))
 
     @cached_property
     def int_objective(self) -> tuple:
@@ -159,18 +172,48 @@ class LinearProgram:
         return common_denominator(self.objective)
 
 
+def _checked_pairs(coeffs, n: int) -> tuple:
+    """coeffs as (index, Fraction) pairs, checked: int indices ascending
+    in range(n), nonzero values."""
+    pairs, last = [], -1
+    for j, v in coeffs:
+        v = rat(v)
+        if not (isinstance(j, int) and last < j < n) or not v:
+            raise ValueError(
+                f"bad coefficient pair {(j, v)!r}: indices ascend in "
+                f"range({n}) and values are nonzero")
+        pairs.append((j, v))
+        last = j
+    return tuple(pairs)
+
+
+def nonzero_pairs(values) -> tuple:
+    """The nonzero entries of a dense row, as (index, value) pairs: a
+    LinearProgram row's coefficients."""
+    return tuple((j, v) for j, v in enumerate(values) if v)
+
+
 def linear_program(sense, objective, rows, bounds=None) -> LinearProgram:
     """min objective . x subject to rows, over x >= 0, checked: sense must
-    be "min" and no bounds may be given.  A maximum is minus the minimum
-    of the negated objective; a free variable x is x+ - x- over two
-    nonnegative variables."""
+    be "min" and no bounds may be given.  rows are (coeffs, relation,
+    rhs) with coeffs dense, one per variable; the LinearProgram keeps
+    their nonzeros.  A maximum is minus the minimum of the negated
+    objective; a free variable x is x+ - x- over two nonnegative
+    variables."""
     if sense != "min":
         raise ValueError(f"every program is a minimum, got {sense!r}: "
                          "minimize the negated objective instead")
     if bounds is not None:
         raise ValueError("every variable is x >= 0: split a free variable "
                          "x into x+ - x-")
-    return LinearProgram(tuple(objective), tuple(rows))
+    objective = tuple(objective)
+    sparse = []
+    for coeffs, rel, rhs in rows:
+        coeffs = [rat(v) for v in coeffs]
+        if len(coeffs) != len(objective):
+            raise ValueError("row length mismatch")
+        sparse.append((nonzero_pairs(coeffs), rel, rhs))
+    return LinearProgram(objective, tuple(sparse))
 
 
 @dataclass(frozen=True)
@@ -204,17 +247,18 @@ class _Tableau:
     subclass supplies.
 
     _Tableau(lp) lays the tableau out once for both modes and hands the
-    mode's _build its integer rows: row i is lp's integer row (int_rows)
-    over s_i = lcm(its k, its rhs's denominator), negated, with "<=" and
-    ">=" swapped, where its rhs is negative, so that every right-hand
-    side is nonnegative, and its scale is that sign times s_i; the
-    objective row is int_objective over its lcm.  _build writes them in
-    the mode's arithmetic, adds the phase-1 cost row and sets the
-    row_scale and obj_scale that the read-back divides by.  Structural
-    columns come first, then one slack per inequality row, then one
-    artificial per >= or = row, then the right-hand side; the starting
-    basis takes each row's slack if the row is <=, else its artificial.
-    Below the constraint rows sit the phase-2 and the phase-1 cost rows.
+    mode's _build the integer rows' nonzeros: row i is lp's integer row
+    (int_rows) over s_i = lcm(its k, its rhs's denominator), negated,
+    with "<=" and ">=" swapped, where its rhs is negative, so that every
+    right-hand side is nonnegative, and its scale is that sign times s_i;
+    the objective row is int_objective over its lcm.  _build scatters
+    them into one array of zeros in the mode's arithmetic, adds the
+    phase-1 cost row and sets the row_scale and obj_scale that the
+    read-back divides by.  Structural columns come first, then one slack
+    per inequality row, then one artificial per >= or = row, then the
+    right-hand side; the starting basis takes each row's slack if the
+    row is <=, else its artificial.  Below the constraint rows sit the
+    phase-2 and the phase-1 cost rows.
 
     Pricing is Dantzig's rule until more than max(40, rows) degenerate
     pivots in a row, then Bland's rule for the rest of the phase; ratio
@@ -235,12 +279,13 @@ class _Tableau:
     def __init__(self, lp: LinearProgram):
         n = self.ncols = lp.nvars
         rows = []
-        for (_, rel, rhs), (nums, k) in zip(lp.rows, lp.int_rows):
+        for (_, rel, rhs), (pairs, k) in zip(lp.rows, lp.int_rows):
             s = lcm(k, rhs.denominator)
             b = rhs.numerator * (s // rhs.denominator)
             if b < 0:
                 s, b, rel = -s, -b, _FLIPPED[rel]
-            rows.append((nums if s == k else [v * (s // k) for v in nums],
+            rows.append((pairs if s == k
+                         else [(j, v * (s // k)) for j, v in pairs],
                          b, s, rel))
         rels = [rel for *_, rel in rows]
         slacks = [i for i, rel in enumerate(rels) if rel != EQ]
@@ -257,19 +302,28 @@ class _Tableau:
         self.z2_idx = self.nrows
         self.z1_idx = self.nrows + 1
         self.pivots = 0
-        pad = [0] * (self.rhs + 1 - n)
-        lines = []
-        for i, (nums, b, _, rel) in enumerate(rows):
-            line = [*nums, *pad]
-            line[-1] = b
+        # the nonzeros of the constraint rows and the objective row, by
+        # row: (row, column, integer) triples
+        at, cols, vals = [], [], []
+        for i, (pairs, b, _, rel) in enumerate(rows):
+            line = list(pairs)
             if rel != EQ:
-                line[self.slack_col[i]] = 1 if rel == LE else -1
+                line.append((self.slack_col[i], 1 if rel == LE else -1))
             if rel != LE:
-                line[self.art_col[i]] = 1
-            lines.append(line)
+                line.append((self.art_col[i], 1))
+            if b:
+                line.append((self.rhs, b))
+            at += [i] * len(line)
+            for j, v in line:
+                cols.append(j)
+                vals.append(v)
         obj, obj_scale = lp.int_objective
-        lines.append([*obj, *pad])
-        self._build(lines, [s for _, _, s, _ in rows], obj_scale)
+        for j, v in enumerate(obj):
+            if v:
+                at.append(self.z2_idx)
+                cols.append(j)
+                vals.append(v)
+        self._build((at, cols, vals), [s for _, _, s, _ in rows], obj_scale)
 
     def _entering(self, cost_idx, bland):
         """The entering column: among the cost entries below -tol, the
@@ -359,12 +413,14 @@ class _ExactTableau(_Tableau):
     mode = "exact"
     num = staticmethod(rat)
 
-    def _build(self, rows, row_scale, obj_scale):
-        rows.append([0] * (self.rhs + 1))
+    def _build(self, nonzeros, row_scale, obj_scale):
+        at, cols, vals = nonzeros
         try:
-            tab = np.array(rows, dtype=np.int64)
+            vals = np.array(vals, dtype=np.int64)
         except OverflowError:
-            tab = np.array(rows, dtype=object)
+            vals = np.array(vals, dtype=object)
+        tab = np.zeros((self.nrows + 2, self.rhs + 1), dtype=vals.dtype)
+        tab[at, cols] = vals
         if tab.dtype != object and not _fits(tab):
             tab = tab.astype(object)
         tab[-1] = -tab.take(list(self.art_col), 0).sum(0)
@@ -434,24 +490,22 @@ class _FloatTableau(_Tableau):
     tol = _PIVOT_TOL
     _unsigned_zero = staticmethod(lambda v: v + 0.0)
 
-    def _build(self, rows, row_scale, obj_scale):
+    def _build(self, nonzeros, row_scale, obj_scale):
         """The LP's own coefficients, correctly rounded: a row over a scale
         s other than +-1, and the objective over obj_scale, is divided by
         |s| back to lp's values (sign-flipped where its rhs is negative),
-        so the read-back divides by no scale."""
+        so the read-back divides by no scale; slacks and artificials stay
+        +-1."""
+        at, cols, vals = nonzeros
         n, rhs = self.ncols, self.rhs
-        for line, s in zip(rows, [*row_scale, obj_scale]):
-            if abs(s) != 1:
-                line[:n] = [v / abs(s) for v in line[:n]]
-                line[rhs] /= abs(s)
+        scale = [*map(abs, row_scale), obj_scale]
         tab = np.zeros((self.nrows + 2, rhs + 1))
-        tab[:-1] = rows
-        z1 = np.zeros(rhs + 1)
-        for ac in self.art_col.values():
-            z1[ac] = 1.0
+        tab[at, cols] = [v / scale[i] if (j < n or j == rhs) and scale[i] != 1
+                         else v for i, j, v in zip(at, cols, vals)]
+        z1 = tab[-1]
+        z1[self.art_start:rhs] = 1.0
         for i in self.art_col:
             z1 -= tab[i]
-        tab[-1] = z1
         self.tab = tab
         self.feas_tol = _FEAS_TOL * max([1.0, *tab[:self.nrows, rhs].tolist()])
         self.row_scale = [1 if s > 0 else -1 for s in row_scale]
@@ -480,9 +534,9 @@ class _FloatTableau(_Tableau):
         if abs(piv) < _PIVOT_TOL:
             raise NumericalBreakdown("pivot element too small")
         tab[r] = tab[r] / piv
-        colvals = tab[:, c].copy()
-        colvals[r] = 0.0
-        tab -= np.outer(colvals, tab[r])
+        rows = tab[:, c].nonzero()[0]
+        rows = rows[rows != r]
+        tab[rows] -= np.outer(tab[rows, c], tab[r])
         tab[:, c] = 0.0
         tab[r, c] = 1.0
 
@@ -512,13 +566,13 @@ def _ratio(n: int, d: int) -> Fraction:
 
 def _row_gaps(lp: LinearProgram, x) -> list:
     """a_i . x - b_i for every row i, with x exact: x over one common
-    denominator, each row an integer dot product with its int_rows
-    numerators, one Fraction per nonzero gap."""
+    denominator, each row an integer dot product over its int_rows
+    nonzeros, one Fraction per nonzero gap."""
     xs, dx = common_denominator(x)
     gaps = []
-    for (nums, k), (_, _, rhs) in zip(lp.int_rows, lp.rows):
+    for (pairs, k), (_, _, rhs) in zip(lp.int_rows, lp.rows):
         q = rhs.denominator
-        gaps.append(_ratio(sum(map(mul, nums, xs)) * q
+        gaps.append(_ratio(sum(v * xs[j] for j, v in pairs) * q
                            - rhs.numerator * k * dx, k * dx * q))
     return gaps
 
@@ -526,13 +580,13 @@ def _row_gaps(lp: LinearProgram, x) -> list:
 def _reduced_costs(lp: LinearProgram, y) -> list:
     """c_j - (A^T y)_j for every column j, with y exact: each y_i / k_i
     (k_i row i's lcm) and c over one common denominator (int_objective),
-    each column an integer dot product (int_columns), one Fraction per
-    nonzero reduced cost."""
+    each column an integer dot product over its int_columns nonzeros,
+    one Fraction per nonzero reduced cost."""
     dens = [v.denominator * k for v, (_, k) in zip(y, lp.int_rows)]
     dy = lcm(*set(dens))
     ys = [v.numerator * (dy // d) for v, d in zip(y, dens)]
     cs, kc = lp.int_objective
-    return [_ratio(c * dy - sum(map(mul, col, ys)) * kc, kc * dy)
+    return [_ratio(c * dy - sum(v * ys[i] for i, v in col) * kc, kc * dy)
             for c, col in zip(cs, lp.int_columns)]
 
 

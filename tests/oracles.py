@@ -3,8 +3,9 @@
 Everything here is written from first principles (enumeration, determinants,
 Fourier-style eliminations) and deliberately avoids the production code paths
 it is used to check.  The exceptions say which part they check:
-ListTableau shares the simplex loop and checks only its arithmetic, and
-fraction_fold_ggl shares the fits and checks only ggl's integer fold.
+ListTableau and DenseFloatTableau share the simplex loop and check only
+its arithmetic, and fraction_fold_ggl shares the fits and checks only
+ggl's integer fold.
 """
 
 from __future__ import annotations
@@ -12,6 +13,8 @@ from __future__ import annotations
 from fractions import Fraction
 from itertools import combinations
 from math import lcm
+
+import numpy as np
 
 from quadlin import lpsolve
 
@@ -283,6 +286,19 @@ def linearization_violations(bqp, report) -> list:
 # ---------------------------------------------------------------------------
 # standard form of a linear program, in plain Fraction arithmetic
 
+def dense_rows(lp) -> tuple:
+    """lp's rows with dense coefficients: (coeffs, relation, rhs), coeffs
+    one Fraction per variable, read off the sparse (index, value)
+    pairs."""
+    out = []
+    for pairs, rel, rhs in lp.rows:
+        coeffs = [Fraction(0)] * lp.nvars
+        for j, v in pairs:
+            coeffs[j] = v
+        out.append((tuple(coeffs), rel, rhs))
+    return tuple(out)
+
+
 def standard_form(lp) -> dict:
     """The integer standard form lpsolve's simplex starts from.
 
@@ -293,7 +309,7 @@ def standard_form(lp) -> dict:
     minimum's, is scaled the same way by obj_scale.
     """
     out = {"rows_int": [], "rels": [], "row_scale": []}
-    for coeffs, rel, rhs in lp.rows:
+    for coeffs, rel, rhs in dense_rows(lp):
         row = [Fraction(v) for v in coeffs]
         rhs = Fraction(rhs)
         sign = 1
@@ -326,7 +342,10 @@ class ListTableau(lpsolve._Tableau):
     mode = "exact"
     num = Fraction
 
-    def _build(self, rows, row_scale, obj_scale):
+    def _build(self, nonzeros, row_scale, obj_scale):
+        rows = [[0] * (self.rhs + 1) for _ in range(self.nrows + 1)]
+        for i, j, v in zip(*nonzeros):
+            rows[i][j] = v
         z1 = [0] * (self.rhs + 1)
         for ac in self.art_col.values():
             z1[ac] = 1
@@ -400,6 +419,30 @@ class ListTableau(lpsolve._Tableau):
 
 
 # ---------------------------------------------------------------------------
+# the float simplex with a full outer-product update
+
+class DenseFloatTableau(lpsolve._FloatTableau):
+    """lpsolve's float tableau as it was written first: each pivot
+    subtracts the outer product of the pivot column and the pivot row
+    from the whole array, rows with a zero in the pivot column included.
+    Such a row changes at most in the sign of a zero, so every result
+    compares equal to lpsolve's: it checks only that lpsolve's update of
+    the pivot column's nonzero rows alone leaves the same numbers."""
+
+    def _eliminate(self, r, c):
+        tab = self.tab
+        piv = tab[r, c]
+        if abs(piv) < lpsolve._PIVOT_TOL:
+            raise lpsolve.NumericalBreakdown("pivot element too small")
+        tab[r] = tab[r] / piv
+        colvals = tab[:, c].copy()
+        colvals[r] = 0.0
+        tab -= np.outer(colvals, tab[r])
+        tab[:, c] = 0.0
+        tab[r, c] = 1.0
+
+
+# ---------------------------------------------------------------------------
 # LP optimality, condition by condition
 
 def kkt_violations(lp, x, y, value) -> list:
@@ -412,21 +455,22 @@ def kkt_violations(lp, x, y, value) -> list:
     weak duality, b.y is never compared with the value."""
     x = [Fraction(v) for v in x]
     y = [Fraction(v) for v in y]
+    rows = dense_rows(lp)
     msgs = [f"x[{j}] below lower bound" for j, v in enumerate(x) if v < 0]
     gaps = [sum(a * v for a, v in zip(coeffs, x)) - rhs
-            for coeffs, _, rhs in lp.rows]
-    for i, ((_, rel, _), s) in enumerate(zip(lp.rows, gaps)):
+            for coeffs, _, rhs in rows]
+    for i, ((_, rel, _), s) in enumerate(zip(rows, gaps)):
         if (rel != ">=" and s > 0) or (rel != "<=" and s < 0):
             msgs.append(f"row {i} violated ({rel})")
     if sum(c * v for c, v in zip(lp.objective, x)) != Fraction(value):
         msgs.append("objective value mismatch")
-    for i, ((_, rel, _), s, yi) in enumerate(zip(lp.rows, gaps, y)):
+    for i, ((_, rel, _), s, yi) in enumerate(zip(rows, gaps, y)):
         if (rel == "<=" and yi > 0) or (rel == ">=" and yi < 0):
             msgs.append(f"dual sign wrong on row {i} ({rel})")
         if yi * s != 0:
             msgs.append(f"complementary slackness fails on row {i}")
     for j, (c, v) in enumerate(zip(lp.objective, x)):
-        r = c - sum(coeffs[j] * yi for (coeffs, _, _), yi in zip(lp.rows, y))
+        r = c - sum(coeffs[j] * yi for (coeffs, _, _), yi in zip(rows, y))
         if v == 0 and r < 0:
             msgs.append(f"reduced cost sign wrong at lower bound x[{j}]")
         elif v != 0 and r != 0:

@@ -1,6 +1,7 @@
 """Bound ladder: ordering, duality equality, certificates, invariances."""
 
 import random
+import tracemalloc
 from dataclasses import replace
 from fractions import Fraction
 from functools import partial, reduce
@@ -60,6 +61,7 @@ from helpers import (
 )
 from oracles import (
     ListTableau,
+    dense_rows,
     fraction_fold_ggl,
     linearization_violations,
     structural_zeros,
@@ -375,7 +377,8 @@ def test_ggl_solves_each_changed_fitting_program_once(monkeypatch):
         if lp.rows[0][1] == EQ:
             rounds.append([])
         else:  # program k's row k gives z the coefficient 1
-            k = next(i for i, (a, _, _) in enumerate(lp.rows) if a[-2] == 1)
+            k = next(i for i, (a, _, _) in enumerate(dense_rows(lp))
+                     if a[-2] == 1)
             rounds[-1].append((k, tuple(rhs for _, _, rhs in lp.rows)))
         return solve(lp, mode=mode)
 
@@ -778,7 +781,7 @@ def test_lbb_star_solves_only_the_member_rows_the_lifting_lp_leaves_open(
     inst = _strict_generic_bqp()
     members = list(enumerated_family(inst).members) + _diag_units(inst.m)
     lifting, pairs = bounds._rlt1_lp(inst)
-    base = [list(coeffs) + [rhs] for coeffs, _, rhs in lifting.rows]
+    base = [list(coeffs) + [rhs] for coeffs, _, rhs in dense_rows(lifting)]
     rank = matrix_rank(RationalMatrix.from_rows(base))
     live = [matrix_rank(RationalMatrix.from_rows(
         base + [_pair_row(member, pairs)])) > rank for member in members]
@@ -904,10 +907,10 @@ def _forged_prime(bqp, drop, mode):
     lp, pairs = bounds._rlt1_lp(bqp)
     gone = {bqp.m + pairs.index(p) for p in drop}
     keep = [j for j in range(lp.nvars) if j not in gone]
-    res = lpsolve.solve_lp(lpsolve.LinearProgram(
-        [lp.objective[j] for j in keep],
+    res = lpsolve.solve_lp(lpsolve.linear_program(
+        "min", [lp.objective[j] for j in keep],
         [([coeffs[j] for j in keep], rel, rhs)
-         for coeffs, rel, rhs in lp.rows]), mode=mode)
+         for coeffs, rel, rhs in dense_rows(lp)]), mode=mode)
     n, m, u = bqp.B.rows, bqp.m, res.duals
     return BoundReport(
         name="lbb_prime", value=res.value, mode=mode, relaxation_only=False,
@@ -1005,6 +1008,24 @@ def test_exact_rlt1_on_tournament_9_is_pinned():
     rep = rlt1(inst, mode="exact")
     assert (rep.mode, rep.value, rep.pivots) == ("exact", 16, 366)
     assert verify_report(inst, rep) == (True, ())
+
+
+def test_tournament_20_lifting_lp_is_built_sparse():
+    # 4,010 rows by 6,365 columns with 25,460 nonzeros: stored dense, its
+    # rows and their integer forms took about 600 MB; built sparse, with
+    # int_rows and int_columns, they stay below a tenth of that
+    bqp = qspp_to_bqp(generate_tournament(20))
+    tracemalloc.start()
+    try:
+        lp, _ = bounds._rlt1_lp(bqp)
+        columns = lp.int_columns  # worked out from int_rows
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (lp.nrows, lp.nvars) == (4010, 6365)
+    assert sum(len(coeffs) for coeffs, _, _ in lp.rows) \
+        == sum(map(len, columns)) == 25460
+    assert peak < 60 * 2 ** 20, peak
 
 
 def test_lbb_prime_invariant_under_reformulation():
@@ -1468,11 +1489,11 @@ def test_verify_report_confirms_weighted_members_by_enumeration(
 def _forge_a_dual(rep, lp):
     """The duals with one row of right-hand side 0 raised until one
     column's A^T y exceeds its cost by 1; b.y and the value are kept."""
-    y = list(rep.certificate["duals"])
-    k, j = next((k, j) for k, (coeffs, _, rhs) in enumerate(lp.rows)
+    y, rows = list(rep.certificate["duals"]), dense_rows(lp)
+    k, j = next((k, j) for k, (coeffs, _, rhs) in enumerate(rows)
                 if rhs == 0 for j, a in enumerate(coeffs) if a != 0)
-    col = sum(row[j] * Fraction(v) for (row, _, _), v in zip(lp.rows, y))
-    step = (lp.objective[j] + 1 - col) / lp.rows[k][0][j]
+    col = sum(row[j] * Fraction(v) for (row, _, _), v in zip(rows, y))
+    step = (lp.objective[j] + 1 - col) / rows[k][0][j]
     y[k] += float(step) if rep.mode == "float" else step
     return tuple(y)
 

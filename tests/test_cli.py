@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import math
 import os
 import random
 import subprocess
@@ -418,6 +419,29 @@ def test_bound_values_match_the_library(capsys, tmp_path):
     payload = payload_of(out)
     assert payload["value"] == str(direct.value)
     assert payload["trace"] == [str(v) for v in direct.trace]
+
+
+def _unsigned(obj):
+    """obj with every float -0.0 in it, through tuples and dicts, as
+    0.0."""
+    if isinstance(obj, dict):
+        return {k: _unsigned(v) for k, v in obj.items()}
+    if isinstance(obj, tuple):
+        return tuple(map(_unsigned, obj))
+    return obj + 0.0 if isinstance(obj, float) else obj
+
+
+def test_certificate_digest_reads_a_negative_zero_as_zero():
+    # a float rlt1 certificate holds -0.0 entries (its duals are read
+    # back signed); -0.0 == 0.0, so it equals its twin with every zero
+    # unsigned, and both get one digest
+    cert = rlt1(generate_tournament(6), mode="float").certificate
+    twin = _unsigned(cert)
+    signed = [v for v in cert["duals"]
+              if v == 0 and math.copysign(1.0, v) < 0]
+    assert signed and twin == cert and repr(twin) != repr(cert)
+    assert cli._certificate_digest(twin) == cli._certificate_digest(cert)
+    assert "-0.0" not in json.dumps(cli._jsonable(cert))
 
 
 def test_bound_lbbstar_reports_its_canonical_family(capsys, tmp_path):

@@ -63,6 +63,18 @@ def test_matrix_basics():
     assert RationalMatrix.diagonal([1, 2]).at(1, 1) == F(2)
 
 
+def test_equal_matrices_hash_equal():
+    # the hash is worked out on first use and kept; matrices built apart
+    # from equal entries hash equal, and one finds the other in a dict
+    a = RationalMatrix.from_rows([[1, F(1, 2)], [0, "3"]])
+    b = RationalMatrix.from_rows([[F(2, 2), "1/2"], [F(0), 3]])
+    assert a is not b and a == b
+    assert hash(a) == hash(b) == hash(b) == hash((2, 2, a.entries))
+    assert vars(a)["_hash"] == hash(a)
+    assert {a: "a"}[b] == "a"
+    assert RationalMatrix.zeros(2, 3) != RationalMatrix.zeros(3, 2)
+
+
 def test_rref_identity_fixed_point():
     i3 = RationalMatrix.identity(3)
     reduced, pivots = rref(i3)

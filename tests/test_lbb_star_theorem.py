@@ -30,7 +30,7 @@ from quadlin.graph import Dag, enumerate_st_paths, forbidden_pairs, is_corridor
 from quadlin.model import QsppInstance, qspp_to_bqp
 from quadlin.qspplin import spanning_set
 
-from oracles import structural_zeros
+from oracles import dense_rows, structural_zeros
 
 
 def _corridor_dags(max_vertices, max_parallel):
@@ -63,7 +63,8 @@ def test_canonical_lbb_star_is_lbb_prime_on_every_small_corridor(
         swept += 1
         bqp = qspp_to_bqp(QsppInstance(g, RationalMatrix.zeros(g.m, g.m)))
         lp, pairs = bounds._lifting_lp(bqp)
-        system = _rank(list(coeffs) + [rhs] for coeffs, _, rhs in lp.rows)
+        system = _rank(list(coeffs) + [rhs]
+                       for coeffs, _, rhs in dense_rows(lp))
         points = []
         for path in enumerate_st_paths(g):
             x = path.incidence(g.m)

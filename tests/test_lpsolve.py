@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from quadlin import lpsolve
+from quadlin import bounds, lpsolve
 from quadlin.lpsolve import (
     EQ,
     GE,
@@ -25,8 +25,17 @@ from quadlin.lpsolve import (
     verify_solution,
 )
 
-from helpers import python_int_fractions, rand_rational
-from oracles import ListTableau, kkt_violations, lp_oracle, standard_form
+from quadlin.model import generate_tournament, qspp_to_bqp
+
+from helpers import python_int_fractions, qap_instance, rand_rational
+from oracles import (
+    DenseFloatTableau,
+    ListTableau,
+    dense_rows,
+    kkt_violations,
+    lp_oracle,
+    standard_form,
+)
 
 F = Fraction
 
@@ -69,7 +78,8 @@ def test_infeasible_and_unbounded():
 
 def test_bounds_handling():
     # a free x is x+ - x- over x+, x- >= 0: min x subject to x >= -3
-    free = LinearProgram((F(1), F(-1)), (((F(1), F(-1)), GE, F(-3)),))
+    free = LinearProgram((F(1), F(-1)),
+                         ((((0, F(1)), (1, F(-1))), GE, F(-3)),))
     res = solve_lp(free, mode="exact")
     assert res.status == OPTIMAL and res.value == -3 and res.x == (0, F(3))
 
@@ -254,6 +264,19 @@ def test_tableau_starts_from_the_fraction_standard_form():
         for field, value in want.items():
             assert got[field] == value, field
         assert got["ncols"] == n
+        # int_rows holds each row's nonzeros, indices ascending, over k,
+        # the standard form's row over its scale, and int_columns the
+        # same nonzeros by column, rows ascending
+        by_column = [[] for _ in range(n)]
+        for i, ((pairs, k), row, s) in enumerate(
+                zip(lp.int_rows, want["rows_int"], want["row_scale"])):
+            dense = [0] * n
+            for j, v in pairs:
+                dense[j] = v
+                by_column[j].append((i, v))
+            assert [j for j, _ in pairs] == [j for j in range(n) if row[j]]
+            assert [v * (s // k) for v in dense] == row[:n]
+        assert lp.int_columns == tuple(map(tuple, by_column))
     assert min(kinds.values()) > 30, kinds
 
     # integer coefficients and rhs 5/7: the rhs sets the row scale, which
@@ -265,7 +288,23 @@ def test_tableau_starts_from_the_fraction_standard_form():
     # the integer rows take no part in equality or hashing
     again = linear_program("min", [F(2, 2), 1], [((F(4, 2), 3), GE, F(5, 7))])
     assert again == scaled and hash(again) == hash(scaled)
-    assert again.int_rows == scaled.int_rows == (((2, 3), 1),)
+    assert again.int_rows == scaled.int_rows == ((((0, 2), (1, 3)), 1),)
+
+
+@pytest.mark.parametrize("coeffs", [
+    ((1, 1), (0, 1)), ((0, 1), (0, 2)), ((2, 1),), ((-1, 1),), ((0, 0),),
+    ((0, 1), (1, F(0))), ((1.0, 1),)],
+    ids=["unsorted", "repeated", "past the end", "negative", "zero",
+         "zero fraction", "float index"])
+def test_linear_program_refuses_a_malformed_sparse_row(coeffs):
+    # a row is its nonzero coefficients as (index, value) pairs, indices
+    # ascending and in range; linear_program takes the dense row and keeps
+    # its nonzeros
+    with pytest.raises(ValueError, match="bad coefficient pair"):
+        LinearProgram((F(1), F(1)), ((coeffs, LE, F(1)),))
+    sparse = LinearProgram((F(1), F(1)), ((((1, F(3)),), LE, F(1)),))
+    assert linear_program("min", [1, 1], [((0, 3), LE, 1)]) == sparse
+    assert sparse.int_columns == ((), ((0, 3),))
 
 
 @pytest.mark.parametrize("sense, obj", [("min", (1, 2, 1, -1, 1)),
@@ -337,7 +376,7 @@ def test_exact_agrees_with_enumeration_oracle():
     for _ in range(140):
         lp = _random_lp(rng)
         want_status, want_value = lp_oracle(
-            "min", lp.objective, lp.rows, [0] * lp.nvars)
+            "min", lp.objective, dense_rows(lp), [0] * lp.nvars)
         res = solve_lp(lp, mode="exact")
         assert res.status == want_status
         if want_status == OPTIMAL:
@@ -575,6 +614,29 @@ def test_exact_tableau_matches_the_list_tableau():
     assert min(seen[s] for s in (OPTIMAL, INFEASIBLE, UNBOUNDED)) > 5, seen
 
 
+def test_float_tableau_matches_the_dense_float_tableau():
+    # the float update of the pivot column's nonzero rows against the
+    # full outer-product update it replaced, which shares the simplex
+    # loop: the same status, value, x, duals and pivots on random LPs of
+    # every status, rational and full-mantissa, on Chvatal's cycling
+    # example and on the degenerate lifting LPs of tournaments n = 6..8
+    # and of the pinned QAP of test_bounds (qap_instance(Random(0), 3))
+    rng, mantissa = random.Random(7), random.Random(8)
+    lps = [_random_lp(rng) for _ in range(140)] \
+        + [_random_lp(mantissa, num=_full_mantissa) for _ in range(300)] \
+        + [_chvatal_lp()] + [
+            bounds._rlt1_lp(bqp)[0] for bqp in
+            [*(qspp_to_bqp(generate_tournament(n)) for n in (6, 7, 8)),
+             qap_instance(random.Random(0), 3)]]
+    seen = Counter()
+    for lp in lps:
+        res = solve_lp(lp, mode="float")
+        assert res == DenseFloatTableau(lp).solve()
+        seen[res.status] += 1
+    assert min(seen[s] for s in (OPTIMAL, INFEASIBLE, UNBOUNDED)) > 5, seen
+    assert seen[OPTIMAL] > 100 and sum(seen.values()) == 445
+
+
 def test_exact_tableau_switches_to_python_ints_mid_solve(monkeypatch):
     # with the int64 bound lowered to 2**6, every program here starts in
     # int64 (Chvatal's largest entry is 57), and Chvatal's example and
@@ -605,7 +667,7 @@ def test_exact_tableau_starts_in_python_ints_past_int64(k):
         lp = _random_lp(rng)
         big = LinearProgram(
             tuple(v * k for v in lp.objective),
-            tuple((tuple(a * k for a in coeffs), rel, b * k)
+            tuple((tuple((j, a * k) for j, a in coeffs), rel, b * k)
                   for coeffs, rel, b in lp.rows))
         tableau = lpsolve._ExactTableau(big)
         assert tableau.tab.dtype == object
