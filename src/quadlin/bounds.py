@@ -98,6 +98,7 @@ from quadlin.exactnum import (
     RationalMatrix,
     common_denominator,
     int_echelon,
+    int_ratios,
     int_reduce,
     rat,
     rat_from,
@@ -127,9 +128,8 @@ from quadlin.lpsolve import (
     UNBOUNDED,
     LinearProgram,
     LpError,
-    LpResult,
     _resolve_mode,
-    dual_violations,
+    int_dual_violations,
     nonzero_pairs,
     point_violations,
     solve_lp,
@@ -141,7 +141,7 @@ from quadlin.model import (
     QsppInstance,
     brute_force_opt,
     is_linearization,
-    qspp_to_bqp,
+    qspp_to_bqp,  # QsppInstance.bqp calls this binding; bench wraps it
     quadratic_value,
 )
 from quadlin.qspplin import (
@@ -199,8 +199,10 @@ class BoundReport:
 
 
 def _bqp(inst) -> BqpInstance:
+    """inst as a BqpInstance: a QsppInstance's flow encoding, built once
+    per instance and kept on it (QsppInstance.bqp)."""
     if isinstance(inst, QsppInstance):
-        return qspp_to_bqp(inst)
+        return inst.bqp
     if isinstance(inst, BqpInstance):
         return inst
     raise TypeError(f"expected a problem instance, got {type(inst).__name__}")
@@ -400,16 +402,24 @@ def _certified_fit(system: _IntSystem, solve, k: int, rhs,
     return _Fit(x, cbar, den, (gaps, system.bcols[1] * den))
 
 
+class _Minimum(NamedTuple):
+    """A round's polytope LP optimum: its value as reported, a function
+    that gives its duals as reported, called for the reported round
+    only, and its pivots."""
+    value: object
+    duals: object
+    pivots: int = 0
+
+
 def _certified_minimum(system: _IntSystem, solve, costs, den: int,
-                       mode: str) -> LpResult:
+                       mode: str) -> _Minimum:
     """The polytope LP's optimum under the integer costs over den from
-    solve(costs) -> (y, point), checked by _weak_duality, with duals y;
-    the point itself is not reported."""
+    solve(costs) -> (y, point), checked by _weak_duality, with duals y
+    over den; the point itself is not reported."""
     y, point = solve(costs)
     value, _ = _weak_duality(system, -1, costs, y, point)
-    return LpResult(OPTIMAL, _quotient(value, den, mode),
-                    duals=tuple(_quotient(v, den, mode) for v in y),
-                    mode=mode)
+    return _Minimum(_quotient(value, den, mode),
+                    lambda: tuple(_quotient(v, den, mode) for v in y))
 
 
 def _require_st_arcs(g: Dag) -> None:
@@ -530,9 +540,8 @@ def _fitting_rounds(inst, strategy: SkewStrategy, max_iter: int,
                 programs[k].with_rhs(Fraction(v, den) for v in rhs), mode,
                 f"column {k} fitting program")
             x = res.x
-            nums, dx = common_denominator(
-                [rat_from(a - b) for a, b in zip(x[::2], x[1::2])]
-                + [rat_from(-res.value)])
+            nums, dx = int_ratios(
+                [*(a - b for a, b in zip(x[::2], x[1::2])), -res.value])
             d = lcm(dx, den)  # a multiple of den, so rhs scales to it
             *x, cbar = (v * (d // dx) for v in nums)
             gaps = _fit_gaps(bcols, k, [v * (d // den) for v in rhs], x)
@@ -541,9 +550,10 @@ def _fitting_rounds(inst, strategy: SkewStrategy, max_iter: int,
             return kept[k][1]
 
         def minimum(costs, den):
-            return _solve(
+            res = _solve(
                 _polytope_lp(bqp, (Fraction(c, den) for c in costs)), mode,
                 "feasible-set minimum")
+            return _Minimum(res.value, lambda: res.duals, res.pivots)
     qnums, den = common_denominator(bqp.Q.entries)
     columns = [tuple(qnums[k::m]) for k in range(m)]
     lin, lin_den = common_denominator(bqp.linear)
@@ -573,7 +583,7 @@ def _fitting_rounds(inst, strategy: SkewStrategy, max_iter: int,
         name="ggl", value=final.value, mode=mode,
         relaxation_only=not bqp.integral_polytope,
         certificate={
-            "y": final.duals,
+            "y": final.duals(),
             "Y": tuple(tuple(_quotient(acc[r], 2 * acc_den, mode)
                              for acc in fitted) for r in range(n)),
             "z": tuple(_quotient(acc[n], acc_den, mode) for acc in fitted),
@@ -1042,32 +1052,30 @@ _CERT_KEYS = {"gl": _PRIME_KEYS, "ggl": _PRIME_KEYS, "opt": ("argmin",),
 
 
 _NUMBER = (int, Fraction, float)
+_NESTED = (dict, RationalMatrix, tuple, list)
 
 
-def _leaves(obj):
-    """The entries of obj, read through tuples, lists, dicts and
-    matrices."""
+def _leaf_types(obj) -> set:
+    """The types of the entries of obj, read through tuples, lists,
+    dicts and matrices: one set per sequence, and a sequence's items
+    are walked only if one of them nests further."""
     if isinstance(obj, dict):
         obj = tuple(obj.values())
     elif isinstance(obj, RationalMatrix):
         obj = obj.entries
-    if isinstance(obj, (tuple, list)):
-        for item in obj:
-            yield from _leaves(item)
-    else:
-        yield obj
+    if not isinstance(obj, (tuple, list)):
+        return {type(obj)}
+    types = set(map(type, obj))
+    if any(issubclass(t, _NESTED) for t in types):
+        return set().union(*map(_leaf_types, obj))
+    return types
 
 
-def _holds_float(obj) -> bool:
-    """Whether obj is a float or holds one (_leaves)."""
-    return any(isinstance(v, float) for v in _leaves(obj))
-
-
-def _unreadable(report: BoundReport, keys) -> list:
+def _unreadable(report: BoundReport, keys, types: dict) -> list:
     """Why a report cannot be read: each certificate key must hold a
     tuple or list, and so must each row of Y and each of rlt1's pairs;
-    every entry they hold, and the value, must be an int, a Fraction or
-    a float."""
+    every entry they hold (types, the _leaf_types of each key), and the
+    value, must be an int, a Fraction or a float."""
     cert, seq = report.certificate, (tuple, list)
     bad = [key for key in keys if not isinstance(cert[key], seq)]
     msgs = [f"certificate {key} is not a tuple or list" for key in bad] + [
@@ -1076,7 +1084,7 @@ def _unreadable(report: BoundReport, keys) -> list:
         and not all(isinstance(v, seq) for v in cert[key])]
     msgs += [f"certificate {key} holds an entry that is not a number"
              for key in keys
-             if not all(isinstance(v, _NUMBER) for v in _leaves(cert[key]))]
+             if not all(issubclass(t, _NUMBER) for t in types[key])]
     if not isinstance(report.value, _NUMBER):
         msgs.append("report value is not a number")
     return msgs
@@ -1161,13 +1169,18 @@ def verify_report(inst, report: BoundReport):
     missing = [key for key in keys if key not in cert]
     if missing:
         return False, (f"certificate lacks {', '.join(missing)}",)
-    malformed = _unreadable(report, keys)
+    # one walk of the certificate serves both the entry check and the
+    # float check, which reads every key, those the kind does not read too
+    types = {key: _leaf_types(v) for key, v in cert.items()}
+    malformed = _unreadable(report, keys, types)
     if malformed:
         return False, tuple(malformed)
     if "members" in keys and len(cert["alpha"]) != len(cert["members"]):
         return False, ("certificate alpha does not have one weight per "
                        "member",)
-    if report.mode == "exact" and _holds_float((report.value, cert)):
+    if report.mode == "exact" and any(
+            issubclass(t, float)
+            for t in chain((type(report.value),), *types.values())):
         return False, ("an exact report holds a float",)
     bqp = _bqp(inst)
     m = bqp.m
@@ -1193,8 +1206,8 @@ def verify_report(inst, report: BoundReport):
                 msgs.append("a family member is not symmetric")
             # a member row of weight 0 adds nothing to A^T y: only the
             # weighted members are confirmed and get their rows
-            weighted = [t for t, a in enumerate(cert["alpha"])
-                        if rat_from(a) != 0]
+            weights, _ = int_ratios(cert["alpha"])
+            weighted = [t for t, a in enumerate(weights) if a]
             members = [members[t] for t in weighted]
             alpha = [cert["alpha"][t] for t in weighted]
             msgs += _unconfirmed_members(bqp, members, weighted)
@@ -1205,13 +1218,18 @@ def verify_report(inst, report: BoundReport):
                     "certificate pairs differ from the program's pairs")
             msgs += point_violations(
                 lp, tuple(cert["x"]) + tuple(cert["w"]), report.value, tol)
-            duals = cert["duals"]
+            duals, Y, z = cert["duals"], (), ()
         else:  # the duals the linearization was read off, in row order
-            duals = tuple(chain(
-                cert["y"], alpha,
-                (2 * rat_from(v) for row in cert.get("Y", ()) for v in row),
-                (-rat_from(v) for v in cert.get("z", ()))))
-        msgs += dual_violations(lp, duals, report.value, tol)
+            duals = (*cert["y"], *alpha)
+            Y = tuple(chain.from_iterable(cert.get("Y", ())))
+            z = cert.get("z", ())
+        nums, den = int_ratios((*duals, *Y, *z, report.value))
+        # 2 Y and -z on the numerators, after reading: a float Y entry
+        # as large as 1e308 stays finite
+        head, tail = len(duals), len(duals) + len(Y)
+        nums[head:tail] = [2 * v for v in nums[head:tail]]
+        nums[tail:-1] = [-v for v in nums[tail:-1]]
+        msgs += int_dual_violations(lp, nums, den, tol)
     except NonFiniteError:
         msgs.append("certificate has a non-finite value")
 

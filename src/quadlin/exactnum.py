@@ -54,6 +54,28 @@ def rat_from(value) -> Fraction:
     return rat(value)
 
 
+def int_ratios(values) -> tuple:
+    """``(numerators, den)``: each value, read as rat_from reads it (a
+    float at its exact binary value, NonFiniteError for a NaN or an
+    infinity), is ``numerator / den`` for the least common denominator
+    ``den``.  An int, a Fraction or a float is read through its
+    ``as_integer_ratio()``, so none of them builds a Fraction."""
+    if not isinstance(values, (tuple, list)):
+        values = list(values)
+    try:
+        pairs = [v.as_integer_ratio() for v in values]
+    except (ValueError, OverflowError, AttributeError):
+        # a NaN or an infinity, or a value with no such method ('p/q')
+        pairs = [rat_from(v).as_integer_ratio() for v in values]
+    if not pairs:
+        return [], 1
+    nums, dens = zip(*pairs)
+    den = lcm(*set(dens))
+    if den == 1:
+        return list(nums), 1
+    return [n * (den // d) for n, d in pairs], den
+
+
 # ---------------------------------------------------------------------------
 # vectors (plain tuples of Fractions)
 

@@ -15,28 +15,31 @@ denominator d and pivots fraction-free (Bareiss): every entry is a minor
 of the starting integer matrix, so each division is exact and no
 rational appears in the loop.  Before an update could leave int64 the
 array moves to Python ints and the same code goes on; the ratio test and
-the read-back work in Python ints throughout.  Every exact optimum is
+the read-back work in Python ints throughout.  Every optimum is
 certified before it is returned, by weak duality (verify_solution): x is
 a point of the program (point_violations), the duals y are feasible for
-its dual (dual_violations), and both reach the value.  Float mode starts
-from the LP's own coefficients, correctly rounded (a row is negated
-where its rhs is negative), so its fixed tolerances act at the LP's own
-scale; as in exact mode, a pivot subtracts its row only from the rows
+its dual (dual_violations), and both reach the value, exactly for an
+exact optimum, within FLOAT_CHECK_TOL (1e-7) for a float one.  Float
+mode starts from the LP's own coefficients, correctly rounded (a row is
+negated where its rhs is negative), so its fixed tolerances act at the
+LP's own scale; as in exact mode, a pivot subtracts its row only from the rows
 with a nonzero in its column.  It raises NumericalBreakdown instead of
-returning garbage when the arithmetic degrades, and its optima are not
-checked here: only a replay (verify_solution, bounds.verify_report)
-checks one, within FLOAT_CHECK_TOL (1e-7).
+returning garbage when the arithmetic degrades, a float optimum that
+fails its check included.
 
 A LinearProgram stores each row sparse: its nonzero coefficients as
 (index, value) pairs, indices ascending (linear_program takes dense rows
 and keeps only their nonzeros).  It takes each row once, on first use,
 to integer numerators over the lcm of its denominators (int_rows, by
-column int_columns), and its objective alike (int_objective); the
-tableau and the checks read only those nonzeros, and the checks
-evaluate every row and reduced cost as an integer dot product and test
-its sign on the numerator.  Every check is exact, for float results
-too: a float is read at its exact binary value, and a float result
-passes within an absolute FLOAT_CHECK_TOL, an exact one with none.
+column int_columns), and its objective and right-hand sides alike
+(int_objective, int_rhs); the tableau and the checks read only those
+nonzeros.  The checks run in integers: x, y and the value are read into
+integer numerators over one denominator (exactnum.int_ratios, a float
+at its exact binary value), every row gap and reduced cost is an
+integer over a positive denominator, and every sign and tolerance test
+is made on that integer, so no Fraction is built per entry.  Every
+check is exact, for float results too, and a float result passes
+within an absolute FLOAT_CHECK_TOL, an exact one with none.
 with_rhs gives a program new right-hand sides and shares everything
 else, so a program solved for many right-hand sides is validated and
 taken to integers once.
@@ -53,11 +56,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import lcm
+from operator import mul
 
 import numpy as np
 
-from quadlin.exactnum import (ZERO, NonFiniteError, common_denominator, rat,
-                              rat_from, vdot)
+from quadlin.exactnum import (NonFiniteError, common_denominator, int_ratios,
+                              rat)
 
 OPTIMAL = "optimal"
 INFEASIBLE = "infeasible"
@@ -164,6 +168,13 @@ class LinearProgram:
             for j, v in pairs:
                 columns[j].append((i, v))
         return tuple(map(tuple, columns))
+
+    @cached_property
+    def int_rhs(self) -> tuple:
+        """(integer numerators of the right-hand sides, their lcm), worked
+        out on first use and kept (with_rhs does not share it); the
+        checks read it."""
+        return common_denominator(rhs for _, _, rhs in self.rows)
 
     @cached_property
     def int_objective(self) -> tuple:
@@ -545,76 +556,65 @@ class _FloatTableau(_Tableau):
 # public entry points
 
 def solve_lp(lp: LinearProgram, mode: str = "auto") -> LpResult:
-    """Solve the program; an exact optimum is certified by weak duality
-    (verify_solution) before it is returned."""
+    """Solve the program; every optimum is certified by weak duality
+    (verify_solution) before it is returned, an exact one with zero
+    tolerance, a float one within FLOAT_CHECK_TOL.  An exact optimum
+    that fails raises LpError, a float one NumericalBreakdown: the float
+    arithmetic lost the optimum."""
     mode = _resolve_mode(mode, lp.nrows, lp.nvars)
     tableau = _ExactTableau if mode == "exact" else _FloatTableau
     result = tableau(lp).solve()
-    if mode == "exact" and result.status == OPTIMAL:
+    if result.status == OPTIMAL:
         ok, messages = verify_solution(lp, result)
         if not ok:
-            raise LpError("exact optimum failed its own certificate: "
-                          + "; ".join(messages))
+            more = len(messages) - 3
+            raise tableau.error(
+                f"{mode} optimum failed its own certificate: "
+                + "; ".join(messages[:3])
+                + (f"; and {more} more" if more > 0 else ""))
     return result
 
 
-def _ratio(n: int, d: int) -> Fraction:
-    """n / d, building no Fraction for n = 0: at an optimum every tight
-    row's gap and every basic or split column's reduced cost is 0."""
-    return Fraction(n, d) if n else ZERO
-
-
-def _row_gaps(lp: LinearProgram, x) -> list:
-    """a_i . x - b_i for every row i, with x exact: x over one common
-    denominator, each row an integer dot product over its int_rows
-    nonzeros, one Fraction per nonzero gap."""
-    xs, dx = common_denominator(x)
-    gaps = []
-    for (pairs, k), (_, _, rhs) in zip(lp.int_rows, lp.rows):
-        q = rhs.denominator
-        gaps.append(_ratio(sum(v * xs[j] for j, v in pairs) * q
-                           - rhs.numerator * k * dx, k * dx * q))
-    return gaps
-
-
-def _reduced_costs(lp: LinearProgram, y) -> list:
-    """c_j - (A^T y)_j for every column j, with y exact: each y_i / k_i
-    (k_i row i's lcm) and c over one common denominator (int_objective),
-    each column an integer dot product over its int_columns nonzeros,
-    one Fraction per nonzero reduced cost."""
-    dens = [v.denominator * k for v, (_, k) in zip(y, lp.int_rows)]
-    dy = lcm(*set(dens))
-    ys = [v.numerator * (dy // d) for v, d in zip(y, dens)]
-    cs, kc = lp.int_objective
-    return [_ratio(c * dy - sum(v * ys[i] for i, v in col) * kc, kc * dy)
-            for c, col in zip(cs, lp.int_columns)]
-
-
-def _beyond(v, tol, below=True, above=True) -> bool:
-    """v < -tol (if below) or v > tol (if above), for a Fraction v and an
-    absolute tol >= 0: a sign test on v's numerator, then, only for a
-    nonzero tol, one comparison."""
-    n = v.numerator
-    return (below and n < 0 or above and n > 0) and (not tol or abs(v) > tol)
+def _beyond(n: int, d: int, tol, below=True, above=True) -> bool:
+    """n / d < -tol (if below) or n / d > tol (if above), for d > 0 and
+    an absolute tol >= 0 (0 or a Fraction): a sign test on the integer
+    n, then, only for a nonzero tol, one integer comparison against
+    tol's own numerator and denominator."""
+    return (below and n < 0 or above and n > 0) and (
+        not tol or abs(n) * tol.denominator > tol.numerator * d)
 
 
 def point_violations(lp: LinearProgram, x, value, tol=0) -> list:
     """Why x is not a point of lp with objective value: each variable
     below 0, each row off its relation and an objective other than
     value, by more than the absolute tol (0, or FLOAT_CHECK_TOL for a
-    float result).  x and value are read as exact rationals, a float
-    at its exact binary value (exactnum.rat_from, which raises
-    NonFiniteError on NaN or an infinity)."""
+    float result).  x and value are read into integer numerators over
+    one denominator d (exactnum.int_ratios: a float at its exact binary
+    value, NonFiniteError on NaN or an infinity).  A x is summed by
+    column over int_columns, the nonzero x_j only, so that each row gap
+    a_i . x - b_i is an integer over k_i d q (k_i the row's lcm, q the
+    lcm of the right-hand sides' denominators, int_rhs), and c . x -
+    value one over int_objective's lcm times d."""
     if len(x) != lp.nvars:
         return ["certificate has the wrong number of variables"]
-    x = [rat_from(v) for v in x]
-    msgs = [f"x[{j}] below lower bound" for j, v in enumerate(x)
-            if _beyond(v, tol, above=False)]
-    msgs += [f"row {i} violated ({rel})"
-             for i, ((_, rel, _), s) in enumerate(zip(lp.rows,
-                                                      _row_gaps(lp, x)))
-             if _beyond(s, tol, below=rel != LE, above=rel != GE)]
-    if _beyond(vdot(lp.objective, x) - rat_from(value), tol):
+    xs, d = int_ratios((*x, value))
+    v = xs.pop()
+    msgs = [f"x[{j}] below lower bound" for j, n in enumerate(xs)
+            if _beyond(n, d, tol, above=False)]
+    ax = [0] * lp.nrows
+    for n, col in zip(xs, lp.int_columns):
+        if n:
+            for i, a in col:
+                ax[i] += a * n
+    bs, q = lp.int_rhs
+    for i, (s, b, (_, k), (_, rel, _)) in enumerate(zip(ax, bs, lp.int_rows,
+                                                        lp.rows)):
+        gap = s * q - b * k * d
+        if gap and _beyond(gap, k * d * q, tol, below=rel != LE,
+                           above=rel != GE):
+            msgs.append(f"row {i} violated ({rel})")
+    cs, kc = lp.int_objective
+    if _beyond(sum(map(mul, cs, xs)) - v * kc, kc * d, tol):
         msgs.append("objective value mismatch")
     return msgs
 
@@ -624,18 +624,44 @@ def dual_violations(lp: LinearProgram, y, value, tol=0) -> list:
     its rows and x >= 0: each dual of the wrong sign (y_i > 0 on a <=
     row, y_i < 0 on a >= row; an = row's is free), each column j with
     (A^T y)_j > c_j, and b.y other than value, by more than the
-    absolute tol.  y and value are read as exact rationals, as in
-    point_violations."""
+    absolute tol.  y and value are read into integer numerators over one
+    denominator, as in point_violations, and checked by
+    int_dual_violations."""
     if len(y) != lp.nrows:
         return ["certificate has the wrong number of duals"]
-    y = [rat_from(v) for v in y]
+    return int_dual_violations(lp, *int_ratios((*y, value)), tol)
+
+
+def int_dual_violations(lp: LinearProgram, nums, den: int, tol=0) -> list:
+    """dual_violations for duals and a value read already: nums holds
+    the integer numerators of y and then of value, all over den > 0.
+    Each dual's sign is tested on its numerator.  A^T y is summed by row
+    over int_rows, the nonzero y_i only, with y_i / k_i (k_i the row's
+    lcm) over L den for the lcm L of the k_i, so that each reduced cost
+    c_j - (A^T y)_j is an integer over int_objective's lcm times L den;
+    b.y - value is one over the lcm of the right-hand sides'
+    denominators (int_rhs) times den."""
+    if len(nums) != lp.nrows + 1:
+        return ["certificate has the wrong number of duals"]
+    *ys, v = nums
     msgs = [f"dual sign wrong on row {i} ({rel})"
-            for i, ((_, rel, _), v) in enumerate(zip(lp.rows, y))
-            if _beyond(v, tol, below=rel == GE, above=rel == LE)]
+            for i, ((_, rel, _), n) in enumerate(zip(lp.rows, ys))
+            if rel != EQ and _beyond(n, den, tol, below=rel == GE,
+                                     above=rel == LE)]
+    scale = lcm(*{k for _, k in lp.int_rows})
+    aty = [0] * lp.nvars
+    for n, (pairs, k) in zip(ys, lp.int_rows):
+        if n:
+            n *= scale // k
+            for j, a in pairs:
+                aty[j] += a * n
+    cs, kc = lp.int_objective
+    dy = scale * den
     msgs += [f"duals violate column {j}"
-             for j, r in enumerate(_reduced_costs(lp, y))
-             if _beyond(r, tol, above=False)]
-    if _beyond(vdot([b for _, _, b in lp.rows], y) - rat_from(value), tol):
+             for j, (c, s) in enumerate(zip(cs, aty))
+             if _beyond(c * dy - s * kc, kc * dy, tol, above=False)]
+    bs, bden = lp.int_rhs
+    if _beyond(sum(map(mul, bs, ys)) - v * bden, bden * den, tol):
         msgs.append("dual objective does not match the certificate")
     return msgs
 

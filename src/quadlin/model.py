@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from functools import cached_property
 from itertools import permutations
 from math import factorial
 
@@ -63,6 +64,18 @@ class QsppInstance:
     @property
     def m(self) -> int:
         return self.graph.m
+
+    @cached_property
+    def bqp(self) -> "BqpInstance":
+        """The flow encoding (qspp_to_bqp), built on first use and kept:
+        every bound and replay of this instance reads the one
+        BqpInstance, so the lifting LP cached for it is found by
+        identity.  Not part of equality or hashing; an instance made by
+        dataclasses.replace builds its own.  qspp_to_bqp is looked up in
+        quadlin.bounds, the module that reads the encoding, so a wrapper
+        bound there (bench/tracing.py) sees the call."""
+        from quadlin import bounds
+        return bounds.qspp_to_bqp(self)
 
 
 @dataclass(frozen=True)

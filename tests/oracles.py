@@ -4,8 +4,10 @@ Everything here is written from first principles (enumeration, determinants,
 Fourier-style eliminations) and deliberately avoids the production code paths
 it is used to check.  The exceptions say which part they check:
 ListTableau and DenseFloatTableau share the simplex loop and check only
-its arithmetic, and fraction_fold_ggl shares the fits and checks only
-ggl's integer fold.
+its arithmetic, fraction_fold_ggl shares the fits and checks only
+ggl's integer fold, and the fraction_* weak-duality checks share the
+LP's integer rows and check only the integer reading of x, y and the
+value.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from math import lcm
 import numpy as np
 
 from quadlin import lpsolve
+from quadlin.exactnum import NonFiniteError, common_denominator, rat_from, vdot
 
 
 # ---------------------------------------------------------------------------
@@ -476,6 +479,96 @@ def kkt_violations(lp, x, y, value) -> list:
         elif v != 0 and r != 0:
             msgs.append(f"reduced cost nonzero on interior variable x[{j}]")
     return msgs
+
+
+# ---------------------------------------------------------------------------
+# the weak-duality checks with a Fraction per entry
+
+def _ratio(n: int, d: int) -> Fraction:
+    return Fraction(n, d) if n else Fraction(0)
+
+
+def row_gaps(lp, x) -> list:
+    """a_i . x - b_i for every row i, with x exact, one Fraction per
+    nonzero gap."""
+    xs, dx = common_denominator(x)
+    gaps = []
+    for (pairs, k), (_, _, rhs) in zip(lp.int_rows, lp.rows):
+        q = rhs.denominator
+        gaps.append(_ratio(sum(v * xs[j] for j, v in pairs) * q
+                           - rhs.numerator * k * dx, k * dx * q))
+    return gaps
+
+
+def _reduced_costs(lp, y) -> list:
+    dens = [v.denominator * k for v, (_, k) in zip(y, lp.int_rows)]
+    dy = lcm(*set(dens))
+    ys = [v.numerator * (dy // d) for v, d in zip(y, dens)]
+    cs, kc = lp.int_objective
+    return [_ratio(c * dy - sum(v * ys[i] for i, v in col) * kc, kc * dy)
+            for c, col in zip(cs, lp.int_columns)]
+
+
+def _beyond(v, tol, below=True, above=True) -> bool:
+    n = v.numerator
+    return (below and n < 0 or above and n > 0) and (not tol or abs(v) > tol)
+
+
+def fraction_point_violations(lp, x, value, tol=0) -> list:
+    """lpsolve.point_violations as it was with a Fraction for every
+    entry of x, every nonzero row gap and the value."""
+    if len(x) != lp.nvars:
+        return ["certificate has the wrong number of variables"]
+    x = [rat_from(v) for v in x]
+    msgs = [f"x[{j}] below lower bound" for j, v in enumerate(x)
+            if _beyond(v, tol, above=False)]
+    msgs += [f"row {i} violated ({rel})"
+             for i, ((_, rel, _), s) in enumerate(zip(lp.rows,
+                                                      row_gaps(lp, x)))
+             if _beyond(s, tol, below=rel != lpsolve.LE,
+                        above=rel != lpsolve.GE)]
+    if _beyond(vdot(lp.objective, x) - rat_from(value), tol):
+        msgs.append("objective value mismatch")
+    return msgs
+
+
+def fraction_dual_violations(lp, y, value, tol=0) -> list:
+    """lpsolve.dual_violations as it was with a Fraction for every dual,
+    every nonzero reduced cost and the value."""
+    if len(y) != lp.nrows:
+        return ["certificate has the wrong number of duals"]
+    y = [rat_from(v) for v in y]
+    msgs = [f"dual sign wrong on row {i} ({rel})"
+            for i, ((_, rel, _), v) in enumerate(zip(lp.rows, y))
+            if _beyond(v, tol, below=rel == lpsolve.GE,
+                       above=rel == lpsolve.LE)]
+    msgs += [f"duals violate column {j}"
+             for j, r in enumerate(_reduced_costs(lp, y))
+             if _beyond(r, tol, above=False)]
+    if _beyond(vdot([b for _, _, b in lp.rows], y) - rat_from(value), tol):
+        msgs.append("dual objective does not match the certificate")
+    return msgs
+
+
+def fraction_verify_solution(lp, result) -> tuple:
+    """lpsolve.verify_solution over the Fraction checks."""
+    tol = 0 if result.mode == "exact" else lpsolve.FLOAT_CHECK_TOL
+    try:
+        msgs = (fraction_point_violations(lp, result.x, result.value, tol)
+                + fraction_dual_violations(lp, result.duals, result.value,
+                                           tol))
+    except NonFiniteError:
+        return False, ("certificate has a non-finite value",)
+    return not msgs, tuple(msgs)
+
+
+def fraction_lbb_duals(cert, alpha=()) -> tuple:
+    """The lifting LP's duals of an lbb, gl or ggl certificate, in row
+    order, as bounds.verify_report built them with Fractions: y, alpha,
+    2 Y and -z, Y and z read exactly before they are scaled."""
+    return (*cert["y"], *alpha,
+            *(2 * rat_from(v) for row in cert.get("Y", ()) for v in row),
+            *(-rat_from(v) for v in cert.get("z", ())))
 
 
 # ---------------------------------------------------------------------------

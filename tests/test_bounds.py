@@ -1,7 +1,9 @@
 """Bound ladder: ordering, duality equality, certificates, invariances."""
 
+import math
 import random
 import tracemalloc
+from collections import Counter
 from dataclasses import replace
 from fractions import Fraction
 from functools import partial, reduce
@@ -28,6 +30,7 @@ from quadlin.bounds import (
 from quadlin.exactnum import (
     ONE,
     ZERO,
+    NonFiniteError,
     RationalMatrix,
     common_denominator,
     matrix_rank,
@@ -62,8 +65,12 @@ from helpers import (
 from oracles import (
     ListTableau,
     dense_rows,
+    fraction_dual_violations,
     fraction_fold_ggl,
+    fraction_lbb_duals,
+    fraction_point_violations,
     linearization_violations,
+    row_gaps,
     structural_zeros,
 )
 
@@ -527,7 +534,7 @@ def test_residual_is_minus_the_fitting_programs_row_gaps():
                        Fraction(0))
                  - (Fraction(zbar[k]) if i == k else 0)
                  for k in range(m)] for i in range(m)]
-        gaps = [lpsolve._row_gaps(
+        gaps = [row_gaps(
             programs[k].with_rhs(Q.column(k)),
             _split_point([Fraction(v) for v in ycols[k]]
                          + [Fraction(zbar[k])]))
@@ -574,7 +581,7 @@ def _gl_fits_match_the_simplex(inst, mode):
         assert [Fraction(v, bcols[1] * fit.d)
                 for v in bounds._fit_gaps(bcols, k, cost, fit.x)] \
             == [Fraction(v, fit.gaps[1]) for v in fit.gaps[0]] \
-            == lpsolve._row_gaps(lp, x)
+            == row_gaps(lp, x)
         assert lpsolve.point_violations(
             lp, x, -Fraction(fit.cbar, fit.d)) == []
     simplex = lpsolve.solve_lp(bounds._polytope_lp(bqp, cbars), mode=mode)
@@ -1668,6 +1675,114 @@ def test_verify_report_rejects_a_non_finite_certificate(bound, path):
     forged = _with_entry(rep.certificate, path, float("nan"))
     assert verify_report(inst, replace(rep, certificate=forged)) == want
     assert verify_report(inst, replace(rep, value=float("inf"))) == want
+
+
+def _fraction_replay(inst, rep):
+    """verify_report's LP check of a gl, ggl, lbb_prime or rlt1 report as
+    it was with a Fraction per entry: oracles' fraction_* checks against
+    the member-less lifting LP, the lbb duals built by
+    fraction_lbb_duals."""
+    lp, _ = bounds._lifting_lp(bounds._bqp(inst))
+    tol = 0 if rep.mode == "exact" else lpsolve.FLOAT_CHECK_TOL
+    cert, msgs = rep.certificate, []
+    try:
+        if rep.name == "rlt1":
+            msgs += fraction_point_violations(
+                lp, (*cert["x"], *cert["w"]), rep.value, tol)
+            duals = cert["duals"]
+        else:
+            duals = fraction_lbb_duals(cert)
+        msgs += fraction_dual_violations(lp, duals, rep.value, tol)
+    except NonFiniteError:
+        msgs.append("certificate has a non-finite value")
+    return not msgs, tuple(msgs)
+
+
+@pytest.mark.parametrize("mode", ["exact", "float"])
+def test_verify_report_matches_the_fraction_replay(mode):
+    # verify_report reads a certificate into integers once and scales
+    # 2 Y and -z on the numerators; the replay with a Fraction per entry
+    # must give the same verdict and messages on every report and on
+    # seeded moves of one entry: to and past FLOAT_CHECK_TOL, by +-1, to
+    # 1e308 (2 Y is then past the largest float, yet finite), to NaN
+    # and to an infinity
+    tol = lpsolve.FLOAT_CHECK_TOL
+    past = math.nextafter(float(tol), math.inf)
+    num = Fraction if mode == "exact" else float
+    moves = [lambda v: num(tol), lambda v: num(-tol),
+             lambda v: v + num(past), lambda v: v - num(past),
+             lambda v: v + 1, lambda v: v - 1, lambda v: num(10 ** 308)]
+    if mode == "float":
+        moves += [lambda v: math.nan, lambda v: math.inf]
+    rng = random.Random(12)
+    messages = Counter()
+    for inst in (generate_tournament(5), _random_qspp(rng, m_max=8)):
+        for rep in (gl_bound(inst, mode=mode),
+                    ggl_bound(inst, SkewStrategy.SYMMETRIZE, mode=mode),
+                    lbb_prime(inst, mode=mode), rlt1(inst, mode=mode)):
+            assert verify_report(inst, rep) == _fraction_replay(inst, rep) \
+                == (True, ())
+            keys = ("x", "w", "duals") if rep.name == "rlt1" \
+                else ("y", "Y", "z")
+            for move in moves:
+                for key in keys:
+                    path = (key, rng.randrange(len(rep.certificate[key])))
+                    if key == "Y":
+                        path += (rng.randrange(inst.m),)
+                    entry = reduce(getitem, path, rep.certificate)
+                    moved = replace(rep, certificate=_with_entry(
+                        rep.certificate, path, move(entry)))
+                    got = verify_report(inst, moved)
+                    assert got == _fraction_replay(inst, moved), (path,)
+                    messages.update(got[1] or ("ok",))
+    # 2 instances, 4 reports, 3 keys, NaN and an infinity
+    assert messages["ok"] and messages["certificate has a non-finite value"] \
+        == (48 if mode == "float" else 0)
+    assert sum(messages.values()) > 2 * messages["ok"], messages
+
+
+def test_a_huge_float_in_y_stays_finite():
+    # 2 * 1e308 overflows a float; the replay doubles Y's entry after
+    # reading it, so the certificate is refuted, not found non-finite
+    inst = generate_tournament(5)
+    rep = lbb_prime(inst, mode="float")
+    moved = replace(rep, certificate=_with_entry(
+        rep.certificate, ("Y", 0, 0), 1e308))
+    ok, msgs = verify_report(inst, moved)
+    assert not ok and msgs == _fraction_replay(inst, moved)[1]
+    assert "certificate has a non-finite value" not in msgs
+
+
+def test_each_instance_is_encoded_once(monkeypatch):
+    # a QsppInstance keeps its flow encoding: a bound and its replay,
+    # and every later one, read the same BqpInstance, so the lifting
+    # LP's caches find it by identity; the binding counted is the one
+    # bench/tracing.py wraps
+    calls = []
+    encode = bounds.qspp_to_bqp
+
+    def counted(inst):
+        calls.append(inst)
+        return encode(inst)
+
+    monkeypatch.setattr(bounds, "qspp_to_bqp", counted)
+    inst = generate_tournament(5)
+    rep = rlt1(inst, mode="exact")
+    assert verify_report(inst, rep) == (True, ())
+    assert calls == [inst]
+    assert bounds._bqp(inst) is bounds._bqp(inst)
+    for bound in (gl_bound, ggl_bound, lbb_prime, lbb_star):
+        assert verify_report(inst, bound(inst, mode="float")) == (True, ())
+    assert calls == [inst]
+    assert bounds._lifting_lp(bounds._bqp(inst)) is bounds._lifting_lp(
+        bounds._bqp(inst))
+    # an instance made by replace has its own encoding, and its own value
+    doubled = replace(inst, Q=inst.Q.scale(2))
+    assert bounds._bqp(doubled) is not bounds._bqp(inst)
+    assert bounds._bqp(doubled).Q == doubled.Q
+    assert calls == [inst, doubled]
+    assert rlt1(doubled, mode="exact").value == 2 * rep.value
+    assert rlt1(inst, mode="exact").value == rep.value
 
 
 def test_verify_report_has_zero_tolerance_on_exact_rlt1():

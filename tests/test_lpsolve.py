@@ -1,3 +1,4 @@
+import math
 import random
 from collections import Counter
 from dataclasses import replace
@@ -25,6 +26,7 @@ from quadlin.lpsolve import (
     verify_solution,
 )
 
+from quadlin.exactnum import NonFiniteError
 from quadlin.model import generate_tournament, qspp_to_bqp
 
 from helpers import python_int_fractions, qap_instance, rand_rational
@@ -32,6 +34,9 @@ from oracles import (
     DenseFloatTableau,
     ListTableau,
     dense_rows,
+    fraction_dual_violations,
+    fraction_point_violations,
+    fraction_verify_solution,
     kkt_violations,
     lp_oracle,
     standard_form,
@@ -502,6 +507,136 @@ def test_verify_rejects_a_non_finite_float_result(bad):
     for moved in ({"value": bad}, {"x": (bad, 0.0)}, {"duals": (bad,)}):
         assert verify_solution(lp, replace(res, **moved)) == (
             False, ("certificate has a non-finite value",))
+
+
+def _beyond_the_tolerance():
+    """The least float above FLOAT_CHECK_TOL, which is 1/10**7 exactly:
+    the float 1e-7 lies just below it."""
+    tol = lpsolve.FLOAT_CHECK_TOL
+    v = float(tol)
+    return v if F(v) > tol else math.nextafter(v, math.inf)
+
+
+def _checker_moves(res, rng):
+    """res with one seeded entry of x or the duals set to, or moved by,
+    each of +-FLOAT_CHECK_TOL exactly, the floats just beyond it, +-1
+    and +-3**-150 (a move in res's own arithmetic), the value moved by
+    each, and one entry or the value set to NaN or +-inf."""
+    tol, past = lpsolve.FLOAT_CHECK_TOL, _beyond_the_tolerance()
+    num = F if res.mode == "exact" else float
+    moves = [tol, -tol, past, -past, 1, -1, F(1, 3 ** 150),
+             -F(1, 3 ** 150)]
+    fields = [f for f in ("x", "duals") if getattr(res, f)]
+    for delta in moves:
+        for field in fields:
+            vec = list(getattr(res, field))
+            j = rng.randrange(len(vec))
+            moved = vec[:]
+            moved[j] = delta  # to the value itself
+            yield replace(res, **{field: tuple(moved)})
+            moved[j] = vec[j] + num(delta)
+            yield replace(res, **{field: tuple(moved)})
+        yield replace(res, value=res.value + num(delta))
+    for bad in (math.nan, math.inf, -math.inf):
+        for field in fields:
+            vec = list(getattr(res, field))
+            vec[rng.randrange(len(vec))] = bad
+            yield replace(res, **{field: tuple(vec)})
+        yield replace(res, value=bad)
+
+
+def test_integer_checks_match_the_fraction_checks():
+    # point_violations, dual_violations and verify_solution read x, y
+    # and the value into integers; oracles' fraction_* checks build a
+    # Fraction per entry, nonzero row gap and reduced cost.  Both must
+    # give the same messages, in order, with zero tolerance and with
+    # FLOAT_CHECK_TOL, on every optimum of the seeded LPs (rational and
+    # full-mantissa, exact and float) and on seeded moves of one entry
+    # to or across the tolerance, by +-1 and +-3**-150, and to NaN or
+    # an infinity
+    tols = (0, lpsolve.FLOAT_CHECK_TOL)
+    cases = verdicts = 0
+    seen, messages = Counter(), Counter()
+    for num, count in ((rand_rational, 60), (_full_mantissa, 60)):
+        rng = random.Random(31)
+        for _ in range(count):
+            lp = _random_lp(rng, num=num)
+            for mode in ("exact", "float"):
+                res = solve_lp(lp, mode=mode)
+                if res.status != OPTIMAL:
+                    continue
+                for case in (res, *_checker_moves(res, rng)):
+                    cases += 1
+                    got = verify_solution(lp, case)
+                    assert got == fraction_verify_solution(lp, case), \
+                        (lp, case)
+                    seen[got[0]] += 1
+                    messages.update(got[1])
+                    for tol in tols:
+                        for check, oracle, vec in (
+                                (lpsolve.point_violations,
+                                 fraction_point_violations, case.x),
+                                (lpsolve.dual_violations,
+                                 fraction_dual_violations, case.duals)):
+                            try:
+                                want = oracle(lp, vec, case.value, tol)
+                            except NonFiniteError:
+                                with pytest.raises(NonFiniteError):
+                                    check(lp, vec, case.value, tol)
+                                continue
+                            assert check(lp, vec, case.value, tol) == want
+                            verdicts += 1
+    assert cases > 2000 and verdicts > 3 * cases
+    # every kind of message is met, passing and failing verdicts alike
+    assert seen[True] > 100 and seen[False] > 1000, seen
+    for msg in ("x[0] below lower bound", "objective value mismatch",
+                _DUAL_OBJECTIVE, "duals violate column 0",
+                "certificate has a non-finite value"):
+        assert messages[msg], (msg, messages)
+    for kind in ("row ", "dual sign wrong"):
+        assert any(m.startswith(kind) for m in messages), (kind, messages)
+
+
+def test_checks_hold_at_the_tolerance_and_fail_just_past_it():
+    # min x0 over x0 >= 1, x1 >= 0 has its float optimum at (1, 0) with
+    # dual 1; an entry moved by FLOAT_CHECK_TOL exactly stays within it,
+    # one moved by the least float past it does not
+    lp = linear_program("min", [1, 0], [((1, 0), GE, 1)])
+    res = solve_lp(lp, mode="float")
+    assert (res.x, res.duals, res.value) == ((1.0, 0.0), (1.0,), 1.0)
+    tol, past = lpsolve.FLOAT_CHECK_TOL, F(_beyond_the_tolerance())
+    for eps, ok in ((tol, True), (past, False)):
+        assert verify_solution(lp, replace(res, x=(1.0, -eps))) == (
+            ok, () if ok else ("x[1] below lower bound",))
+        assert verify_solution(lp, replace(res, x=(1 - eps, 0.0))) == (
+            ok, () if ok else ("row 0 violated (>=)",
+                               "objective value mismatch"))
+        assert verify_solution(lp, replace(res, duals=(1 + eps,))) == (
+            ok, () if ok else ("duals violate column 0", _DUAL_OBJECTIVE))
+        assert verify_solution(lp, replace(res, value=1 + eps)) == (
+            ok, () if ok else ("objective value mismatch", _DUAL_OBJECTIVE))
+        assert lpsolve.dual_violations(
+            linear_program("min", [1], [((1,), LE, 0)]), (eps,), 0.0,
+            tol) == ([] if ok else ["dual sign wrong on row 0 (<=)"])
+
+
+def test_a_float_optimum_that_fails_its_check_is_not_returned(monkeypatch):
+    # every float optimum is checked within FLOAT_CHECK_TOL before
+    # solve_lp returns it: a float tableau that reads back a wrong point
+    # raises NumericalBreakdown, which the CLI maps to exit 5
+    lp = linear_program("min", [1, 1], [((1, 1), GE, 1)])
+    assert solve_lp(lp, mode="float").x == (1.0, 0.0)
+    solve = lpsolve._FloatTableau.solve
+
+    def wrong_point(self):
+        res = solve(self)
+        return replace(res, x=(1.0, 1e-6))
+
+    monkeypatch.setattr(lpsolve._FloatTableau, "solve", wrong_point)
+    with pytest.raises(NumericalBreakdown, match="objective value mismatch"):
+        solve_lp(lp, mode="float")
+    # the exact tableau is checked as before
+    assert solve_lp(lp, mode="exact").x == (1, 0)
 
 
 def test_mode_resolution():
