@@ -177,12 +177,17 @@ def _check_variables(m: int, lineno: int) -> None:
 
 
 def _matrix_from_triplets(lines: _Lines, m: int):
+    """The m x m matrix of an entry count and that many ``i j value``
+    lines, and whether a value was written as a float.  An integer value
+    is read by ``int`` alone, and each distinct one becomes one shared
+    Fraction; anything else goes through ``_parse_value``."""
     no, toks = lines.take(1, "entry count")
     nnz = _parse_int(toks[0], no)
     if nnz < 0:
         raise ParseError(f"line {no}: negative entry count")
-    rows = [[ZERO] * m for _ in range(m)]
+    flat = [ZERO] * (m * m)
     seen = set()
+    shared = {0: ZERO}
     tagged = False
     for _ in range(nnz):
         no, toks = lines.take(3, "matrix entry")
@@ -191,9 +196,17 @@ def _matrix_from_triplets(lines: _Lines, m: int):
         if (i, j) in seen:
             raise ParseError(f"line {no}: duplicate entry ({i + 1}, {j + 1})")
         seen.add((i, j))
-        rows[i][j], was_float = _parse_value(toks[2], no)
-        tagged = tagged or was_float
-    return RationalMatrix.from_rows(rows), tagged
+        try:
+            x = int(toks[2])
+        except ValueError:
+            flat[i * m + j], was_float = _parse_value(toks[2], no)
+            tagged = tagged or was_float
+            continue
+        v = shared.get(x)
+        if v is None:
+            v = shared[x] = Fraction(x)
+        flat[i * m + j] = v
+    return RationalMatrix(m, m, tuple(flat)), tagged
 
 
 def _dense_rows(lines: _Lines, count: int, width: int, what: str):

@@ -228,12 +228,15 @@ class RationalMatrix:
 
 def common_denominator(values):
     """``(numerators, den)`` for ints and Fractions: each value is
-    ``numerator / den`` for the least common denominator ``den``."""
+    ``numerator / den`` for the least common denominator ``den``.  A
+    value that is the shared ``ZERO`` is taken as 0 unread, so a sparse
+    row or matrix pays for its nonzero entries only."""
     values = list(values)
-    den = lcm(*{v.denominator for v in values})
+    den = lcm(*{v.denominator for v in values if v is not ZERO})
     if den == 1:
-        return [v.numerator for v in values], 1
-    return [v.numerator * (den // v.denominator) for v in values], den
+        return [0 if v is ZERO else v.numerator for v in values], 1
+    return [0 if v is ZERO else v.numerator * (den // v.denominator)
+            for v in values], den
 
 
 def _scaled_int_rows(mat: RationalMatrix) -> list:

@@ -80,7 +80,11 @@ class QsppInstance:
 
 @dataclass(frozen=True)
 class BqpInstance:
-    """min x^T Q x + linear . x  over  {x binary : B x = b}."""
+    """min x^T Q x + linear . x  over  {x binary : B x = b}.
+
+    Its hash is worked out once, on first use, and kept, as
+    RationalMatrix's is: the lifting LP cached for an instance is looked
+    up by it on every bound and replay."""
 
     B: RationalMatrix
     b: tuple
@@ -89,6 +93,15 @@ class BqpInstance:
     integral_polytope: bool = False
     structure: tuple = None
     float_tagged: bool = False
+
+    @cached_property
+    def _hash(self) -> int:
+        return hash((self.B, self.b, self.Q, self.linear,
+                     self.integral_polytope, self.structure,
+                     self.float_tagged))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def __post_init__(self):
         m = self.Q.rows

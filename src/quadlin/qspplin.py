@@ -18,6 +18,12 @@ e = (u, v) the pseudo-linearization p_v, pushed down to the corridor of u
 the first failing arc plus the two differing vectors form a refutation
 witness that is independently checkable by path enumeration.
 
+Corridors are views of the one graph, which is checked to be a corridor
+once: the corridor to v holds the arcs whose head reaches v, named by
+their labels in g, and its vertices keep g's topological order.  No Dag is
+pruned or validated per vertex; ``transform_te`` alone returns a pruned
+child Dag, for its callers.
+
 All of the above is linear in Q and only adds and subtracts pair sums, so
 the spanning set is the decision's recursion (``_recursion``) run on the
 pair coordinates q_ij + q_ji (i < j) instead of on numbers: each per-arc
@@ -34,9 +40,10 @@ never matters because x^T Q x == x^T sym(Q) x identically.
 Arithmetic: every map above only adds and subtracts the pair sums
 q_ij + q_ji and the given costs, so each computation scales its inputs
 once to integer numerators over one common denominator, runs on Python
-ints, and builds a Fraction only for the values it returns.  Membership in
-a spanning set reduces the query's pair sums against a forward
-elimination of the members', kept on the instance.
+ints, and builds a Fraction only for the values it returns.  Pair sums
+read only a matrix's nonzero entries as Fractions.  Membership in a
+spanning set reduces the query's pair sums against a forward elimination
+of the members', kept on the instance.
 """
 
 from __future__ import annotations
@@ -44,6 +51,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from typing import NamedTuple
 
 from quadlin.exactnum import (
     ONE,
@@ -60,6 +68,7 @@ from quadlin.graph import (
     Dag,
     GraphError,
     _critical_paths,
+    _reach_masks,
     basic_arc_order,
     is_corridor,
     prune_to_corridor,
@@ -68,17 +77,80 @@ from quadlin.model import QsppInstance, require_exact
 
 
 # ---------------------------------------------------------------------------
+# corridors as views of one graph
+
+class _Corridor(NamedTuple):
+    """The corridor to a vertex v of a corridor graph g, read off g: every
+    arc is named by its label in g, and no Dag is built.
+
+    ``arcs``: the arcs whose head reaches v, ascending; they are exactly
+    ``prune_to_corridor(g, v).parent_arc``.  ``sweep``: ``(non-basic arc,
+    out arcs, in arcs)`` of each transshipment vertex in reverse
+    topological order, the non-basic arc being the smallest-label out arc
+    whose head reaches v.
+    """
+
+    arcs: tuple
+    sweep: tuple
+
+
+def _corridors(g: Dag, targets):
+    """Yield ``(v, corridor, critical)`` for each v in ``targets``; g must
+    be a corridor.  ``critical`` lists ``(e, path, k)`` per basic arc e,
+    ordered by (topological position of the tail, label), with ``path``
+    e's critical path and e at ``path[k]``.
+
+    Vertices keep g's topological order, which the corridor's own Dag may
+    not: pseudo-linearizations and reduced forms are unique, so any
+    topological order gives the same numbers.  The source side of a
+    critical path through an arc leaving u is the lexicographically
+    smallest arc sequence from the source to u, the same in every
+    corridor holding u: an arc whose head reaches u reaches every vertex
+    u reaches, so the greedy choice never changes.  It is worked out once
+    per vertex.
+    """
+    masks = _reach_masks(g)
+    arcs, out_arcs = g.arcs, g.out_arcs
+    prefix = {}
+    for u in g.topo_order:
+        seq, w = [], g.source
+        while w != u:
+            a = next(a for a in out_arcs[w] if masks[arcs[a][1]] >> u & 1)
+            seq.append(a)
+            w = arcs[a][1]
+        prefix[u] = tuple(seq)
+
+    reach = [masks[h] for _, h in arcs]  # what each arc's head reaches
+    steps = {}  # one sweep step per distinct set of out arcs, shared
+    for v in targets:
+        inside = [w for w in g.topo_order if w != v and masks[w] >> v & 1]
+        step = {}
+        for w in inside:
+            out = tuple(a for a in out_arcs[w] if reach[a] >> v & 1)
+            step[w] = steps.setdefault(out, (out[0], out, g.in_arcs[w]))
+        sweep, suffix = [], {v: ()}
+        for w in reversed(inside):
+            if w != g.source:
+                f = step[w][0]
+                sweep.append(step[w])
+                suffix[w] = (f,) + suffix[arcs[f][1]]
+        critical = []
+        for w in inside:
+            for e in step[w][1][w != g.source:]:
+                critical.append((e, prefix[w] + (e,) + suffix[arcs[e][1]],
+                                 len(prefix[w])))
+        corridor = _Corridor(
+            tuple(a for a in range(g.m) if reach[a] >> v & 1), tuple(sweep))
+        yield v, corridor, critical
+
+
+def _whole(g: Dag):
+    """``(corridor, critical)`` of g itself, the corridor to its target."""
+    return next(_corridors(g, (g.target,)))[1:]
+
+
+# ---------------------------------------------------------------------------
 # reduced form
-
-def _sweep_order(g: Dag):
-    """Transshipment vertices in reverse topological order, with the
-    non-basic (smallest-label outgoing) arc of each."""
-    order = []
-    for v in reversed(g.topo_order):
-        if v != g.source and v != g.target:
-            order.append((v, min(g.out_arcs[v])))
-    return order
-
 
 def reduce_cost_vector(g: Dag, c) -> tuple:
     """The unique equivalent cost vector that vanishes on non-basic arcs.
@@ -93,19 +165,20 @@ def reduce_cost_vector(g: Dag, c) -> tuple:
     if not is_corridor(g):
         raise GraphError("reduced form needs a corridor graph")
     nums, den = common_denominator(rat(v) for v in c)
-    _reduce_numerators(g, nums)
+    _reduce_numerators(_whole(g)[0], nums)
     return _over(nums, den)
 
 
-def _reduce_numerators(g: Dag, vals: list) -> None:
-    """reduce_cost_vector's sweep on a list of ints, in place."""
-    for v, f in _sweep_order(g):
+def _reduce_numerators(corridor: _Corridor, vals: list) -> None:
+    """reduce_cost_vector's sweep over a corridor, on a list of ints
+    indexed by the graph's arc labels, in place."""
+    for f, outs, ins in corridor.sweep:
         cf = vals[f]
         if cf == 0:
             continue
-        for e in g.out_arcs[v]:
+        for e in outs:
             vals[e] -= cf
-        for e in g.in_arcs[v]:
+        for e in ins:
             vals[e] += cf
 
 
@@ -120,7 +193,7 @@ def reduction_matrix(g: Dag) -> RationalMatrix:
     if not is_corridor(g):
         raise GraphError("reduced form needs a corridor graph")
     rows = [_Lin({j: 1}) for j in range(g.m)]
-    _reduce_numerators(g, rows)
+    _reduce_numerators(_whole(g)[0], rows)
     return RationalMatrix.from_rows(_dense(r, g.m) for r in rows)
 
 
@@ -189,14 +262,18 @@ def pseudo_linearization(g: Dag, q: RationalMatrix) -> tuple:
         raise ValueError("cost matrix shape mismatch")
     if any(q.at(i, i) != 0 for i in range(g.m)):
         raise ValueError("cost matrix must have zero diagonal")
+    if not is_corridor(g):
+        raise GraphError("pseudo-linearization needs a corridor graph")
     s, _, den = _pair_sums(q)
-    return _over(_pseudo_numerators(g, s, range(g.m)), den)
+    return _over(_pseudo_numerators(_whole(g)[1], s, g.m), den)
 
 
 def _pair_sums(q: RationalMatrix):
     """``(s, diag, den)``: q_ij + q_ji == s[i][j] / den for i != j (s[i][i]
     is 0) and q_ii == diag[i] / den, with den the least common
-    denominator of q's entries."""
+    denominator of q's entries.  Only nonzero entries are read as
+    Fractions: ``common_denominator`` passes over ``ZERO``, the zero of
+    spanning-set members and parsed matrices."""
     m = q.rows
     nums, den = common_denominator(q.entries)
     rows = [nums[i * m:(i + 1) * m] for i in range(m)]
@@ -209,25 +286,24 @@ def _pair_sums(q: RationalMatrix):
     return s, diag, den
 
 
-def _pseudo_numerators(g: Dag, s, top) -> list:
-    """Integer core of pseudo_linearization.
+def _pseudo_numerators(critical, s, m: int) -> list:
+    """Integer core of pseudo_linearization on a corridor's critical paths
+    (as ``_corridors`` yields them).
 
-    ``s`` holds pair-sum numerators indexed by the labels ``top[a]`` of g's
-    arcs; the result holds numerators over the same denominator.  Forward
-    substitution: the path cost minus the values already fixed for the
-    other basic arcs on the path (non-basic arcs stay 0).
+    ``s`` holds pair-sum numerators indexed by the graph's arc labels; the
+    result, over the same denominator, is indexed by them too (0 off the
+    corridor).  Forward substitution: the path cost minus the values
+    already fixed for the basic arcs on the path before e (the arcs after
+    it are non-basic and stay 0).
     """
-    out = [0] * g.m
-    path = _critical_paths(g)[1]
-    for e in basic_arc_order(g):
-        arcs = path(e).arcs
-        tops = [top[a] for a in arcs]
+    out = [0] * m
+    for e, path, k in critical:
         cost = 0
-        for k, a in enumerate(tops):
+        for i, a in enumerate(path):
             row = s[a]
-            for b in tops[k + 1:]:
+            for b in path[i + 1:]:
                 cost += row[b]
-        out[e] = cost - sum(out[a] for a in arcs)
+        out[e] = cost - sum(out[a] for a in path[:k])
     return out
 
 
@@ -272,21 +348,20 @@ def transform_te(parent: Dag, q: RationalMatrix, c, e: int,
         child = prune_to_corridor(parent, v)
     pair_e = [q.at(e, a) + q.at(a, e) for a in range(m)]
     nums, den = common_denominator([rat(x) for x in c] + pair_e)
-    out = _push_numerators(child, nums[:m], nums[m:], e, range(m))
-    return child, _over(out, den)
+    out = _push_numerators(parent, child.parent_arc, nums[:m], nums[m:], e)
+    return child, _over([out[a] for a in child.parent_arc], den)
 
 
-def _push_numerators(child: Dag, c, s_row, e: int, top) -> list:
+def _push_numerators(g: Dag, arcs, c, s_row, e: int) -> list:
     """Integer core of transform_te: ``c`` and ``s_row`` (the pair sums
-    with e, indexed by ``top`` of the parent's labels) are numerators over
-    one denominator, and so is the result."""
-    out = []
-    for a_local in range(child.m):
-        a = child.parent_arc[a_local]
-        val = c[a] - s_row[top[a]]
-        if child.arcs[a_local][0] == child.source:
+    with e) are numerators over one denominator indexed by g's labels, and
+    so is the result, set on the corridor's ``arcs`` and 0 elsewhere."""
+    out = [0] * g.m
+    for a in arcs:
+        val = c[a] - s_row[a]
+        if g.arcs[a][0] == g.source:
             val += c[e]
-        out.append(val)
+        out[a] = val
     return out
 
 
@@ -315,33 +390,31 @@ class LinearizationOutcome:
 
 def _recursion(g: Dag, s):
     """``(corridors, pseudo, pushed)``: the corridor to every vertex but the
-    source and its pseudo-linearization numerators, and a generator of
-    ``(arc, tail, head, actual)`` for every arc not leaving the source,
-    where ``actual`` is the head corridor's pseudo-linearization pushed
-    across the arc and reduced, to compare with ``pseudo[tail]``.
+    source, as a view of g, and its pseudo-linearization numerators, and a
+    generator of ``(arc, tail, head, actual)`` for every arc not leaving
+    the source, where ``actual`` is the head corridor's
+    pseudo-linearization pushed across the arc and reduced, to compare
+    with ``pseudo[tail]``.  Every vector is indexed by g's arc labels and
+    is 0 off its corridor.
 
     ``s`` holds pair sums as in ``_pseudo_numerators``: ints give the
     decision, ``_Lin`` pair coordinates give the residual maps' rows.
 
-    Each corridor is pruned once, from g.  For an arc (u, v) the head
-    corridor pruned to u is ``corridors[u]``: g is a corridor, so every
-    s-u path extends by the arc to an s-v path, and pruning keeps the
-    parent's label order.  The head's pseudo-linearization is read on
-    g's labels, which ``corridors[u]`` maps to.
+    g must be a corridor; no corridor is built or checked again.  For an
+    arc (u, v) the head corridor pruned to u is ``corridors[u]``: every
+    s-u path extends by the arc to an s-v path.
     """
     corridors, pseudo = {}, {}
-    for v in g.topo_order:
-        if v != g.source:  # arcs out of the source are not checked
-            cor = corridors[v] = prune_to_corridor(g, v)
-            pseudo[v] = _pseudo_numerators(cor, s, cor.parent_arc)
+    for v, corridor, critical in _corridors(
+            g, [v for v in g.topo_order if v != g.source]):
+        corridors[v] = corridor
+        pseudo[v] = _pseudo_numerators(critical, s, g.m)
 
     def pushed():
         for e, (u, v) in enumerate(g.arcs):
             if u == g.source:
                 continue  # the corridor to the source has no arcs
-            head = dict(zip(corridors[v].parent_arc, pseudo[v]))
-            actual = _push_numerators(corridors[u], head, s[e], e,
-                                      range(g.m))
+            actual = _push_numerators(g, corridors[u].arcs, pseudo[v], s[e], e)
             _reduce_numerators(corridors[u], actual)
             yield e, u, v, actual
 
@@ -353,9 +426,12 @@ def linearize_qspp(inst: QsppInstance) -> LinearizationOutcome:
 
     Linearizable: returns the unique reduced cost vector c with
     c . x == x^T Q x on every source-target path.  Not linearizable:
-    returns a witness arc with the two disagreeing reduced vectors.
+    returns a witness arc with the two disagreeing reduced vectors, over
+    the tail corridor's arcs in ascending label order.
 
-    Runs in O(n m^3) exact arithmetic; no path enumeration anywhere.
+    The graph is checked to be a corridor once; every corridor is then a
+    view of it.  Runs in O(n m^3) exact arithmetic; no path enumeration
+    anywhere.
     """
     require_exact(inst)
     g = inst.graph
@@ -367,15 +443,15 @@ def linearize_qspp(inst: QsppInstance) -> LinearizationOutcome:
     corridors, pseudo, pushed = _recursion(g, s)
     for e, u, v, actual in pushed:
         if actual != pseudo[u]:
+            arcs = corridors[u].arcs
             return LinearizationOutcome(
                 linearizable=False,
                 witness=Witness(
-                    arc=e, tail=u, head=v,
-                    arc_labels=corridors[u].parent_arc,
-                    expected=_over(pseudo[u], den),
-                    actual=_over(actual, den)))
+                    arc=e, tail=u, head=v, arc_labels=arcs,
+                    expected=_over([pseudo[u][a] for a in arcs], den),
+                    actual=_over([actual[a] for a in arcs], den)))
 
-    _reduce_numerators(g, diag)
+    _reduce_numerators(corridors[g.target], diag)
     c = [a + b for a, b in zip(pseudo[g.target], diag)]
     return LinearizationOutcome(linearizable=True, linearization=_over(c, den))
 

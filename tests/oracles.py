@@ -5,9 +5,11 @@ Fourier-style eliminations) and deliberately avoids the production code paths
 it is used to check.  The exceptions say which part they check:
 ListTableau and DenseFloatTableau share the simplex loop and check only
 its arithmetic, fraction_fold_ggl shares the fits and checks only
-ggl's integer fold, and the fraction_* weak-duality checks share the
+ggl's integer fold, the fraction_* weak-duality checks share the
 LP's integer rows and check only the integer reading of x, y and the
-value.
+value, and the dag_* linearizability recursion, which prunes a Dag per
+corridor, shares qspplin's pair coordinates and result types and checks
+the corridor views and the sparse pair sums.
 """
 
 from __future__ import annotations
@@ -669,3 +671,173 @@ def fraction_fold_ggl(inst, strategy, max_iter, mode) -> tuple:
         "Y": tuple(tuple(acc[r] / 2 for acc in fitted) for r in range(n)),
         "z": tuple(acc[n] for acc in fitted)}
     return value, tuple(trace), certificate, pivots
+
+
+# ---------------------------------------------------------------------------
+# the linearizability recursion on pruned corridor Dags
+
+def dense_pair_sums(q):
+    """qspplin's pair sums read from every entry of q: ``(s, diag, den)``
+    with q_ij + q_ji == s[i][j] / den (i != j, s[i][i] == 0) and
+    q_ii == diag[i] / den."""
+    m = q.rows
+    nums, den = common_denominator(q.entries)
+    rows = [nums[i * m:(i + 1) * m] for i in range(m)]
+    s = [[a + b for a, b in zip(row, col)]
+         for row, col in zip(rows, zip(*rows))]
+    diag = []
+    for i in range(m):
+        diag.append(rows[i][i])
+        s[i][i] = 0
+    return s, diag, den
+
+
+def _dag_reduce(g, vals) -> None:
+    """The reduction sweep on a pruned Dag, in g's own topological order."""
+    for v in reversed(g.topo_order):
+        if v == g.source or v == g.target:
+            continue
+        cf = vals[min(g.out_arcs[v])]
+        if cf == 0:
+            continue
+        for e in g.out_arcs[v]:
+            vals[e] -= cf
+        for e in g.in_arcs[v]:
+            vals[e] += cf
+
+
+def _dag_pseudo(g, s, top) -> list:
+    """Pseudo-linearization numerators of the pruned Dag g, with its
+    critical paths and basic-arc order from quadlin.graph; ``s`` is indexed
+    by the labels ``top[a]`` of g's arcs."""
+    from quadlin.graph import _critical_paths, basic_arc_order
+    out = [0] * g.m
+    path = _critical_paths(g)[1]
+    for e in basic_arc_order(g):
+        arcs = path(e).arcs
+        tops = [top[a] for a in arcs]
+        cost = 0
+        for k, a in enumerate(tops):
+            for b in tops[k + 1:]:
+                cost += s[a][b]
+        out[e] = cost - sum(out[a] for a in arcs)
+    return out
+
+
+def dag_recursion(g, s):
+    """qspplin's recursion with every corridor pruned to its own Dag:
+    ``(corridors, pseudo, pushed)`` as qspplin._recursion returns them,
+    except that corridors are Dags and pseudo-linearizations and pushed
+    vectors are indexed by the corridor's own arc labels."""
+    from quadlin.graph import prune_to_corridor
+    corridors, pseudo = {}, {}
+    for v in g.topo_order:
+        if v != g.source:
+            cor = corridors[v] = prune_to_corridor(g, v)
+            pseudo[v] = _dag_pseudo(cor, s, cor.parent_arc)
+
+    def pushed():
+        for e, (u, v) in enumerate(g.arcs):
+            if u == g.source:
+                continue
+            head = dict(zip(corridors[v].parent_arc, pseudo[v]))
+            tail = corridors[u]
+            actual = []
+            for a_local, a in enumerate(tail.parent_arc):
+                val = head[a] - s[e][a]
+                if tail.arcs[a_local][0] == tail.source:
+                    val += head[e]
+                actual.append(val)
+            _dag_reduce(tail, actual)
+            yield e, u, v, actual
+
+    return corridors, pseudo, pushed()
+
+
+def dag_linearize_qspp(inst):
+    """qspplin.linearize_qspp's outcome, through dag_recursion and dense
+    pair sums."""
+    from quadlin.qspplin import LinearizationOutcome, Witness
+    g = inst.graph
+    if g.source == g.target:
+        return LinearizationOutcome(linearizable=True, linearization=())
+    s, diag, den = dense_pair_sums(inst.Q)
+
+    def over(nums):
+        return tuple(Fraction(x, den) for x in nums)
+
+    corridors, pseudo, pushed = dag_recursion(g, s)
+    for e, u, v, actual in pushed:
+        if actual != pseudo[u]:
+            return LinearizationOutcome(
+                linearizable=False,
+                witness=Witness(arc=e, tail=u, head=v,
+                                arc_labels=corridors[u].parent_arc,
+                                expected=over(pseudo[u]),
+                                actual=over(actual)))
+    _dag_reduce(g, diag)
+    return LinearizationOutcome(
+        linearizable=True,
+        linearization=over(a + b for a, b in zip(pseudo[g.target], diag)))
+
+
+def dag_reduction_matrix(g):
+    """qspplin.reduction_matrix by the Dag sweep on unit coordinates."""
+    from quadlin.exactnum import RationalMatrix
+    from quadlin.qspplin import _dense, _Lin
+    rows = [_Lin({j: 1}) for j in range(g.m)]
+    _dag_reduce(g, rows)
+    return RationalMatrix.from_rows(_dense(r, g.m) for r in rows)
+
+
+def dag_spanning_set(g):
+    """qspplin.spanning_set through dag_recursion on pair coordinates."""
+    from quadlin.exactnum import ONE, ZERO, RationalMatrix, null_space_basis
+    from quadlin.qspplin import SpanningSet, _dense, _Lin
+    if g.source == g.target:
+        return SpanningSet(members=(), dimension=0)
+    m = g.m
+    pairs = [(i, j) for i in range(m) for j in range(i + 1, m)]
+    width = len(pairs)
+    s = [[0] * m for _ in range(m)]
+    for k, (i, j) in enumerate(pairs):
+        s[i][j] = s[j][i] = _Lin({k: 1})
+    _, pseudo, pushed = dag_recursion(g, s)
+    residuals = set()
+    for _, u, _, actual in pushed:
+        for a, b in zip(actual, pseudo[u]):
+            if a != b:
+                residuals.add(tuple(_dense(a - b, width)))
+    p_t = [_dense(p, width) for p in pseudo[g.target]]
+    if residuals:
+        basis = null_space_basis(RationalMatrix.from_rows(sorted(residuals)))
+    else:
+        basis = [tuple(ONE if k == j else ZERO for k in range(width))
+                 for j in range(width)]
+    members = []
+    for vec in basis:
+        nums, den = common_denominator(vec)
+        flat = [ZERO] * (m * m)
+        for k, (i, j) in enumerate(pairs):
+            if vec[k]:
+                flat[i * m + j] = flat[j * m + i] = vec[k]
+        c = tuple(Fraction(2 * sum(p * x for p, x in zip(prow, nums)), den)
+                  for prow in p_t)
+        members.append((RationalMatrix(m, m, tuple(flat)), c))
+    return SpanningSet(members=tuple(members), dimension=len(members) + width)
+
+
+def dense_contains(ss, q) -> bool:
+    """SpanningSet.contains with every pair sum read from all entries."""
+    from quadlin.exactnum import int_echelon, int_reduce
+
+    def coords(mat):
+        s, diag, _ = dense_pair_sums(mat)
+        return [x for i, row in enumerate(s) for x in row[i + 1:]], diag
+
+    row, diag = coords(q)
+    if any(diag):
+        return False
+    lead, _ = int_reduce(int_echelon(coords(qi)[0] for qi, _ in ss.members),
+                         row)
+    return lead < 0

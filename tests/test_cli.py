@@ -159,6 +159,10 @@ def test_decimal_values_float_tag_the_instance():
     parsed = parse_instance("qspp\n3 2\n1 3\n1 2\n2 3\n1\n1 2 1.5\n")
     assert parsed.float_tagged
     assert parsed.instance.Q.at(0, 1) == F(1.5)
+    # an integral value written as a float still tags the instance
+    tagged = parse_instance("qspp\n3 2\n1 3\n1 2\n2 3\n2\n1 2 3\n2 1 1e0\n")
+    assert tagged.float_tagged
+    assert tagged.instance.Q.to_rows() == [[0, 3], [1, 0]]
     text = serialize_instance(parsed)
     assert "1.5" in text
     assert parse_instance(text).float_tagged
@@ -189,6 +193,25 @@ def test_round_trip_on_random_instances():
     ("qspp\n3 2\n1 3\n1 2\n", "end of file"),
     ("bqp\n1 2\n1 1\n1\n1\n1 2 1/0\n", "bad value"),
     ("qspp\n3 2\n1 3\n1 2\n2 3\n1\n1 2 inf\n", "bad value"),
+    # entry lines: field counts, index ranges and types, end of file
+    ("qspp\n3 2\n1 3\n1 2\n2 3\n1\n1 2\n",
+     r"line 7: expected 3 fields for matrix entry, got 2"),
+    ("qspp\n3 2\n1 3\n1 2\n2 3\n1\n1 2 1 5\n",
+     r"line 7: expected 3 fields for matrix entry, got 4"),
+    ("qspp\n3 2\n1 3\n1 2\n2 3\n1\n0 2 1\n",
+     r"line 7: row index 0 out of range 1\.\.2"),
+    ("qspp\n3 2\n1 3\n1 2\n2 3\n1\n3 2 1\n",
+     r"line 7: row index 3 out of range 1\.\.2"),
+    ("qspp\n3 2\n1 3\n1 2\n2 3\n1\n1 0 1\n",
+     r"line 7: column index 0 out of range 1\.\.2"),
+    ("qspp\n3 2\n1 3\n1 2\n2 3\n1\n1 3 1\n",
+     r"line 7: column index 3 out of range 1\.\.2"),
+    ("qspp\n3 2\n1 3\n1 2\n2 3\n1\n1.5 2 1\n",
+     r"line 7: expected integer, got '1\.5'"),
+    ("qspp\n3 2\n1 3\n1 2\n2 3\n2\n1 2 1\n",
+     r"unexpected end of file \(matrix entry expected\)"),
+    ("qspp\n3 2\n1 3\n1 2\n2 3\n2\n1 2 1\n2 1 1/x\n",
+     r"line 8: bad value '1/x'"),
 ])
 def test_parse_errors_carry_position(text, fragment):
     with pytest.raises(ParseError, match=fragment):

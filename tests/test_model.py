@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 from fractions import Fraction
 from itertools import permutations
 
@@ -148,6 +149,30 @@ def test_weak_sum_needs_constant_support():
     mat = weak_sum_matrix([0, 0, 1], [0, 0, 0])
     c = weak_sum_linearization([0, 0, 1], [0, 0, 0], 2)
     assert not is_linearization(inst, mat, c)
+
+
+def test_bqp_instance_keeps_its_hash(monkeypatch):
+    inst = generate_tournament(5)
+    a, b = qspp_to_bqp(inst), qspp_to_bqp(inst)
+    assert a == b and a is not b
+    assert hash(a) == hash(b)
+    other = replace(a, linear=(F(1),) * a.m)
+    assert other != a
+
+    hashed = []
+    original = Fraction.__hash__
+
+    def counting(self):
+        hashed.append(self)
+        return original(self)
+
+    monkeypatch.setattr(Fraction, "__hash__", counting)
+    hash(other)  # first hash: reads the linear term's Fractions
+    assert hashed
+    hashed.clear()
+    hash(a)
+    hash(other)
+    assert hashed == []
 
 
 def test_tournament_shape():

@@ -56,6 +56,7 @@ from helpers import (
     rand_symmetric_rows,
     random_corridor_dag,
 )
+import oracles
 from oracles import system_solvable
 
 F = Fraction
@@ -572,20 +573,58 @@ def test_recursion_outputs_are_pinned_on_tournaments(n, shape, members_sha,
     assert exact_tuple(w.actual) == (2, -16, 0)
 
 
-def test_recursion_prunes_each_corridor_once(monkeypatch):
-    # one corridor per vertex but the source, pruned from the graph: the
-    # tail corridor of an arc is read off the table, not pruned again
-    # from the head's
-    calls = []
-
-    def counting(g, v):
-        calls.append(v)
-        return prune_to_corridor(g, v)
-
-    monkeypatch.setattr(qspplin, "prune_to_corridor", counting)
+def test_recursion_builds_no_dag(monkeypatch):
+    # every corridor is a view of the instance graph: the decision and the
+    # spanning set build no Dag, pruned or otherwise
     inst = generate_tournament(7)
+    built = []
+    original = Dag.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(args)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(Dag, "__init__", counting)
+    prune_to_corridor(inst.graph, 3)
+    assert len(built) == 1  # the counter sees a Dag being built
+    built.clear()
     spanning_set(inst.graph)
-    assert len(calls) == 6
-    calls.clear()
     linearize_qspp(inst)
-    assert len(calls) == 6
+    assert built == []
+
+
+def test_views_match_the_pruned_dag_recursion():
+    # the recursion on views of one graph against oracles.dag_recursion,
+    # which prunes a Dag per corridor: outcomes, witnesses, spanning sets,
+    # reduction matrices and membership verdicts are equal bit for bit
+    rng = random.Random(52)
+    verdicts, memberships = set(), set()
+    for k in range(48):
+        g = random_corridor_dag(rng, n_max=7, m_max=12,
+                                require_overdetermined=k % 2 == 0)
+        if k % 3 == 0:
+            base = qspp_to_bqp(QsppInstance(g, RationalMatrix.zeros(g.m,
+                                                                    g.m)))
+            q, _ = make_linearizable(base, rand_rows(rng, g.n, g.m),
+                                     [rand_rational(rng)
+                                      for _ in range(g.m)])
+            rows = q.to_rows()
+        else:
+            rows = rand_rows(rng, g.m, g.m, denoms=(1, 2, 3))
+        diagonal = [[rows[i][j] if i == j else F(0) for j in range(g.m)]
+                    for i in range(g.m)]
+        for r in (rows, diagonal):
+            inst = _qspp(g, r)
+            out = linearize_qspp(inst)
+            assert out == oracles.dag_linearize_qspp(inst)
+            verdicts.add(out.linearizable)
+        assert reduction_matrix(g) == oracles.dag_reduction_matrix(g)
+        if k % 4 == 0:
+            ss = spanning_set(g)
+            assert ss == oracles.dag_spanning_set(g)
+            for q in (inst.Q, RationalMatrix.from_rows(
+                    zero_diag_rows(rng, g.m)), ss.members[-1][0]):
+                verdict = ss.contains(q)
+                assert verdict == oracles.dense_contains(ss, q)
+                memberships.add(verdict)
+    assert verdicts == memberships == {True, False}
